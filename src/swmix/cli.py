@@ -5,16 +5,12 @@ One scenario file per invocation; artifacts land under ``--out`` as
 ``envelope.csv``, ``counts.csv``).  Exit status: 0 on success, 2 when a
 search budget ran out (partial artifacts are still written), 1 on validation
 errors, which are printed as machine-readable JSON objects.
-
-Dispatch is single-threaded; SWMIX_THREADS is validated and acts as an upper
-cap, which the serial implementation trivially honors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -69,19 +65,6 @@ def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in artifacts.items():
         (out_dir / name).write_text(text, encoding="utf-8")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SWMIX_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ScenarioError(f"SWMIX_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ScenarioError("SWMIX_THREADS must be at least 1")
-    return n
 
 
 def _require(params: dict, key: str) -> Any:
@@ -394,11 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        _thread_cap()
-    except ScenarioError as exc:
-        print(dumps({"error": _error_payload(exc)}), end="")
-        return 1
     return args.func(args)
 
 

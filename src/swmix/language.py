@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .errors import EmptyLanguage
 from .words import Word
 
 MAX_ALPHABET = 64
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -202,45 +204,53 @@ def accepts_prefix(aut: PrunedAutomaton, word: Word | Sequence[int]) -> bool:
     return True
 
 
-def enumerate_words(
+def walk(
     aut: PrunedAutomaton,
     n: int,
-    prune: Callable[[tuple[int, ...]], bool] | None = None,
-) -> Iterator[Word]:
-    """Yield the admissible words of length ``n`` in lexicographic order.
+    root: _T,
+    step: Callable[[_T, int], _T | None],
+    spend: Callable[[], bool] | None = None,
+) -> Iterator[tuple[tuple[int, ...], _T]]:
+    """Depth-first walk over the admissible words of length ``n``.
 
-    ``prune`` sees every proper prefix as it is extended; returning True
-    abandons the whole branch.  This is the hook enclosure-driven searches use.
+    ``root`` is folded along each branch: ``step(value, sym)`` returns the
+    child value, or None to prune the branch.  ``spend`` is called once per
+    admissible edge, before its step; a False return ends the walk.  Yields
+    ``(symbols, value)`` for every surviving word, in lexicographic order.
     """
-    if n < 1:
-        raise ValueError("word length must be at least 1")
-    frames: list[list[int]] = [[aut.start, 0]]
+    frames: list[list] = [[aut.start, root, 0]]
     path: list[int] = []
     while frames:
         frame = frames[-1]
-        if len(path) == n:
-            yield Word(tuple(path))
-            frames.pop()
+        if len(path) < n:
+            state, value, sym = frame
+            row = aut.transitions[state]
+            child = None
+            while child is None and sym < aut.m:
+                nxt = row[sym]
+                sym += 1
+                if nxt >= 0:
+                    if spend is not None and not spend():
+                        return
+                    child = step(value, sym - 1)
+            if child is not None:
+                frame[2] = sym
+                path.append(sym - 1)
+                frames.append([nxt, child, 0])
+                continue
+        else:
+            yield tuple(path), frame[1]
+        frames.pop()
+        if path:
             path.pop()
-            continue
-        advanced = False
-        while frame[1] < aut.m:
-            sym = frame[1]
-            frame[1] += 1
-            nxt = aut.transitions[frame[0]][sym]
-            if nxt < 0:
-                continue
-            path.append(sym)
-            if prune is not None and len(path) < n and prune(tuple(path)):
-                path.pop()
-                continue
-            frames.append([nxt, 0])
-            advanced = True
-            break
-        if not advanced and frame[1] >= aut.m:
-            frames.pop()
-            if path:
-                path.pop()
+
+
+def enumerate_words(aut: PrunedAutomaton, n: int) -> Iterator[Word]:
+    """Yield the admissible words of length ``n`` in lexicographic order."""
+    if n < 1:
+        raise ValueError("word length must be at least 1")
+    for syms, _ in walk(aut, n, (), lambda value, sym: value):
+        yield Word(syms)
 
 
 def count_words(aut: PrunedAutomaton, n: int) -> int:

@@ -1,10 +1,13 @@
 """Budgeted lexicographic-first searches over admissible words.
 
-The engines walk the pruned automaton depth-first in symbol order while
-folding either interval enclosures or point orbits along each branch, so a
-shared prefix is evaluated once.  Branches die when any tracked set becomes
-empty, any tracked point leaves every piece domain, or -- with the system's
-clamp flag -- the branch separates entirely from the closed bounding box.
+Every search is one call of :func:`swmix.language.walk`, the depth-first,
+symbol-ordered walk of the pruned automaton, with a step function that folds
+interval enclosures (:func:`step_images`) or point orbits
+(:func:`step_points`) along each branch, so a shared prefix is evaluated
+once.  Branches die when any tracked set becomes empty, any tracked point
+leaves every piece domain, or -- with the system's clamp flag -- the branch
+separates entirely from the closed bounding box.  The walker charges
+:meth:`SearchClock.spend` once per admissible edge before stepping it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .core import SwitchedSystem, image_of
-from .errors import UndefinedAtPoint
+from .errors import UndefinedAtPoint, UndefinedOnSet
 from .intervals import IntervalSet, Scalar
+from .language import walk
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,24 @@ class SearchClock:
 
 
 def step_images(
-    system: SwitchedSystem, images: tuple[IntervalSet, ...], sym: int
+    system: SwitchedSystem,
+    images: tuple[IntervalSet, ...],
+    sym: int,
+    partial: bool = True,
 ) -> tuple[IntervalSet, ...] | None:
-    """One synchronous map application; None when the branch dies."""
+    """One synchronous map application; None when the branch dies.
+
+    With ``partial=False`` the branch also dies where the map is undefined
+    on a positive-width part of any image.
+    """
     widen = system.numerics.widen
     pam = system.maps[sym]
     out = []
     for img in images:
-        nxt = image_of(pam, img, widen=widen, partial=True)
+        try:
+            nxt = image_of(pam, img, widen=widen, partial=partial)
+        except UndefinedOnSet:
+            return None
         if nxt.is_empty:
             return None
         if system.clamp and not system.inside_kill_box(nxt):
@@ -100,39 +114,16 @@ def iter_set_hits(
     ``length`` whose branch survives and whose final enclosures all meet their
     targets.  Stops silently when the clock runs out (check ``clock.exceeded``).
     """
-    aut = system.automaton
     min_overlap = system.numerics.min_overlap
-    frames: list[list] = [[aut.start, tuple(sources), 0]]
-    path: list[int] = []
-    while frames:
-        frame = frames[-1]
-        if len(path) == length:
-            images = frame[1]
-            if all(img.intersects(t, min_overlap) for img, t in zip(images, targets)):
-                yield tuple(path), images
-            frames.pop()
-            path.pop()
-            continue
-        pushed = False
-        while frame[2] < aut.m:
-            sym = frame[2]
-            frame[2] += 1
-            nxt = aut.transitions[frame[0]][sym]
-            if nxt < 0:
-                continue
-            if not clock.spend():
-                return
-            child = step_images(system, frame[1], sym)
-            if child is None:
-                continue
-            path.append(sym)
-            frames.append([nxt, child, 0])
-            pushed = True
-            break
-        if not pushed and frame[2] >= aut.m:
-            frames.pop()
-            if path:
-                path.pop()
+    for syms, images in walk(
+        system.automaton,
+        length,
+        tuple(sources),
+        lambda images, sym: step_images(system, images, sym),
+        clock.spend,
+    ):
+        if all(img.intersects(t, min_overlap) for img, t in zip(images, targets)):
+            yield syms, images
 
 
 def first_set_hit(
@@ -159,35 +150,12 @@ def iter_point_hits(
     clock: SearchClock,
 ) -> Iterator[tuple[tuple[int, ...], tuple[Scalar, ...]]]:
     """Point-orbit counterpart of :func:`iter_set_hits`."""
-    aut = system.automaton
-    frames: list[list] = [[aut.start, tuple(starts), 0]]
-    path: list[int] = []
-    while frames:
-        frame = frames[-1]
-        if len(path) == length:
-            values = frame[1]
-            if accept(values):
-                yield tuple(path), values
-            frames.pop()
-            path.pop()
-            continue
-        pushed = False
-        while frame[2] < aut.m:
-            sym = frame[2]
-            frame[2] += 1
-            nxt = aut.transitions[frame[0]][sym]
-            if nxt < 0:
-                continue
-            if not clock.spend():
-                return
-            child = step_points(system, frame[1], sym)
-            if child is None:
-                continue
-            path.append(sym)
-            frames.append([nxt, child, 0])
-            pushed = True
-            break
-        if not pushed and frame[2] >= aut.m:
-            frames.pop()
-            if path:
-                path.pop()
+    for syms, values in walk(
+        system.automaton,
+        length,
+        tuple(starts),
+        lambda values, sym: step_points(system, values, sym),
+        clock.spend,
+    ):
+        if accept(values):
+            yield syms, values

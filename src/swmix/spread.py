@@ -29,7 +29,6 @@ from .core import (
     SwitchedSystem,
     eval_interval,
     eval_point,
-    image_of,
     word_preimage,
 )
 from .errors import (
@@ -42,7 +41,8 @@ from .errors import (
 )
 from .geometry import CompactRep
 from .intervals import Interval, IntervalSet, Scalar, covers_closed_interval
-from .search import SearchBudget, SearchClock
+from .language import walk
+from .search import SearchBudget, SearchClock, step_images
 from .words import Word
 
 __all__ = [
@@ -144,24 +144,6 @@ def _dyadic_below(bound: Scalar, eps: Scalar) -> Scalar:
     return float(d) if isinstance(bound, float) else d
 
 
-def _step_strict(
-    system: SwitchedSystem, images: tuple[IntervalSet, ...], sym: int, widen: Scalar
-) -> tuple[IntervalSet, ...] | None:
-    """One total map application; None when any image is undefined somewhere
-    (or, with the clamp flag, separates from the bounding box)."""
-    pam = system.maps[sym]
-    out = []
-    for img in images:
-        try:
-            nxt = image_of(pam, img, widen=widen)
-        except UndefinedOnSet:
-            return None
-        if system.clamp and not system.inside_kill_box(nxt):
-            return None
-        out.append(nxt)
-    return tuple(out)
-
-
 def _inclusion_word(
     system: SwitchedSystem,
     sources: Sequence[IntervalSet],
@@ -171,39 +153,16 @@ def _inclusion_word(
 ) -> Word | None:
     """Shortest, then lexicographically first, admissible word whose total
     image of every source lands inside the matching target."""
-    aut = system.automaton
-    widen = system.numerics.widen
     for length in lengths:
-        frames: list[list] = [[aut.start, tuple(sources), 0]]
-        path: list[int] = []
-        while frames:
-            frame = frames[-1]
-            if len(path) == length:
-                if all(im.subset_of(t) for im, t in zip(frame[1], targets)):
-                    return Word(tuple(path))
-                frames.pop()
-                path.pop()
-                continue
-            pushed = False
-            while frame[2] < aut.m:
-                sym = frame[2]
-                frame[2] += 1
-                nxt = aut.transitions[frame[0]][sym]
-                if nxt < 0:
-                    continue
-                if not clock.spend():
-                    return None
-                child = _step_strict(system, frame[1], sym, widen)
-                if child is None:
-                    continue
-                path.append(sym)
-                frames.append([nxt, child, 0])
-                pushed = True
-                break
-            if not pushed and frame[2] >= aut.m:
-                frames.pop()
-                if path:
-                    path.pop()
+        for syms, images in walk(
+            system.automaton,
+            length,
+            tuple(sources),
+            lambda images, sym: step_images(system, images, sym, partial=False),
+            clock.spend,
+        ):
+            if all(im.subset_of(t) for im, t in zip(images, targets)):
+                return Word(syms)
         if clock.exceeded:
             return None
     return None

@@ -86,14 +86,6 @@ def test_enumeration_is_prefix_closed():
     assert not accepts_prefix(aut, (1, 1))
 
 
-def test_enumerate_with_prune():
-    aut = compile_language(FullShift(2))
-    # Pruning every prefix that starts with 1 halves the tree.
-    kept = list(enumerate_words(aut, 4, prune=lambda syms: syms[0] == 1))
-    assert len(kept) == 8
-    assert all(w[0] == 0 for w in kept)
-
-
 def test_empty_language_rejected():
     with pytest.raises(EmptyLanguage):
         compile_language(ForbiddenWords(2, ((0,), (1,))))

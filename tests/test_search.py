@@ -4,8 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+import swmix.spread as spread
+from swmix.core import SwitchedSystem
 from swmix.demo import tent_system
+from swmix.errors import BudgetExceeded
 from swmix.intervals import IntervalSet
+from swmix.language import ForbiddenWords
 from swmix.search import (
     SearchBudget,
     SearchClock,
@@ -15,6 +19,9 @@ from swmix.search import (
     step_images,
     step_points,
 )
+from swmix.spread import QNet, build_qnet, certify_spread
+
+from helpers import UNIT, rotation_system
 
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
@@ -69,6 +76,13 @@ def test_step_images_and_points_respect_kill_box():
     assert step_images(TENT, img, 0) is not None
     assert step_points(CLAMPED, (F(3, 5),), 0) is None
     assert step_points(TENT, (F(3, 5),), 0) == (F(6, 5),)
+    # The rotation pieces cover (0, 1) only, so (4/5, 6/5) maps partially.
+    rot = rotation_system(F(1, 3))
+    across = (IntervalSet.of(F(4, 5), F(6, 5)),)
+    assert step_images(rot, across, 0) == (IntervalSet.of(F(2, 15), F(1, 3)),)
+    assert step_images(rot, across, 0, partial=False) is None
+    inside = (IntervalSet.of(F(1, 10), F(1, 5)),)
+    assert step_images(rot, inside, 0, partial=False) == (IntervalSet.of(F(13, 30), F(8, 15)),)
 
 
 def test_iter_point_hits_accept():
@@ -88,3 +102,73 @@ def test_budget_validation():
         SearchBudget(max_horizon=0)
     with pytest.raises(ValueError):
         SearchBudget(required=0)
+
+
+# Frozen node counts: the clock is charged once per admissible edge, before
+# the step, so pruned branches count and dead automaton edges do not.
+
+
+def test_refuted_first_set_hit_node_count():
+    system = rotation_system(F(1, 3), F(2, 7))
+    clock = SearchClock(SearchBudget())
+    source = IntervalSet.of(F(1, 10), F(1, 5))
+    target = IntervalSet.of(F(21, 100), F(11, 50))
+    assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
+    assert (clock.count, clock.exceeded) == (240, False)
+
+
+def test_truncated_iter_set_hits_node_count():
+    clock = SearchClock(SearchBudget(max_words=20))
+    words = ["".join(map(str, syms)) for syms, _ in iter_set_hits(CLAMPED, [U], [V], 7, clock)]
+    assert words == [
+        "0000000", "0000001", "0000010", "0000011",
+        "0000100", "0000101", "0000110", "0000111",
+    ]
+    assert (clock.count, clock.exceeded) == (21, True)
+
+
+def test_iter_point_hits_node_count():
+    # Golden-mean language: the dead edge after a 1 is never charged.
+    golden = SwitchedSystem(
+        maps=CLAMPED.maps,
+        language=ForbiddenWords(2, ((1, 1),)),
+        bounds=CLAMPED.bounds,
+        clamp=True,
+    )
+    clock = SearchClock(SearchBudget())
+    hits = list(iter_point_hits(golden, (F(1, 5),), lambda vals: vals[0] > F(1, 2), 6, clock))
+    assert hits == [((0, 0, 1, 0, 1, 0), (F(4, 5),))]
+    assert (clock.count, clock.exceeded) == (10, False)
+
+
+SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
+NET = QNet(radius=F(1, 2), centers=(F(2, 5), F(7, 15), F(8, 15), F(3, 5)))
+
+
+@pytest.fixture
+def spread_clocks(monkeypatch):
+    clocks = []
+
+    class RecordingClock(SearchClock):
+        def __init__(self, budget):
+            super().__init__(budget)
+            clocks.append(self)
+
+    monkeypatch.setattr(spread, "SearchClock", RecordingClock)
+    return clocks
+
+
+def test_certify_spread_node_count(spread_clocks):
+    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    assert {row.word.as_string() for row in cert.rows} == {"010010"}
+    assert len(cert.rows) == 16
+    assert [(c.count, c.exceeded) for c in spread_clocks] == [(2420, False)]
+
+
+def test_certify_spread_budget_node_count(spread_clocks):
+    with pytest.raises(BudgetExceeded, match=r"assignment \(0, 3\)"):
+        certify_spread(
+            TENT, SEEDS, UNIT, UNIT, F(1, 5), build_qnet(UNIT, F(1, 6)),
+            budget=SearchBudget(max_horizon=10, max_words=20_000),
+        )
+    assert [(c.count, c.exceeded) for c in spread_clocks] == [(20_001, True)]
