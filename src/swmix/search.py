@@ -8,6 +8,14 @@ once.  Branches die when any tracked set becomes empty, any tracked point
 leaves every piece domain, or -- with the system's clamp flag -- the branch
 separates entirely from the closed bounding box.  The walker charges
 :meth:`SearchClock.spend` once per admissible edge before stepping it.
+
+Set steps are also shared across word lengths and spread-table rows: every
+set search steps through a memo held by its :class:`SearchClock`, so each
+distinct ``(enclosures, symbol)`` step of one system and one ``partial``
+mode is computed once per logical search, however many lengths or rows
+reach it.  The clock is still charged for every edge, memoised or not, so
+node counts and budget cut-offs do not depend on the memo.  Point steps are
+not memoised: one point step costs about as much as hashing its key.
 """
 
 from __future__ import annotations
@@ -25,7 +33,11 @@ from .language import walk
 @dataclass(frozen=True)
 class SearchBudget:
     """Caps shared by every search: depth, node count, wall clock, and how
-    many certificate elements to exhibit."""
+    many certificate elements to exhibit.
+
+    ``max_words`` caps the nodes one :class:`SearchClock` may charge, and so
+    also the size of that search's step memo.
+    """
 
     max_horizon: int = 12
     max_words: int = 500_000
@@ -33,12 +45,27 @@ class SearchBudget:
     required: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("max_horizon", "max_words", "required"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.max_horizon < 1 or self.max_words < 1 or self.required < 1:
             raise ValueError("budget fields must be positive")
+        seconds = self.max_seconds
+        if seconds is not None:
+            if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+                raise TypeError(f"max_seconds must be a number, got {seconds!r}")
+            if not seconds > 0:
+                raise ValueError(f"max_seconds must be positive, got {seconds!r}")
 
 
 class SearchClock:
-    """Mutable node/time meter for one logical search."""
+    """Mutable node/time meter for one logical search.
+
+    The clock also owns the search's memo of set steps, one table per
+    ``(system, partial)`` pair.  An entry is added only after a charged
+    edge, so ``budget.max_words`` bounds the memo as well as the node count.
+    """
 
     def __init__(self, budget: SearchBudget):
         self.budget = budget
@@ -47,6 +74,9 @@ class SearchClock:
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
+        # (id(system), partial) -> (system, {(images, sym): child or None});
+        # holding the system keeps its id from being reused while the clock lives.
+        self._steps: dict[tuple[int, bool], tuple[SwitchedSystem, dict]] = {}
 
     def spend(self) -> bool:
         self.count += 1
@@ -87,6 +117,25 @@ def step_images(
     return tuple(out)
 
 
+def _memo_step_images(
+    system: SwitchedSystem, clock: SearchClock, partial: bool
+) -> Callable[[tuple[IntervalSet, ...], int], tuple[IntervalSet, ...] | None]:
+    """:func:`step_images` as a walk step, memoised in ``clock`` for this
+    system and mode; dead branches are stored as None."""
+    memo = clock._steps.setdefault((id(system), partial), (system, {}))[1]
+    step = step_images
+
+    def memo_step(images, sym):
+        key = (images, sym)
+        try:
+            return memo[key]
+        except KeyError:
+            child = memo[key] = step(system, images, sym, partial)
+            return child
+
+    return memo_step
+
+
 def step_points(
     system: SwitchedSystem, points: tuple[Scalar, ...], sym: int
 ) -> tuple[Scalar, ...] | None:
@@ -119,7 +168,7 @@ def iter_set_hits(
         system.automaton,
         length,
         tuple(sources),
-        lambda images, sym: step_images(system, images, sym),
+        _memo_step_images(system, clock, partial=True),
         clock.spend,
     ):
         if all(img.intersects(t, min_overlap) for img, t in zip(images, targets)):

@@ -42,7 +42,7 @@ from .errors import (
 from .geometry import CompactRep
 from .intervals import Interval, IntervalSet, Scalar, covers_closed_interval
 from .language import walk
-from .search import SearchBudget, SearchClock, step_images
+from .search import SearchBudget, SearchClock, _memo_step_images
 from .words import Word
 
 __all__ = [
@@ -153,13 +153,10 @@ def _inclusion_word(
 ) -> Word | None:
     """Shortest, then lexicographically first, admissible word whose total
     image of every source lands inside the matching target."""
+    step = _memo_step_images(system, clock, partial=False)
     for length in lengths:
         for syms, images in walk(
-            system.automaton,
-            length,
-            tuple(sources),
-            lambda images, sym: step_images(system, images, sym, partial=False),
-            clock.spend,
+            system.automaton, length, tuple(sources), step, clock.spend
         ):
             if all(im.subset_of(t) for im, t in zip(images, targets)):
                 return Word(syms)

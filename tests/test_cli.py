@@ -114,6 +114,20 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     assert code == 1 and "error" in report
 
 
+def test_malformed_budget_exits_1(tmp_path, capsys):
+    for budget in (
+        {"max_horizon": 3.5},
+        {"max_horizon": True},
+        {"max_seconds": "5"},
+        {"required": 2.5},
+    ):
+        scn = write(tmp_path / "scn.json", spread_scenario(budget=budget))
+        code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+        assert code == 1, budget
+        assert report["error"]["type"] == "ScenarioError"
+        assert report["error"]["message"].startswith("bad budget: ")
+
+
 def test_orbit_task_frozen_values(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

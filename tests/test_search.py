@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import swmix.search as search
 import swmix.spread as spread
 from swmix.core import SwitchedSystem
 from swmix.demo import tent_system
@@ -98,10 +99,23 @@ def test_iter_point_hits_accept():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        SearchBudget(max_horizon=0)
-    with pytest.raises(ValueError):
-        SearchBudget(required=0)
+    for fields, error in [
+        ({"max_horizon": 0}, ValueError),
+        ({"required": 0}, ValueError),
+        ({"max_horizon": 3.5}, TypeError),
+        ({"max_horizon": True}, TypeError),
+        ({"max_words": "5"}, TypeError),
+        ({"required": 2.5}, TypeError),
+        ({"max_seconds": "5"}, TypeError),
+        ({"max_seconds": True}, TypeError),
+        ({"max_seconds": 0}, ValueError),
+        ({"max_seconds": -1.5}, ValueError),
+        ({"max_seconds": float("nan")}, ValueError),
+    ]:
+        with pytest.raises(error):
+            SearchBudget(**fields)
+    assert SearchBudget(max_seconds=5).max_seconds == 5
+    assert SearchBudget(max_seconds=0.5).max_seconds == 0.5
 
 
 # Frozen node counts: the clock is charged once per admissible edge, before
@@ -115,6 +129,38 @@ def test_refuted_first_set_hit_node_count():
     target = IntervalSet.of(F(21, 100), F(11, 50))
     assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
     assert (clock.count, clock.exceeded) == (240, False)
+
+
+def test_refuted_first_set_hit_memoises_steps(monkeypatch):
+    # The 240 charged edges of the refuted search above reach only 36
+    # distinct (enclosures, symbol) steps across its six word lengths.
+    calls = []
+    real = search.step_images
+    monkeypatch.setattr(search, "step_images", lambda *args: calls.append(args) or real(*args))
+    system = rotation_system(F(1, 3), F(2, 7))
+    clock = SearchClock(SearchBudget())
+    source = IntervalSet.of(F(1, 10), F(1, 5))
+    target = IntervalSet.of(F(21, 100), F(11, 50))
+    assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
+    assert (clock.count, len(calls)) == (240, 36)
+
+
+def test_shared_clock_keeps_systems_and_modes_apart():
+    # Same sources throughout: a memo keyed on enclosures and symbol alone
+    # would hand the 2/7 rotation the 1/3 rotation's images, and the strict
+    # search the partial search's surviving branch.
+    rot3, rot7 = rotation_system(F(1, 3)), rotation_system(F(2, 7))
+    across = [IntervalSet.of(F(4, 5), F(6, 5))]
+    searches = [
+        lambda clock: list(iter_set_hits(rot3, across, [UNIT], 2, clock)),
+        lambda clock: list(iter_set_hits(rot7, across, [UNIT], 2, clock)),
+        lambda clock: spread._inclusion_word(rot3, across, [UNIT], range(1, 3), clock),
+        lambda clock: spread._inclusion_word(rot7, across, [UNIT], range(1, 3), clock),
+    ]
+    fresh = [run(SearchClock(SearchBudget())) for run in searches]
+    assert fresh[0] != fresh[1] and fresh[2] is None
+    shared = SearchClock(SearchBudget())
+    assert [run(shared) for run in searches] == fresh
 
 
 def test_truncated_iter_set_hits_node_count():
