@@ -16,10 +16,15 @@ domains are pairwise disjoint; an optional global fallback extends the map to
 the interior of the complement of the explicit domains.  Isolated points on
 domain boundaries stay undefined -- images and preimages of open sets are
 then again open sets, which keeps the rational mode exact.
+
+Each :class:`AffinePiece` stores the sign of its slope and its inverse map
+``(1/a, -b/a)``, computed once at construction, so :func:`image_of` and
+:func:`preimage` do no per-call division or sign test on the coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -54,42 +59,61 @@ __all__ = [
 class AffinePiece:
     """``x -> slope*x + offset`` on the open interval ``domain``.
 
-    The slope must be non-zero: a constant piece would collapse open sets to
-    single points, which the open-set representation cannot express.
+    The slope must be non-zero and both coefficients finite: a constant piece
+    would collapse open sets to single points, which the open-set
+    representation cannot express.  ``positive`` (the sign of the slope) and
+    the inverse map ``x -> inv_slope*x + inv_offset`` are derived once here
+    for the interval kernel.
     """
 
     domain: Interval
     slope: Scalar
     offset: Scalar
+    positive: bool = field(init=False, repr=False, compare=False)
+    inv_slope: Scalar = field(init=False, repr=False, compare=False)
+    inv_offset: Scalar = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.slope == 0:
             raise ValueError("affine pieces must have non-zero slope")
+        for c in (self.slope, self.offset):
+            if isinstance(c, float) and not math.isfinite(c):
+                raise ValueError("affine pieces must have finite coefficients")
         # plain ints are promoted so rational mode stays rational throughout
         if isinstance(self.slope, int):
             object.__setattr__(self, "slope", Fraction(self.slope))
         if isinstance(self.offset, int):
             object.__setattr__(self, "offset", Fraction(self.offset))
+        a = self.slope
+        inv_a = 1.0 / a if isinstance(a, float) else Fraction(1) / a
+        object.__setattr__(self, "positive", a > 0)
+        object.__setattr__(self, "inv_slope", inv_a)
+        object.__setattr__(self, "inv_offset", -self.offset * inv_a)
 
 
-def _aff_endpoint(a: Scalar, b: Scalar, x: Scalar) -> Scalar:
-    if x == NEG_INF:
-        return NEG_INF if a > 0 else POS_INF
-    if x == POS_INF:
-        return POS_INF if a > 0 else NEG_INF
+def _aff_endpoint(a: Scalar, b: Scalar, positive: bool, x: Scalar) -> Scalar:
+    if type(x) is float:  # only a float endpoint can be infinite
+        if x == NEG_INF:
+            return NEG_INF if positive else POS_INF
+        if x == POS_INF:
+            return POS_INF if positive else NEG_INF
     return a * x + b
 
 
-def _aff_interval(a: Scalar, b: Scalar, iv: Interval, widen: Scalar) -> Interval:
-    p = _aff_endpoint(a, b, iv.lo)
-    q = _aff_endpoint(a, b, iv.hi)
-    lo, hi = (p, q) if a > 0 else (q, p)
+def _aff_interval(
+    a: Scalar, b: Scalar, positive: bool, lo: Scalar, hi: Scalar, widen: Scalar
+) -> Interval:
+    """Image of ``(lo, hi)`` under ``x -> a*x + b``; ``positive`` is the sign of ``a``."""
+    p = _aff_endpoint(a, b, positive, lo)
+    q = _aff_endpoint(a, b, positive, hi)
+    if not positive:
+        p, q = q, p
     if widen:
-        if is_finite(lo):
-            lo -= widen
-        if is_finite(hi):
-            hi += widen
-    return Interval(lo, hi)
+        if is_finite(p):
+            p -= widen
+        if is_finite(q):
+            q += widen
+    return Interval(p, q)
 
 
 @dataclass(frozen=True)
@@ -285,7 +309,7 @@ def image_of(
                     f"({cursor}, {lo}) has positive width outside all piece domains"
                 )
             cursor = max(cursor, hi)
-            out.append(_aff_interval(p.slope, p.offset, Interval(lo, hi), widen))
+            out.append(_aff_interval(p.slope, p.offset, p.positive, lo, hi, widen))
         if not partial and cursor < comp.hi:
             raise UndefinedOnSet(
                 f"({cursor}, {comp.hi}) has positive width outside all piece domains"
@@ -314,13 +338,11 @@ def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) ->
     """Exact preimage of ``target`` inside the map's domain (outer in float mode)."""
     out: list[Interval] = []
     for p in pam.effective_pieces:
-        if isinstance(p.slope, float):
-            inv_a = 1.0 / p.slope
-        else:
-            inv_a = Fraction(1) / p.slope
-        inv_b = -p.offset * inv_a
         for comp in target:
-            pulled = _aff_interval(inv_a, inv_b, comp, widen)
+            # 1/a has the sign of a, so the piece's sign orients the pull-back.
+            pulled = _aff_interval(
+                p.inv_slope, p.inv_offset, p.positive, comp.lo, comp.hi, widen
+            )
             cut = pulled.intersect(p.domain)
             if cut is not None:
                 out.append(cut)

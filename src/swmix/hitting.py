@@ -376,16 +376,11 @@ def maps_commute(system: SwitchedSystem, samples: int = 64) -> bool:
     """
     maps = system.maps
     if all(pam.is_global for pam in maps):
-        for i in range(len(maps)):
-            a_i, b_i = maps[i].fallback or (
-                maps[i].effective_pieces[0].slope,
-                maps[i].effective_pieces[0].offset,
-            )
-            for j in range(i + 1, len(maps)):
-                a_j, b_j = maps[j].fallback or (
-                    maps[j].effective_pieces[0].slope,
-                    maps[j].effective_pieces[0].offset,
-                )
+        # The single effective piece is the map as applied; a fallback may be
+        # shadowed by an explicit whole-line piece.
+        coeffs = [(p.slope, p.offset) for pam in maps for p in pam.effective_pieces]
+        for i, (a_i, b_i) in enumerate(coeffs):
+            for a_j, b_j in coeffs[i + 1 :]:
                 if a_i * b_j + b_i != a_j * b_i + b_j:
                     return False
         return True

@@ -10,6 +10,10 @@ where endpoint *arithmetic* happens (map images and preimages in
 All sets here are open.  Normalisation merges only strictly overlapping
 components and keeps abutting ones separate, so ``(0,1) | (1,2)`` remains two
 components: the stored components always union to exactly the represented set.
+
+Sets are hashed often (search memos key on them), so :class:`IntervalSet`
+caches its hash.  :func:`is_finite` tests the endpoint type before comparing
+with the infinities, since only a float endpoint can be infinite.
 """
 
 from __future__ import annotations
@@ -25,7 +29,10 @@ POS_INF = float("inf")
 
 
 def is_finite(x: Scalar) -> bool:
-    return x != NEG_INF and x != POS_INF
+    # Only a float can be infinite.  Testing the type first keeps Fraction
+    # endpoints out of Fraction.__eq__(float), whose numbers-ABC isinstance
+    # checks are the dearest part of a comparison in the interval kernel.
+    return type(x) is not float or (x != NEG_INF and x != POS_INF)
 
 
 @dataclass(frozen=True)
@@ -94,6 +101,18 @@ class IntervalSet:
     """Finite union of disjoint open intervals, sorted by left endpoint."""
 
     components: tuple[Interval, ...]
+
+    def __hash__(self) -> int:
+        # Same value as the generated dataclass hash, computed once: search
+        # memos hash their keys of sets on every lookup, and hashing each
+        # Fraction endpoint again costs a modular inverse.  The cache is a
+        # plain attribute, not a field, so equality and repr are unchanged.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.components,))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     @classmethod
     def empty(cls) -> "IntervalSet":

@@ -19,7 +19,7 @@ from swmix.core import (
 )
 from swmix.demo import tent_orbit, tent_partition, tent_system
 from swmix.errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
-from swmix.intervals import Interval, IntervalSet
+from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import FullShift
 from swmix.words import Word
 
@@ -170,3 +170,116 @@ def test_numerics_validation():
     with pytest.raises(ValueError):
         Numerics(mode="float", tau=0.0)
     assert Numerics().widen == 0
+
+
+# Kernel regression values, frozen from the kernel before it cached per-piece
+# inverse slopes; endpoint types are part of the contract.
+
+
+def endpoints(s: IntervalSet) -> list:
+    return [(c.lo, type(c.lo), c.hi, type(c.hi)) for c in s]
+
+
+def frozen(*pairs) -> list:
+    return [(lo, type(lo), hi, type(hi)) for lo, hi in pairs]
+
+
+NEG_SLOPES = PiecewiseAffineMap(
+    pieces=(
+        AffinePiece(Interval(F(0), F(1, 2)), F(-3, 2), F(1, 4)),
+        AffinePiece(Interval(F(1, 2), F(1)), F(2), F(-1, 3)),
+    )
+)
+
+
+def test_kernel_negative_slopes_frozen():
+    src = IntervalSet.from_pairs([(F(1, 5), F(3, 4)), (F(7, 8), F(1))])
+    assert endpoints(image_of(NEG_SLOPES, src)) == frozen(
+        (F(-1, 2), F(-1, 20)), (F(2, 3), F(7, 6)), (F(17, 12), F(5, 3))
+    )
+    pre = preimage(NEG_SLOPES, IntervalSet.of(F(-1, 2), F(1, 2)))
+    assert endpoints(pre) == frozen((F(0), F(1, 2)))
+
+
+def test_kernel_unbounded_components_frozen():
+    flip = PiecewiseAffineMap.globally(F(-2), F(1))
+    unb = IntervalSet.from_pairs([(NEG_INF, F(0)), (F(1), F(2)), (F(3), POS_INF)])
+    assert endpoints(image_of(flip, unb)) == frozen(
+        (NEG_INF, F(-5)), (F(-3), F(-1)), (F(1), POS_INF)
+    )
+    assert endpoints(preimage(flip, unb)) == frozen(
+        (NEG_INF, F(-1)), (F(-1, 2), F(0)), (F(1, 2), POS_INF)
+    )
+    line = IntervalSet.of(NEG_INF, POS_INF)
+    assert endpoints(image_of(flip, line)) == frozen((NEG_INF, POS_INF))
+    assert endpoints(preimage(flip, line)) == frozen((NEG_INF, POS_INF))
+    # A half-line piece next to its fallback gap (0, inf).
+    half = PiecewiseAffineMap(
+        pieces=(AffinePiece(Interval(NEG_INF, F(0)), F(3), F(1)),),
+        fallback=(F(-1, 2), F(2)),
+    )
+    assert endpoints(image_of(half, IntervalSet.of(F(-2), F(2)))) == frozen(
+        (F(-5), F(1)), (F(1), F(2))
+    )
+    assert endpoints(preimage(half, IntervalSet.of(F(1, 2), POS_INF))) == frozen(
+        (F(-1, 6), F(0)), (F(0), F(3))
+    )
+
+
+def test_kernel_int_endpoints_frozen():
+    ints = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(0, 1), 3, -1),
+            AffinePiece(Interval(1, 2), -1, 4),
+        )
+    )
+    assert endpoints(image_of(ints, IntervalSet.of(0, 2))) == frozen(
+        (F(-1), F(2)), (F(2), F(3))
+    )
+    # Cuts by an int domain endpoint keep that endpoint's int type.
+    assert endpoints(preimage(ints, IntervalSet.of(0, 3))) == frozen(
+        (F(1, 3), 1), (F(1), 2)
+    )
+
+
+def test_kernel_float_widening_frozen():
+    fl = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(NEG_INF, 0.5), 2.0, 0.1),
+            AffinePiece(Interval(0.5, POS_INF), -3.0, 2.6),
+        )
+    )
+    widen = Numerics(mode="float").widen
+    assert widen > 0
+    src = IntervalSet.from_pairs([(NEG_INF, -1.0), (0.1, 0.9), (1.25, POS_INF)])
+    assert endpoints(image_of(fl, src, widen=widen, partial=True)) == frozen(
+        (NEG_INF, -1.149999999998181), (-0.10000000000181908, 1.100000000001819)
+    )
+    assert endpoints(preimage(fl, IntervalSet.of(0.3, 0.7), widen=widen)) == frozen(
+        (0.099999999998181, 0.300000000001819),
+        (0.6333333333315144, 0.7666666666684857),
+    )
+    # Infinite endpoints are never widened.
+    assert endpoints(preimage(fl, IntervalSet.of(NEG_INF, 0.0), widen=widen)) == frozen(
+        (NEG_INF, -0.04999999999818101), (0.8666666666648477, POS_INF)
+    )
+
+
+def test_pieces_carry_inverse_maps():
+    for p in NEG_SLOPES.effective_pieces:
+        assert p.positive == (p.slope > 0)
+        assert p.inv_slope * p.slope == 1
+        assert p.inv_slope * (p.slope * F(3, 7) + p.offset) + p.inv_offset == F(3, 7)
+    glob = PiecewiseAffineMap.globally(-4.0, 1.0)
+    (piece,) = glob.effective_pieces
+    assert not piece.positive
+    assert (piece.inv_slope, piece.inv_offset) == (-0.25, 0.25)
+
+
+def test_affine_piece_rejects_non_finite_coefficients():
+    nan = float("nan")
+    for slope, offset in ((POS_INF, 0.0), (NEG_INF, 1.0), (2.0, nan), (2.0, POS_INF)):
+        with pytest.raises(ValueError, match="finite coefficients"):
+            AffinePiece(Interval(F(0), F(1)), slope, offset)
+    with pytest.raises(ValueError, match="finite coefficients"):
+        PiecewiseAffineMap.globally(1.0, POS_INF)

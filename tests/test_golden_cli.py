@@ -1,0 +1,177 @@
+"""Golden CLI artifacts: ``swmix run`` output must stay byte-identical.
+
+Each scenario runs through the CLI entry point and the sha256 digests of
+``report.json``, ``certificate.json`` (when the task writes one) and stdout,
+together with the exit code, are compared with digests frozen from an earlier
+release.  A refactor of the interval kernel or the search that changes any
+witness, refutation, enclosure endpoint or float bit shows up here.
+
+To inspect a mismatch, write ``SCENARIOS[name]`` to a file, run
+``swmix run <file> --out <dir>`` on this and on the earlier tree, and diff
+the artifacts.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from swmix.cli import main
+
+UNIT = [["0", "1"]]
+
+
+def _tent(clamp: bool, as_float: bool = False) -> dict:
+    """The doubling pair {2x, 2 - 2x} as scenario JSON."""
+    s = float if as_float else str
+    return {
+        "maps": [
+            [{"domain": ["-inf", "inf"], "a": s(2), "b": s(0)}],
+            [{"domain": ["-inf", "inf"], "a": s(-2), "b": s(2)}],
+        ],
+        "bounds": [s(0), s(1)],
+        "language": {"kind": "full", "m": 2},
+        "clamp": clamp,
+        "numerics": {"mode": "float" if as_float else "rational"},
+    }
+
+
+# Rotation by 1/3 and the two-piece tent on (0, 1): finite piece domains and
+# slopes of both signs.
+PIECEWISE = {
+    "maps": [
+        [
+            {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
+            {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
+        ],
+        [
+            {"domain": ["0", "1/2"], "a": "2", "b": "0"},
+            {"domain": ["1/2", "1"], "a": "-2", "b": "2"},
+        ],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "full", "m": 2},
+    "clamp": False,
+}
+
+
+def _wm(kind: str, pairs: list) -> dict:
+    return {
+        "task": "wm-cert",
+        "system": _tent(True),
+        "params": {"K": UNIT, "Q": UNIT, "pairs": pairs, "kind": kind},
+        "budget": {"max_horizon": 12, "max_words": 50_000, "required": 2},
+    }
+
+
+SCENARIOS = {
+    "spread": {
+        "task": "spread",
+        "system": _tent(False),
+        "params": {
+            "seeds": [[["1/3", "2/3"]], [["1/5", "7/20"]]],
+            "K": UNIT,
+            "Q": UNIT,
+            "eps": "2/5",
+            "net_radius": "1/5",
+        },
+        "budget": {"max_horizon": 12, "max_words": 200_000},
+    },
+    "hitting": {
+        "task": "hitting",
+        "system": PIECEWISE,
+        "params": {"U": [["0", "1/20"]], "V": [["1/2", "11/20"]]},
+        "budget": {"max_horizon": 7, "max_words": 50_000, "required": 2},
+    },
+    "wm1": _wm(
+        "wm1",
+        [
+            [[["1/10", "3/20"]], [["4/5", "17/20"]]],
+            [[["2/5", "9/20"]], [["1/20", "1/10"]]],
+        ],
+    ),
+    # One word must carry both sources at once, so they sit close together.
+    "wm2": _wm(
+        "wm2",
+        [
+            [[["1/10", "3/20"]], [["1/5", "1/2"]]],
+            [[["3/25", "4/25"]], [["2/5", "3/5"]]],
+        ],
+    ),
+    "hitting-float": {
+        "task": "hitting",
+        "system": _tent(True, as_float=True),
+        "params": {"U": [[0.1, 0.2]], "V": [[0.6, 0.7]]},
+        "budget": {"max_horizon": 8, "max_words": 50_000, "required": 2},
+    },
+    "hitting-budget": {
+        "task": "hitting",
+        "system": PIECEWISE,
+        "params": {"U": [["0", "1/20"]], "V": [["1/2", "11/20"]]},
+        "budget": {"max_horizon": 7, "max_words": 40},
+    },
+}
+
+# scenario -> (exit code, report.json, certificate.json or None, stdout)
+GOLDEN = {
+    "hitting": (
+        0,
+        "8930657f4ff1580282d6b7259eea20f2e9dd713115d89707d711d1b4a82f7dea",
+        None,
+        "8930657f4ff1580282d6b7259eea20f2e9dd713115d89707d711d1b4a82f7dea",
+    ),
+    "hitting-budget": (
+        2,
+        "ec176ad211d85fd08eaf4582b85f83f9833eb6de43f4fc5b44dd133617fa30ee",
+        None,
+        "ec176ad211d85fd08eaf4582b85f83f9833eb6de43f4fc5b44dd133617fa30ee",
+    ),
+    "hitting-float": (
+        0,
+        "72b17c4d261440c69dea78ae57399365f004181270cb0b794c83b1358486378b",
+        None,
+        "72b17c4d261440c69dea78ae57399365f004181270cb0b794c83b1358486378b",
+    ),
+    "spread": (
+        0,
+        "7ed989986d2391cf5c48be33839b7bd5e3d9435e58aef81c2fa66e38fbfb6bbd",
+        "1a533fd6e98f124eb6abdf2bddb99c212bc32d3b1a5209106b9c24c3c31ca172",
+        "7ed989986d2391cf5c48be33839b7bd5e3d9435e58aef81c2fa66e38fbfb6bbd",
+    ),
+    "wm1": (
+        0,
+        "520bfcdc56f018b98379b78e267823f656879759f3d654153d35381563e6d47a",
+        "0010ade8544e7681fa55fa34b9e06f16269e8da4a4d7f038a7707969f68d5110",
+        "520bfcdc56f018b98379b78e267823f656879759f3d654153d35381563e6d47a",
+    ),
+    "wm2": (
+        0,
+        "403e63695cfadaff53f9dc0f1d912240d633d4ba35626e8aa4f413e7c86953ac",
+        "739fd9f393f5ed49fec52db4d60ae13fe3cbba8332d8a395a1ecfc45564a5919",
+        "403e63695cfadaff53f9dc0f1d912240d633d4ba35626e8aa4f413e7c86953ac",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_golden(name: str, tmp_path, capsys) -> tuple:
+    scn = tmp_path / f"{name}.json"
+    scn.write_text(json.dumps(SCENARIOS[name]))
+    out = tmp_path / name
+    code = main(["run", str(scn), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    cert = out / "certificate.json"
+    return (
+        code,
+        _sha((out / "report.json").read_bytes()),
+        _sha(cert.read_bytes()) if cert.exists() else None,
+        _sha(stdout.encode("utf-8")),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_cli_artifacts_match_golden_digests(name, tmp_path, capsys):
+    assert run_golden(name, tmp_path, capsys) == GOLDEN[name]

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from swmix.core import AffinePiece, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissiblePair, PreconditionFailed
 from swmix.hitting import (
@@ -16,7 +17,8 @@ from swmix.hitting import (
     verify_wm_certificate,
     wm_certificate,
 )
-from swmix.intervals import IntervalSet
+from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
+from swmix.language import FullShift
 from swmix.search import SearchBudget
 from swmix.words import Word
 
@@ -149,6 +151,23 @@ def test_maps_commute():
     assert maps_commute(rotation_system(F(1, 3), F(2, 7)))
     assert maps_commute(rotation_system(F(5, 21)))
     assert not maps_commute(tent_system())
+
+
+def test_maps_commute_reads_shadowed_fallback_map_as_applied():
+    # f's whole-line piece 2x shadows its fallback x + 1, so f is 2x and
+    # f(g(0)) = 2 while g(f(0)) = 1.
+    f = PiecewiseAffineMap(
+        pieces=(AffinePiece(Interval(NEG_INF, POS_INF), F(2), F(0)),),
+        fallback=(F(1), F(1)),
+    )
+    g = PiecewiseAffineMap.globally(F(1), F(1))
+    system = SwitchedSystem(
+        maps=(f, g), language=FullShift(2), bounds=Interval(F(0), F(1))
+    )
+    assert f.value_at(g.value_at(F(0))) == 2 and g.value_at(f.value_at(F(0))) == 1
+    assert not maps_commute(system)
+    with pytest.raises(PreconditionFailed, match="does not commute"):
+        order_reduction(system, U, U, V, V, Word.of(0))
 
 
 def test_order_reduction_frozen():

@@ -1,10 +1,18 @@
 """Open interval-union algebra: the layer everything else certifies against."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
-from swmix.intervals import Interval, IntervalSet, covers_closed_interval
+from swmix.intervals import (
+    NEG_INF,
+    POS_INF,
+    Interval,
+    IntervalSet,
+    covers_closed_interval,
+    is_finite,
+)
 
 
 def test_interval_rejects_degenerate():
@@ -89,3 +97,44 @@ def test_covers_closed_interval():
     )
     # Degenerate target: a single point.
     assert covers_closed_interval([Interval(F(0), F(1))], F(1, 2), F(1, 2))
+
+
+def test_is_finite_on_every_scalar_type():
+    for x in (F(0), F(-7, 3), 0, -5, 10**30, 0.0, -2.5, 1e308):
+        assert is_finite(x), x
+    for x in (NEG_INF, POS_INF, float("inf"), float("-inf")):
+        assert not is_finite(x), x
+    assert not Interval(F(0), POS_INF).bounded
+    assert Interval(0, 1).bounded and Interval(0.5, 1.5).bounded
+
+
+def test_equal_sets_hash_equal_before_and_after_first_hash():
+    def variants():
+        return [
+            IntervalSet.of(F(1), F(2)),
+            IntervalSet.of(1, 2),
+            IntervalSet.of(1.0, 2.0),
+            IntervalSet.from_pairs([(1, 2)]),
+            IntervalSet.from_pairs([(F(1), 2.0), (F(3, 2), F(7, 4))]),
+        ]
+
+    fresh = variants()
+    hashed = variants()
+    hashes = {hash(s) for s in hashed}
+    assert len(hashes) == 1
+    for a in fresh + hashed:
+        for b in fresh + hashed:
+            assert a == b
+    # Cached hashes agree with hashes computed later, and with equality.
+    assert {hash(s) for s in fresh} == hashes
+    assert {fresh[3]: "found"}[hashed[0]] == "found"
+    assert IntervalSet.of(F(1), F(2)) != IntervalSet.of(F(1), F(3))
+
+
+def test_cached_hash_is_not_a_field():
+    s = IntervalSet.of(F(1), F(2))
+    before = repr(s)
+    hash(s)
+    assert repr(s) == before
+    assert [f.name for f in dataclasses.fields(IntervalSet)] == ["components"]
+    assert dataclasses.replace(s) == s and hash(dataclasses.replace(s)) == hash(s)
