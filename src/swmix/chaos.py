@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .core import SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
 from .intervals import Scalar
+from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, iter_point_hits
 from .words import Word
 
@@ -79,7 +81,9 @@ def _orbit_step(system, level: dict, clock: SearchClock) -> dict | None:
 
     Keys are (state, value...) tuples, values are the lexicographically first
     word reaching the key; iterating in insertion order preserves that
-    minimality for the children.  Returns None when the budget runs out.
+    minimality for the children.  Each child is inserted with one
+    ``dict.setdefault``, so its key of Fractions is hashed once.  Returns
+    None when the budget runs out.
     """
     aut = system.automaton
     out: dict = {}
@@ -105,9 +109,7 @@ def _orbit_step(system, level: dict, clock: SearchClock) -> dict | None:
                 vals.append(nv)
             if dead:
                 continue
-            nk = (nxt, *vals)
-            if nk not in out:
-                out[nk] = word + (sym,)
+            out.setdefault((nxt, *vals), word + (sym,))
     return out
 
 
@@ -123,9 +125,7 @@ def _diff_step(system, level: dict, clock: SearchClock) -> dict | None:
                 continue
             if not clock.spend():
                 return None
-            nk = (nxt, _global_slope(system, sym) * d)
-            if nk not in out:
-                out[nk] = word + (sym,)
+            out.setdefault((nxt, _global_slope(system, sym) * d), word + (sym,))
     return out
 
 
@@ -205,9 +205,12 @@ def _type1_row(n: int, level_x: dict, level_y: dict) -> EnvelopeRow:
     def collapse(level: dict) -> list[tuple[Scalar, tuple]]:
         best: dict = {}
         for (_, v), w in level.items():
-            if v not in best or w < best[v]:
+            b = best.setdefault(v, w)
+            if w < b:
                 best[v] = w
-        return sorted(best.items())
+        # The values are distinct, so sorting on them alone gives the same
+        # order as sorting the pairs, without comparing equal values.
+        return sorted(best.items(), key=itemgetter(0))
 
     xs = collapse(level_x)
     ys = collapse(level_y)
@@ -241,24 +244,29 @@ def _type1_row(n: int, level_x: dict, level_y: dict) -> EnvelopeRow:
 
 
 def verify_envelope(system: SwitchedSystem, env: DistanceEnvelope) -> bool:
-    """Recompute each row's extremes from the stored attaining words."""
+    """Recompute each row's extremes from the stored attaining words.
+
+    False, never an exception, when a row holds the wrong number of words
+    (one per extreme for type 2, two for type 1), a word of the wrong length
+    or one the switching language does not admit, or a word along which an
+    orbit dies.
+    """
+    per_extreme = 1 if env.kind == "type2" else 2
     for row in env.rows:
-        if env.kind == "type2":
-            (wlo,), (whi,) = row.min_words, row.max_words
-            lo = abs(eval_point(system, wlo, env.y) - eval_point(system, wlo, env.x))
-            hi = abs(eval_point(system, whi, env.y) - eval_point(system, whi, env.x))
-        else:
-            lo = abs(
-                eval_point(system, row.min_words[0], env.x)
-                - eval_point(system, row.min_words[1], env.y)
-            )
-            hi = abs(
-                eval_point(system, row.max_words[0], env.x)
-                - eval_point(system, row.max_words[1], env.y)
-            )
-        if lo != row.d_min or hi != row.d_max:
+        if len(row.min_words) != per_extreme or len(row.max_words) != per_extreme:
             return False
-        if any(len(w) != row.length for w in row.min_words + row.max_words):
+        for w in row.min_words + row.max_words:
+            if len(w) != row.length or not accepts_prefix(system.automaton, w):
+                return False
+        try:
+            # ws[0] drives x and ws[-1] drives y: the same word for type 2.
+            lo, hi = (
+                abs(eval_point(system, ws[0], env.x) - eval_point(system, ws[-1], env.y))
+                for ws in (row.min_words, row.max_words)
+            )
+        except UndefinedAtPoint:
+            return False
+        if lo != row.d_min or hi != row.d_max:
             return False
     return True
 
@@ -391,7 +399,8 @@ def xiong_witness(
 
 
 def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
-    """Replay every stage word and confirm the recorded errors and bounds."""
+    """Replay every stage word and confirm the recorded errors and bounds;
+    every word must be admitted by the switching language."""
     lengths = wit.stage_lengths()
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         return False
@@ -404,7 +413,7 @@ def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
         if len(words) != len(wit.points) or len(stage.errors) != len(wit.points):
             return False
         for w, x, t, claimed in zip(words, wit.points, wit.targets, stage.errors):
-            if len(w) != stage.length:
+            if len(w) != stage.length or not accepts_prefix(system.automaton, w):
                 return False
             try:
                 err = abs(eval_point(system, w, x) - t)

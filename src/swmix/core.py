@@ -20,6 +20,16 @@ then again open sets, which keeps the rational mode exact.
 Each :class:`AffinePiece` stores the sign of its slope and its inverse map
 ``(1/a, -b/a)``, computed once at construction, so :func:`image_of` and
 :func:`preimage` do no per-call division or sign test on the coefficients.
+
+Point orbits run on integers.  When a :class:`Fraction` point meets a map
+whose coefficients are Fractions and whose domain endpoints are Fractions,
+ints or infinite, :meth:`PiecewiseAffineMap.value_at` finds the piece by
+cross-multiplied integer comparisons and builds the image with a single
+Fraction constructor; an infinite endpoint is encoded as the pair
+``(-1, 0)`` or ``(1, 0)``, so unbounded sides need no branch.  The integer
+form of the pieces is built on a map's first such evaluation and cached on
+the map, so maps that only ever see sets do not pay for it.  Float points,
+int points and float maps take the plain piece loop.
 """
 
 from __future__ import annotations
@@ -116,6 +126,20 @@ def _aff_interval(
     return Interval(p, q)
 
 
+def _ratio_end(e: Scalar) -> tuple[int, int] | None:
+    """``(numerator, denominator)`` of an exact endpoint, ``(-1, 0)`` and
+    ``(1, 0)`` for the infinities, None for a finite float."""
+    if type(e) is Fraction:
+        return e.numerator, e.denominator
+    if type(e) is int:
+        return e, 1
+    if e == NEG_INF:
+        return -1, 0
+    if e == POS_INF:
+        return 1, 0
+    return None
+
+
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
     """Finite list of affine pieces with pairwise disjoint open domains.
@@ -171,10 +195,63 @@ class PiecewiseAffineMap:
         return len(p) == 1 and p[0].domain.lo == NEG_INF and p[0].domain.hi == POS_INF
 
     def value_at(self, x: Scalar) -> Scalar:
+        """``slope*x + offset`` of the piece whose open domain contains ``x``.
+
+        A :class:`Fraction` point on an exact map (rational coefficients,
+        rational, int or infinite domain endpoints) takes the integer path:
+        with ``x = n/d`` the piece test is ``lo_n*d < n*lo_d`` and
+        ``n*hi_d < hi_n*d``, and the image is ``(a*n + b*d) / (c*d)`` built
+        once as a Fraction -- the same value, type and repr as the Fraction
+        expression, without its generic operators.  Infinite endpoints are
+        encoded as ``(-1, 0)`` and ``(1, 0)``, which make those tests true
+        for every ``x``.  The per-piece integers are built on the first such
+        call and cached (:meth:`_ratio_pieces`); other points and maps take
+        the plain piece loop.
+        """
+        if type(x) is Fraction:
+            try:
+                table = self._ratios
+            except AttributeError:
+                table = self._ratio_pieces()
+            if table is not None:
+                n, d = x.numerator, x.denominator
+                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                        return Fraction(a * n + b * d, c * d)
+                raise UndefinedAtPoint(f"map undefined at {x}")
         for p in self._effective:
             if p.domain.contains(x):
                 return p.slope * x + p.offset
         raise UndefinedAtPoint(f"map undefined at {x}")
+
+    def _ratio_pieces(self) -> tuple[tuple[int, ...], ...] | None:
+        """Integer form of the effective pieces for :meth:`value_at`, or None
+        when a coefficient or a finite endpoint is not exact.
+
+        A piece with ``slope = sn/sd`` and ``offset = on/od`` becomes
+        ``(lo_n, lo_d, hi_n, hi_d, sn*od, on*sd, sd*od)``.  The result is kept
+        in a plain attribute, not a field, so equality, hashing and repr are
+        unchanged, and maps that never evaluate a point never build it.
+        """
+        table = []
+        for p in self._effective:
+            lo, hi = _ratio_end(p.domain.lo), _ratio_end(p.domain.hi)
+            slope, offset = p.slope, p.offset
+            if (
+                lo is None
+                or hi is None
+                or type(slope) is not Fraction
+                or type(offset) is not Fraction
+            ):
+                ratios = None
+                break
+            sn, sd = slope.numerator, slope.denominator
+            on, od = offset.numerator, offset.denominator
+            table.append((*lo, *hi, sn * od, on * sd, sd * od))
+        else:
+            ratios = tuple(table)
+        object.__setattr__(self, "_ratios", ratios)
+        return ratios
 
     def is_continuous(self) -> bool:
         """True iff values agree in the limit across every shared boundary."""

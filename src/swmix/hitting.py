@@ -27,6 +27,7 @@ from .errors import (
     UndefinedAtPoint,
 )
 from .intervals import Interval, IntervalSet, Scalar
+from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, first_set_hit, iter_set_hits
 from .words import Word
 
@@ -68,7 +69,10 @@ class HitWitness:
             raise ValueError("point witness needs a point")
 
     def verify(self, system: SwitchedSystem, U: IntervalSet, V: IntervalSet) -> bool:
-        """Re-evaluate through the core and confirm f_w(U) ∩ V ≠ ∅."""
+        """Re-evaluate through the core and confirm f_w(U) ∩ V ≠ ∅ for a
+        word the switching language admits."""
+        if not accepts_prefix(system.automaton, self.word):
+            return False
         if self.kind == "set":
             assert self.source is not None
             if not self.source.subset_of(U):

@@ -41,7 +41,7 @@ from .errors import (
 )
 from .geometry import CompactRep
 from .intervals import Interval, IntervalSet, Scalar, covers_closed_interval
-from .language import walk
+from .language import accepts_prefix, walk
 from .search import SearchBudget, SearchClock, _memo_step_images
 from .words import Word
 
@@ -325,8 +325,9 @@ def verify_certificate(
     """Full structural and enclosure re-check of a certificate.
 
     Confirms 0 < delta < eps, table completeness over the net, the 1/k < eps
-    length bound on every word, and the eps-ball inclusion of every center
-    ball image, using total (non-partial) evaluation so undefined spots fail.
+    length bound on every word, that the switching language admits every
+    word, and the eps-ball inclusion of every center ball image, using total
+    (non-partial) evaluation so undefined spots fail.
     """
     net = cert.net if net is None else net
     m = len(net.centers)
@@ -341,7 +342,7 @@ def verify_certificate(
         if row is None:
             return False
         k = len(row.word)
-        if not 1 < k * cert.eps:
+        if not 1 < k * cert.eps or not accepts_prefix(system.automaton, row.word):
             return False
         for i, z in enumerate(cert.centers):
             source = ball(z, cert.delta)

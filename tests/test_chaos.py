@@ -6,6 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from swmix.chaos import (
+    DistanceEnvelope,
+    EnvelopeRow,
+    XiongStage,
+    XiongWitness,
     distance_envelope,
     scrambled_verdict,
     verify_envelope,
@@ -14,11 +18,17 @@ from swmix.chaos import (
 )
 from swmix.demo import tent_system
 from swmix.intervals import Interval, IntervalSet
+from swmix.language import ForbiddenWords, accepts_prefix
 from swmix.search import SearchBudget
 from swmix.words import Word
 
+from helpers import rotation_system
+
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
+ROTATIONS = rotation_system(F(1, 3), F(2, 7))
+# The same maps, but the language forbids symbol 0: only 1 1 1 ... remains.
+ONLY_ONES = dataclasses.replace(ROTATIONS, language=ForbiddenWords(2, ((0,),)))
 
 
 def test_type2_envelope_slope_law():
@@ -125,3 +135,50 @@ def test_verify_xiong_rejects_tampering():
     stages = list(wit.stages)
     stages[1] = dataclasses.replace(stages[1], words=stages[0].words)
     assert not verify_xiong(CLAMPED, dataclasses.replace(wit, stages=tuple(stages)))
+
+
+def test_verify_xiong_rejects_inadmissible_words():
+    # 1/10 + 2/3 = 23/30 exactly, so the replayed error really is 0.
+    stage = XiongStage(F(1, 2), 2, (Word((0, 0)),), (F(0),))
+    wit = XiongWitness("type2", (F(1, 10),), (F(23, 30),), (stage,), complete=True)
+    assert verify_xiong(ROTATIONS, wit)
+    assert not accepts_prefix(ONLY_ONES.automaton, (0, 0))
+    assert not verify_xiong(ONLY_ONES, wit)
+
+
+def _type2_envelope(x, y, words_min, words_max, d_min, d_max) -> DistanceEnvelope:
+    row = EnvelopeRow(2, d_min, d_max, words_min, words_max)
+    return DistanceEnvelope("type2", x, y, 2, (row,), truncated=False)
+
+
+def test_verify_envelope_rejects_inadmissible_words():
+    # Rotations keep the distance: 1/5 for every word.
+    w = (Word((0, 0)),)
+    env = _type2_envelope(F(1, 10), F(3, 10), w, w, F(1, 5), F(1, 5))
+    assert verify_envelope(ROTATIONS, env)
+    assert not verify_envelope(ONLY_ONES, env)
+
+
+def test_verify_envelope_returns_false_where_an_orbit_dies():
+    # 1/3 -> 2/3, the boundary of both pieces of the rotation by 1/3.
+    w = (Word((0, 0)),)
+    env = _type2_envelope(F(1, 3), F(1, 2), w, w, F(1, 6), F(1, 6))
+    assert verify_envelope(ROTATIONS, env) is False
+
+
+def test_verify_envelope_returns_false_on_misshaped_rows():
+    good = distance_envelope(TENT, F(1, 8), F(3, 16), kind="type2", horizon=2)
+    row = good.rows[0]
+    two = row.min_words + row.min_words
+    for bad in (
+        dataclasses.replace(row, min_words=two),
+        dataclasses.replace(row, max_words=()),
+    ):
+        assert verify_envelope(TENT, dataclasses.replace(good, rows=(bad,))) is False
+    type1 = distance_envelope(TENT, F(1, 8), F(3, 16), kind="type1", horizon=2)
+    row = type1.rows[0]
+    for bad in (
+        dataclasses.replace(row, min_words=row.min_words[:1]),
+        dataclasses.replace(row, max_words=row.max_words * 2),
+    ):
+        assert verify_envelope(TENT, dataclasses.replace(type1, rows=(bad,))) is False

@@ -80,6 +80,46 @@ def test_verify_rejects_broken_certificate(tmp_path, capsys):
     assert report["verified"] is False
 
 
+def test_verify_rejects_forged_xiong_language(tmp_path, capsys):
+    rotations = {
+        "maps": [
+            [
+                {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
+                {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
+            ],
+            [
+                {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
+                {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
+            ],
+        ],
+        "bounds": ["0", "1"],
+        "language": {"kind": "full", "m": 2},
+    }
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "xiong",
+            "system": rotations,
+            "params": {
+                "points": ["1/10"],
+                "targets": ["1/2"],
+                "tolerances": ["1/5", "1/10"],
+            },
+            "budget": {"max_horizon": 8},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["verified"] is True
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert any(0 in w for st in doc["certificate"]["stages"] for w in st["words"])
+    # The same witness claimed for a language without symbol 0.
+    doc["system"]["language"] = {"kind": "sft", "m": 2, "forbidden": [[0]]}
+    forged = write(tmp_path / "forged.json", doc)
+    code, report = run_cli(["verify", forged], capsys)
+    assert code == 1
+    assert report == {"kind": "xiong", "verified": False}
+
+
 def test_budget_exhaustion_exits_2(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

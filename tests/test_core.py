@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmix.core import (
     AffinePiece,
@@ -283,3 +285,151 @@ def test_affine_piece_rejects_non_finite_coefficients():
             AffinePiece(Interval(F(0), F(1)), slope, offset)
     with pytest.raises(ValueError, match="finite coefficients"):
         PiecewiseAffineMap.globally(1.0, POS_INF)
+
+
+# Point-kernel regression values, frozen from the kernel before value_at
+# compared rationals as cross-multiplied integers; result types and reprs are
+# part of the contract.
+
+# Piece (1/3, 2/3) with fallback gaps (-inf, 1/3) and (2/3, inf).
+GAPPED = PiecewiseAffineMap(
+    pieces=(AffinePiece(Interval(F(1, 3), F(2, 3)), F(5, 7), F(-1, 9)),),
+    fallback=(F(-4), F(3, 2)),
+)
+# Explicit half-line piece (-inf, 0) next to the fallback gap (0, inf).
+HALF_LINE = PiecewiseAffineMap(
+    pieces=(AffinePiece(Interval(NEG_INF, F(0)), F(3), F(1)),),
+    fallback=(F(-1, 2), F(2)),
+)
+INT_ENDPOINTS = PiecewiseAffineMap(
+    pieces=(
+        AffinePiece(Interval(0, 1), 3, -1),
+        AffinePiece(Interval(1, 2), -1, 4),
+    )
+)
+FLOAT_MAP = PiecewiseAffineMap(
+    pieces=(
+        AffinePiece(Interval(NEG_INF, 0.5), 2.0, 0.1),
+        AffinePiece(Interval(0.5, POS_INF), -3.0, 2.6),
+    )
+)
+# Rational coefficients on a float-bounded piece.
+MIXED = PiecewiseAffineMap(
+    pieces=(AffinePiece(Interval(0.25, 0.75), F(2), F(1, 3)),),
+    fallback=(F(1), F(0)),
+)
+
+
+def exact(value) -> tuple:
+    return (value, type(value), repr(value))
+
+
+@pytest.mark.parametrize(
+    "pam, x, want",
+    [
+        (NEG_SLOPES, F(1, 5), F(-1, 20)),
+        (NEG_SLOPES, F(3, 7), F(-11, 28)),
+        (NEG_SLOPES, F(7, 8), F(17, 12)),
+        (GAPPED, F(-5, 2), F(23, 2)),
+        (GAPPED, F(1, 2), F(31, 126)),
+        (GAPPED, F(9, 10), F(-21, 10)),
+        (GAPPED, 1, F(-5, 2)),
+        (GAPPED, 0.5, 0.24603174603174605),
+        (HALF_LINE, F(-7, 3), F(-6)),
+        (HALF_LINE, F(-10**9, 3), F(-999999999)),
+        (HALF_LINE, F(5, 2), F(3, 4)),
+        (HALF_LINE, F(10**12 + 1, 7), F(-999999999973, 14)),
+        (HALF_LINE, -2, F(-5)),
+        (HALF_LINE, 3, F(1, 2)),
+        (HALF_LINE, 2.5, 0.75),
+        (HALF_LINE, -0.25, 0.25),
+        (INT_ENDPOINTS, F(1, 2), F(1, 2)),
+        (INT_ENDPOINTS, F(3, 2), F(5, 2)),
+        (INT_ENDPOINTS, 0.5, 0.5),
+        (INT_ENDPOINTS, 1.5, 2.5),
+        # A float map keeps a rational point's image a float.
+        (FLOAT_MAP, F(1, 3), 0.7666666666666666),
+        (FLOAT_MAP, F(2, 3), 0.6000000000000001),
+        (FLOAT_MAP, 1, -0.3999999999999999),
+        (FLOAT_MAP, 0.25, 0.6),
+        (MIXED, F(1, 2), F(4, 3)),
+        (MIXED, F(7, 8), F(7, 8)),
+        (MIXED, 0.5, 1.3333333333333333),
+    ],
+)
+def test_value_at_frozen(pam, x, want):
+    assert exact(pam.value_at(x)) == exact(want)
+
+
+@pytest.mark.parametrize(
+    "pam, x",
+    [
+        (NEG_SLOPES, F(-1, 3)),
+        (NEG_SLOPES, F(1, 2)),
+        (NEG_SLOPES, 0),
+        (NEG_SLOPES, 1),
+        (GAPPED, F(1, 3)),
+        (GAPPED, F(2, 3)),
+        (HALF_LINE, F(0)),
+        (HALF_LINE, 0),
+        (INT_ENDPOINTS, 1),
+        (INT_ENDPOINTS, F(1)),
+        (FLOAT_MAP, F(1, 2)),
+        (FLOAT_MAP, 0.5),
+        (MIXED, F(1, 4)),
+    ],
+)
+def test_value_at_undefined_on_boundaries(pam, x):
+    with pytest.raises(UndefinedAtPoint, match=f"map undefined at {x}$"):
+        pam.value_at(x)
+
+
+def reference_value(pam: PiecewiseAffineMap, x):
+    """The plain piece loop: first domain containing x, then slope*x + offset."""
+    for p in pam.effective_pieces:
+        if p.domain.lo < x < p.domain.hi:
+            return p.slope * x + p.offset
+    return None
+
+
+RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+NONZERO = RATIONALS.filter(lambda a: a != 0)
+
+
+@st.composite
+def piecewise_maps(draw):
+    """Two or three pieces over sorted cuts, some domains skipped, with or
+    without a fallback; endpoints may be ints or infinite."""
+    k = draw(st.integers(2, 3))
+    cuts = sorted(set(draw(st.lists(RATIONALS, min_size=k + 1, max_size=k + 1))))
+    cuts = [int(c) if c.denominator == 1 and draw(st.booleans()) else c for c in cuts]
+    if draw(st.booleans()):
+        cuts[0] = NEG_INF
+    if draw(st.booleans()):
+        cuts[-1] = POS_INF
+    pieces = tuple(
+        AffinePiece(Interval(lo, hi), draw(NONZERO), draw(RATIONALS))
+        for lo, hi in zip(cuts, cuts[1:])
+        if draw(st.booleans())
+    )
+    fallback = (draw(NONZERO), draw(RATIONALS)) if draw(st.booleans()) else None
+    if not pieces and fallback is None:
+        fallback = (F(1), F(0))
+    return PiecewiseAffineMap(pieces=pieces, fallback=fallback), cuts
+
+
+@settings(max_examples=300, deadline=None)
+@given(piecewise_maps(), RATIONALS, st.integers(0, 3), st.booleans())
+def test_value_at_matches_piece_formula(drawn, x, cut, on_cut):
+    pam, cuts = drawn
+    if on_cut:  # land exactly on a domain boundary now and then
+        x = cuts[cut % len(cuts)]
+        if type(x) is float:
+            return
+        x = F(x)
+    want = reference_value(pam, x)
+    if want is None:
+        with pytest.raises(UndefinedAtPoint):
+            pam.value_at(x)
+    else:
+        assert exact(pam.value_at(x)) == exact(want)

@@ -1,10 +1,12 @@
 """Golden CLI artifacts: ``swmix run`` output must stay byte-identical.
 
 Each scenario runs through the CLI entry point and the sha256 digests of
-``report.json``, ``certificate.json`` (when the task writes one) and stdout,
+``report.json``, the task's artifact (``certificate.json`` or, for
+``scrambled``, ``envelope.csv``, when the task writes one) and stdout,
 together with the exit code, are compared with digests frozen from an earlier
-release.  A refactor of the interval kernel or the search that changes any
-witness, refutation, enclosure endpoint or float bit shows up here.
+release.  A refactor of the interval kernel, the point kernel or the search
+that changes any witness, refutation, enclosure endpoint, orbit value or
+float bit shows up here.
 
 To inspect a mismatch, write ``SCENARIOS[name]`` to a file, run
 ``swmix run <file> --out <dir>`` on this and on the earlier tree, and diff
@@ -47,6 +49,24 @@ PIECEWISE = {
         [
             {"domain": ["0", "1/2"], "a": "2", "b": "0"},
             {"domain": ["1/2", "1"], "a": "-2", "b": "2"},
+        ],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "full", "m": 2},
+    "clamp": False,
+}
+
+
+# Rotations by 1/3 and 2/7 as two-piece maps on (0, 1).
+ROTATIONS = {
+    "maps": [
+        [
+            {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
+            {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
+        ],
+        [
+            {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
+            {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
         ],
     ],
     "bounds": ["0", "1"],
@@ -110,9 +130,44 @@ SCENARIOS = {
         "params": {"U": [["0", "1/20"]], "V": [["1/2", "11/20"]]},
         "budget": {"max_horizon": 7, "max_words": 40},
     },
+    # Point-orbit tasks: every value comes from PiecewiseAffineMap.value_at.
+    "xiong-type2": {
+        "task": "xiong",
+        "system": ROTATIONS,
+        "params": {
+            "kind": "type2",
+            "points": ["1/10", "3/10"],
+            "targets": ["1/2", "7/10"],
+            "tolerances": ["1/5", "1/10", "1/20", "1/40"],
+        },
+        "budget": {"max_horizon": 14, "max_words": 100_000},
+    },
+    "xiong-type1": {
+        "task": "xiong",
+        "system": PIECEWISE,
+        "params": {
+            "kind": "type1",
+            "points": ["1/7", "2/7"],
+            "targets": ["3/5", "1/5"],
+            "tolerances": ["1/4", "1/8", "1/16"],
+        },
+        "budget": {"max_horizon": 12, "max_words": 100_000},
+    },
+    "scrambled-type2": {
+        "task": "scrambled",
+        "system": PIECEWISE,
+        "params": {"kind": "type2", "x": "1/7", "y": "1/5", "horizon": 8},
+        "budget": {"max_words": 100_000},
+    },
+    "scrambled-type1": {
+        "task": "scrambled",
+        "system": PIECEWISE,
+        "params": {"kind": "type1", "x": "1/7", "y": "1/5", "horizon": 6},
+        "budget": {"max_words": 100_000},
+    },
 }
 
-# scenario -> (exit code, report.json, certificate.json or None, stdout)
+# scenario -> (exit code, report.json, artifact or None, stdout)
 GOLDEN = {
     "hitting": (
         0,
@@ -150,6 +205,30 @@ GOLDEN = {
         "739fd9f393f5ed49fec52db4d60ae13fe3cbba8332d8a395a1ecfc45564a5919",
         "403e63695cfadaff53f9dc0f1d912240d633d4ba35626e8aa4f413e7c86953ac",
     ),
+    "scrambled-type1": (
+        0,
+        "f7a0955f9da4a9ea28a05e94a1eff338e59d55e4d459d8dc6e115e968ba75ab7",
+        "6abe928c3f22bf158bbde4102fcd3a98abdc7fc7701362cee390b41f9c7c82e9",
+        "f7a0955f9da4a9ea28a05e94a1eff338e59d55e4d459d8dc6e115e968ba75ab7",
+    ),
+    "scrambled-type2": (
+        0,
+        "eb2eb3e7d75d9150649bcff18098e474b05ec1eb1bd07fc309d51f8ccea5dd35",
+        "a829a74fbd193ce49043118c7b60d55890b48b5348bb8963f7737a2c05091418",
+        "eb2eb3e7d75d9150649bcff18098e474b05ec1eb1bd07fc309d51f8ccea5dd35",
+    ),
+    "xiong-type1": (
+        0,
+        "e0246579c1771ec72453b3b152cec2b458d0087c0a4d6d7adccd620718e67eb1",
+        "3ef03b60925498a179c20d5c18347618360a68117863e7650126b03cf6b76b1e",
+        "e0246579c1771ec72453b3b152cec2b458d0087c0a4d6d7adccd620718e67eb1",
+    ),
+    "xiong-type2": (
+        0,
+        "22178641455cf93ac0d323422d164a0f782e23e8e85f76668428d105af9f5214",
+        "4985a83fc44004f2c17a2cc46c713282b8a7d96e1c95ead39772f904999fb250",
+        "22178641455cf93ac0d323422d164a0f782e23e8e85f76668428d105af9f5214",
+    ),
 }
 
 
@@ -163,11 +242,14 @@ def run_golden(name: str, tmp_path, capsys) -> tuple:
     out = tmp_path / name
     code = main(["run", str(scn), "--out", str(out)])
     stdout = capsys.readouterr().out
-    cert = out / "certificate.json"
+    artifact = next(
+        (p for p in (out / "certificate.json", out / "envelope.csv") if p.exists()),
+        None,
+    )
     return (
         code,
         _sha((out / "report.json").read_bytes()),
-        _sha(cert.read_bytes()) if cert.exists() else None,
+        _sha(artifact.read_bytes()) if artifact is not None else None,
         _sha(stdout.encode("utf-8")),
     )
 

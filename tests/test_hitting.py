@@ -1,5 +1,6 @@
 """Hitting-time sets, weak-mixing certificates, and order reduction."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +19,7 @@ from swmix.hitting import (
     wm_certificate,
 )
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
-from swmix.language import FullShift
+from swmix.language import ForbiddenWords, FullShift
 from swmix.search import SearchBudget
 from swmix.words import Word
 
@@ -217,3 +218,16 @@ def test_extend_witness_grows_strictly():
 def test_extend_witness_requires_a_hit():
     with pytest.raises(PreconditionFailed):
         extend_witness(CLAMPED, U, V, Word.from_string("000"))
+
+
+def test_hit_witness_rejects_inadmissible_words():
+    system = rotation_system(F(1, 3), F(2, 7))
+    only_ones = dataclasses.replace(system, language=ForbiddenWords(2, ((0,),)))
+    U0 = IntervalSet.of(F(0), F(1, 10))
+    V0 = IntervalSet.of(F(1, 4), F(1, 2))
+    for wit in (
+        HitWitness(Word.of(0), "set", source=U0),
+        HitWitness(Word.of(0), "point", point=F(1, 20)),
+    ):
+        assert wit.verify(system, U0, V0)
+        assert not wit.verify(only_ones, U0, V0)

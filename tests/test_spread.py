@@ -10,6 +10,7 @@ from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissibleSeeds, NotCovered
 from swmix.geometry import CompactRep
 from swmix.intervals import Interval, IntervalSet
+from swmix.language import ForbiddenWords
 from swmix.search import SearchBudget
 from swmix.spread import (
     QNet,
@@ -174,3 +175,11 @@ def test_xiong_from_chain_requires_covered_points():
     )
     with pytest.raises(NotCovered):
         xiong_from_chain(TENT, chain, (F(99, 100),), (F(1, 2),))
+
+
+def test_verify_certificate_rejects_inadmissible_words():
+    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    assert verify_certificate(TENT, cert)
+    # Every row word is 010010, which contains the forbidden factor 1 0.
+    no_10 = dataclasses.replace(TENT, language=ForbiddenWords(2, ((1, 0),)))
+    assert not verify_certificate(no_10, cert)
