@@ -8,8 +8,13 @@ in storage order: for ``w = (w_0, .., w_{n-1})`` the map ``f_w`` applies
 Two numeric modes are supported.  In the default rational mode all scalars
 are :class:`fractions.Fraction` and every image, preimage and orbit value is
 exact.  In float mode scalars are machine floats and each affine application
-(two arithmetic operations) widens interval endpoints outward by ``2*tau``,
-so computed enclosures stay sound overapproximations.
+(two arithmetic operations) widens interval endpoints outward by ``2*tau``.
+That absolute margin covers the rounding error only while endpoints stay
+small: once they pass about ``2**12`` one rounding step can exceed it, and
+the float enclosure can miss part of the exact image (three steps of
+``3.0*x + 0.1`` on intervals at magnitude 1e5 to 1e6 miss it most of the
+time).  Float enclosures are therefore not guaranteed supersets; outward
+rounding that scales with magnitude is an open item of the roadmap.
 
 Maps are defined on open sets.  A piece's domain is an open interval and the
 domains are pairwise disjoint; an optional global fallback extends the map to
@@ -21,15 +26,29 @@ Each :class:`AffinePiece` stores the sign of its slope and its inverse map
 ``(1/a, -b/a)``, computed once at construction, so :func:`image_of` and
 :func:`preimage` do no per-call division or sign test on the coefficients.
 
-Point orbits run on integers.  When a :class:`Fraction` point meets a map
-whose coefficients are Fractions and whose domain endpoints are Fractions,
-ints or infinite, :meth:`PiecewiseAffineMap.value_at` finds the piece by
-cross-multiplied integer comparisons and builds the image with a single
-Fraction constructor; an infinite endpoint is encoded as the pair
-``(-1, 0)`` or ``(1, 0)``, so unbounded sides need no branch.  The integer
-form of the pieces is built on a map's first such evaluation and cached on
-the map, so maps that only ever see sets do not pay for it.  Float points,
-int points and float maps take the plain piece loop.
+Exact maps are evaluated on integers.  A map is exact when its coefficients
+are Fractions and its domain endpoints are Fractions, ints or infinite; its
+pieces then have one integer form, ``(lo_n, lo_d, hi_n, hi_d, a, b, c,
+positive, ia, ib, ic, lo, hi)``, built on the map's first exact evaluation
+and cached on the map (:meth:`PiecewiseAffineMap._ratio_pieces`).  With
+``x = n/d`` the image of ``x`` is ``(a*n + b*d) / (c*d)`` and its pull-back
+``(ia*n + ib*d) / (ic*d)``, each built once as a Fraction, and two endpoints
+compare by cross-multiplying (:mod:`swmix.intervals`); an infinite endpoint
+is the pair ``(-1, 0)`` or ``(1, 0)``.
+
+* :meth:`PiecewiseAffineMap.value_at` takes that path for a Fraction point.
+* :func:`image_of` and :func:`preimage` take it when every endpoint of the
+  input set is a Fraction, an int or infinite and nothing is widened (an
+  input component that is the whole line sends :func:`image_of` down the
+  generic loop, since ``-inf < +inf`` reads ``0 < 0`` as ratios).  They
+  keep every tie rule of the generic loop, so the same endpoint objects come
+  out: an int domain endpoint equal to a computed Fraction cuts a pull-back
+  only where it lies strictly inside.  :func:`preimage` cuts each pulled-back
+  component by the piece domain on integers and builds a Fraction only for a
+  computed endpoint that survives the cut.
+
+Float maps, float endpoints, int points and float mode take the generic
+loops, which are the only sound ones for floats.
 """
 
 from __future__ import annotations
@@ -45,7 +64,11 @@ from .intervals import (
     POS_INF,
     Interval,
     IntervalSet,
+    _Row,
     Scalar,
+    _normalise_exact,
+    _ratio_end,
+    _ratio_rows,
     is_finite,
 )
 from .language import LanguageSpec, PrunedAutomaton, compile_language
@@ -113,7 +136,10 @@ def _aff_endpoint(a: Scalar, b: Scalar, positive: bool, x: Scalar) -> Scalar:
 def _aff_interval(
     a: Scalar, b: Scalar, positive: bool, lo: Scalar, hi: Scalar, widen: Scalar
 ) -> Interval:
-    """Image of ``(lo, hi)`` under ``x -> a*x + b``; ``positive`` is the sign of ``a``."""
+    """Image of ``(lo, hi)`` under ``x -> a*x + b``; ``positive`` is the sign of ``a``.
+
+    The generic path: float maps, float endpoints and widened images.
+    """
     p = _aff_endpoint(a, b, positive, lo)
     q = _aff_endpoint(a, b, positive, hi)
     if not positive:
@@ -124,20 +150,6 @@ def _aff_interval(
         if is_finite(q):
             q += widen
     return Interval(p, q)
-
-
-def _ratio_end(e: Scalar) -> tuple[int, int] | None:
-    """``(numerator, denominator)`` of an exact endpoint, ``(-1, 0)`` and
-    ``(1, 0)`` for the infinities, None for a finite float."""
-    if type(e) is Fraction:
-        return e.numerator, e.denominator
-    if type(e) is int:
-        return e, 1
-    if e == NEG_INF:
-        return -1, 0
-    if e == POS_INF:
-        return 1, 0
-    return None
 
 
 @dataclass(frozen=True)
@@ -214,8 +226,8 @@ class PiecewiseAffineMap:
             except AttributeError:
                 table = self._ratio_pieces()
             if table is not None:
-                n, d = x.numerator, x.denominator
-                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                n, d = x.as_integer_ratio()
+                for lo_n, lo_d, hi_n, hi_d, a, b, c, _, _, _, _, _, _ in table:
                     if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
                         return Fraction(a * n + b * d, c * d)
                 raise UndefinedAtPoint(f"map undefined at {x}")
@@ -224,30 +236,51 @@ class PiecewiseAffineMap:
                 return p.slope * x + p.offset
         raise UndefinedAtPoint(f"map undefined at {x}")
 
-    def _ratio_pieces(self) -> tuple[tuple[int, ...], ...] | None:
-        """Integer form of the effective pieces for :meth:`value_at`, or None
-        when a coefficient or a finite endpoint is not exact.
+    def _ratio_pieces(self) -> tuple[tuple, ...] | None:
+        """Integer form of the effective pieces for :meth:`value_at`,
+        :func:`image_of` and :func:`preimage`, or None when a coefficient or
+        a finite endpoint is not exact.
 
-        A piece with ``slope = sn/sd`` and ``offset = on/od`` becomes
-        ``(lo_n, lo_d, hi_n, hi_d, sn*od, on*sd, sd*od)``.  The result is kept
-        in a plain attribute, not a field, so equality, hashing and repr are
-        unchanged, and maps that never evaluate a point never build it.
+        A piece with ``slope = sn/sd``, ``offset = on/od``, inverse slope
+        ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d,
+        hi_n, hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd,
+        isd*iod, lo, hi)``, where ``lo`` and ``hi`` are the domain endpoints
+        themselves.  The result is kept in a plain attribute, not a field, so
+        equality, hashing and repr are unchanged; it is built on the first
+        exact evaluation, so a map that is never evaluated never builds it.
         """
         table = []
         for p in self._effective:
-            lo, hi = _ratio_end(p.domain.lo), _ratio_end(p.domain.hi)
+            lo, hi = p.domain.lo, p.domain.hi
+            lo_r, hi_r = _ratio_end(lo), _ratio_end(hi)
             slope, offset = p.slope, p.offset
             if (
-                lo is None
-                or hi is None
+                lo_r is None
+                or hi_r is None
                 or type(slope) is not Fraction
                 or type(offset) is not Fraction
             ):
                 ratios = None
                 break
-            sn, sd = slope.numerator, slope.denominator
-            on, od = offset.numerator, offset.denominator
-            table.append((*lo, *hi, sn * od, on * sd, sd * od))
+            sn, sd = slope.as_integer_ratio()
+            on, od = offset.as_integer_ratio()
+            isn, isd = p.inv_slope.as_integer_ratio()
+            ion, iod = p.inv_offset.as_integer_ratio()
+            table.append(
+                (
+                    *lo_r,
+                    *hi_r,
+                    sn * od,
+                    on * sd,
+                    sd * od,
+                    p.positive,
+                    isn * iod,
+                    ion * isd,
+                    isd * iod,
+                    lo,
+                    hi,
+                )
+            )
         else:
             ratios = tuple(table)
         object.__setattr__(self, "_ratios", ratios)
@@ -361,6 +394,64 @@ def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) ->
     return value
 
 
+def _exact_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...] | None:
+    try:
+        return pam._ratios
+    except AttributeError:
+        return pam._ratio_pieces()
+
+
+def _ratio_scalar(n: int, d: int) -> Scalar:
+    """The endpoint ``n/d``; a zero ``d`` is the infinity of ``n``'s sign."""
+    if d:
+        return Fraction(n, d)
+    return NEG_INF if n < 0 else POS_INF
+
+
+def _image_exact(
+    table: tuple[tuple, ...], sets: IntervalSet, rows: list, partial: bool
+) -> list[_Row] | None:
+    """:func:`image_of` on integer ratios, as rows for ``_normalise_exact``;
+    None for a real-line component, whose two infinities would compare as
+    ``0 < 0``.  Every ``max``/``min`` below keeps its first argument on a
+    tie, as the generic loop does."""
+    out: list[_Row] = []
+    for comp, (c_ln, c_ld, c_hn, c_hd) in zip(sets.components, rows):
+        if not c_ld and not c_hd:
+            return None
+        cursor, cur_n, cur_d = comp.lo, c_ln, c_ld
+        for p_ln, p_ld, p_hn, p_hd, a, b, c, positive, _, _, _, p_lo, p_hi in table:
+            if p_ln * c_ld > c_ln * p_ld:
+                lo, lo_n, lo_d = p_lo, p_ln, p_ld
+            else:
+                lo, lo_n, lo_d = comp.lo, c_ln, c_ld
+            if p_hn * c_hd < c_hn * p_hd:
+                hi, hi_n, hi_d = p_hi, p_hn, p_hd
+            else:
+                hi, hi_n, hi_d = comp.hi, c_hn, c_hd
+            if lo_n * hi_d >= hi_n * lo_d:
+                continue
+            if not partial and lo_n * cur_d > cur_n * lo_d:
+                raise UndefinedOnSet(
+                    f"({cursor}, {lo}) has positive width outside all piece domains"
+                )
+            if hi_n * cur_d > cur_n * hi_d:
+                cursor, cur_n, cur_d = hi, hi_n, hi_d
+            # (a*n + b*d) / (c*d) for a finite end; an infinite one keeps
+            # d = 0 and takes the slope's sign.
+            p_n, p_d = (a * lo_n + b * lo_d, c * lo_d) if lo_d else (lo_n * a, 0)
+            q_n, q_d = (a * hi_n + b * hi_d, c * hi_d) if hi_d else (hi_n * a, 0)
+            if not positive:
+                p_n, p_d, q_n, q_d = q_n, q_d, p_n, p_d
+            image = Interval(_ratio_scalar(p_n, p_d), _ratio_scalar(q_n, q_d))
+            out.append((p_n, p_d, q_n, q_d, image))
+        if not partial and cur_n * c_hd < c_hn * cur_d:
+            raise UndefinedOnSet(
+                f"({cursor}, {comp.hi}) has positive width outside all piece domains"
+            )
+    return out
+
+
 def image_of(
     pam: PiecewiseAffineMap,
     sets: IntervalSet,
@@ -371,8 +462,17 @@ def image_of(
 
     With ``partial=False`` a positive-width part of the input escaping every
     piece domain raises :class:`UndefinedOnSet`; with ``partial=True`` the
-    uncovered part is silently dropped (search semantics).
+    uncovered part is silently dropped (search semantics).  An exact map and
+    exact endpoints without widening take the integer path (module
+    docstring); its results equal the generic loop's in value, type and repr.
     """
+    if not widen:
+        table = _exact_table(pam)
+        rows = _ratio_rows(sets.components) if table is not None else None
+        if rows is not None:
+            exact = _image_exact(table, sets, rows, partial)
+            if exact is not None:
+                return IntervalSet(_normalise_exact(exact))
     out: list[Interval] = []
     for comp in sets:
         cursor = comp.lo
@@ -411,8 +511,49 @@ def eval_interval(
     return current
 
 
+def _preimage_exact(table: tuple[tuple, ...], rows: list) -> list[_Row]:
+    """:func:`preimage` on integer ratios, as rows for ``_normalise_exact``.
+
+    Each pulled-back component is cut by the piece domain without being
+    built; a cut endpoint is the domain's own object where the domain is
+    strictly inside, otherwise the pulled value (the tie rule of
+    ``pulled.intersect(p.domain)``), and is built only when the cut is not
+    empty.
+    """
+    out: list[_Row] = []
+    for p_ln, p_ld, p_hn, p_hd, _, _, _, positive, a, b, c, p_lo, p_hi in table:
+        for t_ln, t_ld, t_hn, t_hd in rows:
+            if not positive:
+                t_ln, t_ld, t_hn, t_hd = t_hn, t_hd, t_ln, t_ld
+            # (a*n + b*d) / (c*d), or an infinity of the pulled sign at d = 0
+            lo_n, lo_d = (a * t_ln + b * t_ld, c * t_ld) if t_ld else (a * t_ln, 0)
+            hi_n, hi_d = (a * t_hn + b * t_hd, c * t_hd) if t_hd else (a * t_hn, 0)
+            lo = hi = None
+            if p_ln * lo_d > lo_n * p_ld:
+                lo, lo_n, lo_d = p_lo, p_ln, p_ld
+            if p_hn * hi_d < hi_n * p_hd:
+                hi, hi_n, hi_d = p_hi, p_hn, p_hd
+            if lo_d and hi_d and lo_n * hi_d >= hi_n * lo_d:
+                continue
+            if lo is None:
+                lo = _ratio_scalar(lo_n, lo_d)
+            if hi is None:
+                hi = _ratio_scalar(hi_n, hi_d)
+            out.append((lo_n, lo_d, hi_n, hi_d, Interval(lo, hi)))
+    return out
+
+
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:
-    """Exact preimage of ``target`` inside the map's domain (outer in float mode)."""
+    """Exact preimage of ``target`` inside the map's domain (outer in float mode).
+
+    An exact map and exact endpoints without widening take the integer path
+    (module docstring), with the same values, types and reprs.
+    """
+    if not widen:
+        table = _exact_table(pam)
+        rows = _ratio_rows(target.components) if table is not None else None
+        if rows is not None:
+            return IntervalSet(_normalise_exact(_preimage_exact(table, rows)))
     out: list[Interval] = []
     for p in pam.effective_pieces:
         for comp in target:

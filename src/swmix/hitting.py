@@ -28,7 +28,7 @@ from .errors import (
 )
 from .intervals import Interval, IntervalSet, Scalar
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, first_set_hit, iter_set_hits
+from .search import SearchBudget, SearchClock, iter_set_hits
 from .words import Word
 
 __all__ = [
@@ -454,9 +454,10 @@ def extend_witness(
 ) -> Word:
     """Extend a hitting word s ∈ N2(U, V) to a strictly longer one.
 
-    Finds the first w with f_w(U) meeting f_s⁻¹(V) ∩ U and returns w·s
-    (w applied first); the concatenation hits V from U through the returned
-    intermediate visit to U, so iterating grows an infinite hitting family.
+    Finds the first w, in (length, lexicographic) order, with f_w(U) meeting
+    f_s⁻¹(V) ∩ U and w·s admissible, and returns w·s (w applied first); the
+    concatenation hits V from U through the returned intermediate visit to U,
+    so iterating grows an infinite hitting family.
     """
     min_overlap = system.numerics.min_overlap
     img = eval_interval(system, s, U, partial=True)
@@ -466,9 +467,12 @@ def extend_witness(
     if target.is_empty:
         raise EmptyRefinement("pullback of V misses U (numeric slack)")
     clock = SearchClock(budget)
-    hit = first_set_hit(
-        system, [U], [target], range(1, budget.max_horizon + 1), clock
-    )
-    if hit is None:
-        raise BudgetExceeded("no extension found within budget")
-    return Word(hit[0]) + s
+    for n in range(1, budget.max_horizon + 1):
+        for syms, _ in iter_set_hits(system, [U], [target], n, clock):
+            # The automaton is pruned, so an admissible prefix w·s extends.
+            word = Word(syms) + s
+            if accepts_prefix(system.automaton, word):
+                return word
+        if clock.exceeded:
+            break
+    raise BudgetExceeded("no extension found within budget")

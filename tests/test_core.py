@@ -433,3 +433,131 @@ def test_value_at_matches_piece_formula(drawn, x, cut, on_cut):
             pam.value_at(x)
     else:
         assert exact(pam.value_at(x)) == exact(want)
+
+
+# The set kernel against the plain loops it replaced: max/min with their
+# first-argument tie rule, slope*x + offset per endpoint, a stable sort by
+# (lo, hi) and a merge of strictly overlapping components.  Sets are lists of
+# (lo, hi) pairs, so the reference builds no Interval.
+
+
+def reference_affine(a, b, x):
+    if x in (NEG_INF, POS_INF):
+        return x if a > 0 else -x
+    return a * x + b
+
+
+def reference_normalise(pairs):
+    out = []
+    for lo, hi in sorted(pairs):
+        if out and lo < out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def reference_image(pam, pairs, partial):
+    out = []
+    for c_lo, c_hi in pairs:
+        cursor = c_lo
+        for p in pam.effective_pieces:
+            lo, hi = max(c_lo, p.domain.lo), min(c_hi, p.domain.hi)
+            if lo >= hi:
+                continue
+            if not partial and lo > cursor:
+                raise UndefinedOnSet(
+                    f"({cursor}, {lo}) has positive width outside all piece domains"
+                )
+            cursor = max(cursor, hi)
+            ends = [reference_affine(p.slope, p.offset, x) for x in (lo, hi)]
+            out.append(tuple(ends if p.slope > 0 else ends[::-1]))
+        if not partial and cursor < c_hi:
+            raise UndefinedOnSet(
+                f"({cursor}, {c_hi}) has positive width outside all piece domains"
+            )
+    return reference_normalise(out)
+
+
+def reference_preimage(pam, pairs):
+    out = []
+    for p in pam.effective_pieces:
+        for c_lo, c_hi in pairs:
+            ends = [
+                reference_affine(p.inv_slope, p.inv_offset, x) for x in (c_lo, c_hi)
+            ]
+            pulled = ends if p.slope > 0 else ends[::-1]
+            lo, hi = max(pulled[0], p.domain.lo), min(pulled[1], p.domain.hi)
+            if lo < hi:
+                out.append((lo, hi))
+    return reference_normalise(out)
+
+
+def exact_pairs(pairs) -> list:
+    return [(exact(lo), exact(hi)) for lo, hi in pairs]
+
+
+def as_pairs(s: IntervalSet) -> list:
+    return [(c.lo, c.hi) for c in s]
+
+
+@st.composite
+def exact_endpoints(draw, cuts):
+    """A rational or one of the map's cut points, as an int or a Fraction
+    whenever its value is whole, so endpoints tie with domain endpoints of
+    the other type."""
+    x = draw(st.sampled_from(cuts)) if draw(st.booleans()) else draw(RATIONALS)
+    if type(x) is float:
+        return x
+    if x == int(x) and draw(st.booleans()):
+        return int(x) if type(x) is F else F(x)
+    return x
+
+
+@st.composite
+def pair_lists(draw, cuts):
+    """Up to four open intervals, overlapping, abutting or apart; an end may
+    be infinite and, now and then, a component is the whole line."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.integers(0, 15)) == 0:
+            pairs.append((NEG_INF, POS_INF))
+            continue
+        a, b = draw(exact_endpoints(cuts)), draw(exact_endpoints(cuts))
+        if a == b:
+            b = a + draw(st.sampled_from([F(1, 3), 1, F(5)]))
+        lo, hi = (a, b) if a < b else (b, a)
+        if draw(st.integers(0, 5)) == 0:
+            lo = NEG_INF
+        if draw(st.integers(0, 5)) == 0:
+            hi = POS_INF
+        pairs.append((lo, hi))
+        if draw(st.booleans()):  # an abutting neighbour
+            if hi != POS_INF:
+                pairs.append((hi, hi + 1))
+            elif lo != NEG_INF:
+                pairs.append((lo - 1, lo))
+    return pairs
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_image_of_and_preimage_match_plain_loops(data):
+    pam, cuts = data.draw(piecewise_maps())
+    finite_cuts = [c for c in cuts if type(c) is not float] or [F(0)]
+    pairs = reference_normalise(data.draw(pair_lists(finite_cuts)))
+    sets = IntervalSet.from_pairs(pairs)
+    assert exact_pairs(as_pairs(sets)) == exact_pairs(pairs)
+    for partial in (True, False):
+        try:
+            want = reference_image(pam, pairs, partial)
+        except UndefinedOnSet as exc:
+            with pytest.raises(UndefinedOnSet) as got:
+                image_of(pam, sets, partial=partial)
+            assert str(got.value) == str(exc)
+        else:
+            got = image_of(pam, sets, partial=partial)
+            assert exact_pairs(as_pairs(got)) == exact_pairs(want)
+    got = preimage(pam, sets)
+    assert exact_pairs(as_pairs(got)) == exact_pairs(reference_preimage(pam, pairs))

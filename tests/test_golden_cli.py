@@ -15,10 +15,16 @@ the artifacts.
 
 import hashlib
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from swmix.cli import main
+from swmix.core import AffinePiece, PiecewiseAffineMap, SwitchedSystem
+from swmix.hitting import hitting_sets
+from swmix.intervals import Interval, IntervalSet
+from swmix.language import FullShift
+from swmix.search import SearchBudget
 
 UNIT = [["0", "1"]]
 
@@ -67,6 +73,47 @@ ROTATIONS = {
         [
             {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
             {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
+        ],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "full", "m": 2},
+    "clamp": False,
+}
+
+
+# Cut points at the integers 0, 1, 2 on the box [0, 2]; the second piece of
+# map 0 reaches past the image of the first, so a pull-back through the first
+# piece is cut by the domain endpoint 1 and one through the second ties with it.
+INT_CUTS = {
+    "maps": [
+        [
+            {"domain": ["0", "1"], "a": "2", "b": "0"},
+            {"domain": ["1", "2"], "a": "3", "b": "-2"},
+        ],
+        [
+            {"domain": ["0", "1"], "a": "1", "b": "1"},
+            {"domain": ["1", "2"], "a": "-1", "b": "2"},
+        ],
+    ],
+    "bounds": ["0", "2"],
+    "language": {"kind": "full", "m": 2},
+    "clamp": False,
+}
+
+
+# A tent on two half-lines, and a map written as an explicit piece on
+# (1/4, 3/4) plus the two unbounded gaps a fallback of slope 3 fills in
+# (scenario JSON lists effective pieces, as system_to_json writes them).
+FALLBACK_GAPS = {
+    "maps": [
+        [
+            {"domain": ["-inf", "1/2"], "a": "2", "b": "0"},
+            {"domain": ["1/2", "inf"], "a": "-2", "b": "2"},
+        ],
+        [
+            {"domain": ["-inf", "1/4"], "a": "3", "b": "1/4"},
+            {"domain": ["1/4", "3/4"], "a": "-2", "b": "3/2"},
+            {"domain": ["3/4", "inf"], "a": "3", "b": "-9/4"},
         ],
     ],
     "bounds": ["0", "1"],
@@ -130,6 +177,27 @@ SCENARIOS = {
         "params": {"U": [["0", "1/20"]], "V": [["1/2", "11/20"]]},
         "budget": {"max_horizon": 7, "max_words": 40},
     },
+    "hitting-int-cuts": {
+        "task": "hitting",
+        "system": INT_CUTS,
+        "params": {"U": [["1/2", "3/2"]], "V": [["3/4", "11/4"]]},
+        "budget": {"max_horizon": 6, "max_words": 20_000, "required": 2},
+    },
+    # Unbounded K and Q: the real line and a half-line meet the pairs.
+    "wm1-fallback-gaps": {
+        "task": "wm-cert",
+        "system": FALLBACK_GAPS,
+        "params": {
+            "K": [["-inf", "inf"]],
+            "Q": [["0", "inf"]],
+            "pairs": [
+                [[["1/10", "3/20"]], [["4/5", "17/20"]]],
+                [[["2/5", "9/20"]], [["-1/2", "1/10"]]],
+            ],
+            "kind": "wm1",
+        },
+        "budget": {"max_horizon": 10, "max_words": 50_000, "required": 2},
+    },
     # Point-orbit tasks: every value comes from PiecewiseAffineMap.value_at.
     "xiong-type2": {
         "task": "xiong",
@@ -181,6 +249,12 @@ GOLDEN = {
         None,
         "ec176ad211d85fd08eaf4582b85f83f9833eb6de43f4fc5b44dd133617fa30ee",
     ),
+    "hitting-int-cuts": (
+        0,
+        "d9b49d122577443c9a10b931886a8c14d406329320c3cfb5eaa9d6bcef45bd74",
+        None,
+        "d9b49d122577443c9a10b931886a8c14d406329320c3cfb5eaa9d6bcef45bd74",
+    ),
     "hitting-float": (
         0,
         "72b17c4d261440c69dea78ae57399365f004181270cb0b794c83b1358486378b",
@@ -216,6 +290,12 @@ GOLDEN = {
         "eb2eb3e7d75d9150649bcff18098e474b05ec1eb1bd07fc309d51f8ccea5dd35",
         "a829a74fbd193ce49043118c7b60d55890b48b5348bb8963f7737a2c05091418",
         "eb2eb3e7d75d9150649bcff18098e474b05ec1eb1bd07fc309d51f8ccea5dd35",
+    ),
+    "wm1-fallback-gaps": (
+        0,
+        "08c309ce4a7716654e5baed9382057ad3a1bef03022905770430337bbc0d85c4",
+        "e7db653a41bd5c377cf5b66094e8d230169f07198b3282c2f683e7b8f7ec0eed",
+        "08c309ce4a7716654e5baed9382057ad3a1bef03022905770430337bbc0d85c4",
     ),
     "xiong-type1": (
         0,
@@ -257,3 +337,42 @@ def run_golden(name: str, tmp_path, capsys) -> tuple:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_cli_artifacts_match_golden_digests(name, tmp_path, capsys):
     assert run_golden(name, tmp_path, capsys) == GOLDEN[name]
+
+
+def test_int_cut_points_keep_their_type_through_pull_backs():
+    """``hitting-int-cuts`` with ``int`` domain endpoints.
+
+    Scenario JSON reads numbers as floats and strings as Fractions, so int
+    endpoints only come from Python.  The report's repr shows endpoint types:
+    a pull-back cut by a domain endpoint keeps the int, one that ties with it
+    keeps the Fraction it computed.
+    """
+
+    def pieces(*rows):
+        return PiecewiseAffineMap(
+            pieces=tuple(
+                AffinePiece(Interval(lo, hi), F(a), F(b)) for lo, hi, a, b in rows
+            )
+        )
+
+    system = SwitchedSystem(
+        maps=(
+            pieces((0, 1, 2, 0), (1, 2, 3, -2)),
+            pieces((0, 1, 1, 1), (1, 2, -1, 2)),
+        ),
+        language=FullShift(2),
+        bounds=Interval(0, 2),
+    )
+    report = hitting_sets(
+        system,
+        IntervalSet.of(F(1, 2), F(3, 2)),
+        IntervalSet.of(F(3, 4), F(11, 4)),
+        SearchBudget(max_horizon=6, max_words=20_000, required=2),
+    )
+    first, second = (w.source.components[0] for w in report.witnesses[:2])
+    assert (first.hi, type(first.hi)) == (1, int)
+    assert (second.lo, type(second.lo)) == (F(1), F)
+    assert (
+        _sha(repr(report).encode("utf-8"))
+        == "91a438f6bbad80355244b61a14978c4e78cdd76d865c502491e013574bc8609b"
+    )

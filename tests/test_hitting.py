@@ -19,7 +19,7 @@ from swmix.hitting import (
     wm_certificate,
 )
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
-from swmix.language import ForbiddenWords, FullShift
+from swmix.language import ForbiddenWords, FullShift, accepts_prefix
 from swmix.search import SearchBudget
 from swmix.words import Word
 
@@ -213,6 +213,25 @@ def test_extend_witness_grows_strictly():
         lengths.append(len(cur))
         assert pull_back_hit(CLAMPED, cur, U, V) is not None
     assert lengths == [4, 5, 6, 7, 8, 9]
+
+
+def test_extend_witness_returns_only_admissible_words():
+    U0 = IntervalSet.of(F(3, 10), F(7, 20))
+    V0 = IntervalSet.of(F(3, 4), F(4, 5))
+    s = Word.from_string("01")
+    # Without 1 0 and 0 0 0, w + 01 is admissible only for w = 0, which does
+    # not reach the pull-back; the first hit 01111 gives 0111101.
+    no_descent = dataclasses.replace(
+        CLAMPED, language=ForbiddenWords(2, ((1, 0), (0, 0, 0)))
+    )
+    with pytest.raises(BudgetExceeded):
+        extend_witness(no_descent, U0, V0, s)
+    # Without 1 0 1 the same first hit is skipped for the admissible 011110.
+    system = dataclasses.replace(CLAMPED, language=ForbiddenWords(2, ((1, 0, 1),)))
+    word = extend_witness(system, U0, V0, s)
+    assert word == Word.from_string("01111001")
+    assert accepts_prefix(system.automaton, word)
+    assert pull_back_hit(system, word, U0, V0) is not None
 
 
 def test_extend_witness_requires_a_hit():

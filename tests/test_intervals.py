@@ -1,9 +1,12 @@
 """Open interval-union algebra: the layer everything else certifies against."""
 
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmix.intervals import (
     NEG_INF,
@@ -138,3 +141,113 @@ def test_cached_hash_is_not_a_field():
     assert repr(s) == before
     assert [f.name for f in dataclasses.fields(IntervalSet)] == ["components"]
     assert dataclasses.replace(s) == s and hash(dataclasses.replace(s)) == hash(s)
+
+
+# Set operations against plain-operator loops, on (lo, hi) pairs: max/min keep
+# their first argument on a tie, so an int endpoint equal to a Fraction one
+# stays whichever it was; results must agree in value, type and repr.
+
+
+def exact(x) -> tuple:
+    return (x, type(x), repr(x))
+
+
+def exact_pairs(pairs) -> list:
+    return [(exact(lo), exact(hi)) for lo, hi in pairs]
+
+
+def as_pairs(s: IntervalSet) -> list:
+    return [(c.lo, c.hi) for c in s]
+
+
+def reference_normalise(pairs):
+    out = []
+    for lo, hi in sorted(pairs):
+        if out and lo < out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def reference_intersect(a, b):
+    out, i, j = [], 0, 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def reference_intersects(a, b, min_overlap):
+    return any(
+        min(ahi, bhi) - max(alo, blo) > min_overlap
+        for alo, ahi in a
+        for blo, bhi in b
+        if max(alo, blo) < min(ahi, bhi)
+    )
+
+
+def reference_subset_of(a, b):
+    return all(any(blo <= lo and hi <= bhi for blo, bhi in b) for lo, hi in a)
+
+
+# Small grid values, whole numbers as ints or Fractions, and the infinities.
+ENDS = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+    st.integers(-4, 4),
+    st.sampled_from([NEG_INF, POS_INF]),
+)
+
+
+@st.composite
+def pair_lists(draw):
+    """Unnormalised lists of up to five open intervals: overlapping,
+    nested, abutting, unbounded or the whole line."""
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        a, b = draw(ENDS), draw(ENDS)
+        if a == b:
+            continue
+        pairs.append((a, b) if a < b else (b, a))
+    return pairs
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pair_lists(),
+    pair_lists(),
+    st.sampled_from([0, F(0), F(1, 4), 1, F(-1, 2)]),
+)
+def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
+    a = IntervalSet.from_pairs(raw_a)
+    b = IntervalSet.from_pairs(raw_b)
+    pa, pb = reference_normalise(raw_a), reference_normalise(raw_b)
+    assert exact_pairs(as_pairs(a)) == exact_pairs(pa)
+    assert exact_pairs(as_pairs(b)) == exact_pairs(pb)
+    want = reference_intersect(pa, pb)
+    assert exact_pairs(as_pairs(a.intersect(b))) == exact_pairs(want)
+    assert a.intersects(b, min_overlap) == reference_intersects(pa, pb, min_overlap)
+    assert a.subset_of(b) == reference_subset_of(pa, pb)
+    want = reference_normalise(pa + pb)
+    assert exact_pairs(as_pairs(a.union(b))) == exact_pairs(want)
+
+
+def test_long_lists_normalise_like_short_ones():
+    # Past a few components the exact normalisation sorts generically; both
+    # must keep the stable (lo, hi) order, ties between ints and Fractions
+    # included.
+    rng = random.Random(3)
+    for size in (3, 17, 40):
+        pairs = []
+        for _ in range(size):
+            lo = 10 * rng.randrange(-5, 5)  # a few shared left ends
+            hi = lo + F(rng.randrange(1, 8), rng.choice([1, 2]))
+            pairs.append((F(lo) if rng.random() < 0.5 else lo, hi))
+        got = IntervalSet.from_pairs(pairs)
+        assert exact_pairs(as_pairs(got)) == exact_pairs(reference_normalise(pairs))
