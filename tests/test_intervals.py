@@ -239,9 +239,8 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
 
 
 def test_long_lists_normalise_like_short_ones():
-    # Past a few components the exact normalisation sorts generically; both
-    # must keep the stable (lo, hi) order, ties between ints and Fractions
-    # included.
+    # The exact normalisation's insertion sort must keep the stable (lo, hi)
+    # order at any length, ties between ints and Fractions included.
     rng = random.Random(3)
     for size in (3, 17, 40):
         pairs = []
