@@ -8,18 +8,36 @@ ride independent words of equal length.
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
+
+Envelope levels of exact systems are stepped on integers.  When every map is
+exact (:meth:`~swmix.core.PiecewiseAffineMap._ratio_pieces` is not None),
+both points are Fractions or ints and a clamp box has exact or infinite
+ends, an orbit value ``n/d`` is carried as two reduced integers in the level
+keys, stepped with the per-map integer table that
+:meth:`~swmix.core.PiecewiseAffineMap.value_at` reads, and tested against the
+closed clamp box by cross-multiplying.  Type-2 distances are
+``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
+integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
+One Fraction is built per row extreme, and the rows, words, truncation and
+clock charges are those of the generic Fraction loop.  Float maps, float
+points, clamp boxes with finite float ends and globally affine type-2
+envelopes without a clamp (which follow the orbit difference) keep the
+generic loops.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Sequence
 
 from .core import SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
-from .intervals import Scalar
+from .intervals import Scalar, _ratio_end
 from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, iter_point_hits
 from .words import Word
@@ -80,10 +98,11 @@ def _orbit_step(system, level: dict, clock: SearchClock) -> dict | None:
     """One synchronous step of a deduplicated orbit level.
 
     Keys are (state, value...) tuples, values are the lexicographically first
-    word reaching the key; iterating in insertion order preserves that
-    minimality for the children.  Each child is inserted with one
-    ``dict.setdefault``, so its key of Fractions is hashed once.  Returns
-    None when the budget runs out.
+    word reaching the key.  Children are inserted in the order of their
+    parents and then of their symbols, so the words of a level increase in
+    insertion order and the first word met for a key or a value is the
+    least.  Each child is inserted with one ``dict.setdefault``, so its key
+    of Fractions is hashed once.  Returns None when the budget runs out.
     """
     aut = system.automaton
     out: dict = {}
@@ -113,6 +132,78 @@ def _orbit_step(system, level: dict, clock: SearchClock) -> dict | None:
     return out
 
 
+def _ratio_tables(system: SwitchedSystem, points: tuple) -> tuple | None:
+    """Integer form of an exact system for :func:`_ratio_step`, or None.
+
+    One tuple of ``(lo_n, lo_d, hi_n, hi_d, a, b, c)`` rows per map, read
+    from the table :meth:`PiecewiseAffineMap.value_at` uses, and the closed
+    clamp box as ``(lo_n, lo_d, hi_n, hi_d)`` (None without clamping).  None
+    unless every point is a Fraction or an int, every map is exact and a
+    clamp box has exact or infinite ends.
+    """
+    if any(type(p) is not Fraction and type(p) is not int for p in points):
+        return None
+    tables = []
+    for pam in system.maps:
+        table = pam._ratio_pieces()
+        if table is None:
+            return None
+        tables.append(tuple(row[:7] for row in table))
+    box = None
+    if system.clamp:
+        lo, hi = _ratio_end(system.bounds.lo), _ratio_end(system.bounds.hi)
+        if lo is None or hi is None:
+            return None
+        box = lo + hi
+    return tuple(tables), box
+
+
+def _ratio_step(
+    tables: tuple, box: tuple | None, aut, level: dict, clock: SearchClock
+) -> dict | None:
+    """:func:`_orbit_step` on reduced integer ratios.
+
+    Keys are ``(state, n1, d1[, n2, d2])`` with ``gcd(n, d) == 1`` and
+    ``d > 0``, so two keys are equal exactly when their Fraction keys are.
+    A value ``n/d`` steps through the piece with ``lo_n*d < n*lo_d`` and
+    ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``, and survives the clamp
+    when ``box_lo <= n/d <= box_hi``, cross-multiplied; infinite ends are
+    ``(-1, 0)`` and ``(1, 0)``.  Every charge to the clock and every
+    insertion happens as in :func:`_orbit_step`.
+    """
+    out: dict = {}
+    for key, word in level.items():
+        row = aut.transitions[key[0]]
+        for sym in range(aut.m):
+            nxt = row[sym]
+            if nxt < 0:
+                continue
+            if not clock.spend():
+                return None
+            table = tables[sym]
+            child = [nxt]
+            for i in range(1, len(key), 2):
+                n, d = key[i], key[i + 1]
+                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                        n, d = a * n + b * d, c * d
+                        g = gcd(n, d)
+                        if g != 1:
+                            n //= g
+                            d //= g
+                        break
+                else:
+                    break  # undefined at n/d: the branch dies
+                if box is not None and not (
+                    box[0] * d <= n * box[1] and n * box[3] <= box[2] * d
+                ):
+                    break  # outside the closed clamp box
+                child += (n, d)
+            else:
+                out.setdefault(tuple(child), word + (sym,))
+    return out
+
+
 def _diff_step(system, level: dict, clock: SearchClock) -> dict | None:
     # Globally affine maps act on the orbit difference autonomously, so the
     # level collapses to (state, signed difference) keys.
@@ -137,6 +228,29 @@ def _extremes(values: list[tuple[Scalar, tuple]]) -> tuple:
     return lo, hi, wlo, whi
 
 
+def _type2_ratio_row(n: int, level: dict) -> EnvelopeRow:
+    """Type-2 extremes of a ratio level in one cross-multiplied pass.
+
+    ``|y - x|`` is ``|ny*dx - nx*dy| / (dx*dy)``.  Words increase in
+    insertion order, so keeping the first of equal values keeps the least
+    word, as :func:`_extremes` does.
+    """
+    it = iter(level.items())
+    (_, nx, dx, ny, dy), w = next(it)
+    lo_n = hi_n = abs(ny * dx - nx * dy)
+    lo_d = hi_d = dx * dy
+    wlo = whi = w
+    for (_, nx, dx, ny, dy), w in it:
+        dn, dd = abs(ny * dx - nx * dy), dx * dy
+        if dn * lo_d < lo_n * dd:
+            lo_n, lo_d, wlo = dn, dd, w
+        elif dn * hi_d > hi_n * dd:
+            hi_n, hi_d, whi = dn, dd, w
+    return EnvelopeRow(
+        n, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), (Word(wlo),), (Word(whi),)
+    )
+
+
 def distance_envelope(
     system: SwitchedSystem,
     x: Scalar,
@@ -150,9 +264,18 @@ def distance_envelope(
     Deduplicates orbit states level by level, so globally affine systems cost
     O(horizon) per level in the shared-word case.  On budget exhaustion the
     envelope is returned truncated at the last completed length.
+
+    Exact systems with Fraction or int points carry their levels as reduced
+    integer ratios (module docstring); the rows, words, truncation and clock
+    charges are those of the generic Fraction loop.  ``horizon`` must be an
+    int of at least 1.
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown envelope kind {kind!r}")
+    if isinstance(horizon, bool) or not isinstance(horizon, int):
+        raise TypeError(f"horizon must be an integer, got {horizon!r}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be positive, got {horizon!r}")
     if x == y:
         raise ValueError("need two distinct points")
     aut = system.automaton
@@ -164,56 +287,78 @@ def distance_envelope(
         and not system.clamp
         and all(pam.is_global for pam in system.maps)
     )
+    ratios = None if diff_ok else _ratio_tables(system, (x, y))
+    if ratios is not None:
+        step = partial(_ratio_step, *ratios, aut)
+        x0, y0 = x.as_integer_ratio(), y.as_integer_ratio()
+    else:
+        step = partial(_diff_step if diff_ok else _orbit_step, system)
+        x0, y0 = (x,), (y,)
     if kind == "type2":
-        level = {(aut.start, y - x): ()} if diff_ok else {(aut.start, x, y): ()}
+        level = {(aut.start, y - x) if diff_ok else (aut.start, *x0, *y0): ()}
         for n in range(1, horizon + 1):
-            step = _diff_step if diff_ok else _orbit_step
-            nxt = step(system, level, clock)
+            nxt = step(level, clock)
             if nxt is None:
                 truncated = True
                 break
             if not nxt:
                 break
-            if diff_ok:
-                values = [(abs(d), w) for (_, d), w in nxt.items()]
+            if ratios is not None:
+                rows.append(_type2_ratio_row(n, nxt))
             else:
-                values = [(abs(fy - fx), w) for (_, fx, fy), w in nxt.items()]
-            lo, hi, wlo, whi = _extremes(values)
-            rows.append(EnvelopeRow(n, lo, hi, (Word(wlo),), (Word(whi),)))
+                if diff_ok:
+                    values = [(abs(d), w) for (_, d), w in nxt.items()]
+                else:
+                    values = [(abs(fy - fx), w) for (_, fx, fy), w in nxt.items()]
+                lo, hi, wlo, whi = _extremes(values)
+                rows.append(EnvelopeRow(n, lo, hi, (Word(wlo),), (Word(whi),)))
             level = nxt
     else:
-        level_x: dict = {(aut.start, x): ()}
-        level_y: dict = {(aut.start, y): ()}
+        level_x: dict = {(aut.start, *x0): ()}
+        level_y: dict = {(aut.start, *y0): ()}
         for n in range(1, horizon + 1):
-            nx = _orbit_step(system, level_x, clock)
-            ny = _orbit_step(system, level_y, clock) if nx is not None else None
+            nx = step(level_x, clock)
+            ny = step(level_y, clock) if nx is not None else None
             if nx is None or ny is None:
                 truncated = True
                 break
             if not nx or not ny:
                 break
-            rows.append(_type1_row(n, nx, ny))
+            rows.append(_type1_row(n, nx, ny, ratios is not None))
             level_x, level_y = nx, ny
     return DistanceEnvelope(
         kind=kind, x=x, y=y, horizon=horizon, rows=tuple(rows), truncated=truncated
     )
 
 
-def _type1_row(n: int, level_x: dict, level_y: dict) -> EnvelopeRow:
-    """Independent-word extremes via sorted values and nearest-neighbour scan."""
+def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow:
+    """Independent-word extremes via sorted values and nearest-neighbour scan.
 
-    def collapse(level: dict) -> list[tuple[Scalar, tuple]]:
+    Each level collapses to its distinct values, each with its least word
+    (the first met, see :func:`_orbit_step`).  On ratio levels (``exact``)
+    a value ``n/d`` becomes the integer ``n * (L // d)``, where ``L`` is the
+    lcm of both levels' denominators: it sorts, bisects and subtracts like
+    the value, and each extreme is built once as ``Fraction(k, L)``.
+    """
+
+    def collapse(level: dict) -> dict:
         best: dict = {}
-        for (_, v), w in level.items():
-            b = best.setdefault(v, w)
-            if w < b:
-                best[v] = w
-        # The values are distinct, so sorting on them alone gives the same
-        # order as sorting the pairs, without comparing equal values.
-        return sorted(best.items(), key=itemgetter(0))
+        for key, w in level.items():
+            best.setdefault(key[1:], w)
+        return best
 
-    xs = collapse(level_x)
-    ys = collapse(level_y)
+    bx, by = collapse(level_x), collapse(level_y)
+    if exact:
+        scale = lcm(*{d for _, d in bx}, *{d for _, d in by})
+        xs = [(v * (scale // d), w) for (v, d), w in bx.items()]
+        ys = [(v * (scale // d), w) for (v, d), w in by.items()]
+    else:
+        xs = [(v, w) for (v,), w in bx.items()]
+        ys = [(v, w) for (v,), w in by.items()]
+    # The values are distinct, so sorting on them alone gives the same
+    # order as sorting the pairs, without comparing equal values.
+    xs.sort(key=itemgetter(0))
+    ys.sort(key=itemgetter(0))
     x_vals = [v for v, _ in xs]
     best_min = None
     for v, wy in ys:
@@ -233,13 +378,15 @@ def _type1_row(n: int, level_x: dict, level_y: dict) -> EnvelopeRow:
         ],
         key=lambda t: (-t[0], t[1], t[2]),
     )
-    d_max, wx_max, wy_max = spans[0]
+    d_min, d_max = best_min[0], spans[0][0]
+    if exact:
+        d_min, d_max = Fraction(d_min, scale), Fraction(d_max, scale)
     return EnvelopeRow(
         n,
-        best_min[0],
+        d_min,
         d_max,
         (Word(best_min[1]), Word(best_min[2])),
-        (Word(wx_max), Word(wy_max)),
+        (Word(spans[0][1]), Word(spans[0][2])),
     )
 
 

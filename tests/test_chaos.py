@@ -1,9 +1,13 @@
 """Distance envelopes, scrambled-pair verdicts, and staged approximation."""
 
 import dataclasses
+import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from swmix.chaos import (
     DistanceEnvelope,
@@ -16,13 +20,15 @@ from swmix.chaos import (
     verify_xiong,
     xiong_witness,
 )
+from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
-from swmix.intervals import Interval, IntervalSet
-from swmix.language import ForbiddenWords, accepts_prefix
+from swmix.errors import EmptyLanguage
+from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
+from swmix.language import ForbiddenWords, FullShift, accepts_prefix
 from swmix.search import SearchBudget
 from swmix.words import Word
 
-from helpers import rotation_system
+from helpers import random_map, rotation_system
 
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
@@ -182,3 +188,279 @@ def test_verify_envelope_returns_false_on_misshaped_rows():
         dataclasses.replace(row, max_words=row.max_words * 2),
     ):
         assert verify_envelope(TENT, dataclasses.replace(type1, rows=(bad,))) is False
+
+
+def _folds(num) -> tuple:
+    """A tent of height 6/5 and a map expanding right of 1/3, both piecewise
+    on half-lines; ``num`` reads each coefficient and cut point.  The clamp to
+    [0, 1] cuts branches, and 5/12 lands on 1."""
+
+    def piece(lo, hi, a, b):
+        return AffinePiece(Interval(lo, hi), num(a), num(b))
+
+    half, third = num("1/2"), num("1/3")
+    return (
+        PiecewiseAffineMap(
+            (piece(NEG_INF, half, "12/5", "0"), piece(half, POS_INF, "-12/5", "12/5"))
+        ),
+        PiecewiseAffineMap(
+            (piece(NEG_INF, third, "1/2", "1/4"), piece(third, POS_INF, "3/2", "-1/4"))
+        ),
+    )
+
+
+UNIT_BOX = Interval(F(0), F(1))
+FOLDS_CLAMPED = SwitchedSystem(_folds(F), FullShift(2), UNIT_BOX, clamp=True)
+FOLDS_FORBIDDEN = SwitchedSystem(_folds(F), ForbiddenWords(2, ((1, 1),)), UNIT_BOX)
+FOLDS_FLOAT = SwitchedSystem(
+    _folds(lambda s: float(F(s))),
+    FullShift(2),
+    Interval(0.0, 1.0),
+    clamp=True,
+    numerics=Numerics(mode="float"),
+)
+ENVELOPE_CASES = {
+    "clamped": (FOLDS_CLAMPED, F(5, 12), F(2, 5), SearchBudget()),
+    "forbidden": (FOLDS_FORBIDDEN, F(5, 12), F(2, 5), SearchBudget()),
+    "truncated": (FOLDS_CLAMPED, F(5, 12), F(2, 5), SearchBudget(max_words=100)),
+    "float": (FOLDS_FLOAT, 5 / 12, 0.4, SearchBudget()),
+}
+
+# Rows, truncation and the sha256 of repr(envelope) at horizon 8, recorded
+# before envelope levels were stepped on integer ratios.
+FROZEN_ENVELOPES = {
+    ("clamped", "type1"): (
+        8,
+        False,
+        "d69ead2f2c28af3a23231ad9c3462d1cc1b887c05c490326560b14f3d51c8dad",
+    ),
+    ("clamped", "type2"): (
+        8,
+        False,
+        "191a557ad1f698f602a4e3dcc5163b71228ab79c11a7682656bdd6e7edcb6c20",
+    ),
+    ("forbidden", "type1"): (
+        8,
+        False,
+        "8a93c643192a3b678bc676d805bc2ba2318c84eb7534faa6c2f2850f58ec28bd",
+    ),
+    ("forbidden", "type2"): (
+        8,
+        False,
+        "c40ea477490b7dd5a875ceb25ce19b30c5b0606a89b8dacde1659ae8de4647a5",
+    ),
+    ("truncated", "type1"): (
+        5,
+        True,
+        "acaf94b33f5195e7b6f33db932a6b16d1ec999133412388e284be8fd9f114043",
+    ),
+    ("truncated", "type2"): (
+        6,
+        True,
+        "2a95c49a91cf2b4d86e3683f59f282d626ac7503f3ca069d92587c6484aee5e2",
+    ),
+    ("float", "type1"): (
+        8,
+        False,
+        "8c1fc26b26e8f62287f8251e7cab59f92f12150748cdf8e9e2969fd7edc68a1f",
+    ),
+    ("float", "type2"): (
+        8,
+        False,
+        "917d3acdecae6527d8d3cf92e915dcc6be4988343b73050ecff752f3ae3e2fc4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, kind", sorted(FROZEN_ENVELOPES))
+def test_piecewise_envelopes_frozen(case, kind):
+    system, x, y, budget = ENVELOPE_CASES[case]
+    env = distance_envelope(system, x, y, kind=kind, horizon=8, budget=budget)
+    rows, truncated, digest = FROZEN_ENVELOPES[case, kind]
+    assert (len(env.rows), env.truncated) == (rows, truncated)
+    assert hashlib.sha256(repr(env).encode("utf-8")).hexdigest() == digest
+    assert verify_envelope(system, env)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_envelope_rejects_a_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="horizon"):
+        distance_envelope(TENT, F(1, 8), F(3, 16), horizon=horizon)
+
+
+@pytest.mark.parametrize("horizon", [True, 2.0, "3", None])
+def test_envelope_rejects_a_horizon_that_is_not_an_int(horizon):
+    with pytest.raises(TypeError, match="horizon"):
+        distance_envelope(TENT, F(1, 8), F(3, 16), horizon=horizon)
+
+
+# The envelope against a plain Fraction level loop: the first piece whose
+# open domain holds the value, slope*x + offset, the closed clamp box, one
+# clock charge per admissible edge, the first word per key, and extremes
+# taken over every value (type 2) or every pair of values (type 1) with the
+# lexicographically least words.
+
+
+def reference_value(pam: PiecewiseAffineMap, x):
+    for p in pam.effective_pieces:
+        if p.domain.lo < x < p.domain.hi:
+            return p.slope * x + p.offset
+    return None
+
+
+def reference_envelope(system, x, y, kind, horizon, max_words) -> DistanceEnvelope:
+    aut = system.automaton
+    spent = 0
+
+    def step(level):
+        nonlocal spent
+        out = {}
+        for key, word in level.items():
+            for sym in range(aut.m):
+                nxt = aut.transitions[key[0]][sym]
+                if nxt < 0:
+                    continue
+                spent += 1
+                if spent > max_words:
+                    return None
+                vals = [reference_value(system.maps[sym], v) for v in key[1:]]
+                if any(
+                    v is None
+                    or (system.clamp and not system.bounds.lo <= v <= system.bounds.hi)
+                    for v in vals
+                ):
+                    continue
+                out.setdefault((nxt, *vals), word + (sym,))
+        return out
+
+    def values(level):
+        best = {}
+        for (_, v), w in level.items():
+            best[v] = min(best.get(v, w), w)
+        return best.items()
+
+    rows = []
+    truncated = False
+    levels = [{(aut.start, x, y): ()}] if kind == "type2" else [
+        {(aut.start, x): ()},
+        {(aut.start, y): ()},
+    ]
+    for n in range(1, horizon + 1):
+        nxt = []
+        for level in levels:
+            nxt.append(step(level))
+            if nxt[-1] is None:
+                break
+        if nxt[-1] is None:
+            truncated = True
+            break
+        if not all(nxt):
+            break
+        if kind == "type2":
+            dist = [(abs(fy - fx), w) for (_, fx, fy), w in nxt[0].items()]
+            lo = min(d for d, _ in dist)
+            hi = max(d for d, _ in dist)
+            w_lo = min(w for d, w in dist if d == lo)
+            w_hi = min(w for d, w in dist if d == hi)
+            rows.append(EnvelopeRow(n, lo, hi, (Word(w_lo),), (Word(w_hi),)))
+        else:
+            pairs = [
+                (abs(a - b), wa, wb)
+                for a, wa in values(nxt[0])
+                for b, wb in values(nxt[1])
+            ]
+            lo, wx_lo, wy_lo = min(pairs)
+            neg_hi, wx_hi, wy_hi = min((-d, wa, wb) for d, wa, wb in pairs)
+            rows.append(
+                EnvelopeRow(
+                    n,
+                    lo,
+                    -neg_hi,
+                    (Word(wx_lo), Word(wy_lo)),
+                    (Word(wx_hi), Word(wy_hi)),
+                )
+            )
+        levels = nxt
+    return DistanceEnvelope(kind, x, y, horizon, tuple(rows), truncated)
+
+
+CUT_POINTS = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)
+SLOPES = st.sampled_from([F(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2)])
+OFFSETS = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+
+
+@st.composite
+def exact_maps(draw):
+    """``helpers.random_map`` (a global map or two pieces on (0, 1)), or
+    three pieces over two cuts, some replaced by a fallback."""
+    if draw(st.booleans()):
+        return random_map(random.Random(draw(st.integers(0, 2**32))))
+    cuts = sorted({F(0), F(1), *draw(st.lists(CUT_POINTS, min_size=2, max_size=2))})
+    pieces = tuple(
+        AffinePiece(Interval(lo, hi), draw(SLOPES), draw(OFFSETS))
+        for lo, hi in zip(cuts, cuts[1:])
+        if draw(st.booleans())
+    )
+    return PiecewiseAffineMap(pieces=pieces, fallback=(draw(SLOPES), draw(OFFSETS)))
+
+
+@st.composite
+def exact_systems(draw):
+    m = draw(st.integers(2, 3))
+    maps = tuple(draw(exact_maps()) for _ in range(m))
+    if draw(st.booleans()):
+        language = FullShift(m)
+    else:
+        word = st.lists(st.integers(0, m - 1), min_size=2, max_size=3).map(tuple)
+        words = draw(st.lists(word, min_size=1, max_size=2))
+        language = ForbiddenWords(m, tuple(words))
+    try:
+        return SwitchedSystem(maps, language, UNIT_BOX, clamp=draw(st.booleans()))
+    except EmptyLanguage:
+        reject()
+
+
+POINTS = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.integers(-1, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exact_systems(),
+    POINTS,
+    POINTS,
+    st.sampled_from(["type1", "type2"]),
+    st.integers(1, 6),
+    st.one_of(st.integers(1, 300), st.just(500_000)),
+)
+# Ties between words for the least type-2 distance (rotations keep it).
+@example(ROTATIONS, F(1, 10), F(3, 10), "type2", 2, 500_000)
+# 1/2 lands on the clamp bound 1 under both tent maps.
+@example(CLAMPED, F(1, 2), F(1, 4), "type1", 1, 500_000)
+# 0 maps to 0 through slopes with different denominators.
+@example(
+    SwitchedSystem(
+        (PiecewiseAffineMap.globally(F(-3, 2), F(0)), PiecewiseAffineMap.globally(F(-1), F(0))),
+        FullShift(2),
+        UNIT_BOX,
+    ),
+    0,
+    1,
+    "type1",
+    1,
+    500_000,
+)
+def test_envelope_matches_plain_fraction_levels(system, x, y, kind, horizon, max_words):
+    if x == y:
+        reject()
+    if kind == "type2" and not system.clamp and all(pam.is_global for pam in system.maps):
+        # These follow the orbit difference instead, whose keys merge more
+        # pairs and so charge the clock differently; the tent tests cover them.
+        reject()
+    env = distance_envelope(
+        system, x, y, kind=kind, horizon=horizon, budget=SearchBudget(max_words=max_words)
+    )
+    want = reference_envelope(system, x, y, kind, horizon, max_words)
+    assert repr(env) == repr(want)

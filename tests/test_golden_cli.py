@@ -122,6 +122,28 @@ FALLBACK_GAPS = {
 }
 
 
+def _folds(as_float: bool, language: dict) -> dict:
+    """A tent of height 6/5 and a map expanding right of 1/3, piecewise on
+    half-lines and clamped to [0, 1]; 5/12 lands on the bound 1."""
+    s = (lambda v: float(F(v))) if as_float else str
+    return {
+        "maps": [
+            [
+                {"domain": ["-inf", s("1/2")], "a": s("12/5"), "b": s("0")},
+                {"domain": [s("1/2"), "inf"], "a": s("-12/5"), "b": s("12/5")},
+            ],
+            [
+                {"domain": ["-inf", s("1/3")], "a": s("1/2"), "b": s("1/4")},
+                {"domain": [s("1/3"), "inf"], "a": s("3/2"), "b": s("-1/4")},
+            ],
+        ],
+        "bounds": [s("0"), s("1")],
+        "language": language,
+        "clamp": True,
+        "numerics": {"mode": "float" if as_float else "rational"},
+    }
+
+
 def _wm(kind: str, pairs: list) -> dict:
     return {
         "task": "wm-cert",
@@ -233,6 +255,25 @@ SCENARIOS = {
         "params": {"kind": "type1", "x": "1/7", "y": "1/5", "horizon": 6},
         "budget": {"max_words": 100_000},
     },
+    "scrambled-clamped-forbidden": {
+        "task": "scrambled",
+        "system": _folds(False, {"kind": "sft", "m": 2, "forbidden": [[1, 1]]}),
+        "params": {
+            "kind": "type1",
+            "x": "5/12",
+            "y": "2/5",
+            "horizon": 8,
+            "eps_prox": "1/100",
+            "eps_div": "3/5",
+        },
+        "budget": {"max_words": 100_000},
+    },
+    "scrambled-float": {
+        "task": "scrambled",
+        "system": _folds(True, {"kind": "full", "m": 2}),
+        "params": {"kind": "type2", "x": 5 / 12, "y": 0.4, "horizon": 8},
+        "budget": {"max_words": 100_000},
+    },
 }
 
 # scenario -> (exit code, report.json, artifact or None, stdout)
@@ -278,6 +319,18 @@ GOLDEN = {
         "403e63695cfadaff53f9dc0f1d912240d633d4ba35626e8aa4f413e7c86953ac",
         "739fd9f393f5ed49fec52db4d60ae13fe3cbba8332d8a395a1ecfc45564a5919",
         "403e63695cfadaff53f9dc0f1d912240d633d4ba35626e8aa4f413e7c86953ac",
+    ),
+    "scrambled-clamped-forbidden": (
+        0,
+        "df5947bac8c421e88ff9ee2bb7e43c1ea2c26b556f0b259e84f93ca6c406f49d",
+        "84cd808a13b654bef4a3cd5556d48e5d774c2f61addb406001fe946c0d104f96",
+        "df5947bac8c421e88ff9ee2bb7e43c1ea2c26b556f0b259e84f93ca6c406f49d",
+    ),
+    "scrambled-float": (
+        0,
+        "89cbde93527cc811c8470bf6b3a9bfcaf5ecdc1a06c20083286c3452f7388481",
+        "1c25a39069d5f07afa88f846ab41d180d47bfda7b6cf0f23f8878fe399d76811",
+        "89cbde93527cc811c8470bf6b3a9bfcaf5ecdc1a06c20083286c3452f7388481",
     ),
     "scrambled-type1": (
         0,
