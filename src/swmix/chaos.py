@@ -9,20 +9,23 @@ ride independent words of equal length.
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
 
-Envelope levels of exact systems are stepped on integers.  When every map is
+Point orbits of exact systems are stepped on integers.  When every map is
 exact (:meth:`~swmix.core.PiecewiseAffineMap._ratio_pieces` is not None),
-both points are Fractions or ints and a clamp box has exact or infinite
-ends, an orbit value ``n/d`` is carried as two reduced integers in the level
-keys, stepped with the per-map integer table that
-:meth:`~swmix.core.PiecewiseAffineMap.value_at` reads, and tested against the
-closed clamp box by cross-multiplying.  Type-2 distances are
+every point (and, for Xiong witnesses, every target and tolerance) is a
+Fraction or an int and a clamp box has exact or infinite ends, an orbit
+value ``n/d`` is carried as two reduced integers and stepped by
+:func:`~swmix.search.ratio_point_step`, the one integer form of a point
+step, which envelope levels and Xiong point searches share.  Envelope level
+keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
 ``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
 integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
 One Fraction is built per row extreme, and the rows, words, truncation and
-clock charges are those of the generic Fraction loop.  Float maps, float
-points, clamp boxes with finite float ends and globally affine type-2
-envelopes without a clamp (which follow the orbit difference) keep the
-generic loops.
+clock charges are those of the generic Fraction loop.  Xiong stages search
+with :func:`~swmix.search.iter_point_hits`, which tests ``|v - t| < eps``
+by cross-multiplying and builds Fractions only for the hits it yields.
+Float maps, float points, clamp boxes with finite float ends and globally
+affine type-2 envelopes without a clamp (which follow the orbit difference)
+keep the generic loops.
 """
 
 from __future__ import annotations
@@ -31,15 +34,21 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, lcm
+from math import isfinite, lcm
 from operator import itemgetter
 from typing import Sequence
 
 from .core import SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
-from .intervals import Scalar, _ratio_end
+from .intervals import Scalar
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, iter_point_hits
+from .search import (
+    SearchBudget,
+    SearchClock,
+    iter_point_hits,
+    ratio_point_step,
+    step_points,
+)
 from .words import Word
 
 __all__ = [
@@ -90,133 +99,30 @@ class ScrambledVerdict:
     k: int
 
 
-def _global_slope(system: SwitchedSystem, sym: int) -> Scalar:
-    return system.maps[sym].effective_pieces[0].slope
-
-
-def _orbit_step(system, level: dict, clock: SearchClock) -> dict | None:
+def _level_step(aut, step, level: dict, clock: SearchClock) -> dict | None:
     """One synchronous step of a deduplicated orbit level.
 
-    Keys are (state, value...) tuples, values are the lexicographically first
-    word reaching the key.  Children are inserted in the order of their
-    parents and then of their symbols, so the words of a level increase in
-    insertion order and the first word met for a key or a value is the
-    least.  Each child is inserted with one ``dict.setdefault``, so its key
-    of Fractions is hashed once.  Returns None when the budget runs out.
-    """
-    aut = system.automaton
-    out: dict = {}
-    for key, word in level.items():
-        state = key[0]
-        for sym in range(aut.m):
-            nxt = aut.transitions[state][sym]
-            if nxt < 0:
-                continue
-            if not clock.spend():
-                return None
-            vals = []
-            dead = False
-            for v in key[1:]:
-                try:
-                    nv = system.maps[sym].value_at(v)
-                except UndefinedAtPoint:
-                    dead = True
-                    break
-                if system.clamp and not system.point_in_kill_box(nv):
-                    dead = True
-                    break
-                vals.append(nv)
-            if dead:
-                continue
-            out.setdefault((nxt, *vals), word + (sym,))
-    return out
-
-
-def _ratio_tables(system: SwitchedSystem, points: tuple) -> tuple | None:
-    """Integer form of an exact system for :func:`_ratio_step`, or None.
-
-    One tuple of ``(lo_n, lo_d, hi_n, hi_d, a, b, c)`` rows per map, read
-    from the table :meth:`PiecewiseAffineMap.value_at` uses, and the closed
-    clamp box as ``(lo_n, lo_d, hi_n, hi_d)`` (None without clamping).  None
-    unless every point is a Fraction or an int, every map is exact and a
-    clamp box has exact or infinite ends.
-    """
-    if any(type(p) is not Fraction and type(p) is not int for p in points):
-        return None
-    tables = []
-    for pam in system.maps:
-        table = pam._ratio_pieces()
-        if table is None:
-            return None
-        tables.append(tuple(row[:7] for row in table))
-    box = None
-    if system.clamp:
-        lo, hi = _ratio_end(system.bounds.lo), _ratio_end(system.bounds.hi)
-        if lo is None or hi is None:
-            return None
-        box = lo + hi
-    return tuple(tables), box
-
-
-def _ratio_step(
-    tables: tuple, box: tuple | None, aut, level: dict, clock: SearchClock
-) -> dict | None:
-    """:func:`_orbit_step` on reduced integer ratios.
-
-    Keys are ``(state, n1, d1[, n2, d2])`` with ``gcd(n, d) == 1`` and
-    ``d > 0``, so two keys are equal exactly when their Fraction keys are.
-    A value ``n/d`` steps through the piece with ``lo_n*d < n*lo_d`` and
-    ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``, and survives the clamp
-    when ``box_lo <= n/d <= box_hi``, cross-multiplied; infinite ends are
-    ``(-1, 0)`` and ``(1, 0)``.  Every charge to the clock and every
-    insertion happens as in :func:`_orbit_step`.
+    Keys are ``(state, values)`` pairs, values are the lexicographically
+    first word reaching the key; ``step(values, sym)`` gives a child's
+    values, or None where its orbit dies.  Children are inserted in the
+    order of their parents and then of their symbols, so the words of a
+    level increase in insertion order and the first word met for a key or a
+    value is the least.  Each child is inserted with one ``dict.setdefault``,
+    so its key is hashed once.  Returns None when the budget runs out.
     """
     out: dict = {}
-    for key, word in level.items():
-        row = aut.transitions[key[0]]
+    insert, spend = out.setdefault, clock.spend
+    for (state, values), word in level.items():
+        row = aut.transitions[state]
         for sym in range(aut.m):
             nxt = row[sym]
             if nxt < 0:
                 continue
-            if not clock.spend():
+            if not spend():
                 return None
-            table = tables[sym]
-            child = [nxt]
-            for i in range(1, len(key), 2):
-                n, d = key[i], key[i + 1]
-                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
-                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                        n, d = a * n + b * d, c * d
-                        g = gcd(n, d)
-                        if g != 1:
-                            n //= g
-                            d //= g
-                        break
-                else:
-                    break  # undefined at n/d: the branch dies
-                if box is not None and not (
-                    box[0] * d <= n * box[1] and n * box[3] <= box[2] * d
-                ):
-                    break  # outside the closed clamp box
-                child += (n, d)
-            else:
-                out.setdefault(tuple(child), word + (sym,))
-    return out
-
-
-def _diff_step(system, level: dict, clock: SearchClock) -> dict | None:
-    # Globally affine maps act on the orbit difference autonomously, so the
-    # level collapses to (state, signed difference) keys.
-    aut = system.automaton
-    out: dict = {}
-    for (state, d), word in level.items():
-        for sym in range(aut.m):
-            nxt = aut.transitions[state][sym]
-            if nxt < 0:
-                continue
-            if not clock.spend():
-                return None
-            out.setdefault((nxt, _global_slope(system, sym) * d), word + (sym,))
+            child = step(values, sym)
+            if child is not None:
+                insert((nxt, child), word + (sym,))
     return out
 
 
@@ -236,11 +142,11 @@ def _type2_ratio_row(n: int, level: dict) -> EnvelopeRow:
     word, as :func:`_extremes` does.
     """
     it = iter(level.items())
-    (_, nx, dx, ny, dy), w = next(it)
+    (_, (nx, dx, ny, dy)), w = next(it)
     lo_n = hi_n = abs(ny * dx - nx * dy)
     lo_d = hi_d = dx * dy
     wlo = whi = w
-    for (_, nx, dx, ny, dy), w in it:
+    for (_, (nx, dx, ny, dy)), w in it:
         dn, dd = abs(ny * dx - nx * dy), dx * dy
         if dn * lo_d < lo_n * dd:
             lo_n, lo_d, wlo = dn, dd, w
@@ -287,44 +193,52 @@ def distance_envelope(
         and not system.clamp
         and all(pam.is_global for pam in system.maps)
     )
-    ratios = None if diff_ok else _ratio_tables(system, (x, y))
-    if ratios is not None:
-        step = partial(_ratio_step, *ratios, aut)
-        x0, y0 = x.as_integer_ratio(), y.as_integer_ratio()
+    if diff_ok:
+        # Globally affine maps act on the orbit difference autonomously, so
+        # the level collapses to (state, signed difference) keys.
+        slopes = tuple(pam.effective_pieces[0].slope for pam in system.maps)
+
+        def step(d: Scalar, sym: int) -> Scalar:
+            return slopes[sym] * d
+
+        exact = False
     else:
-        step = partial(_diff_step if diff_ok else _orbit_step, system)
-        x0, y0 = (x,), (y,)
+        step = ratio_point_step(system, (x, y))
+        exact = step is not None
+        if not exact:
+            step = partial(step_points, system)
+    x0, y0 = (x.as_integer_ratio(), y.as_integer_ratio()) if exact else ((x,), (y,))
     if kind == "type2":
-        level = {(aut.start, y - x) if diff_ok else (aut.start, *x0, *y0): ()}
+        level = {(aut.start, y - x if diff_ok else x0 + y0): ()}
         for n in range(1, horizon + 1):
-            nxt = step(level, clock)
+            nxt = _level_step(aut, step, level, clock)
             if nxt is None:
                 truncated = True
                 break
             if not nxt:
                 break
-            if ratios is not None:
+            if exact:
                 rows.append(_type2_ratio_row(n, nxt))
             else:
                 if diff_ok:
                     values = [(abs(d), w) for (_, d), w in nxt.items()]
                 else:
-                    values = [(abs(fy - fx), w) for (_, fx, fy), w in nxt.items()]
+                    values = [(abs(fy - fx), w) for (_, (fx, fy)), w in nxt.items()]
                 lo, hi, wlo, whi = _extremes(values)
                 rows.append(EnvelopeRow(n, lo, hi, (Word(wlo),), (Word(whi),)))
             level = nxt
     else:
-        level_x: dict = {(aut.start, *x0): ()}
-        level_y: dict = {(aut.start, *y0): ()}
+        level_x: dict = {(aut.start, x0): ()}
+        level_y: dict = {(aut.start, y0): ()}
         for n in range(1, horizon + 1):
-            nx = step(level_x, clock)
-            ny = step(level_y, clock) if nx is not None else None
+            nx = _level_step(aut, step, level_x, clock)
+            ny = _level_step(aut, step, level_y, clock) if nx is not None else None
             if nx is None or ny is None:
                 truncated = True
                 break
             if not nx or not ny:
                 break
-            rows.append(_type1_row(n, nx, ny, ratios is not None))
+            rows.append(_type1_row(n, nx, ny, exact))
             level_x, level_y = nx, ny
     return DistanceEnvelope(
         kind=kind, x=x, y=y, horizon=horizon, rows=tuple(rows), truncated=truncated
@@ -335,7 +249,7 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
     """Independent-word extremes via sorted values and nearest-neighbour scan.
 
     Each level collapses to its distinct values, each with its least word
-    (the first met, see :func:`_orbit_step`).  On ratio levels (``exact``)
+    (the first met, see :func:`_level_step`).  On ratio levels (``exact``)
     a value ``n/d`` becomes the integer ``n * (L // d)``, where ``L`` is the
     lcm of both levels' denominators: it sorts, bisects and subtracts like
     the value, and each extreme is built once as ``Fraction(k, L)``.
@@ -344,7 +258,7 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
     def collapse(level: dict) -> dict:
         best: dict = {}
         for key, w in level.items():
-            best.setdefault(key[1:], w)
+            best.setdefault(key[1], w)
         return best
 
     bx, by = collapse(level_x), collapse(level_y)
@@ -425,7 +339,15 @@ def scrambled_verdict(
     k: int = 3,
 ) -> ScrambledVerdict:
     """Three-valued reading of an envelope against proximality/divergence
-    thresholds: finite-horizon evidence only, never a proof of the limits."""
+    thresholds: finite-horizon evidence only, never a proof of the limits.
+
+    ``k``, the number of rows that must pass each threshold, must be an int
+    of at least 1.
+    """
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise TypeError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k!r}")
     if not env.rows:
         raise ValueError("empty envelope")
     prox = sum(1 for r in env.rows if r.d_min < eps_prox)
@@ -488,6 +410,11 @@ def xiong_witness(
     target: type 2 needs one shared word, type 1 an independent word per
     point at that same length.  Returns the completed stages with
     ``complete=False`` when the budget or horizon stops the construction.
+
+    Tolerances must be finite numbers (not bools), positive and strictly
+    decreasing.  On an exact system with Fraction or int points, targets
+    and tolerances the orbits are stepped on integer ratios
+    (:func:`~swmix.search.iter_point_hits`).
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -498,6 +425,11 @@ def xiong_witness(
     if len(pts) != len(tgts) or not pts:
         raise ValueError("need one target per point")
     tol = tuple(tolerances)
+    for eps in tol:
+        if isinstance(eps, bool) or not isinstance(eps, (int, float, Fraction)):
+            raise TypeError(f"tolerances must be numbers, got {eps!r}")
+        if isinstance(eps, float) and not isfinite(eps):
+            raise ValueError(f"tolerances must be finite, got {eps!r}")
     if not tol or any(b >= a for a, b in zip(tol, tol[1:])) or tol[-1] <= 0:
         raise ValueError("tolerances must be positive and strictly decreasing")
     clock = SearchClock(budget)
@@ -507,11 +439,7 @@ def xiong_witness(
         found = None
         for n in range(floor + 1, budget.max_horizon + 1):
             if kind == "type2":
-
-                def accept(vals: tuple) -> bool:
-                    return all(abs(v - t) < eps for v, t in zip(vals, tgts))
-
-                for syms, vals in iter_point_hits(system, pts, accept, n, clock):
+                for syms, vals in iter_point_hits(system, pts, tgts, eps, n, clock):
                     found = (
                         n,
                         (Word(syms),),
@@ -522,13 +450,7 @@ def xiong_witness(
                 per_words: list[Word] = []
                 per_errs: list[Scalar] = []
                 for x, t in zip(pts, tgts):
-
-                    def accept_one(vals: tuple, t=t) -> bool:
-                        return abs(vals[0] - t) < eps
-
-                    got = next(
-                        iter_point_hits(system, [x], accept_one, n, clock), None
-                    )
+                    got = next(iter_point_hits(system, (x,), (t,), eps, n, clock), None)
                     if got is None:
                         break
                     per_words.append(Word(got[0]))

@@ -3,30 +3,40 @@
 Every search is one call of :func:`swmix.language.walk`, the depth-first,
 symbol-ordered walk of the pruned automaton, with a step function that folds
 interval enclosures (:func:`step_images`) or point orbits
-(:func:`step_points`) along each branch, so a shared prefix is evaluated
-once.  Branches die when any tracked set becomes empty, any tracked point
-leaves every piece domain, or -- with the system's clamp flag -- the branch
-separates entirely from the closed bounding box.  The walker charges
-:meth:`SearchClock.spend` once per admissible edge before stepping it.
+(:func:`step_points`, or :func:`ratio_point_step` on exact inputs) along
+each branch, so a shared prefix is evaluated once.  Branches die when any
+tracked set becomes empty, any tracked point leaves every piece domain, or
+-- with the system's clamp flag -- the branch separates entirely from the
+closed bounding box.  The walker charges :meth:`SearchClock.spend` once per
+admissible edge before stepping it.
 
 Set steps are also shared across word lengths and spread-table rows: every
 set search steps through a memo held by its :class:`SearchClock`, so each
 distinct ``(enclosures, symbol)`` step of one system and one ``partial``
 mode is computed once per logical search, however many lengths or rows
 reach it.  The clock is still charged for every edge, memoised or not, so
-node counts and budget cut-offs do not depend on the memo.  Point steps are
-not memoised: one point step costs about as much as hashing its key.
+node counts and budget cut-offs do not depend on the memo.
+
+Point steps are not memoised.  When every map is exact and every start,
+target and tolerance is a Fraction or an int, :func:`iter_point_hits`
+carries the orbits as one flat tuple of reduced integer pairs ``(n1, d1,
+n2, d2, ..)``: a step is a few integer products and one ``gcd`` per point,
+and the leaf test ``|v - t| < eps`` is cross-multiplied, so no Fraction is
+built until a hit is yielded.  Float maps, float values and clamp boxes with
+finite float ends step Fractions or floats with :func:`step_points`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from .core import SwitchedSystem, image_of
 from .errors import UndefinedAtPoint, UndefinedOnSet
-from .intervals import IntervalSet, Scalar
+from .intervals import IntervalSet, Scalar, _ratio_end
 from .language import walk
 
 
@@ -152,6 +162,65 @@ def step_points(
     return tuple(out)
 
 
+def ratio_point_step(
+    system: SwitchedSystem, values: Sequence[Scalar]
+) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None] | None:
+    """:func:`step_points` on reduced integer pairs, or None when the
+    system or ``values`` are not exact.
+
+    Exact means: every value is a Fraction or an int, every map has an
+    integer table (:meth:`~swmix.core.PiecewiseAffineMap._ratio_pieces` is
+    not None) and a clamp box has exact or infinite ends.  The returned
+    ``step(pairs, sym)`` takes the points as one flat tuple ``(n1, d1, n2,
+    d2, ..)`` with ``gcd(n, d) == 1`` and ``d > 0``, so two tuples are equal
+    exactly when their Fraction points are.  A value ``n/d`` steps through
+    the piece with ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n +
+    b*d) / (c*d)``, reduced, and survives the clamp when ``box_lo <= n/d <=
+    box_hi``, cross-multiplied; infinite ends are ``(-1, 0)`` and ``(1,
+    0)``.  The step returns None where :func:`step_points` does.
+    """
+    if any(type(v) is not Fraction and type(v) is not int for v in values):
+        return None
+    tables = []
+    for pam in system.maps:
+        table = pam._ratio_pieces()
+        if table is None:
+            return None
+        tables.append(tuple(row[:7] for row in table))
+    box_lo_n = box_lo_d = box_hi_n = box_hi_d = 0
+    clamp = system.clamp
+    if clamp:
+        lo, hi = _ratio_end(system.bounds.lo), _ratio_end(system.bounds.hi)
+        if lo is None or hi is None:
+            return None
+        (box_lo_n, box_lo_d), (box_hi_n, box_hi_d) = lo, hi
+
+    def step(pairs: tuple[int, ...], sym: int) -> tuple[int, ...] | None:
+        table = tables[sym]
+        out = []
+        it = iter(pairs)
+        for n, d in zip(it, it):
+            for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                    n, d = a * n + b * d, c * d
+                    g = gcd(n, d)
+                    if g != 1:
+                        n //= g
+                        d //= g
+                    break
+            else:
+                return None  # undefined at n/d
+            if clamp and not (
+                box_lo_n * d <= n * box_lo_d and n * box_hi_d <= box_hi_n * d
+            ):
+                return None  # outside the closed clamp box
+            out.append(n)
+            out.append(d)
+        return tuple(out)
+
+    return step
+
+
 def iter_set_hits(
     system: SwitchedSystem,
     sources: Sequence[IntervalSet],
@@ -194,17 +263,44 @@ def first_set_hit(
 def iter_point_hits(
     system: SwitchedSystem,
     starts: Sequence[Scalar],
-    accept: Callable[[tuple[Scalar, ...]], bool],
+    targets: Sequence[Scalar],
+    eps: Scalar,
     length: int,
     clock: SearchClock,
 ) -> Iterator[tuple[tuple[int, ...], tuple[Scalar, ...]]]:
-    """Point-orbit counterpart of :func:`iter_set_hits`."""
-    for syms, values in walk(
-        system.automaton,
-        length,
-        tuple(starts),
-        lambda values, sym: step_points(system, values, sym),
-        clock.spend,
-    ):
-        if accept(values):
-            yield syms, values
+    """Point-orbit counterpart of :func:`iter_set_hits`: yield, in
+    lexicographic order, every admissible word of exactly ``length`` whose
+    orbit survives and puts every start within ``eps`` of its target
+    (``|v - t| < eps``), with the orbit's end values.
+
+    When :func:`ratio_point_step` accepts the system and every start,
+    target and ``eps``, the orbits are stepped on reduced integer pairs and
+    a leaf ``n/d`` passes when ``|n*td - tn*d| * ed < en * d * td``; one
+    Fraction is built per point of each yielded hit.  Otherwise the values
+    are stepped with :func:`step_points`.  Both ways walk the same words and
+    charge the clock alike.
+    """
+    step = ratio_point_step(system, (*starts, *targets, eps))
+    if step is None:
+        for syms, values in walk(
+            system.automaton,
+            length,
+            tuple(starts),
+            lambda values, sym: step_points(system, values, sym),
+            clock.spend,
+        ):
+            if all(abs(v - t) < eps for v, t in zip(values, targets)):
+                yield syms, values
+        return
+    root = tuple(r for x in starts for r in x.as_integer_ratio())
+    en, ed = eps.as_integer_ratio()
+    goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
+    for syms, pairs in walk(system.automaton, length, root, step, clock.spend):
+        for i, tn, td in goals:
+            n, d = pairs[i], pairs[i + 1]
+            if abs(n * td - tn * d) * ed >= en * d * td:
+                break
+        else:
+            yield syms, tuple(
+                Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
+            )

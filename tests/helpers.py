@@ -1,4 +1,5 @@
-"""Shared builders for the test suite: circle rotations and random systems."""
+"""Shared builders for the test suite: circle rotations, random systems and
+a plain reference evaluation of maps."""
 
 from __future__ import annotations
 
@@ -56,6 +57,16 @@ def random_map(rng: random.Random) -> PiecewiseAffineMap:
             ),
         )
     )
+
+
+def reference_value(pam: PiecewiseAffineMap, x):
+    """``slope*x + offset`` of the first piece whose open domain holds
+    ``x``, or None: :meth:`PiecewiseAffineMap.value_at` without its integer
+    path."""
+    for p in pam.effective_pieces:
+        if p.domain.lo < x < p.domain.hi:
+            return p.slope * x + p.offset
+    return None
 
 
 def random_language(rng: random.Random, m: int):

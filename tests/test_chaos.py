@@ -28,7 +28,7 @@ from swmix.language import ForbiddenWords, FullShift, accepts_prefix
 from swmix.search import SearchBudget
 from swmix.words import Word
 
-from helpers import random_map, rotation_system
+from helpers import random_map, reference_value, rotation_system
 
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
@@ -87,6 +87,19 @@ def test_scrambled_verdicts():
         scrambled_verdict(dataclasses.replace(env, rows=()), F(1), F(1))
 
 
+def test_scrambled_verdict_rejects_a_bad_k():
+    # No row of this envelope is proximal, so any k >= 1 refutes it.
+    env = distance_envelope(TENT, F(1, 8), F(3, 16), kind="type2", horizon=6)
+    assert scrambled_verdict(env, F(1, 16), F(1, 8), k=3).verdict == "refuted-at-horizon"
+    assert scrambled_verdict(env, F(1, 16), F(1, 8), k=1).verdict == "refuted-at-horizon"
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="k must be positive"):
+            scrambled_verdict(env, F(1, 16), F(1, 8), k=k)
+    for k in (True, 2.0, "3", None):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            scrambled_verdict(env, F(1, 16), F(1, 8), k=k)
+
+
 def test_xiong_type2_frozen():
     wit = xiong_witness(
         CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
@@ -132,6 +145,43 @@ def test_xiong_tolerances_must_decrease():
         )
     with pytest.raises(ValueError):
         xiong_witness(CLAMPED, (F(2, 5),), (F(4, 5),), tolerances=(F(1, 2), F(0)))
+
+
+@pytest.mark.parametrize(
+    "tolerances, error",
+    [
+        ((float("nan"),), ValueError),
+        ((float("inf"),), ValueError),
+        ((F(1, 2), float("-inf")), ValueError),
+        ((True,), TypeError),
+        ((F(1, 2), False), TypeError),
+        (("1/2",), TypeError),
+    ],
+)
+def test_xiong_rejects_bool_and_non_finite_tolerances(tolerances, error):
+    with pytest.raises(error, match="tolerances"):
+        xiong_witness(CLAMPED, (F(2, 5),), (F(4, 5),), tolerances=tolerances)
+
+
+def test_xiong_float_frozen():
+    # Float maps take the generic point loop; the errors carry its rounding.
+    wit = xiong_witness(
+        FOLDS_FLOAT,
+        (0.3, 0.7),
+        (0.5, 0.25),
+        kind="type1",
+        tolerances=(0.25, 0.1, 0.02),
+        budget=SearchBudget(max_horizon=14),
+    )
+    assert wit.complete
+    assert [
+        (st.length, [w.as_string() for w in st.words], st.errors) for st in wit.stages
+    ] == [
+        (2, ["00", "10"], (0.17199999999999993, 0.23000000000000043)),
+        (4, ["0000", "1100"], (0.010719999999999619, 0.03800000000000131)),
+        (5, ["00001", "01101"], (0.016079999999999428, 0.005999999999999783)),
+    ]
+    assert verify_xiong(FOLDS_FLOAT, wit)
 
 
 def test_verify_xiong_rejects_tampering():
@@ -299,13 +349,6 @@ def test_envelope_rejects_a_horizon_that_is_not_an_int(horizon):
 # clock charge per admissible edge, the first word per key, and extremes
 # taken over every value (type 2) or every pair of values (type 1) with the
 # lexicographically least words.
-
-
-def reference_value(pam: PiecewiseAffineMap, x):
-    for p in pam.effective_pieces:
-        if p.domain.lo < x < p.domain.hi:
-            return p.slope * x + p.offset
-    return None
 
 
 def reference_envelope(system, x, y, kind, horizon, max_words) -> DistanceEnvelope:

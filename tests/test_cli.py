@@ -120,6 +120,25 @@ def test_verify_rejects_forged_xiong_language(tmp_path, capsys):
     assert report == {"kind": "xiong", "verified": False}
 
 
+@pytest.mark.parametrize("tolerance", ["inf", float("nan")])
+def test_xiong_rejects_a_non_finite_tolerance(tmp_path, capsys, tolerance):
+    # json.dumps writes the float NaN as the bare token NaN, which the
+    # scenario loader reads back as a float.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "xiong",
+            "system": CLAMPED_JSON,
+            "params": {"points": ["2/5"], "targets": ["4/5"], "tolerances": [tolerance]},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert "finite" in report["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_budget_exhaustion_exits_2(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

@@ -1,16 +1,19 @@
 """Budgeted lexicographic word searches over enclosures and point orbits."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import swmix.search as search
 import swmix.spread as spread
-from swmix.core import SwitchedSystem
+from swmix.core import PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded
-from swmix.intervals import IntervalSet
-from swmix.language import ForbiddenWords
+from swmix.intervals import Interval, IntervalSet
+from swmix.language import ForbiddenWords, FullShift
 from swmix.search import (
     SearchBudget,
     SearchClock,
@@ -22,7 +25,7 @@ from swmix.search import (
 )
 from swmix.spread import QNet, build_qnet, certify_spread
 
-from helpers import UNIT, rotation_system
+from helpers import UNIT, random_system, reference_value, rotation_system
 
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
@@ -91,7 +94,7 @@ def test_iter_point_hits_accept():
     hits = [
         syms
         for syms, _ in iter_point_hits(
-            CLAMPED, (F(2, 5),), lambda vals: vals[0] == F(4, 5), 3, clock
+            CLAMPED, (F(2, 5),), (F(4, 5),), F(1, 1000), 3, clock
         )
     ]
     # Clamped tent orbits are single-branch away from 1/2, so exactly one word.
@@ -182,9 +185,103 @@ def test_iter_point_hits_node_count():
         clamp=True,
     )
     clock = SearchClock(SearchBudget())
-    hits = list(iter_point_hits(golden, (F(1, 5),), lambda vals: vals[0] > F(1, 2), 6, clock))
+    # Within 1/4 of 3/4: the orbit ends in (1/2, 1).
+    hits = list(iter_point_hits(golden, (F(1, 5),), (F(3, 4),), F(1, 4), 6, clock))
     assert hits == [((0, 0, 1, 0, 1, 0), (F(4, 5),))]
     assert (clock.count, clock.exceeded) == (10, False)
+
+
+# Point searches against a plain Fraction orbit loop: depth-first in symbol
+# order, one clock charge per admissible edge before its step, the first
+# piece whose open domain holds the value, the closed clamp box, and
+# |v - t| < eps at every leaf.
+
+
+def reference_point_hits(system, starts, targets, eps, length, max_words):
+    aut = system.automaton
+    box = system.bounds
+    hits = []
+    spent = 0
+
+    def visit(state, values, word) -> bool:
+        nonlocal spent
+        if len(word) == length:
+            if all(abs(v - t) < eps for v, t in zip(values, targets)):
+                hits.append((word, values))
+            return True
+        for sym in range(aut.m):
+            nxt = aut.transitions[state][sym]
+            if nxt < 0:
+                continue
+            spent += 1
+            if spent > max_words:
+                return False
+            vals = tuple(reference_value(system.maps[sym], v) for v in values)
+            if any(
+                v is None or (system.clamp and not box.lo <= v <= box.hi) for v in vals
+            ):
+                continue
+            if not visit(nxt, vals, word + (sym,)):
+                return False
+        return True
+
+    visit(aut.start, tuple(starts), ())
+    return hits, spent, spent > max_words
+
+
+SYSTEMS = st.integers(0, 2**32).map(lambda seed: random_system(random.Random(seed)))
+VALUES = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.integers(-1, 2),
+)
+EPSILONS = st.one_of(
+    st.fractions(min_value=F(1, 100), max_value=2, max_denominator=100),
+    st.integers(1, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    SYSTEMS,
+    st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=3),
+    EPSILONS,
+    st.integers(1, 5),
+    st.one_of(st.integers(1, 200), st.just(500_000)),
+)
+# |4/5 - 3/4| is exactly eps: the strict test rejects the only surviving word.
+@example(CLAMPED, [(F(2, 5), F(3, 4))], F(1, 20), 3, 500_000)
+# 1/2 lands on the clamp bound 1 under both tent maps, and survives.
+@example(CLAMPED, [(F(1, 2), 1), (F(1, 4), F(1, 2))], 1, 1, 500_000)
+def test_point_hits_match_plain_fraction_orbits(system, pairs, eps, length, max_words):
+    starts, targets = (tuple(v) for v in zip(*pairs))
+    assert search.ratio_point_step(system, starts + targets + (eps,)) is not None
+    clock = SearchClock(SearchBudget(max_words=max_words))
+    hits = list(iter_point_hits(system, starts, targets, eps, length, clock))
+    want, spent, exceeded = reference_point_hits(
+        system, starts, targets, eps, length, max_words
+    )
+    assert hits == want
+    assert all(type(v) is F for _, values in hits for v in values)
+    assert (clock.count, clock.exceeded) == (spent, exceeded)
+
+
+def test_point_search_path_follows_value_types():
+    # A float anywhere, a float map or a finite float clamp end keeps the
+    # generic loop; the integer path needs exact values on exact maps.
+    exact = (F(2, 5), 1, F(1, 4))
+    assert search.ratio_point_step(CLAMPED, exact) is not None
+    assert search.ratio_point_step(CLAMPED, exact + (0.25,)) is None
+    assert search.ratio_point_step(CLAMPED, (True,)) is None
+    float_box = SwitchedSystem(
+        maps=CLAMPED.maps, language=CLAMPED.language, bounds=Interval(0.0, 1.0), clamp=True
+    )
+    assert search.ratio_point_step(float_box, exact) is None
+    float_maps = SwitchedSystem(
+        maps=(PiecewiseAffineMap.globally(0.5, 0.25),),
+        language=FullShift(1),
+        bounds=CLAMPED.bounds,
+    )
+    assert search.ratio_point_step(float_maps, exact) is None
 
 
 SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
