@@ -411,25 +411,26 @@ def xiong_witness(
     point at that same length.  Returns the completed stages with
     ``complete=False`` when the budget or horizon stops the construction.
 
-    Tolerances must be finite numbers (not bools), positive and strictly
-    decreasing.  On an exact system with Fraction or int points, targets
-    and tolerances the orbits are stepped on integer ratios
-    (:func:`~swmix.search.iter_point_hits`).
+    Points, targets and tolerances must be finite numbers (not bools);
+    tolerances must also be positive and strictly decreasing.  On an exact
+    system with Fraction or int points, targets and tolerances the orbits
+    are stepped on integer ratios (:func:`~swmix.search.iter_point_hits`).
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown witness kind {kind!r}")
     pts = tuple(points)
     tgts = tuple(targets)
+    tol = tuple(tolerances)
+    for what, values in (("points", pts), ("targets", tgts), ("tolerances", tol)):
+        for x in values:
+            if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+                raise TypeError(f"{what} must be numbers, got {x!r}")
+            if isinstance(x, float) and not isfinite(x):
+                raise ValueError(f"{what} must be finite, got {x!r}")
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     if len(pts) != len(tgts) or not pts:
         raise ValueError("need one target per point")
-    tol = tuple(tolerances)
-    for eps in tol:
-        if isinstance(eps, bool) or not isinstance(eps, (int, float, Fraction)):
-            raise TypeError(f"tolerances must be numbers, got {eps!r}")
-        if isinstance(eps, float) and not isfinite(eps):
-            raise ValueError(f"tolerances must be finite, got {eps!r}")
     if not tol or any(b >= a for a, b in zip(tol, tol[1:])) or tol[-1] <= 0:
         raise ValueError("tolerances must be positive and strictly decreasing")
     clock = SearchClock(budget)

@@ -294,18 +294,6 @@ class PiecewiseAffineMap:
         object.__setattr__(self, "_ratios", ratios)
         return ratios
 
-    def is_continuous(self) -> bool:
-        """True iff values agree in the limit across every shared boundary."""
-        eff = self._effective
-        for prev, cur in zip(eff, eff[1:]):
-            join = prev.domain.hi
-            if join == cur.domain.lo and is_finite(join):
-                left = prev.slope * join + prev.offset
-                right = cur.slope * join + cur.offset
-                if left != right:
-                    return False
-        return True
-
     def covers(self, iv: Interval) -> bool:
         """True iff ``iv`` minus the piece domains has no interior."""
         cursor = iv.lo

@@ -425,16 +425,14 @@ def order_reduction(
     V1: IntervalSet,
     V2: IntervalSet,
     s: Word,
-    assume_commuting: bool = False,
 ) -> tuple[IntervalSet, IntervalSet]:
     """Collapse two set pairs into one: (U1 ∩ f_s⁻¹(U2), V1 ∩ f_s⁻¹(V2)).
 
     Any hitting word for the reduced pair then serves both original pairs,
-    provided the map family commutes; unless the caller asserts commutation,
-    :func:`maps_commute` must pass.  Requires s to hit U2 from U1 and V2 from
-    V1 (checked by enclosure).
+    provided the map family commutes, so :func:`maps_commute` must pass.
+    Requires s to hit U2 from U1 and V2 from V1 (checked by enclosure).
     """
-    if not assume_commuting and not maps_commute(system):
+    if not maps_commute(system):
         raise PreconditionFailed("map family does not commute")
     if not _is_common_hit(system, s, U1, U2, V1, V2):
         raise PreconditionFailed("s is not a common hitting word for the two pairs")

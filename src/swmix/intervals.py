@@ -15,20 +15,23 @@ Sets are hashed often (search memos key on them), so :class:`IntervalSet`
 caches its hash.  :func:`is_finite` tests the endpoint type before comparing
 with the infinities, since only a float endpoint can be infinite.
 
-Exact endpoints are compared on integers.  When every endpoint involved is a
-Fraction, an int or infinite, :class:`Interval` construction, normalisation,
-:meth:`IntervalSet.intersect`, :meth:`~IntervalSet.intersects` and
-:meth:`~IntervalSet.subset_of` read each endpoint as a ratio ``(n, d)`` with
-``d > 0`` and compare two of them by cross-multiplying, ``a < b`` iff
-``a_n*b_d < b_n*a_d``, instead of through Fraction's generic operators.  The
-infinities are encoded as ``(-1, 0)`` and ``(1, 0)``; that is exact against
-every finite endpoint and against the same infinity, but ``-inf < +inf``
-would read ``0 < 0``, so every ``lo < hi`` test that can meet both counts a
-zero denominator as true.  Ties resolve exactly as ``max``, ``min`` and a
-stable sort resolve them, so the results keep the same endpoint objects --
-an int endpoint equal to a Fraction one stays whichever it was.  Any float
-endpoint, or a float ``min_overlap``, sends the operation down the generic
-path.
+Three places compare exact endpoints on integers: the :class:`Interval`
+check of two Fraction endpoints, :meth:`IntervalSet.intersects`, and
+:func:`_normalise_exact`, the normaliser that :func:`swmix.core.image_of` and
+:func:`swmix.core.preimage` call on the integer rows they already hold.  They
+read each endpoint as a ratio ``(n, d)`` with ``d > 0`` and compare two of
+them by cross-multiplying, ``a < b`` iff ``a_n*b_d < b_n*a_d``, instead of
+through Fraction's generic operators.  The infinities are encoded as
+``(-1, 0)`` and ``(1, 0)``; that is exact against every finite endpoint and
+against the same infinity, but ``-inf < +inf`` would read ``0 < 0``, so
+every ``lo < hi`` test that can meet both counts a zero denominator as true.
+Ties resolve exactly as ``max``, ``min`` and a stable sort resolve them, so
+the results keep the same endpoint objects -- an int endpoint equal to a
+Fraction one stays whichever it was.  Any float endpoint, or a float
+``min_overlap``, sends :meth:`~IntervalSet.intersects` down the generic
+path.  Every other operation, :func:`_normalise` behind
+:meth:`IntervalSet.from_intervals`, :meth:`~IntervalSet.intersect` and
+:meth:`~IntervalSet.subset_of` among them, uses plain comparisons alone.
 """
 
 from __future__ import annotations
@@ -175,11 +178,8 @@ def _normalise_exact(rows: list[_Row]) -> tuple[Interval, ...]:
 
 def _normalise(items: Iterable[Interval]) -> tuple[Interval, ...]:
     items = list(items)
-    if len(items) < 2:
+    if len(items) < 2:  # most images and preimages have one component
         return tuple(items)
-    rows = _ratio_rows(items)
-    if rows is not None:
-        return _normalise_exact([r + (c,) for r, c in zip(rows, items)])
     comps = sorted(items, key=lambda c: (c.lo, c.hi))
     out: list[Interval] = []
     for c in comps:
@@ -268,29 +268,6 @@ class IntervalSet:
         out: list[Interval] = []
         i = j = 0
         a, b = self.components, other.components
-        ra = _ratio_rows(a)
-        rb = _ratio_rows(b) if ra is not None else None
-        if rb is not None:
-            # max and min keep a's endpoint on a tie, as Interval.intersect does
-            na, nb = len(a), len(b)
-            while i < na and j < nb:
-                a_ln, a_ld, a_hn, a_hd = ra[i]
-                b_ln, b_ld, b_hn, b_hd = rb[j]
-                if b_ln * a_ld > a_ln * b_ld:
-                    lo, lo_n, lo_d = b[j].lo, b_ln, b_ld
-                else:
-                    lo, lo_n, lo_d = a[i].lo, a_ln, a_ld
-                if b_hn * a_hd < a_hn * b_hd:
-                    hi, hi_n, hi_d = b[j].hi, b_hn, b_hd
-                else:
-                    hi, hi_n, hi_d = a[i].hi, a_hn, a_hd
-                if not lo_d or not hi_d or lo_n * hi_d < hi_n * lo_d:
-                    out.append(Interval(lo, hi))
-                if a_hn * b_hd <= b_hn * a_hd:
-                    i += 1
-                else:
-                    j += 1
-            return IntervalSet(tuple(out))
         while i < len(a) and j < len(b):
             cut = a[i].intersect(b[j])
             if cut is not None:
@@ -344,16 +321,6 @@ class IntervalSet:
     def subset_of(self, other: "IntervalSet") -> bool:
         # Components never straddle a gap of `other`: each must fit in a single
         # component (abutting components of `other` still miss the shared point).
-        rs = _ratio_rows(self.components)
-        ro = _ratio_rows(other.components) if rs is not None else None
-        if ro is not None:
-            for lo_n, lo_d, hi_n, hi_d in rs:
-                for o_ln, o_ld, o_hn, o_hd in ro:
-                    if o_ln * lo_d <= lo_n * o_ld and hi_n * o_hd <= o_hn * hi_d:
-                        break
-                else:
-                    return False
-            return True
         for c in self.components:
             if not any(o.lo <= c.lo and c.hi <= o.hi for o in other.components):
                 return False

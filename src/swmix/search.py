@@ -72,6 +72,10 @@ class SearchBudget:
 class SearchClock:
     """Mutable node/time meter for one logical search.
 
+    :meth:`spend` charges one node and returns False once the node budget or
+    the deadline is spent; from then on every call returns False, so a clock
+    shared between searches stops them all.
+
     The clock also owns the search's memo of set steps, one table per
     ``(system, partial)`` pair.  An entry is added only after a charged
     edge, so ``budget.max_words`` bounds the memo as well as the node count.
@@ -90,7 +94,7 @@ class SearchClock:
 
     def spend(self) -> bool:
         self.count += 1
-        if self.count > self.budget.max_words:
+        if self.count > self.budget.max_words or self.exceeded:
             self.exceeded = True
             return False
         if self._deadline is not None and not self.count & 1023:

@@ -163,6 +163,28 @@ def test_xiong_rejects_bool_and_non_finite_tolerances(tolerances, error):
         xiong_witness(CLAMPED, (F(2, 5),), (F(4, 5),), tolerances=tolerances)
 
 
+@pytest.mark.parametrize(
+    "points, targets, error, what",
+    [
+        ((F(1, 10),), (float("inf"),), ValueError, "targets"),
+        ((F(1, 10),), (float("nan"),), ValueError, "targets"),
+        ((float("-inf"),), (F(1, 2),), ValueError, "points"),
+        ((float("nan"),), (F(1, 2),), ValueError, "points"),
+        ((True,), (F(1, 2),), TypeError, "points"),
+        ((F(1, 10),), (False,), TypeError, "targets"),
+        (("1/10",), (F(1, 2),), TypeError, "points"),
+        ((F(1, 10),), ("1/2",), TypeError, "targets"),
+    ],
+)
+def test_xiong_rejects_bool_and_non_finite_points_and_targets(points, targets, error, what):
+    # A target that can never be met would walk every word up to the horizon.
+    with pytest.raises(error, match=what):
+        xiong_witness(
+            ROTATIONS, points, targets, tolerances=(F(1, 2),),
+            budget=SearchBudget(max_horizon=12),
+        )
+
+
 def test_xiong_float_frozen():
     # Float maps take the generic point loop; the errors carry its rounding.
     wit = xiong_witness(

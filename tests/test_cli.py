@@ -139,6 +139,51 @@ def test_xiong_rejects_a_non_finite_tolerance(tmp_path, capsys, tolerance):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("target", ["inf", float("nan")])
+def test_xiong_rejects_a_non_finite_target(tmp_path, capsys, target):
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "xiong",
+            "system": CLAMPED_JSON,
+            "params": {"points": ["2/5"], "targets": [target], "tolerances": ["1/2"]},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert "targets must be finite" in report["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_wm_cert_budget_exhaustion_writes_the_partial_certificate(tmp_path, capsys):
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "wm-cert",
+            "system": CLAMPED_JSON,
+            "params": {
+                "K": [["0", "1"]],
+                "Q": [["0", "1"]],
+                "pairs": [
+                    [[["0", "1/4"]], [["7/10", "4/5"]]],
+                    [[["1/8", "3/8"]], [["2/5", "3/5"]]],
+                ],
+                "kind": "wm1",
+            },
+            "budget": {"max_horizon": 12, "max_words": 10, "required": 2},
+        },
+    )
+    out = tmp_path / "out"
+    code, report = run_cli(["run", scn, "--out", str(out)], capsys)
+    assert code == 2
+    assert report["error"]["message"] == "node budget exhausted at length 3"
+    assert report["partial_certificate"] == "certificate.json"
+    cert = json.loads((out / "certificate.json").read_text())["certificate"]
+    assert cert["S"] == [2] and cert["exhausted"] is False
+    assert json.loads((out / "report.json").read_text()) == report
+
+
 def test_budget_exhaustion_exits_2(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

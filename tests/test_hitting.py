@@ -112,6 +112,27 @@ def test_wm_certificate_budget_failure_carries_partial():
     assert partial is not None and not partial.complete
 
 
+WM_BUDGET_PAIRS = [
+    (IntervalSet.of(F(0), F(1, 4)), IntervalSet.of(F(7, 10), F(4, 5))),
+    (IntervalSet.of(F(1, 8), F(3, 8)), IntervalSet.of(F(2, 5), F(3, 5))),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, max_words, length, lengths",
+    [("wm1", 10, 3, (2,)), ("wm2", 3, 2, ())],
+)
+def test_wm_certificate_node_budget_stops_partway(kind, max_words, length, lengths):
+    with pytest.raises(BudgetExceeded, match=f"node budget exhausted at length {length}$") as err:
+        wm_certificate(
+            CLAMPED, UNIT, UNIT, WM_BUDGET_PAIRS, kind=kind,
+            budget=SearchBudget(max_horizon=12, required=2, max_words=max_words),
+        )
+    partial = err.value.partial
+    assert partial.kind == kind and partial.lengths == lengths
+    assert not partial.complete
+
+
 def test_wm_certificate_inadmissible_pair():
     pairs = [(IntervalSet.of(F(2), F(3)), IntervalSet.of(F(9, 10), F(1)))]
     with pytest.raises(InadmissiblePair):

@@ -13,6 +13,7 @@ from swmix.intervals import (
     POS_INF,
     Interval,
     IntervalSet,
+    _normalise_exact,
     covers_closed_interval,
     is_finite,
 )
@@ -239,8 +240,9 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
 
 
 def test_long_lists_normalise_like_short_ones():
-    # The exact normalisation's insertion sort must keep the stable (lo, hi)
-    # order at any length, ties between ints and Fractions included.
+    # The exact normalisation's insertion sort (behind image_of and preimage)
+    # must keep the stable (lo, hi) order at any length, ties between ints
+    # and Fractions included, as the generic sort of from_pairs does.
     rng = random.Random(3)
     for size in (3, 17, 40):
         pairs = []
@@ -248,5 +250,11 @@ def test_long_lists_normalise_like_short_ones():
             lo = 10 * rng.randrange(-5, 5)  # a few shared left ends
             hi = lo + F(rng.randrange(1, 8), rng.choice([1, 2]))
             pairs.append((F(lo) if rng.random() < 0.5 else lo, hi))
-        got = IntervalSet.from_pairs(pairs)
-        assert exact_pairs(as_pairs(got)) == exact_pairs(reference_normalise(pairs))
+        want = exact_pairs(reference_normalise(pairs))
+        assert exact_pairs(as_pairs(IntervalSet.from_pairs(pairs))) == want
+        rows = [
+            lo.as_integer_ratio() + hi.as_integer_ratio() + (Interval(lo, hi),)
+            for lo, hi in pairs
+        ]
+        got = IntervalSet(_normalise_exact(rows))
+        assert exact_pairs(as_pairs(got)) == want

@@ -65,6 +65,16 @@ def test_budget_exhaustion_is_silent_but_flagged():
     assert words == []
 
 
+def test_clock_stays_stopped_after_its_deadline():
+    # The deadline is read on every 1024th call; once it has stopped the
+    # clock, no later call may charge a node again.
+    clock = SearchClock(SearchBudget(max_seconds=1e-9))
+    spent = [clock.spend() for _ in range(3 * 1024)]
+    assert spent.index(False) == 1023
+    assert not any(spent[1023:])
+    assert clock.exceeded and clock.count == 3 * 1024
+
+
 def test_first_set_hit_shortest_then_lex():
     clock = SearchClock(SearchBudget())
     hit = first_set_hit(CLAMPED, [U], [V], range(1, 9), clock)
