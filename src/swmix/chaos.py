@@ -4,7 +4,8 @@ The envelope of a point pair records, for every word length up to a horizon,
 the smallest and largest distance any admissible composition can put between
 the two orbits, together with lexicographically first words attaining each
 extreme.  Type 2 applies one word to both points; type 1 lets the two points
-ride independent words of equal length.
+ride independent words of equal length.  Xiong witnesses search groups of
+points: one group of every point for type 2, one group per point for type 1.
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
@@ -99,6 +100,15 @@ class ScrambledVerdict:
     k: int
 
 
+def _require_finite(what: str, values: Sequence[Scalar]) -> None:
+    """TypeError for a bool or non-number, ValueError for NaN or infinity."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
+            raise TypeError(f"{what} must be numbers, got {x!r}")
+        if isinstance(x, float) and not isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x!r}")
+
+
 def _level_step(aut, step, level: dict, clock: SearchClock) -> dict | None:
     """One synchronous step of a deduplicated orbit level.
 
@@ -174,7 +184,7 @@ def distance_envelope(
     Exact systems with Fraction or int points carry their levels as reduced
     integer ratios (module docstring); the rows, words, truncation and clock
     charges are those of the generic Fraction loop.  ``horizon`` must be an
-    int of at least 1.
+    int of at least 1; ``x`` and ``y`` distinct finite numbers, not bools.
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown envelope kind {kind!r}")
@@ -182,6 +192,7 @@ def distance_envelope(
         raise TypeError(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise ValueError(f"horizon must be positive, got {horizon!r}")
+    _require_finite("points", (x, y))
     if x == y:
         raise ValueError("need two distinct points")
     aut = system.automaton
@@ -406,10 +417,11 @@ def xiong_witness(
     """Drive every point of a finite set toward its target simultaneously.
 
     Stage i looks for the first length (strictly above the previous stage's)
-    at which words exist putting each point within ``tolerances[i]`` of its
-    target: type 2 needs one shared word, type 1 an independent word per
-    point at that same length.  Returns the completed stages with
-    ``complete=False`` when the budget or horizon stops the construction.
+    at which every group of points has a word putting each of its points
+    within ``tolerances[i]`` of its target: type 2 needs one shared word,
+    type 1 an independent word per point at that same length.  Returns the
+    completed stages with ``complete=False`` when the budget or horizon
+    stops the construction.
 
     Points, targets and tolerances must be finite numbers (not bools);
     tolerances must also be positive and strictly decreasing.  On an exact
@@ -422,49 +434,37 @@ def xiong_witness(
     tgts = tuple(targets)
     tol = tuple(tolerances)
     for what, values in (("points", pts), ("targets", tgts), ("tolerances", tol)):
-        for x in values:
-            if isinstance(x, bool) or not isinstance(x, (int, float, Fraction)):
-                raise TypeError(f"{what} must be numbers, got {x!r}")
-            if isinstance(x, float) and not isfinite(x):
-                raise ValueError(f"{what} must be finite, got {x!r}")
+        _require_finite(what, values)
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
     if len(pts) != len(tgts) or not pts:
         raise ValueError("need one target per point")
     if not tol or any(b >= a for a, b in zip(tol, tol[1:])) or tol[-1] <= 0:
         raise ValueError("tolerances must be positive and strictly decreasing")
+    items = list(zip(pts, tgts))
+    groups = [items] if kind == "type2" else [[item] for item in items]
     clock = SearchClock(budget)
     stages: list[XiongStage] = []
     floor = 0
     for eps in tol:
         found = None
-        for n in range(floor + 1, budget.max_horizon + 1):
-            if kind == "type2":
-                for syms, vals in iter_point_hits(system, pts, tgts, eps, n, clock):
-                    found = (
-                        n,
-                        (Word(syms),),
-                        tuple(abs(v - t) for v, t in zip(vals, tgts)),
-                    )
-                    break
+        for n in clock.lengths(range(floor + 1, budget.max_horizon + 1)):
+            words: list[Word] = []
+            errs: list[Scalar] = []
+            for group in groups:
+                xs, ts = zip(*group)
+                hit = next(iter_point_hits(system, xs, ts, eps, n, clock), None)
+                if hit is None:
+                    break  # this group has no hit of length n
+                words.append(Word(hit[0]))
+                errs.extend(abs(v - t) for v, t in zip(hit[1], ts))
             else:
-                per_words: list[Word] = []
-                per_errs: list[Scalar] = []
-                for x, t in zip(pts, tgts):
-                    got = next(iter_point_hits(system, (x,), (t,), eps, n, clock), None)
-                    if got is None:
-                        break
-                    per_words.append(Word(got[0]))
-                    per_errs.append(abs(got[1][0] - t))
-                if len(per_words) == len(pts):
-                    found = (n, tuple(per_words), tuple(per_errs))
-            if found or clock.exceeded:
+                found = XiongStage(eps, n, tuple(words), tuple(errs))
                 break
         if found is None:
             return XiongWitness(kind, pts, tgts, tuple(stages), complete=False)
-        n, words, errs = found
-        stages.append(XiongStage(eps, n, words, errs))
-        floor = n
+        stages.append(found)
+        floor = found.length
     return XiongWitness(kind, pts, tgts, tuple(stages), complete=True)
 
 

@@ -228,7 +228,7 @@ def _task_spread(
     radius = scalar_from_json(params["net_radius"]) if "net_radius" in params else eps / 2
     max_table = _int_param(params, "max_table", 4096)
     net = build_qnet(Q, radius)
-    cert = certify_spread(system, seeds, K, Q, eps, net, budget, max_table=max_table)
+    cert = certify_spread(system, seeds, K, eps, net, budget, max_table=max_table)
     cert_json = spread_certificate_to_json(cert)
     payload = {
         "rows": len(cert.rows),

@@ -3,8 +3,9 @@
 For open sets U, V the type-1 hitting set collects the lengths n admitting
 an admissible word w of length n with f_w(U) meeting V; the type-2 set
 collects the words themselves.  A weak-mixing certificate of order n packages
-such evidence for n set pairs at once: either shared lengths with one witness
-word per pair (type 1), or single words serving every pair simultaneously,
+such evidence for n set pairs at once, searched as groups of pairs: one group
+per pair gives shared lengths with one witness word per pair (type 1), one
+group of every pair gives single words serving every pair simultaneously,
 listed with strictly increasing lengths (type 2).
 
 Everything a certificate asserts is carried as a :class:`HitWitness` that
@@ -170,7 +171,7 @@ def hitting_sets(
     lengths: list[int] = []
     witnesses: list[HitWitness] = []
     exhausted = True
-    for n in range(1, budget.max_horizon + 1):
+    for n in clock.lengths(range(1, budget.max_horizon + 1)):
         found = 0
         decided = True
         for syms, _ in iter_set_hits(system, [U], [V], n, clock):
@@ -183,11 +184,6 @@ def hitting_sets(
             found += 1
             if found >= budget.required:
                 break
-        if clock.exceeded:
-            if found:
-                lengths.append(n)
-            exhausted = False
-            break
         if found:
             lengths.append(n)
         elif not decided:
@@ -196,7 +192,7 @@ def hitting_sets(
         horizon=budget.max_horizon,
         type1=tuple(lengths),
         witnesses=tuple(witnesses),
-        exhausted=exhausted,
+        exhausted=exhausted and not clock.exceeded,
     )
 
 
@@ -255,12 +251,12 @@ def wm_certificate(
 ) -> WMCertificate:
     """Search for S with ``budget.required`` elements.
 
-    Type 1 scans lengths in increasing order and admits a length when every
-    pair has a witness word of that length (lexicographic-first per pair).
-    Type 2 looks for one word whose enclosures meet every target at once; at
-    most one word per length keeps the lengths strictly increasing.  Raises
-    :class:`BudgetExceeded` carrying the partial certificate when the horizon
-    or the node budget runs out first.
+    Scans lengths in increasing order and admits a length when every group
+    of pairs (each pair alone for type 1, all pairs at once for type 2) has
+    a lexicographic-first word of that length hitting all its targets; for
+    type 2 at most one word per length keeps the lengths strictly increasing.
+    Raises :class:`BudgetExceeded` carrying the partial certificate when the
+    horizon or the node budget runs out first.
     """
     if kind not in ("wm1", "wm2"):
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -284,52 +280,32 @@ def wm_certificate(
             complete=complete,
         )
 
-    for n in range(1, budget.max_horizon + 1):
-        if kind == "wm1":
-            level: list[tuple[int, HitWitness]] = []
-            for i, src in enumerate(sources):
-                got = None
-                for syms, _ in iter_set_hits(system, [src], [pairs[i][1]], n, clock):
-                    sub = pull_back_hit(system, syms, src, pairs[i][1])
-                    if sub is not None:
-                        got = HitWitness(Word(syms), "set", source=sub)
-                        break
-                if clock.exceeded:
-                    raise BudgetExceeded(
-                        f"node budget exhausted at length {n}", partial=make(False)
-                    )
-                if got is None:
+    items = [(src, V) for src, (_, V) in zip(sources, pairs)]
+    groups = [items] if kind == "wm2" else [[item] for item in items]
+    for n in clock.lengths(range(1, budget.max_horizon + 1)):
+        level: list[HitWitness] = []
+        for group in groups:
+            srcs, tgts = zip(*group)
+            for syms, _ in iter_set_hits(system, srcs, tgts, n, clock):
+                subs = [pull_back_hit(system, syms, s, t) for s, t in group]
+                if all(sub is not None for sub in subs):
+                    word = Word(syms)
+                    level.extend(HitWitness(word, "set", source=sub) for sub in subs)
                     break
-                level.append((i, got))
-            if len(level) == len(pairs):
-                lengths.append(n)
-                witnesses.extend(level)
-        else:
-            targets = [V for _, V in pairs]
-            for syms, _ in iter_set_hits(system, sources, targets, n, clock):
-                subs = [
-                    pull_back_hit(system, syms, src, tgt)
-                    for src, tgt in zip(sources, targets)
-                ]
-                if any(sub is None for sub in subs):
-                    continue
-                words.append(Word(syms))
-                lengths.append(n)
-                witnesses.extend(
-                    (i, HitWitness(Word(syms), "set", source=sub))
-                    for i, sub in enumerate(subs)
-                )
-                break
-            if clock.exceeded:
-                raise BudgetExceeded(
-                    f"node budget exhausted at length {n}", partial=make(False)
-                )
-        if len(lengths) >= budget.required:
-            return make(True)
-    raise BudgetExceeded(
-        f"horizon {budget.max_horizon} reached with |S|={len(lengths)}",
-        partial=make(False),
-    )
+            else:
+                break  # this group has no witness of length n
+        if len(level) == len(pairs):
+            lengths.append(n)
+            if kind == "wm2":
+                words.append(level[0].word)
+            witnesses.extend(enumerate(level))
+            if len(lengths) >= budget.required:
+                return make(True)
+    if clock.exceeded:
+        message = f"node budget exhausted at length {n}"
+    else:
+        message = f"horizon {budget.max_horizon} reached with |S|={len(lengths)}"
+    raise BudgetExceeded(message, partial=make(False))
 
 
 def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
@@ -465,12 +441,10 @@ def extend_witness(
     if target.is_empty:
         raise EmptyRefinement("pullback of V misses U (numeric slack)")
     clock = SearchClock(budget)
-    for n in range(1, budget.max_horizon + 1):
+    for n in clock.lengths(range(1, budget.max_horizon + 1)):
         for syms, _ in iter_set_hits(system, [U], [target], n, clock):
             # The automaton is pruned, so an admissible prefix w·s extends.
             word = Word(syms) + s
             if accepts_prefix(system.automaton, word):
                 return word
-        if clock.exceeded:
-            break
     raise BudgetExceeded("no extension found within budget")

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SwitchedSystem, image_of
 from .errors import UndefinedAtPoint, UndefinedOnSet
@@ -74,7 +74,8 @@ class SearchClock:
 
     :meth:`spend` charges one node and returns False once the node budget or
     the deadline is spent; from then on every call returns False, so a clock
-    shared between searches stops them all.
+    shared between searches stops them all.  Every length-first search
+    iterates :meth:`lengths`, the one place where running out stops it.
 
     The clock also owns the search's memo of set steps, one table per
     ``(system, partial)`` pair.  An entry is added only after a charged
@@ -102,6 +103,15 @@ class SearchClock:
                 self.exceeded = True
                 return False
         return True
+
+    def lengths(self, lengths: Iterable[int]) -> Iterator[int]:
+        """Yield each word length in turn and stop after the one during
+        which the clock ran out: its loop body still runs to the end, and
+        no later length starts."""
+        for n in lengths:
+            yield n
+            if self.exceeded:
+                return
 
 
 def step_images(
@@ -256,11 +266,9 @@ def first_set_hit(
     clock: SearchClock,
 ) -> tuple[tuple[int, ...], tuple[IntervalSet, ...]] | None:
     """First hit over the given lengths in (length, lexicographic) order."""
-    for n in lengths:
+    for n in clock.lengths(lengths):
         for hit in iter_set_hits(system, sources, targets, n, clock):
             return hit
-        if clock.exceeded:
-            return None
     return None
 
 

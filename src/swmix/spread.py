@@ -154,14 +154,12 @@ def _inclusion_word(
     """Shortest, then lexicographically first, admissible word whose total
     image of every source lands inside the matching target."""
     step = _memo_step_images(system, clock, partial=False)
-    for length in lengths:
+    for length in clock.lengths(lengths):
         for syms, images in walk(
             system.automaton, length, tuple(sources), step, clock.spend
         ):
             if all(im.subset_of(t) for im, t in zip(images, targets)):
                 return Word(syms)
-        if clock.exceeded:
-            return None
     return None
 
 
@@ -224,7 +222,6 @@ def certify_spread(
     system: SwitchedSystem,
     seeds: Sequence[IntervalSet],
     K: IntervalSet,
-    Q: IntervalSet | CompactRep,
     eps: Scalar,
     net: QNet,
     budget: SearchBudget = SearchBudget(),
@@ -317,11 +314,7 @@ def certify_spread(
     raise BudgetExceeded(f"no word realizes assignment {failed}")
 
 
-def verify_certificate(
-    system: SwitchedSystem,
-    cert: SpreadCertificate,
-    net: QNet | None = None,
-) -> bool:
+def verify_certificate(system: SwitchedSystem, cert: SpreadCertificate) -> bool:
     """Full structural and enclosure re-check of a certificate.
 
     Confirms 0 < delta < eps, table completeness over the net, the 1/k < eps
@@ -329,7 +322,7 @@ def verify_certificate(
     word, and the eps-ball inclusion of every center ball image, using total
     (non-partial) evaluation so undefined spots fail.
     """
-    net = cert.net if net is None else net
+    net = cert.net
     m = len(net.centers)
     n = len(cert.centers)
     if not 0 < cert.delta < cert.eps:
@@ -419,7 +412,6 @@ def chain_certify(
             system,
             current,
             K,
-            Q,
             eps,
             net,
             budget=budget,

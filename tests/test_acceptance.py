@@ -207,7 +207,7 @@ def test_criterion_6_spread_certificate():
     tent = tent_system()
     seeds = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
     net = QNet(radius=F(1, 2), centers=(F(2, 5), F(7, 15), F(8, 15), F(3, 5)))
-    cert = certify_spread(tent, seeds, UNIT, UNIT, F(1, 5), net)
+    cert = certify_spread(tent, seeds, UNIT, F(1, 5), net)
     assert len(cert.rows) == 4 ** 2 == 16
     assert verify_certificate(tent, cert)
     # Truncating any row's word below the length law must break verification.

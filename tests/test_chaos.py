@@ -366,6 +366,23 @@ def test_envelope_rejects_a_horizon_that_is_not_an_int(horizon):
         distance_envelope(TENT, F(1, 8), F(3, 16), horizon=horizon)
 
 
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        (float("inf"), F(1, 2), ValueError),
+        (F(1, 8), float("-inf"), ValueError),
+        (float("nan"), F(1, 2), ValueError),
+        (True, F(1, 2), TypeError),
+        (F(1, 8), "1/2", TypeError),
+    ],
+)
+@pytest.mark.parametrize("kind", ["type1", "type2"])
+def test_envelope_rejects_bool_and_non_finite_points(x, y, error, kind):
+    # An infinite point gave rows of inf and a refuted-at-horizon verdict.
+    with pytest.raises(error, match="points"):
+        distance_envelope(TENT, x, y, kind=kind, horizon=6)
+
+
 # The envelope against a plain Fraction level loop: the first piece whose
 # open domain holds the value, slope*x + offset, the closed clamp box, one
 # clock charge per admissible edge, the first word per key, and extremes

@@ -156,6 +156,23 @@ def test_xiong_rejects_a_non_finite_target(tmp_path, capsys, target):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("x", ["inf", float("nan")])
+def test_scrambled_rejects_a_non_finite_point(tmp_path, capsys, x):
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "scrambled",
+            "system": TENT_JSON,
+            "params": {"x": x, "y": "1/2", "horizon": 6},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert "points must be finite" in report["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_wm_cert_budget_exhaustion_writes_the_partial_certificate(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

@@ -45,6 +45,16 @@ def test_hitting_sets_longer_horizon():
     assert report.exhausted
 
 
+@pytest.mark.parametrize("max_words, words", [(16, ["0000"]), (17, ["0000", "0001"])])
+def test_hitting_sets_node_budget_keeps_the_length_it_stopped_in(max_words, words):
+    report = hitting_sets(
+        CLAMPED, U, V, budget=SearchBudget(max_horizon=6, max_words=max_words)
+    )
+    assert report.type1 == (4,)
+    assert report.exhausted is False
+    assert [w.as_string() for w in report.words()] == words
+
+
 def test_witnesses_reverify_independently():
     report = hitting_sets(CLAMPED, U, V, budget=SearchBudget(max_horizon=6))
     assert report.witnesses
@@ -253,6 +263,17 @@ def test_extend_witness_returns_only_admissible_words():
     assert word == Word.from_string("01111001")
     assert accepts_prefix(system.automaton, word)
     assert pull_back_hit(system, word, U0, V0) is not None
+
+
+def test_extend_witness_node_budget():
+    # The first extension, 01101 + 01, is found on the 28th charge.
+    U0 = IntervalSet.of(F(3, 10), F(7, 20))
+    V0 = IntervalSet.of(F(3, 4), F(4, 5))
+    s = Word.from_string("01")
+    word = extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=28))
+    assert word == Word.from_string("0110101")
+    with pytest.raises(BudgetExceeded, match="^no extension found within budget$"):
+        extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=27))
 
 
 def test_extend_witness_requires_a_hit():

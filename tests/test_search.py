@@ -83,6 +83,25 @@ def test_first_set_hit_shortest_then_lex():
     assert first_set_hit(CLAMPED, [U], [V], range(1, 4), SearchClock(SearchBudget())) is None
 
 
+def test_clock_lengths_stop_after_the_length_that_runs_out():
+    clock = SearchClock(SearchBudget(max_words=3))
+    seen = []
+    for n in clock.lengths(range(1, 6)):
+        seen.append(n)
+        if n == 2:
+            while clock.spend():
+                pass
+    assert seen == [1, 2]
+    assert list(clock.lengths(range(7, 9))) == [7]
+
+
+def test_first_set_hit_stops_after_the_length_that_spends_the_budget():
+    # Lengths 1-3 hold no hit; the 11th charge, at length 4, runs out.
+    clock = SearchClock(SearchBudget(max_words=10))
+    assert first_set_hit(CLAMPED, [U], [V], range(1, 9), clock) is None
+    assert (clock.count, clock.exceeded) == (11, True)
+
+
 def test_step_images_and_points_respect_kill_box():
     img = (IntervalSet.of(F(3, 5), F(7, 10)),)
     # Map 0 doubles into (1.2, 1.4), fully outside the closed box.
@@ -312,7 +331,7 @@ def spread_clocks(monkeypatch):
 
 
 def test_certify_spread_node_count(spread_clocks):
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert {row.word.as_string() for row in cert.rows} == {"010010"}
     assert len(cert.rows) == 16
     assert [(c.count, c.exceeded) for c in spread_clocks] == [(2420, False)]
@@ -321,7 +340,7 @@ def test_certify_spread_node_count(spread_clocks):
 def test_certify_spread_budget_node_count(spread_clocks):
     with pytest.raises(BudgetExceeded, match=r"assignment \(0, 3\)"):
         certify_spread(
-            TENT, SEEDS, UNIT, UNIT, F(1, 5), build_qnet(UNIT, F(1, 6)),
+            TENT, SEEDS, UNIT, F(1, 5), build_qnet(UNIT, F(1, 6)),
             budget=SearchBudget(max_horizon=10, max_words=20_000),
         )
     assert [(c.count, c.exceeded) for c in spread_clocks] == [(20_001, True)]

@@ -121,7 +121,7 @@ def test_wm_certificate_round_trip():
 def test_spread_certificate_round_trip():
     seeds = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
     net = QNet(radius=F(1, 2), centers=(F(2, 5), F(7, 15), F(8, 15), F(3, 5)))
-    cert = certify_spread(TENT, seeds, UNIT, UNIT, F(1, 5), net)
+    cert = certify_spread(TENT, seeds, UNIT, F(1, 5), net)
     assert spread_certificate_from_json(spread_certificate_to_json(cert)) == cert
 
 

@@ -53,7 +53,7 @@ def test_build_qnet_frozen():
 
 
 def test_certify_spread_frozen_table():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert len(cert.rows) == 16
     assert cert.delta == F(1, 2048)
     assert 0 < cert.delta < cert.eps
@@ -64,31 +64,31 @@ def test_certify_spread_frozen_table():
 
 
 def test_certificate_row_lookup():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     row = cert.row_for((2, 3))
     assert row.alpha == (2, 3)
     assert cert.max_word_length() == 6
 
 
 def test_verify_rejects_truncated_row():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     rows = list(cert.rows)
     rows[3] = SpreadRow(alpha=rows[3].alpha, word=rows[3].word.prefix(5))
     assert not verify_certificate(TENT, dataclasses.replace(cert, rows=tuple(rows)))
 
 
 def test_verify_rejects_fat_delta():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert not verify_certificate(TENT, dataclasses.replace(cert, delta=F(1, 5)))
 
 
 def test_verify_rejects_incomplete_table():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert not verify_certificate(TENT, dataclasses.replace(cert, rows=cert.rows[:15]))
 
 
 def test_restrict_certificate_is_hereditary():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     sub = restrict_certificate(cert, [0])
     assert len(sub.rows) == 4
     assert sub.centers == (cert.centers[0],)
@@ -97,7 +97,7 @@ def test_restrict_certificate_is_hereditary():
 
 def test_certify_trace_working_sets_are_nested():
     trace = []
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET, trace=trace)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET, trace=trace)
     # One snapshot per table row plus the starting sets; each row only ever
     # shrinks the working sets, and the certified balls survive every shrink.
     assert len(trace) == len(cert.rows) + 1
@@ -114,18 +114,18 @@ def test_certify_spread_budget_failure_names_assignment():
     span = build_qnet(UNIT, F(1, 6))
     with pytest.raises(BudgetExceeded, match=r"assignment \(0, 3\)"):
         certify_spread(
-            TENT, SEEDS, UNIT, UNIT, F(1, 5), span,
+            TENT, SEEDS, UNIT, F(1, 5), span,
             budget=SearchBudget(max_horizon=10, max_words=20_000),
         )
 
 
 def test_certify_spread_validation():
     with pytest.raises(InadmissibleSeeds, match="seed 0 misses K"):
-        certify_spread(TENT, (IntervalSet.of(F(2), F(3)),), UNIT, UNIT, F(1, 5), NET)
+        certify_spread(TENT, (IntervalSet.of(F(2), F(3)),), UNIT, F(1, 5), NET)
     with pytest.raises(ValueError):
-        certify_spread(TENT, SEEDS, UNIT, UNIT, F(0), NET)
+        certify_spread(TENT, SEEDS, UNIT, F(0), NET)
     with pytest.raises(ValueError):
-        certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET, max_table=8)
+        certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET, max_table=8)
 
 
 def test_chain_certify_frozen():
@@ -178,7 +178,7 @@ def test_xiong_from_chain_requires_covered_points():
 
 
 def test_verify_certificate_rejects_inadmissible_words():
-    cert = certify_spread(TENT, SEEDS, UNIT, UNIT, F(1, 5), NET)
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert verify_certificate(TENT, cert)
     # Every row word is 010010, which contains the forbidden factor 1 0.
     no_10 = dataclasses.replace(TENT, language=ForbiddenWords(2, ((1, 0),)))
