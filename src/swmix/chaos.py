@@ -4,8 +4,10 @@ The envelope of a point pair records, for every word length up to a horizon,
 the smallest and largest distance any admissible composition can put between
 the two orbits, together with lexicographically first words attaining each
 extreme.  Type 2 applies one word to both points; type 1 lets the two points
-ride independent words of equal length.  Xiong witnesses search groups of
-points: one group of every point for type 2, one group per point for type 1.
+ride independent words of equal length.  Envelopes and Xiong witnesses both
+search groups of points: one group of every point for type 2, one group per
+point for type 1.  An envelope steps one orbit level per group and keeps a
+length while every level has orbits left.
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
@@ -136,35 +138,37 @@ def _level_step(aut, step, level: dict, clock: SearchClock) -> dict | None:
     return out
 
 
-def _extremes(values: list[tuple[Scalar, tuple]]) -> tuple:
-    lo = min(v for v, _ in values)
-    hi = max(v for v, _ in values)
-    wlo = min(w for v, w in values if v == lo)
-    whi = min(w for v, w in values if v == hi)
-    return lo, hi, wlo, whi
+def _type2_row(n: int, level: dict, exact: bool, diff: bool) -> EnvelopeRow:
+    """Type-2 extremes of a level in one pass.
 
-
-def _type2_ratio_row(n: int, level: dict) -> EnvelopeRow:
-    """Type-2 extremes of a ratio level in one cross-multiplied pass.
-
-    ``|y - x|`` is ``|ny*dx - nx*dy| / (dx*dy)``.  Words increase in
-    insertion order, so keeping the first of equal values keeps the least
-    word, as :func:`_extremes` does.
+    A level holds a signed orbit difference (``diff``), a point pair, or a
+    ratio pair ``(nx, dx, ny, dy)`` (``exact``), whose distance ``|ny*dx -
+    nx*dy| / (dx*dy)`` is compared cross-multiplied and built as one Fraction
+    per extreme.  Words increase in insertion order (:func:`_level_step`),
+    so keeping the first of equal distances keeps the least word.
     """
     it = iter(level.items())
-    (_, (nx, dx, ny, dy)), w = next(it)
-    lo_n = hi_n = abs(ny * dx - nx * dy)
-    lo_d = hi_d = dx * dy
-    wlo = whi = w
-    for (_, (nx, dx, ny, dy)), w in it:
-        dn, dd = abs(ny * dx - nx * dy), dx * dy
-        if dn * lo_d < lo_n * dd:
-            lo_n, lo_d, wlo = dn, dd, w
-        elif dn * hi_d > hi_n * dd:
-            hi_n, hi_d, whi = dn, dd, w
-    return EnvelopeRow(
-        n, Fraction(lo_n, lo_d), Fraction(hi_n, hi_d), (Word(wlo),), (Word(whi),)
-    )
+    if exact:
+        (_, (nx, dx, ny, dy)), w = next(it)
+        lo_n = hi_n = abs(ny * dx - nx * dy)
+        lo_d = hi_d = dx * dy
+        wlo = whi = w
+        for (_, (nx, dx, ny, dy)), w in it:
+            dn, dd = abs(ny * dx - nx * dy), dx * dy
+            if dn * lo_d < lo_n * dd:
+                lo_n, lo_d, wlo = dn, dd, w
+            elif dn * hi_d > hi_n * dd:
+                hi_n, hi_d, whi = dn, dd, w
+        lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+    else:
+        dists = ((abs(v) if diff else abs(v[1] - v[0]), w) for (_, v), w in it)
+        (lo, wlo) = (hi, whi) = next(dists)
+        for d, w in dists:
+            if d < lo:
+                lo, wlo = d, w
+            elif d > hi:
+                hi, whi = d, w
+    return EnvelopeRow(n, lo, hi, (Word(wlo),), (Word(whi),))
 
 
 def distance_envelope(
@@ -196,9 +200,6 @@ def distance_envelope(
     if x == y:
         raise ValueError("need two distinct points")
     aut = system.automaton
-    clock = SearchClock(budget)
-    rows: list[EnvelopeRow] = []
-    truncated = False
     diff_ok = (
         kind == "type2"
         and not system.clamp
@@ -213,44 +214,31 @@ def distance_envelope(
             return slopes[sym] * d
 
         exact = False
+        roots = [y - x]
     else:
         step = ratio_point_step(system, (x, y))
         exact = step is not None
         if not exact:
             step = partial(step_points, system)
-    x0, y0 = (x.as_integer_ratio(), y.as_integer_ratio()) if exact else ((x,), (y,))
+        x0, y0 = (x.as_integer_ratio(), y.as_integer_ratio()) if exact else ((x,), (y,))
+        # Type 2 steps both points in one level, type 1 each in its own.
+        roots = [x0 + y0] if kind == "type2" else [x0, y0]
     if kind == "type2":
-        level = {(aut.start, y - x if diff_ok else x0 + y0): ()}
-        for n in range(1, horizon + 1):
-            nxt = _level_step(aut, step, level, clock)
-            if nxt is None:
-                truncated = True
-                break
-            if not nxt:
-                break
-            if exact:
-                rows.append(_type2_ratio_row(n, nxt))
-            else:
-                if diff_ok:
-                    values = [(abs(d), w) for (_, d), w in nxt.items()]
-                else:
-                    values = [(abs(fy - fx), w) for (_, (fx, fy)), w in nxt.items()]
-                lo, hi, wlo, whi = _extremes(values)
-                rows.append(EnvelopeRow(n, lo, hi, (Word(wlo),), (Word(whi),)))
-            level = nxt
+        row = partial(_type2_row, exact=exact, diff=diff_ok)
     else:
-        level_x: dict = {(aut.start, x0): ()}
-        level_y: dict = {(aut.start, y0): ()}
-        for n in range(1, horizon + 1):
-            nx = _level_step(aut, step, level_x, clock)
-            ny = _level_step(aut, step, level_y, clock) if nx is not None else None
-            if nx is None or ny is None:
-                truncated = True
-                break
-            if not nx or not ny:
-                break
-            rows.append(_type1_row(n, nx, ny, exact))
-            level_x, level_y = nx, ny
+        row = partial(_type1_row, exact=exact)
+    clock = SearchClock(budget)
+    levels = [{(aut.start, root): ()} for root in roots]
+    rows: list[EnvelopeRow] = []
+    truncated = False
+    for n in range(1, horizon + 1):
+        # A level stepped after another ran out charges a stopped clock only.
+        stepped = [_level_step(aut, step, level, clock) for level in levels]
+        truncated = None in stepped
+        if truncated or not all(stepped):
+            break
+        rows.append(row(n, *stepped))
+        levels = stepped
     return DistanceEnvelope(
         kind=kind, x=x, y=y, horizon=horizon, rows=tuple(rows), truncated=truncated
     )
@@ -353,12 +341,13 @@ def scrambled_verdict(
     thresholds: finite-horizon evidence only, never a proof of the limits.
 
     ``k``, the number of rows that must pass each threshold, must be an int
-    of at least 1.
+    of at least 1; ``eps_prox`` and ``eps_div`` finite numbers, not bools.
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be positive, got {k!r}")
+    _require_finite("thresholds", (eps_prox, eps_div))
     if not env.rows:
         raise ValueError("empty envelope")
     prox = sum(1 for r in env.rows if r.d_min < eps_prox)

@@ -225,12 +225,13 @@ class PiecewiseAffineMap:
             # value_at so often that the extra method call costs about 1.5 %
             # of the benchmark's orbits throughput.
             try:
-                table = self._ratios
+                rows = self._point_rows
             except AttributeError:
-                table = self._ratio_pieces()
-            if table is not None:
+                self._ratio_pieces()
+                rows = self._point_rows
+            if rows is not None:
                 n, d = x.as_integer_ratio()
-                for lo_n, lo_d, hi_n, hi_d, a, b, c, _, _, _, _, _, _ in table:
+                for lo_n, lo_d, hi_n, hi_d, a, b, c in rows:
                     if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
                         return Fraction(a * n + b * d, c * d)
                 raise UndefinedAtPoint(f"map undefined at {x}")
@@ -248,10 +249,10 @@ class PiecewiseAffineMap:
         ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d,
         hi_n, hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd,
         isd*iod, lo, hi)``, where ``lo`` and ``hi`` are the domain endpoints
-        themselves.  The result is kept in a plain attribute, not a field, so
-        equality, hashing and repr are unchanged; it is built on the first
-        exact evaluation, so a map that is never evaluated never builds it,
-        and every later call returns the kept table.
+        themselves; ``_point_rows`` keeps each row's first seven fields, all
+        that a point step reads.  Both are plain attributes, not fields, so
+        equality, hashing and repr are unchanged; both are built on the first
+        exact evaluation and kept for every later call.
         """
         try:
             return self._ratios
@@ -292,6 +293,8 @@ class PiecewiseAffineMap:
         else:
             ratios = tuple(table)
         object.__setattr__(self, "_ratios", ratios)
+        points = None if ratios is None else tuple(row[:7] for row in ratios)
+        object.__setattr__(self, "_point_rows", points)
         return ratios
 
     def covers(self, iv: Interval) -> bool:

@@ -309,7 +309,11 @@ def wm_certificate(
 
 
 def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
-    """Structural and evidential re-check, depending only on the core evaluator."""
+    """Structural and evidential re-check, depending only on the core evaluator.
+
+    Every witness must name a pair, have a length in S (for wm2, carry that
+    length's shared word) and verify; every (length, pair) needs a witness.
+    """
     try:
         sources = _admissible_sources(
             cert.K, cert.Q, cert.pairs, system.numerics.min_overlap
@@ -318,34 +322,26 @@ def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
         return False
     if not cert.lengths:
         return False
-    by_key: dict[tuple[int, int], list[HitWitness]] = {}
-    for i, wit in cert.witnesses:
-        if not 0 <= i < cert.order:
-            return False
-        by_key.setdefault((len(wit.word), i), []).append(wit)
-    if cert.kind == "wm1":
-        if cert.words:
-            return False
-        need = cert.lengths
-    else:
+    if cert.kind == "wm2":
         if len(cert.words) != len(cert.lengths):
             return False
         if any(len(w) != n for w, n in zip(cert.words, cert.lengths)):
             return False
         if any(b <= a for a, b in zip(cert.lengths, cert.lengths[1:])):
             return False
-        need = cert.lengths
-    for n in need:
-        for i in range(cert.order):
-            wits = by_key.get((n, i), [])
-            if cert.kind == "wm2":
-                wanted = cert.words[cert.lengths.index(n)]
-                wits = [w for w in wits if w.word == wanted]
-            if not wits:
-                return False
-            if not all(w.verify(system, sources[i], cert.pairs[i][1]) for w in wits):
-                return False
-    return True
+    elif cert.words:
+        return False
+    missing = {(n, i) for n in cert.lengths for i in range(cert.order)}
+    for i, wit in cert.witnesses:
+        n = len(wit.word)
+        if type(i) is not int or not 0 <= i < cert.order or n not in cert.lengths:
+            return False
+        if cert.words and wit.word != cert.words[cert.lengths.index(n)]:
+            return False  # not the shared word of its length
+        if not wit.verify(system, sources[i], cert.pairs[i][1]):
+            return False
+        missing.discard((n, i))
+    return not missing
 
 
 def maps_commute(system: SwitchedSystem, samples: int = 64) -> bool:

@@ -99,10 +99,6 @@ class Interval:
             return
         raise ValueError(f"open interval needs lo < hi, got ({lo}, {hi})")
 
-    @classmethod
-    def real_line(cls) -> "Interval":
-        return cls(NEG_INF, POS_INF)
-
     @property
     def bounded(self) -> bool:
         return is_finite(self.lo) and is_finite(self.hi)

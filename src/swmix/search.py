@@ -195,12 +195,9 @@ def ratio_point_step(
     """
     if any(type(v) is not Fraction and type(v) is not int for v in values):
         return None
-    tables = []
-    for pam in system.maps:
-        table = pam._ratio_pieces()
-        if table is None:
-            return None
-        tables.append(tuple(row[:7] for row in table))
+    if any(pam._ratio_pieces() is None for pam in system.maps):
+        return None
+    tables = [pam._point_rows for pam in system.maps]
     box_lo_n = box_lo_d = box_hi_n = box_hi_d = 0
     clamp = system.clamp
     if clamp:

@@ -227,7 +227,6 @@ def certify_spread(
     budget: SearchBudget = SearchBudget(),
     max_table: int = 4096,
     min_word_len: int = 1,
-    trace: list | None = None,
 ) -> SpreadCertificate:
     """Fix candidate centers, then realize the full assignment table row by row.
 
@@ -281,26 +280,20 @@ def certify_spread(
             if clock.exceeded:
                 break
             continue
-        steps = [tuple(start)]
+        work = tuple(start)
         for alpha in table:
-            steps.append(
-                tuple(
-                    W.intersect(
-                        word_preimage(system, found[alpha], net.ball(a, eps))
-                    )
-                    for W, a in zip(steps[-1], alpha)
-                )
+            work = tuple(
+                W.intersect(word_preimage(system, found[alpha], net.ball(a, eps)))
+                for W, a in zip(work, alpha)
             )
         margins = []
-        for z, W in zip(centers, steps[-1]):
+        for z, W in zip(centers, work):
             comp = next((c for c in W if c.contains(z)), None)
             if comp is None:
                 break
             margins.append(min(z - comp.lo, comp.hi - z))
         if len(margins) < n:
             continue
-        if trace is not None:
-            trace.extend(steps)
         delta = _dyadic_below(min(margins), eps)
         rows = tuple(SpreadRow(alpha=a, word=found[a]) for a in table)
         return SpreadCertificate(

@@ -100,6 +100,24 @@ def test_scrambled_verdict_rejects_a_bad_k():
             scrambled_verdict(env, F(1, 16), F(1, 8), k=k)
 
 
+@pytest.mark.parametrize(
+    "eps_prox, eps_div, error",
+    [
+        (float("nan"), F(1, 8), ValueError),
+        (F(1, 16), float("nan"), ValueError),
+        (float("inf"), F(1, 8), ValueError),
+        (F(1, 16), float("-inf"), ValueError),
+        (True, F(1, 8), TypeError),
+        (F(1, 16), False, TypeError),
+    ],
+)
+def test_scrambled_verdict_rejects_bool_and_non_finite_thresholds(eps_prox, eps_div, error):
+    # A NaN threshold passed no row and so gave refuted-at-horizon.
+    env = distance_envelope(TENT, F(1, 8), F(1, 2), kind="type2", horizon=6)
+    with pytest.raises(error, match="thresholds"):
+        scrambled_verdict(env, eps_prox, eps_div)
+
+
 def test_xiong_type2_frozen():
     wit = xiong_witness(
         CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
@@ -521,6 +539,8 @@ POINTS = st.one_of(
 @example(ROTATIONS, F(1, 10), F(3, 10), "type2", 2, 500_000)
 # 1/2 lands on the clamp bound 1 under both tent maps.
 @example(CLAMPED, F(1, 2), F(1, 4), "type1", 1, 500_000)
+# Both maps send 2 out of the clamp box: x's level empties, y's does not.
+@example(CLAMPED, F(2), F(1, 4), "type1", 3, 500_000)
 # 0 maps to 0 through slopes with different denominators.
 @example(
     SwitchedSystem(

@@ -201,6 +201,56 @@ def test_wm_cert_budget_exhaustion_writes_the_partial_certificate(tmp_path, caps
     assert json.loads((out / "report.json").read_text()) == report
 
 
+@pytest.mark.parametrize("kind, word", [("wm1", [1]), ("wm2", [1]), ("wm2", [1, 1])])
+def test_verify_rejects_an_extra_false_wm_witness(tmp_path, capsys, kind, word):
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "wm-cert",
+            "system": CLAMPED_JSON,
+            "params": {
+                "K": [["0", "1"]],
+                "Q": [["0", "1"]],
+                "pairs": [
+                    [[["0", "1/4"]], [["7/10", "4/5"]]],
+                    [[["1/8", "3/8"]], [["2/5", "3/5"]]],
+                ],
+                "kind": kind,
+            },
+            "budget": {"max_horizon": 12, "required": 2},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["verified"] is True
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    # A witness of a length outside S, or of length 2 with a word other
+    # than the shared word 00; neither hits pair 0.
+    doc["certificate"]["witnesses"].append(
+        {"word": word, "kind": "set", "pair": 0, "source": ["0", "1/4"]}
+    )
+    tampered = write(tmp_path / "tampered.json", doc)
+    code, report = run_cli(["verify", tampered], capsys)
+    assert code == 1
+    assert report == {"kind": "wm", "verified": False}
+
+
+@pytest.mark.parametrize("threshold", ["eps_prox", "eps_div"])
+def test_scrambled_rejects_a_nan_threshold(tmp_path, capsys, threshold):
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "scrambled",
+            "system": TENT_JSON,
+            "params": {"x": "1/8", "y": "1/2", "horizon": 6, threshold: float("nan")},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert "thresholds must be finite" in report["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_budget_exhaustion_exits_2(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

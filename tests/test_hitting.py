@@ -179,6 +179,31 @@ def test_verify_rejects_tampered_certificates():
     )
 
 
+@pytest.mark.parametrize("kind, word", [("wm1", "1"), ("wm2", "1"), ("wm2", "11")])
+def test_verify_rejects_an_extra_false_witness(kind, word):
+    # Word 1 has a length outside S; 11 has length 2 in S but is not its
+    # shared word 00.  Neither sends U0 anywhere near V0.
+    cert = wm_certificate(
+        CLAMPED, UNIT, UNIT, WM_BUDGET_PAIRS, kind=kind,
+        budget=SearchBudget(max_horizon=12, required=2),
+    )
+    assert cert.lengths == (2, 3) and verify_wm_certificate(CLAMPED, cert)
+    extra = HitWitness(Word.from_string(word), "set", source=WM_BUDGET_PAIRS[0][0])
+    tampered = dataclasses.replace(cert, witnesses=cert.witnesses + ((0, extra),))
+    assert not verify_wm_certificate(CLAMPED, tampered)
+
+
+@pytest.mark.parametrize("index", [2, -1, 0.5, 1.0, "0", True])
+def test_verify_rejects_a_witness_without_an_integer_pair_index(index):
+    cert = wm_certificate(
+        CLAMPED, UNIT, UNIT, WM_BUDGET_PAIRS, kind="wm1",
+        budget=SearchBudget(max_horizon=12, required=2),
+    )
+    (_, wit), *rest = cert.witnesses
+    tampered = dataclasses.replace(cert, witnesses=((index, wit), *rest))
+    assert not verify_wm_certificate(CLAMPED, tampered)
+
+
 def test_maps_commute():
     assert maps_commute(rotation_system(F(1, 3), F(2, 7)))
     assert maps_commute(rotation_system(F(5, 21)))

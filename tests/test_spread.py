@@ -95,19 +95,6 @@ def test_restrict_certificate_is_hereditary():
     assert verify_certificate(TENT, sub)
 
 
-def test_certify_trace_working_sets_are_nested():
-    trace = []
-    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET, trace=trace)
-    # One snapshot per table row plus the starting sets; each row only ever
-    # shrinks the working sets, and the certified balls survive every shrink.
-    assert len(trace) == len(cert.rows) + 1
-    for prev, nxt in zip(trace, trace[1:]):
-        for before, after in zip(prev, nxt):
-            assert after.subset_of(before)
-    for z, final in zip(cert.centers, trace[-1]):
-        assert ball(z, cert.delta).subset_of(final)
-
-
 def test_certify_spread_budget_failure_names_assignment():
     # A spanning net on the same seeds admits no filled table: the doubling
     # family phase-locks the extreme assignments.
