@@ -210,35 +210,61 @@ def walk(
     root: _T,
     step: Callable[[_T, int], _T | None],
     spend: Callable[[], bool] | None = None,
+    leaf: Callable[[_T], bool] | None = None,
+    dead: set | None = None,
 ) -> Iterator[tuple[tuple[int, ...], _T]]:
     """Depth-first walk over the admissible words of length ``n``.
 
     ``root`` is folded along each branch: ``step(value, sym)`` returns the
     child value, or None to prune the branch.  ``spend`` is called once per
     admissible edge, before its step; a False return ends the walk.  Yields
-    ``(symbols, value)`` for every surviving word, in lexicographic order.
+    ``(symbols, value)`` for every surviving word whose value passes
+    ``leaf`` (every surviving word when ``leaf`` is None), in lexicographic
+    order.
+
+    ``dead`` is a set of ``(state, value, remaining)`` keys of subtrees known
+    to yield nothing; ``remaining >= 1`` counts the symbols still to read
+    below the node.  A child whose key is in ``dead`` is charged and stepped
+    but not entered.  A node's key is added once all its children have been
+    walked and none of its leaves was yielded; a node still on the stack
+    when the walk ends, because ``spend`` stopped it or the consumer closed
+    the generator, is not added.  Leaves are tested, never recorded.  One
+    set serves any number of walks and lengths that share ``step`` and
+    ``leaf``.
     """
-    frames: list[list] = [[aut.start, root, 0]]
+    m, transitions = aut.m, aut.transitions
+    # A frame is [state, value, next symbol, hits yielded before its push].
+    frames: list[list] = [[aut.start, root, 0, 0]]
     path: list[int] = []
+    hits = 0
     while frames:
         frame = frames[-1]
-        if len(path) < n:
-            state, value, sym = frame
-            row = aut.transitions[state]
+        depth = len(path)
+        if depth < n:
+            state, value, sym, _ = frame
+            row = transitions[state]
+            rest = n - depth - 1
             child = None
-            while child is None and sym < aut.m:
+            while sym < m:
                 nxt = row[sym]
                 sym += 1
                 if nxt >= 0:
                     if spend is not None and not spend():
                         return
                     child = step(value, sym - 1)
+                    if child is not None:
+                        if not rest or dead is None or (nxt, child, rest) not in dead:
+                            break
+                        child = None
             if child is not None:
                 frame[2] = sym
                 path.append(sym - 1)
-                frames.append([nxt, child, 0])
+                frames.append([nxt, child, 0, hits])
                 continue
-        else:
+            if dead is not None and frame[3] == hits:
+                dead.add((state, value, n - depth))
+        elif leaf is None or leaf(frame[1]):
+            hits += 1
             yield tuple(path), frame[1]
         frames.pop()
         if path:

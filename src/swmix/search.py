@@ -17,6 +17,15 @@ mode is computed once per logical search, however many lengths or rows
 reach it.  The clock is still charged for every edge, memoised or not, so
 node counts and budget cut-offs do not depend on the memo.
 
+Refuted subtrees are walked once per logical search.  Each search passes
+its leaf test to the walker, and the clock holds one dead-subtree set per
+system, step mode and leaf test (the targets, and ``eps`` for point
+searches): the ``(state, value, remaining)`` keys of subtrees that yielded
+no hit.  A child whose key is recorded is charged and stepped but not
+entered, within one length and at every later length, so a budget-bound
+search may decide where it would run out without the set.  Hits and their
+order do not depend on the set.
+
 Point steps are not memoised.  When every map is exact and every start,
 target and tolerance is a Fraction or an int, :func:`iter_point_hits`
 carries the orbits as one flat tuple of reduced integer pairs ``(n1, d1,
@@ -46,7 +55,7 @@ class SearchBudget:
     many certificate elements to exhibit.
 
     ``max_words`` caps the nodes one :class:`SearchClock` may charge, and so
-    also the size of that search's step memo.
+    also the size of that search's step memo and dead-subtree sets.
     """
 
     max_horizon: int = 12
@@ -78,8 +87,10 @@ class SearchClock:
     iterates :meth:`lengths`, the one place where running out stops it.
 
     The clock also owns the search's memo of set steps, one table per
-    ``(system, partial)`` pair.  An entry is added only after a charged
-    edge, so ``budget.max_words`` bounds the memo as well as the node count.
+    ``(system, partial)`` pair, and its dead-subtree sets (:meth:`dead_set`).
+    A memo entry is added only after a charged edge, and a dead key only
+    for a charged node or a walk's root, so ``budget.max_words`` bounds
+    both as well as the node count.
     """
 
     def __init__(self, budget: SearchBudget):
@@ -92,6 +103,8 @@ class SearchClock:
         # (id(system), partial) -> (system, {(images, sym): child or None});
         # holding the system keeps its id from being reused while the clock lives.
         self._steps: dict[tuple[int, bool], tuple[SwitchedSystem, dict]] = {}
+        # (id(system), *test) -> (system, {(state, value, remaining)}).
+        self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
 
     def spend(self) -> bool:
         self.count += 1
@@ -103,6 +116,11 @@ class SearchClock:
                 self.exceeded = True
                 return False
         return True
+
+    def dead_set(self, system: SwitchedSystem, *test) -> set:
+        """The dead-subtree set (see :func:`~swmix.language.walk`) of
+        ``system`` for one step mode and leaf test, named by ``test``."""
+        return self._dead.setdefault((id(system), *test), (system, set()))[1]
 
     def lengths(self, lengths: Iterable[int]) -> Iterator[int]:
         """Yield each word length in turn and stop after the one during
@@ -242,17 +260,21 @@ def iter_set_hits(
     """Yield, in lexicographic order, every admissible word of exactly
     ``length`` whose branch survives and whose final enclosures all meet their
     targets.  Stops silently when the clock runs out (check ``clock.exceeded``).
+    Subtrees refuted for the same targets earlier on ``clock`` are skipped.
     """
     min_overlap = system.numerics.min_overlap
-    for syms, images in walk(
+    targets = tuple(targets)
+    yield from walk(
         system.automaton,
         length,
         tuple(sources),
         _memo_step_images(system, clock, partial=True),
         clock.spend,
-    ):
-        if all(img.intersects(t, min_overlap) for img, t in zip(images, targets)):
-            yield syms, images
+        lambda images: all(
+            img.intersects(t, min_overlap) for img, t in zip(images, targets)
+        ),
+        clock.dead_set(system, True, "intersects", targets),
+    )
 
 
 def first_set_hit(
@@ -289,27 +311,32 @@ def iter_point_hits(
     are stepped with :func:`step_points`.  Both ways walk the same words and
     charge the clock alike.
     """
+    targets = tuple(targets)
     step = ratio_point_step(system, (*starts, *targets, eps))
     if step is None:
-        for syms, values in walk(
+        yield from walk(
             system.automaton,
             length,
             tuple(starts),
             lambda values, sym: step_points(system, values, sym),
             clock.spend,
-        ):
-            if all(abs(v - t) < eps for v, t in zip(values, targets)):
-                yield syms, values
+            lambda values: all(abs(v - t) < eps for v, t in zip(values, targets)),
+            clock.dead_set(system, "points", targets, eps),
+        )
         return
     root = tuple(r for x in starts for r in x.as_integer_ratio())
     en, ed = eps.as_integer_ratio()
     goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
-    for syms, pairs in walk(system.automaton, length, root, step, clock.spend):
+
+    def near(pairs: tuple[int, ...]) -> bool:
         for i, tn, td in goals:
             n, d = pairs[i], pairs[i + 1]
             if abs(n * td - tn * d) * ed >= en * d * td:
-                break
-        else:
-            yield syms, tuple(
-                Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
-            )
+                return False
+        return True
+
+    dead = clock.dead_set(system, "ratios", targets, eps)
+    for syms, pairs in walk(system.automaton, length, root, step, clock.spend, near, dead):
+        yield syms, tuple(
+            Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
+        )

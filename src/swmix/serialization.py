@@ -101,6 +101,14 @@ def interval_set_from_json(v: Any) -> IntervalSet:
         raise ScenarioError(str(exc)) from exc
 
 
+def _int_from_json(what: str, v: Any) -> int:
+    """``v`` itself when it is an int and not a bool; a float such as
+    ``4.0``, a string or a bool raises."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ScenarioError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
 def word_to_json(w: Word) -> list[int]:
     return list(w)
 
@@ -289,7 +297,7 @@ def _witness_to_json(wit: HitWitness, pair: int | None = None) -> dict:
 
 def _witness_from_json(v: Any) -> tuple[int, HitWitness]:
     try:
-        pair = v["pair"]
+        pair = _int_from_json("a witness pair", v["pair"])
         word = word_from_json(v["word"])
         kind = v.get("kind", "set")
         if kind == "set":
@@ -346,7 +354,7 @@ def wm_certificate_from_json(v: Any) -> WMCertificate:
             for U, V in v["pairs"]
         )
         if kind == "wm1":
-            lengths = tuple(int(n) for n in v["S"])
+            lengths = tuple(_int_from_json("a length in S", n) for n in v["S"])
             words: tuple[Word, ...] = ()
         else:
             words = tuple(word_from_json(w) for w in v["S"])
@@ -354,7 +362,7 @@ def wm_certificate_from_json(v: Any) -> WMCertificate:
         witnesses = tuple(_witness_from_json(w) for w in v["witnesses"])
         return WMCertificate(
             kind=kind,
-            order=v["order"],
+            order=_int_from_json("the order", v["order"]),
             K=interval_set_from_json(v["K"]),
             Q=interval_set_from_json(v["Q"]),
             pairs=pairs,
@@ -394,7 +402,10 @@ def spread_certificate_from_json(v: Any) -> SpreadCertificate:
             centers=tuple(scalar_from_json(y) for y in v["net"]["centers"]),
         )
         rows = tuple(
-            SpreadRow(alpha=tuple(r["alpha"]), word=word_from_json(r["word"]))
+            SpreadRow(
+                alpha=tuple(_int_from_json("an alpha index", a) for a in r["alpha"]),
+                word=word_from_json(r["word"]),
+            )
             for r in v["rows"]
         )
         return SpreadCertificate(
@@ -435,7 +446,7 @@ def xiong_witness_from_json(v: Any) -> XiongWitness:
         stages = tuple(
             XiongStage(
                 tolerance=scalar_from_json(s["tolerance"]),
-                length=s["length"],
+                length=_int_from_json("a stage length", s["length"]),
                 words=tuple(word_from_json(w) for w in s["words"]),
                 errors=tuple(scalar_from_json(e) for e in s["errors"]),
             )

@@ -154,12 +154,17 @@ def _inclusion_word(
     """Shortest, then lexicographically first, admissible word whose total
     image of every source lands inside the matching target."""
     step = _memo_step_images(system, clock, partial=False)
+    targets = tuple(targets)
+    dead = clock.dead_set(system, False, "subset_of", targets)
+
+    def inside(images: tuple[IntervalSet, ...]) -> bool:
+        return all(im.subset_of(t) for im, t in zip(images, targets))
+
     for length in clock.lengths(lengths):
-        for syms, images in walk(
-            system.automaton, length, tuple(sources), step, clock.spend
+        for syms, _ in walk(
+            system.automaton, length, tuple(sources), step, clock.spend, inside, dead
         ):
-            if all(im.subset_of(t) for im, t in zip(images, targets)):
-                return Word(syms)
+            return Word(syms)
     return None
 
 

@@ -234,6 +234,54 @@ def test_verify_rejects_an_extra_false_wm_witness(tmp_path, capsys, kind, word):
     assert report == {"kind": "wm", "verified": False}
 
 
+def _fractional_s(cert):
+    # int() would read these back as the certificate's own lengths.
+    first, second = cert["S"]
+    cert["S"] = [first + 0.9, str(second)]
+
+
+def _float_stage_length(cert):
+    stage = cert["stages"][0]
+    stage["length"] = float(stage["length"])
+
+
+@pytest.mark.parametrize(
+    "task, tamper",
+    [("wm-cert", _fractional_s), ("xiong", _float_stage_length)],
+    ids=["wm1-S", "xiong-stage-length"],
+)
+def test_verify_rejects_non_integer_lengths(tmp_path, capsys, task, tamper):
+    params = {
+        "wm-cert": {
+            "K": [["0", "1"]],
+            "Q": [["0", "1"]],
+            "pairs": [
+                [[["0", "1/4"]], [["7/10", "4/5"]]],
+                [[["1/8", "3/8"]], [["2/5", "3/5"]]],
+            ],
+            "kind": "wm1",
+        },
+        "xiong": {"points": ["2/5"], "targets": ["4/5"], "tolerances": ["1/2", "1/4"]},
+    }[task]
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": task,
+            "system": CLAMPED_JSON,
+            "params": params,
+            "budget": {"max_horizon": 12, "required": 2},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["verified"] is True
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    tamper(doc["certificate"])
+    tampered = write(tmp_path / "tampered.json", doc)
+    code, report = run_cli(["verify", tampered], capsys)
+    assert code == 1
+    assert "must be an integer" in report["error"]["message"]
+
+
 @pytest.mark.parametrize("threshold", ["eps_prox", "eps_div"])
 def test_scrambled_rejects_a_nan_threshold(tmp_path, capsys, threshold):
     scn = write(

@@ -284,11 +284,12 @@ GOLDEN = {
         None,
         "8930657f4ff1580282d6b7259eea20f2e9dd713115d89707d711d1b4a82f7dea",
     ),
+    # The 40-node budget runs out after lengths 3 and 4 are decided: exit 2.
     "hitting-budget": (
         2,
-        "ec176ad211d85fd08eaf4582b85f83f9833eb6de43f4fc5b44dd133617fa30ee",
+        "737771f7d6fde2234e6aca3c7cbe08cd68aa61430e1fad5e6b883bec21fbf278",
         None,
-        "ec176ad211d85fd08eaf4582b85f83f9833eb6de43f4fc5b44dd133617fa30ee",
+        "737771f7d6fde2234e6aca3c7cbe08cd68aa61430e1fad5e6b883bec21fbf278",
     ),
     "hitting-int-cuts": (
         0,

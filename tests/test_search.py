@@ -13,7 +13,7 @@ from swmix.core import PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded
 from swmix.intervals import Interval, IntervalSet
-from swmix.language import ForbiddenWords, FullShift
+from swmix.language import ForbiddenWords, FullShift, walk
 from swmix.search import (
     SearchBudget,
     SearchClock,
@@ -151,20 +151,24 @@ def test_budget_validation():
 
 
 # Frozen node counts: the clock is charged once per admissible edge, before
-# the step, so pruned branches count and dead automaton edges do not.
+# the step, so pruned branches count and dead automaton edges do not, and
+# neither do the edges inside a subtree already refuted on the same clock.
 
 
 def test_refuted_first_set_hit_node_count():
+    # Rotations commute, so most prefixes of one length reach an enclosure
+    # and a remaining depth that an earlier prefix already refuted: the 240
+    # edges of the six plain walks fall to 100.
     system = rotation_system(F(1, 3), F(2, 7))
     clock = SearchClock(SearchBudget())
     source = IntervalSet.of(F(1, 10), F(1, 5))
     target = IntervalSet.of(F(21, 100), F(11, 50))
     assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
-    assert (clock.count, clock.exceeded) == (240, False)
+    assert (clock.count, clock.exceeded) == (100, False)
 
 
 def test_refuted_first_set_hit_memoises_steps(monkeypatch):
-    # The 240 charged edges of the refuted search above reach only 36
+    # The 100 charged edges of the refuted search above reach only 36
     # distinct (enclosures, symbol) steps across its six word lengths.
     calls = []
     real = search.step_images
@@ -174,7 +178,7 @@ def test_refuted_first_set_hit_memoises_steps(monkeypatch):
     source = IntervalSet.of(F(1, 10), F(1, 5))
     target = IntervalSet.of(F(21, 100), F(11, 50))
     assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
-    assert (clock.count, len(calls)) == (240, 36)
+    assert (clock.count, len(calls)) == (100, 36)
 
 
 def test_shared_clock_keeps_systems_and_modes_apart():
@@ -222,36 +226,44 @@ def test_iter_point_hits_node_count():
 
 # Point searches against a plain Fraction orbit loop: depth-first in symbol
 # order, one clock charge per admissible edge before its step, the first
-# piece whose open domain holds the value, the closed clamp box, and
-# |v - t| < eps at every leaf.
+# piece whose open domain holds the value, the closed clamp box, |v - t| <
+# eps at every leaf, and a child not entered when a finished subtree above the
+# leaves with the same (state, values, remaining) key held no hit.
 
 
 def reference_point_hits(system, starts, targets, eps, length, max_words):
     aut = system.automaton
     box = system.bounds
     hits = []
+    dead = set()
     spent = 0
 
     def visit(state, values, word) -> bool:
         nonlocal spent
+        found = len(hits)
         if len(word) == length:
             if all(abs(v - t) < eps for v, t in zip(values, targets)):
                 hits.append((word, values))
-            return True
-        for sym in range(aut.m):
-            nxt = aut.transitions[state][sym]
-            if nxt < 0:
-                continue
-            spent += 1
-            if spent > max_words:
-                return False
-            vals = tuple(reference_value(system.maps[sym], v) for v in values)
-            if any(
-                v is None or (system.clamp and not box.lo <= v <= box.hi) for v in vals
-            ):
-                continue
-            if not visit(nxt, vals, word + (sym,)):
-                return False
+        else:
+            for sym in range(aut.m):
+                nxt = aut.transitions[state][sym]
+                if nxt < 0:
+                    continue
+                spent += 1
+                if spent > max_words:
+                    return False
+                vals = tuple(reference_value(system.maps[sym], v) for v in values)
+                if any(
+                    v is None or (system.clamp and not box.lo <= v <= box.hi)
+                    for v in vals
+                ):
+                    continue
+                if (nxt, vals, length - len(word) - 1) in dead:
+                    continue
+                if not visit(nxt, vals, word + (sym,)):
+                    return False
+            if len(hits) == found:
+                dead.add((state, values, length - len(word)))
         return True
 
     visit(aut.start, tuple(starts), ())
@@ -292,6 +304,83 @@ def test_point_hits_match_plain_fraction_orbits(system, pairs, eps, length, max_
     assert hits == want
     assert all(type(v) is F for _, values in hits for v in values)
     assert (clock.count, clock.exceeded) == (spent, exceeded)
+
+
+ENDS = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+SETS = st.tuples(ENDS, ENDS).filter(lambda p: p[0] != p[1]).map(
+    lambda p: IntervalSet.of(min(p), max(p))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    SYSTEMS,
+    st.lists(st.tuples(SETS, SETS), min_size=1, max_size=2),
+    st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=2),
+    EPSILONS,
+)
+def test_walks_with_a_dead_set_yield_the_plain_walks(system, set_pairs, point_pairs, eps):
+    # One dead set serves lengths 1..5 in turn, as in a length-first search.
+    aut = system.automaton
+    min_overlap = system.numerics.min_overlap
+    sources, set_targets = zip(*set_pairs)
+    starts, point_targets = zip(*point_pairs)
+    searches = [
+        (
+            sources,
+            lambda images, sym: step_images(system, images, sym),
+            lambda images: all(
+                img.intersects(t, min_overlap) for img, t in zip(images, set_targets)
+            ),
+        ),
+        (
+            starts,
+            lambda values, sym: step_points(system, values, sym),
+            lambda values: all(abs(v - t) < eps for v, t in zip(values, point_targets)),
+        ),
+    ]
+    for root, step, leaf in searches:
+        dead = set()
+        for n in range(1, 6):
+            plain = list(walk(aut, n, root, step, leaf=leaf))
+            assert list(walk(aut, n, root, step, leaf=leaf, dead=dead)) == plain
+
+
+def test_an_unfinished_walk_records_no_frame_on_its_stack():
+    # Words with two or three 1s out of four hit; the first hit, 0011,
+    # follows the refuted subtrees 000 and 0010.
+    system = rotation_system(F(1, 3), F(2, 7))
+    aut = system.automaton
+    root = (IntervalSet.of(F(1, 10), F(1, 5)),)
+    target = IntervalSet.of(F(9, 25), F(19, 50))
+
+    def step(images, sym):
+        return step_images(system, images, sym)
+
+    def leaf(images):
+        return images[0].intersects(target)
+
+    plain = list(walk(aut, 4, root, step, leaf=leaf))
+    assert len(plain) == 10 and plain[0][0] == (0, 0, 1, 1)
+    stack = [(aut.start, root, 4)]
+    for sym in plain[0][0]:
+        state, images, rest = stack[-1]
+        stack.append((aut.transitions[state][sym], step(images, sym), rest - 1))
+
+    dead = set()
+    walker = walk(aut, 4, root, step, leaf=leaf, dead=dead)
+    assert next(walker) == plain[0]
+    walker.close()
+    assert dead and not dead.intersection(stack)
+    assert list(walk(aut, 4, root, step, leaf=leaf, dead=dead)) == plain
+
+    # The same holds wherever the clock stops the walk, which has 30 edges.
+    for max_words in range(1, 30):
+        clock = SearchClock(SearchBudget(max_words=max_words))
+        dead = set()
+        stopped = list(walk(aut, 4, root, step, clock.spend, leaf, dead))
+        assert clock.exceeded and stopped == plain[: len(stopped)]
+        assert list(walk(aut, 4, root, step, leaf=leaf, dead=dead)) == plain
 
 
 def test_point_search_path_follows_value_types():

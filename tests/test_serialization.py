@@ -106,13 +106,15 @@ def test_system_round_trip():
                 assert again.maps[k].value_at(x) == system.maps[k].value_at(x)
 
 
+WM_PAIRS = [
+    (IntervalSet.of(F(0), F(1, 4)), IntervalSet.of(F(7, 10), F(4, 5))),
+    (IntervalSet.of(F(1, 8), F(3, 8)), IntervalSet.of(F(2, 5), F(3, 5))),
+]
+
+
 def test_wm_certificate_round_trip():
-    pairs = [
-        (IntervalSet.of(F(0), F(1, 4)), IntervalSet.of(F(7, 10), F(4, 5))),
-        (IntervalSet.of(F(1, 8), F(3, 8)), IntervalSet.of(F(2, 5), F(3, 5))),
-    ]
     cert = wm_certificate(
-        CLAMPED, UNIT, UNIT, pairs, kind="wm2",
+        CLAMPED, UNIT, UNIT, WM_PAIRS, kind="wm2",
         budget=SearchBudget(max_horizon=12, required=2),
     )
     assert wm_certificate_from_json(wm_certificate_to_json(cert)) == cert
@@ -122,7 +124,12 @@ def test_spread_certificate_round_trip():
     seeds = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
     net = QNet(radius=F(1, 2), centers=(F(2, 5), F(7, 15), F(8, 15), F(3, 5)))
     cert = certify_spread(TENT, seeds, UNIT, F(1, 5), net)
-    assert spread_certificate_from_json(spread_certificate_to_json(cert)) == cert
+    doc = spread_certificate_to_json(cert)
+    assert spread_certificate_from_json(doc) == cert
+    for index in (0.0, "0", True):
+        doc["rows"][0]["alpha"][0] = index
+        with pytest.raises(ScenarioError, match="must be an integer"):
+            spread_certificate_from_json(doc)
 
 
 def test_xiong_witness_round_trip():
@@ -130,6 +137,54 @@ def test_xiong_witness_round_trip():
         CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
     )
     assert xiong_witness_from_json(xiong_witness_to_json(wit)) == wit
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("S", lambda S: [S[0] + 0.9, str(S[1])]),
+        ("S", lambda S: [float(S[0]), S[1]]),
+        ("S", lambda S: [True, S[1]]),
+        ("order", lambda order: float(order)),
+        ("order", lambda order: str(order)),
+        ("order", lambda order: True),
+    ],
+    ids=["S-2.9-str", "S-float", "S-bool", "order-float", "order-str", "order-bool"],
+)
+def test_wm_certificate_reader_takes_only_integers(field, value):
+    # int() would read [2.9, "3"] as the lengths (2, 3) of a valid certificate.
+    cert = wm_certificate(
+        CLAMPED, UNIT, UNIT, WM_PAIRS, kind="wm1",
+        budget=SearchBudget(max_horizon=12, required=2),
+    )
+    doc = wm_certificate_to_json(cert)
+    assert wm_certificate_from_json(doc) == cert
+    doc[field] = value(doc[field])
+    with pytest.raises(ScenarioError):
+        wm_certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("pair", [1.0, "1", True, None])
+def test_wm_witness_pair_must_be_an_integer(pair):
+    cert = wm_certificate(
+        CLAMPED, UNIT, UNIT, WM_PAIRS, kind="wm2",
+        budget=SearchBudget(max_horizon=12, required=2),
+    )
+    doc = wm_certificate_to_json(cert)
+    doc["witnesses"][1]["pair"] = pair
+    with pytest.raises(ScenarioError):
+        wm_certificate_from_json(doc)
+
+
+@pytest.mark.parametrize("length", [4.0, "4", True])
+def test_xiong_stage_length_must_be_an_integer(length):
+    wit = xiong_witness(
+        CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
+    )
+    doc = xiong_witness_to_json(wit)
+    doc["stages"][-1]["length"] = length
+    with pytest.raises(ScenarioError):
+        xiong_witness_from_json(doc)
 
 
 def test_hitting_report_shape():
