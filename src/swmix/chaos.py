@@ -459,8 +459,12 @@ def xiong_witness(
 
 def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
     """Replay every stage word and confirm the recorded errors and bounds;
-    every word must be admitted by the switching language."""
+    every word must be admitted by the switching language.  A witness with
+    no stage, no point, or not one target per point carries no evidence and
+    fails."""
     lengths = wit.stage_lengths()
+    if not lengths or not wit.points or len(wit.targets) != len(wit.points):
+        return False
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         return False
     for stage in wit.stages:

@@ -73,7 +73,9 @@ def _require(params: dict, key: str) -> Any:
     return params[key]
 
 
-def _int_param(params: dict, key: str, default: int, minimum: int = 1) -> int:
+def _int_param(
+    params: dict, key: str, default: int | None = None, minimum: int = 1
+) -> int:
     v = params.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"task parameter {key!r} must be an integer")
@@ -82,15 +84,17 @@ def _int_param(params: dict, key: str, default: int, minimum: int = 1) -> int:
     return v
 
 
-def _set_pairs(raw: Any) -> list:
+def _list_param(params: dict, key: str, read: Callable[[Any], Any]) -> list:
+    raw = _require(params, key)
     if not isinstance(raw, list) or not raw:
-        raise ScenarioError("'pairs' must be a non-empty list of [U, V] pairs")
-    pairs = []
-    for entry in raw:
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ScenarioError("each pair must be a [U, V] list")
-        pairs.append((interval_set_from_json(entry[0]), interval_set_from_json(entry[1])))
-    return pairs
+        raise ScenarioError(f"task parameter {key!r} must be a non-empty list")
+    return [read(item) for item in raw]
+
+
+def _set_pair(entry: Any) -> tuple:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise ScenarioError("each pair must be a [U, V] list")
+    return interval_set_from_json(entry[0]), interval_set_from_json(entry[1])
 
 
 def _wrap(system: SwitchedSystem, kind: str, payload: dict) -> dict:
@@ -152,7 +156,7 @@ def _task_wm_cert(
 ) -> TaskResult:
     K = interval_set_from_json(_require(params, "K"))
     Q = interval_set_from_json(_require(params, "Q"))
-    pairs = _set_pairs(_require(params, "pairs"))
+    pairs = _list_param(params, "pairs", _set_pair)
     kind = params.get("kind", "wm1")
     try:
         cert = wm_certificate(system, K, Q, pairs, kind=kind, budget=budget)
@@ -204,9 +208,9 @@ def _task_scrambled(
 def _task_xiong(
     system: SwitchedSystem, params: dict, budget: SearchBudget, seed: int
 ) -> TaskResult:
-    points = [scalar_from_json(p) for p in _require(params, "points")]
-    targets = [scalar_from_json(t) for t in _require(params, "targets")]
-    tolerances = [scalar_from_json(t) for t in _require(params, "tolerances")]
+    points = _list_param(params, "points", scalar_from_json)
+    targets = _list_param(params, "targets", scalar_from_json)
+    tolerances = _list_param(params, "tolerances", scalar_from_json)
     kind = params.get("kind", "type2")
     wit = xiong_witness(system, points, targets, kind=kind, tolerances=tolerances, budget=budget)
     wit_json = xiong_witness_to_json(wit)
@@ -221,7 +225,7 @@ def _task_xiong(
 def _task_spread(
     system: SwitchedSystem, params: dict, budget: SearchBudget, seed: int
 ) -> TaskResult:
-    seeds = [interval_set_from_json(s) for s in _require(params, "seeds")]
+    seeds = _list_param(params, "seeds", interval_set_from_json)
     K = interval_set_from_json(_require(params, "K"))
     Q = interval_set_from_json(_require(params, "Q"))
     eps = scalar_from_json(_require(params, "eps"))
@@ -239,17 +243,14 @@ def _task_spread(
     return 0, payload, {"certificate.json": dumps(_wrap(system, "spread", cert_json))}
 
 
+_TENT_DEMO_PARAMS = ("samples", "steps", "wm_trials", "wm_horizon", "envelope_pairs")
+
+
 def _task_tent_demo(
     system: SwitchedSystem | None, params: dict, budget: SearchBudget, seed: int
 ) -> TaskResult:
-    report = demo.tent_demo(
-        samples=_int_param(params, "samples", 1000),
-        steps=_int_param(params, "steps", 20),
-        wm_trials=_int_param(params, "wm_trials", 50),
-        wm_horizon=_int_param(params, "wm_horizon", 25),
-        envelope_pairs=_int_param(params, "envelope_pairs", 10),
-        seed=seed,
-    )
+    given = {key: _int_param(params, key) for key in _TENT_DEMO_PARAMS if key in params}
+    report = demo.tent_demo(seed=seed, **given)
     return (0 if report["ok"] else 1), report, {}
 
 
@@ -269,7 +270,7 @@ def _dispatch(scenario: Any) -> TaskResult:
     if not isinstance(scenario, dict):
         raise ScenarioError("scenario must be a JSON object")
     task = scenario.get("task")
-    if task not in _TASKS:
+    if not isinstance(task, str) or task not in _TASKS:
         raise ScenarioError(f"unknown task {task!r}")
     params = scenario.get("params", {})
     if not isinstance(params, dict):
@@ -291,59 +292,45 @@ def _dispatch(scenario: Any) -> TaskResult:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
     try:
-        scenario = _load_json(args.scenario)
-        code, report, artifacts = _dispatch(scenario)
+        code, report, artifacts = _dispatch(_load_json(args.scenario))
     except BudgetExceeded as exc:
         code, report, artifacts = 2, {"error": _error_payload(exc)}, {}
-    except (SwmixError, ValueError, OSError) as exc:
-        print(dumps({"error": _error_payload(exc)}), end="")
-        return 1
-    try:
-        _write_artifacts(out_dir, {"report.json": dumps(report), **artifacts})
-    except OSError as exc:
-        print(dumps({"error": _error_payload(exc)}), end="")
-        return 1
+    _write_artifacts(Path(args.out), {"report.json": dumps(report), **artifacts})
     print(dumps(report), end="")
     return code
 
 
 def _cmd_tent_demo(args: argparse.Namespace) -> int:
-    report = demo.tent_demo(
-        samples=args.samples,
-        wm_trials=args.trials,
-        wm_horizon=args.horizon,
-        seed=args.seed,
-    )
-    try:
-        _write_artifacts(Path(args.out), {"report.json": dumps(report)})
-    except OSError as exc:
-        print(dumps({"error": _error_payload(exc)}), end="")
-        return 1
+    flags = {
+        "samples": args.samples,
+        "wm_trials": args.trials,
+        "wm_horizon": args.horizon,
+    }
+    params = {key: value for key, value in flags.items() if value is not None}
+    code, report, _ = _task_tent_demo(None, params, SearchBudget(), args.seed)
+    _write_artifacts(Path(args.out), {"report.json": dumps(report)})
     print(dumps(report), end="")
-    return 0 if report["ok"] else 1
+    return code
+
+
+_VERIFIERS: dict[str, tuple[Callable[[Any], Any], Callable[..., bool]]] = {
+    "wm": (wm_certificate_from_json, verify_wm_certificate),
+    "spread": (spread_certificate_from_json, verify_certificate),
+    "xiong": (xiong_witness_from_json, verify_xiong),
+}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        doc = _load_json(args.certificate)
-        if not isinstance(doc, dict):
-            raise ScenarioError("certificate file must be a JSON object")
-        kind = doc.get("kind")
-        system = system_from_json(doc.get("system"))
-        payload = doc.get("certificate")
-        if kind == "wm":
-            ok = verify_wm_certificate(system, wm_certificate_from_json(payload))
-        elif kind == "spread":
-            ok = verify_certificate(system, spread_certificate_from_json(payload))
-        elif kind == "xiong":
-            ok = verify_xiong(system, xiong_witness_from_json(payload))
-        else:
-            raise ScenarioError(f"unknown certificate kind {kind!r}")
-    except (SwmixError, ValueError, OSError) as exc:
-        print(dumps({"error": _error_payload(exc)}), end="")
-        return 1
+    doc = _load_json(args.certificate)
+    if not isinstance(doc, dict):
+        raise ScenarioError("certificate file must be a JSON object")
+    kind = doc.get("kind")
+    system = system_from_json(doc.get("system"))
+    if not isinstance(kind, str) or kind not in _VERIFIERS:
+        raise ScenarioError(f"unknown certificate kind {kind!r}")
+    read, verify = _VERIFIERS[kind]
+    ok = verify(system, read(doc.get("certificate")))
     print(dumps({"kind": kind, "verified": ok}), end="")
     return 0 if ok else 1
 
@@ -361,9 +348,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=_cmd_run)
 
     p_demo = sub.add_parser("tent-demo", help="run the built-in tent example")
-    p_demo.add_argument("--samples", type=int, default=1000)
-    p_demo.add_argument("--horizon", type=int, default=25)
-    p_demo.add_argument("--trials", type=int, default=50)
+    p_demo.add_argument("--samples", type=int)
+    p_demo.add_argument("--horizon", type=int)
+    p_demo.add_argument("--trials", type=int)
     p_demo.add_argument("--seed", type=int, default=demo.DEFAULT_SEED)
     p_demo.add_argument("--out", default=".", help="artifact directory")
     p_demo.set_defaults(func=_cmd_tent_demo)
@@ -377,7 +364,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SwmixError, ValueError, OSError) as exc:
+        print(dumps({"error": _error_payload(exc)}), end="")
+        return 1
 
 
 if __name__ == "__main__":

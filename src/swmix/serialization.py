@@ -9,6 +9,7 @@ separator/indent convention so identical inputs yield byte-identical files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any
 
@@ -251,8 +252,6 @@ def system_from_json(v: Any) -> SwitchedSystem:
             clamp=bool(v.get("clamp", False)),
             numerics=numerics_from_json(v.get("numerics")),
         )
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ScenarioError(f"bad system description: {exc}") from exc
 
@@ -272,12 +271,8 @@ def budget_from_json(v: Any) -> SearchBudget:
     if not isinstance(v, dict):
         raise ScenarioError("'budget' must be an object")
     try:
-        return SearchBudget(
-            max_horizon=v.get("max_horizon", 12),
-            max_words=v.get("max_words", 500_000),
-            max_seconds=v.get("max_seconds"),
-            required=v.get("required", 3),
-        )
+        given = {f.name: v[f.name] for f in fields(SearchBudget) if f.name in v}
+        return SearchBudget(**given)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad budget: {exc}") from exc
 
@@ -371,8 +366,6 @@ def wm_certificate_from_json(v: Any) -> WMCertificate:
             witnesses=witnesses,
             complete=bool(v.get("exhausted", True)),
         )
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad certificate: {exc}") from exc
 
@@ -415,8 +408,6 @@ def spread_certificate_from_json(v: Any) -> SpreadCertificate:
             net=net,
             rows=rows,
         )
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad certificate: {exc}") from exc
 
@@ -459,16 +450,8 @@ def xiong_witness_from_json(v: Any) -> XiongWitness:
             stages=stages,
             complete=bool(v["complete"]),
         )
-    except ScenarioError:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad witness: {exc}") from exc
-
-
-def _csv_scalar(x: Scalar) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(Fraction(x))
 
 
 def envelope_to_csv(env: DistanceEnvelope) -> str:
@@ -478,7 +461,7 @@ def envelope_to_csv(env: DistanceEnvelope) -> str:
         wmin = "|".join(w.as_string() for w in row.min_words)
         wmax = "|".join(w.as_string() for w in row.max_words)
         lines.append(
-            f"{row.length},{_csv_scalar(row.d_min)},{_csv_scalar(row.d_max)},"
+            f"{row.length},{scalar_to_json(row.d_min)},{scalar_to_json(row.d_max)},"
             f"{wmin},{wmax}"
         )
     return "\n".join(lines) + "\n"

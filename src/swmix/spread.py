@@ -318,12 +318,13 @@ def verify_certificate(system: SwitchedSystem, cert: SpreadCertificate) -> bool:
     Confirms 0 < delta < eps, table completeness over the net, the 1/k < eps
     length bound on every word, that the switching language admits every
     word, and the eps-ball inclusion of every center ball image, using total
-    (non-partial) evaluation so undefined spots fail.
+    (non-partial) evaluation so undefined spots fail.  A certificate with no
+    center claims nothing about any seed and fails.
     """
     net = cert.net
     m = len(net.centers)
     n = len(cert.centers)
-    if not 0 < cert.delta < cert.eps:
+    if not n or not 0 < cert.delta < cert.eps:
         return False
     seen = {row.alpha: row for row in cert.rows}
     if len(seen) != len(cert.rows) or len(cert.rows) != m ** n:

@@ -242,6 +242,25 @@ def test_verify_xiong_rejects_inadmissible_words():
     assert not verify_xiong(ONLY_ONES, wit)
 
 
+def test_verify_xiong_fails_a_witness_without_evidence():
+    stage = XiongStage(F(1, 2), 2, (Word((0, 0)),), (F(0),))
+    wit = XiongWitness("type2", (F(1, 10),), (F(23, 30),), (stage,), complete=True)
+    assert verify_xiong(ROTATIONS, wit)
+    assert not verify_xiong(ROTATIONS, dataclasses.replace(wit, stages=()))
+    no_points = XiongStage(F(1, 2), 2, (Word((0, 0)),), ())
+    assert not verify_xiong(
+        ROTATIONS, dataclasses.replace(wit, points=(), targets=(), stages=(no_points,))
+    )
+    assert not verify_xiong(ROTATIONS, dataclasses.replace(wit, targets=()))
+    # The witness a search stopped before its first stage claims nothing.
+    empty = xiong_witness(
+        CLAMPED, (F(1, 3),), (F(1, 7),), tolerances=(F(1, 100000),),
+        budget=SearchBudget(max_horizon=3),
+    )
+    assert empty.stages == () and not empty.complete
+    assert not verify_xiong(CLAMPED, empty)
+
+
 def _type2_envelope(x, y, words_min, words_max, d_min, d_max) -> DistanceEnvelope:
     row = EnvelopeRow(2, d_min, d_max, words_min, words_max)
     return DistanceEnvelope("type2", x, y, 2, (row,), truncated=False)

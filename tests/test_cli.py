@@ -328,6 +328,14 @@ def test_validation_errors_exit_1(tmp_path, capsys):
     code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
     assert code == 1 and "error" in report
 
+    scn = write(tmp_path / "scn.json", {"task": ["spread"], "system": TENT_JSON})
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": "unknown task ['spread']",
+    }
+
     missing = str(tmp_path / "missing.json")
     code, report = run_cli(["run", missing, "--out", str(tmp_path / "out")], capsys)
     assert code == 1 and "error" in report
@@ -415,8 +423,118 @@ def test_tent_demo_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_tent_demo_subcommand_runs_the_tent_demo_task(tmp_path, capsys):
+    flags = ["--samples", "5", "--trials", "2", "--horizon", "10"]
+    code, report = run_cli(["tent-demo", *flags, "--out", str(tmp_path / "a")], capsys)
+    assert code == 0
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "tent-demo",
+            "params": {"samples": 5, "wm_trials": 2, "wm_horizon": 10},
+        },
+    )
+    code, task_report = run_cli(["run", scn, "--out", str(tmp_path / "b")], capsys)
+    assert code == 0
+    for key in ("task", "budget"):
+        del task_report[key]
+    assert report == task_report
+    assert report["weak_mixing_batch"]["horizon"] == 10
+
+
+@pytest.mark.parametrize(
+    "flags, param",
+    [
+        (["--horizon", "0"], "wm_horizon"),
+        (["--trials", "0"], "wm_trials"),
+        (["--samples", "-1"], "samples"),
+    ],
+)
+def test_tent_demo_flags_get_the_task_checks(tmp_path, capsys, flags, param):
+    out = str(tmp_path / "out")
+    code, report = run_cli(["tent-demo", *flags, "--out", out], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": f"task parameter {param!r} must be >= 1",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def xiong_params(**overrides):
+    params = {"points": ["2/5"], "targets": ["4/5"], "tolerances": ["1/2"]}
+    params.update(overrides)
+    return params
+
+
+@pytest.mark.parametrize(
+    "task, params, key",
+    [
+        ("xiong", xiong_params(points=5), "points"),
+        ("xiong", xiong_params(targets="4/5"), "targets"),
+        ("xiong", xiong_params(tolerances=[]), "tolerances"),
+        ("spread", dict(spread_scenario()["params"], seeds=3), "seeds"),
+        ("spread", dict(spread_scenario()["params"], seeds=[]), "seeds"),
+    ],
+)
+def test_list_params_must_be_non_empty_lists(tmp_path, capsys, task, params, key):
+    scn = write(
+        tmp_path / "scn.json", {"task": task, "system": CLAMPED_JSON, "params": params}
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": f"task parameter {key!r} must be a non-empty list",
+    }
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_fails_a_xiong_witness_without_stages(tmp_path, capsys):
+    # No word of length <= 3 takes 1/3 within 1/100000 of 1/7.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "xiong",
+            "system": CLAMPED_JSON,
+            "params": xiong_params(
+                points=["1/3"], targets=["1/7"], tolerances=["1/100000"]
+            ),
+            "budget": {"max_horizon": 3},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and report["verified"] is False
+    assert report["witness"]["stages"] == []
+    cert = str(tmp_path / "out" / "certificate.json")
+    code, report = run_cli(["verify", cert], capsys)
+    assert code == 1
+    assert report == {"kind": "xiong", "verified": False}
+
+
+def test_verify_fails_a_spread_certificate_without_centers(tmp_path, capsys):
+    scn = write(tmp_path / "scn.json", spread_scenario())
+    run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    # Zero centers need m**0 = 1 row, with the empty assignment.
+    cert = doc["certificate"]
+    cert["centers"] = []
+    cert["rows"] = [{"alpha": [], "word": cert["rows"][0]["word"]}]
+    code, report = run_cli(["verify", write(tmp_path / "empty.json", doc)], capsys)
+    assert code == 1
+    assert report == {"kind": "spread", "verified": False}
+
+
 def test_verify_unknown_kind_exits_1(tmp_path, capsys):
     doc = {"kind": "mystery", "system": TENT_JSON, "certificate": {}}
     path = write(tmp_path / "cert.json", doc)
     code, report = run_cli(["verify", path], capsys)
     assert code == 1 and "error" in report
+    # A list is no kind either, and cannot be looked up as one.
+    doc["kind"] = ["wm"]
+    code, report = run_cli(["verify", write(tmp_path / "cert.json", doc)], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": "unknown certificate kind ['wm']",
+    }

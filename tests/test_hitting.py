@@ -208,6 +208,16 @@ def test_maps_commute():
     assert maps_commute(rotation_system(F(1, 3), F(2, 7)))
     assert maps_commute(rotation_system(F(5, 21)))
     assert not maps_commute(tent_system())
+    # 2x + 1 and 3x + 2 both fix -1, so both compositions are 6x + 5.
+    affine = SwitchedSystem(
+        maps=(
+            PiecewiseAffineMap.globally(F(2), F(1)),
+            PiecewiseAffineMap.globally(F(3), F(2)),
+        ),
+        language=FullShift(2),
+        bounds=Interval(F(-2), F(2)),
+    )
+    assert maps_commute(affine)
 
 
 def test_maps_commute_reads_shadowed_fallback_map_as_applied():

@@ -24,7 +24,7 @@ from swmix.spread import (
     xiong_from_chain,
 )
 
-from helpers import UNIT
+from helpers import UNIT, rotation_system
 
 TENT = tent_system()
 SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
@@ -85,6 +85,35 @@ def test_verify_rejects_fat_delta():
 def test_verify_rejects_incomplete_table():
     cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert not verify_certificate(TENT, dataclasses.replace(cert, rows=cert.rows[:15]))
+
+
+def test_verify_fails_a_certificate_without_centers():
+    cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
+    # Zero centers need m**0 = 1 row, with the empty assignment.
+    bare = dataclasses.replace(
+        cert, centers=(), rows=(SpreadRow(alpha=(), word=cert.rows[0].word),)
+    )
+    assert not verify_certificate(TENT, bare)
+
+
+def test_certify_spread_on_a_family_that_does_not_expand():
+    # Rotations have slope 1, so candidates search up to the budget's horizon.
+    rotations = rotation_system(F(1, 3), F(2, 7))
+    eps = F(1, 2)
+    net = build_qnet(UNIT, eps / 2)
+    seeds = (IntervalSet.of(F(1, 3), F(2, 3)),)
+    cert = certify_spread(rotations, seeds, UNIT, eps, net)
+    assert cert.centers == (F(19, 54),)
+    assert cert.delta == F(1, 64)
+    assert len(cert.rows) == 3
+    assert verify_certificate(rotations, cert)
+
+
+def test_certify_spread_on_disjoint_seeds_names_the_assignment():
+    # Disjoint seeds share no region, so the candidates are their midpoints.
+    seeds = (IntervalSet.of(F(1, 10), F(3, 10)), IntervalSet.of(F(3, 5), F(4, 5)))
+    with pytest.raises(BudgetExceeded, match=r"no word realizes assignment \(0, 3\)"):
+        certify_spread(TENT, seeds, UNIT, F(1, 3), build_qnet(UNIT, F(1, 6)))
 
 
 def test_restrict_certificate_is_hereditary():
