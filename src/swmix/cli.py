@@ -15,7 +15,13 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import demo
-from .chaos import distance_envelope, scrambled_verdict, verify_xiong, xiong_witness
+from .chaos import (
+    XiongWitness,
+    distance_envelope,
+    scrambled_verdict,
+    verify_xiong,
+    xiong_witness,
+)
 from .core import SwitchedSystem, eval_interval, eval_point
 from .errors import BudgetExceeded, ScenarioError, SwmixError
 from .hitting import WMCertificate, hitting_sets, verify_wm_certificate, wm_certificate
@@ -179,19 +185,19 @@ def _task_scrambled(
     x = scalar_from_json(_require(params, "x"))
     y = scalar_from_json(_require(params, "y"))
     kind = params.get("kind", "type2")
-    horizon = _int_param(params, "horizon", 10)
+    envelope_args = {key: _int_param(params, key) for key in ("horizon",) if key in params}
     eps_prox = scalar_from_json(params.get("eps_prox", "1/10"))
     eps_div = scalar_from_json(params.get("eps_div", "1/2"))
-    k = _int_param(params, "k", 3)
-    env = distance_envelope(system, x, y, kind=kind, horizon=horizon, budget=budget)
+    verdict_args = {key: _int_param(params, key) for key in ("k",) if key in params}
+    env = distance_envelope(system, x, y, kind=kind, budget=budget, **envelope_args)
     payload: dict[str, Any] = {
         "kind": kind,
-        "horizon": horizon,
+        "horizon": env.horizon,
         "lengths_computed": len(env.rows),
         "truncated": env.truncated,
     }
     if env.rows:
-        verdict = scrambled_verdict(env, eps_prox, eps_div, k=k)
+        verdict = scrambled_verdict(env, eps_prox, eps_div, **verdict_args)
         payload["verdict"] = {
             "verdict": verdict.verdict,
             "prox_hits": verdict.prox_hits,
@@ -200,9 +206,16 @@ def _task_scrambled(
             "best_max": scalar_to_json(verdict.best_max),
             "eps_prox": scalar_to_json(eps_prox),
             "eps_div": scalar_to_json(eps_div),
-            "k": k,
+            "k": verdict.k,
         }
     return (2 if env.truncated else 0), payload, {"envelope.csv": envelope_to_csv(env)}
+
+
+def _verify_xiong_complete(system: SwitchedSystem, wit: XiongWitness) -> bool:
+    """What ``run`` and ``verify`` report for a Xiong witness: it verifies
+    only when it is complete.  :func:`verify_xiong` checks the stages a
+    witness carries, whether or not the search reached every tolerance."""
+    return wit.complete and verify_xiong(system, wit)
 
 
 def _task_xiong(
@@ -214,10 +227,7 @@ def _task_xiong(
     kind = params.get("kind", "type2")
     wit = xiong_witness(system, points, targets, kind=kind, tolerances=tolerances, budget=budget)
     wit_json = xiong_witness_to_json(wit)
-    payload = {
-        "witness": wit_json,
-        "verified": wit.complete and verify_xiong(system, wit),
-    }
+    payload = {"witness": wit_json, "verified": _verify_xiong_complete(system, wit)}
     artifacts = {"certificate.json": dumps(_wrap(system, "xiong", wit_json))}
     return (0 if wit.complete else 2), payload, artifacts
 
@@ -317,7 +327,7 @@ def _cmd_tent_demo(args: argparse.Namespace) -> int:
 _VERIFIERS: dict[str, tuple[Callable[[Any], Any], Callable[..., bool]]] = {
     "wm": (wm_certificate_from_json, verify_wm_certificate),
     "spread": (spread_certificate_from_json, verify_certificate),
-    "xiong": (xiong_witness_from_json, verify_xiong),
+    "xiong": (xiong_witness_from_json, _verify_xiong_complete),
 }
 
 

@@ -32,20 +32,25 @@ pieces then have one integer form, ``(lo_n, lo_d, hi_n, hi_d, a, b, c,
 positive, ia, ib, ic, lo, hi)``, built on the map's first exact evaluation
 and cached on the map (:meth:`PiecewiseAffineMap._ratio_pieces`).  With
 ``x = n/d`` the image of ``x`` is ``(a*n + b*d) / (c*d)`` and its pull-back
-``(ia*n + ib*d) / (ic*d)``, each built once as a Fraction, and two endpoints
-compare by cross-multiplying (:mod:`swmix.intervals`); an infinite endpoint
-is the pair ``(-1, 0)`` or ``(1, 0)``.
+``(ia*n + ib*d) / (ic*d)``; two endpoints compare by cross-multiplying.
 
-* :meth:`PiecewiseAffineMap.value_at` takes that path for a Fraction point.
-* :func:`image_of` and :func:`preimage` take it when every endpoint of the
-  input set is a Fraction, an int or infinite and nothing is widened (an
-  input component that is the whole line sends :func:`image_of` down the
-  generic loop, since ``-inf < +inf`` reads ``0 < 0`` as ratios).  They
-  keep every tie rule of the generic loop, so the same endpoint objects come
-  out: an int domain endpoint equal to a computed Fraction cuts a pull-back
-  only where it lies strictly inside.  :func:`preimage` cuts each pulled-back
-  component by the piece domain on integers and builds a Fraction only for a
-  computed endpoint that survives the cut.
+* :meth:`PiecewiseAffineMap.value_at` takes that path for a Fraction point
+  and builds one Fraction.
+* Sets are carried as rows (:mod:`swmix.intervals`): one ``(lo_n, lo_d,
+  hi_n, hi_d)`` per component, every computed end reduced by ``gcd`` with
+  ``d > 0`` and an infinite end ``(-1, 0)`` or ``(1, 0)`` whatever the
+  slope, so equal sets have equal rows.  :func:`_image_rows` and
+  :func:`_preimage_rows` are the one kernel per direction.
+  :func:`image_of` and :func:`preimage` run one step of it;
+  :func:`eval_interval` and :func:`word_preimage` step a whole word on rows
+  when the system is exact (:meth:`SwitchedSystem._ratio_tables`) and every
+  input endpoint is a Fraction, an int or infinite.  Each builds Fractions,
+  Intervals and an IntervalSet only for the set it returns.  The kernels
+  keep every tie rule of the generic loops, so the results equal theirs in
+  value, type and repr: an image's ends are computed Fractions or
+  infinities, and a preimage end cut by a domain end lying strictly inside
+  is that domain end's own object, an int included, which its row carries
+  to the result.
 
 Float maps, float endpoints, int points and float mode take the generic
 loops, which are the only sound ones for floats.
@@ -56,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from .errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
@@ -64,11 +70,12 @@ from .intervals import (
     POS_INF,
     Interval,
     IntervalSet,
-    _Row,
     Scalar,
-    _normalise_exact,
+    _normalise_rows,
     _ratio_end,
     _ratio_rows,
+    _ratio_scalar,
+    _rows_set,
     is_finite,
 )
 from .language import LanguageSpec, PrunedAutomaton, compile_language
@@ -364,6 +371,20 @@ class SwitchedSystem:
     def m(self) -> int:
         return len(self.maps)
 
+    def _ratio_tables(self) -> tuple[tuple[tuple, ...], ...] | None:
+        """Every map's integer table (:meth:`PiecewiseAffineMap._ratio_pieces`),
+        or None in float mode or when a map is not exact; built on the first
+        call and cached like the tables themselves."""
+        try:
+            return self._tables
+        except AttributeError:
+            pass
+        tables = tuple(pam._ratio_pieces() for pam in self.maps)
+        if self.numerics.widen or any(t is None for t in tables):
+            tables = None
+        object.__setattr__(self, "_tables", tables)
+        return tables
+
     def inside_kill_box(self, values: IntervalSet) -> bool:
         return values.touches_closed(self.bounds.lo, self.bounds.hi)
 
@@ -393,55 +414,60 @@ def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) ->
     return value
 
 
-def _ratio_scalar(n: int, d: int) -> Scalar:
-    """The endpoint ``n/d``; a zero ``d`` is the infinity of ``n``'s sign."""
-    if d:
-        return Fraction(n, d)
-    return NEG_INF if n < 0 else POS_INF
+def _image_rows(table: tuple[tuple, ...], rows, partial: bool) -> tuple:
+    """:func:`image_of` on rows: the normalised ``(lo_n, lo_d, hi_n, hi_d)``
+    rows of the image of the set ``rows`` under the map of ``table``.
 
-
-def _image_exact(
-    table: tuple[tuple, ...], sets: IntervalSet, rows: list, partial: bool
-) -> list[_Row] | None:
-    """:func:`image_of` on integer ratios, as rows for ``_normalise_exact``;
-    None for a real-line component, whose two infinities would compare as
-    ``0 < 0``.  Every ``max``/``min`` below keeps its first argument on a
-    tie, as the generic loop does."""
-    out: list[_Row] = []
-    for comp, (c_ln, c_ld, c_hn, c_hd) in zip(sets.components, rows):
-        if not c_ld and not c_hd:
-            return None
-        cursor, cur_n, cur_d = comp.lo, c_ln, c_ld
-        for p_ln, p_ld, p_hn, p_hd, a, b, c, positive, _, _, _, p_lo, p_hi in table:
+    Each computed end ``(a*n + b*d) / (c*d)`` is reduced by ``gcd``, and an
+    infinite end is ``(-1, 0)`` or ``(1, 0)`` whatever the slope, so equal
+    sets have equal rows.  ``-inf < +inf`` would read ``0 < 0``; the two
+    tests that can meet both infinities, an empty overlap and a cursor
+    moving to ``+inf``, count a zero denominator apart.
+    """
+    out = []
+    for c_ln, c_ld, c_hn, c_hd in rows:
+        cur_n, cur_d = c_ln, c_ld
+        for p_ln, p_ld, p_hn, p_hd, a, b, c, positive, _, _, _, _, _ in table:
             if p_ln * c_ld > c_ln * p_ld:
-                lo, lo_n, lo_d = p_lo, p_ln, p_ld
+                lo_n, lo_d = p_ln, p_ld
             else:
-                lo, lo_n, lo_d = comp.lo, c_ln, c_ld
+                lo_n, lo_d = c_ln, c_ld
             if p_hn * c_hd < c_hn * p_hd:
-                hi, hi_n, hi_d = p_hi, p_hn, p_hd
+                hi_n, hi_d = p_hn, p_hd
             else:
-                hi, hi_n, hi_d = comp.hi, c_hn, c_hd
-            if lo_n * hi_d >= hi_n * lo_d:
+                hi_n, hi_d = c_hn, c_hd
+            if lo_d and hi_d and lo_n * hi_d >= hi_n * lo_d:
                 continue
             if not partial and lo_n * cur_d > cur_n * lo_d:
                 raise UndefinedOnSet(
-                    f"({cursor}, {lo}) has positive width outside all piece domains"
+                    f"({_ratio_scalar(cur_n, cur_d)}, {_ratio_scalar(lo_n, lo_d)}) "
+                    "has positive width outside all piece domains"
                 )
-            if hi_n * cur_d > cur_n * hi_d:
-                cursor, cur_n, cur_d = hi, hi_n, hi_d
-            # (a*n + b*d) / (c*d) for a finite end; an infinite one keeps
-            # d = 0 and takes the slope's sign.
-            p_n, p_d = (a * lo_n + b * lo_d, c * lo_d) if lo_d else (lo_n * a, 0)
-            q_n, q_d = (a * hi_n + b * hi_d, c * hi_d) if hi_d else (hi_n * a, 0)
-            if not positive:
-                p_n, p_d, q_n, q_d = q_n, q_d, p_n, p_d
-            image = Interval(_ratio_scalar(p_n, p_d), _ratio_scalar(q_n, q_d))
-            out.append((p_n, p_d, q_n, q_d, image))
+            if not hi_d or hi_n * cur_d > cur_n * hi_d:
+                cur_n, cur_d = hi_n, hi_d
+            if lo_d:
+                lo_n, lo_d = a * lo_n + b * lo_d, c * lo_d
+                g = gcd(lo_n, lo_d)
+                if g != 1:
+                    lo_n //= g
+                    lo_d //= g
+            elif not positive:
+                lo_n = -lo_n
+            if hi_d:
+                hi_n, hi_d = a * hi_n + b * hi_d, c * hi_d
+                g = gcd(hi_n, hi_d)
+                if g != 1:
+                    hi_n //= g
+                    hi_d //= g
+            elif not positive:
+                hi_n = -hi_n
+            out.append((lo_n, lo_d, hi_n, hi_d) if positive else (hi_n, hi_d, lo_n, lo_d))
         if not partial and cur_n * c_hd < c_hn * cur_d:
             raise UndefinedOnSet(
-                f"({cursor}, {comp.hi}) has positive width outside all piece domains"
+                f"({_ratio_scalar(cur_n, cur_d)}, {_ratio_scalar(c_hn, c_hd)}) "
+                "has positive width outside all piece domains"
             )
-    return out
+    return _normalise_rows(out)
 
 
 def image_of(
@@ -455,16 +481,15 @@ def image_of(
     With ``partial=False`` a positive-width part of the input escaping every
     piece domain raises :class:`UndefinedOnSet`; with ``partial=True`` the
     uncovered part is silently dropped (search semantics).  An exact map and
-    exact endpoints without widening take the integer path (module
-    docstring); its results equal the generic loop's in value, type and repr.
+    exact endpoints without widening take one step of the row kernel
+    (module docstring); its results equal the generic loop's in value, type
+    and repr.
     """
     if not widen:
         table = pam._ratio_pieces()
         rows = _ratio_rows(sets.components) if table is not None else None
         if rows is not None:
-            exact = _image_exact(table, sets, rows, partial)
-            if exact is not None:
-                return IntervalSet(_normalise_exact(exact))
+            return _rows_set(_image_rows(table, rows, partial))
     out: list[Interval] = []
     for comp in sets:
         cursor = comp.lo
@@ -492,8 +517,20 @@ def eval_interval(
     sets: IntervalSet,
     partial: bool = False,
 ) -> IntervalSet:
-    """Enclosure of ``f_w`` over an interval union; exact in rational mode."""
+    """Enclosure of ``f_w`` over an interval union; exact in rational mode.
+
+    An exact system and exact endpoints step the whole word on rows and
+    build the result's endpoints once, at the end.
+    """
     symbols = _check_word(system, word)
+    tables = system._ratio_tables()
+    rows = _ratio_rows(sets.components) if tables is not None else None
+    if rows is not None:
+        for sym in symbols:
+            if not rows:
+                break
+            rows = _image_rows(tables[sym], rows, partial)
+        return _rows_set(rows)
     widen = system.numerics.widen
     current = sets
     for sym in symbols:
@@ -503,49 +540,78 @@ def eval_interval(
     return current
 
 
-def _preimage_exact(table: tuple[tuple, ...], rows: list) -> list[_Row]:
-    """:func:`preimage` on integer ratios, as rows for ``_normalise_exact``.
+def _preimage_rows(table: tuple[tuple, ...], rows) -> tuple:
+    """:func:`preimage` on rows: the normalised rows ``(lo_n, lo_d, hi_n,
+    hi_d, lo, hi)`` of the preimage of the set ``rows`` (rows of four or of
+    six fields) under the map of ``table``.
 
-    Each pulled-back component is cut by the piece domain without being
-    built; a cut endpoint is the domain's own object where the domain is
-    strictly inside, otherwise the pulled value (the tie rule of
-    ``pulled.intersect(p.domain)``), and is built only when the cut is not
-    empty.
+    Each pulled-back component is cut by the piece domain on integers.  A
+    cut end is the domain's own end where the domain is strictly inside,
+    otherwise the pulled value (the tie rule of ``pulled.intersect(
+    p.domain)``); ``lo`` and ``hi`` hold that domain end object, or None for
+    a pulled value, so that an int domain end keeps its type in the result.
+    A pulled value is reduced by ``gcd`` only when it survives the cut.
     """
-    out: list[_Row] = []
+    out = []
     for p_ln, p_ld, p_hn, p_hd, _, _, _, positive, a, b, c, p_lo, p_hi in table:
-        for t_ln, t_ld, t_hn, t_hd in rows:
-            if not positive:
-                t_ln, t_ld, t_hn, t_hd = t_hn, t_hd, t_ln, t_ld
+        for row in rows:
+            if positive:
+                t_ln, t_ld, t_hn, t_hd = row[0], row[1], row[2], row[3]
+            else:
+                t_ln, t_ld, t_hn, t_hd = row[2], row[3], row[0], row[1]
             # (a*n + b*d) / (c*d), or an infinity of the pulled sign at d = 0
-            lo_n, lo_d = (a * t_ln + b * t_ld, c * t_ld) if t_ld else (a * t_ln, 0)
-            hi_n, hi_d = (a * t_hn + b * t_hd, c * t_hd) if t_hd else (a * t_hn, 0)
+            if t_ld:
+                lo_n, lo_d = a * t_ln + b * t_ld, c * t_ld
+            else:
+                lo_n, lo_d = (t_ln if positive else -t_ln), 0
+            if t_hd:
+                hi_n, hi_d = a * t_hn + b * t_hd, c * t_hd
+            else:
+                hi_n, hi_d = (t_hn if positive else -t_hn), 0
             lo = hi = None
             if p_ln * lo_d > lo_n * p_ld:
                 lo, lo_n, lo_d = p_lo, p_ln, p_ld
+            elif lo_d:
+                g = gcd(lo_n, lo_d)
+                lo_n //= g
+                lo_d //= g
             if p_hn * hi_d < hi_n * p_hd:
                 hi, hi_n, hi_d = p_hi, p_hn, p_hd
+            elif hi_d:
+                g = gcd(hi_n, hi_d)
+                hi_n //= g
+                hi_d //= g
             if lo_d and hi_d and lo_n * hi_d >= hi_n * lo_d:
                 continue
-            if lo is None:
-                lo = _ratio_scalar(lo_n, lo_d)
-            if hi is None:
-                hi = _ratio_scalar(hi_n, hi_d)
-            out.append((lo_n, lo_d, hi_n, hi_d, Interval(lo, hi)))
-    return out
+            out.append((lo_n, lo_d, hi_n, hi_d, lo, hi))
+    return _normalise_rows(out)
+
+
+def _pulled_set(rows) -> IntervalSet:
+    """The set of :func:`_preimage_rows`' rows, each end the domain end
+    object it holds or else a Fraction or an infinity."""
+    return IntervalSet(
+        tuple(
+            Interval(
+                _ratio_scalar(lo_n, lo_d) if lo is None else lo,
+                _ratio_scalar(hi_n, hi_d) if hi is None else hi,
+            )
+            for lo_n, lo_d, hi_n, hi_d, lo, hi in rows
+        )
+    )
 
 
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:
     """Exact preimage of ``target`` inside the map's domain (outer in float mode).
 
-    An exact map and exact endpoints without widening take the integer path
-    (module docstring), with the same values, types and reprs.
+    An exact map and exact endpoints without widening take one step of the
+    row kernel (module docstring), with the same values, types and reprs.
     """
     if not widen:
         table = pam._ratio_pieces()
         rows = _ratio_rows(target.components) if table is not None else None
         if rows is not None:
-            return IntervalSet(_normalise_exact(_preimage_exact(table, rows)))
+            return _pulled_set(_preimage_rows(table, rows))
     out: list[Interval] = []
     for p in pam.effective_pieces:
         for comp in target:
@@ -562,8 +628,22 @@ def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) ->
 def word_preimage(
     system: SwitchedSystem, word: Word | Sequence[int], target: IntervalSet
 ) -> IntervalSet:
-    """Preimage of ``target`` under ``f_w`` (pull back through the word reversed)."""
+    """Preimage of ``target`` under ``f_w`` (pull back through the word reversed).
+
+    An exact system and exact endpoints step the whole word on rows and
+    build the result's endpoints once, at the end.
+    """
     symbols = _check_word(system, word)
+    tables = system._ratio_tables()
+    rows = _ratio_rows(target.components) if tables is not None else None
+    if rows is not None:
+        if not rows:
+            return target
+        for sym in reversed(symbols):
+            rows = _preimage_rows(tables[sym], rows)
+            if not rows:
+                break
+        return _pulled_set(rows)
     widen = system.numerics.widen
     current = target
     for sym in reversed(symbols):

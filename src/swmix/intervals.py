@@ -15,23 +15,28 @@ Sets are hashed often (search memos key on them), so :class:`IntervalSet`
 caches its hash.  :func:`is_finite` tests the endpoint type before comparing
 with the infinities, since only a float endpoint can be infinite.
 
-Three places compare exact endpoints on integers: the :class:`Interval`
-check of two Fraction endpoints, :meth:`IntervalSet.intersects`, and
-:func:`_normalise_exact`, the normaliser that :func:`swmix.core.image_of` and
-:func:`swmix.core.preimage` call on the integer rows they already hold.  They
-read each endpoint as a ratio ``(n, d)`` with ``d > 0`` and compare two of
-them by cross-multiplying, ``a < b`` iff ``a_n*b_d < b_n*a_d``, instead of
-through Fraction's generic operators.  The infinities are encoded as
-``(-1, 0)`` and ``(1, 0)``; that is exact against every finite endpoint and
-against the same infinity, but ``-inf < +inf`` would read ``0 < 0``, so
-every ``lo < hi`` test that can meet both counts a zero denominator as true.
-Ties resolve exactly as ``max``, ``min`` and a stable sort resolve them, so
-the results keep the same endpoint objects -- an int endpoint equal to a
-Fraction one stays whichever it was.  Any float endpoint, or a float
-``min_overlap``, sends :meth:`~IntervalSet.intersects` down the generic
-path.  Every other operation, :func:`_normalise` behind
-:meth:`IntervalSet.from_intervals`, :meth:`~IntervalSet.intersect` and
-:meth:`~IntervalSet.subset_of` among them, uses plain comparisons alone.
+Exact sets also have an integer form, rows: one ``(lo_n, lo_d, hi_n, hi_d)``
+per component (:func:`_ratio_rows`), each end a ratio ``(n, d)`` with
+``d > 0`` and the infinities ``(-1, 0)`` and ``(1, 0)``.  The row kernels of
+:mod:`swmix.core` and the set searches of :mod:`swmix.search` work on them
+through the helpers here: :func:`_normalise_rows`, the one normaliser of
+image and preimage rows; :func:`_rows_set`, where image rows become an
+:class:`IntervalSet`; and the row forms of :meth:`~IntervalSet.intersects`,
+:meth:`~IntervalSet.subset_of` and :meth:`~IntervalSet.touches_closed`
+(:func:`_rows_meet`, :func:`_rows_inside`, :func:`_rows_touch`), the leaf
+and clamp tests of the set searches.  Two ends compare by cross-multiplying,
+``a < b`` iff ``a_n*b_d < b_n*a_d``, instead of through Fraction's generic
+operators.  That is exact against every finite end and against the same
+infinity, but ``-inf < +inf`` would read ``0 < 0``, so every test that can
+meet both counts a zero denominator apart.  Ties resolve exactly as
+``max``, ``min`` and a stable sort resolve them.  Besides the row helpers,
+the :class:`Interval` check of two Fraction endpoints cross-multiplies, and
+:meth:`IntervalSet.intersects` runs :func:`_rows_meet` when every endpoint
+and ``min_overlap`` are exact; any float endpoint, or a float
+``min_overlap``, sends it down the generic path.  Every other operation,
+:func:`_normalise` behind :meth:`IntervalSet.from_intervals`,
+:meth:`~IntervalSet.intersect` and :meth:`~IntervalSet.subset_of` among
+them, uses plain comparisons alone.
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ Scalar = Union[Fraction, float]
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+# A component as integers, (lo_n, lo_d, hi_n, hi_d): a reduced ratio per end
+# with d > 0, and (-1, 0) or (1, 0) for an infinite one.
+_Ratio = tuple[int, int, int, int]
 
 
 def _ratio_end(e: Scalar) -> tuple[int, int] | None:
@@ -58,7 +67,7 @@ def _ratio_end(e: Scalar) -> tuple[int, int] | None:
     return None
 
 
-def _ratio_rows(comps: Sequence[Interval]) -> list[tuple[int, int, int, int]] | None:
+def _ratio_rows(comps: Sequence[Interval]) -> tuple[_Ratio, ...] | None:
     """``(lo_n, lo_d, hi_n, hi_d)`` per component, or None when an endpoint
     is a finite float."""
     rows = []
@@ -71,7 +80,7 @@ def _ratio_rows(comps: Sequence[Interval]) -> list[tuple[int, int, int, int]] | 
             if lo_r is None or hi_r is None:
                 return None
             rows.append(lo_r + hi_r)
-    return rows
+    return tuple(rows)
 
 
 def is_finite(x: Scalar) -> bool:
@@ -133,21 +142,40 @@ class Interval:
         return self.lo < hi and self.hi > lo
 
 
-_Row = tuple[int, int, int, int, Interval]
+def _ratio_scalar(n: int, d: int) -> Scalar:
+    """The endpoint ``n/d``; a zero ``d`` is the infinity of ``n``'s sign."""
+    if d:
+        return Fraction(n, d)
+    return NEG_INF if n < 0 else POS_INF
 
 
-def _normalise_exact(rows: list[_Row]) -> tuple[Interval, ...]:
-    """:func:`_normalise` of ``(lo_n, lo_d, hi_n, hi_d, interval)`` rows.
+def _rows_set(rows: Sequence[_Ratio]) -> "IntervalSet":
+    """The set of normalised rows, with a Fraction or an infinity per end."""
+    return IntervalSet(
+        tuple(
+            Interval(_ratio_scalar(lo_n, lo_d), _ratio_scalar(hi_n, hi_d))
+            for lo_n, lo_d, hi_n, hi_d in rows
+        )
+    )
 
-    A stable insertion sort by ``(lo, hi)`` yields the same order as the
-    generic stable sort, since both keep equal keys in input order.  It is
-    quadratic, but the lists are short: an image or a preimage has at most
-    pieces times components rows, and the benchmark workloads send at most
-    seven.
+
+def _normalise_rows(rows: list) -> tuple:
+    """:func:`_normalise` of rows that start ``(lo_n, lo_d, hi_n, hi_d)``.
+
+    A row may carry more fields after its four integers, the endpoint
+    objects ``(lo, hi)`` of a preimage; a merge keeps the lo fields of the
+    first row and the hi fields of the second, as ``Interval(out[-1].lo,
+    c.hi)`` does.  A stable insertion sort by ``(lo, hi)`` yields the same
+    order as the generic stable sort, since both keep equal keys in input
+    order.  It is quadratic, but the lists are short: an image or a
+    preimage has at most pieces times components rows, and the benchmark
+    workloads send at most seven.
     """
+    if len(rows) < 2:  # most images and preimages have one component
+        return tuple(rows)
     for i in range(1, len(rows)):
         row = rows[i]
-        lo_n, lo_d, hi_n, hi_d, _ = row
+        lo_n, lo_d, hi_n, hi_d = row[0], row[1], row[2], row[3]
         j = i
         while j:
             prev = rows[j - 1]
@@ -158,18 +186,68 @@ def _normalise_exact(rows: list[_Row]) -> tuple[Interval, ...]:
             else:
                 break
         rows[j] = row
-    out: list[Interval] = []
+    out: list = []
     top_n = top_d = 0
-    for lo_n, lo_d, hi_n, hi_d, c in rows:
+    for row in rows:
+        lo_n, lo_d, hi_n, hi_d = row[0], row[1], row[2], row[3]
         # strict overlap only; -inf on the left or +inf on the right always overlaps
         if out and (not lo_d or not top_d or lo_n * top_d < top_n * lo_d):
             if hi_n * top_d > top_n * hi_d:
-                out[-1] = Interval(out[-1].lo, c.hi)
+                top = out[-1]
+                out[-1] = top[:2] + row[2:4] + top[4:5] + row[5:]
                 top_n, top_d = hi_n, hi_d
         else:
-            out.append(c)
+            out.append(row)
             top_n, top_d = hi_n, hi_d
     return tuple(out)
+
+
+def _rows_meet(a: Sequence[_Ratio], b: Sequence[_Ratio], m_n: int, m_d: int) -> bool:
+    """:meth:`IntervalSet.intersects` on rows, with ``min_overlap = m_n/m_d``."""
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        a_ln, a_ld, a_hn, a_hd = a[i]
+        b_ln, b_ld, b_hn, b_hd = b[j]
+        lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
+        hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
+        if not lo_d or not hi_d:
+            return True  # an infinite overlap
+        if lo_n * hi_d < hi_n * lo_d and (
+            m_n <= 0 or (hi_n * lo_d - lo_n * hi_d) * m_d > m_n * hi_d * lo_d
+        ):
+            return True
+        if a_hn * b_hd <= b_hn * a_hd:
+            i += 1
+        else:
+            j += 1
+    return False
+
+
+def _rows_inside(a: Sequence[_Ratio], b: Sequence[_Ratio]) -> bool:
+    """:meth:`IntervalSet.subset_of` on rows."""
+    for c_ln, c_ld, c_hn, c_hd in a:
+        for o_ln, o_ld, o_hn, o_hd in b:
+            if o_ln * c_ld <= c_ln * o_ld and c_hn * o_hd <= o_hn * c_hd:
+                break
+        else:
+            return False
+    return True
+
+
+def _rows_touch(rows: Sequence[_Ratio], box: _Ratio) -> bool:
+    """:meth:`IntervalSet.touches_closed` on rows, for the closed ``box``.
+
+    An infinite box end is met by every component, and is tested apart:
+    ``-inf < +inf`` would read ``0 < 0``.
+    """
+    b_ln, b_ld, b_hn, b_hd = box
+    for lo_n, lo_d, hi_n, hi_d in rows:
+        if (not b_hd or lo_n * b_hd < b_hn * lo_d) and (
+            not b_ld or hi_n * b_ld > b_ln * hi_d
+        ):
+            return True
+    return False
 
 
 def _normalise(items: Iterable[Interval]) -> tuple[Interval, ...]:
@@ -276,33 +354,14 @@ class IntervalSet:
 
     def intersects(self, other: "IntervalSet", min_overlap: Scalar = 0) -> bool:
         """True iff the interiors overlap with width strictly above ``min_overlap``."""
-        i = j = 0
         a, b = self.components, other.components
         m = min_overlap
         if type(m) is Fraction or type(m) is int:
-            m_n, m_d = m.as_integer_ratio()
-        else:
-            m_d = 0
-        ra = _ratio_rows(a) if m_d else None
-        rb = _ratio_rows(b) if ra is not None else None
-        if rb is not None:
-            na, nb = len(a), len(b)
-            while i < na and j < nb:
-                a_ln, a_ld, a_hn, a_hd = ra[i]
-                b_ln, b_ld, b_hn, b_hd = rb[j]
-                lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
-                hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
-                if not lo_d or not hi_d:
-                    return True  # an infinite overlap
-                if lo_n * hi_d < hi_n * lo_d and (
-                    m_n <= 0 or (hi_n * lo_d - lo_n * hi_d) * m_d > m_n * hi_d * lo_d
-                ):
-                    return True
-                if a_hn * b_hd <= b_hn * a_hd:
-                    i += 1
-                else:
-                    j += 1
-            return False
+            ra = _ratio_rows(a)
+            rb = _ratio_rows(b) if ra is not None else None
+            if rb is not None:
+                return _rows_meet(ra, rb, *m.as_integer_ratio())
+        i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i].lo, b[j].lo)
             hi = min(a[i].hi, b[j].hi)

@@ -17,6 +17,17 @@ mode is computed once per logical search, however many lengths or rows
 reach it.  The clock is still charged for every edge, memoised or not, so
 node counts and budget cut-offs do not depend on the memo.
 
+Exact set searches step integer rows.  When the system is exact and every
+source, target and ``min_overlap`` is a Fraction, an int or infinite,
+:func:`walk_sets` (behind :func:`iter_set_hits` and the spread-table
+search) carries each enclosure as a tuple of rows (:mod:`swmix.intervals`),
+steps it with the row kernel :func:`swmix.core._image_rows` through the
+memo (:func:`_memo_step_rows`) and tests leaves by cross-multiplying.  Rows
+are canonical, so memo and dead-subtree keys of rows are equal exactly when
+their sets are, and the search walks the same nodes as one on sets.  The
+sets of a hit are built when it is yielded.  Float mode, float endpoints
+and clamp boxes with finite float ends step sets with :func:`step_images`.
+
 Refuted subtrees are walked once per logical search.  Each search passes
 its leaf test to the walker, and the clock holds one dead-subtree set per
 system, step mode and leaf test (the targets, and ``eps`` for point
@@ -37,15 +48,26 @@ finite float ends step Fractions or floats with :func:`step_points`.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import SwitchedSystem, image_of
+from .core import SwitchedSystem, _image_rows, image_of
 from .errors import UndefinedAtPoint, UndefinedOnSet
-from .intervals import IntervalSet, Scalar, _ratio_end
+from .intervals import (
+    IntervalSet,
+    Scalar,
+    _Ratio,
+    _ratio_end,
+    _ratio_rows,
+    _rows_inside,
+    _rows_meet,
+    _rows_set,
+    _rows_touch,
+)
 from .language import walk
 
 
@@ -100,8 +122,9 @@ class SearchClock:
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
-        # (id(system), partial) -> (system, {(images, sym): child or None});
-        # holding the system keeps its id from being reused while the clock lives.
+        # (id(system), partial) -> (system, {(images, sym): child or None}),
+        # images being sets, or rows on exact searches; holding the system
+        # keeps its id from being reused while the clock lives.
         self._steps: dict[tuple[int, bool], tuple[SwitchedSystem, dict]] = {}
         # (id(system), *test) -> (system, {(state, value, remaining)}).
         self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
@@ -173,6 +196,56 @@ def _memo_step_images(
             return memo[key]
         except KeyError:
             child = memo[key] = step(system, images, sym, partial)
+            return child
+
+    return memo_step
+
+
+def _step_rows(
+    table: tuple[tuple, ...],
+    box: _Ratio | None,
+    images: tuple[tuple[_Ratio, ...], ...],
+    partial: bool,
+) -> tuple[tuple[_Ratio, ...], ...] | None:
+    """:func:`step_images` on rows through the map of ``table``; ``box``
+    holds the clamp box's rows, or is None when the system does not clamp."""
+    out = []
+    for rows in images:
+        try:
+            nxt = _image_rows(table, rows, partial)
+        except UndefinedOnSet:
+            return None
+        if not nxt or (box is not None and not _rows_touch(nxt, box)):
+            return None
+        out.append(nxt)
+    return tuple(out)
+
+
+def _memo_step_rows(
+    system: SwitchedSystem, clock: SearchClock, partial: bool
+) -> Callable[[tuple, int], tuple | None] | None:
+    """:func:`_memo_step_images` on rows, or None when the system is not
+    exact (float mode, a map without an integer table, or a clamp box with
+    a finite float end).  Its entries share the memo of
+    :func:`_memo_step_images`, whose keys hold sets, never rows."""
+    tables = system._ratio_tables()
+    if tables is None:
+        return None
+    box = None
+    if system.clamp:
+        lo, hi = _ratio_end(system.bounds.lo), _ratio_end(system.bounds.hi)
+        if lo is None or hi is None:
+            return None
+        box = lo + hi
+    memo = clock._steps.setdefault((id(system), partial), (system, {}))[1]
+    step = _step_rows
+
+    def memo_step(images, sym):
+        key = (images, sym)
+        try:
+            return memo[key]
+        except KeyError:
+            child = memo[key] = step(tables[sym], box, images, partial)
             return child
 
     return memo_step
@@ -250,6 +323,58 @@ def ratio_point_step(
     return step
 
 
+def walk_sets(
+    system: SwitchedSystem,
+    sources: Sequence[IntervalSet],
+    targets: Sequence[IntervalSet],
+    length: int,
+    clock: SearchClock,
+    inside: bool = False,
+) -> Iterator[tuple[tuple[int, ...], tuple[IntervalSet, ...]]]:
+    """Yield, in lexicographic order, every admissible word of exactly
+    ``length`` whose branch survives and whose final enclosures all meet
+    their targets (``intersects`` with the system's ``min_overlap``), or
+    with ``inside=True`` all lie inside them (``subset_of``, total images).
+
+    When :func:`_memo_step_rows` accepts the system and every source,
+    target and ``min_overlap`` is exact, the enclosures are stepped as rows
+    and the leaf test is cross-multiplied; a hit's sets are built when it is
+    yielded.  Otherwise the sets are stepped with :func:`step_images`.  Both
+    ways walk the same words and charge the clock alike.  Stops silently
+    when the clock runs out (check ``clock.exceeded``).  Subtrees refuted
+    for the same targets and test earlier on ``clock`` are skipped.
+    """
+    partial = not inside
+    targets = tuple(targets)
+    test = "subset_of" if inside else "intersects"
+    dead = clock.dead_set(system, partial, test, targets)
+    min_overlap = system.numerics.min_overlap
+    step = _memo_step_rows(system, clock, partial)
+    root = goals = (None,)  # a None row: the search steps sets
+    if step is not None and (inside or type(min_overlap) in (Fraction, int)):
+        root = tuple(_ratio_rows(s.components) for s in sources)
+        goals = tuple(_ratio_rows(t.components) for t in targets)
+    if None in root or None in goals:
+        step = _memo_step_images(system, clock, partial)
+        root, goals, build = tuple(sources), targets, None
+        fits = IntervalSet.subset_of if inside else functools.partial(
+            IntervalSet.intersects, min_overlap=min_overlap
+        )
+    else:
+        build = _rows_set
+        if inside:
+            fits = _rows_inside
+        else:
+            m_n, m_d = min_overlap.as_integer_ratio()
+            fits = functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
+
+    def leaf(values):
+        return all(map(fits, values, goals))
+
+    for syms, values in walk(system.automaton, length, root, step, clock.spend, leaf, dead):
+        yield syms, values if build is None else tuple(map(build, values))
+
+
 def iter_set_hits(
     system: SwitchedSystem,
     sources: Sequence[IntervalSet],
@@ -259,22 +384,10 @@ def iter_set_hits(
 ) -> Iterator[tuple[tuple[int, ...], tuple[IntervalSet, ...]]]:
     """Yield, in lexicographic order, every admissible word of exactly
     ``length`` whose branch survives and whose final enclosures all meet their
-    targets.  Stops silently when the clock runs out (check ``clock.exceeded``).
-    Subtrees refuted for the same targets earlier on ``clock`` are skipped.
+    targets (:func:`walk_sets`).  Stops silently when the clock runs out
+    (check ``clock.exceeded``).
     """
-    min_overlap = system.numerics.min_overlap
-    targets = tuple(targets)
-    yield from walk(
-        system.automaton,
-        length,
-        tuple(sources),
-        _memo_step_images(system, clock, partial=True),
-        clock.spend,
-        lambda images: all(
-            img.intersects(t, min_overlap) for img, t in zip(images, targets)
-        ),
-        clock.dead_set(system, True, "intersects", targets),
-    )
+    yield from walk_sets(system, sources, targets, length, clock)
 
 
 def first_set_hit(

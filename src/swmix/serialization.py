@@ -188,12 +188,15 @@ def numerics_from_json(v: Any) -> Numerics:
         return Numerics()
     if not isinstance(v, dict):
         raise ScenarioError("'numerics' must be an object")
+    given: dict[str, Any] = {}
+    if "mode" in v:
+        given["mode"] = v["mode"]
+    if "tau" in v:
+        given["tau"] = float(v["tau"])
+    if "min_overlap" in v:
+        given["min_overlap"] = scalar_from_json(v["min_overlap"])
     try:
-        return Numerics(
-            mode=v.get("mode", "rational"),
-            tau=float(v.get("tau", 2.0 ** -40)),
-            min_overlap=scalar_from_json(v.get("min_overlap", "0")),
-        )
+        return Numerics(**given)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 

@@ -41,8 +41,8 @@ from .errors import (
 )
 from .geometry import CompactRep
 from .intervals import Interval, IntervalSet, Scalar, covers_closed_interval
-from .language import accepts_prefix, walk
-from .search import SearchBudget, SearchClock, _memo_step_images
+from .language import accepts_prefix
+from .search import SearchBudget, SearchClock, walk_sets
 from .words import Word
 
 __all__ = [
@@ -153,17 +153,8 @@ def _inclusion_word(
 ) -> Word | None:
     """Shortest, then lexicographically first, admissible word whose total
     image of every source lands inside the matching target."""
-    step = _memo_step_images(system, clock, partial=False)
-    targets = tuple(targets)
-    dead = clock.dead_set(system, False, "subset_of", targets)
-
-    def inside(images: tuple[IntervalSet, ...]) -> bool:
-        return all(im.subset_of(t) for im, t in zip(images, targets))
-
     for length in clock.lengths(lengths):
-        for syms, _ in walk(
-            system.automaton, length, tuple(sources), step, clock.spend, inside, dead
-        ):
+        for syms, _ in walk_sets(system, sources, targets, length, clock, inside=True):
             return Word(syms)
     return None
 

@@ -512,6 +512,45 @@ def test_verify_fails_a_xiong_witness_without_stages(tmp_path, capsys):
     assert report == {"kind": "xiong", "verified": False}
 
 
+def test_verify_fails_an_incomplete_xiong_witness_as_run_does(tmp_path, capsys):
+    # The horizon stops the search after the first tolerance: word 0 takes
+    # 1/3 to 2/3, within 1/5 of 3/5, but no word of length <= 3 comes within
+    # 1/100000.  The one stage replays, yet the witness is incomplete.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "xiong",
+            "system": CLAMPED_JSON,
+            "params": xiong_params(
+                points=["1/3"], targets=["3/5"], tolerances=["1/5", "1/100000"]
+            ),
+            "budget": {"max_horizon": 3},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2 and report["verified"] is False
+    assert report["witness"]["complete"] is False
+    stages = report["witness"]["stages"]
+    assert [(s["words"], s["errors"]) for s in stages] == [([[0]], ["1/15"])]
+    cert = str(tmp_path / "out" / "certificate.json")
+    code, report = run_cli(["verify", cert], capsys)
+    assert code == 1
+    assert report == {"kind": "xiong", "verified": False}
+
+
+def test_scrambled_reports_the_library_defaults(tmp_path, capsys):
+    # Without "horizon" and "k" the task reports the defaults of
+    # distance_envelope and scrambled_verdict, read from their results.
+    scn = write(
+        tmp_path / "scn.json",
+        {"task": "scrambled", "system": CLAMPED_JSON, "params": {"x": "1/3", "y": "2/5"}},
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert report["horizon"] == 10
+    assert report["verdict"]["k"] == 3
+
+
 def test_verify_fails_a_spread_certificate_without_centers(tmp_path, capsys):
     scn = write(tmp_path / "scn.json", spread_scenario())
     run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swmix.core import (
@@ -561,3 +561,76 @@ def test_image_of_and_preimage_match_plain_loops(data):
             assert exact_pairs(as_pairs(got)) == exact_pairs(want)
     got = preimage(pam, sets)
     assert exact_pairs(as_pairs(got)) == exact_pairs(reference_preimage(pam, pairs))
+
+
+# Whole words on rows against the one-step composition: eval_interval and
+# word_preimage step a word on integer rows and build endpoints only for the
+# result, and must return what image_of and preimage return step by step.
+
+
+def common_box(maps):
+    """An open interval inside some piece domain of every map, or None."""
+    boxes = [p.domain for p in maps[0].effective_pieces]
+    for pam in maps[1:]:
+        boxes = [
+            cut
+            for box in boxes
+            for p in pam.effective_pieces
+            if (cut := box.intersect(p.domain)) is not None
+        ]
+    return boxes[0] if boxes else None
+
+
+def stepwise(step, sets, symbols):
+    for sym in symbols:
+        if sets.is_empty:
+            break
+        sets = step(sym, sets)
+    return sets
+
+
+def outcome(call):
+    try:
+        got = call()
+    except UndefinedOnSet as exc:
+        return "raises", str(exc)
+    return exact_pairs(as_pairs(got)), repr(got)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_words_on_rows_match_stepwise_images_and_preimages(data):
+    drawn = [data.draw(piecewise_maps()) for _ in range(data.draw(st.integers(1, 3)))]
+    maps = tuple(pam for pam, _ in drawn)
+    box = common_box(maps)
+    assume(box is not None)
+    system = SwitchedSystem(maps=maps, language=FullShift(len(maps)), bounds=box)
+    cuts = [c for _, cs in drawn for c in cs if type(c) is not float] or [F(0)]
+    sets = IntervalSet.from_pairs(data.draw(pair_lists(cuts)))
+    word = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=12))
+    for partial in (True, False):
+        want = outcome(
+            lambda: stepwise(
+                lambda sym, s: image_of(maps[sym], s, partial=partial), sets, word
+            )
+        )
+        assert outcome(lambda: eval_interval(system, word, sets, partial=partial)) == want
+    want = outcome(lambda: stepwise(lambda sym, s: preimage(maps[sym], s), sets, word[::-1]))
+    assert outcome(lambda: word_preimage(system, word, sets)) == want
+
+
+def test_word_preimage_keeps_int_domain_ends_of_the_last_step():
+    # Pulled back through INT_ENDPOINTS last, a wide target is cut by its
+    # int domain ends, which keep their type; pulled back through it first,
+    # those ends are only values for the next step.
+    tenth = PiecewiseAffineMap.globally(F(1, 10), F(0))
+    system = SwitchedSystem(
+        maps=(INT_ENDPOINTS, tenth), language=FullShift(2), bounds=Interval(F(1, 4), F(1, 2))
+    )
+    wide = IntervalSet.of(-5, 5)
+    assert exact_pairs(as_pairs(word_preimage(system, (0, 1), wide))) == exact_pairs(
+        [(0, 1), (1, 2)]
+    )
+    assert exact_pairs(as_pairs(word_preimage(system, (1, 0), wide))) == exact_pairs(
+        [(F(0), F(10)), (F(10), F(20))]
+    )

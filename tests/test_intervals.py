@@ -13,7 +13,7 @@ from swmix.intervals import (
     POS_INF,
     Interval,
     IntervalSet,
-    _normalise_exact,
+    _normalise_rows,
     covers_closed_interval,
     is_finite,
 )
@@ -240,9 +240,11 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
 
 
 def test_long_lists_normalise_like_short_ones():
-    # The exact normalisation's insertion sort (behind image_of and preimage)
+    # The row normalisation's insertion sort (behind image_of and preimage)
     # must keep the stable (lo, hi) order at any length, ties between ints
-    # and Fractions included, as the generic sort of from_pairs does.
+    # and Fractions included, as the generic sort of from_pairs does; rows
+    # carry their endpoint objects, as preimage rows do, so a merge must keep
+    # the first row's lo and the second row's hi.
     rng = random.Random(3)
     for size in (3, 17, 40):
         pairs = []
@@ -252,9 +254,6 @@ def test_long_lists_normalise_like_short_ones():
             pairs.append((F(lo) if rng.random() < 0.5 else lo, hi))
         want = exact_pairs(reference_normalise(pairs))
         assert exact_pairs(as_pairs(IntervalSet.from_pairs(pairs))) == want
-        rows = [
-            lo.as_integer_ratio() + hi.as_integer_ratio() + (Interval(lo, hi),)
-            for lo, hi in pairs
-        ]
-        got = IntervalSet(_normalise_exact(rows))
+        rows = [lo.as_integer_ratio() + hi.as_integer_ratio() + (lo, hi) for lo, hi in pairs]
+        got = IntervalSet(tuple(Interval(lo, hi) for *_, lo, hi in _normalise_rows(rows)))
         assert exact_pairs(as_pairs(got)) == want

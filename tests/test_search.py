@@ -12,7 +12,7 @@ import swmix.spread as spread
 from swmix.core import PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded
-from swmix.intervals import Interval, IntervalSet
+from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import ForbiddenWords, FullShift, walk
 from swmix.search import (
     SearchBudget,
@@ -169,16 +169,38 @@ def test_refuted_first_set_hit_node_count():
 
 def test_refuted_first_set_hit_memoises_steps(monkeypatch):
     # The 100 charged edges of the refuted search above reach only 36
-    # distinct (enclosures, symbol) steps across its six word lengths.
+    # distinct (enclosures, symbol) steps across its six word lengths; the
+    # exact search steps rows, so its memo misses are _step_rows calls.
     calls = []
-    real = search.step_images
-    monkeypatch.setattr(search, "step_images", lambda *args: calls.append(args) or real(*args))
+    real = search._step_rows
+    monkeypatch.setattr(search, "_step_rows", lambda *args: calls.append(args) or real(*args))
     system = rotation_system(F(1, 3), F(2, 7))
     clock = SearchClock(SearchBudget())
     source = IntervalSet.of(F(1, 10), F(1, 5))
     target = IntervalSet.of(F(21, 100), F(11, 50))
     assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
     assert (clock.count, len(calls)) == (100, 36)
+
+
+def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch):
+    # x -> 2x and x -> 3x both take (0, inf) to itself.  Its infinite end
+    # must be one row, (1, 0), under both maps: then both children of the
+    # root are the root's set, the second child is the first one's refuted
+    # subtree, and only the root's two steps are computed.  Rows (2, 0) and
+    # (3, 0) would make three sets, and walk and step each: (6, 6).
+    calls = []
+    real = search._step_rows
+    monkeypatch.setattr(search, "_step_rows", lambda *args: calls.append(args) or real(*args))
+    system = SwitchedSystem(
+        maps=(PiecewiseAffineMap.globally(F(2), F(0)), PiecewiseAffineMap.globally(F(3), F(0))),
+        language=FullShift(2),
+        bounds=Interval(F(0), F(1)),
+    )
+    clock = SearchClock(SearchBudget())
+    half_line = IntervalSet.of(F(0), POS_INF)
+    miss = IntervalSet.of(F(-2), F(-1))
+    assert list(iter_set_hits(system, [half_line], [miss], 2, clock)) == []
+    assert (clock.count, len(calls)) == (4, 2)
 
 
 def test_shared_clock_keeps_systems_and_modes_apart():
@@ -344,6 +366,55 @@ def test_walks_with_a_dead_set_yield_the_plain_walks(system, set_pairs, point_pa
         for n in range(1, 6):
             plain = list(walk(aut, n, root, step, leaf=leaf))
             assert list(walk(aut, n, root, step, leaf=leaf, dead=dead)) == plain
+
+
+# Set searches on rows against the walk they replaced: _memo_step_images as
+# the step, IntervalSet.intersects or subset_of as the leaf test, and one
+# dead set for lengths 1..5, as a length-first search runs them.
+
+WALK_SETS = st.one_of(
+    SETS,
+    st.sampled_from(
+        [
+            IntervalSet.of(NEG_INF, F(1, 2)),
+            IntervalSet.of(F(1, 3), POS_INF),
+            IntervalSet.of(NEG_INF, POS_INF),
+            IntervalSet.from_pairs([(F(-1), F(0)), (F(1, 2), F(3, 2))]),
+        ]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    SYSTEMS,
+    st.lists(st.tuples(WALK_SETS, WALK_SETS), min_size=1, max_size=2),
+    st.booleans(),
+    st.one_of(st.integers(1, 200), st.just(500_000)),
+)
+def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, inside, max_words):
+    sources, targets = zip(*set_pairs)
+    partial = not inside
+    rows_clock = SearchClock(SearchBudget(max_words=max_words))
+    sets_clock = SearchClock(SearchBudget(max_words=max_words))
+    assert search._memo_step_rows(system, rows_clock, partial) is not None
+    step = search._memo_step_images(system, sets_clock, partial)
+    min_overlap = system.numerics.min_overlap
+
+    def leaf(images):
+        if inside:
+            return all(img.subset_of(t) for img, t in zip(images, targets))
+        return all(img.intersects(t, min_overlap) for img, t in zip(images, targets))
+
+    dead = set()
+    for n in range(1, 6):
+        if inside:
+            got = list(search.walk_sets(system, sources, targets, n, rows_clock, inside=True))
+        else:
+            got = list(iter_set_hits(system, sources, targets, n, rows_clock))
+        want = list(walk(system.automaton, n, sources, step, sets_clock.spend, leaf, dead))
+        assert repr(got) == repr(want)
+        assert (rows_clock.count, rows_clock.exceeded) == (sets_clock.count, sets_clock.exceeded)
 
 
 def test_an_unfinished_walk_records_no_frame_on_its_stack():

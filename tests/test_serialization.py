@@ -89,6 +89,15 @@ def test_numerics_and_budget_round_trip():
     assert budget_from_json(None) == SearchBudget()
 
 
+def test_numerics_from_json_takes_the_numerics_defaults():
+    # Fields left out come from Numerics itself, types included.
+    for doc in ({}, {"mode": "rational"}, {"tau": 2.0 ** -40}):
+        got = numerics_from_json(doc)
+        assert got == Numerics()
+        assert type(got.min_overlap) is type(Numerics().min_overlap)
+    assert numerics_from_json({"min_overlap": "1/8"}).min_overlap == F(1, 8)
+
+
 def test_system_round_trip():
     # Fallback maps are serialised as materialised pieces, so compare the
     # normal form (a second trip is the identity) plus observable behaviour.
