@@ -511,6 +511,16 @@ def image_of(
     return IntervalSet.from_intervals(out)
 
 
+def _word_image_rows(tables: tuple, symbols: tuple[int, ...], rows, partial: bool) -> tuple:
+    """The image rows of ``rows`` under ``f_w``: :func:`_image_rows` stepped
+    through ``symbols`` with the maps of ``tables``, stopping once empty."""
+    for sym in symbols:
+        if not rows:
+            break
+        rows = _image_rows(tables[sym], rows, partial)
+    return rows
+
+
 def eval_interval(
     system: SwitchedSystem,
     word: Word | Sequence[int],
@@ -526,11 +536,7 @@ def eval_interval(
     tables = system._ratio_tables()
     rows = _ratio_rows(sets.components) if tables is not None else None
     if rows is not None:
-        for sym in symbols:
-            if not rows:
-                break
-            rows = _image_rows(tables[sym], rows, partial)
-        return _rows_set(rows)
+        return _rows_set(_word_image_rows(tables, symbols, rows, partial))
     widen = system.numerics.widen
     current = sets
     for sym in symbols:
@@ -587,6 +593,17 @@ def _preimage_rows(table: tuple[tuple, ...], rows) -> tuple:
     return _normalise_rows(out)
 
 
+def _word_preimage_rows(tables: tuple, symbols: tuple[int, ...], rows) -> tuple:
+    """The preimage rows ``(lo_n, lo_d, hi_n, hi_d, lo, hi)`` of ``rows``
+    under ``f_w``: :func:`_preimage_rows` stepped through ``symbols``
+    reversed, stopping once empty."""
+    for sym in reversed(symbols):
+        rows = _preimage_rows(tables[sym], rows)
+        if not rows:
+            break
+    return rows
+
+
 def _pulled_set(rows) -> IntervalSet:
     """The set of :func:`_preimage_rows`' rows, each end the domain end
     object it holds or else a Fraction or an infinity."""
@@ -639,11 +656,7 @@ def word_preimage(
     if rows is not None:
         if not rows:
             return target
-        for sym in reversed(symbols):
-            rows = _preimage_rows(tables[sym], rows)
-            if not rows:
-                break
-        return _pulled_set(rows)
+        return _pulled_set(_word_preimage_rows(tables, symbols, rows))
     widen = system.numerics.widen
     current = target
     for sym in reversed(symbols):

@@ -10,7 +10,15 @@ listed with strictly increasing lengths (type 2).
 
 Everything a certificate asserts is carried as a :class:`HitWitness` that
 re-checks against the core evaluator alone, independent of how the search
-found it.
+found it.  A set witness's source comes from :func:`pull_back_hit`: the
+leftmost overlap of f_w(U) with V pulled back and cut by U, kept only when
+its image lands in V again.  For an exact system all three passes run on
+the integer rows of :mod:`swmix.core`, and only the returned set is built.
+
+:func:`order_reduction` rests on :func:`maps_commute`, whose verdict is
+computed once per system and cached on it: exact for globally affine
+families, sampled over the bounding box otherwise, and False for a
+piecewise family on an unbounded box, where samples prove nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +27,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import SwitchedSystem, eval_interval, eval_point, word_preimage
+from .core import (
+    SwitchedSystem,
+    _check_word,
+    _word_image_rows,
+    _word_preimage_rows,
+    eval_interval,
+    eval_point,
+    word_preimage,
+)
 from .errors import (
     BudgetExceeded,
     EmptyRefinement,
@@ -27,7 +43,15 @@ from .errors import (
     PreconditionFailed,
     UndefinedAtPoint,
 )
-from .intervals import Interval, IntervalSet, Scalar
+from .intervals import (
+    Interval,
+    IntervalSet,
+    Scalar,
+    _cut_rows,
+    _ratio_rows,
+    _ratio_scalar,
+    _rows_inside,
+)
 from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, iter_set_hits
 from .words import Word
@@ -95,14 +119,30 @@ def pull_back_hit(
     source: IntervalSet,
     target: IntervalSet,
 ) -> IntervalSet | None:
-    """Largest simple sub-source of ``source`` provably mapped into ``target``.
+    """A simple sub-source of ``source`` provably mapped into ``target``, or None.
 
-    Pulls the leftmost overlap component of f_w(source) ∩ target back through
-    the word and intersects with the source.  In float mode the component is
-    first shrunk inward so the outward-rounded round trip still verifies; the
-    result is always re-checked, never trusted.
+    Pulls the leftmost component of f_w(source) ∩ target back through the
+    word, cuts it by the source, images the cut forward again and returns
+    its widest component (the first among equals; an unbounded one is
+    widest) when that image is nonempty and inside ``target``.  In float
+    mode a bounded overlap component is shrunk inward when the plain round
+    trip fails, so the outward-rounded one may still verify; an unbounded
+    one cannot be shrunk.  The result is always re-checked, never trusted.
+
+    An exact system (:meth:`SwitchedSystem._ratio_tables`) with every
+    source and target end a Fraction, an int or infinite runs all three
+    passes on integer rows and builds only the returned set.  The cuts keep
+    ``IntervalSet.intersect``'s endpoint objects: the pulled end on a tie,
+    so an int domain end keeps its type, and the source's end where it lies
+    strictly inside.
     """
     w = Word(tuple(word))
+    tables = system._ratio_tables()
+    if tables is not None:
+        src = _ratio_rows(source.components)
+        tgt = _ratio_rows(target.components) if src is not None else None
+        if tgt is not None:
+            return _pull_back_rows(tables, _check_word(system, w), source, src, tgt)
     image = eval_interval(system, w, source, partial=True)
     overlap = image.intersect(target)
     if overlap.is_empty:
@@ -111,6 +151,8 @@ def pull_back_hit(
     shrinks = (0, 8, 4) if system.numerics.mode == "float" else (0,)
     for denom in shrinks:
         if denom:
+            if not comp.bounded:
+                return None
             margin = comp.width / denom
             cut = Interval(comp.lo + margin, comp.hi - margin)
         else:
@@ -126,6 +168,42 @@ def pull_back_hit(
             best = sub.widest_component()
             return IntervalSet.from_intervals([best])
     return None
+
+
+def _pull_back_rows(
+    tables: tuple, symbols: tuple[int, ...], source: IntervalSet, src, tgt
+) -> IntervalSet | None:
+    """:func:`pull_back_hit` on the rows ``src`` of ``source`` and ``tgt``
+    of the target."""
+    overlap = _cut_rows(_word_image_rows(tables, symbols, src, True), tgt)
+    if not overlap:
+        return None
+    pulled = _word_preimage_rows(tables, symbols, overlap[:1])
+    ends = [row + (c.lo, c.hi) for row, c in zip(src, source.components)]
+    sub = _cut_rows(pulled, ends)
+    if not sub:
+        return None
+    back = _word_image_rows(tables, symbols, [row[:4] for row in sub], True)
+    if not back or not _rows_inside(back, tgt):
+        return None
+    best = None
+    for row in sub:
+        lo_n, lo_d, hi_n, hi_d = row[0], row[1], row[2], row[3]
+        if not lo_d or not hi_d:
+            best = row  # unbounded: wider than any later component
+            break
+        width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
+        if best is None or width_n * best_d > best_n * width_d:
+            best, best_n, best_d = row, width_n, width_d
+    lo_n, lo_d, hi_n, hi_d, lo, hi = best
+    return IntervalSet(
+        (
+            Interval(
+                _ratio_scalar(lo_n, lo_d) if lo is None else lo,
+                _ratio_scalar(hi_n, hi_d) if hi is None else hi,
+            ),
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -344,12 +422,30 @@ def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
     return not missing
 
 
-def maps_commute(system: SwitchedSystem, samples: int = 64) -> bool:
+# Points sampled across the bounding box when a map is piecewise.
+_COMMUTE_SAMPLES = 64
+
+
+def maps_commute(system: SwitchedSystem) -> bool:
     """Pairwise commutation check for the system's map family.
 
     Exact when every map is globally affine; otherwise a sampled heuristic
     over the bounding box (orbits through undefined points are skipped).
+    Sampling needs a bounded box: on an unbounded one every sample is
+    infinite or NaN and every orbit would be skipped, so a family that is
+    not globally affine does not commute there.  The verdict is computed on
+    the first call and cached on the system, whose maps and box never change.
     """
+    try:
+        return system._commutes
+    except AttributeError:
+        pass
+    verdict = _maps_commute(system)
+    object.__setattr__(system, "_commutes", verdict)
+    return verdict
+
+
+def _maps_commute(system: SwitchedSystem) -> bool:
     maps = system.maps
     if all(pam.is_global for pam in maps):
         # The single effective piece is the map as applied; a fallback may be
@@ -360,10 +456,12 @@ def maps_commute(system: SwitchedSystem, samples: int = 64) -> bool:
                 if a_i * b_j + b_i != a_j * b_i + b_j:
                     return False
         return True
+    if not system.bounds.bounded:
+        return False
     lo, hi = system.bounds.lo, system.bounds.hi
-    for k in range(samples):
+    for k in range(_COMMUTE_SAMPLES):
         # Fraction weights keep rational-mode samples exact.
-        x = lo + (hi - lo) * Fraction(2 * k + 1, 2 * samples)
+        x = lo + (hi - lo) * Fraction(2 * k + 1, 2 * _COMMUTE_SAMPLES)
         for i in range(len(maps)):
             for j in range(i + 1, len(maps)):
                 try:

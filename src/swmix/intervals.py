@@ -24,7 +24,9 @@ image and preimage rows; :func:`_rows_set`, where image rows become an
 :class:`IntervalSet`; and the row forms of :meth:`~IntervalSet.intersects`,
 :meth:`~IntervalSet.subset_of` and :meth:`~IntervalSet.touches_closed`
 (:func:`_rows_meet`, :func:`_rows_inside`, :func:`_rows_touch`), the leaf
-and clamp tests of the set searches.  Two ends compare by cross-multiplying,
+and clamp tests of the set searches; :func:`_cut_rows`, the row form of
+:meth:`~IntervalSet.intersect`, serves only the pull-backs of
+:func:`swmix.hitting.pull_back_hit`.  Two ends compare by cross-multiplying,
 ``a < b`` iff ``a_n*b_d < b_n*a_d``, instead of through Fraction's generic
 operators.  That is exact against every finite end and against the same
 infinity, but ``-inf < +inf`` would read ``0 < 0``, so every test that can
@@ -222,6 +224,33 @@ def _rows_meet(a: Sequence[_Ratio], b: Sequence[_Ratio], m_n: int, m_d: int) -> 
         else:
             j += 1
     return False
+
+
+def _cut_rows(a: Sequence[tuple], b: Sequence[tuple]) -> list:
+    """:meth:`IntervalSet.intersect` on rows.
+
+    A row may carry its endpoint objects ``(lo, hi)`` after its four
+    integers, as preimage rows do, and a cut end keeps the fields of the row
+    it came from: ``a``'s on a tie, as ``max`` and ``min`` keep their first
+    argument.  A lo end is never ``+inf`` and a hi end never ``-inf``, so
+    ends of one side compare by cross-multiplying, and an infinite end
+    makes the cut nonempty.
+    """
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ra, rb = a[i], b[j]
+        lo = rb if rb[0] * ra[1] > ra[0] * rb[1] else ra
+        hi = rb if rb[2] * ra[3] < ra[2] * rb[3] else ra
+        lo_n, lo_d, hi_n, hi_d = lo[0], lo[1], hi[2], hi[3]
+        if not lo_d or not hi_d or lo_n * hi_d < hi_n * lo_d:
+            out.append(lo[:2] + hi[2:4] + lo[4:5] + hi[5:])
+        if ra[2] * rb[3] <= rb[2] * ra[3]:
+            i += 1
+        else:
+            j += 1
+    return out
 
 
 def _rows_inside(a: Sequence[_Ratio], b: Sequence[_Ratio]) -> bool:

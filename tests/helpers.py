@@ -1,12 +1,18 @@
-"""Shared builders for the test suite: circle rotations, random systems and
-a plain reference evaluation of maps."""
+"""Shared builders for the test suite: circle rotations, random systems, a
+plain reference evaluation of maps and a reference pull-back of hits."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from swmix.core import AffinePiece, PiecewiseAffineMap, SwitchedSystem
+from swmix.core import (
+    AffinePiece,
+    PiecewiseAffineMap,
+    SwitchedSystem,
+    eval_interval,
+    word_preimage,
+)
 from swmix.intervals import Interval, IntervalSet
 from swmix.language import ForbiddenWords, FullShift
 
@@ -33,26 +39,26 @@ def rotation_system(*shifts: Fraction) -> SwitchedSystem:
     )
 
 
-_SLOPES = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2)]
+SLOPES = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2)]
 
 
 def random_map(rng: random.Random) -> PiecewiseAffineMap:
     """Global map, or a two-piece map split at a random interior point."""
     if rng.random() < 0.5:
         return PiecewiseAffineMap.globally(
-            rng.choice(_SLOPES), Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
+            rng.choice(SLOPES), Fraction(rng.randrange(-2, 3), rng.randrange(1, 4))
         )
     c = Fraction(rng.randrange(1, 8), 8)
     return PiecewiseAffineMap(
         pieces=(
             AffinePiece(
                 Interval(Fraction(0), c),
-                rng.choice(_SLOPES),
+                rng.choice(SLOPES),
                 Fraction(rng.randrange(-2, 3), rng.randrange(1, 4)),
             ),
             AffinePiece(
                 Interval(c, Fraction(1)),
-                rng.choice(_SLOPES),
+                rng.choice(SLOPES),
                 Fraction(rng.randrange(-2, 3), rng.randrange(1, 4)),
             ),
         )
@@ -67,6 +73,25 @@ def reference_value(pam: PiecewiseAffineMap, x):
         if p.domain.lo < x < p.domain.hi:
             return p.slope * x + p.offset
     return None
+
+
+def reference_pull_back(system: SwitchedSystem, word, source, target):
+    """:func:`swmix.hitting.pull_back_hit` of an exact system as three passes
+    over interval sets: the image, its leftmost overlap with the target
+    pulled back and cut by the source, and the cut's image, which must land
+    in the target; the widest component of the cut, or None."""
+    image = eval_interval(system, word, source, partial=True)
+    overlap = image.intersect(target)
+    if overlap.is_empty:
+        return None
+    sub = word_preimage(system, word, IntervalSet.from_intervals([overlap.components[0]]))
+    sub = sub.intersect(source)
+    if sub.is_empty:
+        return None
+    back = eval_interval(system, word, sub, partial=True)
+    if back.is_empty or not back.subset_of(target):
+        return None
+    return IntervalSet.from_intervals([sub.widest_component()])
 
 
 def random_language(rng: random.Random, m: int):

@@ -407,6 +407,28 @@ def test_hitting_task(tmp_path, capsys):
     assert report["type1"] == [4]
 
 
+def test_float_hitting_with_an_unbounded_overlap_exits_2(tmp_path, capsys):
+    # The overlap (0, inf) of 2x's image with V cannot be shrunk inward, so
+    # the float enclosure hit does not certify and the lengths stay undecided.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "hitting",
+            "system": {
+                "maps": [[{"domain": ["-inf", "inf"], "a": 2.0, "b": 0.0}]],
+                "bounds": [0.0, 1.0],
+                "language": {"kind": "full", "m": 1},
+                "numerics": {"mode": "float"},
+            },
+            "params": {"U": [["-inf", "inf"]], "V": [[0.0, "inf"]]},
+            "budget": {"max_horizon": 2},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert report["exhausted"] is False and report["type1"] == []
+
+
 def test_tent_demo_subcommand(tmp_path, capsys):
     code, report = run_cli(
         [

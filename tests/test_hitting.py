@@ -4,8 +4,10 @@ import dataclasses
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from swmix.core import AffinePiece, PiecewiseAffineMap, SwitchedSystem
+from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissiblePair, PreconditionFailed
 from swmix.hitting import (
@@ -23,7 +25,7 @@ from swmix.language import ForbiddenWords, FullShift, accepts_prefix
 from swmix.search import SearchBudget
 from swmix.words import Word
 
-from helpers import UNIT, rotation_system
+from helpers import SLOPES, UNIT, reference_pull_back, rotation_system
 
 CLAMPED = tent_system(clamp=True)
 U = IntervalSet.of(F(0), F(1, 10))
@@ -68,6 +70,95 @@ def test_pull_back_hit():
     sub = pull_back_hit(CLAMPED, Word.from_string("0000"), U, V)
     assert sub == IntervalSet.of(F(9, 160), F(1, 16))
     assert pull_back_hit(CLAMPED, Word.from_string("000"), U, V) is None
+
+
+# pull_back_hit on integer rows against the three IntervalSet passes it
+# replaced: the same result in value, endpoint type and repr, or None alike.
+
+OFFSETS = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+
+
+@st.composite
+def exact_maps(draw):
+    """``helpers.random_map``'s maps, drawn: global, or two pieces split at
+    an eighth, whose outer domain ends are ints, Fractions or infinite."""
+    if draw(st.booleans()):
+        return PiecewiseAffineMap.globally(draw(st.sampled_from(SLOPES)), draw(OFFSETS))
+    c = F(draw(st.integers(1, 7)), 8)
+    lo = draw(st.sampled_from([0, F(0), NEG_INF]))
+    hi = draw(st.sampled_from([1, F(1), POS_INF]))
+    return PiecewiseAffineMap(
+        pieces=tuple(
+            AffinePiece(domain, draw(st.sampled_from(SLOPES)), draw(OFFSETS))
+            for domain in (Interval(lo, c), Interval(c, hi))
+        )
+    )
+
+
+@st.composite
+def exact_sets(draw):
+    """One to three open intervals with ends on eighths in [-2, 3], each an
+    int whenever its value is whole and a coin says so; now and then an
+    infinite end."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = sorted(draw(st.lists(st.integers(-16, 24), min_size=2, max_size=2, unique=True)))
+        ends = [F(a, 8), F(b, 8)]
+        ends = [int(e) if e.denominator == 1 and draw(st.booleans()) else e for e in ends]
+        if draw(st.integers(0, 7)) == 0:
+            ends[0] = NEG_INF
+        if draw(st.integers(0, 7)) == 0:
+            ends[1] = POS_INF
+        pairs.append(ends)
+    return IntervalSet.from_pairs(pairs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_row_pull_back_matches_the_interval_set_passes(data):
+    maps = tuple(data.draw(st.lists(exact_maps(), min_size=1, max_size=3)))
+    system = SwitchedSystem(maps=maps, language=FullShift(len(maps)), bounds=Interval(F(0), F(1)))
+    word = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=6))
+    source, target = data.draw(exact_sets()), data.draw(exact_sets())
+    want = reference_pull_back(system, word, source, target)
+    assert repr(pull_back_hit(system, word, source, target)) == repr(want)
+
+
+def test_row_pull_back_keeps_the_pulled_end_on_a_tie():
+    # x/2 carries (0, 1) onto (0, 1/2); the overlap (0, 1/4) pulls back to
+    # (0, 1/2), whose Fraction 0 ties with the source's int 0 and is kept.
+    half = PiecewiseAffineMap.globally(F(1, 2), F(0))
+    system = SwitchedSystem(maps=(half,), language=FullShift(1), bounds=Interval(F(0), F(1)))
+    got = pull_back_hit(system, (0,), IntervalSet.of(0, 1), IntervalSet.of(F(-1), F(1, 4)))
+    assert repr(got) == repr(IntervalSet.of(F(0), F(1, 2)))
+    # x on (-1, 1) and x - 1/2 on (1, 3) carry (0, 2) onto (0, 3/2), which
+    # pulls back to (0, 1) and (1, 2), cut by the int domain end 1 lying
+    # strictly inside; both are as wide, and the first is returned.
+    split = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(F(-1), 1), F(1), F(0)),
+            AffinePiece(Interval(1, F(3)), F(1), F(-1, 2)),
+        )
+    )
+    system = SwitchedSystem(maps=(split,), language=FullShift(1), bounds=Interval(F(0), F(1)))
+    got = pull_back_hit(system, (0,), IntervalSet.of(F(0), F(2)), IntervalSet.of(F(-1), F(3)))
+    assert repr(got) == repr(IntervalSet.of(F(0), 1))
+
+
+def test_float_pull_back_of_an_unbounded_overlap_gives_up():
+    # 2x on the whole line in float mode: the overlap (0, inf) pulls back
+    # to an outward-rounded set whose image leaves V, and an unbounded
+    # component cannot be shrunk inward, so no sub-source certifies.
+    system = SwitchedSystem(
+        maps=(PiecewiseAffineMap.globally(2.0, 0.0),),
+        language=FullShift(1),
+        bounds=Interval(0.0, 1.0),
+        numerics=Numerics(mode="float"),
+    )
+    whole, right = IntervalSet.of(NEG_INF, POS_INF), IntervalSet.of(0.0, POS_INF)
+    assert pull_back_hit(system, (0,), whole, right) is None
+    report = hitting_sets(system, whole, right, budget=SearchBudget(max_horizon=2))
+    assert report.type1 == () and report.exhausted is False
 
 
 def test_witness_kind_validation():
@@ -235,6 +326,41 @@ def test_maps_commute_reads_shadowed_fallback_map_as_applied():
     assert not maps_commute(system)
     with pytest.raises(PreconditionFailed, match="does not commute"):
         order_reduction(system, U, U, V, V, Word.of(0))
+
+
+def test_maps_commute_refuses_piecewise_maps_on_an_unbounded_box():
+    # f is 2x left of 0 and 3x right of it, g is x + 1: f(g(-1/2)) = 3/2 but
+    # g(f(-1/2)) = 0.  Samples of (-inf, inf) are all NaN and prove nothing.
+    f = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(NEG_INF, F(0)), F(2), F(0)),
+            AffinePiece(Interval(F(0), POS_INF), F(3), F(0)),
+        )
+    )
+    g = PiecewiseAffineMap.globally(F(1), F(1))
+    for bounds in (Interval(F(-1), F(1)), Interval(NEG_INF, POS_INF), Interval(F(0), POS_INF)):
+        system = SwitchedSystem(maps=(f, g), language=FullShift(2), bounds=bounds)
+        assert not maps_commute(system)
+    whole = IntervalSet.of(NEG_INF, POS_INF)
+    with pytest.raises(PreconditionFailed, match="does not commute"):
+        order_reduction(system, whole, whole, whole, whole, Word.of(1))
+
+
+def test_commutation_verdict_is_computed_once_per_system(monkeypatch):
+    system = rotation_system(F(1, 3), F(2, 7))
+    U1, V1 = IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(3, 5), F(7, 10))
+    U2, V2 = IntervalSet.of(F(3, 10), F(2, 5)), IntervalSet.of(F(4, 5), F(9, 10))
+    s = Word.from_string("0011")
+    calls = []
+    value_at = PiecewiseAffineMap.value_at
+    monkeypatch.setattr(
+        PiecewiseAffineMap, "value_at", lambda pam, x: calls.append(x) or value_at(pam, x)
+    )
+    first = order_reduction(system, U1, U2, V1, V2, s)
+    assert calls  # the sampled verdict
+    calls.clear()
+    assert order_reduction(system, U1, U2, V1, V2, s) == first
+    assert calls == []
 
 
 def test_order_reduction_frozen():
