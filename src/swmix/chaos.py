@@ -12,23 +12,19 @@ length while every level has orbits left.
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
 
-Point orbits of exact systems are stepped on integers.  When every map is
-exact (:meth:`~swmix.core.PiecewiseAffineMap._ratio_pieces` is not None),
-every point (and, for Xiong witnesses, every target and tolerance) is a
-Fraction or an int and a clamp box has exact or infinite ends, an orbit
-value ``n/d`` is carried as two reduced integers and stepped by
-:func:`~swmix.search.ratio_point_step`, the one integer form of a point
-step, which envelope levels and Xiong point searches share.  Envelope level
-keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
-``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
-integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
-One Fraction is built per row extreme, and the rows, words, truncation and
-clock charges are those of the generic Fraction loop.  Xiong stages search
-with :func:`~swmix.search.iter_point_hits`, which tests ``|v - t| < eps``
-by cross-multiplying and builds Fractions only for the hits it yields.
-Float maps, float points, clamp boxes with finite float ends and globally
-affine type-2 envelopes without a clamp (which follow the orbit difference)
-keep the generic loops.
+Point orbits are stepped on integers when the system's exact form
+(:meth:`swmix.core.SwitchedSystem._exact`, where a system is sent to
+integers or to the generic loops) exists and every point, target and
+tolerance is a Fraction or an int: an orbit value ``n/d`` is carried as two
+reduced integers and stepped by :func:`~swmix.search.ratio_point_step`,
+which envelope levels and Xiong point searches
+(:func:`~swmix.search.iter_point_hits`) share.  Envelope level keys are
+``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are ``|ny*dx - nx*dy| /
+(dx*dy)``; type-1 levels are sorted and bisected on the integers ``n * (L
+// d)``, with ``L`` the lcm of both levels' denominators.  One Fraction is
+built per row extreme, and the rows, words, truncation and clock charges
+are those of the generic Fraction loop.  Globally affine type-2 envelopes
+without a clamp follow the orbit difference instead.
 """
 
 from __future__ import annotations
@@ -48,6 +44,7 @@ from .language import accepts_prefix
 from .search import (
     SearchBudget,
     SearchClock,
+    _ratio_pairs,
     iter_point_hits,
     ratio_point_step,
     step_points,
@@ -218,9 +215,10 @@ def distance_envelope(
     else:
         step = ratio_point_step(system, (x, y))
         exact = step is not None
-        if not exact:
-            step = partial(step_points, system)
-        x0, y0 = (x.as_integer_ratio(), y.as_integer_ratio()) if exact else ((x,), (y,))
+        if exact:
+            x0, y0 = _ratio_pairs((x,)), _ratio_pairs((y,))
+        else:
+            step, x0, y0 = partial(step_points, system), (x,), (y,)
         # Type 2 steps both points in one level, type 1 each in its own.
         roots = [x0 + y0] if kind == "type2" else [x0, y0]
     if kind == "type2":

@@ -34,26 +34,31 @@ and cached on the map (:meth:`PiecewiseAffineMap._ratio_pieces`).  With
 ``x = n/d`` the image of ``x`` is ``(a*n + b*d) / (c*d)`` and its pull-back
 ``(ia*n + ib*d) / (ic*d)``; two endpoints compare by cross-multiplying.
 
-* :meth:`PiecewiseAffineMap.value_at` takes that path for a Fraction point
-  and builds one Fraction.
+A system decides once whether it runs on integers:
+:meth:`SwitchedSystem._exact` is its exact form, every map's table, its
+point rows and the clamp box's row, or None in float mode, for a map that is
+not exact, or for a clamp box with a finite float end.  Every integer path
+of a system reads that one form -- :func:`eval_interval`,
+:func:`word_preimage`, :func:`swmix.hitting.pull_back_hit`, the set and
+point searches of :mod:`swmix.search` and the orbit levels of
+:mod:`swmix.chaos` -- and takes the generic loops when it is None or when
+an input end or value is a finite float.
+
+* :meth:`PiecewiseAffineMap.value_at` reads its own map's table for a
+  Fraction point and builds one Fraction.
 * Sets are carried as rows (:mod:`swmix.intervals`): one ``(lo_n, lo_d,
   hi_n, hi_d)`` per component, every computed end reduced by ``gcd`` with
   ``d > 0`` and an infinite end ``(-1, 0)`` or ``(1, 0)`` whatever the
   slope, so equal sets have equal rows.  :func:`_image_rows` and
-  :func:`_preimage_rows` are the one kernel per direction.
-  :func:`image_of` and :func:`preimage` run one step of it;
-  :func:`eval_interval` and :func:`word_preimage` step a whole word on rows
-  when the system is exact (:meth:`SwitchedSystem._ratio_tables`) and every
-  input endpoint is a Fraction, an int or infinite.  Each builds Fractions,
-  Intervals and an IntervalSet only for the set it returns.  The kernels
-  keep every tie rule of the generic loops, so the results equal theirs in
-  value, type and repr: an image's ends are computed Fractions or
-  infinities, and a preimage end cut by a domain end lying strictly inside
-  is that domain end's own object, an int included, which its row carries
-  to the result.
-
-Float maps, float endpoints, int points and float mode take the generic
-loops, which are the only sound ones for floats.
+  :func:`_preimage_rows` are the one kernel per direction;
+  :func:`image_of` and :func:`preimage` run one step of it, and
+  :func:`eval_interval` and :func:`word_preimage` a whole word.  Each
+  builds Fractions, Intervals and an IntervalSet only for the set it
+  returns.  The kernels keep every tie rule of the generic loops, so the
+  results equal theirs in value, type and repr: an image's ends are
+  computed Fractions or infinities, and a preimage end cut by a domain end
+  lying strictly inside is that domain end's own object, an int included,
+  which its row carries to the result.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
 from .intervals import (
@@ -71,6 +76,7 @@ from .intervals import (
     Interval,
     IntervalSet,
     Scalar,
+    _Ratio,
     _normalise_rows,
     _ratio_end,
     _ratio_rows,
@@ -337,6 +343,14 @@ class Numerics:
         return 2 * self.tau if self.mode == "float" else 0
 
 
+class _Exact(NamedTuple):
+    """A system's exact form (:meth:`SwitchedSystem._exact`)."""
+
+    tables: tuple[tuple[tuple, ...], ...]  # every map's _ratio_pieces()
+    points: tuple[tuple[tuple, ...], ...]  # every map's _point_rows
+    box: _Ratio | None  # the clamp box's row; None when the system does not clamp
+
+
 @dataclass(frozen=True)
 class SwitchedSystem:
     """Map family + switching language + working box.
@@ -371,19 +385,28 @@ class SwitchedSystem:
     def m(self) -> int:
         return len(self.maps)
 
-    def _ratio_tables(self) -> tuple[tuple[tuple, ...], ...] | None:
-        """Every map's integer table (:meth:`PiecewiseAffineMap._ratio_pieces`),
-        or None in float mode or when a map is not exact; built on the first
-        call and cached like the tables themselves."""
+    def _exact(self) -> _Exact | None:
+        """The system's exact form, or None in float mode, when a map is not
+        exact, or when the clamp box has a finite float end.
+
+        Every integer path of the package reads it, so this is the one place
+        where a system is sent to rows or to the generic loops.  Built on the
+        first call and cached like the maps' tables; a plain attribute, so
+        equality and repr are unchanged.
+        """
         try:
-            return self._tables
+            return self._exact_form
         except AttributeError:
             pass
-        tables = tuple(pam._ratio_pieces() for pam in self.maps)
-        if self.numerics.widen or any(t is None for t in tables):
-            tables = None
-        object.__setattr__(self, "_tables", tables)
-        return tables
+        form = None
+        if not self.numerics.widen:
+            tables = tuple(pam._ratio_pieces() for pam in self.maps)
+            lo, hi = _ratio_end(self.bounds.lo), _ratio_end(self.bounds.hi)
+            if None not in tables and not (self.clamp and None in (lo, hi)):
+                points = tuple(pam._point_rows for pam in self.maps)
+                form = _Exact(tables, points, lo + hi if self.clamp else None)
+        object.__setattr__(self, "_exact_form", form)
+        return form
 
     def inside_kill_box(self, values: IntervalSet) -> bool:
         return values.touches_closed(self.bounds.lo, self.bounds.hi)
@@ -533,10 +556,10 @@ def eval_interval(
     build the result's endpoints once, at the end.
     """
     symbols = _check_word(system, word)
-    tables = system._ratio_tables()
-    rows = _ratio_rows(sets.components) if tables is not None else None
+    exact = system._exact()
+    rows = _ratio_rows(sets.components) if exact is not None else None
     if rows is not None:
-        return _rows_set(_word_image_rows(tables, symbols, rows, partial))
+        return _rows_set(_word_image_rows(exact.tables, symbols, rows, partial))
     widen = system.numerics.widen
     current = sets
     for sym in symbols:
@@ -651,12 +674,12 @@ def word_preimage(
     build the result's endpoints once, at the end.
     """
     symbols = _check_word(system, word)
-    tables = system._ratio_tables()
-    rows = _ratio_rows(target.components) if tables is not None else None
+    exact = system._exact()
+    rows = _ratio_rows(target.components) if exact is not None else None
     if rows is not None:
         if not rows:
             return target
-        return _pulled_set(_word_preimage_rows(tables, symbols, rows))
+        return _pulled_set(_word_preimage_rows(exact.tables, symbols, rows))
     widen = system.numerics.widen
     current = target
     for sym in reversed(symbols):

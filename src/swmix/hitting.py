@@ -12,22 +12,23 @@ Everything a certificate asserts is carried as a :class:`HitWitness` that
 re-checks against the core evaluator alone, independent of how the search
 found it.  A set witness's source comes from :func:`pull_back_hit`: the
 leftmost overlap of f_w(U) with V pulled back and cut by U, kept only when
-its image lands in V again.  For an exact system all three passes run on
-the integer rows of :mod:`swmix.core`, and only the returned set is built.
+its image lands in V again.  When the system's exact form
+(:meth:`swmix.core.SwitchedSystem._exact`, where a system is sent to
+integers or to the generic loops) exists and the sets' ends are exact, all
+three passes run on the integer rows of :mod:`swmix.core`, and only the
+returned set is built.
 
-:func:`order_reduction` rests on :func:`maps_commute`, whose verdict is
-computed once per system and cached on it: exact for globally affine
-families, sampled over the bounding box otherwise, and False for a
-piecewise family on an unbounded box, where samples prove nothing.
+:func:`order_reduction` rests on :func:`maps_commute`, an exact verdict
+computed once per system and cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
+    PiecewiseAffineMap,
     SwitchedSystem,
     _check_word,
     _word_image_rows,
@@ -51,6 +52,7 @@ from .intervals import (
     _ratio_rows,
     _ratio_scalar,
     _rows_inside,
+    is_finite,
 )
 from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, iter_set_hits
@@ -129,7 +131,7 @@ def pull_back_hit(
     trip fails, so the outward-rounded one may still verify; an unbounded
     one cannot be shrunk.  The result is always re-checked, never trusted.
 
-    An exact system (:meth:`SwitchedSystem._ratio_tables`) with every
+    A system with an exact form (:meth:`SwitchedSystem._exact`) and every
     source and target end a Fraction, an int or infinite runs all three
     passes on integer rows and builds only the returned set.  The cuts keep
     ``IntervalSet.intersect``'s endpoint objects: the pulled end on a tie,
@@ -137,12 +139,12 @@ def pull_back_hit(
     strictly inside.
     """
     w = Word(tuple(word))
-    tables = system._ratio_tables()
-    if tables is not None:
+    exact = system._exact()
+    if exact is not None:
         src = _ratio_rows(source.components)
         tgt = _ratio_rows(target.components) if src is not None else None
         if tgt is not None:
-            return _pull_back_rows(tables, _check_word(system, w), source, src, tgt)
+            return _pull_back_rows(exact.tables, _check_word(system, w), source, src, tgt)
     image = eval_interval(system, w, source, partial=True)
     overlap = image.intersect(target)
     if overlap.is_empty:
@@ -422,56 +424,64 @@ def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
     return not missing
 
 
-# Points sampled across the bounding box when a map is piecewise.
-_COMMUTE_SAMPLES = 64
-
-
 def maps_commute(system: SwitchedSystem) -> bool:
-    """Pairwise commutation check for the system's map family.
+    """Whether every two maps f, g of the family commute, f∘g = g∘f,
+    wherever both compositions are defined on the bounding box.
 
-    Exact when every map is globally affine; otherwise a sampled heuristic
-    over the bounding box (orbits through undefined points are skipped).
-    Sampling needs a bounded box: on an unbounded one every sample is
-    infinite or NaN and every orbit would be skipped, so a family that is
-    not globally affine does not commute there.  The verdict is computed on
-    the first call and cached on the system, whose maps and box never change.
+    Decided cell by cell: the box is cut at both maps' breakpoints and at
+    each map's pull-backs of the other's, so on every cell each composition
+    is one affine piece or undefined throughout.  One interior point names
+    the pieces, and the cell passes when the composed coefficients agree or
+    a composition is undefined there.  Exact in rational mode, on bounded
+    and unbounded boxes alike.  The verdict is computed on the first call
+    and cached on the system, whose maps and box never change.
     """
     try:
         return system._commutes
     except AttributeError:
         pass
-    verdict = _maps_commute(system)
+    maps = system.maps
+    verdict = all(
+        _pair_commutes(f, g, system.bounds)
+        for i, f in enumerate(maps)
+        for g in maps[i + 1 :]
+    )
     object.__setattr__(system, "_commutes", verdict)
     return verdict
 
 
-def _maps_commute(system: SwitchedSystem) -> bool:
-    maps = system.maps
-    if all(pam.is_global for pam in maps):
-        # The single effective piece is the map as applied; a fallback may be
-        # shadowed by an explicit whole-line piece.
-        coeffs = [(p.slope, p.offset) for pam in maps for p in pam.effective_pieces]
-        for i, (a_i, b_i) in enumerate(coeffs):
-            for a_j, b_j in coeffs[i + 1 :]:
-                if a_i * b_j + b_i != a_j * b_i + b_j:
-                    return False
-        return True
-    if not system.bounds.bounded:
-        return False
-    lo, hi = system.bounds.lo, system.bounds.hi
-    for k in range(_COMMUTE_SAMPLES):
-        # Fraction weights keep rational-mode samples exact.
-        x = lo + (hi - lo) * Fraction(2 * k + 1, 2 * _COMMUTE_SAMPLES)
-        for i in range(len(maps)):
-            for j in range(i + 1, len(maps)):
-                try:
-                    one = maps[i].value_at(maps[j].value_at(x))
-                    two = maps[j].value_at(maps[i].value_at(x))
-                except UndefinedAtPoint:
-                    continue
-                if one != two:
-                    return False
+def _pair_commutes(f: PiecewiseAffineMap, g: PiecewiseAffineMap, box: Interval) -> bool:
+    cuts = set()
+    for outer, inner in ((f, g), (g, f)):
+        ends = [e for q in outer.effective_pieces for e in (q.domain.lo, q.domain.hi)]
+        ends = [e for e in ends if is_finite(e)]
+        cuts.update(ends)
+        for p in inner.effective_pieces:
+            cuts.update(p.inv_slope * e + p.inv_offset for e in ends)
+    edges = [box.lo, *sorted(c for c in cuts if box.lo < c < box.hi), box.hi]
+    for lo, hi in zip(edges, edges[1:]):
+        if is_finite(lo):
+            x = (lo + hi) / 2 if is_finite(hi) else lo + 1
+        else:
+            x = hi - 1 if is_finite(hi) else 0
+        one, two = _composed(f, g, x), _composed(g, f, x)
+        if one is not None and two is not None and one != two:
+            return False
     return True
+
+
+def _composed(
+    outer: PiecewiseAffineMap, inner: PiecewiseAffineMap, x: Scalar
+) -> tuple[Scalar, Scalar] | None:
+    """Slope and offset of the piece of ``outer ∘ inner`` at ``x``, or None
+    where the composition is undefined at ``x``."""
+    for p in inner.effective_pieces:
+        if p.domain.contains(x):
+            y = p.slope * x + p.offset
+            for q in outer.effective_pieces:
+                if q.domain.contains(y):
+                    return q.slope * p.slope, q.slope * p.offset + q.offset
+    return None
 
 
 def _is_common_hit(

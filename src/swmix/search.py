@@ -2,13 +2,12 @@
 
 Every search is one call of :func:`swmix.language.walk`, the depth-first,
 symbol-ordered walk of the pruned automaton, with a step function that folds
-interval enclosures (:func:`step_images`) or point orbits
-(:func:`step_points`, or :func:`ratio_point_step` on exact inputs) along
-each branch, so a shared prefix is evaluated once.  Branches die when any
-tracked set becomes empty, any tracked point leaves every piece domain, or
--- with the system's clamp flag -- the branch separates entirely from the
-closed bounding box.  The walker charges :meth:`SearchClock.spend` once per
-admissible edge before stepping it.
+interval enclosures or point orbits along each branch, so a shared prefix
+is evaluated once.  Branches die when any tracked set becomes empty, any
+tracked point leaves every piece domain, or -- with the system's clamp flag
+-- the branch separates entirely from the closed bounding box.  The walker
+charges :meth:`SearchClock.spend` once per admissible edge before stepping
+it.
 
 Set steps are also shared across word lengths and spread-table rows: every
 set search steps through a memo held by its :class:`SearchClock`, so each
@@ -17,16 +16,22 @@ mode is computed once per logical search, however many lengths or rows
 reach it.  The clock is still charged for every edge, memoised or not, so
 node counts and budget cut-offs do not depend on the memo.
 
-Exact set searches step integer rows.  When the system is exact and every
-source, target and ``min_overlap`` is a Fraction, an int or infinite,
-:func:`walk_sets` (behind :func:`iter_set_hits` and the spread-table
-search) carries each enclosure as a tuple of rows (:mod:`swmix.intervals`),
-steps it with the row kernel :func:`swmix.core._image_rows` through the
-memo (:func:`_memo_step_rows`) and tests leaves by cross-multiplying.  Rows
+Exact searches step integers.  A search reads its system's exact form
+(:meth:`swmix.core.SwitchedSystem._exact`), the one place where a system is
+sent to integers or to the generic loops, and then checks only its own
+inputs.  With an exact form and every source, target and ``min_overlap`` a
+Fraction, an int or infinite, :func:`walk_sets` (behind
+:func:`iter_set_hits` and the spread-table search) carries each enclosure
+as a tuple of rows (:mod:`swmix.intervals`), steps it with the row kernel
+:func:`swmix.core._image_rows` and tests leaves by cross-multiplying; rows
 are canonical, so memo and dead-subtree keys of rows are equal exactly when
-their sets are, and the search walks the same nodes as one on sets.  The
-sets of a hit are built when it is yielded.  Float mode, float endpoints
-and clamp boxes with finite float ends step sets with :func:`step_images`.
+their sets are, and the search walks the same nodes as one on sets.  With
+an exact form and every start, target and tolerance a Fraction or an int,
+:func:`iter_point_hits` carries the orbits as one flat tuple of reduced
+integer pairs ``(n1, d1, n2, d2, ..)`` (:func:`ratio_point_step`) and
+tests ``|v - t| < eps`` cross-multiplied.  Either way, Fractions are built
+only for the hits yielded; everything else steps sets with
+:func:`step_images` or values with :func:`step_points`.
 
 Refuted subtrees are walked once per logical search.  Each search passes
 its leaf test to the walker, and the clock holds one dead-subtree set per
@@ -37,13 +42,7 @@ entered, within one length and at every later length, so a budget-bound
 search may decide where it would run out without the set.  Hits and their
 order do not depend on the set.
 
-Point steps are not memoised.  When every map is exact and every start,
-target and tolerance is a Fraction or an int, :func:`iter_point_hits`
-carries the orbits as one flat tuple of reduced integer pairs ``(n1, d1,
-n2, d2, ..)``: a step is a few integer products and one ``gcd`` per point,
-and the leaf test ``|v - t| < eps`` is cross-multiplied, so no Fraction is
-built until a hit is yielded.  Float maps, float values and clamp boxes with
-finite float ends step Fractions or floats with :func:`step_points`.
+Point steps are not memoised.
 """
 
 from __future__ import annotations
@@ -55,13 +54,12 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import SwitchedSystem, _image_rows, image_of
+from .core import SwitchedSystem, _Exact, _image_rows, image_of
 from .errors import UndefinedAtPoint, UndefinedOnSet
 from .intervals import (
     IntervalSet,
     Scalar,
     _Ratio,
-    _ratio_end,
     _ratio_rows,
     _rows_inside,
     _rows_meet,
@@ -182,33 +180,35 @@ def step_images(
     return tuple(out)
 
 
-def _memo_step_images(
-    system: SwitchedSystem, clock: SearchClock, partial: bool
-) -> Callable[[tuple[IntervalSet, ...], int], tuple[IntervalSet, ...] | None]:
-    """:func:`step_images` as a walk step, memoised in ``clock`` for this
-    system and mode; dead branches are stored as None."""
+def _memo_step(
+    clock: SearchClock, system: SwitchedSystem, partial: bool, step: Callable, form
+) -> Callable[[tuple, int], tuple | None]:
+    """``step(form, images, sym, partial)`` as a walk step, memoised in
+    ``clock`` for ``system`` and ``partial``; dead branches are stored as
+    None.  ``step`` is :func:`step_images` on sets, with the system as
+    ``form``, or :func:`_step_rows` on rows, with its exact form.  Rows and
+    sets never compare equal, so both kinds of key share one memo."""
     memo = clock._steps.setdefault((id(system), partial), (system, {}))[1]
-    step = step_images
 
     def memo_step(images, sym):
         key = (images, sym)
         try:
             return memo[key]
         except KeyError:
-            child = memo[key] = step(system, images, sym, partial)
+            child = memo[key] = step(form, images, sym, partial)
             return child
 
     return memo_step
 
 
 def _step_rows(
-    table: tuple[tuple, ...],
-    box: _Ratio | None,
+    exact: _Exact,
     images: tuple[tuple[_Ratio, ...], ...],
+    sym: int,
     partial: bool,
 ) -> tuple[tuple[_Ratio, ...], ...] | None:
-    """:func:`step_images` on rows through the map of ``table``; ``box``
-    holds the clamp box's rows, or is None when the system does not clamp."""
+    """:func:`step_images` on rows, with the system's exact form."""
+    table, box = exact.tables[sym], exact.box
     out = []
     for rows in images:
         try:
@@ -219,36 +219,6 @@ def _step_rows(
             return None
         out.append(nxt)
     return tuple(out)
-
-
-def _memo_step_rows(
-    system: SwitchedSystem, clock: SearchClock, partial: bool
-) -> Callable[[tuple, int], tuple | None] | None:
-    """:func:`_memo_step_images` on rows, or None when the system is not
-    exact (float mode, a map without an integer table, or a clamp box with
-    a finite float end).  Its entries share the memo of
-    :func:`_memo_step_images`, whose keys hold sets, never rows."""
-    tables = system._ratio_tables()
-    if tables is None:
-        return None
-    box = None
-    if system.clamp:
-        lo, hi = _ratio_end(system.bounds.lo), _ratio_end(system.bounds.hi)
-        if lo is None or hi is None:
-            return None
-        box = lo + hi
-    memo = clock._steps.setdefault((id(system), partial), (system, {}))[1]
-    step = _step_rows
-
-    def memo_step(images, sym):
-        key = (images, sym)
-        try:
-            return memo[key]
-        except KeyError:
-            child = memo[key] = step(tables[sym], box, images, partial)
-            return child
-
-    return memo_step
 
 
 def step_points(
@@ -271,31 +241,24 @@ def ratio_point_step(
     system: SwitchedSystem, values: Sequence[Scalar]
 ) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None] | None:
     """:func:`step_points` on reduced integer pairs, or None when the
-    system or ``values`` are not exact.
+    system has no exact form (:meth:`~swmix.core.SwitchedSystem._exact`) or
+    a value is not a Fraction or an int.
 
-    Exact means: every value is a Fraction or an int, every map has an
-    integer table (:meth:`~swmix.core.PiecewiseAffineMap._ratio_pieces` is
-    not None) and a clamp box has exact or infinite ends.  The returned
-    ``step(pairs, sym)`` takes the points as one flat tuple ``(n1, d1, n2,
-    d2, ..)`` with ``gcd(n, d) == 1`` and ``d > 0``, so two tuples are equal
-    exactly when their Fraction points are.  A value ``n/d`` steps through
-    the piece with ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n +
-    b*d) / (c*d)``, reduced, and survives the clamp when ``box_lo <= n/d <=
-    box_hi``, cross-multiplied; infinite ends are ``(-1, 0)`` and ``(1,
-    0)``.  The step returns None where :func:`step_points` does.
+    The returned ``step(pairs, sym)`` takes the points as one flat tuple
+    ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_pairs`) with ``gcd(n, d) == 1``
+    and ``d > 0``, so two tuples are equal exactly when their Fraction
+    points are.  A value ``n/d`` steps through the piece with ``lo_n*d <
+    n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``, reduced,
+    and survives the clamp when ``box_lo <= n/d <= box_hi``,
+    cross-multiplied; infinite ends are ``(-1, 0)`` and ``(1, 0)``.  The
+    step returns None where :func:`step_points` does.
     """
-    if any(type(v) is not Fraction and type(v) is not int for v in values):
+    exact = system._exact()
+    if exact is None or any(type(v) is not Fraction and type(v) is not int for v in values):
         return None
-    if any(pam._ratio_pieces() is None for pam in system.maps):
-        return None
-    tables = [pam._point_rows for pam in system.maps]
-    box_lo_n = box_lo_d = box_hi_n = box_hi_d = 0
-    clamp = system.clamp
-    if clamp:
-        lo, hi = _ratio_end(system.bounds.lo), _ratio_end(system.bounds.hi)
-        if lo is None or hi is None:
-            return None
-        (box_lo_n, box_lo_d), (box_hi_n, box_hi_d) = lo, hi
+    tables, box = exact.points, exact.box
+    clamp = box is not None
+    box_lo_n, box_lo_d, box_hi_n, box_hi_d = box or (0, 0, 0, 0)
 
     def step(pairs: tuple[int, ...], sym: int) -> tuple[int, ...] | None:
         table = tables[sym]
@@ -323,6 +286,12 @@ def ratio_point_step(
     return step
 
 
+def _ratio_pairs(values: Iterable[Fraction | int]) -> tuple[int, ...]:
+    """Exact points as the flat ``(n1, d1, n2, d2, ..)`` tuple that the
+    steps of :func:`ratio_point_step` take."""
+    return tuple(r for x in values for r in x.as_integer_ratio())
+
+
 def walk_sets(
     system: SwitchedSystem,
     sources: Sequence[IntervalSet],
@@ -336,9 +305,9 @@ def walk_sets(
     their targets (``intersects`` with the system's ``min_overlap``), or
     with ``inside=True`` all lie inside them (``subset_of``, total images).
 
-    When :func:`_memo_step_rows` accepts the system and every source,
-    target and ``min_overlap`` is exact, the enclosures are stepped as rows
-    and the leaf test is cross-multiplied; a hit's sets are built when it is
+    When the system has an exact form and every source, target and
+    ``min_overlap`` is exact, the enclosures are stepped as rows and the
+    leaf test is cross-multiplied; a hit's sets are built when it is
     yielded.  Otherwise the sets are stepped with :func:`step_images`.  Both
     ways walk the same words and charge the clock alike.  Stops silently
     when the clock runs out (check ``clock.exceeded``).  Subtrees refuted
@@ -349,18 +318,19 @@ def walk_sets(
     test = "subset_of" if inside else "intersects"
     dead = clock.dead_set(system, partial, test, targets)
     min_overlap = system.numerics.min_overlap
-    step = _memo_step_rows(system, clock, partial)
+    exact = system._exact()
     root = goals = (None,)  # a None row: the search steps sets
-    if step is not None and (inside or type(min_overlap) in (Fraction, int)):
+    if exact is not None and (inside or type(min_overlap) in (Fraction, int)):
         root = tuple(_ratio_rows(s.components) for s in sources)
         goals = tuple(_ratio_rows(t.components) for t in targets)
     if None in root or None in goals:
-        step = _memo_step_images(system, clock, partial)
+        step = _memo_step(clock, system, partial, step_images, system)
         root, goals, build = tuple(sources), targets, None
         fits = IntervalSet.subset_of if inside else functools.partial(
             IntervalSet.intersects, min_overlap=min_overlap
         )
     else:
+        step = _memo_step(clock, system, partial, _step_rows, exact)
         build = _rows_set
         if inside:
             fits = _rows_inside
@@ -427,29 +397,27 @@ def iter_point_hits(
     targets = tuple(targets)
     step = ratio_point_step(system, (*starts, *targets, eps))
     if step is None:
-        yield from walk(
-            system.automaton,
-            length,
-            tuple(starts),
-            lambda values, sym: step_points(system, values, sym),
-            clock.spend,
-            lambda values: all(abs(v - t) < eps for v, t in zip(values, targets)),
-            clock.dead_set(system, "points", targets, eps),
-        )
-        return
-    root = tuple(r for x in starts for r in x.as_integer_ratio())
-    en, ed = eps.as_integer_ratio()
-    goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
+        root, mode, decode = tuple(starts), "points", tuple
+        step = functools.partial(step_points, system)
 
-    def near(pairs: tuple[int, ...]) -> bool:
-        for i, tn, td in goals:
-            n, d = pairs[i], pairs[i + 1]
-            if abs(n * td - tn * d) * ed >= en * d * td:
-                return False
-        return True
+        def near(values: tuple[Scalar, ...]) -> bool:
+            return all(abs(v - t) < eps for v, t in zip(values, targets))
 
-    dead = clock.dead_set(system, "ratios", targets, eps)
-    for syms, pairs in walk(system.automaton, length, root, step, clock.spend, near, dead):
-        yield syms, tuple(
-            Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2)
-        )
+    else:
+        root, mode = _ratio_pairs(starts), "ratios"
+        en, ed = eps.as_integer_ratio()
+        goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
+
+        def near(pairs: tuple[int, ...]) -> bool:
+            for i, tn, td in goals:
+                n, d = pairs[i], pairs[i + 1]
+                if abs(n * td - tn * d) * ed >= en * d * td:
+                    return False
+            return True
+
+        def decode(pairs: tuple[int, ...]) -> tuple[Fraction, ...]:
+            return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
+
+    dead = clock.dead_set(system, mode, targets, eps)
+    for syms, values in walk(system.automaton, length, root, step, clock.spend, near, dead):
+        yield syms, decode(values)

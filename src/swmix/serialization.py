@@ -110,6 +110,14 @@ def _int_from_json(what: str, v: Any) -> int:
     return v
 
 
+def _bool_from_json(what: str, v: Any) -> bool:
+    """``v`` itself when it is a bool; a string such as ``"false"``, a
+    number or null raises."""
+    if not isinstance(v, bool):
+        raise ScenarioError(f"{what} must be true or false, got {v!r}")
+    return v
+
+
 def word_to_json(w: Word) -> list[int]:
     return list(w)
 
@@ -252,7 +260,7 @@ def system_from_json(v: Any) -> SwitchedSystem:
             maps=tuple(maps),
             language=language_from_json(v["language"]),
             bounds=bounds,
-            clamp=bool(v.get("clamp", False)),
+            clamp=_bool_from_json("clamp", v.get("clamp", False)),
             numerics=numerics_from_json(v.get("numerics")),
         )
     except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -367,7 +375,7 @@ def wm_certificate_from_json(v: Any) -> WMCertificate:
             lengths=lengths,
             words=words,
             witnesses=witnesses,
-            complete=bool(v.get("exhausted", True)),
+            complete=_bool_from_json("exhausted", v.get("exhausted", True)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad certificate: {exc}") from exc
@@ -446,12 +454,15 @@ def xiong_witness_from_json(v: Any) -> XiongWitness:
             )
             for s in v["stages"]
         )
+        kind = v["kind"]
+        if kind not in ("type1", "type2"):
+            raise ScenarioError(f"unknown witness kind {kind!r}")
         return XiongWitness(
-            kind=v["kind"],
+            kind=kind,
             points=tuple(scalar_from_json(p) for p in v["points"]),
             targets=tuple(scalar_from_json(t) for t in v["targets"]),
             stages=stages,
-            complete=bool(v["complete"]),
+            complete=_bool_from_json("complete", v["complete"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad witness: {exc}") from exc

@@ -560,6 +560,42 @@ def test_verify_fails_an_incomplete_xiong_witness_as_run_does(tmp_path, capsys):
     assert report == {"kind": "xiong", "verified": False}
 
 
+@pytest.mark.parametrize("complete", ["false", "no"])
+def test_verify_rejects_a_xiong_witness_whose_complete_is_not_a_boolean(
+    tmp_path, capsys, complete
+):
+    # The incomplete witness of the test above, with "complete" as a string.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "xiong",
+            "system": CLAMPED_JSON,
+            "params": xiong_params(
+                points=["1/3"], targets=["3/5"], tolerances=["1/5", "1/100000"]
+            ),
+            "budget": {"max_horizon": 3},
+        },
+    )
+    run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    doc["certificate"]["complete"] = complete
+    code, report = run_cli(["verify", write(tmp_path / "tampered.json", doc)], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ScenarioError"
+    assert "complete must be true or false" in report["error"]["message"]
+
+
+def test_run_rejects_a_clamp_flag_that_is_not_a_boolean(tmp_path, capsys):
+    scn = write(tmp_path / "scn.json", spread_scenario(system={**TENT_JSON, "clamp": "false"}))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": "clamp must be true or false, got 'false'",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_scrambled_reports_the_library_defaults(tmp_path, capsys):
     # Without "horizon" and "k" the task reports the defaults of
     # distance_envelope and scrambled_verdict, read from their results.

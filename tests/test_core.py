@@ -19,10 +19,13 @@ from swmix.core import (
     preimage,
     word_preimage,
 )
+from swmix.chaos import distance_envelope
 from swmix.demo import tent_orbit, tent_partition, tent_system
 from swmix.errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
+from swmix.hitting import pull_back_hit
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import FullShift
+from swmix.search import SearchBudget, SearchClock, iter_point_hits, iter_set_hits
 from swmix.words import Word
 
 from helpers import random_system, rotation
@@ -634,3 +637,33 @@ def test_word_preimage_keeps_int_domain_ends_of_the_last_step():
     assert exact_pairs(as_pairs(word_preimage(system, (1, 0), wide))) == exact_pairs(
         [(F(0), F(10)), (F(10), F(20))]
     )
+
+
+def test_exact_form_is_built_once_per_system(monkeypatch):
+    # Every integer path reads the system's one exact form: once it is built,
+    # word images and preimages, pull-backs, set and point searches and
+    # envelope levels read no map's table again.
+    system = SwitchedSystem(
+        maps=(rotation(F(1, 3)), rotation(F(2, 7))),
+        language=FullShift(2),
+        bounds=Interval(F(0), F(1)),
+        clamp=True,
+    )
+    calls = []
+    ratio_pieces = PiecewiseAffineMap._ratio_pieces
+    monkeypatch.setattr(
+        PiecewiseAffineMap, "_ratio_pieces", lambda pam: calls.append(pam) or ratio_pieces(pam)
+    )
+    form = system._exact()
+    assert calls == list(system.maps) and form.box == (0, 1, 1, 1)
+    calls.clear()
+    U, V = IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(3, 10), F(2, 5))
+    word = (0, 0, 1, 1)  # rotates by 2/3 + 4/7 = 5/21 mod 1
+    assert eval_interval(system, word, U) == IntervalSet.of(F(71, 210), F(92, 210))
+    assert word_preimage(system, word, V) == IntervalSet.of(F(13, 210), F(34, 210))
+    assert pull_back_hit(system, word, U, V) is not None
+    clock = SearchClock(SearchBudget())
+    assert word in [syms for syms, _ in iter_set_hits(system, [U], [V], 4, clock)]
+    assert list(iter_point_hits(system, [F(1, 7)], [F(1, 2)], F(1, 2), 2, clock))
+    assert distance_envelope(system, F(1, 7), F(2, 9), horizon=3).rows
+    assert calls == [] and system._exact() is form

@@ -1,12 +1,14 @@
 """Hitting-time sets, weak-mixing certificates, and order reduction."""
 
 import dataclasses
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swmix import hitting
 from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissiblePair, PreconditionFailed
@@ -25,7 +27,14 @@ from swmix.language import ForbiddenWords, FullShift, accepts_prefix
 from swmix.search import SearchBudget
 from swmix.words import Word
 
-from helpers import SLOPES, UNIT, reference_pull_back, rotation_system
+from helpers import (
+    SLOPES,
+    UNIT,
+    random_map,
+    reference_pull_back,
+    reference_value,
+    rotation_system,
+)
 
 CLAMPED = tent_system(clamp=True)
 U = IntervalSet.of(F(0), F(1, 10))
@@ -330,7 +339,7 @@ def test_maps_commute_reads_shadowed_fallback_map_as_applied():
 
 def test_maps_commute_refuses_piecewise_maps_on_an_unbounded_box():
     # f is 2x left of 0 and 3x right of it, g is x + 1: f(g(-1/2)) = 3/2 but
-    # g(f(-1/2)) = 0.  Samples of (-inf, inf) are all NaN and prove nothing.
+    # g(f(-1/2)) = 0, on bounded and unbounded boxes alike.
     f = PiecewiseAffineMap(
         pieces=(
             AffinePiece(Interval(NEG_INF, F(0)), F(2), F(0)),
@@ -346,18 +355,85 @@ def test_maps_commute_refuses_piecewise_maps_on_an_unbounded_box():
         order_reduction(system, whole, whole, whole, whole, Word.of(1))
 
 
+def test_maps_commute_accepts_commuting_piecewise_maps_on_an_unbounded_box():
+    # f is 2x left of 0 and 3x right of it, g is 4x and 5x: both compositions
+    # are 8x left of 0 and 15x right of it.
+    f = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(NEG_INF, F(0)), F(2), F(0)),
+            AffinePiece(Interval(F(0), POS_INF), F(3), F(0)),
+        )
+    )
+    g = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(NEG_INF, F(0)), F(4), F(0)),
+            AffinePiece(Interval(F(0), POS_INF), F(5), F(0)),
+        )
+    )
+    for bounds in (Interval(F(-1), F(1)), Interval(NEG_INF, POS_INF), Interval(NEG_INF, F(0))):
+        system = SwitchedSystem(maps=(f, g), language=FullShift(2), bounds=bounds)
+        assert maps_commute(system)
+
+
+def test_maps_commute_finds_a_narrow_window_of_difference():
+    # f is 2x - 1/2 on (4995/10000, 5005/10000) and x elsewhere, g is x + 1/10:
+    # the two differ only where g moves x into f's window of width 1/1000.
+    f = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(F(-10), F(4995, 10000)), F(1), F(0)),
+            AffinePiece(Interval(F(4995, 10000), F(5005, 10000)), F(2), F(-1, 2)),
+            AffinePiece(Interval(F(5005, 10000), F(10)), F(1), F(0)),
+        )
+    )
+    g = PiecewiseAffineMap.globally(F(1), F(1, 10))
+    x = F(4001, 10000)
+    assert f.value_at(g.value_at(x)) == F(2501, 5000)
+    assert g.value_at(f.value_at(x)) == F(5001, 10000)
+    system = SwitchedSystem(maps=(f, g), language=FullShift(2), bounds=Interval(F(0), F(1)))
+    assert not maps_commute(system)
+    with pytest.raises(PreconditionFailed, match="does not commute"):
+        order_reduction(system, U, U, V, V, Word.of(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from(["random", "same", "identity"]))
+def test_maps_commute_matches_a_grid_on_random_maps(seed, second):
+    # random_map breaks at k/8 with slopes n/d (n <= 3, d <= 2) and offsets
+    # i/j (j <= 3), so every breakpoint and every pull-back of one lies on
+    # the grid of 1/72.  Two points in each grid cell then lie in one cell of
+    # both compositions, where two affine maps that agree twice are equal.
+    rng = random.Random(seed)
+    f = random_map(rng)
+    g = {"random": random_map(rng), "same": f, "identity": PiecewiseAffineMap.globally(1, 0)}
+    system = SwitchedSystem(
+        maps=(f, g[second]), language=FullShift(2), bounds=Interval(F(0), F(1))
+    )
+
+    def composed(outer, inner, x):
+        y = reference_value(inner, x)
+        return None if y is None else reference_value(outer, y)
+
+    want = True
+    for i in range(144):
+        x = F(2 * i + 1, 288)
+        one, two = composed(f, g[second], x), composed(g[second], f, x)
+        if one is not None and two is not None and one != two:
+            want = False
+    assert maps_commute(system) == want
+
+
 def test_commutation_verdict_is_computed_once_per_system(monkeypatch):
     system = rotation_system(F(1, 3), F(2, 7))
     U1, V1 = IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(3, 5), F(7, 10))
     U2, V2 = IntervalSet.of(F(3, 10), F(2, 5)), IntervalSet.of(F(4, 5), F(9, 10))
     s = Word.from_string("0011")
     calls = []
-    value_at = PiecewiseAffineMap.value_at
+    pair_commutes = hitting._pair_commutes
     monkeypatch.setattr(
-        PiecewiseAffineMap, "value_at", lambda pam, x: calls.append(x) or value_at(pam, x)
+        hitting, "_pair_commutes", lambda *args: calls.append(args) or pair_commutes(*args)
     )
     first = order_reduction(system, U1, U2, V1, V2, s)
-    assert calls  # the sampled verdict
+    assert len(calls) == 1  # the verdict on the one pair of maps
     calls.clear()
     assert order_reduction(system, U1, U2, V1, V2, s) == first
     assert calls == []

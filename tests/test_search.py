@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import swmix.search as search
 import swmix.spread as spread
-from swmix.core import PiecewiseAffineMap, SwitchedSystem
+from swmix.core import Numerics, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
@@ -368,9 +368,9 @@ def test_walks_with_a_dead_set_yield_the_plain_walks(system, set_pairs, point_pa
             assert list(walk(aut, n, root, step, leaf=leaf, dead=dead)) == plain
 
 
-# Set searches on rows against the walk they replaced: _memo_step_images as
-# the step, IntervalSet.intersects or subset_of as the leaf test, and one
-# dead set for lengths 1..5, as a length-first search runs them.
+# Set searches on rows against the walk on sets: step_images through the
+# clock's memo as the step, IntervalSet.intersects or subset_of as the leaf
+# test, and one dead set for lengths 1..5, as a length-first search runs them.
 
 WALK_SETS = st.one_of(
     SETS,
@@ -397,8 +397,8 @@ def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, inside, ma
     partial = not inside
     rows_clock = SearchClock(SearchBudget(max_words=max_words))
     sets_clock = SearchClock(SearchBudget(max_words=max_words))
-    assert search._memo_step_rows(system, rows_clock, partial) is not None
-    step = search._memo_step_images(system, sets_clock, partial)
+    assert system._exact() is not None
+    step = search._memo_step(sets_clock, system, partial, step_images, system)
     min_overlap = system.numerics.min_overlap
 
     def leaf(images):
@@ -471,6 +471,39 @@ def test_point_search_path_follows_value_types():
         bounds=CLAMPED.bounds,
     )
     assert search.ratio_point_step(float_maps, exact) is None
+    float_mode = SwitchedSystem(
+        maps=CLAMPED.maps, language=CLAMPED.language, bounds=CLAMPED.bounds,
+        numerics=Numerics(mode="float"),
+    )
+    assert search.ratio_point_step(float_mode, exact) is None
+
+
+def test_set_search_path_follows_value_types(monkeypatch):
+    # The set search counterpart: a finite float clamp end, a float map, float
+    # mode or a float source end keeps the generic loop; a float end of a box
+    # that does not clamp is never read and keeps the rows.
+    calls = []
+    step_rows = search._step_rows
+    monkeypatch.setattr(search, "step_images", lambda *a: calls.append("sets") or step_images(*a))
+    monkeypatch.setattr(search, "_step_rows", lambda *a: calls.append("rows") or step_rows(*a))
+
+    def path(system, source=U):
+        calls.clear()
+        hits = list(iter_set_hits(system, [source], [V], 4, SearchClock(SearchBudget())))
+        assert hits
+        return set(calls)
+
+    def variant(**changes):
+        fields = dict(maps=CLAMPED.maps, language=CLAMPED.language, bounds=CLAMPED.bounds)
+        return SwitchedSystem(**{**fields, "clamp": True, **changes})
+
+    assert path(CLAMPED) == {"rows"}
+    assert path(CLAMPED, IntervalSet.of(0.0, F(1, 10))) == {"sets"}
+    assert path(variant(bounds=Interval(0.0, 1.0))) == {"sets"}
+    assert path(variant(bounds=Interval(0.0, 1.0), clamp=False)) == {"rows"}
+    float_maps = (PiecewiseAffineMap.globally(2.0, 0.0), PiecewiseAffineMap.globally(-2.0, 2.0))
+    assert path(variant(maps=float_maps)) == {"sets"}
+    assert path(variant(numerics=Numerics(mode="float"))) == {"sets"}
 
 
 SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))

@@ -196,6 +196,53 @@ def test_xiong_stage_length_must_be_an_integer(length):
         xiong_witness_from_json(doc)
 
 
+BOOLEANS = ["false", "no", 0, 1, None]
+
+
+@pytest.mark.parametrize("flag", BOOLEANS)
+def test_xiong_complete_must_be_a_boolean(flag):
+    # bool("false") is True: an incomplete witness would read as complete.
+    wit = xiong_witness(
+        CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
+    )
+    doc = xiong_witness_to_json(wit)
+    doc["complete"] = flag
+    with pytest.raises(ScenarioError, match="complete must be true or false"):
+        xiong_witness_from_json(doc)
+
+
+@pytest.mark.parametrize("kind", ["type3", "", None, ["type2"]])
+def test_xiong_kind_must_be_type1_or_type2(kind):
+    wit = xiong_witness(
+        CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
+    )
+    doc = xiong_witness_to_json(wit)
+    doc["kind"] = kind
+    with pytest.raises(ScenarioError, match="unknown witness kind"):
+        xiong_witness_from_json(doc)
+
+
+@pytest.mark.parametrize("flag", BOOLEANS)
+def test_system_clamp_must_be_a_boolean(flag):
+    # bool("false") is True: "clamp": "false" would switch clamping on.
+    doc = system_to_json(TENT)
+    doc["clamp"] = flag
+    with pytest.raises(ScenarioError, match="clamp must be true or false"):
+        system_from_json(doc)
+
+
+@pytest.mark.parametrize("flag", BOOLEANS)
+def test_wm_exhausted_must_be_a_boolean(flag):
+    cert = wm_certificate(
+        CLAMPED, UNIT, UNIT, WM_PAIRS, kind="wm1",
+        budget=SearchBudget(max_horizon=12, required=2),
+    )
+    doc = wm_certificate_to_json(cert)
+    doc["exhausted"] = flag
+    with pytest.raises(ScenarioError, match="exhausted must be true or false"):
+        wm_certificate_from_json(doc)
+
+
 def test_hitting_report_shape():
     report = hitting_sets(
         CLAMPED,
