@@ -86,6 +86,10 @@ class DistanceEnvelope:
     rows: tuple[EnvelopeRow, ...]
     truncated: bool
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("type1", "type2"):
+            raise ValueError(f"unknown envelope kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class ScrambledVerdict:
@@ -304,11 +308,16 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
 def verify_envelope(system: SwitchedSystem, env: DistanceEnvelope) -> bool:
     """Recompute each row's extremes from the stored attaining words.
 
-    False, never an exception, when a row holds the wrong number of words
-    (one per extreme for type 2, two for type 1), a word of the wrong length
-    or one the switching language does not admit, or a word along which an
-    orbit dies.
+    False, never an exception, when the rows are not the lengths 1, 2, ..,
+    r with r at most the horizon (as :func:`distance_envelope` emits them),
+    when a row holds the wrong number of words (one per extreme for type 2,
+    two for type 1), a word of the wrong length or one the switching
+    language does not admit, or a word along which an orbit dies.
     """
+    if len(env.rows) > env.horizon or any(
+        row.length != n for n, row in enumerate(env.rows, 1)
+    ):
+        return False
     per_extreme = 1 if env.kind == "type2" else 2
     for row in env.rows:
         if len(row.min_words) != per_extreme or len(row.max_words) != per_extreme:
@@ -388,6 +397,10 @@ class XiongWitness:
     targets: tuple[Scalar, ...]
     stages: tuple[XiongStage, ...]
     complete: bool
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("type1", "type2"):
+            raise ValueError(f"unknown witness kind {self.kind!r}")
 
     def stage_lengths(self) -> tuple[int, ...]:
         return tuple(s.length for s in self.stages)

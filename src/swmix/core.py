@@ -29,32 +29,33 @@ Each :class:`AffinePiece` stores the sign of its slope and its inverse map
 Exact maps are evaluated on integers.  A map is exact when its coefficients
 are Fractions and its domain endpoints are Fractions, ints or infinite; its
 pieces then have one integer form, ``(lo_n, lo_d, hi_n, hi_d, a, b, c,
-positive, ia, ib, ic, lo, hi)``, built on the map's first exact evaluation
-and cached on the map (:meth:`PiecewiseAffineMap._ratio_pieces`).  With
-``x = n/d`` the image of ``x`` is ``(a*n + b*d) / (c*d)`` and its pull-back
-``(ia*n + ib*d) / (ic*d)``; two endpoints compare by cross-multiplying.
+positive, ia, ib, ic, lo, hi)`` (:func:`_ratio_table`).  With ``x = n/d``
+the image of ``x`` is ``(a*n + b*d) / (c*d)`` and its pull-back ``(ia*n +
+ib*d) / (ic*d)``; two endpoints compare by cross-multiplying.
 
 A system decides once whether it runs on integers:
 :meth:`SwitchedSystem._exact` is its exact form, every map's table, its
 point rows and the clamp box's row, or None in float mode, for a map that is
-not exact, or for a clamp box with a finite float end.  Every integer path
-of a system reads that one form -- :func:`eval_interval`,
-:func:`word_preimage`, :func:`swmix.hitting.pull_back_hit`, the set and
-point searches of :mod:`swmix.search` and the orbit levels of
-:mod:`swmix.chaos` -- and takes the generic loops when it is None or when
-an input end or value is a finite float.
+not exact, or for a clamp box with a finite float end.  It is the only place
+that builds the tables, and every integer path reads it --
+:func:`eval_point`, :func:`eval_interval`, :func:`word_preimage`,
+:func:`swmix.hitting.pull_back_hit`, the set and point searches of
+:mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` -- taking the
+generic loops when it is None or when an input end or value is a finite
+float.  :meth:`PiecewiseAffineMap.value_at`, :func:`image_of` and
+:func:`preimage` are those generic loops: the float-mode step, and the
+reference the integer paths are tested against.
 
-* :meth:`PiecewiseAffineMap.value_at` reads its own map's table for a
-  Fraction point and builds one Fraction.
+* A point is carried as a reduced pair ``(n, d)``; :func:`eval_point` steps
+  a whole word on it and builds one Fraction at the end.
 * Sets are carried as rows (:mod:`swmix.intervals`): one ``(lo_n, lo_d,
   hi_n, hi_d)`` per component, every computed end reduced by ``gcd`` with
   ``d > 0`` and an infinite end ``(-1, 0)`` or ``(1, 0)`` whatever the
   slope, so equal sets have equal rows.  :func:`_image_rows` and
   :func:`_preimage_rows` are the one kernel per direction;
-  :func:`image_of` and :func:`preimage` run one step of it, and
-  :func:`eval_interval` and :func:`word_preimage` a whole word.  Each
-  builds Fractions, Intervals and an IntervalSet only for the set it
-  returns.  The kernels keep every tie rule of the generic loops, so the
+  :func:`eval_interval` and :func:`word_preimage` step a whole word on it
+  and build Fractions, Intervals and an IntervalSet only for the set they
+  return.  The kernels keep every tie rule of the generic loops, so the
   results equal theirs in value, type and repr: an image's ends are
   computed Fractions or infinities, and a preimage end cut by a domain end
   lying strictly inside is that domain end's own object, an int included,
@@ -220,95 +221,11 @@ class PiecewiseAffineMap:
         return len(p) == 1 and p[0].domain.lo == NEG_INF and p[0].domain.hi == POS_INF
 
     def value_at(self, x: Scalar) -> Scalar:
-        """``slope*x + offset`` of the piece whose open domain contains ``x``.
-
-        A :class:`Fraction` point on an exact map (rational coefficients,
-        rational, int or infinite domain endpoints) takes the integer path:
-        with ``x = n/d`` the piece test is ``lo_n*d < n*lo_d`` and
-        ``n*hi_d < hi_n*d``, and the image is ``(a*n + b*d) / (c*d)`` built
-        once as a Fraction -- the same value, type and repr as the Fraction
-        expression, without its generic operators.  Infinite endpoints are
-        encoded as ``(-1, 0)`` and ``(1, 0)``, which make those tests true
-        for every ``x``.  The per-piece integers are built on the first such
-        call and cached (:meth:`_ratio_pieces`); other points and maps take
-        the plain piece loop.
-        """
-        if type(x) is Fraction:
-            # The cache read of _ratio_pieces, inlined: point orbits call
-            # value_at so often that the extra method call costs about 1.5 %
-            # of the benchmark's orbits throughput.
-            try:
-                rows = self._point_rows
-            except AttributeError:
-                self._ratio_pieces()
-                rows = self._point_rows
-            if rows is not None:
-                n, d = x.as_integer_ratio()
-                for lo_n, lo_d, hi_n, hi_d, a, b, c in rows:
-                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                        return Fraction(a * n + b * d, c * d)
-                raise UndefinedAtPoint(f"map undefined at {x}")
+        """``slope*x + offset`` of the piece whose open domain contains ``x``."""
         for p in self._effective:
             if p.domain.contains(x):
                 return p.slope * x + p.offset
         raise UndefinedAtPoint(f"map undefined at {x}")
-
-    def _ratio_pieces(self) -> tuple[tuple, ...] | None:
-        """Integer form of the effective pieces for :meth:`value_at`,
-        :func:`image_of` and :func:`preimage`, or None when a coefficient or
-        a finite endpoint is not exact.
-
-        A piece with ``slope = sn/sd``, ``offset = on/od``, inverse slope
-        ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d,
-        hi_n, hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd,
-        isd*iod, lo, hi)``, where ``lo`` and ``hi`` are the domain endpoints
-        themselves; ``_point_rows`` keeps each row's first seven fields, all
-        that a point step reads.  Both are plain attributes, not fields, so
-        equality, hashing and repr are unchanged; both are built on the first
-        exact evaluation and kept for every later call.
-        """
-        try:
-            return self._ratios
-        except AttributeError:
-            pass
-        table = []
-        for p in self._effective:
-            lo, hi = p.domain.lo, p.domain.hi
-            lo_r, hi_r = _ratio_end(lo), _ratio_end(hi)
-            slope, offset = p.slope, p.offset
-            if (
-                lo_r is None
-                or hi_r is None
-                or type(slope) is not Fraction
-                or type(offset) is not Fraction
-            ):
-                ratios = None
-                break
-            sn, sd = slope.as_integer_ratio()
-            on, od = offset.as_integer_ratio()
-            isn, isd = p.inv_slope.as_integer_ratio()
-            ion, iod = p.inv_offset.as_integer_ratio()
-            table.append(
-                (
-                    *lo_r,
-                    *hi_r,
-                    sn * od,
-                    on * sd,
-                    sd * od,
-                    p.positive,
-                    isn * iod,
-                    ion * isd,
-                    isd * iod,
-                    lo,
-                    hi,
-                )
-            )
-        else:
-            ratios = tuple(table)
-        object.__setattr__(self, "_ratios", ratios)
-        points = None if ratios is None else tuple(row[:7] for row in ratios)
-        object.__setattr__(self, "_point_rows", points)
-        return ratios
 
     def covers(self, iv: Interval) -> bool:
         """True iff ``iv`` minus the piece domains has no interior."""
@@ -321,6 +238,49 @@ class PiecewiseAffineMap:
                     return False
                 cursor = max(cursor, hi)
         return cursor >= iv.hi
+
+
+def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...] | None:
+    """Integer form of the map's effective pieces, or None when a
+    coefficient or a finite endpoint is not exact.
+
+    A piece with ``slope = sn/sd``, ``offset = on/od``, inverse slope
+    ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d, hi_n,
+    hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd, isd*iod, lo,
+    hi)``, where ``lo`` and ``hi`` are the domain endpoints themselves.
+    """
+    table = []
+    for p in pam.effective_pieces:
+        lo, hi = p.domain.lo, p.domain.hi
+        lo_r, hi_r = _ratio_end(lo), _ratio_end(hi)
+        slope, offset = p.slope, p.offset
+        if (
+            lo_r is None
+            or hi_r is None
+            or type(slope) is not Fraction
+            or type(offset) is not Fraction
+        ):
+            return None
+        sn, sd = slope.as_integer_ratio()
+        on, od = offset.as_integer_ratio()
+        isn, isd = p.inv_slope.as_integer_ratio()
+        ion, iod = p.inv_offset.as_integer_ratio()
+        table.append(
+            (
+                *lo_r,
+                *hi_r,
+                sn * od,
+                on * sd,
+                sd * od,
+                p.positive,
+                isn * iod,
+                ion * isd,
+                isd * iod,
+                lo,
+                hi,
+            )
+        )
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -346,8 +306,8 @@ class Numerics:
 class _Exact(NamedTuple):
     """A system's exact form (:meth:`SwitchedSystem._exact`)."""
 
-    tables: tuple[tuple[tuple, ...], ...]  # every map's _ratio_pieces()
-    points: tuple[tuple[tuple, ...], ...]  # every map's _point_rows
+    tables: tuple[tuple[tuple, ...], ...]  # every map's _ratio_table()
+    points: tuple[tuple[tuple, ...], ...]  # each table row's first seven fields
     box: _Ratio | None  # the clamp box's row; None when the system does not clamp
 
 
@@ -390,9 +350,9 @@ class SwitchedSystem:
         exact, or when the clamp box has a finite float end.
 
         Every integer path of the package reads it, so this is the one place
-        where a system is sent to rows or to the generic loops.  Built on the
-        first call and cached like the maps' tables; a plain attribute, so
-        equality and repr are unchanged.
+        where a system is sent to rows or to the generic loops, and the only
+        caller of :func:`_ratio_table`.  Built on the first call and cached;
+        a plain attribute, so equality and repr are unchanged.
         """
         try:
             return self._exact_form
@@ -400,10 +360,11 @@ class SwitchedSystem:
             pass
         form = None
         if not self.numerics.widen:
-            tables = tuple(pam._ratio_pieces() for pam in self.maps)
+            tables = tuple(_ratio_table(pam) for pam in self.maps)
             lo, hi = _ratio_end(self.bounds.lo), _ratio_end(self.bounds.hi)
             if None not in tables and not (self.clamp and None in (lo, hi)):
-                points = tuple(pam._point_rows for pam in self.maps)
+                # a point step reads a row's piece test and its image map
+                points = tuple(tuple(row[:7] for row in t) for t in tables)
                 form = _Exact(tables, points, lo + hi if self.clamp else None)
         object.__setattr__(self, "_exact_form", form)
         return form
@@ -425,9 +386,35 @@ def _check_word(system: SwitchedSystem, word: Word | Sequence[int]) -> tuple[int
 
 
 def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) -> Scalar:
-    """Orbit endpoint ``f_w(x)``; raises UndefinedAtPoint when the orbit dies."""
+    """Orbit endpoint ``f_w(x)``; raises UndefinedAtPoint when the orbit dies.
+
+    An exact system and a Fraction or int ``x`` step the whole word on the
+    exact form's point rows: ``n/d`` passes the piece with ``lo_n*d <
+    n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``, reduced,
+    and one Fraction is built at the end -- the value, type and repr of the
+    :meth:`~PiecewiseAffineMap.value_at` loop.
+    """
+    symbols = _check_word(system, word)
+    exact = system._exact()
+    if exact is not None and (type(x) is Fraction or type(x) is int):
+        n, d = x.as_integer_ratio()
+        for step, sym in enumerate(symbols):
+            for lo_n, lo_d, hi_n, hi_d, a, b, c in exact.points[sym]:
+                if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                    n, d = a * n + b * d, c * d
+                    g = gcd(n, d)
+                    if g != 1:
+                        n //= g
+                        d //= g
+                    break
+            else:
+                raise UndefinedAtPoint(
+                    f"orbit undefined at step {step}: map {sym} has no piece at "
+                    f"{Fraction(n, d)}"
+                )
+        return Fraction(n, d)
     value = x
-    for step, sym in enumerate(_check_word(system, word)):
+    for step, sym in enumerate(symbols):
         try:
             value = system.maps[sym].value_at(value)
         except UndefinedAtPoint:
@@ -503,16 +490,8 @@ def image_of(
 
     With ``partial=False`` a positive-width part of the input escaping every
     piece domain raises :class:`UndefinedOnSet`; with ``partial=True`` the
-    uncovered part is silently dropped (search semantics).  An exact map and
-    exact endpoints without widening take one step of the row kernel
-    (module docstring); its results equal the generic loop's in value, type
-    and repr.
+    uncovered part is silently dropped (search semantics).
     """
-    if not widen:
-        table = pam._ratio_pieces()
-        rows = _ratio_rows(sets.components) if table is not None else None
-        if rows is not None:
-            return _rows_set(_image_rows(table, rows, partial))
     out: list[Interval] = []
     for comp in sets:
         cursor = comp.lo
@@ -642,16 +621,7 @@ def _pulled_set(rows) -> IntervalSet:
 
 
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:
-    """Exact preimage of ``target`` inside the map's domain (outer in float mode).
-
-    An exact map and exact endpoints without widening take one step of the
-    row kernel (module docstring), with the same values, types and reprs.
-    """
-    if not widen:
-        table = pam._ratio_pieces()
-        rows = _ratio_rows(target.components) if table is not None else None
-        if rows is not None:
-            return _pulled_set(_preimage_rows(table, rows))
+    """Exact preimage of ``target`` inside the map's domain (outer in float mode)."""
     out: list[Interval] = []
     for p in pam.effective_pieces:
         for comp in target:

@@ -454,11 +454,8 @@ def xiong_witness_from_json(v: Any) -> XiongWitness:
             )
             for s in v["stages"]
         )
-        kind = v["kind"]
-        if kind not in ("type1", "type2"):
-            raise ScenarioError(f"unknown witness kind {kind!r}")
         return XiongWitness(
-            kind=kind,
+            kind=v["kind"],
             points=tuple(scalar_from_json(p) for p in v["points"]),
             targets=tuple(scalar_from_json(t) for t in v["targets"]),
             stages=stages,

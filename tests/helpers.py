@@ -67,8 +67,8 @@ def random_map(rng: random.Random) -> PiecewiseAffineMap:
 
 def reference_value(pam: PiecewiseAffineMap, x):
     """``slope*x + offset`` of the first piece whose open domain holds
-    ``x``, or None: :meth:`PiecewiseAffineMap.value_at` without its integer
-    path."""
+    ``x``, or None: the plain piece loop, written out apart from
+    :meth:`PiecewiseAffineMap.value_at` so that tests can check it."""
     for p in pam.effective_pieces:
         if p.domain.lo < x < p.domain.hi:
             return p.slope * x + p.offset

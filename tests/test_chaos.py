@@ -262,8 +262,19 @@ def test_verify_xiong_fails_a_witness_without_evidence():
 
 
 def _type2_envelope(x, y, words_min, words_max, d_min, d_max) -> DistanceEnvelope:
-    row = EnvelopeRow(2, d_min, d_max, words_min, words_max)
-    return DistanceEnvelope("type2", x, y, 2, (row,), truncated=False)
+    """Rows of lengths 1 and 2 with the same extremes, row 1 on the words'
+    first letters."""
+    rows = tuple(
+        EnvelopeRow(
+            n,
+            d_min,
+            d_max,
+            tuple(w.prefix(n) for w in words_min),
+            tuple(w.prefix(n) for w in words_max),
+        )
+        for n in (1, 2)
+    )
+    return DistanceEnvelope("type2", x, y, 2, rows, truncated=False)
 
 
 def test_verify_envelope_rejects_inadmissible_words():
@@ -279,6 +290,39 @@ def test_verify_envelope_returns_false_where_an_orbit_dies():
     w = (Word((0, 0)),)
     env = _type2_envelope(F(1, 3), F(1, 2), w, w, F(1, 6), F(1, 6))
     assert verify_envelope(ROTATIONS, env) is False
+
+
+def test_xiong_witness_kind_must_be_type1_or_type2():
+    wit = xiong_witness(
+        CLAMPED, (F(2, 5), F(1, 3)), (F(4, 5), F(1, 2)), kind="type1",
+        tolerances=(F(1, 2), F(1, 4)),
+    )
+    assert wit.complete and verify_xiong(CLAMPED, wit)
+    with pytest.raises(ValueError, match="unknown witness kind 'type3'"):
+        dataclasses.replace(wit, kind="type3")
+
+
+def test_distance_envelope_kind_must_be_type1_or_type2():
+    env = distance_envelope(TENT, F(1, 7), F(2, 9), kind="type1", horizon=4)
+    assert verify_envelope(TENT, env)
+    with pytest.raises(ValueError, match="unknown envelope kind 'type3'"):
+        dataclasses.replace(env, kind="type3")
+
+
+def test_verify_envelope_needs_lengths_one_to_r_within_the_horizon():
+    env = distance_envelope(TENT, F(1, 7), F(2, 9), kind="type1", horizon=4)
+    assert [row.length for row in env.rows] == [1, 2, 3, 4]
+    assert verify_envelope(TENT, env)
+    repeated = dataclasses.replace(env, rows=(env.rows[0],) * 3)
+    assert verify_envelope(TENT, repeated) is False
+    # Read as three lengths, the one length would pass k=3 of each threshold.
+    assert scrambled_verdict(repeated, F(1), F(0), k=3).verdict == "supported"
+    for bad in (
+        dataclasses.replace(env, horizon=2),
+        dataclasses.replace(env, rows=env.rows[1:]),
+        dataclasses.replace(env, rows=(env.rows[0], env.rows[2])),
+    ):
+        assert verify_envelope(TENT, bad) is False
 
 
 def test_verify_envelope_returns_false_on_misshaped_rows():

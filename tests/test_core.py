@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from swmix import core
 from swmix.core import (
     AffinePiece,
     Numerics,
@@ -28,7 +29,7 @@ from swmix.language import FullShift
 from swmix.search import SearchBudget, SearchClock, iter_point_hits, iter_set_hits
 from swmix.words import Word
 
-from helpers import random_system, rotation
+from helpers import random_system, reference_value, rotation
 
 TENT = tent_system()
 
@@ -387,14 +388,6 @@ def test_value_at_undefined_on_boundaries(pam, x):
         pam.value_at(x)
 
 
-def reference_value(pam: PiecewiseAffineMap, x):
-    """The plain piece loop: first domain containing x, then slope*x + offset."""
-    for p in pam.effective_pieces:
-        if p.domain.lo < x < p.domain.hi:
-            return p.slope * x + p.offset
-    return None
-
-
 RATIONALS = st.fractions(min_value=-50, max_value=50, max_denominator=60)
 NONZERO = RATIONALS.filter(lambda a: a != 0)
 
@@ -566,9 +559,10 @@ def test_image_of_and_preimage_match_plain_loops(data):
     assert exact_pairs(as_pairs(got)) == exact_pairs(reference_preimage(pam, pairs))
 
 
-# Whole words on rows against the one-step composition: eval_interval and
-# word_preimage step a word on integer rows and build endpoints only for the
-# result, and must return what image_of and preimage return step by step.
+# Whole words on rows against the generic loops: eval_interval, word_preimage
+# and eval_point step a word on integers and build endpoints or a value only
+# for the result, and must return what image_of, preimage and the plain piece
+# loop return step by step.
 
 
 def common_box(maps):
@@ -600,6 +594,27 @@ def outcome(call):
     return exact_pairs(as_pairs(got)), repr(got)
 
 
+def reference_orbit(maps, word, x):
+    """:func:`eval_point` as the plain piece loop, step by step."""
+    value = x
+    for step, sym in enumerate(word):
+        nxt = reference_value(maps[sym], value)
+        if nxt is None:
+            raise UndefinedAtPoint(
+                f"orbit undefined at step {step}: map {sym} has no piece at {value}"
+            )
+        value = nxt
+    return value
+
+
+def point_outcome(call):
+    try:
+        got = call()
+    except UndefinedAtPoint as exc:
+        return "raises", str(exc)
+    return exact(got)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_words_on_rows_match_stepwise_images_and_preimages(data):
@@ -620,6 +635,10 @@ def test_words_on_rows_match_stepwise_images_and_preimages(data):
         assert outcome(lambda: eval_interval(system, word, sets, partial=partial)) == want
     want = outcome(lambda: stepwise(lambda sym, s: preimage(maps[sym], s), sets, word[::-1]))
     assert outcome(lambda: word_preimage(system, word, sets)) == want
+    x = data.draw(exact_endpoints(cuts))  # a Fraction or an int, now and then a cut
+    assert system._exact() is not None
+    want = point_outcome(lambda: reference_orbit(maps, word, x))
+    assert point_outcome(lambda: eval_point(system, word, x)) == want
 
 
 def test_word_preimage_keeps_int_domain_ends_of_the_last_step():
@@ -641,8 +660,8 @@ def test_word_preimage_keeps_int_domain_ends_of_the_last_step():
 
 def test_exact_form_is_built_once_per_system(monkeypatch):
     # Every integer path reads the system's one exact form: once it is built,
-    # word images and preimages, pull-backs, set and point searches and
-    # envelope levels read no map's table again.
+    # point orbits, word images and preimages, pull-backs, set and point
+    # searches and envelope levels build no map's table again.
     system = SwitchedSystem(
         maps=(rotation(F(1, 3)), rotation(F(2, 7))),
         language=FullShift(2),
@@ -650,15 +669,16 @@ def test_exact_form_is_built_once_per_system(monkeypatch):
         clamp=True,
     )
     calls = []
-    ratio_pieces = PiecewiseAffineMap._ratio_pieces
+    ratio_table = core._ratio_table
     monkeypatch.setattr(
-        PiecewiseAffineMap, "_ratio_pieces", lambda pam: calls.append(pam) or ratio_pieces(pam)
+        core, "_ratio_table", lambda pam: calls.append(pam) or ratio_table(pam)
     )
     form = system._exact()
     assert calls == list(system.maps) and form.box == (0, 1, 1, 1)
     calls.clear()
     U, V = IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(3, 10), F(2, 5))
     word = (0, 0, 1, 1)  # rotates by 2/3 + 4/7 = 5/21 mod 1
+    assert eval_point(system, word, F(1, 7)) == F(8, 21)
     assert eval_interval(system, word, U) == IntervalSet.of(F(71, 210), F(92, 210))
     assert word_preimage(system, word, V) == IntervalSet.of(F(13, 210), F(34, 210))
     assert pull_back_hit(system, word, U, V) is not None

@@ -220,7 +220,7 @@ SCENARIOS = {
         },
         "budget": {"max_horizon": 10, "max_words": 50_000, "required": 2},
     },
-    # Point-orbit tasks: every value comes from PiecewiseAffineMap.value_at.
+    # Point-orbit tasks: orbits are stepped on the exact form's integer pairs.
     "xiong-type2": {
         "task": "xiong",
         "system": ROTATIONS,
