@@ -6,8 +6,10 @@ the two orbits, together with lexicographically first words attaining each
 extreme.  Type 2 applies one word to both points; type 1 lets the two points
 ride independent words of equal length.  Envelopes and Xiong witnesses both
 search groups of points: one group of every point for type 2, one group per
-point for type 1.  An envelope steps one orbit level per group and keeps a
-length while every level has orbits left.
+point for type 1.  An envelope steps one orbit level per group with
+:func:`~swmix.search._level_step`, the level stepper that first-hit set
+searches sweep with, and keeps a length while every level has orbits left.
+Xiong witnesses walk depth first (:func:`~swmix.search.iter_point_hits`).
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
@@ -44,6 +46,7 @@ from .language import accepts_prefix
 from .search import (
     SearchBudget,
     SearchClock,
+    _level_step,
     _ratio_pairs,
     iter_point_hits,
     ratio_point_step,
@@ -112,41 +115,15 @@ def _require_finite(what: str, values: Sequence[Scalar]) -> None:
             raise ValueError(f"{what} must be finite, got {x!r}")
 
 
-def _level_step(aut, step, level: dict, clock: SearchClock) -> dict | None:
-    """One synchronous step of a deduplicated orbit level.
-
-    Keys are ``(state, values)`` pairs, values are the lexicographically
-    first word reaching the key; ``step(values, sym)`` gives a child's
-    values, or None where its orbit dies.  Children are inserted in the
-    order of their parents and then of their symbols, so the words of a
-    level increase in insertion order and the first word met for a key or a
-    value is the least.  Each child is inserted with one ``dict.setdefault``,
-    so its key is hashed once.  Returns None when the budget runs out.
-    """
-    out: dict = {}
-    insert, spend = out.setdefault, clock.spend
-    for (state, values), word in level.items():
-        row = aut.transitions[state]
-        for sym in range(aut.m):
-            nxt = row[sym]
-            if nxt < 0:
-                continue
-            if not spend():
-                return None
-            child = step(values, sym)
-            if child is not None:
-                insert((nxt, child), word + (sym,))
-    return out
-
-
 def _type2_row(n: int, level: dict, exact: bool, diff: bool) -> EnvelopeRow:
     """Type-2 extremes of a level in one pass.
 
     A level holds a signed orbit difference (``diff``), a point pair, or a
     ratio pair ``(nx, dx, ny, dy)`` (``exact``), whose distance ``|ny*dx -
     nx*dy| / (dx*dy)`` is compared cross-multiplied and built as one Fraction
-    per extreme.  Words increase in insertion order (:func:`_level_step`),
-    so keeping the first of equal distances keeps the least word.
+    per extreme.  Words increase in insertion order
+    (:func:`~swmix.search._level_step`), so keeping the first of equal
+    distances keeps the least word.
     """
     it = iter(level.items())
     if exact:
@@ -237,10 +214,12 @@ def distance_envelope(
         # A level stepped after another ran out charges a stopped clock only.
         stepped = [_level_step(aut, step, level, clock) for level in levels]
         truncated = None in stepped
-        if truncated or not all(stepped):
+        if truncated:
             break
-        rows.append(row(n, *stepped))
-        levels = stepped
+        levels = [level for level, _ in stepped]
+        if not all(levels):
+            break
+        rows.append(row(n, *levels))
     return DistanceEnvelope(
         kind=kind, x=x, y=y, horizon=horizon, rows=tuple(rows), truncated=truncated
     )
@@ -250,10 +229,11 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
     """Independent-word extremes via sorted values and nearest-neighbour scan.
 
     Each level collapses to its distinct values, each with its least word
-    (the first met, see :func:`_level_step`).  On ratio levels (``exact``)
-    a value ``n/d`` becomes the integer ``n * (L // d)``, where ``L`` is the
-    lcm of both levels' denominators: it sorts, bisects and subtracts like
-    the value, and each extreme is built once as ``Fraction(k, L)``.
+    (the first met, see :func:`~swmix.search._level_step`).  On ratio
+    levels (``exact``) a value ``n/d`` becomes the integer ``n * (L // d)``,
+    where ``L`` is the lcm of both levels' denominators: it sorts, bisects
+    and subtracts like the value, and each extreme is built once as
+    ``Fraction(k, L)``.
     """
 
     def collapse(level: dict) -> dict:

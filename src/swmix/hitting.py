@@ -55,7 +55,7 @@ from .intervals import (
     is_finite,
 )
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, iter_set_hits
+from .search import SearchBudget, SearchClock, first_set_hit, iter_set_hits
 from .words import Word
 
 __all__ = [
@@ -533,9 +533,10 @@ def extend_witness(
     """Extend a hitting word s ∈ N2(U, V) to a strictly longer one.
 
     Finds the first w, in (length, lexicographic) order, with f_w(U) meeting
-    f_s⁻¹(V) ∩ U and w·s admissible, and returns w·s (w applied first); the
-    concatenation hits V from U through the returned intermediate visit to U,
-    so iterating grows an infinite hitting family.
+    f_s⁻¹(V) ∩ U and w·s admissible (one level sweep,
+    :func:`~swmix.search.first_set_hit` with ``suffix=s``), and returns w·s
+    (w applied first); the concatenation hits V from U through the returned
+    intermediate visit to U, so iterating grows an infinite hitting family.
     """
     min_overlap = system.numerics.min_overlap
     img = eval_interval(system, s, U, partial=True)
@@ -545,10 +546,8 @@ def extend_witness(
     if target.is_empty:
         raise EmptyRefinement("pullback of V misses U (numeric slack)")
     clock = SearchClock(budget)
-    for n in clock.lengths(range(1, budget.max_horizon + 1)):
-        for syms, _ in iter_set_hits(system, [U], [target], n, clock):
-            # The automaton is pruned, so an admissible prefix w·s extends.
-            word = Word(syms) + s
-            if accepts_prefix(system.automaton, word):
-                return word
-    raise BudgetExceeded("no extension found within budget")
+    lengths = range(1, budget.max_horizon + 1)
+    hit = first_set_hit(system, [U], [target], lengths, clock, suffix=s)
+    if hit is None:
+        raise BudgetExceeded("no extension found within budget")
+    return Word(hit[0]) + s

@@ -230,8 +230,10 @@ def walk(
     when the walk ends, because ``spend`` stopped it or the consumer closed
     the generator, is not added.  Leaves are tested, never recorded.  One
     set serves any number of walks and lengths that share ``step`` and
-    ``leaf``.
+    ``leaf``.  Raises ValueError for ``n`` below 1.
     """
+    if n < 1:
+        raise ValueError("word length must be at least 1")
     m, transitions = aut.m, aut.transitions
     # A frame is [state, value, next symbol, hits yielded before its push].
     frames: list[list] = [[aut.start, root, 0, 0]]
@@ -273,8 +275,6 @@ def walk(
 
 def enumerate_words(aut: PrunedAutomaton, n: int) -> Iterator[Word]:
     """Yield the admissible words of length ``n`` in lexicographic order."""
-    if n < 1:
-        raise ValueError("word length must be at least 1")
     for syms, _ in walk(aut, n, (), lambda value, sym: value):
         yield Word(syms)
 

@@ -1,48 +1,54 @@
 """Budgeted lexicographic-first searches over admissible words.
 
-Every search is one call of :func:`swmix.language.walk`, the depth-first,
-symbol-ordered walk of the pruned automaton, with a step function that folds
-interval enclosures or point orbits along each branch, so a shared prefix
-is evaluated once.  Branches die when any tracked set becomes empty, any
-tracked point leaves every piece domain, or -- with the system's clamp flag
--- the branch separates entirely from the closed bounding box.  The walker
-charges :meth:`SearchClock.spend` once per admissible edge before stepping
-it.
+A search folds interval enclosures or point orbits along admissible words.
+Branches die when any tracked set becomes empty, any tracked point leaves
+every piece domain, or -- with the system's clamp flag -- the branch
+separates entirely from the closed bounding box.  Every search charges
+:meth:`SearchClock.spend` once per admissible edge before stepping it.
+Searches run in one of two shapes, chosen by what they return:
 
-Set steps are also shared across word lengths and spread-table rows: every
-set search steps through a memo held by its :class:`SearchClock`, so each
-distinct ``(enclosures, symbol)`` step of one system and one ``partial``
-mode is computed once per logical search, however many lengths or rows
-reach it.  The clock is still charged for every edge, memoised or not, so
-node counts and budget cut-offs do not depend on the memo.
+* **Level sweep** -- searches that return only the least hitting word over
+  a set of lengths: :func:`first_set_hit`, and through it the spread-table
+  rows (total images, ``inside=True``) and
+  :func:`~swmix.hitting.extend_witness` (a ``suffix`` that must be readable
+  from the hit's automaton state).  :func:`_level_step` steps one
+  deduplicated level of ``(state, value)`` keys per length, each key with
+  the least word reaching it, and stops at the first new key that passes
+  the leaf test: its word is the least hit of that length, the word a walk
+  would return.  Each distinct key of a length is stepped once; there is no
+  step memo and no dead-subtree set.  :func:`~swmix.chaos.distance_envelope`
+  steps whole levels with the same stepper.
+* **Depth-first walk** -- searches that need several words of a length, or
+  may reject a hit after the search (:func:`iter_set_hits` behind
+  ``hitting_sets`` and ``wm_certificate``, and :func:`iter_point_hits`
+  behind the Xiong witnesses): one call of :func:`swmix.language.walk`,
+  symbol-ordered, so a shared prefix is evaluated once.  Set steps go
+  through a memo held by the :class:`SearchClock`, so each distinct
+  ``(enclosures, symbol)`` step of one system is computed once per logical
+  search, however many lengths reach it.  Refuted subtrees are walked once
+  per logical search: the clock holds one dead-subtree set per system, step
+  mode and leaf test (the targets, and ``eps`` for point searches), the
+  ``(state, value, remaining)`` keys of subtrees that yielded no hit.  A
+  child whose key is recorded is charged and stepped but not entered, at
+  this length and every later one.  Point steps are not memoised.  Neither
+  the memo nor the dead sets change hits or their order, nor whether an
+  edge is charged.
 
 Exact searches step integers.  A search reads its system's exact form
 (:meth:`swmix.core.SwitchedSystem._exact`), the one place where a system is
 sent to integers or to the generic loops, and then checks only its own
 inputs.  With an exact form and every source, target and ``min_overlap`` a
-Fraction, an int or infinite, :func:`walk_sets` (behind
-:func:`iter_set_hits` and the spread-table search) carries each enclosure
-as a tuple of rows (:mod:`swmix.intervals`), steps it with the row kernel
-:func:`swmix.core._image_rows` and tests leaves by cross-multiplying; rows
-are canonical, so memo and dead-subtree keys of rows are equal exactly when
-their sets are, and the search walks the same nodes as one on sets.  With
-an exact form and every start, target and tolerance a Fraction or an int,
-:func:`iter_point_hits` carries the orbits as one flat tuple of reduced
-integer pairs ``(n1, d1, n2, d2, ..)`` (:func:`ratio_point_step`) and
-tests ``|v - t| < eps`` cross-multiplied.  Either way, Fractions are built
-only for the hits yielded; everything else steps sets with
-:func:`step_images` or values with :func:`step_points`.
-
-Refuted subtrees are walked once per logical search.  Each search passes
-its leaf test to the walker, and the clock holds one dead-subtree set per
-system, step mode and leaf test (the targets, and ``eps`` for point
-searches): the ``(state, value, remaining)`` keys of subtrees that yielded
-no hit.  A child whose key is recorded is charged and stepped but not
-entered, within one length and at every later length, so a budget-bound
-search may decide where it would run out without the set.  Hits and their
-order do not depend on the set.
-
-Point steps are not memoised.
+Fraction, an int or infinite, set searches (:func:`_set_search`, shared by
+the sweep and the walker) carry each enclosure as a tuple of rows
+(:mod:`swmix.intervals`), step it with the row kernel
+:func:`swmix.core._image_rows` and test leaves by cross-multiplying; rows
+are canonical, so level, memo and dead-subtree keys of rows are equal
+exactly when their sets are.  With an exact form and every start, target
+and tolerance a Fraction or an int, :func:`iter_point_hits` carries the
+orbits as one flat tuple of reduced integer pairs ``(n1, d1, n2, d2, ..)``
+(:func:`ratio_point_step`) and tests ``|v - t| < eps`` cross-multiplied.
+Either way, Fractions are built only for the hits returned; everything
+else steps sets with :func:`step_images` or values with :func:`step_points`.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from .intervals import (
     _rows_set,
     _rows_touch,
 )
-from .language import walk
+from .language import PrunedAutomaton, walk
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ class SearchBudget:
     many certificate elements to exhibit.
 
     ``max_words`` caps the nodes one :class:`SearchClock` may charge, and so
-    also the size of that search's step memo and dead-subtree sets.
+    also the size of that search's step memo, dead-subtree sets and levels.
     """
 
     max_horizon: int = 12
@@ -103,14 +109,15 @@ class SearchClock:
 
     :meth:`spend` charges one node and returns False once the node budget or
     the deadline is spent; from then on every call returns False, so a clock
-    shared between searches stops them all.  Every length-first search
-    iterates :meth:`lengths`, the one place where running out stops it.
+    shared between searches stops them all.  Every length-first walk
+    iterates :meth:`lengths`, the one place where running out stops it; a
+    level sweep stops at the first refused charge.
 
-    The clock also owns the search's memo of set steps, one table per
-    ``(system, partial)`` pair, and its dead-subtree sets (:meth:`dead_set`).
-    A memo entry is added only after a charged edge, and a dead key only
-    for a charged node or a walk's root, so ``budget.max_words`` bounds
-    both as well as the node count.
+    The clock also owns the walker's memo of set steps, one table per
+    system, and its dead-subtree sets (:meth:`dead_set`).  A memo entry is
+    added only after a charged edge, and a dead key only for a charged node
+    or a walk's root, so ``budget.max_words`` bounds both as well as the
+    node count.
     """
 
     def __init__(self, budget: SearchBudget):
@@ -120,10 +127,10 @@ class SearchClock:
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
-        # (id(system), partial) -> (system, {(images, sym): child or None}),
-        # images being sets, or rows on exact searches; holding the system
-        # keeps its id from being reused while the clock lives.
-        self._steps: dict[tuple[int, bool], tuple[SwitchedSystem, dict]] = {}
+        # id(system) -> (system, {(images, sym): child or None}), images
+        # being sets, or rows on exact searches; holding the system keeps
+        # its id from being reused while the clock lives.
+        self._steps: dict[int, tuple[SwitchedSystem, dict]] = {}
         # (id(system), *test) -> (system, {(state, value, remaining)}).
         self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
 
@@ -181,21 +188,19 @@ def step_images(
 
 
 def _memo_step(
-    clock: SearchClock, system: SwitchedSystem, partial: bool, step: Callable, form
+    clock: SearchClock, system: SwitchedSystem, step: Callable[[tuple, int], tuple | None]
 ) -> Callable[[tuple, int], tuple | None]:
-    """``step(form, images, sym, partial)`` as a walk step, memoised in
-    ``clock`` for ``system`` and ``partial``; dead branches are stored as
-    None.  ``step`` is :func:`step_images` on sets, with the system as
-    ``form``, or :func:`_step_rows` on rows, with its exact form.  Rows and
-    sets never compare equal, so both kinds of key share one memo."""
-    memo = clock._steps.setdefault((id(system), partial), (system, {}))[1]
+    """``step(images, sym)`` of ``system`` memoised in ``clock``; dead
+    branches are stored as None.  Rows and sets never compare equal, so
+    both kinds of key share one memo."""
+    memo = clock._steps.setdefault(id(system), (system, {}))[1]
 
     def memo_step(images, sym):
         key = (images, sym)
         try:
             return memo[key]
         except KeyError:
-            child = memo[key] = step(form, images, sym, partial)
+            child = memo[key] = step(images, sym)
             return child
 
     return memo_step
@@ -203,9 +208,9 @@ def _memo_step(
 
 def _step_rows(
     exact: _Exact,
+    partial: bool,
     images: tuple[tuple[_Ratio, ...], ...],
     sym: int,
-    partial: bool,
 ) -> tuple[tuple[_Ratio, ...], ...] | None:
     """:func:`step_images` on rows, with the system's exact form."""
     table, box = exact.tables[sym], exact.box
@@ -219,6 +224,46 @@ def _step_rows(
             return None
         out.append(nxt)
     return tuple(out)
+
+
+def _level_step(
+    aut: PrunedAutomaton,
+    step: Callable,
+    level: dict,
+    clock: SearchClock,
+    leaf: Callable[[tuple], bool] | None = None,
+) -> tuple[dict, tuple | None] | None:
+    """One synchronous step of a deduplicated level: ``(next level, hit)``,
+    or None when the budget runs out.
+
+    A level maps ``(state, values)`` keys to the lexicographically first
+    word reaching them; ``step(values, sym)`` gives a child's values, or
+    None where its branch dies.  The clock is charged once per
+    admissible edge, before its step.  Children are inserted in the order
+    of their parents and then of their symbols, so the words of a level
+    increase in insertion order and the first word met for a key or a
+    value is the least.  Each child is inserted with one
+    ``dict.setdefault``, so its key is hashed once.  With ``leaf``, the step
+    stops at the first new child key that passes ``leaf(key)`` and returns
+    it with its word as ``hit``: the least word of the level that passes.
+    Otherwise ``hit`` is None and the level is complete.
+    """
+    out: dict = {}
+    insert, spend = out.setdefault, clock.spend
+    for (state, values), word in level.items():
+        row = aut.transitions[state]
+        for sym in range(aut.m):
+            nxt = row[sym]
+            if nxt < 0:
+                continue
+            if not spend():
+                return None
+            child = step(values, sym)
+            if child is not None:
+                key, w = (nxt, child), word + (sym,)
+                if insert(key, w) is w and leaf is not None and leaf(key):
+                    return out, (key, w)
+    return out, None
 
 
 def step_points(
@@ -292,57 +337,44 @@ def _ratio_pairs(values: Iterable[Fraction | int]) -> tuple[int, ...]:
     return tuple(r for x in values for r in x.as_integer_ratio())
 
 
-def walk_sets(
+def _set_search(
     system: SwitchedSystem,
     sources: Sequence[IntervalSet],
-    targets: Sequence[IntervalSet],
-    length: int,
-    clock: SearchClock,
-    inside: bool = False,
-) -> Iterator[tuple[tuple[int, ...], tuple[IntervalSet, ...]]]:
-    """Yield, in lexicographic order, every admissible word of exactly
-    ``length`` whose branch survives and whose final enclosures all meet
-    their targets (``intersects`` with the system's ``min_overlap``), or
-    with ``inside=True`` all lie inside them (``subset_of``, total images).
+    targets: tuple[IntervalSet, ...],
+    inside: bool,
+) -> tuple[tuple, Callable, Callable[[tuple], bool], Callable | None]:
+    """``(root, step, fits, build)`` of a set search, shared by the sweep
+    and the walker.
 
-    When the system has an exact form and every source, target and
-    ``min_overlap`` is exact, the enclosures are stepped as rows and the
-    leaf test is cross-multiplied; a hit's sets are built when it is
-    yielded.  Otherwise the sets are stepped with :func:`step_images`.  Both
-    ways walk the same words and charge the clock alike.  Stops silently
-    when the clock runs out (check ``clock.exceeded``).  Subtrees refuted
-    for the same targets and test earlier on ``clock`` are skipped.
+    ``fits(values)`` passes when every final enclosure meets its target
+    (``intersects`` with the system's ``min_overlap``, partial images), or
+    with ``inside`` lies inside it (``subset_of``, total images).  When the
+    system has an exact form and every source, target and ``min_overlap``
+    is exact, the enclosures are rows stepped by :func:`_step_rows`, the
+    test is cross-multiplied and ``build`` turns rows back into sets;
+    otherwise they are sets stepped by :func:`step_images`, and ``build`` is
+    None.  Both ways step the same words.
     """
     partial = not inside
-    targets = tuple(targets)
-    test = "subset_of" if inside else "intersects"
-    dead = clock.dead_set(system, partial, test, targets)
     min_overlap = system.numerics.min_overlap
     exact = system._exact()
-    root = goals = (None,)  # a None row: the search steps sets
     if exact is not None and (inside or type(min_overlap) in (Fraction, int)):
         root = tuple(_ratio_rows(s.components) for s in sources)
         goals = tuple(_ratio_rows(t.components) for t in targets)
-    if None in root or None in goals:
-        step = _memo_step(clock, system, partial, step_images, system)
-        root, goals, build = tuple(sources), targets, None
-        fits = IntervalSet.subset_of if inside else functools.partial(
-            IntervalSet.intersects, min_overlap=min_overlap
-        )
+        if None not in root and None not in goals:
+            if inside:
+                test = _rows_inside
+            else:
+                m_n, m_d = min_overlap.as_integer_ratio()
+                test = functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
+            step = functools.partial(_step_rows, exact, partial)
+            return root, step, lambda values: all(map(test, values, goals)), _rows_set
+    if inside:
+        test = IntervalSet.subset_of
     else:
-        step = _memo_step(clock, system, partial, _step_rows, exact)
-        build = _rows_set
-        if inside:
-            fits = _rows_inside
-        else:
-            m_n, m_d = min_overlap.as_integer_ratio()
-            fits = functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
-
-    def leaf(values):
-        return all(map(fits, values, goals))
-
-    for syms, values in walk(system.automaton, length, root, step, clock.spend, leaf, dead):
-        yield syms, values if build is None else tuple(map(build, values))
+        test = functools.partial(IntervalSet.intersects, min_overlap=min_overlap)
+    step = functools.partial(step_images, system, partial=partial)
+    return tuple(sources), step, lambda values: all(map(test, values, targets)), None
 
 
 def iter_set_hits(
@@ -353,11 +385,22 @@ def iter_set_hits(
     clock: SearchClock,
 ) -> Iterator[tuple[tuple[int, ...], tuple[IntervalSet, ...]]]:
     """Yield, in lexicographic order, every admissible word of exactly
-    ``length`` whose branch survives and whose final enclosures all meet their
-    targets (:func:`walk_sets`).  Stops silently when the clock runs out
-    (check ``clock.exceeded``).
+    ``length`` whose branch survives and whose final enclosures all meet
+    their targets (``intersects`` with the system's ``min_overlap``), with
+    those enclosures.
+
+    The words are walked by :func:`~swmix.language.walk` through the
+    clock's step memo and dead-subtree set.  On rows (:func:`_set_search`)
+    a hit's sets are built when it is yielded.  Stops silently when the
+    clock runs out (check ``clock.exceeded``); raises ValueError for a
+    ``length`` below 1.
     """
-    yield from walk_sets(system, sources, targets, length, clock)
+    targets = tuple(targets)
+    root, step, fits, build = _set_search(system, sources, targets, inside=False)
+    step = _memo_step(clock, system, step)
+    dead = clock.dead_set(system, targets)
+    for syms, values in walk(system.automaton, length, root, step, clock.spend, fits, dead):
+        yield syms, values if build is None else tuple(map(build, values))
 
 
 def first_set_hit(
@@ -366,11 +409,51 @@ def first_set_hit(
     targets: Sequence[IntervalSet],
     lengths: Sequence[int],
     clock: SearchClock,
+    inside: bool = False,
+    suffix: Sequence[int] = (),
 ) -> tuple[tuple[int, ...], tuple[IntervalSet, ...]] | None:
-    """First hit over the given lengths in (length, lexicographic) order."""
-    for n in clock.lengths(lengths):
-        for hit in iter_set_hits(system, sources, targets, n, clock):
-            return hit
+    """First hit over the given lengths in (length, lexicographic) order,
+    with its final enclosures, or None.
+
+    A hit is a word whose branch survives and whose final enclosures all
+    meet their targets, or with ``inside=True`` all lie inside them (total
+    images); with a ``suffix``, the word followed by ``suffix`` must also be
+    admissible.  The search runs on one level sweep (:func:`_level_step`)
+    from length 1 to the longest given length, testing leaves at the given
+    lengths only, so each distinct ``(state, enclosures)`` key of a length
+    is stepped once, and the first new key that passes holds the least hit.
+    Returns None when the clock runs out (check ``clock.exceeded``) or every
+    branch dies; raises ValueError for a length below 1.
+    """
+    wanted = set(lengths)
+    if any(n < 1 for n in wanted):
+        raise ValueError("word length must be at least 1")
+    aut = system.automaton
+    root, step, fits, build = _set_search(system, sources, tuple(targets), inside)
+
+    def reads(state: int) -> bool:
+        for sym in suffix:
+            state = aut.step(state, sym)
+            if state < 0:
+                return False
+        return True
+
+    readable = set(filter(reads, range(aut.num_states)))
+
+    def leaf(key: tuple) -> bool:
+        return key[0] in readable and fits(key[1])
+
+    level = {(aut.start, root): ()}
+    for n in range(1, max(wanted, default=0) + 1):
+        stepped = _level_step(aut, step, level, clock, leaf if n in wanted else None)
+        if stepped is None:
+            return None
+        level, hit = stepped
+        if hit is not None:
+            (_, values), word = hit
+            return word, values if build is None else tuple(map(build, values))
+        if not level:
+            return None
     return None
 
 

@@ -7,7 +7,11 @@ covering Q, a word of length k (1/k < eps) mapping each ball B(z_i, delta)
 inside B(net[alpha[i]], eps).  The builder fixes candidate centers up front
 (grid anchors inside the common part of the seed sets) and searches one word
 per table row from the same start balls, so no row ever disturbs another;
-the table assembles row by row or fails on a named assignment.  The final
+the table assembles row by row or fails on a named assignment.  A row's
+word is the least one over the length range whose total images land inside
+the row's balls: :func:`~swmix.search.first_set_hit` with ``inside=True``,
+one level sweep per row, which steps each distinct (state, enclosures) key
+of a length once and shares no steps with other rows.  The final
 delta is then read off the intersection of all row pullbacks: the largest
 power of two whose center balls still satisfy every recorded row at once.
 
@@ -42,7 +46,7 @@ from .errors import (
 from .geometry import CompactRep
 from .intervals import Interval, IntervalSet, Scalar, covers_closed_interval
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, walk_sets
+from .search import SearchBudget, SearchClock, first_set_hit
 from .words import Word
 
 __all__ = [
@@ -142,21 +146,6 @@ def _dyadic_below(bound: Scalar, eps: Scalar) -> Scalar:
     while d >= eps or d > bound:
         d = d / 2
     return float(d) if isinstance(bound, float) else d
-
-
-def _inclusion_word(
-    system: SwitchedSystem,
-    sources: Sequence[IntervalSet],
-    targets: Sequence[IntervalSet],
-    lengths: Sequence[int],
-    clock: SearchClock,
-) -> Word | None:
-    """Shortest, then lexicographically first, admissible word whose total
-    image of every source lands inside the matching target."""
-    for length in clock.lengths(lengths):
-        for syms, _ in walk_sets(system, sources, targets, length, clock, inside=True):
-            return Word(syms)
-    return None
 
 
 def _grid(lo: Scalar, hi: Scalar, g: int) -> list[Scalar]:
@@ -265,13 +254,12 @@ def certify_spread(
         lengths = range(k0, hi + 1)
         found: dict[tuple[int, ...], Word] = {}
         for alpha in order:
-            word = _inclusion_word(
-                system, sources, [net.ball(a, eps) for a in alpha], lengths, clock
-            )
-            if word is None:
+            balls = [net.ball(a, eps) for a in alpha]
+            hit = first_set_hit(system, sources, balls, lengths, clock, inside=True)
+            if hit is None:
                 failed = alpha
                 break
-            found[alpha] = word
+            found[alpha] = Word(hit[0])
         if len(found) < len(order):
             if clock.exceeded:
                 break

@@ -1,5 +1,6 @@
 """Shared builders for the test suite: circle rotations, random systems, a
-plain reference evaluation of maps and a reference pull-back of hits."""
+plain reference evaluation of maps, a reference pull-back of hits and a
+reference first-hit search."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from swmix.core import (
     word_preimage,
 )
 from swmix.intervals import Interval, IntervalSet
-from swmix.language import ForbiddenWords, FullShift
+from swmix.language import ForbiddenWords, FullShift, accepts_prefix, walk
+from swmix.search import step_images
 
 BOX = Interval(Fraction(0), Fraction(1))
 UNIT = IntervalSet.of(Fraction(0), Fraction(1))
@@ -112,3 +114,27 @@ def random_system(rng: random.Random, max_alphabet: int = 3) -> SwitchedSystem:
         bounds=BOX,
         clamp=rng.random() < 0.5,
     )
+
+
+def reference_first_set_hit(system, sources, targets, lengths, inside=False, suffix=()):
+    """:func:`swmix.search.first_set_hit` as depth-first walks: each length
+    in increasing order walked by :func:`swmix.language.walk` over
+    :func:`swmix.search.step_images` on sets, with no memo or dead set; the
+    first word whose enclosures meet their targets (with ``inside``, lie
+    inside them on total images) and that ``suffix`` extends admissibly,
+    with its enclosures, or None."""
+    min_overlap = system.numerics.min_overlap
+
+    def step(images, sym):
+        return step_images(system, images, sym, partial=not inside)
+
+    def leaf(images):
+        if inside:
+            return all(img.subset_of(t) for img, t in zip(images, targets))
+        return all(img.intersects(t, min_overlap) for img, t in zip(images, targets))
+
+    for n in sorted(set(lengths)):
+        for syms, images in walk(system.automaton, n, tuple(sources), step, leaf=leaf):
+            if accepts_prefix(system.automaton, syms + tuple(suffix)):
+                return syms, images
+    return None

@@ -503,14 +503,16 @@ def test_extend_witness_returns_only_admissible_words():
 
 
 def test_extend_witness_node_budget():
-    # The first extension, 01101 + 01, is found on the 28th charge.
+    # The first extension, 01101 + 01, is found on the 10th charge: the
+    # search steps one level of distinct (state, enclosure) keys per length
+    # (the depth-first walk it replaced charged 28).
     U0 = IntervalSet.of(F(3, 10), F(7, 20))
     V0 = IntervalSet.of(F(3, 4), F(4, 5))
     s = Word.from_string("01")
-    word = extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=28))
+    word = extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=10))
     assert word == Word.from_string("0110101")
     with pytest.raises(BudgetExceeded, match="^no extension found within budget$"):
-        extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=27))
+        extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=9))
 
 
 def test_extend_witness_requires_a_hit():

@@ -4,16 +4,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import swmix.search as search
 import swmix.spread as spread
-from swmix.core import Numerics, PiecewiseAffineMap, SwitchedSystem
+from swmix.core import Numerics, PiecewiseAffineMap, SwitchedSystem, word_preimage
 from swmix.demo import tent_system
-from swmix.errors import BudgetExceeded
+from swmix.errors import BudgetExceeded, EmptyLanguage, EmptyRefinement, PreconditionFailed
+from swmix.hitting import extend_witness
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
-from swmix.language import ForbiddenWords, FullShift, walk
+from swmix.language import Dfa, ForbiddenWords, FullShift, compile_language, walk
 from swmix.search import (
     SearchBudget,
     SearchClock,
@@ -24,8 +25,16 @@ from swmix.search import (
     step_points,
 )
 from swmix.spread import QNet, build_qnet, certify_spread
+from swmix.words import Word
 
-from helpers import UNIT, random_system, reference_value, rotation_system
+from helpers import (
+    UNIT,
+    random_map,
+    random_system,
+    reference_first_set_hit,
+    reference_value,
+    rotation_system,
+)
 
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
@@ -96,10 +105,42 @@ def test_clock_lengths_stop_after_the_length_that_runs_out():
 
 
 def test_first_set_hit_stops_after_the_length_that_spends_the_budget():
-    # Lengths 1-3 hold no hit; the 11th charge, at length 4, runs out.
+    # Lengths 1-3 hold no hit.  The sweep steps each distinct level key once,
+    # so the hit 0000 costs 7 charges (the depth-first walk charged 11 by
+    # then); with 6 the 7th charge, at length 4, runs out.
     clock = SearchClock(SearchBudget(max_words=10))
+    assert first_set_hit(CLAMPED, [U], [V], range(1, 9), clock)[0] == (0, 0, 0, 0)
+    assert (clock.count, clock.exceeded) == (7, False)
+    clock = SearchClock(SearchBudget(max_words=6))
     assert first_set_hit(CLAMPED, [U], [V], range(1, 9), clock) is None
-    assert (clock.count, clock.exceeded) == (11, True)
+    assert (clock.count, clock.exceeded) == (7, True)
+
+
+def test_first_set_hit_takes_lengths_in_increasing_order():
+    # (0,) hits at length 1; lengths given longest first must not return
+    # the length-3 hit.
+    source = IntervalSet.of(F(1, 10), F(3, 10))
+    target = IntervalSet.of(F(3, 10), F(7, 10))
+    clock = SearchClock(SearchBudget())
+    hit = first_set_hit(CLAMPED, [source], [target], [3, 2, 1], clock)
+    assert hit == first_set_hit(CLAMPED, [source], [target], [1], SearchClock(SearchBudget()))
+    assert hit[0] == (0,)
+
+
+def test_word_lengths_below_one_are_rejected():
+    # The source meets its target, so the empty word would pass as a hit.
+    clock = SearchClock(SearchBudget())
+    for lengths in ([0], [-3], [2, 0]):
+        with pytest.raises(ValueError, match="at least 1"):
+            first_set_hit(CLAMPED, [V], [V], lengths, clock)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            list(iter_set_hits(CLAMPED, [V], [V], n, clock))
+        with pytest.raises(ValueError, match="at least 1"):
+            list(iter_point_hits(CLAMPED, (F(1, 2),), (F(1, 2),), F(1, 4), n, clock))
+        with pytest.raises(ValueError, match="at least 1"):
+            list(walk(CLAMPED.automaton, n, (), lambda value, sym: value))
+    assert clock.count == 0
 
 
 def test_step_images_and_points_respect_kill_box():
@@ -151,35 +192,46 @@ def test_budget_validation():
 
 
 # Frozen node counts: the clock is charged once per admissible edge, before
-# the step, so pruned branches count and dead automaton edges do not, and
-# neither do the edges inside a subtree already refuted on the same clock.
+# the step, so pruned branches count and dead automaton edges do not.  The
+# walker charges no edge inside a subtree already refuted on the same clock;
+# the sweep behind first_set_hit charges the edges of each distinct level
+# key once per length.
 
 
 def test_refuted_first_set_hit_node_count():
-    # Rotations commute, so most prefixes of one length reach an enclosure
-    # and a remaining depth that an earlier prefix already refuted: the 240
-    # edges of the six plain walks fall to 100.
+    # Rotations commute, so the levels of lengths 1-6 hold few distinct
+    # enclosures: the 240 edges of the six plain walks, 100 with
+    # dead-subtree sets, fall to 48 on one sweep.
     system = rotation_system(F(1, 3), F(2, 7))
     clock = SearchClock(SearchBudget())
     source = IntervalSet.of(F(1, 10), F(1, 5))
     target = IntervalSet.of(F(21, 100), F(11, 50))
     assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
-    assert (clock.count, clock.exceeded) == (100, False)
+    assert (clock.count, clock.exceeded) == (48, False)
 
 
 def test_refuted_first_set_hit_memoises_steps(monkeypatch):
-    # The 100 charged edges of the refuted search above reach only 36
-    # distinct (enclosures, symbol) steps across its six word lengths; the
-    # exact search steps rows, so its memo misses are _step_rows calls.
+    # No memo: the sweep steps each (key, symbol) of a level once.  The 48
+    # charged edges of the refuted search above are 48 _step_rows calls
+    # over six levels, none repeated within its level (full shift, so a
+    # key is its enclosure).  12 of them repeat a step of an earlier level:
+    # the cross-length memo it replaced computed 36.
     calls = []
-    real = search._step_rows
-    monkeypatch.setattr(search, "_step_rows", lambda *args: calls.append(args) or real(*args))
+    real_step, real_level = search._step_rows, search._level_step
+    monkeypatch.setattr(
+        search, "_step_rows", lambda *args: calls[-1].append(args[2:]) or real_step(*args)
+    )
+    monkeypatch.setattr(
+        search, "_level_step", lambda *args: calls.append([]) or real_level(*args)
+    )
     system = rotation_system(F(1, 3), F(2, 7))
     clock = SearchClock(SearchBudget())
     source = IntervalSet.of(F(1, 10), F(1, 5))
     target = IntervalSet.of(F(21, 100), F(11, 50))
     assert first_set_hit(system, [source], [target], range(1, 7), clock) is None
-    assert (clock.count, len(calls)) == (100, 36)
+    assert len(calls) == 6 and all(len(set(level)) == len(level) for level in calls)
+    steps = [step for level in calls for step in level]
+    assert (clock.count, len(steps), len(set(steps))) == (48, 48, 36)
 
 
 def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch):
@@ -204,16 +256,16 @@ def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch)
 
 
 def test_shared_clock_keeps_systems_and_modes_apart():
-    # Same sources throughout: a memo keyed on enclosures and symbol alone
-    # would hand the 2/7 rotation the 1/3 rotation's images, and the strict
-    # search the partial search's surviving branch.
+    # Same sources throughout: a memo or dead set keyed on enclosures and
+    # symbol alone would hand the 2/7 rotation the 1/3 rotation's images,
+    # and the strict search the partial search's surviving branch.
     rot3, rot7 = rotation_system(F(1, 3)), rotation_system(F(2, 7))
     across = [IntervalSet.of(F(4, 5), F(6, 5))]
     searches = [
         lambda clock: list(iter_set_hits(rot3, across, [UNIT], 2, clock)),
         lambda clock: list(iter_set_hits(rot7, across, [UNIT], 2, clock)),
-        lambda clock: spread._inclusion_word(rot3, across, [UNIT], range(1, 3), clock),
-        lambda clock: spread._inclusion_word(rot7, across, [UNIT], range(1, 3), clock),
+        lambda clock: first_set_hit(rot3, across, [UNIT], range(1, 3), clock, inside=True),
+        lambda clock: first_set_hit(rot7, across, [UNIT], range(1, 3), clock, inside=True),
     ]
     fresh = [run(SearchClock(SearchBudget())) for run in searches]
     assert fresh[0] != fresh[1] and fresh[2] is None
@@ -368,9 +420,9 @@ def test_walks_with_a_dead_set_yield_the_plain_walks(system, set_pairs, point_pa
             assert list(walk(aut, n, root, step, leaf=leaf, dead=dead)) == plain
 
 
-# Set searches on rows against the walk on sets: step_images through the
-# clock's memo as the step, IntervalSet.intersects or subset_of as the leaf
-# test, and one dead set for lengths 1..5, as a length-first search runs them.
+# Set walks on rows against the walk on sets: step_images through the
+# clock's memo as the step, IntervalSet.intersects as the leaf test, and one
+# dead set for lengths 1..5, as a length-first search runs them.
 
 WALK_SETS = st.one_of(
     SETS,
@@ -389,32 +441,119 @@ WALK_SETS = st.one_of(
 @given(
     SYSTEMS,
     st.lists(st.tuples(WALK_SETS, WALK_SETS), min_size=1, max_size=2),
-    st.booleans(),
     st.one_of(st.integers(1, 200), st.just(500_000)),
 )
-def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, inside, max_words):
+def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, max_words):
     sources, targets = zip(*set_pairs)
-    partial = not inside
     rows_clock = SearchClock(SearchBudget(max_words=max_words))
     sets_clock = SearchClock(SearchBudget(max_words=max_words))
     assert system._exact() is not None
-    step = search._memo_step(sets_clock, system, partial, step_images, system)
+    step = search._memo_step(
+        sets_clock, system, lambda images, sym: step_images(system, images, sym)
+    )
     min_overlap = system.numerics.min_overlap
 
     def leaf(images):
-        if inside:
-            return all(img.subset_of(t) for img, t in zip(images, targets))
         return all(img.intersects(t, min_overlap) for img, t in zip(images, targets))
 
     dead = set()
     for n in range(1, 6):
-        if inside:
-            got = list(search.walk_sets(system, sources, targets, n, rows_clock, inside=True))
-        else:
-            got = list(iter_set_hits(system, sources, targets, n, rows_clock))
+        got = list(iter_set_hits(system, sources, targets, n, rows_clock))
         want = list(walk(system.automaton, n, sources, step, sets_clock.spend, leaf, dead))
         assert repr(got) == repr(want)
         assert (rows_clock.count, rows_clock.exceeded) == (sets_clock.count, sets_clock.exceeded)
+
+
+# The sweep behind first_set_hit (and so spread-table rows and
+# extend_witness) against the depth-first walks it replaced
+# (helpers.reference_first_set_hit): the same least word, the same sets and
+# the same None, over random automata and forbidden factors, clamp on and
+# off, rational and float mode, both leaf tests and gapped length lists.
+
+
+@st.composite
+def sweep_systems(draw):
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["full", "forbidden", "dfa"]))
+    if kind == "forbidden":
+        factors = draw(
+            st.lists(
+                st.lists(st.integers(0, m - 1), min_size=1, max_size=3).map(tuple),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        language = ForbiddenWords(m, tuple(factors))
+    elif kind == "dfa":
+        states = draw(st.integers(1, 4))
+        edges = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, states - 1), st.integers(0, m - 1)),
+                st.integers(0, states - 1),
+                min_size=1,
+            )
+        )
+        language = Dfa(m, states, 0, tuple((q, a, r) for (q, a), r in sorted(edges.items())))
+    else:
+        language = FullShift(m)
+    try:
+        compile_language(language)
+    except EmptyLanguage:
+        assume(False)
+    return SwitchedSystem(
+        maps=tuple(random_map(rng) for _ in range(m)),
+        language=language,
+        bounds=Interval(F(0), F(1)),
+        clamp=draw(st.booleans()),
+        numerics=Numerics(mode=draw(st.sampled_from(["rational", "float"]))),
+    )
+
+
+LENGTHS = st.one_of(
+    st.sampled_from([(2, 5), range(3, 7), (1,), (4, 1, 2), range(1, 6)]),
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sweep_systems(),
+    st.lists(st.tuples(WALK_SETS, WALK_SETS), min_size=1, max_size=3),
+    st.booleans(),
+    LENGTHS,
+)
+def test_first_set_hit_sweep_matches_the_walk(system, set_pairs, inside, lengths):
+    sources, targets = zip(*set_pairs)
+    clock = SearchClock(SearchBudget())
+    got = first_set_hit(system, sources, targets, lengths, clock, inside=inside)
+    want = reference_first_set_hit(system, sources, targets, lengths, inside)
+    assert not clock.exceeded
+    assert (got is None) == (want is None)
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sweep_systems(),
+    SETS,
+    SETS,
+    st.lists(st.integers(0, 2), min_size=1, max_size=3),
+    st.integers(1, 5),
+)
+def test_extend_witness_sweep_matches_the_walk(system, source, target, s, horizon):
+    assume(max(s) < system.automaton.m)
+    s = Word(tuple(s))
+    budget = SearchBudget(max_horizon=horizon)
+    try:
+        got = extend_witness(system, source, target, s, budget=budget)
+    except (PreconditionFailed, EmptyRefinement, BudgetExceeded) as exc:
+        got = type(exc)
+    if got in (PreconditionFailed, EmptyRefinement):
+        return
+    pulled = word_preimage(system, s, target).intersect(source)
+    want = reference_first_set_hit(system, [source], [pulled], range(1, horizon + 1), suffix=s)
+    assert got == (BudgetExceeded if want is None else Word(want[0]) + s)
 
 
 def test_an_unfinished_walk_records_no_frame_on_its_stack():
@@ -484,7 +623,9 @@ def test_set_search_path_follows_value_types(monkeypatch):
     # that does not clamp is never read and keeps the rows.
     calls = []
     step_rows = search._step_rows
-    monkeypatch.setattr(search, "step_images", lambda *a: calls.append("sets") or step_images(*a))
+    monkeypatch.setattr(
+        search, "step_images", lambda *a, **k: calls.append("sets") or step_images(*a, **k)
+    )
     monkeypatch.setattr(search, "_step_rows", lambda *a: calls.append("rows") or step_rows(*a))
 
     def path(system, source=U):
@@ -524,10 +665,12 @@ def spread_clocks(monkeypatch):
 
 
 def test_certify_spread_node_count(spread_clocks):
+    # Each row sweeps its levels afresh, with no memo or dead set shared
+    # between rows: 2,316 charges (the depth-first walk charged 2,420).
     cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert {row.word.as_string() for row in cert.rows} == {"010010"}
     assert len(cert.rows) == 16
-    assert [(c.count, c.exceeded) for c in spread_clocks] == [(2420, False)]
+    assert [(c.count, c.exceeded) for c in spread_clocks] == [(2316, False)]
 
 
 def test_certify_spread_budget_node_count(spread_clocks):
