@@ -6,27 +6,30 @@ the two orbits, together with lexicographically first words attaining each
 extreme.  Type 2 applies one word to both points; type 1 lets the two points
 ride independent words of equal length.  Envelopes and Xiong witnesses both
 search groups of points: one group of every point for type 2, one group per
-point for type 1.  An envelope steps one orbit level per group with
-:func:`~swmix.search._level_step`, the level stepper that first-hit set
-searches sweep with, and keeps a length while every level has orbits left.
-Xiong witnesses walk depth first (:func:`~swmix.search.iter_point_hits`).
+point for type 1.  Both sweep one deduplicated orbit level per group and
+length with :func:`~swmix.search._levels`, the level loop that first-hit
+set searches also step with.  An envelope reads each length's extremes off
+its levels and keeps a length while every level has orbits left; a Xiong
+witness (:func:`~swmix.search.iter_point_hits`) reads each stage's least
+hitting words off them, and since stage lengths strictly increase, one
+sweep serves every stage.
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
 
 Point orbits are stepped on integers when the system's exact form
 (:meth:`swmix.core.SwitchedSystem._exact`, where a system is sent to
-integers or to the generic loops) exists and every point, target and
-tolerance is a Fraction or an int: an orbit value ``n/d`` is carried as two
-reduced integers and stepped by :func:`~swmix.search.ratio_point_step`,
-which envelope levels and Xiong point searches
-(:func:`~swmix.search.iter_point_hits`) share.  Envelope level keys are
-``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are ``|ny*dx - nx*dy| /
-(dx*dy)``; type-1 levels are sorted and bisected on the integers ``n * (L
-// d)``, with ``L`` the lcm of both levels' denominators.  One Fraction is
-built per row extreme, and the rows, words, truncation and clock charges
-are those of the generic Fraction loop.  Globally affine type-2 envelopes
-without a clamp follow the orbit difference instead.
+integers or to the generic loops) exists and every point and target is a
+Fraction or an int, as :func:`~swmix.search._point_search`, shared by both
+searches, decides once per search: an orbit value ``n/d`` is carried as two
+reduced integers and stepped by :func:`~swmix.search._ratio_point_step`,
+and a tolerance of any type is compared through its exact ratio.  Envelope
+level keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
+``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
+integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
+One Fraction is built per row extreme, and the rows, words, truncation and
+clock charges are those of the generic Fraction loop.  Globally affine
+type-2 envelopes without a clamp follow the orbit difference instead.
 """
 
 from __future__ import annotations
@@ -43,15 +46,7 @@ from .core import SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
 from .intervals import Scalar
 from .language import accepts_prefix
-from .search import (
-    SearchBudget,
-    SearchClock,
-    _level_step,
-    _ratio_pairs,
-    iter_point_hits,
-    ratio_point_step,
-    step_points,
-)
+from .search import SearchBudget, SearchClock, _levels, _point_search, iter_point_hits
 from .words import Word
 
 __all__ = [
@@ -177,7 +172,6 @@ def distance_envelope(
     _require_finite("points", (x, y))
     if x == y:
         raise ValueError("need two distinct points")
-    aut = system.automaton
     diff_ok = (
         kind == "type2"
         and not system.clamp
@@ -194,34 +188,19 @@ def distance_envelope(
         exact = False
         roots = [y - x]
     else:
-        step = ratio_point_step(system, (x, y))
-        exact = step is not None
-        if exact:
-            x0, y0 = _ratio_pairs((x,)), _ratio_pairs((y,))
-        else:
-            step, x0, y0 = partial(step_points, system), (x,), (y,)
+        encode, step, _, decode = _point_search(system, (x, y))
+        exact = decode is not None
         # Type 2 steps both points in one level, type 1 each in its own.
-        roots = [x0 + y0] if kind == "type2" else [x0, y0]
+        roots = [encode((x, y))] if kind == "type2" else [encode((x,)), encode((y,))]
     if kind == "type2":
         row = partial(_type2_row, exact=exact, diff=diff_ok)
     else:
         row = partial(_type1_row, exact=exact)
     clock = SearchClock(budget)
-    levels = [{(aut.start, root): ()} for root in roots]
-    rows: list[EnvelopeRow] = []
-    truncated = False
-    for n in range(1, horizon + 1):
-        # A level stepped after another ran out charges a stopped clock only.
-        stepped = [_level_step(aut, step, level, clock) for level in levels]
-        truncated = None in stepped
-        if truncated:
-            break
-        levels = [level for level, _ in stepped]
-        if not all(levels):
-            break
-        rows.append(row(n, *levels))
+    levels = _levels(system.automaton, step, roots, clock, horizon)
+    rows = tuple(row(n, *level) for n, level in enumerate(levels, 1))
     return DistanceEnvelope(
-        kind=kind, x=x, y=y, horizon=horizon, rows=tuple(rows), truncated=truncated
+        kind=kind, x=x, y=y, horizon=horizon, rows=rows, truncated=clock.exceeded
     )
 
 
@@ -405,8 +384,10 @@ def xiong_witness(
 
     Points, targets and tolerances must be finite numbers (not bools);
     tolerances must also be positive and strictly decreasing.  On an exact
-    system with Fraction or int points, targets and tolerances the orbits
-    are stepped on integer ratios (:func:`~swmix.search.iter_point_hits`).
+    system with Fraction or int points and targets the orbits are stepped on
+    integer ratios.  All stages share one level sweep per group
+    (:func:`~swmix.search.iter_point_hits`), so the clock is charged once
+    per swept ``(state, values)`` key and symbol of the witness.
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown witness kind {kind!r}")
@@ -421,31 +402,15 @@ def xiong_witness(
         raise ValueError("need one target per point")
     if not tol or any(b >= a for a, b in zip(tol, tol[1:])) or tol[-1] <= 0:
         raise ValueError("tolerances must be positive and strictly decreasing")
-    items = list(zip(pts, tgts))
-    groups = [items] if kind == "type2" else [[item] for item in items]
+    groups = [pts] if kind == "type2" else [(x,) for x in pts]
+    goals = [tgts] if kind == "type2" else [(t,) for t in tgts]
     clock = SearchClock(budget)
-    stages: list[XiongStage] = []
-    floor = 0
-    for eps in tol:
-        found = None
-        for n in clock.lengths(range(floor + 1, budget.max_horizon + 1)):
-            words: list[Word] = []
-            errs: list[Scalar] = []
-            for group in groups:
-                xs, ts = zip(*group)
-                hit = next(iter_point_hits(system, xs, ts, eps, n, clock), None)
-                if hit is None:
-                    break  # this group has no hit of length n
-                words.append(Word(hit[0]))
-                errs.extend(abs(v - t) for v, t in zip(hit[1], ts))
-            else:
-                found = XiongStage(eps, n, tuple(words), tuple(errs))
-                break
-        if found is None:
-            return XiongWitness(kind, pts, tgts, tuple(stages), complete=False)
-        stages.append(found)
-        floor = found.length
-    return XiongWitness(kind, pts, tgts, tuple(stages), complete=True)
+    sweep = iter_point_hits(system, groups, goals, tol, budget.max_horizon, clock)
+    stages = []
+    for eps, (n, hits) in zip(tol, sweep):
+        errs = [abs(v - t) for (_, vs), ts in zip(hits, goals) for v, t in zip(vs, ts)]
+        stages.append(XiongStage(eps, n, tuple(Word(w) for w, _ in hits), tuple(errs)))
+    return XiongWitness(kind, pts, tgts, tuple(stages), complete=len(stages) == len(tol))
 
 
 def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:

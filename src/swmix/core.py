@@ -285,7 +285,11 @@ def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...] | None:
 
 @dataclass(frozen=True)
 class Numerics:
-    """Numeric mode: exact rationals, or floats with outward margin ``tau``."""
+    """Numeric mode: exact rationals, or floats with outward margin ``tau``.
+
+    ``tau`` and ``min_overlap`` must be finite numbers, not bools: a NaN or
+    infinite ``min_overlap`` would fail every overlap test.
+    """
 
     mode: str = "rational"
     tau: float = 2.0 ** -40
@@ -294,6 +298,12 @@ class Numerics:
     def __post_init__(self) -> None:
         if self.mode not in ("rational", "float"):
             raise ValueError(f"unknown numeric mode {self.mode!r}")
+        for name in ("tau", "min_overlap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.mode == "float" and self.tau <= 0:
             raise ValueError("float mode needs a positive outward margin")
 

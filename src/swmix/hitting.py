@@ -391,7 +391,8 @@ def wm_certificate(
 def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
     """Structural and evidential re-check, depending only on the core evaluator.
 
-    Every witness must name a pair, have a length in S (for wm2, carry that
+    S must be non-empty and strictly increasing, for both kinds.  Every
+    witness must name a pair, have a length in S (for wm2, carry that
     length's shared word) and verify; every (length, pair) needs a witness.
     """
     try:
@@ -400,14 +401,12 @@ def verify_wm_certificate(system: SwitchedSystem, cert: WMCertificate) -> bool:
         )
     except InadmissiblePair:
         return False
-    if not cert.lengths:
+    if not cert.lengths or any(b <= a for a, b in zip(cert.lengths, cert.lengths[1:])):
         return False
     if cert.kind == "wm2":
         if len(cert.words) != len(cert.lengths):
             return False
         if any(len(w) != n for w, n in zip(cert.words, cert.lengths)):
-            return False
-        if any(b <= a for a, b in zip(cert.lengths, cert.lengths[1:])):
             return False
     elif cert.words:
         return False

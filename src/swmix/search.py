@@ -7,32 +7,33 @@ separates entirely from the closed bounding box.  Every search charges
 :meth:`SearchClock.spend` once per admissible edge before stepping it.
 Searches run in one of two shapes, chosen by what they return:
 
-* **Level sweep** -- searches that return only the least hitting word over
-  a set of lengths: :func:`first_set_hit`, and through it the spread-table
-  rows (total images, ``inside=True``) and
-  :func:`~swmix.hitting.extend_witness` (a ``suffix`` that must be readable
-  from the hit's automaton state).  :func:`_level_step` steps one
-  deduplicated level of ``(state, value)`` keys per length, each key with
-  the least word reaching it, and stops at the first new key that passes
-  the leaf test: its word is the least hit of that length, the word a walk
-  would return.  Each distinct key of a length is stepped once; there is no
-  step memo and no dead-subtree set.  :func:`~swmix.chaos.distance_envelope`
-  steps whole levels with the same stepper.
-* **Depth-first walk** -- searches that need several words of a length, or
-  may reject a hit after the search (:func:`iter_set_hits` behind
-  ``hitting_sets`` and ``wm_certificate``, and :func:`iter_point_hits`
-  behind the Xiong witnesses): one call of :func:`swmix.language.walk`,
-  symbol-ordered, so a shared prefix is evaluated once.  Set steps go
-  through a memo held by the :class:`SearchClock`, so each distinct
-  ``(enclosures, symbol)`` step of one system is computed once per logical
-  search, however many lengths reach it.  Refuted subtrees are walked once
-  per logical search: the clock holds one dead-subtree set per system, step
-  mode and leaf test (the targets, and ``eps`` for point searches), the
-  ``(state, value, remaining)`` keys of subtrees that yielded no hit.  A
-  child whose key is recorded is charged and stepped but not entered, at
-  this length and every later one.  Point steps are not memoised.  Neither
-  the memo nor the dead sets change hits or their order, nor whether an
-  edge is charged.
+* **Level sweep** -- searches that return only the least hitting word of a
+  length: :func:`first_set_hit`, and through it the spread-table rows
+  (total images, ``inside=True``) and :func:`~swmix.hitting.extend_witness`
+  (a ``suffix`` that must be readable from the hit's automaton state); and
+  every point search, :func:`iter_point_hits` behind the Xiong witnesses
+  and :func:`~swmix.chaos.distance_envelope`.  :func:`_level_step` steps
+  one deduplicated level of ``(state, value)`` keys per length, each key
+  with the least word reaching it, in word order, so the first key of a
+  level that passes a leaf test holds the least hit of that length, the
+  word a walk would return.  :func:`first_set_hit` stops at the first new
+  key that passes; :func:`_levels` steps whole levels of several roots up
+  to a horizon, and the point searches read their hits or extremes off
+  them.  Each distinct key of a length is stepped once; there is no step
+  memo and no dead-subtree set.
+* **Depth-first walk** -- searches that need several words of a length and
+  may reject a hit after the search: :func:`iter_set_hits` behind
+  ``hitting_sets`` and ``wm_certificate``, one call of
+  :func:`swmix.language.walk`, symbol-ordered, so a shared prefix is
+  evaluated once.  Set steps go through a memo held by the
+  :class:`SearchClock`, so each distinct ``(enclosures, symbol)`` step of
+  one system is computed once per logical search, however many lengths
+  reach it.  Refuted subtrees are walked once per logical search: the clock
+  holds one dead-subtree set per system and targets, the ``(state, value,
+  remaining)`` keys of subtrees that yielded no hit.  A child whose key is
+  recorded is charged and stepped but not entered, at this length and
+  every later one.  Neither the memo nor the dead sets change hits or their
+  order, nor whether an edge is charged.
 
 Exact searches step integers.  A search reads its system's exact form
 (:meth:`swmix.core.SwitchedSystem._exact`), the one place where a system is
@@ -43,12 +44,13 @@ the sweep and the walker) carry each enclosure as a tuple of rows
 (:mod:`swmix.intervals`), step it with the row kernel
 :func:`swmix.core._image_rows` and test leaves by cross-multiplying; rows
 are canonical, so level, memo and dead-subtree keys of rows are equal
-exactly when their sets are.  With an exact form and every start, target
-and tolerance a Fraction or an int, :func:`iter_point_hits` carries the
-orbits as one flat tuple of reduced integer pairs ``(n1, d1, n2, d2, ..)``
-(:func:`ratio_point_step`) and tests ``|v - t| < eps`` cross-multiplied.
-Either way, Fractions are built only for the hits returned; everything
-else steps sets with :func:`step_images` or values with :func:`step_points`.
+exactly when their sets are.  With an exact form and every point and target
+a Fraction or an int, point searches (:func:`_point_search`, shared by the
+Xiong sweep and the envelopes) carry a group's orbits as one flat tuple of
+reduced integer pairs ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_point_step`)
+and test ``|v - t| < eps`` cross-multiplied.  Either way, Fractions are
+built only for the hits returned; everything else steps sets with
+:func:`step_images` or values with :func:`step_points`.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ class SearchClock:
         # being sets, or rows on exact searches; holding the system keeps
         # its id from being reused while the clock lives.
         self._steps: dict[int, tuple[SwitchedSystem, dict]] = {}
-        # (id(system), *test) -> (system, {(state, value, remaining)}).
+        # (id(system), targets) -> (system, {(state, value, remaining)}).
         self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
 
     def spend(self) -> bool:
@@ -145,10 +147,10 @@ class SearchClock:
                 return False
         return True
 
-    def dead_set(self, system: SwitchedSystem, *test) -> set:
+    def dead_set(self, system: SwitchedSystem, targets: tuple) -> set:
         """The dead-subtree set (see :func:`~swmix.language.walk`) of
-        ``system`` for one step mode and leaf test, named by ``test``."""
-        return self._dead.setdefault((id(system), *test), (system, set()))[1]
+        ``system``'s set walks towards ``targets``."""
+        return self._dead.setdefault((id(system), targets), (system, set()))[1]
 
     def lengths(self, lengths: Iterable[int]) -> Iterator[int]:
         """Yield each word length in turn and stop after the one during
@@ -266,6 +268,30 @@ def _level_step(
     return out, None
 
 
+def _levels(
+    aut: PrunedAutomaton, step: Callable, roots: Sequence, clock: SearchClock, horizon: int
+) -> Iterator[list[dict]]:
+    """Yield, for each length 1, 2, .., ``horizon``, the complete level of
+    every root (:func:`_level_step`), one list per length.
+
+    The sweep stops at the first refused charge (then ``clock.exceeded``),
+    whose length is not yielded, and at the first length where some root's
+    level is empty, once every root's level of that length is stepped.
+    """
+    levels = [{(aut.start, root): ()} for root in roots]
+    for _ in range(horizon):
+        stepped = []
+        for level in levels:
+            out = _level_step(aut, step, level, clock)
+            if out is None:
+                return
+            stepped.append(out[0])
+        levels = stepped
+        if not all(levels):
+            return
+        yield levels
+
+
 def step_points(
     system: SwitchedSystem, points: tuple[Scalar, ...], sym: int
 ) -> tuple[Scalar, ...] | None:
@@ -282,12 +308,9 @@ def step_points(
     return tuple(out)
 
 
-def ratio_point_step(
-    system: SwitchedSystem, values: Sequence[Scalar]
-) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None] | None:
-    """:func:`step_points` on reduced integer pairs, or None when the
-    system has no exact form (:meth:`~swmix.core.SwitchedSystem._exact`) or
-    a value is not a Fraction or an int.
+def _ratio_point_step(exact: _Exact) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
+    """:func:`step_points` on reduced integer pairs, with the system's exact
+    form.
 
     The returned ``step(pairs, sym)`` takes the points as one flat tuple
     ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_pairs`) with ``gcd(n, d) == 1``
@@ -298,9 +321,6 @@ def ratio_point_step(
     cross-multiplied; infinite ends are ``(-1, 0)`` and ``(1, 0)``.  The
     step returns None where :func:`step_points` does.
     """
-    exact = system._exact()
-    if exact is None or any(type(v) is not Fraction and type(v) is not int for v in values):
-        return None
     tables, box = exact.points, exact.box
     clamp = box is not None
     box_lo_n, box_lo_d, box_hi_n, box_hi_d = box or (0, 0, 0, 0)
@@ -333,8 +353,54 @@ def ratio_point_step(
 
 def _ratio_pairs(values: Iterable[Fraction | int]) -> tuple[int, ...]:
     """Exact points as the flat ``(n1, d1, n2, d2, ..)`` tuple that the
-    steps of :func:`ratio_point_step` take."""
+    steps of :func:`_ratio_point_step` take."""
     return tuple(r for x in values for r in x.as_integer_ratio())
+
+
+def _point_search(
+    system: SwitchedSystem, values: Iterable[Scalar]
+) -> tuple[Callable, Callable, Callable, Callable | None]:
+    """``(encode, step, near, decode)`` of a point search: the one place
+    where points are sent to integer pairs or to the generic values.
+
+    ``encode(points)`` is a group's root value and ``step(value, sym)`` its
+    child; ``near(targets, eps)`` is the leaf test of one group, passing
+    when every point is within ``eps`` of its target (``|v - t| < eps``).
+    When the system has an exact form and every one of ``values`` (the
+    points and targets) is a Fraction or an int, a value is the flat tuple
+    of reduced pairs (:func:`_ratio_pairs`) stepped by
+    :func:`_ratio_point_step`; the test is ``|n*td - tn*d| * ed < en * d *
+    td`` with ``eps = en/ed`` the exact ratio of any finite int, float or
+    Fraction, so it decides as the generic comparison does; and
+    ``decode`` builds the Fraction points.  Otherwise a value is the tuple
+    of points stepped by :func:`step_points`, and ``decode`` is None.  Both
+    ways step the same words.
+    """
+    exact = system._exact()
+    if exact is None or any(type(v) is not Fraction and type(v) is not int for v in values):
+
+        def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
+            return lambda points: all(abs(v - t) < eps for v, t in zip(points, targets))
+
+        return tuple, functools.partial(step_points, system), near, None
+
+    def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
+        en, ed = eps.as_integer_ratio()
+        goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
+
+        def test(pairs: tuple[int, ...]) -> bool:
+            for i, tn, td in goals:
+                n, d = pairs[i], pairs[i + 1]
+                if abs(n * td - tn * d) * ed >= en * d * td:
+                    return False
+            return True
+
+        return test
+
+    def decode(pairs: tuple[int, ...]) -> tuple[Fraction, ...]:
+        return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
+
+    return _ratio_pairs, _ratio_point_step(exact), near, decode
 
 
 def _set_search(
@@ -459,48 +525,46 @@ def first_set_hit(
 
 def iter_point_hits(
     system: SwitchedSystem,
-    starts: Sequence[Scalar],
-    targets: Sequence[Scalar],
-    eps: Scalar,
-    length: int,
+    groups: Sequence[Sequence[Scalar]],
+    targets: Sequence[Sequence[Scalar]],
+    tolerances: Iterable[Scalar],
+    horizon: int,
     clock: SearchClock,
-) -> Iterator[tuple[tuple[int, ...], tuple[Scalar, ...]]]:
-    """Point-orbit counterpart of :func:`iter_set_hits`: yield, in
-    lexicographic order, every admissible word of exactly ``length`` whose
-    orbit survives and puts every start within ``eps`` of its target
-    (``|v - t| < eps``), with the orbit's end values.
+) -> Iterator[tuple[int, tuple[tuple[tuple[int, ...], tuple[Scalar, ...]], ...]]]:
+    """Staged point sweep: for each tolerance ``eps`` in turn, yield ``(n,
+    hits)``, where ``n`` is the least length above the previous stage's (up
+    to ``horizon``) at which every group of points has an admissible word
+    whose orbit survives and puts each point within ``eps`` of its target
+    (``|v - t| < eps``), and ``hits`` holds each group's least such word of
+    length ``n`` with its orbit's end values.
 
-    When :func:`ratio_point_step` accepts the system and every start,
-    target and ``eps``, the orbits are stepped on reduced integer pairs and
-    a leaf ``n/d`` passes when ``|n*td - tn*d| * ed < en * d * td``; one
-    Fraction is built per point of each yielded hit.  Otherwise the values
-    are stepped with :func:`step_points`.  Both ways walk the same words and
-    charge the clock alike.
+    Stage lengths strictly increase, so one level sweep (:func:`_levels`)
+    per group serves every stage: each distinct ``(state, values)`` key of a
+    length is stepped once per sweep, and a level's first key that passes
+    holds its least hit.  Points are stepped as :func:`_point_search` picks;
+    on integer pairs one Fraction is built per point of each yielded hit.
+    Stops silently when the clock runs out (check ``clock.exceeded``), a
+    group's orbits all die or the horizon passes; raises ValueError for a
+    ``horizon`` below 1.
     """
-    targets = tuple(targets)
-    step = ratio_point_step(system, (*starts, *targets, eps))
-    if step is None:
-        root, mode, decode = tuple(starts), "points", tuple
-        step = functools.partial(step_points, system)
-
-        def near(values: tuple[Scalar, ...]) -> bool:
-            return all(abs(v - t) < eps for v, t in zip(values, targets))
-
-    else:
-        root, mode = _ratio_pairs(starts), "ratios"
-        en, ed = eps.as_integer_ratio()
-        goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
-
-        def near(pairs: tuple[int, ...]) -> bool:
-            for i, tn, td in goals:
-                n, d = pairs[i], pairs[i + 1]
-                if abs(n * td - tn * d) * ed >= en * d * td:
-                    return False
-            return True
-
-        def decode(pairs: tuple[int, ...]) -> tuple[Fraction, ...]:
-            return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
-
-    dead = clock.dead_set(system, mode, targets, eps)
-    for syms, values in walk(system.automaton, length, root, step, clock.spend, near, dead):
-        yield syms, decode(values)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    encode, step, near, decode = _point_search(
+        system, [v for values in (*groups, *targets) for v in values]
+    )
+    roots = [encode(g) for g in groups]
+    sweep = enumerate(_levels(system.automaton, step, roots, clock, horizon), 1)
+    for eps in tolerances:
+        tests = [near(t, eps) for t in targets]
+        for n, levels in sweep:
+            hits = []
+            for level, test in zip(levels, tests):
+                hit = next(((w, v) for (_, v), w in level.items() if test(v)), None)
+                if hit is None:
+                    break  # this group has no hit of length n
+                hits.append(hit if decode is None else (hit[0], decode(hit[1])))
+            else:
+                yield n, tuple(hits)
+                break
+        else:
+            return

@@ -200,7 +200,13 @@ def numerics_from_json(v: Any) -> Numerics:
     if "mode" in v:
         given["mode"] = v["mode"]
     if "tau" in v:
-        given["tau"] = float(v["tau"])
+        tau = v["tau"]
+        if isinstance(tau, bool) or not isinstance(tau, (int, float)):
+            raise ScenarioError(f"'tau' must be a JSON number, got {tau!r}")
+        try:
+            given["tau"] = float(tau)
+        except OverflowError as exc:
+            raise ScenarioError("'tau' is too large for a float") from exc
     if "min_overlap" in v:
         given["min_overlap"] = scalar_from_json(v["min_overlap"])
     try:

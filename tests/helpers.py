@@ -1,22 +1,36 @@
 """Shared builders for the test suite: circle rotations, random systems, a
-plain reference evaluation of maps, a reference pull-back of hits and a
-reference first-hit search."""
+plain reference evaluation of maps, a reference pull-back of hits, a
+reference first-hit search and a reference Xiong witness."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from swmix.core import (
     AffinePiece,
+    Numerics,
     PiecewiseAffineMap,
     SwitchedSystem,
     eval_interval,
     word_preimage,
 )
 from swmix.intervals import Interval, IntervalSet
-from swmix.language import ForbiddenWords, FullShift, accepts_prefix, walk
-from swmix.search import step_images
+from swmix.chaos import XiongStage, XiongWitness
+from swmix.errors import EmptyLanguage
+from swmix.language import (
+    Dfa,
+    ForbiddenWords,
+    FullShift,
+    accepts_prefix,
+    compile_language,
+    walk,
+)
+from swmix.search import SearchBudget, SearchClock, step_images, step_points
+from swmix.words import Word
 
 BOX = Interval(Fraction(0), Fraction(1))
 UNIT = IntervalSet.of(Fraction(0), Fraction(1))
@@ -116,6 +130,47 @@ def random_system(rng: random.Random, max_alphabet: int = 3) -> SwitchedSystem:
     )
 
 
+@st.composite
+def sweep_systems(draw):
+    """Random maps on the unit box over a full shift, forbidden factors or
+    a random automaton, clamp on or off, rational or float mode."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["full", "forbidden", "dfa"]))
+    if kind == "forbidden":
+        factors = draw(
+            st.lists(
+                st.lists(st.integers(0, m - 1), min_size=1, max_size=3).map(tuple),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        language = ForbiddenWords(m, tuple(factors))
+    elif kind == "dfa":
+        states = draw(st.integers(1, 4))
+        edges = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, states - 1), st.integers(0, m - 1)),
+                st.integers(0, states - 1),
+                min_size=1,
+            )
+        )
+        language = Dfa(m, states, 0, tuple((q, a, r) for (q, a), r in sorted(edges.items())))
+    else:
+        language = FullShift(m)
+    try:
+        compile_language(language)
+    except EmptyLanguage:
+        assume(False)
+    return SwitchedSystem(
+        maps=tuple(random_map(rng) for _ in range(m)),
+        language=language,
+        bounds=BOX,
+        clamp=draw(st.booleans()),
+        numerics=Numerics(mode=draw(st.sampled_from(["rational", "float"]))),
+    )
+
+
 def reference_first_set_hit(system, sources, targets, lengths, inside=False, suffix=()):
     """:func:`swmix.search.first_set_hit` as depth-first walks: each length
     in increasing order walked by :func:`swmix.language.walk` over
@@ -138,3 +193,50 @@ def reference_first_set_hit(system, sources, targets, lengths, inside=False, suf
             if accepts_prefix(system.automaton, syms + tuple(suffix)):
                 return syms, images
     return None
+
+
+def reference_xiong_witness(system, points, targets, kind, tolerances, budget=SearchBudget()):
+    """:func:`swmix.chaos.xiong_witness` as depth-first walks: for each
+    tolerance, each length above the previous stage's and each group of
+    points, one :func:`swmix.language.walk` over
+    :func:`swmix.search.step_points` for the group's first word within the
+    tolerance, with one dead-subtree set per group and tolerance, on one
+    clock.  Returns the witness and whether the clock ran out; the witness
+    equals the sweep's wherever neither clock ran out."""
+    points, targets = tuple(points), tuple(targets)
+    items = list(zip(points, targets))
+    groups = [items] if kind == "type2" else [[item] for item in items]
+    clock = SearchClock(budget)
+
+    def step(values, sym):
+        return step_points(system, values, sym)
+
+    stages = []
+    floor = 0
+    for eps in tolerances:
+        found = None
+        for n in clock.lengths(range(floor + 1, budget.max_horizon + 1)):
+            words, errs = [], []
+            for group in groups:
+                xs, ts = zip(*group)
+
+                def near(values, ts=ts):
+                    return all(abs(v - t) < eps for v, t in zip(values, ts))
+
+                dead = clock.dead_set(system, ("points", ts, eps))
+                walker = walk(system.automaton, n, xs, step, clock.spend, near, dead)
+                hit = next(walker, None)
+                walker.close()
+                if hit is None:
+                    break
+                words.append(Word(hit[0]))
+                errs.extend(abs(v - t) for v, t in zip(hit[1], ts))
+            else:
+                found = XiongStage(eps, n, tuple(words), tuple(errs))
+                break
+        if found is None:
+            break
+        stages.append(found)
+        floor = found.length
+    complete = len(stages) == len(tolerances)
+    return XiongWitness(kind, points, targets, tuple(stages), complete), clock.exceeded

@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import swmix.chaos as chaos
 from swmix.chaos import (
     DistanceEnvelope,
     EnvelopeRow,
@@ -20,15 +22,21 @@ from swmix.chaos import (
     verify_xiong,
     xiong_witness,
 )
-from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem
+from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem, eval_point
 from swmix.demo import tent_system
-from swmix.errors import EmptyLanguage
+from swmix.errors import EmptyLanguage, UndefinedAtPoint
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import ForbiddenWords, FullShift, accepts_prefix
-from swmix.search import SearchBudget
+from swmix.search import SearchBudget, SearchClock
 from swmix.words import Word
 
-from helpers import random_map, reference_value, rotation_system
+from helpers import (
+    random_map,
+    reference_value,
+    reference_xiong_witness,
+    rotation_system,
+    sweep_systems,
+)
 
 TENT = tent_system()
 CLAMPED = tent_system(clamp=True)
@@ -629,3 +637,73 @@ def test_envelope_matches_plain_fraction_levels(system, x, y, kind, horizon, max
     )
     want = reference_envelope(system, x, y, kind, horizon, max_words)
     assert repr(env) == repr(want)
+
+
+# Xiong witnesses sweep one level per group for all stages; the reference
+# walks each stage, length and group depth first, as the search did before.
+# Both find the least stage lengths and words, so a clock that runs out can
+# only cut the stages short: each witness's stages start the other's, and
+# where neither clock ran out the witnesses are equal.  Targets lie near the
+# orbit ends along one drawn word, or anywhere, so that stages are found.
+
+XIONG_VALUES = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=12),
+    st.floats(min_value=0, max_value=1).map(lambda x: round(x, 3)),
+)
+XIONG_TOLERANCES = st.one_of(
+    st.fractions(min_value=F(1, 50), max_value=1, max_denominator=50),
+    st.floats(min_value=0.02, max_value=1).map(lambda x: round(x, 3)),
+)
+
+
+@st.composite
+def xiong_cases(draw):
+    system = draw(
+        st.one_of(
+            sweep_systems(), st.sampled_from([CLAMPED, TENT, ROTATIONS, FOLDS_FORBIDDEN])
+        )
+    )
+    points = tuple(dict.fromkeys(draw(st.lists(XIONG_VALUES, min_size=1, max_size=3))))
+    word = draw(st.lists(st.integers(0, system.m - 1), min_size=1, max_size=3))
+    targets = []
+    for x in points:
+        try:
+            target = eval_point(system, word, x) + draw(XIONG_VALUES) / 100
+        except UndefinedAtPoint:
+            target = draw(XIONG_VALUES)
+        targets.append(target)
+    return system, points, tuple(targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    xiong_cases(),
+    st.sampled_from(["type1", "type2"]),
+    st.lists(XIONG_TOLERANCES, min_size=1, max_size=3),
+    st.integers(1, 6),
+    st.one_of(st.integers(1, 300), st.just(500_000)),
+)
+# The clamped orbit of 2/5 ends at 4/5 at odd lengths, exactly a tolerance
+# from its target: the strict test must reject it, for a Fraction and for a
+# float tolerance alike.
+@example((CLAMPED, (F(2, 5),), (F(3, 4),)), "type2", [F(1, 20)], 3, 500_000)
+@example((CLAMPED, (F(2, 5),), (F(11, 20),)), "type1", [0.5, 0.25], 3, 500_000)
+def test_xiong_sweep_matches_the_walk(case, kind, tolerances, horizon, max_words):
+    system, points, targets = case
+    tolerances = tuple(sorted(set(tolerances), reverse=True))
+    budget = SearchBudget(max_horizon=horizon, max_words=max_words)
+    clocks = []
+
+    def clock(budget):
+        clocks.append(SearchClock(budget))
+        return clocks[-1]
+
+    with mock.patch.object(chaos, "SearchClock", clock):
+        got = xiong_witness(system, points, targets, kind, tolerances, budget)
+    want, walk_ran_out = reference_xiong_witness(
+        system, points, targets, kind, tolerances, budget
+    )
+    shorter = min(len(got.stages), len(want.stages))
+    assert repr(got.stages[:shorter]) == repr(want.stages[:shorter])
+    if not (clocks[0].exceeded or walk_ran_out):
+        assert repr(got) == repr(want)

@@ -234,6 +234,42 @@ def test_verify_rejects_an_extra_false_wm_witness(tmp_path, capsys, kind, word):
     assert report == {"kind": "wm", "verified": False}
 
 
+def _repeated_s(cert):
+    cert["S"] = [3, 3, 3]
+    cert["witnesses"] = [w for w in cert["witnesses"] if len(w["word"]) == 3]
+
+
+def _unsorted_s(cert):
+    cert["S"] = cert["S"][::-1]
+
+
+@pytest.mark.parametrize("tamper", [_repeated_s, _unsorted_s], ids=["repeated", "unsorted"])
+def test_verify_rejects_wm1_lengths_that_do_not_increase(tmp_path, capsys, tamper):
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "wm-cert",
+            "system": CLAMPED_JSON,
+            "params": {
+                "K": [["0", "1"]],
+                "Q": [["0", "1"]],
+                "pairs": [[[["1/10", "3/20"]], [["4/5", "17/20"]]]],
+                "kind": "wm1",
+            },
+            "budget": {"max_horizon": 8, "required": 2},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["verified"] is True
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    assert doc["certificate"]["S"] == [3, 6]
+    tamper(doc["certificate"])
+    tampered = write(tmp_path / "tampered.json", doc)
+    code, report = run_cli(["verify", tampered], capsys)
+    assert code == 1
+    assert report == {"kind": "wm", "verified": False}
+
+
 def _fractional_s(cert):
     # int() would read these back as the certificate's own lengths.
     first, second = cert["S"]
@@ -405,6 +441,44 @@ def test_hitting_task(tmp_path, capsys):
     code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
     assert code == 0
     assert report["type1"] == [4]
+
+
+def _hitting_numerics(tmp_path, numerics):
+    system = dict(CLAMPED_JSON, numerics=numerics)
+    return write(
+        tmp_path / "scn.json",
+        {
+            "task": "hitting",
+            "system": system,
+            "params": {"U": [["1/10", "3/10"]], "V": [["3/10", "7/10"]]},
+            "budget": {"max_horizon": 4},
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "numerics",
+    [
+        {"min_overlap": float("nan")},
+        {"min_overlap": "inf"},
+        {"mode": "float", "tau": float("nan")},
+        {"mode": "float", "tau": "0.001"},
+        {"mode": "float", "tau": True},
+        {"mode": "float", "tau": 10**400},
+    ],
+    ids=["nan-overlap", "inf-overlap", "nan-tau", "string-tau", "bool-tau", "huge-tau"],
+)
+def test_hitting_rejects_bool_and_non_finite_numerics(tmp_path, capsys, numerics):
+    # With a NaN min_overlap every overlap missed: the run exited 0 with
+    # "type1": [] and "exhausted": true, a false claim that no word exists.
+    scn = _hitting_numerics(tmp_path, numerics)
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"]["type"] == "ScenarioError"
+    assert not (tmp_path / "out").exists()
+    scn = _hitting_numerics(tmp_path, {"min_overlap": "0"})
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["type1"] == [1, 2, 3, 4]
 
 
 def test_float_hitting_with_an_unbounded_overlap_exits_2(tmp_path, capsys):

@@ -178,6 +178,29 @@ def test_numerics_validation():
     assert Numerics().widen == 0
 
 
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"min_overlap": float("nan")}, ValueError),
+        ({"min_overlap": float("inf")}, ValueError),
+        ({"min_overlap": float("-inf")}, ValueError),
+        ({"min_overlap": True}, TypeError),
+        ({"min_overlap": "0"}, TypeError),
+        ({"mode": "float", "tau": float("nan")}, ValueError),
+        ({"mode": "float", "tau": float("inf")}, ValueError),
+        ({"tau": float("nan")}, ValueError),
+        ({"mode": "float", "tau": True}, TypeError),
+        ({"mode": "float", "tau": "0.001"}, TypeError),
+    ],
+)
+def test_numerics_rejects_bool_and_non_finite_fields(fields, error):
+    # A NaN min_overlap made every overlap test fail, so a search reported
+    # that no word exists; a NaN tau passed the positivity check.
+    with pytest.raises(error):
+        Numerics(**fields)
+    assert Numerics(mode="float", tau=1, min_overlap=F(1, 8)).min_overlap == F(1, 8)
+
+
 # Kernel regression values, frozen from the kernel before it cached per-piece
 # inverse slopes; endpoint types are part of the contract.
 
@@ -684,6 +707,6 @@ def test_exact_form_is_built_once_per_system(monkeypatch):
     assert pull_back_hit(system, word, U, V) is not None
     clock = SearchClock(SearchBudget())
     assert word in [syms for syms, _ in iter_set_hits(system, [U], [V], 4, clock)]
-    assert list(iter_point_hits(system, [F(1, 7)], [F(1, 2)], F(1, 2), 2, clock))
+    assert list(iter_point_hits(system, [(F(1, 7),)], [(F(1, 2),)], [F(1, 2)], 2, clock))
     assert distance_envelope(system, F(1, 7), F(2, 9), horizon=3).rows
     assert calls == [] and system._exact() is form

@@ -207,6 +207,25 @@ def test_wm2_certificate_frozen():
             assert pull_back_hit(CLAMPED, w, Ui, Vi) is not None
 
 
+@pytest.mark.parametrize("kind", ["wm1", "wm2"])
+def test_verify_wm_certificate_needs_increasing_lengths(kind):
+    # S = (3, 6) verifies; the same witnesses under S reversed, or the
+    # length-3 ones alone under S = (3, 3, 3), must not.
+    pair = (IntervalSet.of(F(1, 10), F(3, 20)), IntervalSet.of(F(4, 5), F(17, 20)))
+    cert = wm_certificate(
+        CLAMPED, UNIT, UNIT, [pair], kind=kind,
+        budget=SearchBudget(max_horizon=8, required=2),
+    )
+    assert cert.lengths == (3, 6) and verify_wm_certificate(CLAMPED, cert)
+    unsorted = dataclasses.replace(cert, lengths=(6, 3), words=cert.words[::-1])
+    assert not verify_wm_certificate(CLAMPED, unsorted)
+    short = tuple(w for w in cert.witnesses if len(w[1].word) == 3)
+    repeated = dataclasses.replace(
+        cert, lengths=(3, 3, 3), words=cert.words[:1] * 3, witnesses=short
+    )
+    assert not verify_wm_certificate(CLAMPED, repeated)
+
+
 def test_wm_certificate_budget_failure_carries_partial():
     pairs = [
         (IntervalSet.of(F(0), F(1, 4)), IntervalSet.of(F(7, 10), F(4, 5))),

@@ -1,5 +1,6 @@
 """Budgeted lexicographic word searches over enclosures and point orbits."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -11,10 +12,10 @@ import swmix.search as search
 import swmix.spread as spread
 from swmix.core import Numerics, PiecewiseAffineMap, SwitchedSystem, word_preimage
 from swmix.demo import tent_system
-from swmix.errors import BudgetExceeded, EmptyLanguage, EmptyRefinement, PreconditionFailed
+from swmix.errors import BudgetExceeded, EmptyRefinement, PreconditionFailed
 from swmix.hitting import extend_witness
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
-from swmix.language import Dfa, ForbiddenWords, FullShift, compile_language, walk
+from swmix.language import ForbiddenWords, FullShift, walk
 from swmix.search import (
     SearchBudget,
     SearchClock,
@@ -29,11 +30,11 @@ from swmix.words import Word
 
 from helpers import (
     UNIT,
-    random_map,
     random_system,
     reference_first_set_hit,
     reference_value,
     rotation_system,
+    sweep_systems,
 )
 
 TENT = tent_system()
@@ -137,7 +138,7 @@ def test_word_lengths_below_one_are_rejected():
         with pytest.raises(ValueError, match="at least 1"):
             list(iter_set_hits(CLAMPED, [V], [V], n, clock))
         with pytest.raises(ValueError, match="at least 1"):
-            list(iter_point_hits(CLAMPED, (F(1, 2),), (F(1, 2),), F(1, 4), n, clock))
+            list(iter_point_hits(CLAMPED, [(F(1, 2),)], [(F(1, 2),)], [F(1, 4)], n, clock))
         with pytest.raises(ValueError, match="at least 1"):
             list(walk(CLAMPED.automaton, n, (), lambda value, sym: value))
     assert clock.count == 0
@@ -160,15 +161,19 @@ def test_step_images_and_points_respect_kill_box():
 
 
 def test_iter_point_hits_accept():
+    # The clamped tent orbit of 2/5 is 4/5, 2/5, 4/5, ..: every other map
+    # leaves the box.  So each stage takes the least length above the last
+    # one that lands on 4/5, with the one word that reaches it.
     clock = SearchClock(SearchBudget())
-    hits = [
-        syms
-        for syms, _ in iter_point_hits(
-            CLAMPED, (F(2, 5),), (F(4, 5),), F(1, 1000), 3, clock
-        )
-    ]
-    # Clamped tent orbits are single-branch away from 1/2, so exactly one word.
-    assert hits == [(0, 1, 0)]
+    stages = list(
+        iter_point_hits(CLAMPED, [(F(2, 5),)], [(F(4, 5),)], [F(1, 100), F(1, 1000)], 4, clock)
+    )
+    assert stages == [(1, (((0,), (F(4, 5),)),)), (3, (((0, 1, 0), (F(4, 5),)),))]
+    # A stage needs a hit of every group at one length: the orbit of 2/5
+    # reaches 4/5 at odd lengths only, that of 4/5 at even ones.
+    groups, targets = [(F(2, 5),), (F(4, 5),)], [(F(4, 5),), (F(4, 5),)]
+    assert list(iter_point_hits(CLAMPED, groups, targets, [F(1, 100)], 4, clock)) == []
+    assert not clock.exceeded
 
 
 def test_budget_validation():
@@ -292,56 +297,74 @@ def test_iter_point_hits_node_count():
         clamp=True,
     )
     clock = SearchClock(SearchBudget())
-    # Within 1/4 of 3/4: the orbit ends in (1/2, 1).
-    hits = list(iter_point_hits(golden, (F(1, 5),), (F(3, 4),), F(1, 4), 6, clock))
-    assert hits == [((0, 0, 1, 0, 1, 0), (F(4, 5),))]
+    # The clamped orbit of 1/5 is 2/5, 4/5, 2/5, 4/5, ..: each level holds
+    # one key, whose 2 edges after a 0 and 1 after a 1 are charged once for
+    # every stage, 10 over six lengths.  The depth-first point walk this
+    # sweep replaced charged these 10 for its length-6 walk alone.
+    stages = list(
+        iter_point_hits(golden, [(F(1, 5),)], [(F(3, 4),)], [F(1, 4), F(1, 8), F(1, 16)], 6, clock)
+    )
+    assert stages == [
+        (2, (((0, 0), (F(4, 5),)),)),
+        (4, (((0, 0, 1, 0), (F(4, 5),)),)),
+        (6, (((0, 0, 1, 0, 1, 0), (F(4, 5),)),)),
+    ]
     assert (clock.count, clock.exceeded) == (10, False)
 
 
-# Point searches against a plain Fraction orbit loop: depth-first in symbol
-# order, one clock charge per admissible edge before its step, the first
-# piece whose open domain holds the value, the closed clamp box, |v - t| <
-# eps at every leaf, and a child not entered when a finished subtree above the
-# leaves with the same (state, values, remaining) key held no hit.
+# The staged point sweep against plain Fraction orbits of every word: the
+# first piece whose open domain holds the value, the closed clamp box, and
+# |v - t| < eps; each stage at the least length above the last one where
+# every group has a word within eps, with each group's least such word.
+# Charges: one per admissible edge out of each distinct (state, values) key
+# of every group's levels, up to the last stage's length, or up to the
+# first length where a group's orbits have all died.
 
 
-def reference_point_hits(system, starts, targets, eps, length, max_words):
+def reference_point_sweep(system, groups, targets, tolerances, horizon, max_words):
     aut = system.automaton
     box = system.bounds
-    hits = []
-    dead = set()
-    spent = 0
 
-    def visit(state, values, word) -> bool:
-        nonlocal spent
-        found = len(hits)
-        if len(word) == length:
-            if all(abs(v - t) < eps for v, t in zip(values, targets)):
-                hits.append((word, values))
-        else:
-            for sym in range(aut.m):
-                nxt = aut.transitions[state][sym]
-                if nxt < 0:
-                    continue
-                spent += 1
-                if spent > max_words:
-                    return False
-                vals = tuple(reference_value(system.maps[sym], v) for v in values)
-                if any(
-                    v is None or (system.clamp and not box.lo <= v <= box.hi)
-                    for v in vals
+    def level(points, n):
+        """Each surviving word of length n, in lexicographic order, with
+        its automaton state and end values."""
+        out = []
+        for word in itertools.product(range(aut.m), repeat=n):
+            state, values = aut.start, points
+            for sym in word:
+                state = aut.transitions[state][sym]
+                values = tuple(reference_value(system.maps[sym], v) for v in values)
+                if state < 0 or any(
+                    v is None or (system.clamp and not box.lo <= v <= box.hi) for v in values
                 ):
-                    continue
-                if (nxt, vals, length - len(word) - 1) in dead:
-                    continue
-                if not visit(nxt, vals, word + (sym,)):
-                    return False
-            if len(hits) == found:
-                dead.add((state, values, length - len(word)))
-        return True
+                    break
+            else:
+                out.append((word, state, values))
+        return out
 
-    visit(aut.start, tuple(starts), ())
-    return hits, spent, spent > max_words
+    stages, spent, last = [], 0, 0
+    tolerances = iter(tolerances)
+    eps = next(tolerances, None)
+    for n in range(1, horizon + 1):
+        if eps is None:
+            break
+        before = [{(q, v) for _, q, v in level(points, n - 1)} for points in groups]
+        spent += sum(
+            1 for keys in before for q, _ in keys for r in aut.transitions[q] if r >= 0
+        )
+        if spent > max_words:
+            return stages, max_words + 1, True
+        levels = [level(points, n) for points in groups]
+        if not all(levels):
+            break
+        hits = [
+            next(((w, v) for w, _, v in words if all(abs(x - t) < eps for x, t in zip(v, ts))), None)
+            for words, ts in zip(levels, targets)
+        ]
+        if None not in hits:
+            stages.append((n, tuple(hits)))
+            eps = next(tolerances, None)
+    return stages, spent, False
 
 
 SYSTEMS = st.integers(0, 2**32).map(lambda seed: random_system(random.Random(seed)))
@@ -359,24 +382,31 @@ EPSILONS = st.one_of(
 @given(
     SYSTEMS,
     st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=3),
-    EPSILONS,
+    st.booleans(),
+    st.lists(EPSILONS, min_size=1, max_size=3),
     st.integers(1, 5),
     st.one_of(st.integers(1, 200), st.just(500_000)),
 )
 # |4/5 - 3/4| is exactly eps: the strict test rejects the only surviving word.
-@example(CLAMPED, [(F(2, 5), F(3, 4))], F(1, 20), 3, 500_000)
+@example(CLAMPED, [(F(2, 5), F(3, 4))], True, [F(1, 20)], 3, 500_000)
 # 1/2 lands on the clamp bound 1 under both tent maps, and survives.
-@example(CLAMPED, [(F(1, 2), 1), (F(1, 4), F(1, 2))], 1, 1, 500_000)
-def test_point_hits_match_plain_fraction_orbits(system, pairs, eps, length, max_words):
-    starts, targets = (tuple(v) for v in zip(*pairs))
-    assert search.ratio_point_step(system, starts + targets + (eps,)) is not None
+@example(CLAMPED, [(F(1, 2), 1), (F(1, 4), F(1, 2))], True, [1], 1, 500_000)
+def test_point_hits_match_plain_fraction_orbits(
+    system, pairs, shared, tolerances, horizon, max_words
+):
+    starts, ends = (tuple(v) for v in zip(*pairs))
+    if shared:
+        groups, targets = [starts], [ends]
+    else:
+        groups, targets = [(x,) for x in starts], [(t,) for t in ends]
+    assert search._point_search(system, starts + ends)[3] is not None
     clock = SearchClock(SearchBudget(max_words=max_words))
-    hits = list(iter_point_hits(system, starts, targets, eps, length, clock))
-    want, spent, exceeded = reference_point_hits(
-        system, starts, targets, eps, length, max_words
+    stages = list(iter_point_hits(system, groups, targets, tolerances, horizon, clock))
+    want, spent, exceeded = reference_point_sweep(
+        system, groups, targets, tolerances, horizon, max_words
     )
-    assert hits == want
-    assert all(type(v) is F for _, values in hits for v in values)
+    assert stages == want
+    assert all(type(v) is F for _, hits in stages for _, values in hits for v in values)
     assert (clock.count, clock.exceeded) == (spent, exceeded)
 
 
@@ -471,45 +501,6 @@ def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, max_words)
 # off, rational and float mode, both leaf tests and gapped length lists.
 
 
-@st.composite
-def sweep_systems(draw):
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    m = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["full", "forbidden", "dfa"]))
-    if kind == "forbidden":
-        factors = draw(
-            st.lists(
-                st.lists(st.integers(0, m - 1), min_size=1, max_size=3).map(tuple),
-                min_size=1,
-                max_size=3,
-            )
-        )
-        language = ForbiddenWords(m, tuple(factors))
-    elif kind == "dfa":
-        states = draw(st.integers(1, 4))
-        edges = draw(
-            st.dictionaries(
-                st.tuples(st.integers(0, states - 1), st.integers(0, m - 1)),
-                st.integers(0, states - 1),
-                min_size=1,
-            )
-        )
-        language = Dfa(m, states, 0, tuple((q, a, r) for (q, a), r in sorted(edges.items())))
-    else:
-        language = FullShift(m)
-    try:
-        compile_language(language)
-    except EmptyLanguage:
-        assume(False)
-    return SwitchedSystem(
-        maps=tuple(random_map(rng) for _ in range(m)),
-        language=language,
-        bounds=Interval(F(0), F(1)),
-        clamp=draw(st.booleans()),
-        numerics=Numerics(mode=draw(st.sampled_from(["rational", "float"]))),
-    )
-
-
 LENGTHS = st.one_of(
     st.sampled_from([(2, 5), range(3, 7), (1,), (4, 1, 2), range(1, 6)]),
     st.lists(st.integers(1, 6), min_size=1, max_size=3),
@@ -595,26 +586,30 @@ def test_an_unfinished_walk_records_no_frame_on_its_stack():
 
 def test_point_search_path_follows_value_types():
     # A float anywhere, a float map or a finite float clamp end keeps the
-    # generic loop; the integer path needs exact values on exact maps.
+    # generic loop; the integer path needs exact values on exact maps.  Only
+    # the integer path has a decode step.
+    def exact_path(system, values):
+        return search._point_search(system, values)[3] is not None
+
     exact = (F(2, 5), 1, F(1, 4))
-    assert search.ratio_point_step(CLAMPED, exact) is not None
-    assert search.ratio_point_step(CLAMPED, exact + (0.25,)) is None
-    assert search.ratio_point_step(CLAMPED, (True,)) is None
+    assert exact_path(CLAMPED, exact)
+    assert not exact_path(CLAMPED, exact + (0.25,))
+    assert not exact_path(CLAMPED, (True,))
     float_box = SwitchedSystem(
         maps=CLAMPED.maps, language=CLAMPED.language, bounds=Interval(0.0, 1.0), clamp=True
     )
-    assert search.ratio_point_step(float_box, exact) is None
+    assert not exact_path(float_box, exact)
     float_maps = SwitchedSystem(
         maps=(PiecewiseAffineMap.globally(0.5, 0.25),),
         language=FullShift(1),
         bounds=CLAMPED.bounds,
     )
-    assert search.ratio_point_step(float_maps, exact) is None
+    assert not exact_path(float_maps, exact)
     float_mode = SwitchedSystem(
         maps=CLAMPED.maps, language=CLAMPED.language, bounds=CLAMPED.bounds,
         numerics=Numerics(mode="float"),
     )
-    assert search.ratio_point_step(float_mode, exact) is None
+    assert not exact_path(float_mode, exact)
 
 
 def test_set_search_path_follows_value_types(monkeypatch):
