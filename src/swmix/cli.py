@@ -5,11 +5,16 @@ One scenario file per invocation; artifacts land under ``--out`` as
 ``envelope.csv``, ``counts.csv``).  Exit status: 0 on success, 2 when a
 search budget ran out (partial artifacts are still written), 1 on validation
 errors, which are printed as machine-readable JSON objects.
+
+:func:`main` may be called any number of times in one process: the argument
+parser is built on the first call and reused.  Each report is encoded once,
+and those bytes are both ``report.json`` and stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -67,10 +72,16 @@ def _load_json(path: str) -> Any:
         raise ScenarioError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _write_artifacts(out_dir: Path, artifacts: dict[str, str]) -> None:
+def _emit(out: str, report: dict, artifacts: dict[str, str]) -> None:
+    """Write ``report.json`` and the artifacts under ``out``, and print the
+    report: one encoding serves both, so stdout and ``report.json`` are the
+    same bytes."""
+    text = dumps(report)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in artifacts.items():
-        (out_dir / name).write_text(text, encoding="utf-8")
+    for name, body in {"report.json": text, **artifacts}.items():
+        (out_dir / name).write_text(body, encoding="utf-8")
+    print(text, end="")
 
 
 def _require(params: dict, key: str) -> Any:
@@ -306,8 +317,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         code, report, artifacts = _dispatch(_load_json(args.scenario))
     except BudgetExceeded as exc:
         code, report, artifacts = 2, {"error": _error_payload(exc)}, {}
-    _write_artifacts(Path(args.out), {"report.json": dumps(report), **artifacts})
-    print(dumps(report), end="")
+    _emit(args.out, report, artifacts)
     return code
 
 
@@ -319,8 +329,7 @@ def _cmd_tent_demo(args: argparse.Namespace) -> int:
     }
     params = {key: value for key, value in flags.items() if value is not None}
     code, report, _ = _task_tent_demo(None, params, SearchBudget(), args.seed)
-    _write_artifacts(Path(args.out), {"report.json": dumps(report)})
-    print(dumps(report), end="")
+    _emit(args.out, report, {})
     return code
 
 
@@ -345,6 +354,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swmix",

@@ -67,7 +67,10 @@ def scalar_from_json(v: Any) -> Scalar:
     if isinstance(v, bool):
         raise ScenarioError(f"expected a scalar, got {v!r}")
     if isinstance(v, (int, float)):
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError as exc:
+            raise ScenarioError("a scalar is too large for a float") from exc
     if isinstance(v, str):
         if v == "inf":
             return POS_INF

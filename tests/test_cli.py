@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from swmix.cli import main
+from swmix.cli import _build_parser, main
 from swmix.demo import tent_system
 from swmix.serialization import system_to_json
 
@@ -443,6 +443,26 @@ def test_hitting_task(tmp_path, capsys):
     assert report["type1"] == [4]
 
 
+def test_hitting_rejects_an_endpoint_beyond_float_range(tmp_path, capsys):
+    # json.dumps writes 10**400 as a 401-digit JSON integer.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "hitting",
+            "system": CLAMPED_JSON,
+            "params": {"U": [[0, 10**400]], "V": [["9/10", "1"]]},
+            "budget": {"max_horizon": 4},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": "a scalar is too large for a float",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def _hitting_numerics(tmp_path, numerics):
     system = dict(CLAMPED_JSON, numerics=numerics)
     return write(
@@ -709,3 +729,94 @@ def test_verify_unknown_kind_exits_1(tmp_path, capsys):
         "type": "ScenarioError",
         "message": "unknown certificate kind ['wm']",
     }
+
+
+def _hitting_run():
+    return {
+        "task": "hitting",
+        "system": CLAMPED_JSON,
+        "params": {"U": [["0", "1/10"]], "V": [["9/10", "1"]]},
+        "budget": {"max_horizon": 4},
+    }
+
+
+def _wm_cert_out_of_words():
+    # wm_certificate runs out of words at length 3: the task writes the
+    # partial certificate and exits 2.
+    return {
+        "task": "wm-cert",
+        "system": CLAMPED_JSON,
+        "params": {
+            "K": [["0", "1"]],
+            "Q": [["0", "1"]],
+            "pairs": [
+                [[["0", "1/4"]], [["7/10", "4/5"]]],
+                [[["1/8", "3/8"]], [["2/5", "3/5"]]],
+            ],
+            "kind": "wm1",
+        },
+        "budget": {"max_horizon": 12, "max_words": 10, "required": 2},
+    }
+
+
+def _spread_out_of_words():
+    # certify_spread raises BudgetExceeded, which run reports as the error.
+    return spread_scenario(
+        params={
+            "seeds": [[["1/4", "3/4"]], [["3/8", "5/8"]]],
+            "K": [["0", "1"]],
+            "Q": [["0", "1"]],
+            "eps": "1/5",
+            "net_radius": "1/6",
+        },
+        budget={"max_horizon": 10, "max_words": 20_000},
+    )
+
+
+@pytest.mark.parametrize(
+    "scenario, want_code, want_keys",
+    [
+        (_hitting_run, 0, {"type1"}),
+        (_wm_cert_out_of_words, 2, {"error", "partial_certificate"}),
+        (_spread_out_of_words, 2, {"error"}),
+    ],
+    ids=["exit-0", "budget-bound", "budget-exceeded"],
+)
+def test_run_prints_the_bytes_of_report_json(
+    tmp_path, capsys, scenario, want_code, want_keys
+):
+    scn = write(tmp_path / "scn.json", scenario())
+    out = tmp_path / "out"
+    code = main(["run", scn, "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == want_code
+    assert want_keys <= json.loads(printed).keys()
+    assert printed.encode("utf-8") == (out / "report.json").read_bytes()
+
+
+def test_main_builds_the_parser_once(tmp_path, capsys):
+    parser = _build_parser()
+    scn = write(tmp_path / "scn.json", _hitting_run())
+    for _ in range(3):
+        assert main(["run", scn, "--out", str(tmp_path / "out")]) == 0
+        assert _build_parser() is parser
+
+
+@pytest.mark.parametrize("argv", [[], ["run"]], ids=["no-command", "no-scenario"])
+def test_usage_errors_leave_the_parser_reusable(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: swmix")
+    scn = write(tmp_path / "scn.json", _hitting_run())
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["type1"] == [4]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: swmix")

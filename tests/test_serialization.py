@@ -58,6 +58,15 @@ def test_scalar_round_trip():
         scalar_from_json(None)
 
 
+def test_scalar_beyond_float_range_is_a_scenario_error():
+    # A JSON integer is read as a float; one past float range cannot be.
+    assert scalar_from_json(10**308) == 1e308
+    with pytest.raises(ScenarioError, match="too large for a float"):
+        scalar_from_json(10**400)
+    with pytest.raises(ScenarioError, match="too large for a float"):
+        interval_set_from_json([[0, -(10**400)]])
+
+
 def test_word_round_trip():
     w = Word.of(0, 1, 1, 0)
     assert word_from_json(word_to_json(w)) == w
