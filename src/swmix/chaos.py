@@ -17,19 +17,20 @@ sweep serves every stage.
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
 
-Point orbits are stepped on integers when the system's exact form
-(:meth:`swmix.core.SwitchedSystem._exact`, where a system is sent to
-integers or to the generic loops) exists and every point and target is a
-Fraction or an int, as :func:`~swmix.search._point_search`, shared by both
-searches, decides once per search: an orbit value ``n/d`` is carried as two
-reduced integers and stepped by :func:`~swmix.search._ratio_point_step`,
-and a tolerance of any type is compared through its exact ratio.  Envelope
+Point orbits are stepped on integers in rational mode, where the system's
+exact form (:meth:`swmix.core.SwitchedSystem._exact`) exists; the mode
+alone picks the path, in :func:`~swmix.search._point_search`, shared by
+both searches.  An orbit value ``n/d`` is carried as two reduced integers
+and stepped by :func:`~swmix.search._ratio_point_step`, and every point,
+target and tolerance counts at its exact value, a finite float's included;
+so does a float target in an error ``|v - t|`` (:func:`_error`).  Envelope
 level keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
 ``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
 integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
 One Fraction is built per row extreme, and the rows, words, truncation and
 clock charges are those of the generic Fraction loop.  Globally affine
-type-2 envelopes without a clamp follow the orbit difference instead.
+type-2 envelopes without a clamp follow the orbit difference instead, on
+exact values in rational mode.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from typing import Sequence
 
 from .core import SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
-from .intervals import Scalar
+from .intervals import Scalar, _exact_value
 from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, _levels, _point_search, iter_point_hits
 from .words import Word
@@ -110,6 +111,12 @@ def _require_finite(what: str, values: Sequence[Scalar]) -> None:
             raise ValueError(f"{what} must be finite, got {x!r}")
 
 
+def _error(system: SwitchedSystem, v: Scalar, t: Scalar) -> Scalar:
+    """``|v - t|``; in rational mode on the exact value of a float target,
+    so that an exact orbit value keeps an exact error."""
+    return abs(v - (t if system._exact() is None else _exact_value(t)))
+
+
 def _type2_row(n: int, level: dict, exact: bool, diff: bool) -> EnvelopeRow:
     """Type-2 extremes of a level in one pass.
 
@@ -158,10 +165,10 @@ def distance_envelope(
     O(horizon) per level in the shared-word case.  On budget exhaustion the
     envelope is returned truncated at the last completed length.
 
-    Exact systems with Fraction or int points carry their levels as reduced
-    integer ratios (module docstring); the rows, words, truncation and clock
-    charges are those of the generic Fraction loop.  ``horizon`` must be an
-    int of at least 1; ``x`` and ``y`` distinct finite numbers, not bools.
+    Rational mode carries the levels as reduced integer ratios of the
+    points' exact values (module docstring); the rows, words, truncation
+    and clock charges are those of the generic Fraction loop.  ``horizon``
+    must be an int of at least 1; ``x`` and ``y`` distinct finite numbers, not bools.
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown envelope kind {kind!r}")
@@ -180,15 +187,16 @@ def distance_envelope(
     if diff_ok:
         # Globally affine maps act on the orbit difference autonomously, so
         # the level collapses to (state, signed difference) keys.
-        slopes = tuple(pam.effective_pieces[0].slope for pam in system.maps)
+        ex = _exact_value if system._exact() is not None else lambda v: v
+        slopes = tuple(ex(pam.effective_pieces[0].slope) for pam in system.maps)
 
         def step(d: Scalar, sym: int) -> Scalar:
             return slopes[sym] * d
 
         exact = False
-        roots = [y - x]
+        roots = [ex(y) - ex(x)]
     else:
-        encode, step, _, decode = _point_search(system, (x, y))
+        encode, step, _, decode = _point_search(system)
         exact = decode is not None
         # Type 2 steps both points in one level, type 1 each in its own.
         roots = [encode((x, y))] if kind == "type2" else [encode((x,)), encode((y,))]
@@ -383,9 +391,9 @@ def xiong_witness(
     stops the construction.
 
     Points, targets and tolerances must be finite numbers (not bools);
-    tolerances must also be positive and strictly decreasing.  On an exact
-    system with Fraction or int points and targets the orbits are stepped on
-    integer ratios.  All stages share one level sweep per group
+    tolerances must also be positive and strictly decreasing.  In rational
+    mode the orbits are stepped on integer ratios, and each error is exact
+    (:func:`_error`).  All stages share one level sweep per group
     (:func:`~swmix.search.iter_point_hits`), so the clock is charged once
     per swept ``(state, values)`` key and symbol of the witness.
     """
@@ -408,7 +416,7 @@ def xiong_witness(
     sweep = iter_point_hits(system, groups, goals, tol, budget.max_horizon, clock)
     stages = []
     for eps, (n, hits) in zip(tol, sweep):
-        errs = [abs(v - t) for (_, vs), ts in zip(hits, goals) for v, t in zip(vs, ts)]
+        errs = [_error(system, v, t) for (_, vs), ts in zip(hits, goals) for v, t in zip(vs, ts)]
         stages.append(XiongStage(eps, n, tuple(Word(w) for w, _ in hits), tuple(errs)))
     return XiongWitness(kind, pts, tgts, tuple(stages), complete=len(stages) == len(tol))
 
@@ -435,7 +443,7 @@ def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
             if len(w) != stage.length or not accepts_prefix(system.automaton, w):
                 return False
             try:
-                err = abs(eval_point(system, w, x) - t)
+                err = _error(system, eval_point(system, w, x), t)
             except UndefinedAtPoint:
                 return False
             if err > claimed or claimed >= stage.tolerance:

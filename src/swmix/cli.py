@@ -53,7 +53,7 @@ from .serialization import (
     xiong_witness_from_json,
     xiong_witness_to_json,
 )
-from .spread import build_qnet, certify_spread, verify_certificate
+from .spread import _check_net, build_qnet, certify_spread, verify_certificate
 
 __all__ = ["main"]
 
@@ -252,6 +252,7 @@ def _task_spread(
     eps = scalar_from_json(_require(params, "eps"))
     radius = scalar_from_json(params["net_radius"]) if "net_radius" in params else eps / 2
     max_table = _int_param(params, "max_table", 4096)
+    _check_net(Q, radius, len(seeds), max_table)
     net = build_qnet(Q, radius)
     cert = certify_spread(system, seeds, K, eps, net, budget, max_table=max_table)
     cert_json = spread_certificate_to_json(cert)

@@ -5,9 +5,11 @@ a switching language, and a working bounding box.  Words act by composition
 in storage order: for ``w = (w_0, .., w_{n-1})`` the map ``f_w`` applies
 ``f_{w_0}`` first and ``f_{w_{n-1}}`` last, so ``f_{u+v} = f_v ∘ f_u``.
 
-Two numeric modes are supported.  In the default rational mode all scalars
-are :class:`fractions.Fraction` and every image, preimage and orbit value is
-exact.  In float mode scalars are machine floats and each affine application
+Two numeric modes are supported, and the mode alone picks the arithmetic.
+In the default rational mode every image, preimage and orbit value is exact:
+a Fraction or int scalar counts at its value and a finite float at its exact
+binary value (``float.as_integer_ratio()``), so the float ``0.1`` is not
+``1/10``.  In float mode scalars are machine floats and each affine application
 (two arithmetic operations) widens interval endpoints outward by ``2*tau``.
 That absolute margin covers the rounding error only while endpoints stay
 small: once they pass about ``2**12`` one rounding step can exceed it, and
@@ -26,25 +28,24 @@ Each :class:`AffinePiece` stores the sign of its slope and its inverse map
 ``(1/a, -b/a)``, computed once at construction, so :func:`image_of` and
 :func:`preimage` do no per-call division or sign test on the coefficients.
 
-Exact maps are evaluated on integers.  A map is exact when its coefficients
-are Fractions and its domain endpoints are Fractions, ints or infinite; its
-pieces then have one integer form, ``(lo_n, lo_d, hi_n, hi_d, a, b, c,
-positive, ia, ib, ic, lo, hi)`` (:func:`_ratio_table`).  With ``x = n/d``
-the image of ``x`` is ``(a*n + b*d) / (c*d)`` and its pull-back ``(ia*n +
-ib*d) / (ic*d)``; two endpoints compare by cross-multiplying.
+Rational mode runs on integers.  A map's pieces have one integer form,
+``(lo_n, lo_d, hi_n, hi_d, a, b, c, positive, ia, ib, ic, lo, hi)``
+(:func:`_ratio_table`), built from the exact value of every coefficient and
+finite domain end.  With ``x = n/d`` the image of ``x`` is ``(a*n + b*d) /
+(c*d)`` and its pull-back ``(ia*n + ib*d) / (ic*d)``; two endpoints compare
+by cross-multiplying.
 
-A system decides once whether it runs on integers:
-:meth:`SwitchedSystem._exact` is its exact form, every map's table, its
-point rows and the clamp box's row, or None in float mode, for a map that is
-not exact, or for a clamp box with a finite float end.  It is the only place
-that builds the tables, and every integer path reads it --
-:func:`eval_point`, :func:`eval_interval`, :func:`word_preimage`,
+:meth:`SwitchedSystem._exact` is a system's exact form, every map's table,
+its point rows and the clamp box's row, and it is None exactly in float
+mode.  It is the only place that builds the tables and the one switch
+between integers and the generic loops: :func:`eval_point`,
+:func:`eval_interval`, :func:`word_preimage`,
 :func:`swmix.hitting.pull_back_hit`, the set and point searches of
-:mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` -- taking the
-generic loops when it is None or when an input end or value is a finite
-float.  :meth:`PiecewiseAffineMap.value_at`, :func:`image_of` and
-:func:`preimage` are those generic loops: the float-mode step, and the
-reference the integer paths are tested against.
+:mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` run on rows
+whenever it exists, whatever the types of their inputs.
+:meth:`PiecewiseAffineMap.value_at`, :func:`image_of` and :func:`preimage`
+are the generic loops: the float-mode step, and the reference the integer
+paths are tested against.
 
 * A point is carried as a reduced pair ``(n, d)``; :func:`eval_point` steps
   a whole word on it and builds one Fraction at the end.
@@ -240,35 +241,31 @@ class PiecewiseAffineMap:
         return cursor >= iv.hi
 
 
-def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...] | None:
-    """Integer form of the map's effective pieces, or None when a
-    coefficient or a finite endpoint is not exact.
+def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...]:
+    """Integer form of the map's effective pieces, at the exact value of
+    every coefficient and finite endpoint.
 
     A piece with ``slope = sn/sd``, ``offset = on/od``, inverse slope
     ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d, hi_n,
     hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd, isd*iod, lo,
-    hi)``, where ``lo`` and ``hi`` are the domain endpoints themselves.
+    hi)``, where ``lo`` and ``hi`` are the domain endpoints themselves.  The
+    inverse is computed from the exact slope, not read from
+    :attr:`AffinePiece.inv_slope`, which holds a rounded ``1.0/a`` for a
+    float slope.
     """
     table = []
     for p in pam.effective_pieces:
         lo, hi = p.domain.lo, p.domain.hi
-        lo_r, hi_r = _ratio_end(lo), _ratio_end(hi)
-        slope, offset = p.slope, p.offset
-        if (
-            lo_r is None
-            or hi_r is None
-            or type(slope) is not Fraction
-            or type(offset) is not Fraction
-        ):
-            return None
-        sn, sd = slope.as_integer_ratio()
-        on, od = offset.as_integer_ratio()
-        isn, isd = p.inv_slope.as_integer_ratio()
-        ion, iod = p.inv_offset.as_integer_ratio()
+        sn, sd = p.slope.as_integer_ratio()
+        on, od = p.offset.as_integer_ratio()
+        # 1/slope = sd/sn and -offset/slope = -on*sd/(od*sn), reduced, d > 0
+        isn, isd = (sd, sn) if sn > 0 else (-sd, -sn)
+        g = gcd(on * isn, od * isd)
+        ion, iod = -on * isn // g, od * isd // g
         table.append(
             (
-                *lo_r,
-                *hi_r,
+                *_ratio_end(lo),
+                *_ratio_end(hi),
                 sn * od,
                 on * sd,
                 sd * od,
@@ -356,26 +353,24 @@ class SwitchedSystem:
         return len(self.maps)
 
     def _exact(self) -> _Exact | None:
-        """The system's exact form, or None in float mode, when a map is not
-        exact, or when the clamp box has a finite float end.
+        """The system's exact form in rational mode, None in float mode.
 
-        Every integer path of the package reads it, so this is the one place
-        where a system is sent to rows or to the generic loops, and the only
-        caller of :func:`_ratio_table`.  Built on the first call and cached;
-        a plain attribute, so equality and repr are unchanged.
+        Every integer path of the package reads it, so the numeric mode is
+        the one switch between rows and the generic loops, and this is the
+        only caller of :func:`_ratio_table`.  Built on the first call and
+        cached; a plain attribute, so equality and repr are unchanged.
         """
         try:
             return self._exact_form
         except AttributeError:
             pass
         form = None
-        if not self.numerics.widen:
+        if self.numerics.mode == "rational":
             tables = tuple(_ratio_table(pam) for pam in self.maps)
-            lo, hi = _ratio_end(self.bounds.lo), _ratio_end(self.bounds.hi)
-            if None not in tables and not (self.clamp and None in (lo, hi)):
-                # a point step reads a row's piece test and its image map
-                points = tuple(tuple(row[:7] for row in t) for t in tables)
-                form = _Exact(tables, points, lo + hi if self.clamp else None)
+            # a point step reads a row's piece test and its image map
+            points = tuple(tuple(row[:7] for row in t) for t in tables)
+            box = _ratio_end(self.bounds.lo) + _ratio_end(self.bounds.hi)
+            form = _Exact(tables, points, box if self.clamp else None)
         object.__setattr__(self, "_exact_form", form)
         return form
 
@@ -398,15 +393,18 @@ def _check_word(system: SwitchedSystem, word: Word | Sequence[int]) -> tuple[int
 def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) -> Scalar:
     """Orbit endpoint ``f_w(x)``; raises UndefinedAtPoint when the orbit dies.
 
-    An exact system and a Fraction or int ``x`` step the whole word on the
-    exact form's point rows: ``n/d`` passes the piece with ``lo_n*d <
-    n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``, reduced,
-    and one Fraction is built at the end -- the value, type and repr of the
-    :meth:`~PiecewiseAffineMap.value_at` loop.
+    Rational mode steps the whole word on the exact form's point rows,
+    from the exact value ``n/d`` of ``x``: ``n/d`` passes the piece with
+    ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``,
+    reduced, and one Fraction is built at the end -- the value, type and
+    repr of the :meth:`~PiecewiseAffineMap.value_at` loop on exact values.
+    An infinite or NaN ``x`` lies in no piece's domain.
     """
     symbols = _check_word(system, word)
     exact = system._exact()
-    if exact is not None and (type(x) is Fraction or type(x) is int):
+    if exact is not None:
+        if type(x) is float and not math.isfinite(x):
+            raise UndefinedAtPoint(f"orbit undefined at step 0: {x} is not finite")
         n, d = x.as_integer_ratio()
         for step, sym in enumerate(symbols):
             for lo_n, lo_d, hi_n, hi_d, a, b, c in exact.points[sym]:
@@ -541,13 +539,13 @@ def eval_interval(
 ) -> IntervalSet:
     """Enclosure of ``f_w`` over an interval union; exact in rational mode.
 
-    An exact system and exact endpoints step the whole word on rows and
-    build the result's endpoints once, at the end.
+    Rational mode steps the whole word on rows and builds the result's
+    endpoints once, at the end.
     """
     symbols = _check_word(system, word)
     exact = system._exact()
-    rows = _ratio_rows(sets.components) if exact is not None else None
-    if rows is not None:
+    if exact is not None:
+        rows = _ratio_rows(sets.components)
         return _rows_set(_word_image_rows(exact.tables, symbols, rows, partial))
     widen = system.numerics.widen
     current = sets
@@ -650,15 +648,15 @@ def word_preimage(
 ) -> IntervalSet:
     """Preimage of ``target`` under ``f_w`` (pull back through the word reversed).
 
-    An exact system and exact endpoints step the whole word on rows and
-    build the result's endpoints once, at the end.
+    Rational mode steps the whole word on rows and builds the result's
+    endpoints once, at the end.
     """
     symbols = _check_word(system, word)
     exact = system._exact()
-    rows = _ratio_rows(target.components) if exact is not None else None
-    if rows is not None:
-        if not rows:
+    if exact is not None:
+        if target.is_empty:
             return target
+        rows = _ratio_rows(target.components)
         return _pulled_set(_word_preimage_rows(exact.tables, symbols, rows))
     widen = system.numerics.widen
     current = target
@@ -679,7 +677,9 @@ def itinerary_word(
     closure contains the current iterate names the map to apply.
 
     First-match resolves boundary ties deterministically, so cells may be
-    listed as open sets even when their shared endpoints matter.
+    listed as open sets even when their shared endpoints matter.  Each step
+    is :func:`eval_point`, so rational mode follows the exact orbit of a
+    float ``x``.
     """
     if steps < 1:
         raise ValueError("need at least one step")
@@ -692,7 +692,7 @@ def itinerary_word(
         for cells, sym in partition:
             if cells.closure_contains(value):
                 symbols.append(sym)
-                value = system.maps[sym].value_at(value)
+                value = eval_point(system, (sym,), value)
                 break
         else:
             raise OutsidePartition(f"iterate {value} at step {step} is in no cell")

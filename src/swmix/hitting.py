@@ -12,14 +12,15 @@ Everything a certificate asserts is carried as a :class:`HitWitness` that
 re-checks against the core evaluator alone, independent of how the search
 found it.  A set witness's source comes from :func:`pull_back_hit`: the
 leftmost overlap of f_w(U) with V pulled back and cut by U, kept only when
-its image lands in V again.  When the system's exact form
-(:meth:`swmix.core.SwitchedSystem._exact`, where a system is sent to
-integers or to the generic loops) exists and the sets' ends are exact, all
-three passes run on the integer rows of :mod:`swmix.core`, and only the
-returned set is built.
+its image lands in V again.  In rational mode, where the system's exact
+form (:meth:`swmix.core.SwitchedSystem._exact`) exists, all three passes
+run on the integer rows of :mod:`swmix.core` from the exact values of the
+sets' ends, and only the returned set is built; the mode alone picks the
+path.
 
-:func:`order_reduction` rests on :func:`maps_commute`, an exact verdict
-computed once per system and cached on it.
+:func:`order_reduction` rests on :func:`maps_commute`, a verdict computed
+once per system and cached on it: exact in rational mode, on the exact
+values of float coefficients and ends.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    AffinePiece,
     PiecewiseAffineMap,
     SwitchedSystem,
     _check_word,
@@ -49,6 +51,7 @@ from .intervals import (
     IntervalSet,
     Scalar,
     _cut_rows,
+    _exact_value,
     _ratio_rows,
     _ratio_scalar,
     _rows_inside,
@@ -126,32 +129,29 @@ def pull_back_hit(
     Pulls the leftmost component of f_w(source) ∩ target back through the
     word, cuts it by the source, images the cut forward again and returns
     its widest component (the first among equals; an unbounded one is
-    widest) when that image is nonempty and inside ``target``.  In float
-    mode a bounded overlap component is shrunk inward when the plain round
-    trip fails, so the outward-rounded one may still verify; an unbounded
-    one cannot be shrunk.  The result is always re-checked, never trusted.
+    widest) when that image is nonempty and inside ``target``.  The result
+    is always re-checked, never trusted.
 
-    A system with an exact form (:meth:`SwitchedSystem._exact`) and every
-    source and target end a Fraction, an int or infinite runs all three
-    passes on integer rows and builds only the returned set.  The cuts keep
+    Rational mode (:meth:`SwitchedSystem._exact`) runs all three passes on
+    integer rows and builds only the returned set.  The cuts keep
     ``IntervalSet.intersect``'s endpoint objects: the pulled end on a tie,
     so an int domain end keeps its type, and the source's end where it lies
-    strictly inside.
+    strictly inside.  Float mode runs the generic loops and shrinks a
+    bounded overlap component inward when the plain round trip fails, so
+    the outward-rounded one may still verify; an unbounded one cannot be
+    shrunk.
     """
     w = Word(tuple(word))
     exact = system._exact()
     if exact is not None:
-        src = _ratio_rows(source.components)
-        tgt = _ratio_rows(target.components) if src is not None else None
-        if tgt is not None:
-            return _pull_back_rows(exact.tables, _check_word(system, w), source, src, tgt)
+        src, tgt = _ratio_rows(source.components), _ratio_rows(target.components)
+        return _pull_back_rows(exact.tables, _check_word(system, w), source, src, tgt)
     image = eval_interval(system, w, source, partial=True)
     overlap = image.intersect(target)
     if overlap.is_empty:
         return None
     comp = overlap.components[0]
-    shrinks = (0, 8, 4) if system.numerics.mode == "float" else (0,)
-    for denom in shrinks:
+    for denom in (0, 8, 4):
         if denom:
             if not comp.bounded:
                 return None
@@ -432,21 +432,35 @@ def maps_commute(system: SwitchedSystem) -> bool:
     is one affine piece or undefined throughout.  One interior point names
     the pieces, and the cell passes when the composed coefficients agree or
     a composition is undefined there.  Exact in rational mode, on bounded
-    and unbounded boxes alike.  The verdict is computed on the first call
-    and cached on the system, whose maps and box never change.
+    and unbounded boxes alike: the cuts and composed coefficients are
+    computed on the exact values of float coefficients and ends
+    (:func:`_exact_map`).  Float mode compares floats.  The verdict is
+    computed on the first call and cached on the system, whose maps and
+    box never change.
     """
     try:
         return system._commutes
     except AttributeError:
         pass
-    maps = system.maps
-    verdict = all(
-        _pair_commutes(f, g, system.bounds)
-        for i, f in enumerate(maps)
-        for g in maps[i + 1 :]
-    )
+    maps, box = system.maps, system.bounds
+    if system._exact() is not None:
+        maps = tuple(map(_exact_map, maps))
+        box = Interval(_exact_value(box.lo), _exact_value(box.hi))
+    verdict = all(_pair_commutes(f, g, box) for i, f in enumerate(maps) for g in maps[i + 1 :])
     object.__setattr__(system, "_commutes", verdict)
     return verdict
+
+
+def _exact_map(pam: PiecewiseAffineMap) -> PiecewiseAffineMap:
+    """``pam`` with every float coefficient and finite domain end at its
+    exact value, its fallback gaps listed as pieces."""
+    ex = _exact_value
+    return PiecewiseAffineMap(
+        tuple(
+            AffinePiece(Interval(ex(p.domain.lo), ex(p.domain.hi)), ex(p.slope), ex(p.offset))
+            for p in pam.effective_pieces
+        )
+    )
 
 
 def _pair_commutes(f: PiecewiseAffineMap, g: PiecewiseAffineMap, box: Interval) -> bool:

@@ -1,11 +1,10 @@
 """Open intervals and finite unions of open intervals on the real line.
 
-Endpoints are exact rationals (:class:`fractions.Fraction`) in the default
-numeric mode or machine floats in outward-rounded mode; the two float
-infinities serve as unbounded endpoints in either mode.  Every operation in
-this module is exact endpoint algebra -- approximation enters the package only
-where endpoint *arithmetic* happens (map images and preimages in
-:mod:`swmix.core`).
+Endpoints are exact rationals (:class:`fractions.Fraction`), ints or machine
+floats; the two float infinities serve as unbounded endpoints in either
+numeric mode.  Every operation in this module is exact endpoint algebra --
+approximation enters the package only where float mode does endpoint
+*arithmetic* (map images and preimages in :mod:`swmix.core`).
 
 All sets here are open.  Normalisation merges only strictly overlapping
 components and keeps abutting ones separate, so ``(0,1) | (1,2)`` remains two
@@ -15,9 +14,13 @@ Sets are hashed often (search memos key on them), so :class:`IntervalSet`
 caches its hash.  :func:`is_finite` tests the endpoint type before comparing
 with the infinities, since only a float endpoint can be infinite.
 
-Exact sets also have an integer form, rows: one ``(lo_n, lo_d, hi_n, hi_d)``
-per component (:func:`_ratio_rows`), each end a ratio ``(n, d)`` with
-``d > 0`` and the infinities ``(-1, 0)`` and ``(1, 0)``.  The row kernels of
+Every set also has an integer form, rows: one ``(lo_n, lo_d, hi_n, hi_d)``
+per component (:func:`_ratio_rows`), each end the ratio ``(n, d)`` of its
+exact value with ``d > 0`` -- a finite float's is its
+``as_integer_ratio()`` -- and the infinities ``(-1, 0)`` and ``(1, 0)``.
+Rational mode reads every set through rows, so a float end counts at its
+exact binary value there (:meth:`swmix.core.SwitchedSystem._exact`).  The
+row kernels of
 :mod:`swmix.core` and the set searches of :mod:`swmix.search` work on them
 through the helpers here: :func:`_normalise_rows`, the one normaliser of
 image and preimage rows; :func:`_rows_set`, where image rows become an
@@ -33,9 +36,11 @@ infinity, but ``-inf < +inf`` would read ``0 < 0``, so every test that can
 meet both counts a zero denominator apart.  Ties resolve exactly as
 ``max``, ``min`` and a stable sort resolve them.  Besides the row helpers,
 the :class:`Interval` check of two Fraction endpoints cross-multiplies, and
-:meth:`IntervalSet.intersects` runs :func:`_rows_meet` when every endpoint
-and ``min_overlap`` are exact; any float endpoint, or a float
-``min_overlap``, sends it down the generic path.  Every other operation,
+:meth:`IntervalSet.intersects` runs :func:`_rows_meet` when no endpoint is a
+finite float (:func:`_exact_ends`) and ``min_overlap`` is a Fraction or an
+int.  It does not know the numeric mode, so a float end or a float
+``min_overlap`` sends it down the generic path, whose comparisons are exact
+too.  Every other operation,
 :func:`_normalise` behind :meth:`IntervalSet.from_intervals`,
 :meth:`~IntervalSet.intersect` and :meth:`~IntervalSet.subset_of` among
 them, uses plain comparisons alone.
@@ -57,32 +62,33 @@ POS_INF = float("inf")
 _Ratio = tuple[int, int, int, int]
 
 
-def _ratio_end(e: Scalar) -> tuple[int, int] | None:
-    """``(numerator, denominator)`` of an exact endpoint, ``(-1, 0)`` and
-    ``(1, 0)`` for the infinities, None for a finite float."""
-    if type(e) is Fraction or type(e) is int:
+def _ratio_end(e: Scalar) -> tuple[int, int]:
+    """``(numerator, denominator)`` of an endpoint at its exact value, a
+    finite float's included, and ``(-1, 0)`` and ``(1, 0)`` for the
+    infinities."""
+    if type(e) is not float or (e != NEG_INF and e != POS_INF):
         return e.as_integer_ratio()
-    if e == NEG_INF:
-        return -1, 0
-    if e == POS_INF:
-        return 1, 0
-    return None
+    return (-1, 0) if e < 0 else (1, 0)
 
 
-def _ratio_rows(comps: Sequence[Interval]) -> tuple[_Ratio, ...] | None:
-    """``(lo_n, lo_d, hi_n, hi_d)`` per component, or None when an endpoint
-    is a finite float."""
-    rows = []
+def _ratio_rows(comps: Sequence[Interval]) -> tuple[_Ratio, ...]:
+    """``(lo_n, lo_d, hi_n, hi_d)`` per component, at the ends' exact values."""
+    return tuple(_ratio_end(c.lo) + _ratio_end(c.hi) for c in comps)
+
+
+def _exact_value(x: Scalar) -> Scalar:
+    """The exact value of a finite float, as a Fraction; any other scalar
+    as it is."""
+    return Fraction(x) if type(x) is float and is_finite(x) else x
+
+
+def _exact_ends(comps: Sequence[Interval]) -> bool:
+    """Whether no end of ``comps`` is a finite float.  A lo end is never
+    ``+inf`` and a hi end never ``-inf``, so one test per end suffices."""
     for c in comps:
-        lo, hi = c.lo, c.hi
-        if type(lo) is Fraction and type(hi) is Fraction:
-            rows.append(lo.as_integer_ratio() + hi.as_integer_ratio())
-        else:
-            lo_r, hi_r = _ratio_end(lo), _ratio_end(hi)
-            if lo_r is None or hi_r is None:
-                return None
-            rows.append(lo_r + hi_r)
-    return tuple(rows)
+        if (type(c.lo) is float and c.lo != NEG_INF) or (type(c.hi) is float and c.hi != POS_INF):
+            return False
+    return True
 
 
 def is_finite(x: Scalar) -> bool:
@@ -384,12 +390,8 @@ class IntervalSet:
     def intersects(self, other: "IntervalSet", min_overlap: Scalar = 0) -> bool:
         """True iff the interiors overlap with width strictly above ``min_overlap``."""
         a, b = self.components, other.components
-        m = min_overlap
-        if type(m) is Fraction or type(m) is int:
-            ra = _ratio_rows(a)
-            rb = _ratio_rows(b) if ra is not None else None
-            if rb is not None:
-                return _rows_meet(ra, rb, *m.as_integer_ratio())
+        if type(min_overlap) in (Fraction, int) and _exact_ends(a) and _exact_ends(b):
+            return _rows_meet(_ratio_rows(a), _ratio_rows(b), *min_overlap.as_integer_ratio())
         i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i].lo, b[j].lo)

@@ -35,22 +35,21 @@ Searches run in one of two shapes, chosen by what they return:
   every later one.  Neither the memo nor the dead sets change hits or their
   order, nor whether an edge is charged.
 
-Exact searches step integers.  A search reads its system's exact form
-(:meth:`swmix.core.SwitchedSystem._exact`), the one place where a system is
-sent to integers or to the generic loops, and then checks only its own
-inputs.  With an exact form and every source, target and ``min_overlap`` a
-Fraction, an int or infinite, set searches (:func:`_set_search`, shared by
-the sweep and the walker) carry each enclosure as a tuple of rows
-(:mod:`swmix.intervals`), step it with the row kernel
-:func:`swmix.core._image_rows` and test leaves by cross-multiplying; rows
-are canonical, so level, memo and dead-subtree keys of rows are equal
-exactly when their sets are.  With an exact form and every point and target
-a Fraction or an int, point searches (:func:`_point_search`, shared by the
-Xiong sweep and the envelopes) carry a group's orbits as one flat tuple of
-reduced integer pairs ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_point_step`)
-and test ``|v - t| < eps`` cross-multiplied.  Either way, Fractions are
-built only for the hits returned; everything else steps sets with
-:func:`step_images` or values with :func:`step_points`.
+Rational-mode searches step integers.  A search reads its system's exact
+form (:meth:`swmix.core.SwitchedSystem._exact`), which exists exactly in
+rational mode, so the mode alone sends it to integers or to the generic
+loops; every input counts at its exact value, a finite float's included.
+Set searches (:func:`_set_search`, shared by the sweep and the walker) carry
+each enclosure as a tuple of rows (:mod:`swmix.intervals`), step it with
+the row kernel :func:`swmix.core._image_rows` and test leaves by
+cross-multiplying; rows are canonical, so level, memo and dead-subtree keys
+of rows are equal exactly when their sets are.  Point searches
+(:func:`_point_search`, shared by the Xiong sweep and the envelopes) carry a
+group's orbits as one flat tuple of reduced integer pairs ``(n1, d1, n2,
+d2, ..)`` (:func:`_ratio_point_step`) and test ``|v - t| < eps``
+cross-multiplied.  Either way, Fractions are built only for the hits
+returned.  Float mode steps sets with :func:`step_images` and values with
+:func:`step_points`.
 """
 
 from __future__ import annotations
@@ -351,33 +350,32 @@ def _ratio_point_step(exact: _Exact) -> Callable[[tuple[int, ...], int], tuple[i
     return step
 
 
-def _ratio_pairs(values: Iterable[Fraction | int]) -> tuple[int, ...]:
-    """Exact points as the flat ``(n1, d1, n2, d2, ..)`` tuple that the
-    steps of :func:`_ratio_point_step` take."""
+def _ratio_pairs(values: Iterable[Scalar]) -> tuple[int, ...]:
+    """Finite points at their exact values, as the flat ``(n1, d1, n2, d2,
+    ..)`` tuple that the steps of :func:`_ratio_point_step` take."""
     return tuple(r for x in values for r in x.as_integer_ratio())
 
 
 def _point_search(
-    system: SwitchedSystem, values: Iterable[Scalar]
+    system: SwitchedSystem,
 ) -> tuple[Callable, Callable, Callable, Callable | None]:
-    """``(encode, step, near, decode)`` of a point search: the one place
-    where points are sent to integer pairs or to the generic values.
+    """``(encode, step, near, decode)`` of a point search on finite points
+    and targets: the one place where points are sent to integer pairs or
+    to the generic values.
 
     ``encode(points)`` is a group's root value and ``step(value, sym)`` its
     child; ``near(targets, eps)`` is the leaf test of one group, passing
     when every point is within ``eps`` of its target (``|v - t| < eps``).
-    When the system has an exact form and every one of ``values`` (the
-    points and targets) is a Fraction or an int, a value is the flat tuple
-    of reduced pairs (:func:`_ratio_pairs`) stepped by
-    :func:`_ratio_point_step`; the test is ``|n*td - tn*d| * ed < en * d *
-    td`` with ``eps = en/ed`` the exact ratio of any finite int, float or
-    Fraction, so it decides as the generic comparison does; and
-    ``decode`` builds the Fraction points.  Otherwise a value is the tuple
-    of points stepped by :func:`step_points`, and ``decode`` is None.  Both
-    ways step the same words.
+    In rational mode a value is the flat tuple of reduced pairs
+    (:func:`_ratio_pairs`) stepped by :func:`_ratio_point_step`; the test is
+    ``|n*td - tn*d| * ed < en * d * td``, every point, target and ``eps =
+    en/ed`` at its exact value; and ``decode`` builds the Fraction points.
+    In float mode a value is the tuple of points stepped by
+    :func:`step_points`, and ``decode`` is None.  Both ways step the same
+    words.
     """
     exact = system._exact()
-    if exact is None or any(type(v) is not Fraction and type(v) is not int for v in values):
+    if exact is None:
 
         def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
             return lambda points: all(abs(v - t) < eps for v, t in zip(points, targets))
@@ -414,27 +412,24 @@ def _set_search(
 
     ``fits(values)`` passes when every final enclosure meets its target
     (``intersects`` with the system's ``min_overlap``, partial images), or
-    with ``inside`` lies inside it (``subset_of``, total images).  When the
-    system has an exact form and every source, target and ``min_overlap``
-    is exact, the enclosures are rows stepped by :func:`_step_rows`, the
-    test is cross-multiplied and ``build`` turns rows back into sets;
-    otherwise they are sets stepped by :func:`step_images`, and ``build`` is
-    None.  Both ways step the same words.
+    with ``inside`` lies inside it (``subset_of``, total images).  In
+    rational mode the enclosures are rows stepped by :func:`_step_rows`
+    from the exact values of the sources' ends, the test is
+    cross-multiplied on the exact values of the targets' ends and of
+    ``min_overlap``, and ``build`` turns rows back into sets; in float mode
+    they are sets stepped by :func:`step_images`, and ``build`` is None.
+    Both ways step the same words.
     """
     partial = not inside
     min_overlap = system.numerics.min_overlap
     exact = system._exact()
-    if exact is not None and (inside or type(min_overlap) in (Fraction, int)):
+    if exact is not None:
         root = tuple(_ratio_rows(s.components) for s in sources)
         goals = tuple(_ratio_rows(t.components) for t in targets)
-        if None not in root and None not in goals:
-            if inside:
-                test = _rows_inside
-            else:
-                m_n, m_d = min_overlap.as_integer_ratio()
-                test = functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
-            step = functools.partial(_step_rows, exact, partial)
-            return root, step, lambda values: all(map(test, values, goals)), _rows_set
+        m_n, m_d = min_overlap.as_integer_ratio()
+        test = _rows_inside if inside else functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
+        step = functools.partial(_step_rows, exact, partial)
+        return root, step, lambda values: all(map(test, values, goals)), _rows_set
     if inside:
         test = IntervalSet.subset_of
     else:
@@ -542,16 +537,14 @@ def iter_point_hits(
     per group serves every stage: each distinct ``(state, values)`` key of a
     length is stepped once per sweep, and a level's first key that passes
     holds its least hit.  Points are stepped as :func:`_point_search` picks;
-    on integer pairs one Fraction is built per point of each yielded hit.
+    in rational mode one Fraction is built per point of each yielded hit.
     Stops silently when the clock runs out (check ``clock.exceeded``), a
     group's orbits all die or the horizon passes; raises ValueError for a
     ``horizon`` below 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    encode, step, near, decode = _point_search(
-        system, [v for values in (*groups, *targets) for v in values]
-    )
+    encode, step, near, decode = _point_search(system)
     roots = [encode(g) for g in groups]
     sweep = enumerate(_levels(system.automaton, step, roots, clock, horizon), 1)
     for eps in tolerances:

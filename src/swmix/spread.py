@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterator, Sequence
 
-from .chaos import XiongStage, XiongWitness
+from .chaos import XiongStage, XiongWitness, _error
 from .core import (
     SwitchedSystem,
     eval_interval,
@@ -44,7 +44,7 @@ from .errors import (
     UndefinedOnSet,
 )
 from .geometry import CompactRep
-from .intervals import Interval, IntervalSet, Scalar, covers_closed_interval
+from .intervals import POS_INF, Interval, IntervalSet, Scalar, covers_closed_interval
 from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, first_set_hit
 from .words import Word
@@ -94,19 +94,46 @@ def _closed_components(Q: IntervalSet | CompactRep) -> list[tuple[Scalar, Scalar
     return [(c.lo, c.hi) for c in Q]
 
 
+def _floor(q: Scalar, what: str) -> int:
+    """``floor(q)`` of a count ``q``; ValueError, not OverflowError, when
+    ``q`` is an infinite float, the quotient by a float resolution ``what``
+    too small to divide by."""
+    if q == POS_INF:
+        raise ValueError(f"{what} is too small: its count overflows a float")
+    return math.floor(q)
+
+
+def _center_counts(comps: Sequence[tuple[Scalar, Scalar]], r: Scalar) -> list[int]:
+    """Centers per component of a radius-``r`` net: floor(w/2r) + 1 for a
+    component of width w."""
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    return [_floor((hi - lo) / (2 * r), f"net radius {r!r}") + 1 for lo, hi in comps]
+
+
+def _check_table(m: int, n: int, max_table: int) -> None:
+    """ValueError when a table of ``m`` net cells and ``n`` centers, ``m**n``
+    rows, exceeds ``max_table``."""
+    if m > max_table or m ** n > max_table:
+        raise ValueError(f"table of {m}**{n} rows exceeds the cap {max_table}")
+
+
+def _check_net(Q: IntervalSet | CompactRep, r: Scalar, n: int, max_table: int) -> None:
+    """Refuse, before :func:`build_qnet` builds it, a radius-``r`` net on
+    ``Q`` whose table for ``n`` centers would exceed ``max_table`` rows."""
+    _check_table(sum(_center_counts(_closed_components(Q), r)), n, max_table)
+
+
 def build_qnet(Q: IntervalSet | CompactRep, r: Scalar) -> QNet:
     """Evenly spaced net per component, then a coverage re-check.
 
     A component of width w gets floor(w/2r) + 1 centers, which spaces them
     strictly closer than 2r, so even the component endpoints stay covered.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
     comps = _closed_components(Q)
     centers: list[Scalar] = []
-    for lo, hi in comps:
+    for (lo, hi), k in zip(comps, _center_counts(comps, r)):
         width = hi - lo
-        k = math.floor(width / (2 * r)) + 1
         centers.extend(lo + width * Fraction(2 * i + 1, 2 * k) for i in range(k))
     balls = [Interval(c - r, c + r) for c in centers]
     for lo, hi in comps:
@@ -230,8 +257,7 @@ def certify_spread(
     n = len(seeds)
     if n < 1:
         raise ValueError("need at least one seed set")
-    if m ** n > max_table:
-        raise ValueError(f"table of {m}**{n} rows exceeds the cap {max_table}")
+    _check_table(m, n, max_table)
     if eps <= 0:
         raise ValueError("eps must be positive")
     start: list[IntervalSet] = []
@@ -240,7 +266,7 @@ def certify_spread(
         if cut.is_empty:
             raise InadmissibleSeeds(f"seed {i} misses K")
         start.append(cut)
-    k0 = max(math.floor(1 / eps) + 1, min_word_len)
+    k0 = max(_floor(1 / eps, f"eps {eps!r}") + 1, min_word_len)
     table = list(product(range(m), repeat=n))
     probes = [
         tuple(m - 1 if i % 2 else 0 for i in range(n)),
@@ -385,6 +411,7 @@ def chain_certify(
     current = list(seeds)
     min_len = 1
     for eps in eps_list:
+        _check_net(Q, eps / 2, len(current), max_table)
         net = build_qnet(Q, eps / 2)
         cert = certify_spread(
             system,
@@ -452,7 +479,7 @@ def xiong_from_chain(
         bounds = []
         for a, t, cell in zip(pts, tgts, cells):
             try:
-                achieved = abs(eval_point(system, row.word, a) - t)
+                achieved = _error(system, eval_point(system, row.word, a), t)
             except UndefinedAtPoint:
                 raise NotCovered(f"orbit of {a} undefined along the stage word")
             errors.append(achieved)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from swmix import cli
 from swmix.cli import _build_parser, main
 from swmix.demo import tent_system
 from swmix.serialization import system_to_json
@@ -38,6 +39,39 @@ def spread_scenario(**overrides):
     }
     scenario.update(overrides)
     return scenario
+
+
+def test_spread_refuses_an_oversized_net_before_building_it(tmp_path, capsys, monkeypatch):
+    # A radius of 1/10**12 on [0, 1] asks for 500000000001 centers; the
+    # count alone refuses it, so no net is built.
+    monkeypatch.setattr(cli, "build_qnet", lambda *args: pytest.fail("the net was built"))
+    params = dict(spread_scenario()["params"], net_radius="1/1000000000000", max_table=10)
+    scn = write(tmp_path / "scn.json", spread_scenario(params=params))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "table of 500000000001**1 rows exceeds the cap 10",
+    }
+
+
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("eps", "eps 1e-310 is too small: its count overflows a float"),
+        ("net_radius", "net radius 1e-310 is too small: its count overflows a float"),
+    ],
+)
+def test_spread_refuses_a_float_resolution_too_small_to_count(
+    tmp_path, capsys, param, message
+):
+    # 1/1e-310 overflows to inf, which floor() cannot turn into a count.
+    params = dict(spread_scenario()["params"], **{param: 1e-310})
+    scn = write(tmp_path / "scn.json", spread_scenario(params=params))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_spread_scenario(tmp_path, capsys):
@@ -461,6 +495,31 @@ def test_hitting_rejects_an_endpoint_beyond_float_range(tmp_path, capsys):
         "message": "a scalar is too large for a float",
     }
     assert not (tmp_path / "out").exists()
+
+
+def test_rational_mode_reads_json_numbers_at_their_exact_value(tmp_path, capsys):
+    # JSON numbers are floats; in the default rational mode each counts at
+    # its exact binary value.  On those values f(U) ends at 2055720089/2**34,
+    # below V, so no word of any length hits.  Float arithmetic with no
+    # margin once put f(U)'s top one float above V's low end, and the run
+    # died pulling back that one-ulp overlap: "open interval needs lo < hi".
+    x = 333333.40655288595
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "hitting",
+            "system": {
+                "maps": [[{"domain": ["-inf", "inf"], "a": 3, "b": -1000000.1}]],
+                "bounds": [0, 1],
+                "language": {"kind": "full", "m": 1},
+            },
+            "params": {"U": [[x - 0.01, x]], "V": [[0.11965865793172269, 2]]},
+            "budget": {"max_horizon": 3},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert report["type1"] == [] and report["exhausted"] is True
 
 
 def _hitting_numerics(tmp_path, numerics):

@@ -20,13 +20,19 @@ from swmix.core import (
     preimage,
     word_preimage,
 )
-from swmix.chaos import distance_envelope
+from swmix.chaos import XiongStage, XiongWitness, distance_envelope, verify_xiong, xiong_witness
 from swmix.demo import tent_orbit, tent_partition, tent_system
 from swmix.errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
-from swmix.hitting import pull_back_hit
+from swmix.hitting import hitting_sets, pull_back_hit
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import FullShift
-from swmix.search import SearchBudget, SearchClock, iter_point_hits, iter_set_hits
+from swmix.search import (
+    SearchBudget,
+    SearchClock,
+    first_set_hit,
+    iter_point_hits,
+    iter_set_hits,
+)
 from swmix.words import Word
 
 from helpers import random_system, reference_value, rotation
@@ -710,3 +716,137 @@ def test_exact_form_is_built_once_per_system(monkeypatch):
     assert list(iter_point_hits(system, [(F(1, 7),)], [(F(1, 2),)], [F(1, 2)], 2, clock))
     assert distance_envelope(system, F(1, 7), F(2, 9), horizon=3).rows
     assert calls == [] and system._exact() is form
+
+
+# Rational mode reads a float at its exact binary value, wherever it enters:
+# a map's coefficients and domain ends, the box, min_overlap, the sets and
+# the points.  Each result on floats therefore equals the result on the
+# floats' Fraction values.  Decimals k/1000 are mostly not dyadic, so their
+# floats are not the decimals.
+def decimals(lo, hi):
+    return st.integers(lo, hi).map(lambda k: k / 1000)
+
+
+@st.composite
+def float_systems(draw):
+    def piece_map():
+        slope = draw(st.integers(-25, 25).filter(bool)) / 10
+        offset = draw(decimals(-1000, 1000))
+        if draw(st.booleans()):
+            return PiecewiseAffineMap.globally(slope, offset)
+        cut = draw(decimals(1, 999))
+        left = AffinePiece(Interval(NEG_INF, cut), slope, offset)
+        right = draw(st.integers(-25, 25).filter(bool)) / 10, draw(decimals(-1000, 1000))
+        return PiecewiseAffineMap(pieces=(left,), fallback=right)
+
+    m = draw(st.integers(1, 2))
+    return SwitchedSystem(
+        maps=tuple(piece_map() for _ in range(m)),
+        language=FullShift(m),
+        bounds=Interval(draw(decimals(-100, 0)), draw(decimals(900, 1100))),
+        clamp=draw(st.booleans()),
+        numerics=Numerics(min_overlap=draw(st.sampled_from([0, 0.001]))),
+    )
+
+
+def exact_twin(system):
+    """``system`` with every float replaced by its Fraction value."""
+
+    def ex(x):
+        return F(x) if type(x) is float and x not in (NEG_INF, POS_INF) else x
+
+    maps = tuple(
+        PiecewiseAffineMap(
+            pieces=tuple(
+                AffinePiece(Interval(ex(p.domain.lo), ex(p.domain.hi)), ex(p.slope), ex(p.offset))
+                for p in pam.pieces
+            ),
+            fallback=tuple(map(ex, pam.fallback)),
+        )
+        for pam in system.maps
+    )
+    box = Interval(ex(system.bounds.lo), ex(system.bounds.hi))
+    numerics = Numerics(min_overlap=ex(system.numerics.min_overlap))
+    return SwitchedSystem(maps, system.language, box, system.clamp, numerics), ex
+
+
+def same(call, twin):
+    def run(f):
+        try:
+            return f()
+        except (UndefinedOnSet, UndefinedAtPoint) as exc:
+            return type(exc)
+
+    got = run(call)
+    assert got == run(twin)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(float_systems(), st.data())
+def test_rational_mode_reads_floats_at_their_exact_value(system, data):
+    twin, ex = exact_twin(system)
+    assert system._exact() is not None
+    assert system._exact().tables == twin._exact().tables
+
+    def two_values():
+        return data.draw(st.lists(decimals(-200, 1200), min_size=2, max_size=2, unique=True))
+
+    def set_pair():
+        lo, hi = sorted(two_values())
+        return IntervalSet.of(lo, hi), IntervalSet.of(ex(lo), ex(hi))
+
+    (U, Ue), (V, Ve) = set_pair(), set_pair()
+    x, y = two_values()
+    word = tuple(data.draw(st.lists(st.integers(0, system.m - 1), min_size=1, max_size=4)))
+    for partial in (True, False):
+        same(
+            lambda: eval_interval(system, word, U, partial),
+            lambda: eval_interval(twin, word, Ue, partial),
+        )
+    same(lambda: word_preimage(system, word, V), lambda: word_preimage(twin, word, Ve))
+    same(lambda: pull_back_hit(system, word, U, V), lambda: pull_back_hit(twin, word, Ue, Ve))
+    value = same(lambda: eval_point(system, word, x), lambda: eval_point(twin, word, ex(x)))
+    assert value is UndefinedAtPoint or type(value) is F
+    budget = SearchBudget(max_horizon=3, max_words=3000)
+    assert hitting_sets(system, U, V, budget) == hitting_sets(twin, Ue, Ve, budget)
+    hits = [
+        first_set_hit(s, [u], [v], range(1, 4), SearchClock(budget), inside=True)
+        for s, u, v in ((system, U, V), (twin, Ue, Ve))
+    ]
+    assert hits[0] == hits[1]
+    for kind in ("type1", "type2"):
+        env = distance_envelope(system, x, y, kind, horizon=3, budget=budget)
+        assert env == distance_envelope(twin, ex(x), ex(y), kind, horizon=3, budget=budget)
+        assert all(type(r.d_min) is F and type(r.d_max) is F for r in env.rows)
+    tolerances = (0.5, 0.125, 0.01)
+    wit = xiong_witness(system, (x,), (y,), "type2", tolerances, budget)
+    assert wit == xiong_witness(twin, (ex(x),), (ex(y),), "type2", tolerances, budget)
+    assert all(type(e) is F for stage in wit.stages for e in stage.errors)
+
+
+def test_eval_point_at_a_non_finite_float_is_undefined():
+    clamped = tent_system(clamp=True)
+    for x in (POS_INF, NEG_INF, float("nan")):
+        with pytest.raises(UndefinedAtPoint):
+            eval_point(clamped, (0,), x)
+        stage = XiongStage(F(1, 2), 1, (Word((0,)),), (F(0),))
+        witness = XiongWitness("type2", (x,), (F(1, 2),), (stage,), True)
+        assert verify_xiong(clamped, witness) is False
+
+
+def test_itinerary_follows_the_exact_orbit_of_a_float():
+    # f(x) = 3x - 1000000.1 on JSON-like floats: the float image of x is
+    # the cut point c, but the exact image lies below it, so in rational
+    # mode the second symbol is the lower cell's 0, as on Fraction values.
+    def system(offset):
+        f = PiecewiseAffineMap.globally(3, offset)
+        return SwitchedSystem(maps=(f, f), language=FullShift(2), bounds=Interval(0, 1))
+
+    x = 333333.40655288595
+    c = 3 * x - 1000000.1
+    assert F(3) * F(x) - F(1000000.1) < c
+    partition = [(IntervalSet.of(c, POS_INF), 1), (IntervalSet.of(NEG_INF, c), 0)]
+    want = Word.from_string("10")
+    assert itinerary_word(system(-1000000.1), partition, x, 2) == want
+    assert itinerary_word(system(F(-1000000.1)), partition, F(x), 2) == want

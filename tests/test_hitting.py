@@ -356,6 +356,29 @@ def test_maps_commute_reads_shadowed_fallback_map_as_applied():
         order_reduction(system, U, U, V, V, Word.of(0))
 
 
+def test_maps_commute_reads_floats_at_their_exact_value():
+    # f = 0.2x + 0.7 and g = 0.7x + 0.2625 commute on decimals, and their
+    # float compositions compare equal, but on the floats' exact binary
+    # values f(g(x)) and g(f(x)) differ in the offset.
+    f = PiecewiseAffineMap.globally(0.2, 0.7)
+    g = PiecewiseAffineMap.globally(0.7, 0.2625)
+
+    def system(maps, **numerics):
+        return SwitchedSystem(
+            maps=maps, language=FullShift(2), bounds=Interval(0, 1), numerics=Numerics(**numerics)
+        )
+
+    assert 0.2 * 0.7 == 0.7 * 0.2 and 0.2 * 0.2625 + 0.7 == 0.7 * 0.7 + 0.2625
+    assert F(0.2) * F(0.2625) + F(0.7) != F(0.7) * F(0.7) + F(0.2625)
+    rational = system((f, g))
+    assert not maps_commute(rational)
+    with pytest.raises(PreconditionFailed, match="does not commute"):
+        order_reduction(rational, U, U, V, V, Word.of(0))
+    exact = tuple(PiecewiseAffineMap.globally(F(a), F(b)) for a, b in ((0.2, 0.7), (0.7, 0.2625)))
+    assert not maps_commute(system(exact))
+    assert maps_commute(system((f, g), mode="float"))
+
+
 def test_maps_commute_refuses_piecewise_maps_on_an_unbounded_box():
     # f is 2x left of 0 and 3x right of it, g is x + 1: f(g(-1/2)) = 3/2 but
     # g(f(-1/2)) = 0, on bounded and unbounded boxes alike.

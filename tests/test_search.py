@@ -399,7 +399,7 @@ def test_point_hits_match_plain_fraction_orbits(
         groups, targets = [starts], [ends]
     else:
         groups, targets = [(x,) for x in starts], [(t,) for t in ends]
-    assert search._point_search(system, starts + ends)[3] is not None
+    assert search._point_search(system)[3] is not None
     clock = SearchClock(SearchBudget(max_words=max_words))
     stages = list(iter_point_hits(system, groups, targets, tolerances, horizon, clock))
     want, spent, exceeded = reference_point_sweep(
@@ -584,38 +584,42 @@ def test_an_unfinished_walk_records_no_frame_on_its_stack():
         assert list(walk(aut, 4, root, step, leaf=leaf, dead=dead)) == plain
 
 
-def test_point_search_path_follows_value_types():
-    # A float anywhere, a float map or a finite float clamp end keeps the
-    # generic loop; the integer path needs exact values on exact maps.  Only
-    # the integer path has a decode step.
-    def exact_path(system, values):
-        return search._point_search(system, values)[3] is not None
-
-    exact = (F(2, 5), 1, F(1, 4))
-    assert exact_path(CLAMPED, exact)
-    assert not exact_path(CLAMPED, exact + (0.25,))
-    assert not exact_path(CLAMPED, (True,))
-    float_box = SwitchedSystem(
-        maps=CLAMPED.maps, language=CLAMPED.language, bounds=Interval(0.0, 1.0), clamp=True
-    )
-    assert not exact_path(float_box, exact)
-    float_maps = SwitchedSystem(
-        maps=(PiecewiseAffineMap.globally(0.5, 0.25),),
-        language=FullShift(1),
-        bounds=CLAMPED.bounds,
-    )
-    assert not exact_path(float_maps, exact)
-    float_mode = SwitchedSystem(
-        maps=CLAMPED.maps, language=CLAMPED.language, bounds=CLAMPED.bounds,
-        numerics=Numerics(mode="float"),
-    )
-    assert not exact_path(float_mode, exact)
+def _variant(**changes):
+    fields = dict(maps=CLAMPED.maps, language=CLAMPED.language, bounds=CLAMPED.bounds)
+    return SwitchedSystem(**{**fields, "clamp": True, **changes})
 
 
-def test_set_search_path_follows_value_types(monkeypatch):
-    # The set search counterpart: a finite float clamp end, a float map, float
-    # mode or a float source end keeps the generic loop; a float end of a box
-    # that does not clamp is never read and keeps the rows.
+FLOAT_MAPS = (PiecewiseAffineMap.globally(2.0, 0.0), PiecewiseAffineMap.globally(-2.0, 2.0))
+
+
+def test_point_search_path_follows_the_mode():
+    # The numeric mode alone picks the path: rational mode steps integer
+    # pairs even with float maps or a float clamp end, and float mode the
+    # generic loop.  Only the integer path has a decode step.
+    def exact_path(system):
+        return search._point_search(system)[3] is not None
+
+    assert exact_path(CLAMPED)
+    assert exact_path(_variant(bounds=Interval(0.0, 1.0)))
+    assert exact_path(_variant(maps=FLOAT_MAPS))
+    assert not exact_path(_variant(numerics=Numerics(mode="float")))
+
+
+def test_point_search_reads_floats_at_their_exact_value():
+    # A float point and target in rational mode give the hits of their
+    # exact values, as Fractions.
+    def hits(x, t, eps):
+        clock = SearchClock(SearchBudget())
+        return list(iter_point_hits(CLAMPED, [(x,)], [(t,)], [eps], 6, clock))
+
+    got = hits(0.1, 0.4, 0.05)
+    assert got == hits(F(0.1), F(0.4), F(0.05))
+    assert got and all(type(v) is F for _, hit in got for _, values in hit for v in values)
+
+
+def test_set_search_path_follows_the_mode(monkeypatch):
+    # The set search counterpart: rational mode runs on rows with a float
+    # clamp end, float maps or a float source end, float mode on sets.
     calls = []
     step_rows = search._step_rows
     monkeypatch.setattr(
@@ -629,17 +633,12 @@ def test_set_search_path_follows_value_types(monkeypatch):
         assert hits
         return set(calls)
 
-    def variant(**changes):
-        fields = dict(maps=CLAMPED.maps, language=CLAMPED.language, bounds=CLAMPED.bounds)
-        return SwitchedSystem(**{**fields, "clamp": True, **changes})
-
     assert path(CLAMPED) == {"rows"}
-    assert path(CLAMPED, IntervalSet.of(0.0, F(1, 10))) == {"sets"}
-    assert path(variant(bounds=Interval(0.0, 1.0))) == {"sets"}
-    assert path(variant(bounds=Interval(0.0, 1.0), clamp=False)) == {"rows"}
-    float_maps = (PiecewiseAffineMap.globally(2.0, 0.0), PiecewiseAffineMap.globally(-2.0, 2.0))
-    assert path(variant(maps=float_maps)) == {"sets"}
-    assert path(variant(numerics=Numerics(mode="float"))) == {"sets"}
+    assert path(CLAMPED, IntervalSet.of(0.0, 0.1)) == {"rows"}
+    assert path(_variant(bounds=Interval(0.0, 1.0))) == {"rows"}
+    assert path(_variant(maps=FLOAT_MAPS)) == {"rows"}
+    assert path(_variant(numerics=Numerics(mode="float"))) == {"sets"}
+    assert path(_variant(numerics=Numerics(mode="float")), IntervalSet.of(0.0, 0.1)) == {"sets"}
 
 
 SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from swmix import spread
 from swmix.chaos import verify_xiong
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissibleSeeds, NotCovered
@@ -142,6 +143,20 @@ def test_certify_spread_validation():
         certify_spread(TENT, SEEDS, UNIT, F(0), NET)
     with pytest.raises(ValueError):
         certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET, max_table=8)
+
+
+def test_chain_certify_refuses_an_oversized_net_before_building_it(monkeypatch):
+    # eps = 1/10**12 asks for a net of 10**12 + 1 centers; its table for two
+    # seeds is refused from the count, before any center is built.
+    monkeypatch.setattr(spread, "build_qnet", lambda *args: pytest.fail("the net was built"))
+    tiny = F(1, 10**12)
+    with pytest.raises(ValueError, match=r"table of 1000000000001\*\*2 rows exceeds the cap 4096"):
+        chain_certify(TENT, SEEDS, UNIT, UNIT, (tiny,))
+    # 1/1e-310 overflows to inf, which floor() cannot turn into a count.
+    with pytest.raises(ValueError, match="net radius 5e-311 is too small"):
+        chain_certify(TENT, SEEDS, UNIT, UNIT, (1e-310,))
+    with pytest.raises(ValueError, match="eps 1e-310 is too small"):
+        certify_spread(TENT, SEEDS, UNIT, 1e-310, NET)
 
 
 def test_chain_certify_frozen():
