@@ -20,17 +20,19 @@ so verdicts are explicitly three-valued.
 Point orbits are stepped on integers in rational mode, where the system's
 exact form (:meth:`swmix.core.SwitchedSystem._exact`) exists; the mode
 alone picks the path, in :func:`~swmix.search._point_search`, shared by
-both searches.  An orbit value ``n/d`` is carried as two reduced integers
-and stepped by :func:`~swmix.search._ratio_point_step`, and every point,
-target and tolerance counts at its exact value, a finite float's included;
-so does a float target in an error ``|v - t|`` (:func:`_error`).  Envelope
+both searches.  An orbit value ``n/d`` is carried as two reduced integers,
+and each level is stepped whole by the integer kernel
+:func:`~swmix.search._ratio_point_levels`; every point, target and
+tolerance counts at its exact value, a finite float's included; so does a
+float target in an error ``|v - t|`` (:func:`_error`).  Envelope
 level keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
 ``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
 integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
 One Fraction is built per row extreme, and the rows, words, truncation and
 clock charges are those of the generic Fraction loop.  Globally affine
 type-2 envelopes without a clamp follow the orbit difference instead, on
-exact values in rational mode.
+exact values in rational mode, stepped one edge at a time by
+:func:`~swmix.search._level_step`.
 """
 
 from __future__ import annotations
@@ -47,7 +49,14 @@ from .core import SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
 from .intervals import Scalar, _exact_value
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, _levels, _point_search, iter_point_hits
+from .search import (
+    SearchBudget,
+    SearchClock,
+    _levels,
+    _point_search,
+    _stepper,
+    iter_point_hits,
+)
 from .words import Word
 
 __all__ = [
@@ -193,10 +202,11 @@ def distance_envelope(
         def step(d: Scalar, sym: int) -> Scalar:
             return slopes[sym] * d
 
+        advance = _stepper(step)
         exact = False
         roots = [ex(y) - ex(x)]
     else:
-        encode, step, _, decode = _point_search(system)
+        encode, advance, _, decode = _point_search(system)
         exact = decode is not None
         # Type 2 steps both points in one level, type 1 each in its own.
         roots = [encode((x, y))] if kind == "type2" else [encode((x,)), encode((y,))]
@@ -205,7 +215,7 @@ def distance_envelope(
     else:
         row = partial(_type1_row, exact=exact)
     clock = SearchClock(budget)
-    levels = _levels(system.automaton, step, roots, clock, horizon)
+    levels = _levels(system.automaton, advance, roots, clock, horizon)
     rows = tuple(row(n, *level) for n, level in enumerate(levels, 1))
     return DistanceEnvelope(
         kind=kind, x=x, y=y, horizon=horizon, rows=rows, truncated=clock.exceeded

@@ -417,21 +417,29 @@ class IntervalSet:
 
 
 def covers_closed_interval(opens: Sequence[Interval], lo: Scalar, hi: Scalar) -> bool:
-    """Decide ``[lo, hi] ⊆ ∪ opens`` for open intervals, by greedy sweep.
+    """Decide ``[lo, hi] ⊆ ∪ opens`` for open intervals, by one sweep over
+    the intervals sorted by left end.
 
-    Works for the degenerate case ``lo == hi`` (a single point) as well.
+    The reach ``x`` starts at ``lo`` and jumps to the farthest right end of
+    the intervals holding it in their interior, until it passes ``hi``.
+    Each interval is read once: a jump reads those starting left of ``x``,
+    and each of them ends at or before the next ``x``, the farthest of
+    their right ends, so none holds a later ``x``; after the sort the sweep
+    is linear.  Works for the degenerate case ``lo == hi`` (a single point)
+    as well.
     """
-    comps = list(opens)
+    comps = sorted(opens, key=lambda c: c.lo)
+    i, n = 0, len(comps)
     x = lo
-    for _ in range(len(comps) + 1):
+    while True:
         best = None
-        for c in comps:
-            # x must be interior; the sweep then jumps to the farthest right end
-            if c.lo < x < c.hi and (best is None or c.hi > best):
-                best = c.hi
+        while i < n and comps[i].lo < x:
+            # x is interior when the interval also ends right of it
+            if comps[i].hi > x and (best is None or comps[i].hi > best):
+                best = comps[i].hi
+            i += 1
         if best is None:
             return False
         if best > hi:
             return True
         x = best
-    return False

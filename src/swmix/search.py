@@ -18,9 +18,9 @@ Searches run in one of two shapes, chosen by what they return:
   level that passes a leaf test holds the least hit of that length, the
   word a walk would return.  :func:`first_set_hit` stops at the first new
   key that passes; :func:`_levels` steps whole levels of several roots up
-  to a horizon, and the point searches read their hits or extremes off
-  them.  Each distinct key of a length is stepped once; there is no step
-  memo and no dead-subtree set.
+  to a horizon with a level stepper, and the point searches read their
+  hits or extremes off them.  Each distinct key of a length is stepped
+  once; there is no step memo and no dead-subtree set.
 * **Depth-first walk** -- searches that need several words of a length and
   may reject a hit after the search: :func:`iter_set_hits` behind
   ``hitting_sets`` and ``wm_certificate``, one call of
@@ -46,10 +46,12 @@ cross-multiplying; rows are canonical, so level, memo and dead-subtree keys
 of rows are equal exactly when their sets are.  Point searches
 (:func:`_point_search`, shared by the Xiong sweep and the envelopes) carry a
 group's orbits as one flat tuple of reduced integer pairs ``(n1, d1, n2,
-d2, ..)`` (:func:`_ratio_point_step`) and test ``|v - t| < eps``
-cross-multiplied.  Either way, Fractions are built only for the hits
-returned.  Float mode steps sets with :func:`step_images` and values with
-:func:`step_points`.
+d2, ..)`` and test ``|v - t| < eps`` cross-multiplied; one integer kernel
+(:func:`_ratio_point_levels`) steps a whole level per call, every edge
+inline, with its own loops for groups of one and of two points.  Either
+way, Fractions are built only for the hits returned.  Float mode steps
+sets with :func:`step_images` and values with :func:`step_points`, one
+call per edge through :func:`_level_step`.
 """
 
 from __future__ import annotations
@@ -267,11 +269,30 @@ def _level_step(
     return out, None
 
 
+# A level stepper: ``advance(aut, level, clock)`` gives the next level, or
+# None when the budget runs out.
+_Advance = Callable[[PrunedAutomaton, dict, SearchClock], dict | None]
+
+
+def _stepper(step: Callable) -> _Advance:
+    """The level stepper ``advance(aut, level, clock)`` that :func:`_levels`
+    takes, from a ``step(values, sym)``: the complete :func:`_level_step`,
+    or None when the budget runs out."""
+
+    def advance(aut: PrunedAutomaton, level: dict, clock: SearchClock) -> dict | None:
+        stepped = _level_step(aut, step, level, clock)
+        return None if stepped is None else stepped[0]
+
+    return advance
+
+
 def _levels(
-    aut: PrunedAutomaton, step: Callable, roots: Sequence, clock: SearchClock, horizon: int
+    aut: PrunedAutomaton, advance: _Advance, roots: Sequence, clock: SearchClock, horizon: int
 ) -> Iterator[list[dict]]:
     """Yield, for each length 1, 2, .., ``horizon``, the complete level of
-    every root (:func:`_level_step`), one list per length.
+    every root, one list per length, each stepped by ``advance(aut, level,
+    clock)`` (:func:`_stepper`, or :func:`_ratio_point_levels` on integer
+    pairs), which returns the next level or None when the budget runs out.
 
     The sweep stops at the first refused charge (then ``clock.exceeded``),
     whose length is not yielded, and at the first length where some root's
@@ -281,10 +302,10 @@ def _levels(
     for _ in range(horizon):
         stepped = []
         for level in levels:
-            out = _level_step(aut, step, level, clock)
+            out = advance(aut, level, clock)
             if out is None:
                 return
-            stepped.append(out[0])
+            stepped.append(out)
         levels = stepped
         if not all(levels):
             return
@@ -307,70 +328,153 @@ def step_points(
     return tuple(out)
 
 
-def _ratio_point_step(exact: _Exact) -> Callable[[tuple[int, ...], int], tuple[int, ...] | None]:
-    """:func:`step_points` on reduced integer pairs, with the system's exact
-    form.
+def _ratio_point_levels(exact: _Exact) -> _Advance:
+    """The level stepper of point searches on reduced integer pairs, with
+    the system's exact form: :func:`_level_step` over :func:`step_points`,
+    each edge stepped inline.
 
-    The returned ``step(pairs, sym)`` takes the points as one flat tuple
-    ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_pairs`) with ``gcd(n, d) == 1``
-    and ``d > 0``, so two tuples are equal exactly when their Fraction
-    points are.  A value ``n/d`` steps through the piece with ``lo_n*d <
-    n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``, reduced,
-    and survives the clamp when ``box_lo <= n/d <= box_hi``,
-    cross-multiplied; infinite ends are ``(-1, 0)`` and ``(1, 0)``.  The
-    step returns None where :func:`step_points` does.
+    ``advance(aut, level, clock)`` returns the next level of a non-empty
+    ``level``, or None at the first refused charge.  A key's values are one
+    flat tuple ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_pairs`) with ``gcd(n,
+    d) == 1`` and ``d > 0``, so two keys are equal exactly when their
+    Fraction points are.  For each key in insertion order and each
+    admissible symbol in order, the clock is charged once; then each value ``n/d`` steps through the piece with
+    ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``,
+    reduced, and survives the clamp when ``box_lo <= n/d <= box_hi``,
+    cross-multiplied (infinite ends are ``(-1, 0)`` and ``(1, 0)``).  The
+    child dies where :func:`step_points` returns None, and a surviving one
+    is inserted with ``dict.setdefault``, keeping the least word of its key.
+    Groups of one and of two points, the type-1 and type-2 traffic, have
+    their own loops; larger groups share one.
     """
     tables, box = exact.points, exact.box
     clamp = box is not None
-    box_lo_n, box_lo_d, box_hi_n, box_hi_d = box or (0, 0, 0, 0)
+    bl_n, bl_d, bh_n, bh_d = box or (0, 0, 0, 0)
+    # The automaton last stepped and its admissible edges per state, as
+    # (next state, (symbol,), point rows of the symbol's map), built once
+    # per automaton: rebuilding them for every level was measurably slower.
+    edges_of: list = [None, None]
 
-    def step(pairs: tuple[int, ...], sym: int) -> tuple[int, ...] | None:
-        table = tables[sym]
-        out = []
-        it = iter(pairs)
-        for n, d in zip(it, it):
-            for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
-                if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                    n, d = a * n + b * d, c * d
-                    g = gcd(n, d)
-                    if g != 1:
-                        n //= g
-                        d //= g
-                    break
-            else:
-                return None  # undefined at n/d
-            if clamp and not (
-                box_lo_n * d <= n * box_lo_d and n * box_hi_d <= box_hi_n * d
-            ):
-                return None  # outside the closed clamp box
-            out.append(n)
-            out.append(d)
-        return tuple(out)
+    def one(edges: list, level: dict, spend: Callable[[], bool]) -> dict | None:
+        out: dict = {}
+        insert = out.setdefault
+        for (state, (n, d)), word in level.items():
+            for nxt, sym, table in edges[state]:
+                if not spend():
+                    return None
+                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                        p, q = a * n + b * d, c * d
+                        g = gcd(p, q)
+                        if g != 1:
+                            p //= g
+                            q //= g
+                        break
+                else:
+                    continue  # undefined at n/d
+                if clamp and not (bl_n * q <= p * bl_d and p * bh_d <= bh_n * q):
+                    continue  # outside the closed clamp box
+                insert((nxt, (p, q)), word + sym)
+        return out
 
-    return step
+    def two(edges: list, level: dict, spend: Callable[[], bool]) -> dict | None:
+        out: dict = {}
+        insert = out.setdefault
+        for (state, (n1, d1, n2, d2)), word in level.items():
+            for nxt, sym, table in edges[state]:
+                if not spend():
+                    return None
+                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                    if lo_n * d1 < n1 * lo_d and n1 * hi_d < hi_n * d1:
+                        p1, q1 = a * n1 + b * d1, c * d1
+                        g = gcd(p1, q1)
+                        if g != 1:
+                            p1 //= g
+                            q1 //= g
+                        break
+                else:
+                    continue
+                if clamp and not (bl_n * q1 <= p1 * bl_d and p1 * bh_d <= bh_n * q1):
+                    continue
+                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                    if lo_n * d2 < n2 * lo_d and n2 * hi_d < hi_n * d2:
+                        p2, q2 = a * n2 + b * d2, c * d2
+                        g = gcd(p2, q2)
+                        if g != 1:
+                            p2 //= g
+                            q2 //= g
+                        break
+                else:
+                    continue
+                if clamp and not (bl_n * q2 <= p2 * bl_d and p2 * bh_d <= bh_n * q2):
+                    continue
+                insert((nxt, (p1, q1, p2, q2)), word + sym)
+        return out
+
+    def many(edges: list, level: dict, spend: Callable[[], bool]) -> dict | None:
+        out: dict = {}
+        insert = out.setdefault
+        for (state, pairs), word in level.items():
+            for nxt, sym, table in edges[state]:
+                if not spend():
+                    return None
+                child: list[int] = []
+                it = iter(pairs)
+                for n, d in zip(it, it):
+                    for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                        if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                            p, q = a * n + b * d, c * d
+                            g = gcd(p, q)
+                            if g != 1:
+                                p //= g
+                                q //= g
+                            break
+                    else:
+                        break
+                    if clamp and not (bl_n * q <= p * bl_d and p * bh_d <= bh_n * q):
+                        break
+                    child.append(p)
+                    child.append(q)
+                else:
+                    insert((nxt, tuple(child)), word + sym)
+        return out
+
+    loops = {2: one, 4: two}
+
+    def advance(aut: PrunedAutomaton, level: dict, clock: SearchClock) -> dict | None:
+        if edges_of[0] is not aut:
+            edges_of[:] = aut, [
+                [(nxt, (sym,), tables[sym]) for sym, nxt in enumerate(row) if nxt >= 0]
+                for row in aut.transitions
+            ]
+        loop = loops.get(len(next(iter(level))[1]), many)
+        return loop(edges_of[1], level, clock.spend)
+
+    return advance
 
 
 def _ratio_pairs(values: Iterable[Scalar]) -> tuple[int, ...]:
     """Finite points at their exact values, as the flat ``(n1, d1, n2, d2,
-    ..)`` tuple that the steps of :func:`_ratio_point_step` take."""
+    ..)`` tuple that :func:`_ratio_point_levels` steps."""
     return tuple(r for x in values for r in x.as_integer_ratio())
 
 
 def _point_search(
     system: SwitchedSystem,
 ) -> tuple[Callable, Callable, Callable, Callable | None]:
-    """``(encode, step, near, decode)`` of a point search on finite points
-    and targets: the one place where points are sent to integer pairs or
-    to the generic values.
+    """``(encode, advance, near, decode)`` of a point search on finite
+    points and targets: the one place where points are sent to integer
+    pairs or to the generic values.
 
-    ``encode(points)`` is a group's root value and ``step(value, sym)`` its
-    child; ``near(targets, eps)`` is the leaf test of one group, passing
-    when every point is within ``eps`` of its target (``|v - t| < eps``).
-    In rational mode a value is the flat tuple of reduced pairs
-    (:func:`_ratio_pairs`) stepped by :func:`_ratio_point_step`; the test is
-    ``|n*td - tn*d| * ed < en * d * td``, every point, target and ``eps =
-    en/ed`` at its exact value; and ``decode`` builds the Fraction points.
-    In float mode a value is the tuple of points stepped by
+    ``encode(points)`` is a group's root value and ``advance`` the level
+    stepper of :func:`_levels`; ``near(targets, eps)`` is the leaf test of
+    one group, passing when every point is within ``eps`` of its target
+    (``|v - t| < eps``).  In rational mode a value is the flat tuple of
+    reduced pairs (:func:`_ratio_pairs`) stepped by
+    :func:`_ratio_point_levels`; the test is ``|n*td - tn*d| * ed < en * d *
+    td``, every point, target and ``eps = en/ed`` at its exact value; and
+    ``decode`` builds the Fraction points.  In float mode a value is the
+    tuple of points, a level is stepped by :func:`_level_step` over
     :func:`step_points`, and ``decode`` is None.  Both ways step the same
     words.
     """
@@ -380,7 +484,7 @@ def _point_search(
         def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
             return lambda points: all(abs(v - t) < eps for v, t in zip(points, targets))
 
-        return tuple, functools.partial(step_points, system), near, None
+        return tuple, _stepper(functools.partial(step_points, system)), near, None
 
     def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
         en, ed = eps.as_integer_ratio()
@@ -398,7 +502,7 @@ def _point_search(
     def decode(pairs: tuple[int, ...]) -> tuple[Fraction, ...]:
         return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
 
-    return _ratio_pairs, _ratio_point_step(exact), near, decode
+    return _ratio_pairs, _ratio_point_levels(exact), near, decode
 
 
 def _set_search(
@@ -544,9 +648,9 @@ def iter_point_hits(
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    encode, step, near, decode = _point_search(system)
+    encode, advance, near, decode = _point_search(system)
     roots = [encode(g) for g in groups]
-    sweep = enumerate(_levels(system.automaton, step, roots, clock, horizon), 1)
+    sweep = enumerate(_levels(system.automaton, advance, roots, clock, horizon), 1)
     for eps in tolerances:
         tests = [near(t, eps) for t in targets]
         for n, levels in sweep:

@@ -1,11 +1,13 @@
 """Shared builders for the test suite: circle rotations, random systems, a
 plain reference evaluation of maps, a reference pull-back of hits, a
-reference first-hit search and a reference Xiong witness."""
+reference first-hit search, a reference Xiong witness, a reference
+per-edge integer point step and a reference greedy cover check."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -240,3 +242,59 @@ def reference_xiong_witness(system, points, targets, kind, tolerances, budget=Se
         floor = found.length
     complete = len(stages) == len(tolerances)
     return XiongWitness(kind, points, targets, tuple(stages), complete), clock.exceeded
+
+
+def reference_ratio_point_step(exact):
+    """The per-edge integer point step that
+    :func:`swmix.search._ratio_point_levels` inlines, as a ``step(pairs,
+    sym)`` for :func:`swmix.search._level_step`: the points of one group as
+    a flat tuple ``(n1, d1, n2, d2, ..)`` of reduced pairs, each stepped
+    through the first piece row of ``exact.points[sym]`` whose open domain
+    holds it to ``(a*n + b*d) / (c*d)``, reduced, then kept inside the
+    closed clamp box ``exact.box``; None where a point lies in no piece or
+    leaves the box."""
+    tables, box = exact.points, exact.box
+    clamp = box is not None
+    box_lo_n, box_lo_d, box_hi_n, box_hi_d = box or (0, 0, 0, 0)
+
+    def step(pairs, sym):
+        table = tables[sym]
+        out = []
+        it = iter(pairs)
+        for n, d in zip(it, it):
+            for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+                if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
+                    n, d = a * n + b * d, c * d
+                    g = gcd(n, d)
+                    if g != 1:
+                        n //= g
+                        d //= g
+                    break
+            else:
+                return None
+            if clamp and not (box_lo_n * d <= n * box_lo_d and n * box_hi_d <= box_hi_n * d):
+                return None
+            out.append(n)
+            out.append(d)
+        return tuple(out)
+
+    return step
+
+
+def greedy_covers_closed_interval(opens, lo, hi):
+    """:func:`swmix.intervals.covers_closed_interval` as a greedy rescan: the
+    reach starts at ``lo`` and, at every step, scans every interval for the
+    farthest right end among those holding the reach in their interior."""
+    comps = list(opens)
+    x = lo
+    for _ in range(len(comps) + 1):
+        best = None
+        for c in comps:
+            if c.lo < x < c.hi and (best is None or c.hi > best):
+                best = c.hi
+        if best is None:
+            return False
+        if best > hi:
+            return True
+        x = best
+    return False

@@ -11,6 +11,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import swmix.chaos as chaos
+import swmix.search as search
 from swmix.chaos import (
     DistanceEnvelope,
     EnvelopeRow,
@@ -32,6 +33,7 @@ from swmix.words import Word
 
 from helpers import (
     random_map,
+    reference_ratio_point_step,
     reference_value,
     reference_xiong_witness,
     rotation_system,
@@ -637,6 +639,89 @@ def test_envelope_matches_plain_fraction_levels(system, x, y, kind, horizon, max
     )
     want = reference_envelope(system, x, y, kind, horizon, max_words)
     assert repr(env) == repr(want)
+
+
+# The integer point kernel steps a whole level per call.  Against
+# _level_step over the per-edge step it replaced (helpers), it must give the
+# same levels -- keys, words and insertion order -- and charge the clock the
+# same, for groups of one to four points (its one- and two-point loops and
+# its general one), with and without the clamp, on forbidden words, and with
+# a budget that runs out at each edge in turn.
+
+
+def _kernel_and_reference_levels(system, points, depth, max_words):
+    """For the kernel and for the reference, each on its own clock: the
+    items of levels 1, 2, .. of one group of ``points``, up to ``depth`` or
+    an empty level, with None for a level cut by the budget; the clock's
+    count; and whether it ran out."""
+    exact, aut = system._exact(), system.automaton
+    steppers = (
+        search._ratio_point_levels(exact),
+        search._stepper(reference_ratio_point_step(exact)),
+    )
+    out = []
+    for advance in steppers:
+        clock = SearchClock(SearchBudget(max_words=max_words))
+        level, levels = {(aut.start, search._ratio_pairs(points)): ()}, []
+        for _ in range(depth):
+            level = advance(aut, level, clock)
+            levels.append(None if level is None else list(level.items()))
+            if not level:
+                break
+        out.append((levels, clock.count, clock.exceeded))
+    return out
+
+
+def _check_point_kernel(system, points, depth):
+    kernel, reference = _kernel_and_reference_levels(system, points, depth, 500_000)
+    assert kernel == reference
+    total = kernel[1]
+    for max_words in range(1, total + 2):
+        kernel, reference = _kernel_and_reference_levels(system, points, depth, max_words)
+        assert kernel == reference
+        assert kernel[2] is (max_words < total)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "system",
+    [FOLDS_FORBIDDEN, FOLDS_CLAMPED, TENT, CLAMPED, ROTATIONS],
+    ids=["forbidden", "folds-clamped", "tent", "tent-clamped", "rotations"],
+)
+def test_point_kernel_matches_the_edge_step(system, size):
+    points = (F(5, 12), F(2, 5), F(1, 7), F(3, 4))[:size]
+    _check_point_kernel(system, points, 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_systems(), st.lists(POINTS, min_size=1, max_size=4), st.integers(1, 3))
+def test_point_kernel_matches_the_edge_step_on_random_systems(system, points, depth):
+    _check_point_kernel(system, tuple(points), depth)
+
+
+def test_exact_point_searches_step_whole_levels(monkeypatch):
+    # Rational-mode envelopes and Xiong witnesses step every level in the
+    # integer kernel, never one edge at a time through _level_step; float
+    # mode steps each edge through step_points.  (A globally affine type-2
+    # envelope without a clamp steps its orbit difference through
+    # _level_step in either mode; these systems clamp.)
+    calls = []
+    for name, tag in (("_level_step", "level"), ("step_points", "points")):
+        real = getattr(search, name)
+        monkeypatch.setattr(search, name, lambda *a, real=real, tag=tag: calls.append(tag) or real(*a))
+
+    def steps(system, points):
+        calls.clear()
+        targets = tuple(eval_point(system, (0,), x) for x in points)
+        for kind in ("type1", "type2"):
+            env = distance_envelope(system, points[0], points[1], kind=kind, horizon=4)
+            assert env.rows and not env.truncated
+            wit = xiong_witness(system, points, targets, kind, (F(1, 2), F(1, 4)))
+            assert wit.stages
+        return set(calls)
+
+    assert steps(FOLDS_CLAMPED, (F(5, 12), F(2, 5), F(1, 7))) == set()
+    assert steps(FOLDS_FLOAT, (5 / 12, 0.4, 1 / 7)) == {"level", "points"}
 
 
 # Xiong witnesses sweep one level per group for all stages; the reference

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swmix.intervals import (
@@ -17,6 +17,8 @@ from swmix.intervals import (
     covers_closed_interval,
     is_finite,
 )
+
+from helpers import greedy_covers_closed_interval
 
 
 def test_interval_rejects_degenerate():
@@ -101,6 +103,39 @@ def test_covers_closed_interval():
     )
     # Degenerate target: a single point.
     assert covers_closed_interval([Interval(F(0), F(1))], F(1, 2), F(1, 2))
+
+
+# Ends on a coarse grid, so that balls often abut, repeat or share a right
+# end with the target; the infinities enter as ball ends and target ends.
+COVER_ENDS = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    st.sampled_from([NEG_INF, POS_INF, -1.5, 0.25]),
+)
+BALLS = st.tuples(COVER_ENDS, COVER_ENDS).filter(lambda p: p[0] < p[1]).map(
+    lambda p: Interval(*p)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(BALLS, max_size=8), COVER_ENDS, COVER_ENDS, st.booleans())
+# A single point, inside one ball and on a ball's end.
+@example([Interval(F(0), F(1))], F(1, 2), F(1, 2), False)
+@example([Interval(F(0), F(1))], F(1), F(1), False)
+# Abutting balls miss their shared point; an overlap covers it.
+@example([Interval(F(-1), F(1, 2)), Interval(F(1, 2), F(2))], F(0), F(1), False)
+@example([Interval(F(-1), F(1, 2)), Interval(F(1, 3), F(2))], F(0), F(1), False)
+# Duplicate balls, and infinite ends on both sides.
+@example([Interval(F(-1), F(2))] * 3, F(0), F(1), True)
+@example([Interval(NEG_INF, POS_INF)], NEG_INF, F(0), False)
+@example([Interval(NEG_INF, POS_INF)], F(0), POS_INF, False)
+@example([Interval(NEG_INF, F(1)), Interval(F(0), POS_INF)], F(-5), F(5), False)
+def test_covers_closed_interval_matches_the_greedy_rescan(balls, lo, hi, doubled):
+    # The sorted sweep decides what the quadratic rescan decides, whatever
+    # the order of the balls and however often each repeats.
+    if doubled:
+        balls = balls + balls[::-1]
+    assert covers_closed_interval(balls, lo, hi) is greedy_covers_closed_interval(balls, lo, hi)
+    assert covers_closed_interval(balls[::-1], lo, hi) is covers_closed_interval(balls, lo, hi)
 
 
 def test_is_finite_on_every_scalar_type():
