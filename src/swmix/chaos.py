@@ -7,12 +7,13 @@ extreme.  Type 2 applies one word to both points; type 1 lets the two points
 ride independent words of equal length.  Envelopes and Xiong witnesses both
 search groups of points: one group of every point for type 2, one group per
 point for type 1.  Both sweep one deduplicated orbit level per group and
-length with :func:`~swmix.search._levels`, the level loop that first-hit
-set searches also step with.  An envelope reads each length's extremes off
-its levels and keeps a length while every level has orbits left; a Xiong
-witness (:func:`~swmix.search.iter_point_hits`) reads each stage's least
-hitting words off them, and since stage lengths strictly increase, one
-sweep serves every stage.
+length with :func:`~swmix.search._levels`, the one level loop, off which
+first-hit set searches and spread-table rows also read their hits.  An
+envelope reads each length's extremes off its levels and keeps a length
+while every level has orbits left; a Xiong witness
+(:func:`~swmix.search.iter_point_hits`) reads each stage's least hitting
+words off them, and since stage lengths strictly increase, one sweep serves
+every stage.
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.

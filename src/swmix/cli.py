@@ -58,6 +58,10 @@ from .spread import _check_net, build_qnet, certify_spread, verify_certificate
 __all__ = ["main"]
 
 _LIST_CAP = 100_000
+# Longest word length that prelang counts or lists.  Every count is written
+# out; over at most 64 symbols, a count of length 1,000 has at most 1,807
+# digits, inside the 4,300 that Python turns into a string by default.
+_MAX_LEN = 1_000
 
 
 def _error_payload(exc: BaseException) -> dict:
@@ -91,13 +95,19 @@ def _require(params: dict, key: str) -> Any:
 
 
 def _int_param(
-    params: dict, key: str, default: int | None = None, minimum: int = 1
+    params: dict,
+    key: str,
+    default: int | None = None,
+    minimum: int = 1,
+    maximum: int | None = None,
 ) -> int:
     v = params.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"task parameter {key!r} must be an integer")
     if v < minimum:
         raise ScenarioError(f"task parameter {key!r} must be >= {minimum}")
+    if maximum is not None and v > maximum:
+        raise ScenarioError(f"task parameter {key!r} must be <= {maximum}")
     return v
 
 
@@ -124,19 +134,19 @@ TaskResult = tuple[int, dict, dict[str, str]]
 def _task_prelang(
     system: SwitchedSystem, params: dict, budget: SearchBudget, seed: int
 ) -> TaskResult:
-    max_len = _int_param(params, "max_len", 10)
+    max_len = _int_param(params, "max_len", 10, maximum=_MAX_LEN)
+    list_len = _int_param(params, "list_len", maximum=_MAX_LEN) if "list_len" in params else None
     counts = [count_words(system.automaton, n) for n in range(1, max_len + 1)]
     payload: dict[str, Any] = {
         "alphabet": system.automaton.m,
         "max_len": max_len,
         "counts": counts,
     }
-    if "list_len" in params:
-        n = _int_param(params, "list_len", 1)
-        total = count_words(system.automaton, n)
+    if list_len is not None:
+        total = count_words(system.automaton, list_len)
         if total > _LIST_CAP:
-            raise ScenarioError(f"refusing to list {total} words at length {n}")
-        payload["words"] = [w.as_string() for w in enumerate_words(system.automaton, n)]
+            raise ScenarioError(f"refusing to list {total} words at length {list_len}")
+        payload["words"] = [w.as_string() for w in enumerate_words(system.automaton, list_len)]
     csv = "length,count\n" + "".join(
         f"{n},{c}\n" for n, c in enumerate(counts, start=1)
     )

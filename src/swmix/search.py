@@ -8,19 +8,20 @@ separates entirely from the closed bounding box.  Every search charges
 Searches run in one of two shapes, chosen by what they return:
 
 * **Level sweep** -- searches that return only the least hitting word of a
-  length: :func:`first_set_hit`, and through it the spread-table rows
-  (total images, ``inside=True``) and :func:`~swmix.hitting.extend_witness`
-  (a ``suffix`` that must be readable from the hit's automaton state); and
-  every point search, :func:`iter_point_hits` behind the Xiong witnesses
-  and :func:`~swmix.chaos.distance_envelope`.  :func:`_level_step` steps
-  one deduplicated level of ``(state, value)`` keys per length, each key
-  with the least word reaching it, in word order, so the first key of a
-  level that passes a leaf test holds the least hit of that length, the
-  word a walk would return.  :func:`first_set_hit` stops at the first new
-  key that passes; :func:`_levels` steps whole levels of several roots up
-  to a horizon with a level stepper, and the point searches read their
-  hits or extremes off them.  Each distinct key of a length is stepped
-  once; there is no step memo and no dead-subtree set.
+  length: :func:`first_set_hit`, and through it
+  :func:`~swmix.hitting.extend_witness` (a ``suffix`` that must extend the
+  hit admissibly); the spread-table rows of
+  :func:`~swmix.spread.certify_spread` (total images, ``inside=True``),
+  which share one sweep per candidate; and every point search,
+  :func:`iter_point_hits` behind the Xiong witnesses and
+  :func:`~swmix.chaos.distance_envelope`.  :func:`_levels` is the one level
+  loop: it steps the complete, deduplicated level of ``(state, value)``
+  keys of several roots per length up to a horizon, each key with the least
+  word reaching it, in word order, so the first key of a level that passes
+  a leaf test holds the least hit of that length, the word a walk would
+  return.  Every sweep reads its hits or extremes off complete levels.
+  Each distinct key of a length is stepped once; there is no step memo
+  and no dead-subtree set.
 * **Depth-first walk** -- searches that need several words of a length and
   may reject a hit after the search: :func:`iter_set_hits` behind
   ``hitting_sets`` and ``wm_certificate``, one call of
@@ -39,9 +40,9 @@ Rational-mode searches step integers.  A search reads its system's exact
 form (:meth:`swmix.core.SwitchedSystem._exact`), which exists exactly in
 rational mode, so the mode alone sends it to integers or to the generic
 loops; every input counts at its exact value, a finite float's included.
-Set searches (:func:`_set_search`, shared by the sweep and the walker) carry
-each enclosure as a tuple of rows (:mod:`swmix.intervals`), step it with
-the row kernel :func:`swmix.core._image_rows` and test leaves by
+Set searches (:func:`_set_search`, shared by the sweeps and the walker)
+carry each enclosure as a tuple of rows (:mod:`swmix.intervals`), step it
+with the row kernel :func:`swmix.core._image_rows` and test leaves by
 cross-multiplying; rows are canonical, so level, memo and dead-subtree keys
 of rows are equal exactly when their sets are.  Point searches
 (:func:`_point_search`, shared by the Xiong sweep and the envelopes) carry a
@@ -75,7 +76,7 @@ from .intervals import (
     _rows_set,
     _rows_touch,
 )
-from .language import PrunedAutomaton, walk
+from .language import PrunedAutomaton, accepts_prefix, walk
 
 
 @dataclass(frozen=True)
@@ -230,14 +231,10 @@ def _step_rows(
 
 
 def _level_step(
-    aut: PrunedAutomaton,
-    step: Callable,
-    level: dict,
-    clock: SearchClock,
-    leaf: Callable[[tuple], bool] | None = None,
-) -> tuple[dict, tuple | None] | None:
-    """One synchronous step of a deduplicated level: ``(next level, hit)``,
-    or None when the budget runs out.
+    step: Callable, aut: PrunedAutomaton, level: dict, clock: SearchClock
+) -> dict | None:
+    """One synchronous step of a deduplicated level: the next level, or
+    None when the budget runs out.
 
     A level maps ``(state, values)`` keys to the lexicographically first
     word reaching them; ``step(values, sym)`` gives a child's values, or
@@ -246,10 +243,7 @@ def _level_step(
     of their parents and then of their symbols, so the words of a level
     increase in insertion order and the first word met for a key or a
     value is the least.  Each child is inserted with one
-    ``dict.setdefault``, so its key is hashed once.  With ``leaf``, the step
-    stops at the first new child key that passes ``leaf(key)`` and returns
-    it with its word as ``hit``: the least word of the level that passes.
-    Otherwise ``hit`` is None and the level is complete.
+    ``dict.setdefault``, so its key is hashed once.
     """
     out: dict = {}
     insert, spend = out.setdefault, clock.spend
@@ -263,10 +257,8 @@ def _level_step(
                 return None
             child = step(values, sym)
             if child is not None:
-                key, w = (nxt, child), word + (sym,)
-                if insert(key, w) is w and leaf is not None and leaf(key):
-                    return out, (key, w)
-    return out, None
+                insert((nxt, child), word + (sym,))
+    return out
 
 
 # A level stepper: ``advance(aut, level, clock)`` gives the next level, or
@@ -276,14 +268,8 @@ _Advance = Callable[[PrunedAutomaton, dict, SearchClock], dict | None]
 
 def _stepper(step: Callable) -> _Advance:
     """The level stepper ``advance(aut, level, clock)`` that :func:`_levels`
-    takes, from a ``step(values, sym)``: the complete :func:`_level_step`,
-    or None when the budget runs out."""
-
-    def advance(aut: PrunedAutomaton, level: dict, clock: SearchClock) -> dict | None:
-        stepped = _level_step(aut, step, level, clock)
-        return None if stepped is None else stepped[0]
-
-    return advance
+    takes, from a ``step(values, sym)``: :func:`_level_step` bound to it."""
+    return functools.partial(_level_step, step)
 
 
 def _levels(
@@ -291,8 +277,9 @@ def _levels(
 ) -> Iterator[list[dict]]:
     """Yield, for each length 1, 2, .., ``horizon``, the complete level of
     every root, one list per length, each stepped by ``advance(aut, level,
-    clock)`` (:func:`_stepper`, or :func:`_ratio_point_levels` on integer
-    pairs), which returns the next level or None when the budget runs out.
+    clock)`` (:func:`_level_step` bound by :func:`_stepper`, or
+    :func:`_ratio_point_levels` on integer pairs), which returns the next
+    level or None when the budget runs out.
 
     The sweep stops at the first refused charge (then ``clock.exceeded``),
     whose length is not yielded, and at the first length where some root's
@@ -338,10 +325,11 @@ def _ratio_point_levels(exact: _Exact) -> _Advance:
     flat tuple ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_pairs`) with ``gcd(n,
     d) == 1`` and ``d > 0``, so two keys are equal exactly when their
     Fraction points are.  For each key in insertion order and each
-    admissible symbol in order, the clock is charged once; then each value ``n/d`` steps through the piece with
-    ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``,
-    reduced, and survives the clamp when ``box_lo <= n/d <= box_hi``,
-    cross-multiplied (infinite ends are ``(-1, 0)`` and ``(1, 0)``).  The
+    admissible symbol in order, the clock is charged once; then each value
+    ``n/d`` steps through the piece with ``lo_n*d < n*lo_d`` and ``n*hi_d <
+    hi_n*d`` to ``(a*n + b*d) / (c*d)``, reduced, and survives the clamp
+    when ``box_lo <= n/d <= box_hi``, cross-multiplied (infinite ends are
+    ``(-1, 0)`` and ``(1, 0)``).  The
     child dies where :func:`step_points` returns None, and a surviving one
     is inserted with ``dict.setdefault``, keeping the least word of its key.
     Groups of one and of two points, the type-1 and type-2 traffic, have
@@ -506,40 +494,46 @@ def _point_search(
 
 
 def _set_search(
-    system: SwitchedSystem,
-    sources: Sequence[IntervalSet],
-    targets: tuple[IntervalSet, ...],
-    inside: bool,
-) -> tuple[tuple, Callable, Callable[[tuple], bool], Callable | None]:
-    """``(root, step, fits, build)`` of a set search, shared by the sweep
-    and the walker.
+    system: SwitchedSystem, inside: bool
+) -> tuple[Callable, Callable, Callable, Callable | None]:
+    """``(encode, step, fits, build)`` of a set search, shared by the
+    sweeps and the walker: the one place where sets are sent to rows or
+    kept as sets.
 
-    ``fits(values)`` passes when every final enclosure meets its target
-    (``intersects`` with the system's ``min_overlap``, partial images), or
-    with ``inside`` lies inside it (``subset_of``, total images).  In
-    rational mode the enclosures are rows stepped by :func:`_step_rows`
-    from the exact values of the sources' ends, the test is
-    cross-multiplied on the exact values of the targets' ends and of
-    ``min_overlap``, and ``build`` turns rows back into sets; in float mode
-    they are sets stepped by :func:`step_images`, and ``build`` is None.
-    Both ways step the same words.
+    ``encode(sources)`` is the root value and ``step`` steps it;
+    ``fits(targets)`` is the leaf test towards one tuple of targets,
+    passing when every final enclosure meets its target (``intersects``
+    with the system's ``min_overlap``, partial images), or with ``inside``
+    lies inside it (``subset_of``, total images).  In rational mode the
+    enclosures are rows stepped by :func:`_step_rows` from the exact values
+    of the sources' ends, the test is cross-multiplied on the exact values
+    of the targets' ends and of ``min_overlap``, and ``build`` turns rows
+    back into sets; in float mode they are sets stepped by
+    :func:`step_images`, and ``build`` is None.  Both ways step the same
+    words.
     """
     partial = not inside
     min_overlap = system.numerics.min_overlap
     exact = system._exact()
     if exact is not None:
-        root = tuple(_ratio_rows(s.components) for s in sources)
-        goals = tuple(_ratio_rows(t.components) for t in targets)
         m_n, m_d = min_overlap.as_integer_ratio()
         test = _rows_inside if inside else functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
         step = functools.partial(_step_rows, exact, partial)
-        return root, step, lambda values: all(map(test, values, goals)), _rows_set
-    if inside:
-        test = IntervalSet.subset_of
+        encode = lambda sets: tuple(_ratio_rows(s.components) for s in sets)
+        build = _rows_set
     else:
-        test = functools.partial(IntervalSet.intersects, min_overlap=min_overlap)
-    step = functools.partial(step_images, system, partial=partial)
-    return tuple(sources), step, lambda values: all(map(test, values, targets)), None
+        if inside:
+            test = IntervalSet.subset_of
+        else:
+            test = functools.partial(IntervalSet.intersects, min_overlap=min_overlap)
+        step = functools.partial(step_images, system, partial=partial)
+        encode, build = tuple, None
+
+    def fits(targets: Sequence[IntervalSet]) -> Callable[[tuple], bool]:
+        goals = encode(targets)
+        return lambda values: all(map(test, values, goals))
+
+    return encode, step, fits, build
 
 
 def iter_set_hits(
@@ -561,10 +555,11 @@ def iter_set_hits(
     ``length`` below 1.
     """
     targets = tuple(targets)
-    root, step, fits, build = _set_search(system, sources, targets, inside=False)
+    encode, step, fits, build = _set_search(system, inside=False)
     step = _memo_step(clock, system, step)
     dead = clock.dead_set(system, targets)
-    for syms, values in walk(system.automaton, length, root, step, clock.spend, fits, dead):
+    hits = walk(system.automaton, length, encode(sources), step, clock.spend, fits(targets), dead)
+    for syms, values in hits:
         yield syms, values if build is None else tuple(map(build, values))
 
 
@@ -583,42 +578,25 @@ def first_set_hit(
     A hit is a word whose branch survives and whose final enclosures all
     meet their targets, or with ``inside=True`` all lie inside them (total
     images); with a ``suffix``, the word followed by ``suffix`` must also be
-    admissible.  The search runs on one level sweep (:func:`_level_step`)
-    from length 1 to the longest given length, testing leaves at the given
-    lengths only, so each distinct ``(state, enclosures)`` key of a length
-    is stepped once, and the first new key that passes holds the least hit.
-    Returns None when the clock runs out (check ``clock.exceeded``) or every
-    branch dies; raises ValueError for a length below 1.
+    admissible.  The search reads its hit off one level sweep
+    (:func:`_levels`) from length 1 to the longest given length: at each
+    given length, the first key in insertion order whose enclosures fit and
+    whose word ``suffix`` extends admissibly holds the least hit.  Returns
+    None when the clock runs out (check ``clock.exceeded``) or every branch
+    dies; raises ValueError for a length below 1.
     """
     wanted = set(lengths)
     if any(n < 1 for n in wanted):
         raise ValueError("word length must be at least 1")
-    aut = system.automaton
-    root, step, fits, build = _set_search(system, sources, tuple(targets), inside)
-
-    def reads(state: int) -> bool:
-        for sym in suffix:
-            state = aut.step(state, sym)
-            if state < 0:
-                return False
-        return True
-
-    readable = set(filter(reads, range(aut.num_states)))
-
-    def leaf(key: tuple) -> bool:
-        return key[0] in readable and fits(key[1])
-
-    level = {(aut.start, root): ()}
-    for n in range(1, max(wanted, default=0) + 1):
-        stepped = _level_step(aut, step, level, clock, leaf if n in wanted else None)
-        if stepped is None:
-            return None
-        level, hit = stepped
-        if hit is not None:
-            (_, values), word = hit
-            return word, values if build is None else tuple(map(build, values))
-        if not level:
-            return None
+    aut, suffix = system.automaton, tuple(suffix)
+    encode, step, fits, build = _set_search(system, inside)
+    test = fits(targets)
+    sweep = _levels(aut, _stepper(step), [encode(sources)], clock, max(wanted, default=0))
+    for n, (level,) in enumerate(sweep, 1):
+        if n in wanted:
+            for (_, values), word in level.items():
+                if test(values) and accepts_prefix(aut, word + suffix):
+                    return word, values if build is None else tuple(map(build, values))
     return None
 
 

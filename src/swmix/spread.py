@@ -7,13 +7,15 @@ covering Q, a word of length k (1/k < eps) mapping each ball B(z_i, delta)
 inside B(net[alpha[i]], eps).  The builder fixes candidate centers up front
 (grid anchors inside the common part of the seed sets) and searches one word
 per table row from the same start balls, so no row ever disturbs another;
-the table assembles row by row or fails on a named assignment.  A row's
-word is the least one over the length range whose total images land inside
-the row's balls: :func:`~swmix.search.first_set_hit` with ``inside=True``,
-one level sweep per row, which steps each distinct (state, enclosures) key
-of a length once and shares no steps with other rows.  The final
-delta is then read off the intersection of all row pullbacks: the largest
-power of two whose center balls still satisfy every recorded row at once.
+the table assembles or fails on a named assignment.  A row's word is the
+least one over the length range whose total images land inside the row's
+balls.  Every row of a candidate starts from the same balls and only its
+target balls differ, so the rows share one level sweep
+(:func:`~swmix.search._levels`, total images): it steps each distinct
+(state, enclosures) key of a length once, and each row reads its word off
+the levels as the first key that lies inside its balls.  The final delta
+is then read off the intersection of all row pullbacks: the largest power
+of two whose center balls still satisfy every recorded row at once.
 
 Certificates chain across decreasing resolutions by re-seeding each stage
 with the previous stage's final balls, which yields staged approximation
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .chaos import XiongStage, XiongWitness, _error
@@ -46,7 +48,7 @@ from .errors import (
 from .geometry import CompactRep
 from .intervals import POS_INF, Interval, IntervalSet, Scalar, covers_closed_interval
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, first_set_hit
+from .search import SearchBudget, SearchClock, _levels, _set_search, _stepper
 from .words import Word
 
 __all__ = [
@@ -240,18 +242,21 @@ def certify_spread(
     max_table: int = 4096,
     min_word_len: int = 1,
 ) -> SpreadCertificate:
-    """Fix candidate centers, then realize the full assignment table row by row.
+    """Fix candidate centers, then realize the full assignment table off one
+    level sweep per candidate.
 
     Candidates pair grid anchors over the common part of the seed sets
     (per-seed midpoints when the seeds are disjoint) with a start radius
     small enough that images stay inside a target ball over the whole length
-    range.  Every table row independently searches word lengths from
-    max(floor(1/eps)+1, min_word_len) up to the candidate's horizon; the two
-    extreme assignments are probed first so hopeless candidates fail after
-    two rows instead of m**n.  On success delta grows from the start radius
-    to the largest power of two whose center balls still sit inside the
-    intersection of all row pullbacks.  Raises BudgetExceeded naming the
-    assignment that could not be realized.
+    range.  Each candidate sweeps its levels once, up to its horizon; from
+    length k0 = max(floor(1/eps)+1, min_word_len) on, every open row closes
+    at the first key of the level that lies inside its balls, which holds
+    its least word, and the sweep stops once every row is closed.  A
+    candidate fails at the first row still open, in an order that puts the
+    two extreme assignments first.  On success delta grows from the start
+    radius to the largest power of two whose center balls still sit inside
+    the intersection of all row pullbacks.  Raises BudgetExceeded naming the
+    first open row of the last failed candidate.
     """
     m = len(net.centers)
     n = len(seeds)
@@ -273,20 +278,27 @@ def certify_spread(
         tuple(0 if i % 2 else m - 1 for i in range(n)),
     ]
     order = list(dict.fromkeys(probes + table))
+    encode, step, fits, _ = _set_search(system, inside=True)
+    advance = _stepper(step)
+    tests = {alpha: fits([net.ball(a, eps) for a in alpha]) for alpha in order}
     clock = SearchClock(budget)
     failed: tuple[int, ...] | None = None
     for centers, delta0, hi in _center_candidates(system, start, eps, k0, budget):
-        sources = [ball(z, delta0) for z in centers]
-        lengths = range(k0, hi + 1)
+        root = encode([ball(z, delta0) for z in centers])
         found: dict[tuple[int, ...], Word] = {}
-        for alpha in order:
-            balls = [net.ball(a, eps) for a in alpha]
-            hit = first_set_hit(system, sources, balls, lengths, clock, inside=True)
-            if hit is None:
-                failed = alpha
+        unfound = order
+        sweep = _levels(system.automaton, advance, [root], clock, hi)
+        for (level,) in islice(sweep, k0 - 1, None):
+            for alpha in unfound:
+                test = tests[alpha]
+                word = next((w for (_, v), w in level.items() if test(v)), None)
+                if word is not None:
+                    found[alpha] = Word(word)
+            unfound = [alpha for alpha in unfound if alpha not in found]
+            if not unfound:
                 break
-            found[alpha] = Word(hit[0])
-        if len(found) < len(order):
+        if unfound:
+            failed = unfound[0]
             if clock.exceeded:
                 break
             continue

@@ -462,6 +462,23 @@ def test_prelang_task_counts(tmp_path, capsys):
     assert (tmp_path / "out" / "counts.csv").read_text().startswith("length,count\n")
 
 
+@pytest.mark.parametrize("key", ["max_len", "list_len"])
+def test_prelang_refuses_a_length_past_the_cap_before_counting(key, tmp_path, capsys, monkeypatch):
+    # On the full 2-shift the count of length 20,000 has 6,021 digits, past
+    # what Python turns into a string by default; 14,000 took seconds and
+    # wrote 30 MB.  The length is refused before any word is counted.
+    monkeypatch.setattr(cli, "count_words", lambda *args: pytest.fail("words were counted"))
+    params = {"max_len": 5, key: 20_000}
+    scn = write(tmp_path / "scn.json", {"task": "prelang", "system": TENT_JSON, "params": params})
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": f"task parameter {key!r} must be <= 1000",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_hitting_task(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

@@ -166,6 +166,33 @@ SCENARIOS = {
         },
         "budget": {"max_horizon": 12, "max_words": 200_000},
     },
+    # Float mode: the rows sweep float sets (step_images, image_of).
+    "spread-float": {
+        "task": "spread",
+        "system": _tent(False, as_float=True),
+        "params": {
+            "seeds": [[[1 / 3, 2 / 3]], [[0.2, 0.35]]],
+            "K": [[0.0, 1.0]],
+            "Q": [[0.0, 1.0]],
+            "eps": 0.4,
+            "net_radius": 0.2,
+        },
+        "budget": {"max_horizon": 12, "max_words": 200_000},
+    },
+    # Disjoint seeds: every candidate leaves the row (0, 3) open up to its
+    # horizon, well inside the node budget, so the run exits 2 naming it.
+    "spread-unrealized": {
+        "task": "spread",
+        "system": _tent(False),
+        "params": {
+            "seeds": [[["1/10", "3/10"]], [["3/5", "4/5"]]],
+            "K": UNIT,
+            "Q": UNIT,
+            "eps": "1/3",
+            "net_radius": "1/6",
+        },
+        "budget": {"max_horizon": 12, "max_words": 500_000},
+    },
     "hitting": {
         "task": "hitting",
         "system": PIECEWISE,
@@ -308,6 +335,19 @@ GOLDEN = {
         "7ed989986d2391cf5c48be33839b7bd5e3d9435e58aef81c2fa66e38fbfb6bbd",
         "1a533fd6e98f124eb6abdf2bddb99c212bc32d3b1a5209106b9c24c3c31ca172",
         "7ed989986d2391cf5c48be33839b7bd5e3d9435e58aef81c2fa66e38fbfb6bbd",
+    ),
+    "spread-float": (
+        0,
+        "5621c0ac4db0d23404a9886de29200adcc12a023bcb0bb14466f61e78a5ee845",
+        "22b2e326a07775e4aaef0976763dd4477edbe7cfbcec49b2dcd9b147c6d49694",
+        "5621c0ac4db0d23404a9886de29200adcc12a023bcb0bb14466f61e78a5ee845",
+    ),
+    # BudgetExceeded naming the first unrealized row: exit 2, no artifact.
+    "spread-unrealized": (
+        2,
+        "33b01dd158cd8beb7b56073f497c68b833a35b8fa847794b15bd33a7827bef99",
+        None,
+        "33b01dd158cd8beb7b56073f497c68b833a35b8fa847794b15bd33a7827bef99",
     ),
     "wm1": (
         0,

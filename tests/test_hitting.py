@@ -545,16 +545,17 @@ def test_extend_witness_returns_only_admissible_words():
 
 
 def test_extend_witness_node_budget():
-    # The first extension, 01101 + 01, is found on the 10th charge: the
-    # search steps one level of distinct (state, enclosure) keys per length
-    # (the depth-first walk it replaced charged 28).
+    # The first extension, 01101 + 01, is read off the complete length-5
+    # level after 12 charges: the search steps one level of distinct (state,
+    # enclosure) keys per length (10 when it stopped at the first passing
+    # key; the depth-first walk before it charged 28).
     U0 = IntervalSet.of(F(3, 10), F(7, 20))
     V0 = IntervalSet.of(F(3, 4), F(4, 5))
     s = Word.from_string("01")
-    word = extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=10))
+    word = extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=12))
     assert word == Word.from_string("0110101")
     with pytest.raises(BudgetExceeded, match="^no extension found within budget$"):
-        extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=9))
+        extend_witness(CLAMPED, U0, V0, s, budget=SearchBudget(max_words=11))
 
 
 def test_extend_witness_requires_a_hit():

@@ -106,15 +106,16 @@ def test_clock_lengths_stop_after_the_length_that_runs_out():
 
 
 def test_first_set_hit_stops_after_the_length_that_spends_the_budget():
-    # Lengths 1-3 hold no hit.  The sweep steps each distinct level key once,
-    # so the hit 0000 costs 7 charges (the depth-first walk charged 11 by
-    # then); with 6 the 7th charge, at length 4, runs out.
+    # Lengths 1-3 hold no hit.  The sweep steps each distinct level key once
+    # and reads the hit 0000 off the complete length-4 level: 8 charges (7
+    # when the sweep stopped at the first passing key, 11 on the depth-first
+    # walk before it); with 7 the 8th charge, at length 4, runs out.
     clock = SearchClock(SearchBudget(max_words=10))
     assert first_set_hit(CLAMPED, [U], [V], range(1, 9), clock)[0] == (0, 0, 0, 0)
-    assert (clock.count, clock.exceeded) == (7, False)
-    clock = SearchClock(SearchBudget(max_words=6))
+    assert (clock.count, clock.exceeded) == (8, False)
+    clock = SearchClock(SearchBudget(max_words=7))
     assert first_set_hit(CLAMPED, [U], [V], range(1, 9), clock) is None
-    assert (clock.count, clock.exceeded) == (7, True)
+    assert (clock.count, clock.exceeded) == (8, True)
 
 
 def test_first_set_hit_takes_lengths_in_increasing_order():
@@ -494,8 +495,8 @@ def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, max_words)
         assert (rows_clock.count, rows_clock.exceeded) == (sets_clock.count, sets_clock.exceeded)
 
 
-# The sweep behind first_set_hit (and so spread-table rows and
-# extend_witness) against the depth-first walks it replaced
+# The sweep behind first_set_hit (and so extend_witness; test_spread.py
+# checks the spread-table rows) against the depth-first walks it replaced
 # (helpers.reference_first_set_hit): the same least word, the same sets and
 # the same None, over random automata and forbidden factors, clamp on and
 # off, rational and float mode, both leaf tests and gapped length lists.
@@ -659,12 +660,13 @@ def spread_clocks(monkeypatch):
 
 
 def test_certify_spread_node_count(spread_clocks):
-    # Each row sweeps its levels afresh, with no memo or dead set shared
-    # between rows: 2,316 charges (the depth-first walk charged 2,420).
+    # Each candidate sweeps its levels once for all 16 rows, and every row
+    # reads its hit off them: 1,146 charges (2,316 when each row swept its
+    # own levels, 2,420 on the depth-first walk before that).
     cert = certify_spread(TENT, SEEDS, UNIT, F(1, 5), NET)
     assert {row.word.as_string() for row in cert.rows} == {"010010"}
     assert len(cert.rows) == 16
-    assert [(c.count, c.exceeded) for c in spread_clocks] == [(2316, False)]
+    assert [(c.count, c.exceeded) for c in spread_clocks] == [(1146, False)]
 
 
 def test_certify_spread_budget_node_count(spread_clocks):

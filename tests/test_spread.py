@@ -2,8 +2,12 @@
 
 import dataclasses
 from fractions import Fraction as F
+from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmix import spread
 from swmix.chaos import verify_xiong
@@ -12,7 +16,7 @@ from swmix.errors import BudgetExceeded, InadmissibleSeeds, NotCovered
 from swmix.geometry import CompactRep
 from swmix.intervals import Interval, IntervalSet
 from swmix.language import ForbiddenWords
-from swmix.search import SearchBudget
+from swmix.search import SearchBudget, SearchClock
 from swmix.spread import (
     QNet,
     SpreadRow,
@@ -25,7 +29,7 @@ from swmix.spread import (
     xiong_from_chain,
 )
 
-from helpers import UNIT, rotation_system
+from helpers import UNIT, reference_first_set_hit, rotation_system, sweep_systems
 
 TENT = tent_system()
 SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
@@ -214,3 +218,80 @@ def test_verify_certificate_rejects_inadmissible_words():
     # Every row word is 010010, which contains the forbidden factor 1 0.
     no_10 = dataclasses.replace(TENT, language=ForbiddenWords(2, ((1, 0),)))
     assert not verify_certificate(no_10, cert)
+
+
+# The rows of one candidate are read off one level sweep.  Each must be the
+# least word over k0..horizon that the per-row depth-first walk
+# (helpers.reference_first_set_hit) finds from the candidate's start balls
+# into the row's balls, and a table that no candidate fills must name the
+# first row, in probe-then-table order, that the last failed candidate left
+# unrealized.  Rational and float mode, random maps, automata and nets.
+
+SEED_ENDS = st.fractions(min_value=0, max_value=1, max_denominator=12)
+SEED_SETS = st.tuples(SEED_ENDS, SEED_ENDS).filter(lambda p: p[0] != p[1]).map(
+    lambda p: IntervalSet.of(min(p), max(p))
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sweep_systems(),
+    st.lists(SEED_SETS, min_size=1, max_size=2),
+    SEED_SETS,
+    st.sampled_from([F(3, 2), F(1), F(1, 2), F(1, 3)]),
+    st.sampled_from([F(1, 2), F(1, 3), F(1, 4)]),
+    st.integers(1, 5),
+    st.integers(1, 3),
+)
+def test_spread_rows_are_the_least_words_of_the_per_row_search(
+    system, seeds, region, eps, radius, horizon, min_len
+):
+    net = build_qnet(region, radius)
+    candidates, clocks = [], []
+    real_candidates = spread._center_candidates
+
+    def recorded(*args):
+        for candidate in real_candidates(*args):
+            candidates.append(candidate)
+            yield candidate
+
+    def clock(budget):
+        clocks.append(SearchClock(budget))
+        return clocks[-1]
+
+    budget = SearchBudget(max_horizon=horizon)
+    with mock.patch.object(spread, "_center_candidates", recorded), mock.patch.object(
+        spread, "SearchClock", clock
+    ):
+        try:
+            got = certify_spread(system, seeds, UNIT, eps, net, budget, min_word_len=min_len)
+        except BudgetExceeded as exc:
+            got = str(exc)
+    assert not clocks[0].exceeded
+    k0 = max(int(1 / eps) + 1, min_len)
+    m, n = len(net.centers), len(seeds)
+    probes = [tuple((0, m - 1)[(i + p) % 2] for i in range(n)) for p in (0, 1)]
+    order = list(dict.fromkeys(probes + list(product(range(m), repeat=n))))
+
+    def rows(candidate):
+        """(alpha, least word or None) of each row in order, up to the
+        first unrealized one."""
+        centers, delta0, hi = candidate
+        sources = [ball(z, delta0) for z in centers]
+        for alpha in order:
+            balls = [net.ball(a, eps) for a in alpha]
+            hit = reference_first_set_hit(system, sources, balls, range(k0, hi + 1), inside=True)
+            yield alpha, hit and hit[0]
+            if hit is None:
+                return
+
+    if not isinstance(got, str):
+        last = dict(rows(candidates[-1]))
+        assert {row.alpha: row.word.symbols for row in got.rows} == last
+        return
+    for candidate in reversed(candidates):
+        alpha, word = list(rows(candidate))[-1]
+        if word is None:
+            assert got == f"no word realizes assignment {alpha}"
+            return
+    assert got.startswith("length law needs words of length")
