@@ -2,16 +2,23 @@
 
 Scalars follow the numeric mode: rationals become canonical fraction strings
 ("3/4", "2"), floats stay JSON numbers, and the two infinities become the
-strings "inf" / "-inf".  All JSON is emitted with sorted keys and a fixed
-separator/indent convention so identical inputs yield byte-identical files.
+strings "inf" / "-inf".
+
+Every JSON document swmix writes goes through :func:`dumps`, a writer
+specialised to the shapes swmix emits: dicts with str keys, written in
+sorted key order, lists and tuples, str, int, float, bool and None.  On
+such values its output is byte-identical to ``json.dumps(obj,
+sort_keys=True, indent=2)`` plus a newline, so identical inputs yield
+byte-identical files.  Any other value, a non-str key included, raises
+``TypeError``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import fields
 from fractions import Fraction
-from typing import Any
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Any, Callable
 
 from .chaos import DistanceEnvelope, XiongStage, XiongWitness
 from .core import (
@@ -50,7 +57,74 @@ __all__ = [
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``obj`` as JSON text with sorted keys, a two-space indent and a final
+    newline: the bytes of ``json.dumps(obj, sort_keys=True, indent=2) +
+    "\\n"``.  The stdlib encoder falls back to pure Python whenever it
+    indents; this writer skips what swmix never needs of it (circular
+    reference checks, key coercion, ``default`` hooks).
+    Strings are ASCII-escaped as ``json`` escapes them, NaN and the
+    infinities print as ``NaN`` / ``Infinity`` / ``-Infinity``, and an int
+    too long to print raises ``ValueError`` as in ``json``."""
+    chunks: list[str] = []
+    _write(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == POS_INF:
+        return "Infinity"
+    if x == NEG_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write(o: Any, newline: str, put: Callable[[str], Any]) -> None:
+    """Pass the text of ``o`` to ``put`` in pieces.  ``newline`` is the
+    line break plus indent of ``o``'s own line, where its closing bracket
+    goes."""
+    if isinstance(o, str):
+        put(_json_str(o))
+    elif o is None:
+        put("null")
+    elif o is True:
+        put("true")
+    elif o is False:
+        put("false")
+    elif isinstance(o, int):
+        put(int.__repr__(o))
+    elif isinstance(o, float):
+        put(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in o:
+            put(sep)
+            sep = "," + inner
+            _write(item, inner, put)
+        put(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        # sorted() raises TypeError on keys of mixed types; keys that are
+        # all of one type other than str reach the check below.
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep + _json_str(key) + ": ")
+            sep = "," + inner
+            _write(o[key], inner, put)
+        put(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def scalar_to_json(x: Scalar) -> Any:

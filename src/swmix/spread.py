@@ -212,7 +212,17 @@ def _center_candidates(
     else:
         horizons = [budget.max_horizon] if budget.max_horizon >= k0 else []
     for hi in horizons:
-        cap = eps * 3 / (4 * lam ** hi)
+        try:
+            growth = lam ** hi
+        except OverflowError:
+            # A float slope past float range at this power: rational mode
+            # reads it at its exact value, float mode cannot size a radius.
+            if system._exact() is None:
+                raise ValueError(
+                    f"slope {lam!r} to the power {hi} overflows a float"
+                ) from None
+            growth = Fraction(lam) ** hi
+        cap = eps * 3 / (4 * growth)
         if not shared.is_empty:
             region = shared.widest_component()
             step = cap / (2 * n)

@@ -74,6 +74,49 @@ def test_spread_refuses_a_float_resolution_too_small_to_count(
     assert not (tmp_path / "out").exists()
 
 
+def steep_spread_scenario(mode):
+    # The unclamped tent pair with map 0 replaced by 1e100 * x: the start
+    # radius guess divides by 1e100 to the power of the horizon, which is
+    # past float range.
+    system = dict(TENT_JSON, numerics=dict(TENT_JSON["numerics"], mode=mode))
+    system["maps"] = [
+        [{"domain": ["-inf", "inf"], "a": 1e100, "b": "0"}],
+        system["maps"][1],
+    ]
+    params = {
+        "seeds": [[["1/10", "3/5"]]],
+        "K": [["0", "1"]],
+        "Q": [["0", "1"]],
+        "eps": "2/5",
+        "net_radius": "1/5",
+    }
+    return spread_scenario(system=system, params=params, budget={"max_horizon": 6})
+
+
+def test_spread_on_a_steep_float_slope_runs_on_its_exact_value(tmp_path, capsys):
+    # Rational mode reads 1e100 at its exact value, so its powers are exact
+    # too; every word leaves the bounds, so the search runs out of horizon.
+    scn = write(tmp_path / "scn.json", steep_spread_scenario("rational"))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert report["error"] == {
+        "type": "BudgetExceeded",
+        "message": "no word realizes assignment (0,)",
+    }
+    assert json.loads((tmp_path / "out" / "report.json").read_text()) == report
+
+
+def test_spread_refuses_a_float_slope_whose_power_overflows(tmp_path, capsys):
+    scn = write(tmp_path / "scn.json", steep_spread_scenario("float"))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "slope 1e+100 to the power 5 overflows a float",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_spread_scenario(tmp_path, capsys):
     scn = write(tmp_path / "scn.json", spread_scenario())
     code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)

@@ -1,9 +1,13 @@
-"""JSON round trips: every emitted document parses back to an equal object."""
+"""JSON round trips: every emitted document parses back to an equal object,
+and ``dumps`` writes the bytes of the stdlib encoder on JSON-shaped values."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swmix.core import Numerics
 from swmix.demo import tent_system
@@ -282,3 +286,82 @@ def test_dumps_is_deterministic():
     doc = system_to_json(TENT)
     assert dumps(doc) == dumps(json.loads(dumps(doc)))
     assert dumps(doc).endswith("\n")
+
+
+def json_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# Quotes, backslashes, every short escape, control and DEL characters, lone
+# surrogates, and characters past ASCII, from the Latin-1 range to astral.
+ESCAPES = '"\\/\b\f\n\r\t\x00\x01\x1f\x7f\x80\xe9\u2028\u20ac\ud800\udfff\U0001f600'
+STRINGS = st.text() | st.text(alphabet=st.sampled_from(ESCAPES + "aZ0 "))
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e300])
+    | STRINGS
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(STRINGS, children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+def nested(depth):
+    """Lists and dicts in turn, ``depth`` levels deep, with an empty list,
+    dict and tuple beside each level and at the bottom."""
+    doc = {"": [], "z": {}, "a": ()}
+    for i in range(depth):
+        doc = {"b": [doc, i, {}], "a": (str(i), [])} if i % 2 else [[], {"k": doc}, ()]
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example({"b": [1, {"d": [], "c": ()}], "a": {"B": "x", "A": [None, True]}})
+@example([[], {}, (), [[[]]], {"": {"": {}}}])
+@example(nested(40))
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 10**300])
+@example({"\u00e9\x00\"": "\ud800\U0001f600\\", "\x7f": "\u2028"})
+def test_dumps_matches_the_stdlib_encoder(value):
+    assert dumps(value) == json_dumps(value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this interpreter prints ints of any length",
+)
+def test_dumps_refuses_an_int_too_long_to_print_as_the_stdlib_does():
+    big = [{"n": 10 ** sys.get_int_max_str_digits()}]
+    with pytest.raises(ValueError):
+        json_dumps(big)
+    with pytest.raises(ValueError):
+        dumps(big)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param({1: "one"}, id="int-key"),
+        pytest.param({"a": {F(1, 2): 1}}, id="fraction-key"),
+        pytest.param({(1, 2): 1}, id="tuple-key"),
+        pytest.param({"a": 1, 2: "b"}, id="mixed-keys"),
+        pytest.param(F(1, 3), id="fraction"),
+        pytest.param([1, F(1, 3)], id="nested-fraction"),
+        pytest.param({"a": {1, 2}}, id="nested-set"),
+        pytest.param({1, 2}, id="set"),
+    ],
+)
+def test_dumps_refuses_non_json_values_and_non_str_keys(value):
+    # json.dumps would write an int key as a string; swmix never emits one.
+    with pytest.raises(TypeError):
+        dumps(value)
