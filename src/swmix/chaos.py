@@ -30,32 +30,33 @@ level keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
 ``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
 integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
 One Fraction is built per row extreme, and the rows, words, truncation and
-clock charges are those of the generic Fraction loop.  Globally affine
-type-2 envelopes without a clamp follow the orbit difference instead, on
-exact values in rational mode, stepped one edge at a time by
-:func:`~swmix.search._level_step`.
+clock charges are those of the generic Fraction loop.  Globally affine maps
+move the orbit difference on its own, so a type-2 envelope of such maps
+without a clamp searches the pair ``(0, y - x)`` (``y - x`` at exact values
+in rational mode) under the maps' linear parts, in the same language, mode
+and bounds: one key per state and difference, on the same path as any
+other point search.
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import isfinite, lcm
 from operator import itemgetter
 from typing import Sequence
 
-from .core import SwitchedSystem, eval_point
+from .core import PiecewiseAffineMap, SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
-from .intervals import Scalar, _exact_value
+from .intervals import POS_INF, Scalar, _exact_value
 from .language import accepts_prefix
 from .search import (
     SearchBudget,
     SearchClock,
     _levels,
     _point_search,
-    _stepper,
     iter_point_hits,
 )
 from .words import Word
@@ -127,15 +128,14 @@ def _error(system: SwitchedSystem, v: Scalar, t: Scalar) -> Scalar:
     return abs(v - (t if system._exact() is None else _exact_value(t)))
 
 
-def _type2_row(n: int, level: dict, exact: bool, diff: bool) -> EnvelopeRow:
+def _type2_row(n: int, level: dict, exact: bool) -> EnvelopeRow:
     """Type-2 extremes of a level in one pass.
 
-    A level holds a signed orbit difference (``diff``), a point pair, or a
-    ratio pair ``(nx, dx, ny, dy)`` (``exact``), whose distance ``|ny*dx -
-    nx*dy| / (dx*dy)`` is compared cross-multiplied and built as one Fraction
-    per extreme.  Words increase in insertion order
-    (:func:`~swmix.search._level_step`), so keeping the first of equal
-    distances keeps the least word.
+    A level holds a point pair, or a ratio pair ``(nx, dx, ny, dy)``
+    (``exact``), whose distance ``|ny*dx - nx*dy| / (dx*dy)`` is compared
+    cross-multiplied and built as one Fraction per extreme.  Words increase
+    in insertion order (:func:`~swmix.search._level_step`), so keeping the
+    first of equal distances keeps the least word.
     """
     it = iter(level.items())
     if exact:
@@ -151,7 +151,7 @@ def _type2_row(n: int, level: dict, exact: bool, diff: bool) -> EnvelopeRow:
                 hi_n, hi_d, whi = dn, dd, w
         lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
     else:
-        dists = ((abs(v) if diff else abs(v[1] - v[0]), w) for (_, v), w in it)
+        dists = ((abs(v[1] - v[0]), w) for (_, v), w in it)
         (lo, wlo) = (hi, whi) = next(dists)
         for d, w in dists:
             if d < lo:
@@ -189,32 +189,20 @@ def distance_envelope(
     _require_finite("points", (x, y))
     if x == y:
         raise ValueError("need two distinct points")
-    diff_ok = (
-        kind == "type2"
-        and not system.clamp
-        and all(pam.is_global for pam in system.maps)
-    )
-    if diff_ok:
-        # Globally affine maps act on the orbit difference autonomously, so
-        # the level collapses to (state, signed difference) keys.
-        ex = _exact_value if system._exact() is not None else lambda v: v
-        slopes = tuple(ex(pam.effective_pieces[0].slope) for pam in system.maps)
-
-        def step(d: Scalar, sym: int) -> Scalar:
-            return slopes[sym] * d
-
-        advance = _stepper(step)
-        exact = False
-        roots = [ex(y) - ex(x)]
+    if kind == "type2" and not system.clamp and all(pam.is_global for pam in system.maps):
+        # The orbit difference moves on its own (module docstring).
+        linear = tuple(
+            PiecewiseAffineMap.globally(pam.effective_pieces[0].slope, 0) for pam in system.maps
+        )
+        stepped = replace(system, maps=linear)
+        pair = (0, y - x if system._exact() is None else _exact_value(y) - _exact_value(x))
     else:
-        encode, advance, _, decode = _point_search(system)
-        exact = decode is not None
-        # Type 2 steps both points in one level, type 1 each in its own.
-        roots = [encode((x, y))] if kind == "type2" else [encode((x,)), encode((y,))]
-    if kind == "type2":
-        row = partial(_type2_row, exact=exact, diff=diff_ok)
-    else:
-        row = partial(_type1_row, exact=exact)
+        stepped, pair = system, (x, y)
+    encode, advance, _, decode = _point_search(stepped)
+    exact = decode is not None
+    # Type 2 steps both points in one level, type 1 each in its own.
+    roots = [encode(pair)] if kind == "type2" else [encode((x,)), encode((y,))]
+    row = partial(_type2_row if kind == "type2" else _type1_row, exact=exact)
     clock = SearchClock(budget)
     levels = _levels(system.automaton, advance, roots, clock, horizon)
     rows = tuple(row(n, *level) for n, level in enumerate(levels, 1))
@@ -433,10 +421,12 @@ def xiong_witness(
 
 
 def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
-    """Replay every stage word and confirm the recorded errors and bounds;
-    every word must be admitted by the switching language.  A witness with
-    no stage, no point, or not one target per point carries no evidence and
-    fails."""
+    """Replay every stage word and confirm the recorded errors and bounds:
+    each replayed error at most its recorded one, which lies below the
+    stage's finite tolerance; every word must be admitted by the switching
+    language.  A witness with no stage, no point, or not one target per
+    point carries no evidence and fails, and so does a NaN error or
+    tolerance."""
     lengths = wit.stage_lengths()
     if not lengths or not wit.points or len(wit.targets) != len(wit.points):
         return False
@@ -457,6 +447,7 @@ def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
                 err = _error(system, eval_point(system, w, x), t)
             except UndefinedAtPoint:
                 return False
-            if err > claimed or claimed >= stage.tolerance:
+            # Written so that a NaN error or tolerance fails.
+            if not err <= claimed < stage.tolerance < POS_INF:
                 return False
     return True

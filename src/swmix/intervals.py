@@ -20,11 +20,11 @@ exact value with ``d > 0`` -- a finite float's is its
 ``as_integer_ratio()`` -- and the infinities ``(-1, 0)`` and ``(1, 0)``.
 Rational mode reads every set through rows, so a float end counts at its
 exact binary value there (:meth:`swmix.core.SwitchedSystem._exact`).  The
-row kernels of
-:mod:`swmix.core` and the set searches of :mod:`swmix.search` work on them
-through the helpers here: :func:`_normalise_rows`, the one normaliser of
-image and preimage rows; :func:`_rows_set`, where image rows become an
-:class:`IntervalSet`; and the row forms of :meth:`~IntervalSet.intersects`,
+row kernels of :mod:`swmix.core` and the set searches of
+:mod:`swmix.search` work on them through the helpers here:
+:func:`_normalise_rows`, the one normaliser of image and preimage rows;
+:func:`_rows_set`, where image rows become an :class:`IntervalSet`; and
+the row forms of :meth:`~IntervalSet.intersects`,
 :meth:`~IntervalSet.subset_of` and :meth:`~IntervalSet.touches_closed`
 (:func:`_rows_meet`, :func:`_rows_inside`, :func:`_rows_touch`), the leaf
 and clamp tests of the set searches; :func:`_cut_rows`, the row form of
@@ -35,14 +35,10 @@ operators.  That is exact against every finite end and against the same
 infinity, but ``-inf < +inf`` would read ``0 < 0``, so every test that can
 meet both counts a zero denominator apart.  Ties resolve exactly as
 ``max``, ``min`` and a stable sort resolve them.  Besides the row helpers,
-the :class:`Interval` check of two Fraction endpoints cross-multiplies, and
-:meth:`IntervalSet.intersects` runs :func:`_rows_meet` when no endpoint is a
-finite float (:func:`_exact_ends`) and ``min_overlap`` is a Fraction or an
-int.  It does not know the numeric mode, so a float end or a float
-``min_overlap`` sends it down the generic path, whose comparisons are exact
-too.  Every other operation,
-:func:`_normalise` behind :meth:`IntervalSet.from_intervals`,
-:meth:`~IntervalSet.intersect` and :meth:`~IntervalSet.subset_of` among
+only the :class:`Interval` check of two Fraction endpoints cross-multiplies;
+every other operation, :func:`_normalise` behind
+:meth:`IntervalSet.from_intervals`, :meth:`~IntervalSet.intersect`,
+:meth:`~IntervalSet.intersects` and :meth:`~IntervalSet.subset_of` among
 them, uses plain comparisons alone.
 """
 
@@ -80,15 +76,6 @@ def _exact_value(x: Scalar) -> Scalar:
     """The exact value of a finite float, as a Fraction; any other scalar
     as it is."""
     return Fraction(x) if type(x) is float and is_finite(x) else x
-
-
-def _exact_ends(comps: Sequence[Interval]) -> bool:
-    """Whether no end of ``comps`` is a finite float.  A lo end is never
-    ``+inf`` and a hi end never ``-inf``, so one test per end suffices."""
-    for c in comps:
-        if (type(c.lo) is float and c.lo != NEG_INF) or (type(c.hi) is float and c.hi != POS_INF):
-            return False
-    return True
 
 
 def is_finite(x: Scalar) -> bool:
@@ -390,8 +377,6 @@ class IntervalSet:
     def intersects(self, other: "IntervalSet", min_overlap: Scalar = 0) -> bool:
         """True iff the interiors overlap with width strictly above ``min_overlap``."""
         a, b = self.components, other.components
-        if type(min_overlap) in (Fraction, int) and _exact_ends(a) and _exact_ends(b):
-            return _rows_meet(_ratio_rows(a), _ratio_rows(b), *min_overlap.as_integer_ratio())
         i = j = 0
         while i < len(a) and j < len(b):
             lo = max(a[i].lo, b[j].lo)

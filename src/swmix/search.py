@@ -52,7 +52,8 @@ d2, ..)`` and test ``|v - t| < eps`` cross-multiplied; one integer kernel
 inline, with its own loops for groups of one and of two points.  Either
 way, Fractions are built only for the hits returned.  Float mode steps
 sets with :func:`step_images` and values with :func:`step_points`, one
-call per edge through :func:`_level_step`.
+call per edge through :func:`_level_step`; rational set sweeps step rows
+through it too, but no rational point search does.
 """
 
 from __future__ import annotations
@@ -195,8 +196,7 @@ def _memo_step(
     clock: SearchClock, system: SwitchedSystem, step: Callable[[tuple, int], tuple | None]
 ) -> Callable[[tuple, int], tuple | None]:
     """``step(images, sym)`` of ``system`` memoised in ``clock``; dead
-    branches are stored as None.  Rows and sets never compare equal, so
-    both kinds of key share one memo."""
+    branches are stored as None."""
     memo = clock._steps.setdefault(id(system), (system, {}))[1]
 
     def memo_step(images, sym):

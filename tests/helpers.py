@@ -1,7 +1,8 @@
 """Shared builders for the test suite: circle rotations, random systems, a
 plain reference evaluation of maps, a reference pull-back of hits, a
 reference first-hit search, a reference Xiong witness, a reference
-per-edge integer point step and a reference greedy cover check."""
+per-edge integer point step, a reference envelope on the orbit difference
+and a reference greedy cover check."""
 
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ from swmix.core import (
     eval_interval,
     word_preimage,
 )
-from swmix.intervals import Interval, IntervalSet
-from swmix.chaos import XiongStage, XiongWitness
+from swmix.intervals import Interval, IntervalSet, _exact_value
+from swmix.chaos import DistanceEnvelope, EnvelopeRow, XiongStage, XiongWitness
 from swmix.errors import EmptyLanguage
 from swmix.language import (
     Dfa,
@@ -279,6 +280,40 @@ def reference_ratio_point_step(exact):
         return tuple(out)
 
     return step
+
+
+def reference_difference_envelope(system, x, y, horizon, clock):
+    """:func:`swmix.chaos.distance_envelope` of kind ``"type2"`` on a
+    globally affine system without a clamp, as the orbit difference loop it
+    once ran: the level holds ``(state, d)`` keys from the root ``y - x``
+    (at exact values in rational mode), each edge charges ``clock`` once
+    and steps ``d`` to ``slope * d``, the first word met for a key is kept,
+    and a row takes the least and greatest ``|d|`` with the first words
+    attaining them.  A length during which the clock runs out gives no row
+    and truncates the envelope."""
+    ex = _exact_value if system.numerics.mode == "rational" else (lambda v: v)
+    slopes = [ex(pam.effective_pieces[0].slope) for pam in system.maps]
+    aut = system.automaton
+    level = {(aut.start, ex(y) - ex(x)): ()}
+    rows = []
+    for n in range(1, horizon + 1):
+        nxt = {}
+        for (state, d), word in level.items():
+            for sym in range(aut.m):
+                target = aut.transitions[state][sym]
+                if target < 0:
+                    continue
+                if not clock.spend():
+                    return DistanceEnvelope("type2", x, y, horizon, tuple(rows), True)
+                nxt.setdefault((target, slopes[sym] * d), word + (sym,))
+        level = nxt
+        dists = [(abs(d), w) for (_, d), w in level.items()]
+        lo = min(d for d, _ in dists)
+        hi = max(d for d, _ in dists)
+        w_lo = next(w for d, w in dists if d == lo)
+        w_hi = next(w for d, w in dists if d == hi)
+        rows.append(EnvelopeRow(n, lo, hi, (Word(w_lo),), (Word(w_hi),)))
+    return DistanceEnvelope("type2", x, y, horizon, tuple(rows), False)
 
 
 def greedy_covers_closed_interval(opens, lo, hi):

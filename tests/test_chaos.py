@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -33,6 +34,7 @@ from swmix.words import Word
 
 from helpers import (
     random_map,
+    reference_difference_envelope,
     reference_ratio_point_step,
     reference_value,
     reference_xiong_witness,
@@ -241,6 +243,25 @@ def test_verify_xiong_rejects_tampering():
     stages = list(wit.stages)
     stages[1] = dataclasses.replace(stages[1], words=stages[0].words)
     assert not verify_xiong(CLAMPED, dataclasses.replace(wit, stages=tuple(stages)))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        {"tolerance": float("nan")},
+        {"errors": (float("nan"),)},
+        {"tolerance": POS_INF},
+    ],
+    ids=["nan-tolerance", "nan-error", "inf-tolerance"],
+)
+def test_verify_xiong_rejects_nan_and_infinite_stage_bounds(tamper):
+    wit = xiong_witness(
+        CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
+    )
+    assert verify_xiong(CLAMPED, wit)
+    last = dataclasses.replace(wit.stages[-1], **tamper)
+    tampered = dataclasses.replace(wit, stages=wit.stages[:-1] + (last,))
+    assert not verify_xiong(CLAMPED, tampered)
 
 
 def test_verify_xiong_rejects_inadmissible_words():
@@ -631,14 +652,90 @@ def test_envelope_matches_plain_fraction_levels(system, x, y, kind, horizon, max
     if x == y:
         reject()
     if kind == "type2" and not system.clamp and all(pam.is_global for pam in system.maps):
-        # These follow the orbit difference instead, whose keys merge more
-        # pairs and so charge the clock differently; the tent tests cover them.
+        # These step the pair (0, y - x) instead, whose keys merge more pairs
+        # and so charge the clock differently; the difference loop below is
+        # their reference.
         reject()
     env = distance_envelope(
         system, x, y, kind=kind, horizon=horizon, budget=SearchBudget(max_words=max_words)
     )
     want = reference_envelope(system, x, y, kind, horizon, max_words)
     assert repr(env) == repr(want)
+
+
+# A type-2 envelope of globally affine maps without a clamp steps the pair
+# (0, y - x) under the maps' linear parts.  It must give the envelope of the
+# orbit difference loop it replaced (helpers) -- rows, words, truncation --
+# and charge the clock the same, in both numeric modes, on float and
+# Fraction slopes and points, with a budget that runs out at each edge.
+
+NONZERO_FLOATS = st.floats(min_value=-3, max_value=3).filter(bool)
+GLOBAL_SLOPES = st.one_of(SLOPES, NONZERO_FLOATS)
+GLOBAL_OFFSETS = st.one_of(OFFSETS, st.floats(min_value=-2, max_value=2))
+DIFFERENCE_POINTS = st.one_of(POINTS, st.floats(min_value=-2, max_value=2))
+
+
+@st.composite
+def global_systems(draw):
+    m = draw(st.integers(1, 3))
+    maps = tuple(
+        PiecewiseAffineMap.globally(draw(GLOBAL_SLOPES), draw(GLOBAL_OFFSETS))
+        for _ in range(m)
+    )
+    if m == 1 or draw(st.booleans()):
+        language = FullShift(m)
+    else:
+        word = st.lists(st.integers(0, m - 1), min_size=2, max_size=3).map(tuple)
+        language = ForbiddenWords(m, tuple(draw(st.lists(word, min_size=1, max_size=2))))
+    mode = draw(st.sampled_from(["rational", "float"]))
+    try:
+        return SwitchedSystem(maps, language, UNIT_BOX, numerics=Numerics(mode=mode))
+    except EmptyLanguage:
+        reject()
+
+
+@settings(max_examples=100, deadline=None)
+@given(global_systems(), DIFFERENCE_POINTS, DIFFERENCE_POINTS, st.integers(1, 4))
+# Every word keeps the tent's distance, so each row ties on every key.
+@example(TENT, F(1, 7), F(1, 5), 4)
+@example(dataclasses.replace(TENT, numerics=Numerics(mode="float")), 0.1, 0.2, 4)
+def test_difference_envelope_matches_the_difference_loop(system, x, y, horizon):
+    if x == y:
+        reject()
+
+    def compare(max_words):
+        budget = SearchBudget(max_words=max_words)
+        clocks = []
+
+        def clock(budget):
+            clocks.append(SearchClock(budget))
+            return clocks[-1]
+
+        with mock.patch.object(chaos, "SearchClock", clock):
+            got = distance_envelope(system, x, y, "type2", horizon, budget)
+        want_clock = SearchClock(budget)
+        want = reference_difference_envelope(system, x, y, horizon, want_clock)
+        assert repr(got) == repr(want)
+        assert (clocks[0].count, clocks[0].exceeded) == (want_clock.count, want_clock.exceeded)
+        return want_clock.count
+
+    total = compare(500_000)
+    for max_words in range(1, total + 1):
+        compare(max_words)
+
+
+def test_float_difference_envelope_ends_where_the_orbit_leaves_float_range():
+    # 0.1 * 2**n is exact below overflow.  At length 1028 the difference
+    # overflows to inf, and no map is defined there, so the orbit ends: 1028
+    # rows, the last inf, not truncated (the difference loop kept writing
+    # rows of inf up to the horizon).
+    tent = dataclasses.replace(TENT, numerics=Numerics(mode="float"))
+    env = distance_envelope(tent, 0.1, 0.2, kind="type2", horizon=1100)
+    assert len(env.rows) == 1028 and not env.truncated
+    for row in env.rows:
+        d = math.ldexp(0.1, row.length) if row.length < 1028 else POS_INF
+        assert (row.d_min, row.d_max) == (d, d)
+        assert row.min_words == row.max_words == (Word((0,) * row.length),)
 
 
 # The integer point kernel steps a whole level per call.  Against
@@ -702,9 +799,9 @@ def test_point_kernel_matches_the_edge_step_on_random_systems(system, points, de
 def test_exact_point_searches_step_whole_levels(monkeypatch):
     # Rational-mode envelopes and Xiong witnesses step every level in the
     # integer kernel, never one edge at a time through _level_step; float
-    # mode steps each edge through step_points.  (A globally affine type-2
-    # envelope without a clamp steps its orbit difference through
-    # _level_step in either mode; these systems clamp.)
+    # mode steps each edge through step_points.  A globally affine type-2
+    # envelope without a clamp (the tent) steps its pair (0, y - x) the same
+    # way.
     calls = []
     for name, tag in (("_level_step", "level"), ("step_points", "points")):
         real = getattr(search, name)
@@ -722,6 +819,16 @@ def test_exact_point_searches_step_whole_levels(monkeypatch):
 
     assert steps(FOLDS_CLAMPED, (F(5, 12), F(2, 5), F(1, 7))) == set()
     assert steps(FOLDS_FLOAT, (5 / 12, 0.4, 1 / 7)) == {"level", "points"}
+
+    def difference_steps(system, x, y):
+        calls.clear()
+        env = distance_envelope(system, x, y, kind="type2", horizon=4)
+        assert len(env.rows) == 4 and not env.truncated
+        return set(calls)
+
+    assert difference_steps(TENT, F(1, 7), 0.2) == set()
+    float_tent = dataclasses.replace(TENT, numerics=Numerics(mode="float"))
+    assert difference_steps(float_tent, 0.1, 0.2) == {"level", "points"}
 
 
 # Xiong witnesses sweep one level per group for all stages; the reference

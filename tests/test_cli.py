@@ -773,6 +773,54 @@ def test_verify_fails_an_incomplete_xiong_witness_as_run_does(tmp_path, capsys):
     assert report == {"kind": "xiong", "verified": False}
 
 
+# Three points on two circle rotations, the type-2 Xiong scenario of the CI
+# check of the installed command.
+XIONG3 = {
+    "task": "xiong",
+    "system": {
+        "maps": [
+            [
+                {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
+                {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
+            ],
+            [
+                {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
+                {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
+            ],
+        ],
+        "bounds": ["0", "1"],
+        "language": {"kind": "full", "m": 2},
+    },
+    "params": {
+        "kind": "type2",
+        "points": ["1/10", "1/5", "2/5"],
+        "targets": ["3/5", "7/10", "9/10"],
+        "tolerances": ["1/4", "1/10", "1/30"],
+    },
+    "budget": {"max_horizon": 10},
+}
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tolerance", float("nan")),
+        ("errors", [float("nan")] * 3),
+        ("tolerance", float("inf")),
+    ],
+    ids=["nan-tolerance", "nan-errors", "infinite-tolerance"],
+)
+def test_verify_fails_a_xiong_stage_with_nan_or_infinite_bounds(tmp_path, capsys, key, value):
+    scn = write(tmp_path / "scn.json", XIONG3)
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["verified"] is True
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    doc["certificate"]["stages"][-1][key] = value
+    code, report = run_cli(["verify", write(tmp_path / "tampered.json", doc)], capsys)
+    assert code == 1
+    assert report == {"kind": "xiong", "verified": False}
+
+
 @pytest.mark.parametrize("complete", ["false", "no"])
 def test_verify_rejects_a_xiong_witness_whose_complete_is_not_a_boolean(
     tmp_path, capsys, complete

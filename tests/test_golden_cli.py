@@ -122,6 +122,20 @@ FALLBACK_GAPS = {
 }
 
 
+# The tent pair and a contracting reflection, all globally affine, where
+# neither 0 0 nor 1 1 nor 2 0 may occur.
+GLOBAL_FORBIDDEN = {
+    "maps": [
+        [{"domain": ["-inf", "inf"], "a": "2", "b": "0"}],
+        [{"domain": ["-inf", "inf"], "a": "-2", "b": "2"}],
+        [{"domain": ["-inf", "inf"], "a": "-1/3", "b": "1/2"}],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "sft", "m": 3, "forbidden": [[0, 0], [1, 1], [2, 0]]},
+    "clamp": False,
+}
+
+
 def _folds(as_float: bool, language: dict) -> dict:
     """A tent of height 6/5 and a map expanding right of 1/3, piecewise on
     half-lines and clamped to [0, 1]; 5/12 lands on the bound 1."""
@@ -301,6 +315,35 @@ SCENARIOS = {
         "params": {"kind": "type2", "x": 5 / 12, "y": 0.4, "horizon": 8},
         "budget": {"max_words": 100_000},
     },
+    # Type 2 on globally affine maps without a clamp: the orbit difference of
+    # the pair moves on its own, every row is 2^n * |y - x| on the tent.
+    "scrambled-global": {
+        "task": "scrambled",
+        "system": _tent(False),
+        "params": {"kind": "type2", "x": "1/7", "y": "1/5", "horizon": 10},
+        "budget": {"max_words": 100_000},
+    },
+    "scrambled-global-float": {
+        "task": "scrambled",
+        "system": _tent(False, as_float=True),
+        "params": {"kind": "type2", "x": 0.1, "y": 0.2, "horizon": 12},
+        "budget": {"max_words": 100_000},
+    },
+    # Three global maps under forbidden factors; the 40-node budget runs out
+    # below the horizon, so the envelope is truncated.
+    "scrambled-global-forbidden": {
+        "task": "scrambled",
+        "system": GLOBAL_FORBIDDEN,
+        "params": {
+            "kind": "type2",
+            "x": "1/7",
+            "y": "1/5",
+            "horizon": 10,
+            "eps_prox": "1/20",
+            "eps_div": "3",
+        },
+        "budget": {"max_words": 40},
+    },
 }
 
 # scenario -> (exit code, report.json, artifact or None, stdout)
@@ -384,6 +427,25 @@ GOLDEN = {
         "eb2eb3e7d75d9150649bcff18098e474b05ec1eb1bd07fc309d51f8ccea5dd35",
         "a829a74fbd193ce49043118c7b60d55890b48b5348bb8963f7737a2c05091418",
         "eb2eb3e7d75d9150649bcff18098e474b05ec1eb1bd07fc309d51f8ccea5dd35",
+    ),
+    "scrambled-global": (
+        0,
+        "c8732ea9e6164d24597c7f1171142a95383a7ed8297237d4b570185652543733",
+        "490efaecfd2401576d9c21cf12f0868f71c8644be37dee6ae54c02c0653a78a3",
+        "c8732ea9e6164d24597c7f1171142a95383a7ed8297237d4b570185652543733",
+    ),
+    "scrambled-global-float": (
+        0,
+        "2b7bc2f65c5bcaff80f366471bb02646c28cbfdee3e1069745fd4067ebc45302",
+        "b635bbea08b93ebce3c74c32a4d432d819cfdea1f8ccc6861fe7a66817fe143c",
+        "2b7bc2f65c5bcaff80f366471bb02646c28cbfdee3e1069745fd4067ebc45302",
+    ),
+    # The budget runs out during length 4: three rows, truncated, exit 2.
+    "scrambled-global-forbidden": (
+        2,
+        "0d4263c379752da46091533005911b44026cdbcd742143bc74417cc200bde917",
+        "dd83946611d3e945a3527882bcc02c50a91cfd180fbb22d772fedd81a32e1721",
+        "0d4263c379752da46091533005911b44026cdbcd742143bc74417cc200bde917",
     ),
     "wm1-fallback-gaps": (
         0,

@@ -14,6 +14,8 @@ from swmix.intervals import (
     Interval,
     IntervalSet,
     _normalise_rows,
+    _ratio_rows,
+    _rows_meet,
     covers_closed_interval,
     is_finite,
 )
@@ -268,7 +270,10 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
     assert exact_pairs(as_pairs(b)) == exact_pairs(pb)
     want = reference_intersect(pa, pb)
     assert exact_pairs(as_pairs(a.intersect(b))) == exact_pairs(want)
-    assert a.intersects(b, min_overlap) == reference_intersects(pa, pb, min_overlap)
+    meets = reference_intersects(pa, pb, min_overlap)
+    assert a.intersects(b, min_overlap) == meets
+    rows_a, rows_b = _ratio_rows(a.components), _ratio_rows(b.components)
+    assert _rows_meet(rows_a, rows_b, *min_overlap.as_integer_ratio()) == meets
     assert a.subset_of(b) == reference_subset_of(pa, pb)
     want = reference_normalise(pa + pb)
     assert exact_pairs(as_pairs(a.union(b))) == exact_pairs(want)
