@@ -31,11 +31,14 @@ level keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
 integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
 One Fraction is built per row extreme, and the rows, words, truncation and
 clock charges are those of the generic Fraction loop.  Globally affine maps
-move the orbit difference on its own, so a type-2 envelope of such maps
-without a clamp searches the pair ``(0, y - x)`` (``y - x`` at exact values
-in rational mode) under the maps' linear parts, in the same language, mode
-and bounds: one key per state and difference, on the same path as any
-other point search.
+move the orbit difference on its own, so in rational mode a type-2
+envelope of such maps without a clamp searches the pair ``(0, y - x)``
+(``y - x`` at exact values) under the maps' linear parts, in the same
+language and bounds: one key per state and difference, on the same path as
+any other point search.  Float mode steps the point pair itself, like
+every other float envelope: rounded orbits do not move their difference
+on its own, and :func:`verify_envelope` recomputes the distance of the two
+float orbits.
 """
 
 from __future__ import annotations
@@ -171,9 +174,10 @@ def distance_envelope(
 ) -> DistanceEnvelope:
     """Per-length orbit-distance extremes with attaining words.
 
-    Deduplicates orbit states level by level, so globally affine systems cost
-    O(horizon) per level in the shared-word case.  On budget exhaustion the
-    envelope is returned truncated at the last completed length.
+    Deduplicates orbit states level by level, so in rational mode globally
+    affine systems cost O(horizon) per level in the shared-word case.  On
+    budget exhaustion the envelope is returned truncated at the last
+    completed length.
 
     Rational mode carries the levels as reduced integer ratios of the
     points' exact values (module docstring); the rows, words, truncation
@@ -189,13 +193,18 @@ def distance_envelope(
     _require_finite("points", (x, y))
     if x == y:
         raise ValueError("need two distinct points")
-    if kind == "type2" and not system.clamp and all(pam.is_global for pam in system.maps):
+    if (
+        kind == "type2"
+        and not system.clamp
+        and system._exact() is not None
+        and all(pam.is_global for pam in system.maps)
+    ):
         # The orbit difference moves on its own (module docstring).
         linear = tuple(
             PiecewiseAffineMap.globally(pam.effective_pieces[0].slope, 0) for pam in system.maps
         )
         stepped = replace(system, maps=linear)
-        pair = (0, y - x if system._exact() is None else _exact_value(y) - _exact_value(x))
+        pair = (0, _exact_value(y) - _exact_value(x))
     else:
         stepped, pair = system, (x, y)
     encode, advance, _, decode = _point_search(stepped)

@@ -4,7 +4,9 @@ One scenario file per invocation; artifacts land under ``--out`` as
 ``report.json`` plus task-specific files (``certificate.json``,
 ``envelope.csv``, ``counts.csv``).  Exit status: 0 on success, 2 when a
 search budget ran out (partial artifacts are still written), 1 on validation
-errors, which are printed as machine-readable JSON objects.
+errors, which are printed as machine-readable JSON objects.  A float-mode
+number past float range, such as the string ``"1e400"``, is one of them: the
+``OverflowError`` it raises is reported like a ``ValueError``.
 
 :func:`main` may be called any number of times in one process: the argument
 parser is built on the first call and reused.  Each report is encoded once,
@@ -397,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SwmixError, ValueError, OSError) as exc:
+    except (SwmixError, ValueError, OverflowError, OSError) as exc:
         print(dumps({"error": _error_payload(exc)}), end="")
         return 1
 

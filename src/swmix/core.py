@@ -29,7 +29,7 @@ Each :class:`AffinePiece` stores the sign of its slope and its inverse map
 :func:`preimage` do no per-call division or sign test on the coefficients.
 
 Rational mode runs on integers.  A map's pieces have one integer form,
-``(lo_n, lo_d, hi_n, hi_d, a, b, c, positive, ia, ib, ic, lo, hi)``
+``(lo_n, lo_d, hi_n, hi_d, a, b, c, positive, ia, ib, ic)``
 (:func:`_ratio_table`), built from the exact value of every coefficient and
 finite domain end.  With ``x = n/d`` the image of ``x`` is ``(a*n + b*d) /
 (c*d)`` and its pull-back ``(ia*n + ib*d) / (ic*d)``; two endpoints compare
@@ -56,11 +56,9 @@ paths are tested against.
   :func:`_preimage_rows` are the one kernel per direction;
   :func:`eval_interval` and :func:`word_preimage` step a whole word on it
   and build Fractions, Intervals and an IntervalSet only for the set they
-  return.  The kernels keep every tie rule of the generic loops, so the
-  results equal theirs in value, type and repr: an image's ends are
-  computed Fractions or infinities, and a preimage end cut by a domain end
-  lying strictly inside is that domain end's own object, an int included,
-  which its row carries to the result.
+  return (:func:`~swmix.intervals._rows_set`).  The kernels keep every tie
+  rule of the generic loops, so the results equal theirs in value, every
+  end a Fraction or an infinity.
 """
 
 from __future__ import annotations
@@ -247,15 +245,13 @@ def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...]:
 
     A piece with ``slope = sn/sd``, ``offset = on/od``, inverse slope
     ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d, hi_n,
-    hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd, isd*iod, lo,
-    hi)``, where ``lo`` and ``hi`` are the domain endpoints themselves.  The
+    hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd, isd*iod)``.  The
     inverse is computed from the exact slope, not read from
     :attr:`AffinePiece.inv_slope`, which holds a rounded ``1.0/a`` for a
     float slope.
     """
     table = []
     for p in pam.effective_pieces:
-        lo, hi = p.domain.lo, p.domain.hi
         sn, sd = p.slope.as_integer_ratio()
         on, od = p.offset.as_integer_ratio()
         # 1/slope = sd/sn and -offset/slope = -on*sd/(od*sn), reduced, d > 0
@@ -264,8 +260,8 @@ def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...]:
         ion, iod = -on * isn // g, od * isd // g
         table.append(
             (
-                *_ratio_end(lo),
-                *_ratio_end(hi),
+                *_ratio_end(p.domain.lo),
+                *_ratio_end(p.domain.hi),
                 sn * od,
                 on * sd,
                 sd * od,
@@ -273,8 +269,6 @@ def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...]:
                 isn * iod,
                 ion * isd,
                 isd * iod,
-                lo,
-                hi,
             )
         )
     return tuple(table)
@@ -445,7 +439,7 @@ def _image_rows(table: tuple[tuple, ...], rows, partial: bool) -> tuple:
     out = []
     for c_ln, c_ld, c_hn, c_hd in rows:
         cur_n, cur_d = c_ln, c_ld
-        for p_ln, p_ld, p_hn, p_hd, a, b, c, positive, _, _, _, _, _ in table:
+        for p_ln, p_ld, p_hn, p_hd, a, b, c, positive, _, _, _ in table:
             if p_ln * c_ld > c_ln * p_ld:
                 lo_n, lo_d = p_ln, p_ld
             else:
@@ -557,24 +551,18 @@ def eval_interval(
 
 
 def _preimage_rows(table: tuple[tuple, ...], rows) -> tuple:
-    """:func:`preimage` on rows: the normalised rows ``(lo_n, lo_d, hi_n,
-    hi_d, lo, hi)`` of the preimage of the set ``rows`` (rows of four or of
-    six fields) under the map of ``table``.
+    """:func:`preimage` on rows: the normalised rows of the preimage of the
+    set ``rows`` under the map of ``table``.
 
-    Each pulled-back component is cut by the piece domain on integers.  A
-    cut end is the domain's own end where the domain is strictly inside,
-    otherwise the pulled value (the tie rule of ``pulled.intersect(
-    p.domain)``); ``lo`` and ``hi`` hold that domain end object, or None for
-    a pulled value, so that an int domain end keeps its type in the result.
-    A pulled value is reduced by ``gcd`` only when it survives the cut.
+    Each pulled-back component is cut by the piece domain on integers, with
+    the tie rule of ``pulled.intersect(p.domain)``.  A pulled value is
+    reduced by ``gcd`` only when it survives the cut.
     """
     out = []
-    for p_ln, p_ld, p_hn, p_hd, _, _, _, positive, a, b, c, p_lo, p_hi in table:
-        for row in rows:
-            if positive:
-                t_ln, t_ld, t_hn, t_hd = row[0], row[1], row[2], row[3]
-            else:
-                t_ln, t_ld, t_hn, t_hd = row[2], row[3], row[0], row[1]
+    for p_ln, p_ld, p_hn, p_hd, _, _, _, positive, a, b, c in table:
+        for t_ln, t_ld, t_hn, t_hd in rows:
+            if not positive:
+                t_ln, t_ld, t_hn, t_hd = t_hn, t_hd, t_ln, t_ld
             # (a*n + b*d) / (c*d), or an infinity of the pulled sign at d = 0
             if t_ld:
                 lo_n, lo_d = a * t_ln + b * t_ld, c * t_ld
@@ -584,48 +572,32 @@ def _preimage_rows(table: tuple[tuple, ...], rows) -> tuple:
                 hi_n, hi_d = a * t_hn + b * t_hd, c * t_hd
             else:
                 hi_n, hi_d = (t_hn if positive else -t_hn), 0
-            lo = hi = None
             if p_ln * lo_d > lo_n * p_ld:
-                lo, lo_n, lo_d = p_lo, p_ln, p_ld
+                lo_n, lo_d = p_ln, p_ld
             elif lo_d:
                 g = gcd(lo_n, lo_d)
                 lo_n //= g
                 lo_d //= g
             if p_hn * hi_d < hi_n * p_hd:
-                hi, hi_n, hi_d = p_hi, p_hn, p_hd
+                hi_n, hi_d = p_hn, p_hd
             elif hi_d:
                 g = gcd(hi_n, hi_d)
                 hi_n //= g
                 hi_d //= g
             if lo_d and hi_d and lo_n * hi_d >= hi_n * lo_d:
                 continue
-            out.append((lo_n, lo_d, hi_n, hi_d, lo, hi))
+            out.append((lo_n, lo_d, hi_n, hi_d))
     return _normalise_rows(out)
 
 
 def _word_preimage_rows(tables: tuple, symbols: tuple[int, ...], rows) -> tuple:
-    """The preimage rows ``(lo_n, lo_d, hi_n, hi_d, lo, hi)`` of ``rows``
-    under ``f_w``: :func:`_preimage_rows` stepped through ``symbols``
-    reversed, stopping once empty."""
+    """The preimage rows of ``rows`` under ``f_w``: :func:`_preimage_rows`
+    stepped through ``symbols`` reversed, stopping once empty."""
     for sym in reversed(symbols):
         rows = _preimage_rows(tables[sym], rows)
         if not rows:
             break
     return rows
-
-
-def _pulled_set(rows) -> IntervalSet:
-    """The set of :func:`_preimage_rows`' rows, each end the domain end
-    object it holds or else a Fraction or an infinity."""
-    return IntervalSet(
-        tuple(
-            Interval(
-                _ratio_scalar(lo_n, lo_d) if lo is None else lo,
-                _ratio_scalar(hi_n, hi_d) if hi is None else hi,
-            )
-            for lo_n, lo_d, hi_n, hi_d, lo, hi in rows
-        )
-    )
 
 
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:
@@ -654,10 +626,8 @@ def word_preimage(
     symbols = _check_word(system, word)
     exact = system._exact()
     if exact is not None:
-        if target.is_empty:
-            return target
         rows = _ratio_rows(target.components)
-        return _pulled_set(_word_preimage_rows(exact.tables, symbols, rows))
+        return _rows_set(_word_preimage_rows(exact.tables, symbols, rows))
     widen = system.numerics.widen
     current = target
     for sym in reversed(symbols):

@@ -53,8 +53,8 @@ from .intervals import (
     _cut_rows,
     _exact_value,
     _ratio_rows,
-    _ratio_scalar,
     _rows_inside,
+    _rows_set,
     is_finite,
 )
 from .language import accepts_prefix
@@ -133,10 +133,8 @@ def pull_back_hit(
     is always re-checked, never trusted.
 
     Rational mode (:meth:`SwitchedSystem._exact`) runs all three passes on
-    integer rows and builds only the returned set.  The cuts keep
-    ``IntervalSet.intersect``'s endpoint objects: the pulled end on a tie,
-    so an int domain end keeps its type, and the source's end where it lies
-    strictly inside.  Float mode runs the generic loops and shrinks a
+    integer rows and builds only the returned set, every end a Fraction or
+    an infinity.  Float mode runs the generic loops and shrinks a
     bounded overlap component inward when the plain round trip fails, so
     the outward-rounded one may still verify; an unbounded one cannot be
     shrunk.
@@ -145,7 +143,7 @@ def pull_back_hit(
     exact = system._exact()
     if exact is not None:
         src, tgt = _ratio_rows(source.components), _ratio_rows(target.components)
-        return _pull_back_rows(exact.tables, _check_word(system, w), source, src, tgt)
+        return _pull_back_rows(exact.tables, _check_word(system, w), src, tgt)
     image = eval_interval(system, w, source, partial=True)
     overlap = image.intersect(target)
     if overlap.is_empty:
@@ -172,40 +170,28 @@ def pull_back_hit(
     return None
 
 
-def _pull_back_rows(
-    tables: tuple, symbols: tuple[int, ...], source: IntervalSet, src, tgt
-) -> IntervalSet | None:
-    """:func:`pull_back_hit` on the rows ``src`` of ``source`` and ``tgt``
+def _pull_back_rows(tables: tuple, symbols: tuple[int, ...], src, tgt) -> IntervalSet | None:
+    """:func:`pull_back_hit` on the rows ``src`` of the source and ``tgt``
     of the target."""
     overlap = _cut_rows(_word_image_rows(tables, symbols, src, True), tgt)
     if not overlap:
         return None
-    pulled = _word_preimage_rows(tables, symbols, overlap[:1])
-    ends = [row + (c.lo, c.hi) for row, c in zip(src, source.components)]
-    sub = _cut_rows(pulled, ends)
+    sub = _cut_rows(_word_preimage_rows(tables, symbols, overlap[:1]), src)
     if not sub:
         return None
-    back = _word_image_rows(tables, symbols, [row[:4] for row in sub], True)
+    back = _word_image_rows(tables, symbols, sub, True)
     if not back or not _rows_inside(back, tgt):
         return None
     best = None
     for row in sub:
-        lo_n, lo_d, hi_n, hi_d = row[0], row[1], row[2], row[3]
+        lo_n, lo_d, hi_n, hi_d = row
         if not lo_d or not hi_d:
             best = row  # unbounded: wider than any later component
             break
         width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
         if best is None or width_n * best_d > best_n * width_d:
             best, best_n, best_d = row, width_n, width_d
-    lo_n, lo_d, hi_n, hi_d, lo, hi = best
-    return IntervalSet(
-        (
-            Interval(
-                _ratio_scalar(lo_n, lo_d) if lo is None else lo,
-                _ratio_scalar(hi_n, hi_d) if hi is None else hi,
-            ),
-        )
-    )
+    return _rows_set((best,))
 
 
 @dataclass(frozen=True)

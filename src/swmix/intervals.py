@@ -23,7 +23,8 @@ exact binary value there (:meth:`swmix.core.SwitchedSystem._exact`).  The
 row kernels of :mod:`swmix.core` and the set searches of
 :mod:`swmix.search` work on them through the helpers here:
 :func:`_normalise_rows`, the one normaliser of image and preimage rows;
-:func:`_rows_set`, where image rows become an :class:`IntervalSet`; and
+:func:`_rows_set`, where the rows of an image, a preimage or a pull-back
+become an :class:`IntervalSet`, every end a Fraction or an infinity; and
 the row forms of :meth:`~IntervalSet.intersects`,
 :meth:`~IntervalSet.subset_of` and :meth:`~IntervalSet.touches_closed`
 (:func:`_rows_meet`, :func:`_rows_inside`, :func:`_rows_touch`), the leaf
@@ -154,23 +155,21 @@ def _rows_set(rows: Sequence[_Ratio]) -> "IntervalSet":
     )
 
 
-def _normalise_rows(rows: list) -> tuple:
-    """:func:`_normalise` of rows that start ``(lo_n, lo_d, hi_n, hi_d)``.
+def _normalise_rows(rows: list[_Ratio]) -> tuple[_Ratio, ...]:
+    """:func:`_normalise` of rows.
 
-    A row may carry more fields after its four integers, the endpoint
-    objects ``(lo, hi)`` of a preimage; a merge keeps the lo fields of the
-    first row and the hi fields of the second, as ``Interval(out[-1].lo,
-    c.hi)`` does.  A stable insertion sort by ``(lo, hi)`` yields the same
-    order as the generic stable sort, since both keep equal keys in input
-    order.  It is quadratic, but the lists are short: an image or a
-    preimage has at most pieces times components rows, and the benchmark
-    workloads send at most seven.
+    A merge keeps the first row's lo end and the second row's hi end, as
+    ``Interval(out[-1].lo, c.hi)`` does.  A stable insertion sort by ``(lo,
+    hi)`` yields the same order as the generic stable sort, since both keep
+    equal keys in input order.  It is quadratic, but the lists are short: an
+    image or a preimage has at most pieces times components rows, and the
+    benchmark workloads send at most seven.
     """
     if len(rows) < 2:  # most images and preimages have one component
         return tuple(rows)
     for i in range(1, len(rows)):
         row = rows[i]
-        lo_n, lo_d, hi_n, hi_d = row[0], row[1], row[2], row[3]
+        lo_n, lo_d, hi_n, hi_d = row
         j = i
         while j:
             prev = rows[j - 1]
@@ -184,12 +183,12 @@ def _normalise_rows(rows: list) -> tuple:
     out: list = []
     top_n = top_d = 0
     for row in rows:
-        lo_n, lo_d, hi_n, hi_d = row[0], row[1], row[2], row[3]
+        lo_n, lo_d, hi_n, hi_d = row
         # strict overlap only; -inf on the left or +inf on the right always overlaps
         if out and (not lo_d or not top_d or lo_n * top_d < top_n * lo_d):
             if hi_n * top_d > top_n * hi_d:
                 top = out[-1]
-                out[-1] = top[:2] + row[2:4] + top[4:5] + row[5:]
+                out[-1] = (top[0], top[1], hi_n, hi_d)
                 top_n, top_d = hi_n, hi_d
         else:
             out.append(row)
@@ -219,27 +218,24 @@ def _rows_meet(a: Sequence[_Ratio], b: Sequence[_Ratio], m_n: int, m_d: int) -> 
     return False
 
 
-def _cut_rows(a: Sequence[tuple], b: Sequence[tuple]) -> list:
+def _cut_rows(a: Sequence[_Ratio], b: Sequence[_Ratio]) -> list[_Ratio]:
     """:meth:`IntervalSet.intersect` on rows.
 
-    A row may carry its endpoint objects ``(lo, hi)`` after its four
-    integers, as preimage rows do, and a cut end keeps the fields of the row
-    it came from: ``a``'s on a tie, as ``max`` and ``min`` keep their first
-    argument.  A lo end is never ``+inf`` and a hi end never ``-inf``, so
-    ends of one side compare by cross-multiplying, and an infinite end
-    makes the cut nonempty.
+    A lo end is never ``+inf`` and a hi end never ``-inf``, so ends of one
+    side compare by cross-multiplying, and an infinite end makes the cut
+    nonempty.
     """
     out = []
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        ra, rb = a[i], b[j]
-        lo = rb if rb[0] * ra[1] > ra[0] * rb[1] else ra
-        hi = rb if rb[2] * ra[3] < ra[2] * rb[3] else ra
-        lo_n, lo_d, hi_n, hi_d = lo[0], lo[1], hi[2], hi[3]
+        a_ln, a_ld, a_hn, a_hd = a[i]
+        b_ln, b_ld, b_hn, b_hd = b[j]
+        lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
+        hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
         if not lo_d or not hi_d or lo_n * hi_d < hi_n * lo_d:
-            out.append(lo[:2] + hi[2:4] + lo[4:5] + hi[5:])
-        if ra[2] * rb[3] <= rb[2] * ra[3]:
+            out.append((lo_n, lo_d, hi_n, hi_d))
+        if a_hn * b_hd <= b_hn * a_hd:
             i += 1
         else:
             j += 1

@@ -8,12 +8,13 @@ separates entirely from the closed bounding box.  Every search charges
 Searches run in one of two shapes, chosen by what they return:
 
 * **Level sweep** -- searches that return only the least hitting word of a
-  length: :func:`first_set_hit`, and through it
-  :func:`~swmix.hitting.extend_witness` (a ``suffix`` that must extend the
-  hit admissibly); the spread-table rows of
-  :func:`~swmix.spread.certify_spread` (total images, ``inside=True``),
-  which share one sweep per candidate; and every point search,
-  :func:`iter_point_hits` behind the Xiong witnesses and
+  length: :func:`first_set_hit` (enclosures that meet their targets), and
+  through it :func:`~swmix.hitting.extend_witness` (a ``suffix`` that must
+  extend the hit admissibly); the spread-table rows of
+  :func:`~swmix.spread.certify_spread` (total images that lie inside their
+  targets), which share one sweep per candidate through
+  ``_set_search(inside=True)``, not :func:`first_set_hit`; and every point
+  search, :func:`iter_point_hits` behind the Xiong witnesses and
   :func:`~swmix.chaos.distance_envelope`.  :func:`_levels` is the one level
   loop: it steps the complete, deduplicated level of ``(state, value)``
   keys of several roots per length up to a horizon, each key with the least
@@ -569,16 +570,14 @@ def first_set_hit(
     targets: Sequence[IntervalSet],
     lengths: Sequence[int],
     clock: SearchClock,
-    inside: bool = False,
     suffix: Sequence[int] = (),
 ) -> tuple[tuple[int, ...], tuple[IntervalSet, ...]] | None:
     """First hit over the given lengths in (length, lexicographic) order,
     with its final enclosures, or None.
 
     A hit is a word whose branch survives and whose final enclosures all
-    meet their targets, or with ``inside=True`` all lie inside them (total
-    images); with a ``suffix``, the word followed by ``suffix`` must also be
-    admissible.  The search reads its hit off one level sweep
+    meet their targets; with a ``suffix``, the word followed by ``suffix``
+    must also be admissible.  The search reads its hit off one level sweep
     (:func:`_levels`) from length 1 to the longest given length: at each
     given length, the first key in insertion order whose enclosures fit and
     whose word ``suffix`` extends admissibly holds the least hit.  Returns
@@ -589,7 +588,7 @@ def first_set_hit(
     if any(n < 1 for n in wanted):
         raise ValueError("word length must be at least 1")
     aut, suffix = system.automaton, tuple(suffix)
-    encode, step, fits, build = _set_search(system, inside)
+    encode, step, fits, build = _set_search(system, inside=False)
     test = fits(targets)
     sweep = _levels(aut, _stepper(step), [encode(sources)], clock, max(wanted, default=0))
     for n, (level,) in enumerate(sweep, 1):

@@ -77,7 +77,8 @@ class QNet:
     centers: tuple[Scalar, ...]
 
     def __post_init__(self) -> None:
-        if self.radius <= 0 or not self.centers:
+        # Written so that a NaN radius fails.
+        if not self.radius > 0 or not self.centers:
             raise ValueError("need a positive radius and at least one center")
 
     def ball(self, j: int, radius: Scalar | None = None) -> IntervalSet:
@@ -346,7 +347,9 @@ def verify_certificate(system: SwitchedSystem, cert: SpreadCertificate) -> bool:
     length bound on every word, that the switching language admits every
     word, and the eps-ball inclusion of every center ball image, using total
     (non-partial) evaluation so undefined spots fail.  A certificate with no
-    center claims nothing about any seed and fails.
+    center claims nothing about any seed and fails.  ``net.radius`` is not
+    checked: the balls of the claim have radius ``eps``, whatever the net's
+    radius.
     """
     net = cert.net
     m = len(net.centers)

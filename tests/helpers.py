@@ -113,6 +113,16 @@ def reference_pull_back(system: SwitchedSystem, word, source, target):
     return IntervalSet.from_intervals([sub.widest_component()])
 
 
+def fraction_ends(s: IntervalSet) -> bool:
+    """Whether every end of ``s`` is a Fraction or an infinity, as every end
+    a rational-mode result holds must be."""
+    return all(
+        type(e) is Fraction or e in (float("-inf"), float("inf"))
+        for c in s
+        for e in (c.lo, c.hi)
+    )
+
+
 def random_language(rng: random.Random, m: int):
     """Full shift, or one random forbidden factor of length 2 when that
     still leaves an infinite language."""
@@ -284,14 +294,14 @@ def reference_ratio_point_step(exact):
 
 def reference_difference_envelope(system, x, y, horizon, clock):
     """:func:`swmix.chaos.distance_envelope` of kind ``"type2"`` on a
-    globally affine system without a clamp, as the orbit difference loop it
-    once ran: the level holds ``(state, d)`` keys from the root ``y - x``
-    (at exact values in rational mode), each edge charges ``clock`` once
-    and steps ``d`` to ``slope * d``, the first word met for a key is kept,
-    and a row takes the least and greatest ``|d|`` with the first words
+    rational-mode, globally affine system without a clamp, as the orbit
+    difference loop it once ran: the level holds ``(state, d)`` keys from the
+    root ``y - x`` at exact values, each edge charges ``clock`` once and
+    steps ``d`` to ``slope * d``, the first word met for a key is kept, and
+    a row takes the least and greatest ``|d|`` with the first words
     attaining them.  A length during which the clock runs out gives no row
     and truncates the envelope."""
-    ex = _exact_value if system.numerics.mode == "rational" else (lambda v: v)
+    ex = _exact_value
     slopes = [ex(pam.effective_pieces[0].slope) for pam in system.maps]
     aut = system.automaton
     level = {(aut.start, ex(y) - ex(x)): ()}

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -240,9 +239,28 @@ def test_verify_xiong_rejects_tampering():
     wit = xiong_witness(
         CLAMPED, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
     )
+    assert verify_xiong(CLAMPED, wit)
     stages = list(wit.stages)
     stages[1] = dataclasses.replace(stages[1], words=stages[0].words)
     assert not verify_xiong(CLAMPED, dataclasses.replace(wit, stages=tuple(stages)))
+    # Stage lengths must increase.
+    assert not verify_xiong(CLAMPED, dataclasses.replace(wit, stages=wit.stages[::-1]))
+
+    def last(**changes):
+        stage = dataclasses.replace(wit.stages[-1], **changes)
+        return dataclasses.replace(wit, stages=wit.stages[:-1] + (stage,))
+
+    # A type-2 stage shares one word; each stage has one error per point.
+    assert not verify_xiong(CLAMPED, last(words=wit.stages[-1].words * 2))
+    assert not verify_xiong(CLAMPED, last(errors=wit.stages[-1].errors * 2))
+    # A type-1 stage has one word per point.
+    pair = xiong_witness(
+        CLAMPED, (F(2, 5), F(1, 5)), (F(4, 5), F(3, 5)), kind="type1",
+        tolerances=(F(1, 2), F(1, 4)),
+    )
+    assert verify_xiong(CLAMPED, pair)
+    stage = dataclasses.replace(pair.stages[-1], words=pair.stages[-1].words[:1])
+    assert not verify_xiong(CLAMPED, dataclasses.replace(pair, stages=pair.stages[:-1] + (stage,)))
 
 
 @pytest.mark.parametrize(
@@ -663,11 +681,12 @@ def test_envelope_matches_plain_fraction_levels(system, x, y, kind, horizon, max
     assert repr(env) == repr(want)
 
 
-# A type-2 envelope of globally affine maps without a clamp steps the pair
-# (0, y - x) under the maps' linear parts.  It must give the envelope of the
-# orbit difference loop it replaced (helpers) -- rows, words, truncation --
-# and charge the clock the same, in both numeric modes, on float and
-# Fraction slopes and points, with a budget that runs out at each edge.
+# In rational mode a type-2 envelope of globally affine maps without a
+# clamp steps the pair (0, y - x) under the maps' linear parts.  It must give
+# the envelope of the orbit difference loop it replaced (helpers) -- rows,
+# words, truncation -- and charge the clock the same, on float and Fraction
+# slopes and points, with a budget that runs out at each edge.  Float mode
+# steps the point pair instead, and its envelopes must verify.
 
 NONZERO_FLOATS = st.floats(min_value=-3, max_value=3).filter(bool)
 GLOBAL_SLOPES = st.one_of(SLOPES, NONZERO_FLOATS)
@@ -676,7 +695,7 @@ DIFFERENCE_POINTS = st.one_of(POINTS, st.floats(min_value=-2, max_value=2))
 
 
 @st.composite
-def global_systems(draw):
+def global_systems(draw, mode="rational"):
     m = draw(st.integers(1, 3))
     maps = tuple(
         PiecewiseAffineMap.globally(draw(GLOBAL_SLOPES), draw(GLOBAL_OFFSETS))
@@ -687,7 +706,6 @@ def global_systems(draw):
     else:
         word = st.lists(st.integers(0, m - 1), min_size=2, max_size=3).map(tuple)
         language = ForbiddenWords(m, tuple(draw(st.lists(word, min_size=1, max_size=2))))
-    mode = draw(st.sampled_from(["rational", "float"]))
     try:
         return SwitchedSystem(maps, language, UNIT_BOX, numerics=Numerics(mode=mode))
     except EmptyLanguage:
@@ -698,7 +716,6 @@ def global_systems(draw):
 @given(global_systems(), DIFFERENCE_POINTS, DIFFERENCE_POINTS, st.integers(1, 4))
 # Every word keeps the tent's distance, so each row ties on every key.
 @example(TENT, F(1, 7), F(1, 5), 4)
-@example(dataclasses.replace(TENT, numerics=Numerics(mode="float")), 0.1, 0.2, 4)
 def test_difference_envelope_matches_the_difference_loop(system, x, y, horizon):
     if x == y:
         reject()
@@ -724,18 +741,30 @@ def test_difference_envelope_matches_the_difference_loop(system, x, y, horizon):
         compare(max_words)
 
 
-def test_float_difference_envelope_ends_where_the_orbit_leaves_float_range():
-    # 0.1 * 2**n is exact below overflow.  At length 1028 the difference
-    # overflows to inf, and no map is defined there, so the orbit ends: 1028
-    # rows, the last inf, not truncated (the difference loop kept writing
-    # rows of inf up to the horizon).
+def test_float_global_difference_envelope_verifies():
+    # Float mode steps the two orbits, not their difference: each row holds
+    # the extremes of the rounded orbits, which verify_envelope recomputes,
+    # so they differ from 2**n * 0.1 by a few ulps.
     tent = dataclasses.replace(TENT, numerics=Numerics(mode="float"))
-    env = distance_envelope(tent, 0.1, 0.2, kind="type2", horizon=1100)
-    assert len(env.rows) == 1028 and not env.truncated
-    for row in env.rows:
-        d = math.ldexp(0.1, row.length) if row.length < 1028 else POS_INF
-        assert (row.d_min, row.d_max) == (d, d)
-        assert row.min_words == row.max_words == (Word((0,) * row.length),)
+    env = distance_envelope(tent, 0.1, 0.2, kind="type2", horizon=12)
+    assert len(env.rows) == 12 and not env.truncated
+    assert (env.rows[-1].d_min, env.rows[-1].d_max) == (409.5999999999999, 409.60000000000014)
+    assert verify_envelope(tent, env)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    global_systems(mode="float"),
+    st.floats(min_value=0, max_value=1),
+    st.floats(min_value=0, max_value=1),
+    st.sampled_from(["type1", "type2"]),
+    st.integers(1, 6),
+)
+def test_float_global_envelopes_verify(system, x, y, kind, horizon):
+    if x == y:
+        reject()
+    env = distance_envelope(system, x, y, kind, horizon, SearchBudget(max_words=20_000))
+    assert verify_envelope(system, env)
 
 
 # The integer point kernel steps a whole level per call.  Against
@@ -799,9 +828,9 @@ def test_point_kernel_matches_the_edge_step_on_random_systems(system, points, de
 def test_exact_point_searches_step_whole_levels(monkeypatch):
     # Rational-mode envelopes and Xiong witnesses step every level in the
     # integer kernel, never one edge at a time through _level_step; float
-    # mode steps each edge through step_points.  A globally affine type-2
-    # envelope without a clamp (the tent) steps its pair (0, y - x) the same
-    # way.
+    # mode steps each edge through step_points.  A rational globally affine
+    # type-2 envelope without a clamp (the tent) steps its pair (0, y - x) in
+    # the kernel too; a float one steps its point pair through step_points.
     calls = []
     for name, tag in (("_level_step", "level"), ("step_points", "points")):
         real = getattr(search, name)

@@ -557,6 +557,60 @@ def test_hitting_rejects_an_endpoint_beyond_float_range(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def float_tent(clamp):
+    """The tent pair with float coefficients and bounds, in float mode."""
+    return {
+        "maps": [
+            [{"domain": ["-inf", "inf"], "a": 2.0, "b": 0.0}],
+            [{"domain": ["-inf", "inf"], "a": -2.0, "b": 2.0}],
+        ],
+        "bounds": [0.0, 1.0],
+        "language": {"kind": "full", "m": 2},
+        "clamp": clamp,
+        "numerics": {"mode": "float"},
+    }
+
+
+def float_scenario(where):
+    """A float-mode scenario with the string "1e400" at ``where``."""
+    hitting = {
+        "task": "hitting",
+        "system": float_tent(True),
+        "params": {"U": [["1/10", "1/5"]], "V": [["3/5", "7/10"]]},
+        "budget": {"max_horizon": 4},
+    }
+    params = dict(spread_scenario()["params"], K=[[0.0, 1.0]], Q=[[0.0, 1.0]])
+    spread = spread_scenario(system=float_tent(True), params=params, budget={"max_horizon": 12})
+    if where == "U":
+        hitting["params"]["U"] = [["1e400", "1e401"]]
+    elif where == "x":
+        return {
+            "task": "scrambled",
+            "system": float_tent(False),
+            "params": {"kind": "type2", "x": "1e400", "y": "1/5", "horizon": 4},
+        }
+    elif where == "coefficient":
+        hitting["system"]["maps"][0][0]["b"] = "1e400"
+    else:
+        spread["params"][where] = "1e400"
+        return spread
+    return hitting
+
+
+@pytest.mark.parametrize("where", ["U", "x", "coefficient", "eps", "net_radius"])
+def test_float_mode_reports_a_scalar_past_float_range(tmp_path, capsys, where):
+    # "1e400" parses to a Fraction, which overflows once it meets a float:
+    # an OverflowError, reported as JSON like a ValueError, not a traceback.
+    scn = write(tmp_path / "scn.json", float_scenario(where))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "OverflowError",
+        "message": "integer division result too large for a float",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_rational_mode_reads_json_numbers_at_their_exact_value(tmp_path, capsys):
     # JSON numbers are floats; in the default rational mode each counts at
     # its exact binary value.  On those values f(U) ends at 2055720089/2**34,
@@ -881,6 +935,26 @@ def test_verify_fails_a_spread_certificate_without_centers(tmp_path, capsys):
     code, report = run_cli(["verify", write(tmp_path / "empty.json", doc)], capsys)
     assert code == 1
     assert report == {"kind": "spread", "verified": False}
+
+
+@pytest.mark.parametrize("radius, code", [(float("nan"), 1), (float("inf"), 0)])
+def test_verify_refuses_a_nan_net_radius(tmp_path, capsys, radius, code):
+    # A NaN radius is no radius, so the net is refused (exit 1, JSON error).
+    # The claim does not involve the radius (its balls have radius eps), so
+    # an infinite one still verifies.
+    scn = write(tmp_path / "scn.json", spread_scenario())
+    run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    doc = json.loads((tmp_path / "out" / "certificate.json").read_text())
+    doc["certificate"]["net"]["radius"] = radius
+    got, report = run_cli(["verify", write(tmp_path / "radius.json", doc)], capsys)
+    assert got == code
+    if code:
+        assert report["error"] == {
+            "type": "ScenarioError",
+            "message": "bad certificate: need a positive radius and at least one center",
+        }
+    else:
+        assert report == {"kind": "spread", "verified": True}
 
 
 def test_verify_unknown_kind_exits_1(tmp_path, capsys):

@@ -35,7 +35,13 @@ from swmix.search import (
 )
 from swmix.words import Word
 
-from helpers import random_system, reference_value, rotation
+from helpers import (
+    fraction_ends,
+    random_system,
+    reference_pull_back,
+    reference_value,
+    rotation,
+)
 
 TENT = tent_system()
 
@@ -422,12 +428,15 @@ NONZERO = RATIONALS.filter(lambda a: a != 0)
 
 
 @st.composite
-def piecewise_maps(draw):
+def piecewise_maps(draw, floats=False):
     """Two or three pieces over sorted cuts, some domains skipped, with or
-    without a fallback; endpoints may be ints or infinite."""
+    without a fallback; endpoints may be ints or infinite, and with
+    ``floats`` also finite floats."""
     k = draw(st.integers(2, 3))
     cuts = sorted(set(draw(st.lists(RATIONALS, min_size=k + 1, max_size=k + 1))))
     cuts = [int(c) if c.denominator == 1 and draw(st.booleans()) else c for c in cuts]
+    if floats:
+        cuts = [float(c) if draw(st.booleans()) else c for c in cuts]
     if draw(st.booleans()):
         cuts[0] = NEG_INF
     if draw(st.booleans()):
@@ -662,29 +671,77 @@ def test_words_on_rows_match_stepwise_images_and_preimages(data):
             )
         )
         assert outcome(lambda: eval_interval(system, word, sets, partial=partial)) == want
-    want = outcome(lambda: stepwise(lambda sym, s: preimage(maps[sym], s), sets, word[::-1]))
-    assert outcome(lambda: word_preimage(system, word, sets)) == want
+    # A preimage end cut by a domain end is that end's value as a Fraction;
+    # the generic loop keeps the domain end's own object, an int included.
+    got = word_preimage(system, word, sets)
+    assert got == stepwise(lambda sym, s: preimage(maps[sym], s), sets, word[::-1])
+    assert fraction_ends(got)
     x = data.draw(exact_endpoints(cuts))  # a Fraction or an int, now and then a cut
     assert system._exact() is not None
     want = point_outcome(lambda: reference_orbit(maps, word, x))
     assert point_outcome(lambda: eval_point(system, word, x)) == want
 
 
-def test_word_preimage_keeps_int_domain_ends_of_the_last_step():
+def test_word_preimage_cuts_at_int_domain_ends_as_fractions():
     # Pulled back through INT_ENDPOINTS last, a wide target is cut by its
-    # int domain ends, which keep their type; pulled back through it first,
-    # those ends are only values for the next step.
+    # int domain ends, which the result holds as Fractions; pulled back
+    # through it first, those ends are only values for the next step.
     tenth = PiecewiseAffineMap.globally(F(1, 10), F(0))
     system = SwitchedSystem(
         maps=(INT_ENDPOINTS, tenth), language=FullShift(2), bounds=Interval(F(1, 4), F(1, 2))
     )
     wide = IntervalSet.of(-5, 5)
     assert exact_pairs(as_pairs(word_preimage(system, (0, 1), wide))) == exact_pairs(
-        [(0, 1), (1, 2)]
+        [(F(0), F(1)), (F(1), F(2))]
     )
     assert exact_pairs(as_pairs(word_preimage(system, (1, 0), wide))) == exact_pairs(
         [(F(0), F(10)), (F(10), F(20))]
     )
+
+
+# word_preimage and pull_back_hit on maps whose domain ends, and on sets whose
+# ends, are ints, Fractions or floats: each end of a result is a Fraction or
+# an infinity, at the value the generic preimage loop and the three-pass
+# pull-back give on the exact values of every end.
+
+
+def exact_end(x):
+    """A finite float as its exact Fraction; any other end as it is."""
+    return F(x) if type(x) is float and x not in (NEG_INF, POS_INF) else x
+
+
+def exact_piecewise(pam: PiecewiseAffineMap) -> PiecewiseAffineMap:
+    """``pam`` with every domain end exact and its fallback gaps listed as
+    pieces."""
+    return PiecewiseAffineMap(
+        tuple(
+            AffinePiece(Interval(*map(exact_end, (p.domain.lo, p.domain.hi))), p.slope, p.offset)
+            for p in pam.effective_pieces
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_word_preimage_and_pull_back_hit_return_fractions(data):
+    drawn = [data.draw(piecewise_maps(floats=True)) for _ in range(data.draw(st.integers(1, 2)))]
+    maps = tuple(pam for pam, _ in drawn)
+    box = common_box(maps)
+    assume(box is not None)
+    system = SwitchedSystem(maps=maps, language=FullShift(len(maps)), bounds=box)
+    exact_maps = tuple(map(exact_piecewise, maps))
+    cuts = [c for _, cs in drawn for c in cs if c not in (NEG_INF, POS_INF)] or [F(0)]
+    pairs = data.draw(pair_lists(cuts))
+    target = IntervalSet.from_pairs(pairs)
+    source = IntervalSet.from_pairs(data.draw(pair_lists(cuts)))
+    word = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=6))
+    got = word_preimage(system, word, target)
+    exact_target = IntervalSet.from_pairs([(exact_end(lo), exact_end(hi)) for lo, hi in pairs])
+    want = stepwise(lambda sym, s: preimage(exact_maps[sym], s), exact_target, word[::-1])
+    assert got == want and fraction_ends(got)
+    hit = pull_back_hit(system, word, source, target)
+    assert hit == reference_pull_back(system, word, source, target)
+    assert hit is None or fraction_ends(hit)
 
 
 def test_exact_form_is_built_once_per_system(monkeypatch):
@@ -751,10 +808,7 @@ def float_systems(draw):
 
 def exact_twin(system):
     """``system`` with every float replaced by its Fraction value."""
-
-    def ex(x):
-        return F(x) if type(x) is float and x not in (NEG_INF, POS_INF) else x
-
+    ex = exact_end
     maps = tuple(
         PiecewiseAffineMap(
             pieces=tuple(
@@ -811,7 +865,7 @@ def test_rational_mode_reads_floats_at_their_exact_value(system, data):
     budget = SearchBudget(max_horizon=3, max_words=3000)
     assert hitting_sets(system, U, V, budget) == hitting_sets(twin, Ue, Ve, budget)
     hits = [
-        first_set_hit(s, [u], [v], range(1, 4), SearchClock(budget), inside=True)
+        first_set_hit(s, [u], [v], range(1, 4), SearchClock(budget))
         for s, u, v in ((system, U, V), (twin, Ue, Ve))
     ]
     assert hits[0] == hits[1]

@@ -323,6 +323,9 @@ SCENARIOS = {
         "params": {"kind": "type2", "x": "1/7", "y": "1/5", "horizon": 10},
         "budget": {"max_words": 100_000},
     },
+    # Float mode steps the point pair itself, so each row holds the extremes
+    # of the float-rounded orbits (409.5999999999999 and 409.60000000000014
+    # at length 12), which verify_envelope recomputes.
     "scrambled-global-float": {
         "task": "scrambled",
         "system": _tent(False, as_float=True),
@@ -436,9 +439,9 @@ GOLDEN = {
     ),
     "scrambled-global-float": (
         0,
-        "2b7bc2f65c5bcaff80f366471bb02646c28cbfdee3e1069745fd4067ebc45302",
-        "b635bbea08b93ebce3c74c32a4d432d819cfdea1f8ccc6861fe7a66817fe143c",
-        "2b7bc2f65c5bcaff80f366471bb02646c28cbfdee3e1069745fd4067ebc45302",
+        "d311631f7c336635df467b6be837a1d3bc93f52ce2696a01e00a94cb3e16e028",
+        "88e40f1d97bcb9d0c3baa2d88abfab12ae02dd0a1c6945c0962ad9bd5b6ac92c",
+        "d311631f7c336635df467b6be837a1d3bc93f52ce2696a01e00a94cb3e16e028",
     ),
     # The budget runs out during length 4: three rows, truncated, exit 2.
     "scrambled-global-forbidden": (
@@ -495,13 +498,13 @@ def test_cli_artifacts_match_golden_digests(name, tmp_path, capsys):
     assert run_golden(name, tmp_path, capsys) == GOLDEN[name]
 
 
-def test_int_cut_points_keep_their_type_through_pull_backs():
+def test_int_cut_points_pull_back_to_fractions():
     """``hitting-int-cuts`` with ``int`` domain endpoints.
 
     Scenario JSON reads numbers as floats and strings as Fractions, so int
     endpoints only come from Python.  The report's repr shows endpoint types:
-    a pull-back cut by a domain endpoint keeps the int, one that ties with it
-    keeps the Fraction it computed.
+    a pull-back cut by a domain endpoint holds its value as a Fraction, as
+    does one that ties with it.
     """
 
     def pieces(*rows):
@@ -526,9 +529,51 @@ def test_int_cut_points_keep_their_type_through_pull_backs():
         SearchBudget(max_horizon=6, max_words=20_000, required=2),
     )
     first, second = (w.source.components[0] for w in report.witnesses[:2])
-    assert (first.hi, type(first.hi)) == (1, int)
+    assert (first.hi, type(first.hi)) == (F(1), F)
     assert (second.lo, type(second.lo)) == (F(1), F)
     assert (
         _sha(repr(report).encode("utf-8"))
-        == "91a438f6bbad80355244b61a14978c4e78cdd76d865c502491e013574bc8609b"
+        == "3fb780fcce89c8583cdc077be7394311210784e472b8777d891d36c71abdda6a"
     )
+
+
+# INT_CUTS with its domain ends and bounds written as JSON numbers, which
+# rational mode reads at their exact values.  Every computed end is a Fraction,
+# so every witness end prints as a fraction string, the domain end 1 that cuts
+# the first witness's source included (it printed as the JSON float 1.0 when
+# pull-backs passed a domain end's own object through).
+INT_CUTS_NUMBERS = {
+    **INT_CUTS,
+    "maps": [
+        [{**piece, "domain": [int(F(e)) for e in piece["domain"]]} for piece in pieces]
+        for pieces in INT_CUTS["maps"]
+    ],
+    "bounds": [0, 2],
+}
+
+
+def test_json_number_ends_print_witness_sources_as_fractions(tmp_path, capsys):
+    pair = [[["1/2", "3/2"]], [["3/4", "11/4"]]]
+    hitting = {
+        "task": "hitting",
+        "system": INT_CUTS_NUMBERS,
+        "params": {"U": pair[0], "V": pair[1]},
+        "budget": {"max_horizon": 3, "required": 2},
+    }
+    wm = {
+        "task": "wm-cert",
+        "system": INT_CUTS_NUMBERS,
+        "params": {"K": [["0", "2"]], "Q": [["0", "2"]], "pairs": [pair], "kind": "wm1"},
+        "budget": {"max_horizon": 3, "required": 2},
+    }
+    sources = []
+    for name, scn in (("hitting", hitting), ("wm", wm)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(scn))
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        witnesses = report["type2"] if name == "hitting" else report["certificate"]["witnesses"]
+        sources += [w["source"] for w in witnesses]
+    assert sources[0] == ["1/2", "1"] and len(sources) == 8
+    assert all(type(end) is str for source in sources for end in source)
+    assert main(["verify", str(tmp_path / "wm" / "certificate.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "wm", "verified": True}

@@ -30,6 +30,7 @@ from swmix.words import Word
 from helpers import (
     SLOPES,
     UNIT,
+    fraction_ends,
     random_map,
     reference_pull_back,
     reference_value,
@@ -71,8 +72,21 @@ def test_witnesses_reverify_independently():
     assert report.witnesses
     for wit in report.witnesses:
         assert wit.verify(CLAMPED, U, V)
-        # The same evidence must fail against a target it never reached.
+        # The same evidence must fail against a target it never reached,
+        # and from a source it does not lie in.
         assert not wit.verify(CLAMPED, U, IntervalSet.of(F(1, 3), F(1, 2)))
+        assert not wit.verify(CLAMPED, IntervalSet.of(F(1, 2), F(1)), V)
+
+
+def test_point_witnesses_need_a_point_of_u_whose_orbit_lands_in_v():
+    # Rotation by 1/3 on (0, 2/3) and (2/3, 1): 1/6 -> 1/2 -> 5/6, but
+    # 1/3 -> 2/3, where no piece is defined, so its orbit dies at step 1.
+    system = rotation_system(F(1, 3))
+    source, target = IntervalSet.of(F(0), F(1, 2)), IntervalSet.of(F(3, 4), F(1))
+    word = Word((0, 0))
+    assert HitWitness(word, "point", point=F(1, 6)).verify(system, source, target)
+    assert not HitWitness(word, "point", point=F(3, 4)).verify(system, source, target)
+    assert not HitWitness(word, "point", point=F(1, 3)).verify(system, source, target)
 
 
 def test_pull_back_hit():
@@ -82,7 +96,8 @@ def test_pull_back_hit():
 
 
 # pull_back_hit on integer rows against the three IntervalSet passes it
-# replaced: the same result in value, endpoint type and repr, or None alike.
+# replaced: the same result in value, or None alike, every end a Fraction or
+# an infinity (the passes' intersect keeps a source's int end).
 
 OFFSETS = st.builds(F, st.integers(-2, 2), st.integers(1, 3))
 
@@ -129,20 +144,22 @@ def test_row_pull_back_matches_the_interval_set_passes(data):
     system = SwitchedSystem(maps=maps, language=FullShift(len(maps)), bounds=Interval(F(0), F(1)))
     word = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=6))
     source, target = data.draw(exact_sets()), data.draw(exact_sets())
-    want = reference_pull_back(system, word, source, target)
-    assert repr(pull_back_hit(system, word, source, target)) == repr(want)
+    got = pull_back_hit(system, word, source, target)
+    assert got == reference_pull_back(system, word, source, target)
+    assert got is None or fraction_ends(got)
 
 
 def test_row_pull_back_keeps_the_pulled_end_on_a_tie():
     # x/2 carries (0, 1) onto (0, 1/2); the overlap (0, 1/4) pulls back to
-    # (0, 1/2), whose Fraction 0 ties with the source's int 0 and is kept.
+    # (0, 1/2), whose 0 ties with the source's int 0.
     half = PiecewiseAffineMap.globally(F(1, 2), F(0))
     system = SwitchedSystem(maps=(half,), language=FullShift(1), bounds=Interval(F(0), F(1)))
     got = pull_back_hit(system, (0,), IntervalSet.of(0, 1), IntervalSet.of(F(-1), F(1, 4)))
-    assert repr(got) == repr(IntervalSet.of(F(0), F(1, 2)))
+    assert got == IntervalSet.of(F(0), F(1, 2)) and fraction_ends(got)
     # x on (-1, 1) and x - 1/2 on (1, 3) carry (0, 2) onto (0, 3/2), which
     # pulls back to (0, 1) and (1, 2), cut by the int domain end 1 lying
-    # strictly inside; both are as wide, and the first is returned.
+    # strictly inside; both are as wide, and the first is returned, its end
+    # 1 as a Fraction.
     split = PiecewiseAffineMap(
         pieces=(
             AffinePiece(Interval(F(-1), 1), F(1), F(0)),
@@ -151,7 +168,7 @@ def test_row_pull_back_keeps_the_pulled_end_on_a_tie():
     )
     system = SwitchedSystem(maps=(split,), language=FullShift(1), bounds=Interval(F(0), F(1)))
     got = pull_back_hit(system, (0,), IntervalSet.of(F(0), F(2)), IntervalSet.of(F(-1), F(3)))
-    assert repr(got) == repr(IntervalSet.of(F(0), 1))
+    assert got == IntervalSet.of(F(0), 1) and fraction_ends(got)
 
 
 def test_float_pull_back_of_an_unbounded_overlap_gives_up():
@@ -277,8 +294,6 @@ def test_verify_rejects_tampered_certificates():
         CLAMPED, UNIT, UNIT, pairs, kind="wm2",
         budget=SearchBudget(max_horizon=12, required=2),
     )
-    import dataclasses
-
     # Dropping a witness breaks the per-pair coverage.
     assert not verify_wm_certificate(
         CLAMPED, dataclasses.replace(cert, witnesses=cert.witnesses[:-1])
@@ -296,6 +311,22 @@ def test_verify_rejects_tampered_certificates():
     assert not verify_wm_certificate(
         CLAMPED, dataclasses.replace(cert, lengths=(), words=(), witnesses=())
     )
+    # A wm2 needs one shared word per length, each of that length.
+    assert not verify_wm_certificate(CLAMPED, dataclasses.replace(cert, words=cert.words[:1]))
+    longer = tuple(w + Word((0,)) for w in cert.words)
+    assert not verify_wm_certificate(CLAMPED, dataclasses.replace(cert, words=longer))
+    # A wm1 claims shared lengths only and carries no words.
+    assert not verify_wm_certificate(CLAMPED, dataclasses.replace(cert, kind="wm1"))
+    # Pairs that no longer anchor: U_0 misses K.
+    far = IntervalSet.of(F(2), F(3))
+    assert not verify_wm_certificate(CLAMPED, dataclasses.replace(cert, K=far))
+    # A witness whose source's image leaves V: the whole of U_0.
+    (i, wit), *rest = cert.witnesses
+    loose = dataclasses.replace(wit, source=pairs[i][0])
+    assert not loose.verify(CLAMPED, pairs[i][0], pairs[i][1])
+    tampered = dataclasses.replace(cert, witnesses=((i, loose), *rest))
+    assert not verify_wm_certificate(CLAMPED, tampered)
+    assert verify_wm_certificate(CLAMPED, cert)
 
 
 @pytest.mark.parametrize("kind, word", [("wm1", "1"), ("wm2", "1"), ("wm2", "11")])

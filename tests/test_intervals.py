@@ -16,6 +16,7 @@ from swmix.intervals import (
     _normalise_rows,
     _ratio_rows,
     _rows_meet,
+    _rows_set,
     covers_closed_interval,
     is_finite,
 )
@@ -282,9 +283,8 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
 def test_long_lists_normalise_like_short_ones():
     # The row normalisation's insertion sort (behind image_of and preimage)
     # must keep the stable (lo, hi) order at any length, ties between ints
-    # and Fractions included, as the generic sort of from_pairs does; rows
-    # carry their endpoint objects, as preimage rows do, so a merge must keep
-    # the first row's lo and the second row's hi.
+    # and Fractions included, as the generic sort of from_pairs does, and a
+    # merge must keep the first row's lo and the second row's hi.
     rng = random.Random(3)
     for size in (3, 17, 40):
         pairs = []
@@ -292,8 +292,9 @@ def test_long_lists_normalise_like_short_ones():
             lo = 10 * rng.randrange(-5, 5)  # a few shared left ends
             hi = lo + F(rng.randrange(1, 8), rng.choice([1, 2]))
             pairs.append((F(lo) if rng.random() < 0.5 else lo, hi))
-        want = exact_pairs(reference_normalise(pairs))
-        assert exact_pairs(as_pairs(IntervalSet.from_pairs(pairs))) == want
-        rows = [lo.as_integer_ratio() + hi.as_integer_ratio() + (lo, hi) for lo, hi in pairs]
-        got = IntervalSet(tuple(Interval(lo, hi) for *_, lo, hi in _normalise_rows(rows)))
-        assert exact_pairs(as_pairs(got)) == want
+        want = reference_normalise(pairs)
+        assert exact_pairs(as_pairs(IntervalSet.from_pairs(pairs))) == exact_pairs(want)
+        rows = [lo.as_integer_ratio() + hi.as_integer_ratio() for lo, hi in pairs]
+        got = _rows_set(_normalise_rows(rows))
+        assert as_pairs(got) == want
+        assert all(type(e) is F for c in got for e in (c.lo, c.hi))

@@ -263,18 +263,16 @@ def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch)
 
 def test_shared_clock_keeps_systems_and_modes_apart():
     # Same sources throughout: a memo or dead set keyed on enclosures and
-    # symbol alone would hand the 2/7 rotation the 1/3 rotation's images,
-    # and the strict search the partial search's surviving branch.
+    # symbol alone would hand the 2/7 rotation the 1/3 rotation's images.
+    # (The level sweeps keep no memo or dead set on the clock.)
     rot3, rot7 = rotation_system(F(1, 3)), rotation_system(F(2, 7))
     across = [IntervalSet.of(F(4, 5), F(6, 5))]
     searches = [
         lambda clock: list(iter_set_hits(rot3, across, [UNIT], 2, clock)),
         lambda clock: list(iter_set_hits(rot7, across, [UNIT], 2, clock)),
-        lambda clock: first_set_hit(rot3, across, [UNIT], range(1, 3), clock, inside=True),
-        lambda clock: first_set_hit(rot7, across, [UNIT], range(1, 3), clock, inside=True),
     ]
     fresh = [run(SearchClock(SearchBudget())) for run in searches]
-    assert fresh[0] != fresh[1] and fresh[2] is None
+    assert fresh[0] != fresh[1]
     shared = SearchClock(SearchBudget())
     assert [run(shared) for run in searches] == fresh
 
@@ -496,10 +494,11 @@ def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, max_words)
 
 
 # The sweep behind first_set_hit (and so extend_witness; test_spread.py
-# checks the spread-table rows) against the depth-first walks it replaced
-# (helpers.reference_first_set_hit): the same least word, the same sets and
-# the same None, over random automata and forbidden factors, clamp on and
-# off, rational and float mode, both leaf tests and gapped length lists.
+# checks the spread-table rows, whose leaf test is inside) against the
+# depth-first walks it replaced (helpers.reference_first_set_hit): the same
+# least word, the same sets and the same None, over random automata and
+# forbidden factors, clamp on and off, rational and float mode and gapped
+# length lists.
 
 
 LENGTHS = st.one_of(
@@ -512,14 +511,13 @@ LENGTHS = st.one_of(
 @given(
     sweep_systems(),
     st.lists(st.tuples(WALK_SETS, WALK_SETS), min_size=1, max_size=3),
-    st.booleans(),
     LENGTHS,
 )
-def test_first_set_hit_sweep_matches_the_walk(system, set_pairs, inside, lengths):
+def test_first_set_hit_sweep_matches_the_walk(system, set_pairs, lengths):
     sources, targets = zip(*set_pairs)
     clock = SearchClock(SearchBudget())
-    got = first_set_hit(system, sources, targets, lengths, clock, inside=inside)
-    want = reference_first_set_hit(system, sources, targets, lengths, inside)
+    got = first_set_hit(system, sources, targets, lengths, clock)
+    want = reference_first_set_hit(system, sources, targets, lengths)
     assert not clock.exceeded
     assert (got is None) == (want is None)
     assert repr(got) == repr(want)
