@@ -21,16 +21,19 @@ so verdicts are explicitly three-valued.
 Point orbits are stepped on integers in rational mode, where the system's
 exact form (:meth:`swmix.core.SwitchedSystem._exact`) exists; the mode
 alone picks the path, in :func:`~swmix.search._point_search`, shared by
-both searches.  An orbit value ``n/d`` is carried as two reduced integers,
-and each level is stepped whole by the integer kernel
-:func:`~swmix.search._ratio_point_levels`; every point, target and
+both searches.  Every key of a level shares one denominator ``D``, so an
+orbit value is one integer ``N`` (the value ``N/D``), and each level is
+stepped whole by the integer kernel
+:func:`~swmix.search._ratio_point_levels`, which divides a level down by a
+gcd only once ``D`` outgrows a machine word; every point, target and
 tolerance counts at its exact value, a finite float's included; so does a
-float target in an error ``|v - t|`` (:func:`_error`).  Envelope
-level keys are ``(state, (n1, d1[, n2, d2]))``.  Type-2 distances are
-``|ny*dx - nx*dy| / (dx*dy)``; type-1 levels are sorted and bisected on the
-integers ``n * (L // d)``, with ``L`` the lcm of both levels' denominators.
-One Fraction is built per row extreme, and the rows, words, truncation and
-clock charges are those of the generic Fraction loop.  Globally affine maps
+float target in an error ``|v - t|`` (:func:`_error`).  Envelope level keys
+are ``(state, (D, N1[, N2]))``.  Type-2 distances are the integers ``|N2 -
+N1|`` over the level's ``D``; type-1 levels are sorted and bisected on the
+integers ``N * (L // D)``, with ``L`` the lcm of the two levels'
+denominators, one multiplier per level.  One Fraction is built per row
+extreme, and the rows, words, truncation and clock charges are those of the
+generic Fraction loop.  Globally affine maps
 move the orbit difference on its own, so in rational mode a type-2
 envelope of such maps without a clamp searches the pair ``(0, y - x)``
 (``y - x`` at exact values) under the maps' linear parts, in the same
@@ -134,25 +137,26 @@ def _error(system: SwitchedSystem, v: Scalar, t: Scalar) -> Scalar:
 def _type2_row(n: int, level: dict, exact: bool) -> EnvelopeRow:
     """Type-2 extremes of a level in one pass.
 
-    A level holds a point pair, or a ratio pair ``(nx, dx, ny, dy)``
-    (``exact``), whose distance ``|ny*dx - nx*dy| / (dx*dy)`` is compared
-    cross-multiplied and built as one Fraction per extreme.  Words increase
-    in insertion order (:func:`~swmix.search._level_step`), so keeping the
-    first of equal distances keeps the least word.
+    A level holds a point pair, or (``exact``) integers ``(D, N1, N2)`` over
+    the level's one denominator ``D``
+    (:func:`~swmix.search._ratio_point_levels`), whose distance ``|N2 -
+    N1|`` is compared as a plain integer and built as one Fraction over
+    ``D`` per extreme.  Words increase in insertion order
+    (:func:`~swmix.search._level_step`), so keeping the first of equal
+    distances keeps the least word.
     """
     it = iter(level.items())
     if exact:
-        (_, (nx, dx, ny, dy)), w = next(it)
-        lo_n = hi_n = abs(ny * dx - nx * dy)
-        lo_d = hi_d = dx * dy
+        (_, (D, n1, n2)), w = next(it)
+        lo = hi = abs(n2 - n1)
         wlo = whi = w
-        for (_, (nx, dx, ny, dy)), w in it:
-            dn, dd = abs(ny * dx - nx * dy), dx * dy
-            if dn * lo_d < lo_n * dd:
-                lo_n, lo_d, wlo = dn, dd, w
-            elif dn * hi_d > hi_n * dd:
-                hi_n, hi_d, whi = dn, dd, w
-        lo, hi = Fraction(lo_n, lo_d), Fraction(hi_n, hi_d)
+        for (_, (_, n1, n2)), w in it:
+            dn = abs(n2 - n1)
+            if dn < lo:
+                lo, wlo = dn, w
+            elif dn > hi:
+                hi, whi = dn, w
+        lo, hi = Fraction(lo, D), Fraction(hi, D)
     else:
         dists = ((abs(v[1] - v[0]), w) for (_, v), w in it)
         (lo, wlo) = (hi, whi) = next(dists)
@@ -179,10 +183,11 @@ def distance_envelope(
     budget exhaustion the envelope is returned truncated at the last
     completed length.
 
-    Rational mode carries the levels as reduced integer ratios of the
-    points' exact values (module docstring); the rows, words, truncation
-    and clock charges are those of the generic Fraction loop.  ``horizon``
-    must be an int of at least 1; ``x`` and ``y`` distinct finite numbers, not bools.
+    Rational mode carries each level as integers over one shared
+    denominator, at the points' exact values (module docstring); the rows,
+    words, truncation and clock charges are those of the generic Fraction
+    loop.  ``horizon`` must be an int of at least 1; ``x`` and ``y``
+    distinct finite numbers, not bools.
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown envelope kind {kind!r}")
@@ -224,27 +229,28 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
     """Independent-word extremes via sorted values and nearest-neighbour scan.
 
     Each level collapses to its distinct values, each with its least word
-    (the first met, see :func:`~swmix.search._level_step`).  On ratio
-    levels (``exact``) a value ``n/d`` becomes the integer ``n * (L // d)``,
-    where ``L`` is the lcm of both levels' denominators: it sorts, bisects
-    and subtracts like the value, and each extreme is built once as
-    ``Fraction(k, L)``.
+    (the first met, see :func:`~swmix.search._level_step`).  A ratio level
+    (``exact``) holds integers ``N`` over its one denominator ``D``
+    (:func:`~swmix.search._ratio_point_levels`); both levels are brought to
+    ``L = lcm(Dx, Dy)`` by the single multiplier ``L // D`` each, so the
+    integers sort, bisect and subtract like the values, and each extreme is
+    built once as ``Fraction(k, L)``.
     """
 
     def collapse(level: dict) -> dict:
         best: dict = {}
-        for key, w in level.items():
-            best.setdefault(key[1], w)
+        for (_, v), w in level.items():
+            best.setdefault(v[-1], w)
         return best
 
-    bx, by = collapse(level_x), collapse(level_y)
+    xs, ys = list(collapse(level_x).items()), list(collapse(level_y).items())
     if exact:
-        scale = lcm(*{d for _, d in bx}, *{d for _, d in by})
-        xs = [(v * (scale // d), w) for (v, d), w in bx.items()]
-        ys = [(v * (scale // d), w) for (v, d), w in by.items()]
-    else:
-        xs = [(v, w) for (v,), w in bx.items()]
-        ys = [(v, w) for (v,), w in by.items()]
+        dx, dy = next(iter(level_x))[1][0], next(iter(level_y))[1][0]
+        scale = lcm(dx, dy)
+        if scale != dx:
+            xs = [(v * (scale // dx), w) for v, w in xs]
+        if scale != dy:
+            ys = [(v * (scale // dy), w) for v, w in ys]
     # The values are distinct, so sorting on them alone gives the same
     # order as sorting the pairs, without comparing equal values.
     xs.sort(key=itemgetter(0))
@@ -400,7 +406,7 @@ def xiong_witness(
 
     Points, targets and tolerances must be finite numbers (not bools);
     tolerances must also be positive and strictly decreasing.  In rational
-    mode the orbits are stepped on integer ratios, and each error is exact
+    mode the orbits are stepped on integers, and each error is exact
     (:func:`_error`).  All stages share one level sweep per group
     (:func:`~swmix.search.iter_point_hits`), so the clock is charged once
     per swept ``(state, values)`` key and symbol of the witness.

@@ -376,10 +376,10 @@ class SwitchedSystem:
 
 
 def _check_word(system: SwitchedSystem, word: Word | Sequence[int]) -> tuple[int, ...]:
-    symbols = tuple(word)
+    symbols = word.symbols if isinstance(word, Word) else tuple(word)
     if not symbols:
         raise ValueError("empty word")
-    if any(not 0 <= s < system.m for s in symbols):
+    if min(symbols) < 0 or max(symbols) >= len(system.maps):
         raise ValueError(f"word {symbols} uses symbols outside the alphabet")
     return symbols
 

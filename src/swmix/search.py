@@ -47,11 +47,14 @@ with the row kernel :func:`swmix.core._image_rows` and test leaves by
 cross-multiplying; rows are canonical, so level, memo and dead-subtree keys
 of rows are equal exactly when their sets are.  Point searches
 (:func:`_point_search`, shared by the Xiong sweep and the envelopes) carry a
-group's orbits as one flat tuple of reduced integer pairs ``(n1, d1, n2,
-d2, ..)`` and test ``|v - t| < eps`` cross-multiplied; one integer kernel
-(:func:`_ratio_point_levels`) steps a whole level per call, every edge
-inline, with its own loops for groups of one and of two points.  Either
-way, Fractions are built only for the hits returned.  Float mode steps
+group's orbits as one flat tuple ``(D, N1, N2, ..)`` of integers over a
+denominator ``D`` that every key of a level shares, and test ``|v - t| <
+eps`` cross-multiplied; one integer kernel (:func:`_ratio_point_levels`)
+steps a whole level per call, every edge inline, with its own loops for
+groups of one and of two points: a level on ``D`` steps to one on ``D*C``
+with two integer comparisons and one multiply-add per point, and is
+divided down by a gcd only once its denominator outgrows a machine word.
+Either way, Fractions are built only for the hits returned.  Float mode steps
 sets with :func:`step_images` and values with :func:`step_points`, one
 call per edge through :func:`_level_step`; rational set sweeps step rows
 through it too, but no rational point search does.
@@ -63,12 +66,14 @@ import functools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import SwitchedSystem, _Exact, _image_rows, image_of
 from .errors import UndefinedAtPoint, UndefinedOnSet
 from .intervals import (
+    NEG_INF,
+    POS_INF,
     IntervalSet,
     Scalar,
     _Ratio,
@@ -279,7 +284,7 @@ def _levels(
     """Yield, for each length 1, 2, .., ``horizon``, the complete level of
     every root, one list per length, each stepped by ``advance(aut, level,
     clock)`` (:func:`_level_step` bound by :func:`_stepper`, or
-    :func:`_ratio_point_levels` on integer pairs), which returns the next
+    :func:`_ratio_point_levels` on integer points), which returns the next
     level or None when the budget runs out.
 
     The sweep stops at the first refused charge (then ``clock.exceeded``),
@@ -316,156 +321,204 @@ def step_points(
     return tuple(out)
 
 
+# A level's shared denominator is reduced, by its gcd with every numerator
+# of the level, only once it is wider than a machine word: below that its
+# products cost about what a word's do, and reducing every level was slower
+# on maps whose levels grow by a small factor (C = 2).
+_REDUCE_BITS = 62
+
+
 def _ratio_point_levels(exact: _Exact) -> _Advance:
-    """The level stepper of point searches on reduced integer pairs, with
-    the system's exact form: :func:`_level_step` over :func:`step_points`,
-    each edge stepped inline.
+    """The level stepper of point searches on integers over one shared
+    denominator, with the system's exact form: :func:`_level_step` over
+    :func:`step_points`, each edge stepped inline.
 
     ``advance(aut, level, clock)`` returns the next level of a non-empty
     ``level``, or None at the first refused charge.  A key's values are one
-    flat tuple ``(n1, d1, n2, d2, ..)`` (:func:`_ratio_pairs`) with ``gcd(n,
-    d) == 1`` and ``d > 0``, so two keys are equal exactly when their
-    Fraction points are.  For each key in insertion order and each
-    admissible symbol in order, the clock is charged once; then each value
-    ``n/d`` steps through the piece with ``lo_n*d < n*lo_d`` and ``n*hi_d <
-    hi_n*d`` to ``(a*n + b*d) / (c*d)``, reduced, and survives the clamp
-    when ``box_lo <= n/d <= box_hi``, cross-multiplied (infinite ends are
-    ``(-1, 0)`` and ``(1, 0)``).  The
-    child dies where :func:`step_points` returns None, and a surviving one
-    is inserted with ``dict.setdefault``, keeping the least word of its key.
-    Groups of one and of two points, the type-1 and type-2 traffic, have
-    their own loops; larger groups share one.
+    flat tuple ``(D, N1, N2, ..)`` (:func:`_ratio_pairs`), the points
+    ``N1/D, N2/D, ..``, and ``D > 0`` is shared by every key of the level,
+    so two keys are equal exactly when their points are.  Each piece row
+    maps ``v`` to ``(a*v + b) / c`` in lowest terms, and ``C`` is the lcm
+    of every row's ``c``.  A level on ``D`` steps to one on ``D*C``, with
+    integers computed once per level: a point ``N`` passes the piece with
+    ``floor(lo*D) < N < ceil(hi*D)`` to ``A*N + B``, where ``A = a*(C//c)``
+    and ``B = b*D*(C//c)``, and survives the clamp when ``ceil(box_lo*D*C)
+    <= A*N + B <= floor(box_hi*D*C)`` (an infinite end is an infinite
+    float).  For each key in insertion order and each admissible symbol in
+    order, the clock is charged once before the step; the child dies where
+    :func:`step_points` returns None, and a surviving one is inserted with
+    ``dict.setdefault``, keeping the least word of its key.  Once ``D*C``
+    is wider than ``_REDUCE_BITS`` bits, the stepped level is divided by the
+    gcd of ``D*C`` and all its numerators.  Groups of one and of two
+    points, the type-1 and type-2 traffic, have their own loops; larger
+    groups share one.
     """
-    tables, box = exact.points, exact.box
+    box = exact.box
     clamp = box is not None
     bl_n, bl_d, bh_n, bh_d = box or (0, 0, 0, 0)
+    # Every row's map (a*v + b) / c in lowest terms, so that C is least.
+    lowest = [
+        [(*row[:4], *(k // gcd(*row[4:]) for k in row[4:])) for row in table]
+        for table in exact.points
+    ]
+    C = lcm(*(row[6] for table in lowest for row in table))
+    # Each symbol's rows (lo, hi, A, B) on the denominator of the level being
+    # stepped, refilled in place when that denominator changes, so that the
+    # edge lists below hold them by reference; filled holds the denominator
+    # and the clamp bounds of the child level.
+    slots: list[list] = [[] for _ in lowest]
+    scaled = [
+        (slot, lo_n, lo_d, hi_n, hi_d, a * (C // c), b * (C // c))
+        for slot, table in zip(slots, lowest)
+        for lo_n, lo_d, hi_n, hi_d, a, b, c in table
+    ]
+    filled: list = [None, None, None]
     # The automaton last stepped and its admissible edges per state, as
-    # (next state, (symbol,), point rows of the symbol's map), built once
-    # per automaton: rebuilding them for every level was measurably slower.
+    # (next state, (symbol,), the symbol's slot), built once per automaton:
+    # rebuilding them for every level was measurably slower.
     edges_of: list = [None, None]
 
-    def one(edges: list, level: dict, spend: Callable[[], bool]) -> dict | None:
+    # Each loop takes the child level's denominator D and clamp bounds.
+
+    def one(
+        edges: list, level: dict, spend: Callable[[], bool], D: int, cl, ch
+    ) -> dict | None:
         out: dict = {}
         insert = out.setdefault
-        for (state, (n, d)), word in level.items():
-            for nxt, sym, table in edges[state]:
+        for (state, (_, n)), word in level.items():
+            for nxt, sym, rows in edges[state]:
                 if not spend():
                     return None
-                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
-                    if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                        p, q = a * n + b * d, c * d
-                        g = gcd(p, q)
-                        if g != 1:
-                            p //= g
-                            q //= g
+                for lo, hi, a, b in rows:
+                    if lo < n < hi:
+                        p = a * n + b
                         break
                 else:
-                    continue  # undefined at n/d
-                if clamp and not (bl_n * q <= p * bl_d and p * bh_d <= bh_n * q):
+                    continue  # undefined at n/D
+                if clamp and not cl <= p <= ch:
                     continue  # outside the closed clamp box
-                insert((nxt, (p, q)), word + sym)
+                insert((nxt, (D, p)), word + sym)
         return out
 
-    def two(edges: list, level: dict, spend: Callable[[], bool]) -> dict | None:
+    def two(
+        edges: list, level: dict, spend: Callable[[], bool], D: int, cl, ch
+    ) -> dict | None:
         out: dict = {}
         insert = out.setdefault
-        for (state, (n1, d1, n2, d2)), word in level.items():
-            for nxt, sym, table in edges[state]:
+        for (state, (_, n1, n2)), word in level.items():
+            for nxt, sym, rows in edges[state]:
                 if not spend():
                     return None
-                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
-                    if lo_n * d1 < n1 * lo_d and n1 * hi_d < hi_n * d1:
-                        p1, q1 = a * n1 + b * d1, c * d1
-                        g = gcd(p1, q1)
-                        if g != 1:
-                            p1 //= g
-                            q1 //= g
+                for lo, hi, a, b in rows:
+                    if lo < n1 < hi:
+                        p1 = a * n1 + b
                         break
                 else:
                     continue
-                if clamp and not (bl_n * q1 <= p1 * bl_d and p1 * bh_d <= bh_n * q1):
+                if clamp and not cl <= p1 <= ch:
                     continue
-                for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
-                    if lo_n * d2 < n2 * lo_d and n2 * hi_d < hi_n * d2:
-                        p2, q2 = a * n2 + b * d2, c * d2
-                        g = gcd(p2, q2)
-                        if g != 1:
-                            p2 //= g
-                            q2 //= g
+                for lo, hi, a, b in rows:
+                    if lo < n2 < hi:
+                        p2 = a * n2 + b
                         break
                 else:
                     continue
-                if clamp and not (bl_n * q2 <= p2 * bl_d and p2 * bh_d <= bh_n * q2):
+                if clamp and not cl <= p2 <= ch:
                     continue
-                insert((nxt, (p1, q1, p2, q2)), word + sym)
+                insert((nxt, (D, p1, p2)), word + sym)
         return out
 
-    def many(edges: list, level: dict, spend: Callable[[], bool]) -> dict | None:
+    def many(
+        edges: list, level: dict, spend: Callable[[], bool], D: int, cl, ch
+    ) -> dict | None:
         out: dict = {}
         insert = out.setdefault
-        for (state, pairs), word in level.items():
-            for nxt, sym, table in edges[state]:
+        for (state, (_, *ns)), word in level.items():
+            for nxt, sym, rows in edges[state]:
                 if not spend():
                     return None
-                child: list[int] = []
-                it = iter(pairs)
-                for n, d in zip(it, it):
-                    for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
-                        if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
-                            p, q = a * n + b * d, c * d
-                            g = gcd(p, q)
-                            if g != 1:
-                                p //= g
-                                q //= g
+                child = [D]
+                for n in ns:
+                    for lo, hi, a, b in rows:
+                        if lo < n < hi:
+                            p = a * n + b
                             break
                     else:
                         break
-                    if clamp and not (bl_n * q <= p * bl_d and p * bh_d <= bh_n * q):
+                    if clamp and not cl <= p <= ch:
                         break
                     child.append(p)
-                    child.append(q)
                 else:
                     insert((nxt, tuple(child)), word + sym)
         return out
 
-    loops = {2: one, 4: two}
+    loops = {2: one, 3: two}
 
     def advance(aut: PrunedAutomaton, level: dict, clock: SearchClock) -> dict | None:
         if edges_of[0] is not aut:
             edges_of[:] = aut, [
-                [(nxt, (sym,), tables[sym]) for sym, nxt in enumerate(row) if nxt >= 0]
+                [(nxt, (sym,), slots[sym]) for sym, nxt in enumerate(row) if nxt >= 0]
                 for row in aut.transitions
             ]
-        loop = loops.get(len(next(iter(level))[1]), many)
-        return loop(edges_of[1], level, clock.spend)
+        values = next(iter(level))[1]
+        D = values[0]
+        if D != filled[0]:
+            for slot in slots:
+                slot.clear()
+            for slot, lo_n, lo_d, hi_n, hi_d, a, b in scaled:
+                lo = lo_n * D // lo_d if lo_d else NEG_INF
+                hi = -(-hi_n * D // hi_d) if hi_d else POS_INF
+                slot.append((lo, hi, a, b * D))
+            cl = ch = None
+            if clamp:
+                cl = -(-bl_n * D * C // bl_d) if bl_d else NEG_INF
+                ch = bh_n * D * C // bh_d if bh_d else POS_INF
+            filled[:] = D, cl, ch
+        _, cl, ch = filled
+        D *= C
+        loop = loops.get(len(values), many)
+        out = loop(edges_of[1], level, clock.spend, D, cl, ch)
+        if out and D.bit_length() > _REDUCE_BITS:
+            g = D
+            for _, child in out:
+                g = gcd(g, *child)
+                if g == 1:
+                    break
+            else:
+                out = {(s, tuple(v // g for v in child)): w for (s, child), w in out.items()}
+        return out
 
     return advance
 
 
 def _ratio_pairs(values: Iterable[Scalar]) -> tuple[int, ...]:
-    """Finite points at their exact values, as the flat ``(n1, d1, n2, d2,
-    ..)`` tuple that :func:`_ratio_point_levels` steps."""
-    return tuple(r for x in values for r in x.as_integer_ratio())
+    """Finite points at their exact values, as the flat ``(D, N1, N2, ..)``
+    tuple that :func:`_ratio_point_levels` steps: ``D`` is the lcm of the
+    points' denominators and each point is ``N/D``."""
+    ratios = [x.as_integer_ratio() for x in values]
+    D = lcm(*(d for _, d in ratios))
+    return (D, *(n * (D // d) for n, d in ratios))
 
 
 def _point_search(
     system: SwitchedSystem,
 ) -> tuple[Callable, Callable, Callable, Callable | None]:
     """``(encode, advance, near, decode)`` of a point search on finite
-    points and targets: the one place where points are sent to integer
-    pairs or to the generic values.
+    points and targets: the one place where points are sent to integers
+    or to the generic values.
 
     ``encode(points)`` is a group's root value and ``advance`` the level
     stepper of :func:`_levels`; ``near(targets, eps)`` is the leaf test of
     one group, passing when every point is within ``eps`` of its target
-    (``|v - t| < eps``).  In rational mode a value is the flat tuple of
-    reduced pairs (:func:`_ratio_pairs`) stepped by
-    :func:`_ratio_point_levels`; the test is ``|n*td - tn*d| * ed < en * d *
-    td``, every point, target and ``eps = en/ed`` at its exact value; and
-    ``decode`` builds the Fraction points.  In float mode a value is the
-    tuple of points, a level is stepped by :func:`_level_step` over
-    :func:`step_points`, and ``decode`` is None.  Both ways step the same
-    words.
+    (``|v - t| < eps``).  In rational mode a value is the flat tuple ``(D,
+    N1, N2, ..)`` of integers over the level's shared denominator
+    (:func:`_ratio_pairs`) stepped by :func:`_ratio_point_levels`; ``near``
+    and ``decode`` read ``D`` from the value: the test is ``|N*td - tn*D| *
+    ed < en * D * td``, every point, target and ``eps = en/ed`` at its exact
+    value, and ``decode`` builds the Fraction points ``N/D``.  In float
+    mode a value is the tuple of points, a level is stepped by
+    :func:`_level_step` over :func:`step_points`, and ``decode`` is None.
+    Both ways step the same words.
     """
     exact = system._exact()
     if exact is None:
@@ -477,19 +530,20 @@ def _point_search(
 
     def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
         en, ed = eps.as_integer_ratio()
-        goals = tuple((2 * i, *t.as_integer_ratio()) for i, t in enumerate(targets))
+        goals = tuple((i, *t.as_integer_ratio()) for i, t in enumerate(targets, 1))
 
-        def test(pairs: tuple[int, ...]) -> bool:
+        def test(values: tuple[int, ...]) -> bool:
+            D = values[0]
             for i, tn, td in goals:
-                n, d = pairs[i], pairs[i + 1]
-                if abs(n * td - tn * d) * ed >= en * d * td:
+                if abs(values[i] * td - tn * D) * ed >= en * D * td:
                     return False
             return True
 
         return test
 
-    def decode(pairs: tuple[int, ...]) -> tuple[Fraction, ...]:
-        return tuple(Fraction(pairs[i], pairs[i + 1]) for i in range(0, len(pairs), 2))
+    def decode(values: tuple[int, ...]) -> tuple[Fraction, ...]:
+        D = values[0]
+        return tuple(Fraction(n, D) for n in values[1:])
 
     return _ratio_pairs, _ratio_point_levels(exact), near, decode
 

@@ -1,8 +1,8 @@
 """Shared builders for the test suite: circle rotations, random systems, a
 plain reference evaluation of maps, a reference pull-back of hits, a
 reference first-hit search, a reference Xiong witness, a reference
-per-edge integer point step, a reference envelope on the orbit difference
-and a reference greedy cover check."""
+per-edge point step on reduced integer pairs, a reference envelope on the
+orbit difference and a reference greedy cover check."""
 
 from __future__ import annotations
 
@@ -256,10 +256,11 @@ def reference_xiong_witness(system, points, targets, kind, tolerances, budget=Se
 
 
 def reference_ratio_point_step(exact):
-    """The per-edge integer point step that
-    :func:`swmix.search._ratio_point_levels` inlines, as a ``step(pairs,
-    sym)`` for :func:`swmix.search._level_step`: the points of one group as
-    a flat tuple ``(n1, d1, n2, d2, ..)`` of reduced pairs, each stepped
+    """The per-edge integer point step on reduced pairs that
+    :func:`swmix.search._ratio_point_levels` replaced, kept as its
+    independent reference, as a ``step(pairs, sym)`` for
+    :func:`swmix.search._level_step`: the points of one group as a flat
+    tuple ``(n1, d1, n2, d2, ..)`` of reduced pairs, each stepped
     through the first piece row of ``exact.points[sym]`` whose open domain
     holds it to ``(a*n + b*d) / (c*d)``, reduced, then kept inside the
     closed clamp box ``exact.box``; None where a point lies in no piece or

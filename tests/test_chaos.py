@@ -767,45 +767,68 @@ def test_float_global_envelopes_verify(system, x, y, kind, horizon):
     assert verify_envelope(system, env)
 
 
-# The integer point kernel steps a whole level per call.  Against
-# _level_step over the per-edge step it replaced (helpers), it must give the
-# same levels -- keys, words and insertion order -- and charge the clock the
-# same, for groups of one to four points (its one- and two-point loops and
-# its general one), with and without the clamp, on forbidden words, and with
-# a budget that runs out at each edge in turn.
+# The integer point kernel steps a whole level per call, every point an
+# integer over the level's one denominator.  Against _level_step over the
+# per-edge step on reduced pairs that it replaced (helpers), its levels must
+# decode to the same states, Fraction points and words, in insertion order,
+# and it must charge the clock the same, for groups of one to four points
+# (its one- and two-point loops and its general one), with and without the
+# clamp, on forbidden words, with a budget that runs out at each edge in
+# turn, and past the depth at which the shared denominator is reduced.
 
 
-def _kernel_and_reference_levels(system, points, depth, max_words):
-    """For the kernel and for the reference, each on its own clock: the
-    items of levels 1, 2, .. of one group of ``points``, up to ``depth`` or
-    an empty level, with None for a level cut by the budget; the clock's
-    count; and whether it ran out."""
+def _reference_and_kernel_levels(system, points, depth, max_words):
+    """For the reference and for the kernel, each on its own clock: the
+    levels 1, 2, .. of one group of ``points``, up to ``depth`` or an empty
+    level, each as its ``(state, Fraction points, word)`` items in
+    insertion order, with None for a level cut by the budget; the clock's
+    count; and whether it ran out.  Also the kernel's denominator of every
+    non-empty level."""
     exact, aut = system._exact(), system.automaton
-    steppers = (
-        search._ratio_point_levels(exact),
-        search._stepper(reference_ratio_point_step(exact)),
+
+    def pairs_points(pairs):
+        return tuple(F(n, d) for n, d in zip(pairs[::2], pairs[1::2]))
+
+    runs = (
+        (
+            search._stepper(reference_ratio_point_step(exact)),
+            tuple(r for x in points for r in x.as_integer_ratio()),
+            pairs_points,
+        ),
+        (
+            search._ratio_point_levels(exact),
+            search._ratio_pairs(points),
+            search._point_search(system)[3],
+        ),
     )
     out = []
-    for advance in steppers:
+    for advance, root, points_of in runs:
         clock = SearchClock(SearchBudget(max_words=max_words))
-        level, levels = {(aut.start, search._ratio_pairs(points)): ()}, []
+        level, levels, denominators = {(aut.start, root): ()}, [], []
         for _ in range(depth):
             level = advance(aut, level, clock)
-            levels.append(None if level is None else list(level.items()))
+            if level is None:
+                levels.append(None)
+                break
+            levels.append([(s, points_of(v), w) for (s, v), w in level.items()])
             if not level:
                 break
+            denominators.append(next(iter(level))[1][0])
         out.append((levels, clock.count, clock.exceeded))
-    return out
+    return out, denominators
 
 
 def _check_point_kernel(system, points, depth):
-    kernel, reference = _kernel_and_reference_levels(system, points, depth, 500_000)
+    (reference, kernel), denominators = _reference_and_kernel_levels(
+        system, points, depth, 500_000
+    )
     assert kernel == reference
     total = kernel[1]
     for max_words in range(1, total + 2):
-        kernel, reference = _kernel_and_reference_levels(system, points, depth, max_words)
+        (reference, kernel), _ = _reference_and_kernel_levels(system, points, depth, max_words)
         assert kernel == reference
         assert kernel[2] is (max_words < total)
+    return denominators
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
@@ -817,6 +840,18 @@ def _check_point_kernel(system, points, depth):
 def test_point_kernel_matches_the_edge_step(system, size):
     points = (F(5, 12), F(2, 5), F(1, 7), F(3, 4))[:size]
     _check_point_kernel(system, points, 4)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_point_kernel_matches_the_edge_step_past_the_reduction(size):
+    # Rotations by 1/3 and 2/7 multiply the shared denominator by 21 per
+    # level: from points on 10^6 it outgrows a machine word at length 10 and
+    # is divided down, so lengths 10 to 12 step reduced levels.
+    points = (F(123457, 10**6), F(271, 1000), F(999999, 10**6))[:size]
+    denominators = _check_point_kernel(ROTATIONS, points, 12)
+    assert len(denominators) == 12
+    assert max(d.bit_length() for d in denominators) <= search._REDUCE_BITS
+    assert any(b != 21 * a for a, b in zip(denominators, denominators[1:]))
 
 
 @settings(max_examples=150, deadline=None)

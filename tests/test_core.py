@@ -1,5 +1,6 @@
 """Core evaluator: exact images, preimages, orbits, and itineraries."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -58,6 +59,24 @@ def test_eval_point_rejects_bad_words():
         eval_point(TENT, (), F(1, 2))
     with pytest.raises(ValueError):
         eval_point(TENT, Word.of(2), F(1, 2))
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("word", [(), (-1,), (0, -1), (2,), Word.of(1, 2)], ids=repr)
+def test_word_functions_reject_words_outside_the_alphabet(mode, word):
+    # The empty word, symbol -1 and symbol m (2 on the tent) are refused by
+    # every function that steps a word, in both numeric modes.
+    system = dataclasses.replace(TENT, numerics=Numerics(mode=mode))
+    U = IntervalSet.of(F(1, 10), F(1, 5))
+    calls = (
+        lambda: eval_point(system, word, F(1, 2)),
+        lambda: eval_interval(system, word, U),
+        lambda: word_preimage(system, word, U),
+        lambda: pull_back_hit(system, word, U, U),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_eval_interval_frozen_values():
