@@ -1,19 +1,20 @@
 """Proximality/divergence envelopes and staged approximation witnesses.
 
-The envelope of a point pair records, for every word length up to a horizon,
-the smallest and largest distance any admissible composition can put between
-the two orbits, together with lexicographically first words attaining each
-extreme.  Type 2 applies one word to both points; type 1 lets the two points
-ride independent words of equal length.  Envelopes and Xiong witnesses both
-search groups of points: one group of every point for type 2, one group per
-point for type 1.  Both sweep one deduplicated orbit level per group and
-length with :func:`~swmix.search._levels`, the one level loop, off which
-first-hit set searches and spread-table rows also read their hits.  An
-envelope reads each length's extremes off its levels and keeps a length
-while every level has orbits left; a Xiong witness
-(:func:`~swmix.search.iter_point_hits`) reads each stage's least hitting
-words off them, and since stage lengths strictly increase, one sweep serves
-every stage.
+The envelope of a point pair records, for every word length up to a
+horizon, the smallest and largest distance any admissible composition can
+put between the two orbits, together with lexicographically first words
+attaining each extreme (in float mode a type-1 row may record another pair
+where rounding ties an extreme, see below).  Type 2 applies one word to both
+points; type 1 lets the two points ride independent words of equal
+length.  Envelopes and Xiong witnesses both search groups of points: one
+group of every point for type 2, one group per point for type 1.  Both sweep
+one deduplicated orbit level per group and length with
+:func:`~swmix.search._levels`, the one level loop, off which first-hit set
+searches and spread-table rows also read their hits.  An envelope reads each
+length's extremes off its levels and keeps a length while every level has
+orbits left; a Xiong witness (:func:`~swmix.search.iter_point_hits`) reads
+each stage's least hitting words off them, and since stage lengths strictly
+increase, one sweep serves every stage.
 
 A finite horizon can only ever produce evidence about the limit behaviour,
 so verdicts are explicitly three-valued.
@@ -21,27 +22,31 @@ so verdicts are explicitly three-valued.
 Point orbits are stepped on integers in rational mode, where the system's
 exact form (:meth:`swmix.core.SwitchedSystem._exact`) exists; the mode
 alone picks the path, in :func:`~swmix.search._point_search`, shared by
-both searches.  Every key of a level shares one denominator ``D``, so an
-orbit value is one integer ``N`` (the value ``N/D``), and each level is
-stepped whole by the integer kernel
+both searches, and the envelope rows read values only through it.  Every
+level key is ``(state, (D, N1[, N2]))``: the points ``N/D`` over one
+denominator ``D`` that every key of the level shares, and the adapter's
+``scalar(N, D)`` gives a value.  In rational mode the ``N`` are integers,
+each level is stepped whole by the integer kernel
 :func:`~swmix.search._ratio_point_levels`, which divides a level down by a
-gcd only once ``D`` outgrows a machine word; every point, target and
-tolerance counts at its exact value, a finite float's included; so does a
-float target in an error ``|v - t|`` (:func:`_error`).  Envelope level keys
-are ``(state, (D, N1[, N2]))``.  Type-2 distances are the integers ``|N2 -
-N1|`` over the level's ``D``; type-1 levels are sorted and bisected on the
-integers ``N * (L // D)``, with ``L`` the lcm of the two levels'
-denominators, one multiplier per level.  One Fraction is built per row
-extreme, and the rows, words, truncation and clock charges are those of the
-generic Fraction loop.  Globally affine maps
-move the orbit difference on its own, so in rational mode a type-2
-envelope of such maps without a clamp searches the pair ``(0, y - x)``
-(``y - x`` at exact values) under the maps' linear parts, in the same
-language and bounds: one key per state and difference, on the same path as
-any other point search.  Float mode steps the point pair itself, like
-every other float envelope: rounded orbits do not move their difference
-on its own, and :func:`verify_envelope` recomputes the distance of the two
-float orbits.
+gcd only once ``D`` outgrows a machine word, and ``scalar`` builds a
+Fraction; every point, target and tolerance counts at its exact value, a
+finite float's included; so does a float target in an error ``|v - t|``
+(:func:`_error`).  In float mode ``D`` is 1 and the ``N`` are the float
+points.  Type-2 distances are ``|N2 - N1|`` over the level's ``D``; type-1
+levels are sorted and bisected on ``N * (L // D)``, with ``L`` the lcm of
+the two levels' denominators, one multiplier per level.  One scalar is built
+per row extreme, and the rows, words, truncation and clock charges are
+those of the plain level loop, with one float-mode exception: type-1 words
+are read off the extreme values, so where rounding makes another pair's
+distance equal an extreme's, the row may record a pair that is not
+lexicographically first (:func:`_type1_row`).  Globally affine maps move the
+orbit difference on its own, so in rational mode a type-2 envelope of such
+maps without a clamp searches the pair ``(0, y - x)`` (``y - x`` at exact
+values) under the maps' linear parts, in the same language and bounds: one
+key per state and difference, on the same path as any other point
+search.  Float mode steps the point pair itself, like every other float
+envelope: rounded orbits do not move their difference on its own, and
+:func:`verify_envelope` recomputes the distance of the two float orbits.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from fractions import Fraction
 from functools import partial
 from math import isfinite, lcm
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import PiecewiseAffineMap, SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
@@ -134,38 +139,26 @@ def _error(system: SwitchedSystem, v: Scalar, t: Scalar) -> Scalar:
     return abs(v - (t if system._exact() is None else _exact_value(t)))
 
 
-def _type2_row(n: int, level: dict, exact: bool) -> EnvelopeRow:
+def _type2_row(n: int, level: dict, scalar: Callable) -> EnvelopeRow:
     """Type-2 extremes of a level in one pass.
 
-    A level holds a point pair, or (``exact``) integers ``(D, N1, N2)`` over
-    the level's one denominator ``D``
-    (:func:`~swmix.search._ratio_point_levels`), whose distance ``|N2 -
-    N1|`` is compared as a plain integer and built as one Fraction over
-    ``D`` per extreme.  Words increase in insertion order
-    (:func:`~swmix.search._level_step`), so keeping the first of equal
-    distances keeps the least word.
+    A level holds points ``(D, N1, N2)`` over its one denominator ``D``
+    (:func:`~swmix.search._point_search`), whose distance ``|N2 - N1|`` is
+    compared as it is and built as ``scalar(|N2 - N1|, D)`` per extreme.
+    Words increase in insertion order (:func:`~swmix.search._level_step`),
+    so keeping the first of equal distances keeps the least word.
     """
     it = iter(level.items())
-    if exact:
-        (_, (D, n1, n2)), w = next(it)
-        lo = hi = abs(n2 - n1)
-        wlo = whi = w
-        for (_, (_, n1, n2)), w in it:
-            dn = abs(n2 - n1)
-            if dn < lo:
-                lo, wlo = dn, w
-            elif dn > hi:
-                hi, whi = dn, w
-        lo, hi = Fraction(lo, D), Fraction(hi, D)
-    else:
-        dists = ((abs(v[1] - v[0]), w) for (_, v), w in it)
-        (lo, wlo) = (hi, whi) = next(dists)
-        for d, w in dists:
-            if d < lo:
-                lo, wlo = d, w
-            elif d > hi:
-                hi, whi = d, w
-    return EnvelopeRow(n, lo, hi, (Word(wlo),), (Word(whi),))
+    (_, (D, n1, n2)), w = next(it)
+    lo = hi = abs(n2 - n1)
+    wlo = whi = w
+    for (_, (_, n1, n2)), w in it:
+        dn = abs(n2 - n1)
+        if dn < lo:
+            lo, wlo = dn, w
+        elif dn > hi:
+            hi, whi = dn, w
+    return EnvelopeRow(n, scalar(lo, D), scalar(hi, D), (Word(wlo),), (Word(whi),))
 
 
 def distance_envelope(
@@ -185,9 +178,11 @@ def distance_envelope(
 
     Rational mode carries each level as integers over one shared
     denominator, at the points' exact values (module docstring); the rows,
-    words, truncation and clock charges are those of the generic Fraction
-    loop.  ``horizon`` must be an int of at least 1; ``x`` and ``y``
-    distinct finite numbers, not bools.
+    words, truncation and clock charges are those of the plain level loop,
+    except that a float-mode type-1 row may record a pair of words other
+    than the least where rounding ties an extreme (:func:`_type1_row`).
+    ``horizon`` must be an int of at least 1; ``x`` and ``y`` distinct
+    finite numbers, not bools.
     """
     if kind not in ("type1", "type2"):
         raise ValueError(f"unknown envelope kind {kind!r}")
@@ -212,11 +207,10 @@ def distance_envelope(
         pair = (0, _exact_value(y) - _exact_value(x))
     else:
         stepped, pair = system, (x, y)
-    encode, advance, _, decode = _point_search(stepped)
-    exact = decode is not None
+    encode, advance, _, scalar = _point_search(stepped)
     # Type 2 steps both points in one level, type 1 each in its own.
     roots = [encode(pair)] if kind == "type2" else [encode((x,)), encode((y,))]
-    row = partial(_type2_row if kind == "type2" else _type1_row, exact=exact)
+    row = partial(_type2_row if kind == "type2" else _type1_row, scalar=scalar)
     clock = SearchClock(budget)
     levels = _levels(system.automaton, advance, roots, clock, horizon)
     rows = tuple(row(n, *level) for n, level in enumerate(levels, 1))
@@ -225,16 +219,26 @@ def distance_envelope(
     )
 
 
-def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow:
+def _type1_row(n: int, level_x: dict, level_y: dict, scalar: Callable) -> EnvelopeRow:
     """Independent-word extremes via sorted values and nearest-neighbour scan.
 
     Each level collapses to its distinct values, each with its least word
-    (the first met, see :func:`~swmix.search._level_step`).  A ratio level
-    (``exact``) holds integers ``N`` over its one denominator ``D``
-    (:func:`~swmix.search._ratio_point_levels`); both levels are brought to
-    ``L = lcm(Dx, Dy)`` by the single multiplier ``L // D`` each, so the
-    integers sort, bisect and subtract like the values, and each extreme is
-    built once as ``Fraction(k, L)``.
+    (the first met, see :func:`~swmix.search._level_step`).  A level holds
+    points ``N`` over its one denominator ``D``
+    (:func:`~swmix.search._point_search`); both levels are brought to ``L =
+    lcm(Dx, Dy)`` by the single multiplier ``L // D`` each (none in float
+    mode, where ``D`` is 1), so the ``N`` sort, bisect and subtract like the
+    values, and each extreme is built once as ``scalar(k, L)``.
+
+    The words come with the scanned pairs: the least neighbouring pair at
+    the minimum, and at the maximum the least of the two extreme pairs.
+    With exact values no other pair reaches an extreme, so these are the
+    lexicographically first pairs.  Float distances are rounded, and a pair
+    the scans pass over can round to an extreme's distance: the row keeps
+    the scanned pair, which need not be the least.  (Float maps {2x - 1 on
+    (0, 1/8), x - 1 on (1/8, 1)} and -x + 2/3 from -1 and 0.062, length 3:
+    y-words 110 and 011 both reach the maximum 2.542666666666667, and the
+    row records 110.)
     """
 
     def collapse(level: dict) -> dict:
@@ -244,13 +248,12 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
         return best
 
     xs, ys = list(collapse(level_x).items()), list(collapse(level_y).items())
-    if exact:
-        dx, dy = next(iter(level_x))[1][0], next(iter(level_y))[1][0]
-        scale = lcm(dx, dy)
-        if scale != dx:
-            xs = [(v * (scale // dx), w) for v, w in xs]
-        if scale != dy:
-            ys = [(v * (scale // dy), w) for v, w in ys]
+    dx, dy = next(iter(level_x))[1][0], next(iter(level_y))[1][0]
+    scale = lcm(dx, dy)
+    if scale != dx:
+        xs = [(v * (scale // dx), w) for v, w in xs]
+    if scale != dy:
+        ys = [(v * (scale // dy), w) for v, w in ys]
     # The values are distinct, so sorting on them alone gives the same
     # order as sorting the pairs, without comparing equal values.
     xs.sort(key=itemgetter(0))
@@ -274,13 +277,10 @@ def _type1_row(n: int, level_x: dict, level_y: dict, exact: bool) -> EnvelopeRow
         ],
         key=lambda t: (-t[0], t[1], t[2]),
     )
-    d_min, d_max = best_min[0], spans[0][0]
-    if exact:
-        d_min, d_max = Fraction(d_min, scale), Fraction(d_max, scale)
     return EnvelopeRow(
         n,
-        d_min,
-        d_max,
+        scalar(best_min[0], scale),
+        scalar(spans[0][0], scale),
         (Word(best_min[1]), Word(best_min[2])),
         (Word(spans[0][1]), Word(spans[0][2])),
     )

@@ -308,7 +308,10 @@ class _Exact(NamedTuple):
     """A system's exact form (:meth:`SwitchedSystem._exact`)."""
 
     tables: tuple[tuple[tuple, ...], ...]  # every map's _ratio_table()
-    points: tuple[tuple[tuple, ...], ...]  # each table row's first seven fields
+    # Each table row's piece test and image map, (lo_n, lo_d, hi_n, hi_d, a,
+    # b, c) for v -> (a*v + b) / c in lowest terms, so that the lcm of the
+    # c, by which the point kernel grows a level's denominator, is least.
+    points: tuple[tuple[tuple, ...], ...]
     box: _Ratio | None  # the clamp box's row; None when the system does not clamp
 
 
@@ -361,8 +364,10 @@ class SwitchedSystem:
         form = None
         if self.numerics.mode == "rational":
             tables = tuple(_ratio_table(pam) for pam in self.maps)
-            # a point step reads a row's piece test and its image map
-            points = tuple(tuple(row[:7] for row in t) for t in tables)
+            points = tuple(
+                tuple((*row[:4], *(k // gcd(*row[4:7]) for k in row[4:7])) for row in t)
+                for t in tables
+            )
             box = _ratio_end(self.bounds.lo) + _ratio_end(self.bounds.hi)
             form = _Exact(tables, points, box if self.clamp else None)
         object.__setattr__(self, "_exact_form", form)

@@ -100,7 +100,8 @@ class HitWitness:
 
     def verify(self, system: SwitchedSystem, U: IntervalSet, V: IntervalSet) -> bool:
         """Re-evaluate through the core and confirm f_w(U) ∩ V ≠ ∅ for a
-        word the switching language admits."""
+        word the switching language admits.  A point witness fails in float
+        mode, where its rounded orbit proves nothing."""
         if not accepts_prefix(system.automaton, self.word):
             return False
         if self.kind == "set":
@@ -110,7 +111,7 @@ class HitWitness:
             image = eval_interval(system, self.word, self.source, partial=True)
             return not image.is_empty and image.subset_of(V)
         assert self.point is not None
-        if not U.contains(self.point):
+        if system._exact() is None or not U.contains(self.point):
             return False
         try:
             return V.contains(eval_point(system, self.word, self.point))

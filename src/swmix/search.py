@@ -41,23 +41,28 @@ Rational-mode searches step integers.  A search reads its system's exact
 form (:meth:`swmix.core.SwitchedSystem._exact`), which exists exactly in
 rational mode, so the mode alone sends it to integers or to the generic
 loops; every input counts at its exact value, a finite float's included.
-Set searches (:func:`_set_search`, shared by the sweeps and the walker)
-carry each enclosure as a tuple of rows (:mod:`swmix.intervals`), step it
-with the row kernel :func:`swmix.core._image_rows` and test leaves by
-cross-multiplying; rows are canonical, so level, memo and dead-subtree keys
-of rows are equal exactly when their sets are.  Point searches
-(:func:`_point_search`, shared by the Xiong sweep and the envelopes) carry a
-group's orbits as one flat tuple ``(D, N1, N2, ..)`` of integers over a
-denominator ``D`` that every key of a level shares, and test ``|v - t| <
-eps`` cross-multiplied; one integer kernel (:func:`_ratio_point_levels`)
+Two adapters are the only code that knows the mode, and both give every
+caller the same value layout.  Set searches (:func:`_set_search`, shared by
+the sweeps and the walker) carry each enclosure as a tuple of rows
+(:mod:`swmix.intervals`) in rational mode, stepped by the row kernel
+:func:`swmix.core._image_rows` and tested by cross-multiplying; rows are
+canonical, so level, memo and dead-subtree keys of rows are equal exactly
+when their sets are, and ``build`` turns a hit's rows back into a set (the
+identity on float sets).  Point searches (:func:`_point_search`, shared by
+the Xiong sweep and the envelopes) carry a group's orbits as one flat tuple
+``(D, N1, N2, ..)``, the points ``N1/D, N2/D, ..`` over a denominator ``D``
+that every key of a level shares, and ``scalar(N, D)`` gives a point's
+value.  In rational mode the ``N`` are integers, the test ``|v - t| < eps``
+is cross-multiplied and one integer kernel (:func:`_ratio_point_levels`)
 steps a whole level per call, every edge inline, with its own loops for
 groups of one and of two points: a level on ``D`` steps to one on ``D*C``
-with two integer comparisons and one multiply-add per point, and is
-divided down by a gcd only once its denominator outgrows a machine word.
-Either way, Fractions are built only for the hits returned.  Float mode steps
-sets with :func:`step_images` and values with :func:`step_points`, one
-call per edge through :func:`_level_step`; rational set sweeps step rows
-through it too, but no rational point search does.
+with two integer comparisons and one multiply-add per point, and is divided
+down by a gcd only once its denominator outgrows a machine word.  In float
+mode ``D`` is 1 and the ``N`` are the points themselves.  Either way,
+Fractions are built only for the hits returned.  Float mode steps sets with
+:func:`step_images` and points with :func:`step_points`, one call per edge
+through :func:`_level_step`; rational set sweeps step rows through it too,
+but no rational point search does.
 """
 
 from __future__ import annotations
@@ -267,25 +272,26 @@ def _level_step(
     return out
 
 
-# A level stepper: ``advance(aut, level, clock)`` gives the next level, or
-# None when the budget runs out.
-_Advance = Callable[[PrunedAutomaton, dict, SearchClock], dict | None]
+# A level stepper, bound to its search's automaton: ``advance(level,
+# clock)`` gives the next level, or None when the budget runs out.
+_Advance = Callable[[dict, SearchClock], dict | None]
 
 
-def _stepper(step: Callable) -> _Advance:
-    """The level stepper ``advance(aut, level, clock)`` that :func:`_levels`
-    takes, from a ``step(values, sym)``: :func:`_level_step` bound to it."""
-    return functools.partial(_level_step, step)
+def _stepper(step: Callable, aut: PrunedAutomaton) -> _Advance:
+    """The level stepper ``advance(level, clock)`` that :func:`_levels`
+    takes, from a ``step(values, sym)`` on the admissible words of ``aut``:
+    :func:`_level_step` bound to both."""
+    return functools.partial(_level_step, step, aut)
 
 
 def _levels(
     aut: PrunedAutomaton, advance: _Advance, roots: Sequence, clock: SearchClock, horizon: int
 ) -> Iterator[list[dict]]:
     """Yield, for each length 1, 2, .., ``horizon``, the complete level of
-    every root, one list per length, each stepped by ``advance(aut, level,
-    clock)`` (:func:`_level_step` bound by :func:`_stepper`, or
-    :func:`_ratio_point_levels` on integer points), which returns the next
-    level or None when the budget runs out.
+    every root, one list per length, each level starting at ``aut.start``
+    and stepped by ``advance(level, clock)``, a stepper bound to ``aut``
+    (:func:`_stepper`, or :func:`_ratio_point_levels` on integer points),
+    which returns the next level or None when the budget runs out.
 
     The sweep stops at the first refused charge (then ``clock.exceeded``),
     whose length is not yielded, and at the first length where some root's
@@ -295,7 +301,7 @@ def _levels(
     for _ in range(horizon):
         stepped = []
         for level in levels:
-            out = advance(aut, level, clock)
+            out = advance(level, clock)
             if out is None:
                 return
             stepped.append(out)
@@ -328,61 +334,58 @@ def step_points(
 _REDUCE_BITS = 62
 
 
-def _ratio_point_levels(exact: _Exact) -> _Advance:
+def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> _Advance:
     """The level stepper of point searches on integers over one shared
-    denominator, with the system's exact form: :func:`_level_step` over
-    :func:`step_points`, each edge stepped inline.
+    denominator, with the system's exact form, on the admissible words of
+    ``aut``: :func:`_level_step` over :func:`step_points`, each edge
+    stepped inline.
 
-    ``advance(aut, level, clock)`` returns the next level of a non-empty
+    ``advance(level, clock)`` returns the next level of a non-empty
     ``level``, or None at the first refused charge.  A key's values are one
     flat tuple ``(D, N1, N2, ..)`` (:func:`_ratio_pairs`), the points
     ``N1/D, N2/D, ..``, and ``D > 0`` is shared by every key of the level,
-    so two keys are equal exactly when their points are.  Each piece row
-    maps ``v`` to ``(a*v + b) / c`` in lowest terms, and ``C`` is the lcm
-    of every row's ``c``.  A level on ``D`` steps to one on ``D*C``, with
-    integers computed once per level: a point ``N`` passes the piece with
-    ``floor(lo*D) < N < ceil(hi*D)`` to ``A*N + B``, where ``A = a*(C//c)``
-    and ``B = b*D*(C//c)``, and survives the clamp when ``ceil(box_lo*D*C)
-    <= A*N + B <= floor(box_hi*D*C)`` (an infinite end is an infinite
-    float).  For each key in insertion order and each admissible symbol in
-    order, the clock is charged once before the step; the child dies where
-    :func:`step_points` returns None, and a surviving one is inserted with
-    ``dict.setdefault``, keeping the least word of its key.  Once ``D*C``
-    is wider than ``_REDUCE_BITS`` bits, the stepped level is divided by the
-    gcd of ``D*C`` and all its numerators.  Groups of one and of two
-    points, the type-1 and type-2 traffic, have their own loops; larger
-    groups share one.
+    so two keys are equal exactly when their points are.  Each point row
+    of ``exact`` maps ``v`` to ``(a*v + b) / c`` in lowest terms, and ``C``
+    is the lcm of every row's ``c``.  A level on ``D`` steps to one on
+    ``D*C``, with integers computed once per level: a point ``N`` passes the
+    piece with ``floor(lo*D) < N < ceil(hi*D)`` to ``A*N + B``, where ``A =
+    a*(C//c)`` and ``B = b*D*(C//c)``, and survives the clamp when
+    ``ceil(box_lo*D*C) <= A*N + B <= floor(box_hi*D*C)`` (an infinite end
+    is an infinite float).  For each key in insertion order and each
+    admissible symbol in order, the clock is charged once before the step;
+    the child dies where :func:`step_points` returns None, and a surviving
+    one is inserted with ``dict.setdefault``, keeping the least word of its
+    key.  Once ``D*C`` is wider than ``_REDUCE_BITS`` bits, the stepped
+    level is divided by the gcd of ``D*C`` and all its numerators.  Groups
+    of one and of two points, the type-1 and type-2 traffic, have their own
+    loops; larger groups share one.
     """
     box = exact.box
     clamp = box is not None
     bl_n, bl_d, bh_n, bh_d = box or (0, 0, 0, 0)
-    # Every row's map (a*v + b) / c in lowest terms, so that C is least.
-    lowest = [
-        [(*row[:4], *(k // gcd(*row[4:]) for k in row[4:])) for row in table]
-        for table in exact.points
-    ]
-    C = lcm(*(row[6] for table in lowest for row in table))
+    C = lcm(*(row[6] for table in exact.points for row in table))
     # Each symbol's rows (lo, hi, A, B) on the denominator of the level being
     # stepped, refilled in place when that denominator changes, so that the
     # edge lists below hold them by reference; filled holds the denominator
     # and the clamp bounds of the child level.
-    slots: list[list] = [[] for _ in lowest]
+    slots: list[list] = [[] for _ in exact.points]
     scaled = [
         (slot, lo_n, lo_d, hi_n, hi_d, a * (C // c), b * (C // c))
-        for slot, table in zip(slots, lowest)
+        for slot, table in zip(slots, exact.points)
         for lo_n, lo_d, hi_n, hi_d, a, b, c in table
     ]
     filled: list = [None, None, None]
-    # The automaton last stepped and its admissible edges per state, as
-    # (next state, (symbol,), the symbol's slot), built once per automaton:
-    # rebuilding them for every level was measurably slower.
-    edges_of: list = [None, None]
+    # Each state's admissible edges, as (next state, (symbol,), the symbol's
+    # slot), built once: rebuilding them for every level was measurably
+    # slower.
+    edges = [
+        [(nxt, (sym,), slots[sym]) for sym, nxt in enumerate(row) if nxt >= 0]
+        for row in aut.transitions
+    ]
 
     # Each loop takes the child level's denominator D and clamp bounds.
 
-    def one(
-        edges: list, level: dict, spend: Callable[[], bool], D: int, cl, ch
-    ) -> dict | None:
+    def one(level: dict, spend: Callable[[], bool], D: int, cl, ch) -> dict | None:
         out: dict = {}
         insert = out.setdefault
         for (state, (_, n)), word in level.items():
@@ -400,9 +403,7 @@ def _ratio_point_levels(exact: _Exact) -> _Advance:
                 insert((nxt, (D, p)), word + sym)
         return out
 
-    def two(
-        edges: list, level: dict, spend: Callable[[], bool], D: int, cl, ch
-    ) -> dict | None:
+    def two(level: dict, spend: Callable[[], bool], D: int, cl, ch) -> dict | None:
         out: dict = {}
         insert = out.setdefault
         for (state, (_, n1, n2)), word in level.items():
@@ -428,9 +429,7 @@ def _ratio_point_levels(exact: _Exact) -> _Advance:
                 insert((nxt, (D, p1, p2)), word + sym)
         return out
 
-    def many(
-        edges: list, level: dict, spend: Callable[[], bool], D: int, cl, ch
-    ) -> dict | None:
+    def many(level: dict, spend: Callable[[], bool], D: int, cl, ch) -> dict | None:
         out: dict = {}
         insert = out.setdefault
         for (state, (_, *ns)), word in level.items():
@@ -454,12 +453,7 @@ def _ratio_point_levels(exact: _Exact) -> _Advance:
 
     loops = {2: one, 3: two}
 
-    def advance(aut: PrunedAutomaton, level: dict, clock: SearchClock) -> dict | None:
-        if edges_of[0] is not aut:
-            edges_of[:] = aut, [
-                [(nxt, (sym,), slots[sym]) for sym, nxt in enumerate(row) if nxt >= 0]
-                for row in aut.transitions
-            ]
+    def advance(level: dict, clock: SearchClock) -> dict | None:
         values = next(iter(level))[1]
         D = values[0]
         if D != filled[0]:
@@ -477,7 +471,7 @@ def _ratio_point_levels(exact: _Exact) -> _Advance:
         _, cl, ch = filled
         D *= C
         loop = loops.get(len(values), many)
-        out = loop(edges_of[1], level, clock.spend, D, cl, ch)
+        out = loop(level, clock.spend, D, cl, ch)
         if out and D.bit_length() > _REDUCE_BITS:
             g = D
             for _, child in out:
@@ -500,33 +494,37 @@ def _ratio_pairs(values: Iterable[Scalar]) -> tuple[int, ...]:
     return (D, *(n * (D // d) for n, d in ratios))
 
 
-def _point_search(
-    system: SwitchedSystem,
-) -> tuple[Callable, Callable, Callable, Callable | None]:
-    """``(encode, advance, near, decode)`` of a point search on finite
+def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable, Callable]:
+    """``(encode, advance, near, scalar)`` of a point search on finite
     points and targets: the one place where points are sent to integers
-    or to the generic values.
+    or kept as they are.
 
-    ``encode(points)`` is a group's root value and ``advance`` the level
-    stepper of :func:`_levels`; ``near(targets, eps)`` is the leaf test of
-    one group, passing when every point is within ``eps`` of its target
-    (``|v - t| < eps``).  In rational mode a value is the flat tuple ``(D,
-    N1, N2, ..)`` of integers over the level's shared denominator
-    (:func:`_ratio_pairs`) stepped by :func:`_ratio_point_levels`; ``near``
-    and ``decode`` read ``D`` from the value: the test is ``|N*td - tn*D| *
-    ed < en * D * td``, every point, target and ``eps = en/ed`` at its exact
-    value, and ``decode`` builds the Fraction points ``N/D``.  In float
-    mode a value is the tuple of points, a level is stepped by
-    :func:`_level_step` over :func:`step_points`, and ``decode`` is None.
-    Both ways step the same words.
+    A value is the flat tuple ``(D, N1, N2, ..)`` of a group's points over
+    the level's shared denominator ``D``, and ``scalar(N, D)`` is the point
+    ``N/D``.  ``encode(points)`` is a group's root value and ``advance`` the
+    level stepper of :func:`_levels`, bound to ``system.automaton``;
+    ``near(targets, eps)`` is the leaf test of one group, passing when
+    every point is within ``eps`` of its target (``|v - t| < eps``).  In
+    rational mode the ``N`` are integers (:func:`_ratio_pairs`) stepped by
+    :func:`_ratio_point_levels`, the test is ``|N*td - tn*D| * ed < en * D
+    * td``, every point, target and ``eps = en/ed`` at its exact value, and
+    ``scalar`` builds ``Fraction(N, D)``.  In float mode ``D`` is 1, the
+    ``N`` are the points, stepped by :func:`_level_step` over
+    :func:`step_points`, and ``scalar`` returns ``N``.  Both ways step the
+    same words.
     """
+    aut = system.automaton
     exact = system._exact()
     if exact is None:
 
-        def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
-            return lambda points: all(abs(v - t) < eps for v, t in zip(points, targets))
+        def step(values: tuple, sym: int) -> tuple | None:
+            points = step_points(system, values[1:], sym)
+            return None if points is None else (1, *points)
 
-        return tuple, _stepper(functools.partial(step_points, system)), near, None
+        def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
+            return lambda values: all(abs(v - t) < eps for v, t in zip(values[1:], targets))
+
+        return lambda points: (1, *points), _stepper(step, aut), near, lambda n, D: n
 
     def near(targets: tuple[Scalar, ...], eps: Scalar) -> Callable[[tuple], bool]:
         en, ed = eps.as_integer_ratio()
@@ -541,16 +539,12 @@ def _point_search(
 
         return test
 
-    def decode(values: tuple[int, ...]) -> tuple[Fraction, ...]:
-        D = values[0]
-        return tuple(Fraction(n, D) for n in values[1:])
-
-    return _ratio_pairs, _ratio_point_levels(exact), near, decode
+    return _ratio_pairs, _ratio_point_levels(exact, aut), near, Fraction
 
 
 def _set_search(
     system: SwitchedSystem, inside: bool
-) -> tuple[Callable, Callable, Callable, Callable | None]:
+) -> tuple[Callable, Callable, Callable, Callable]:
     """``(encode, step, fits, build)`` of a set search, shared by the
     sweeps and the walker: the one place where sets are sent to rows or
     kept as sets.
@@ -564,8 +558,8 @@ def _set_search(
     of the sources' ends, the test is cross-multiplied on the exact values
     of the targets' ends and of ``min_overlap``, and ``build`` turns rows
     back into sets; in float mode they are sets stepped by
-    :func:`step_images`, and ``build`` is None.  Both ways step the same
-    words.
+    :func:`step_images`, and ``build`` is the identity.  Both ways step the
+    same words.
     """
     partial = not inside
     min_overlap = system.numerics.min_overlap
@@ -582,7 +576,7 @@ def _set_search(
         else:
             test = functools.partial(IntervalSet.intersects, min_overlap=min_overlap)
         step = functools.partial(step_images, system, partial=partial)
-        encode, build = tuple, None
+        encode, build = tuple, lambda s: s
 
     def fits(targets: Sequence[IntervalSet]) -> Callable[[tuple], bool]:
         goals = encode(targets)
@@ -604,8 +598,8 @@ def iter_set_hits(
     those enclosures.
 
     The words are walked by :func:`~swmix.language.walk` through the
-    clock's step memo and dead-subtree set.  On rows (:func:`_set_search`)
-    a hit's sets are built when it is yielded.  Stops silently when the
+    clock's step memo and dead-subtree set.  A hit's sets are built
+    (:func:`_set_search`) when it is yielded.  Stops silently when the
     clock runs out (check ``clock.exceeded``); raises ValueError for a
     ``length`` below 1.
     """
@@ -615,7 +609,7 @@ def iter_set_hits(
     dead = clock.dead_set(system, targets)
     hits = walk(system.automaton, length, encode(sources), step, clock.spend, fits(targets), dead)
     for syms, values in hits:
-        yield syms, values if build is None else tuple(map(build, values))
+        yield syms, tuple(map(build, values))
 
 
 def first_set_hit(
@@ -644,12 +638,12 @@ def first_set_hit(
     aut, suffix = system.automaton, tuple(suffix)
     encode, step, fits, build = _set_search(system, inside=False)
     test = fits(targets)
-    sweep = _levels(aut, _stepper(step), [encode(sources)], clock, max(wanted, default=0))
+    sweep = _levels(aut, _stepper(step, aut), [encode(sources)], clock, max(wanted, default=0))
     for n, (level,) in enumerate(sweep, 1):
         if n in wanted:
             for (_, values), word in level.items():
                 if test(values) and accepts_prefix(aut, word + suffix):
-                    return word, values if build is None else tuple(map(build, values))
+                    return word, tuple(map(build, values))
     return None
 
 
@@ -671,15 +665,16 @@ def iter_point_hits(
     Stage lengths strictly increase, so one level sweep (:func:`_levels`)
     per group serves every stage: each distinct ``(state, values)`` key of a
     length is stepped once per sweep, and a level's first key that passes
-    holds its least hit.  Points are stepped as :func:`_point_search` picks;
-    in rational mode one Fraction is built per point of each yielded hit.
+    holds its least hit.  Points are stepped as :func:`_point_search` picks,
+    and its ``scalar`` builds each point of a yielded hit: one Fraction in
+    rational mode.
     Stops silently when the clock runs out (check ``clock.exceeded``), a
     group's orbits all die or the horizon passes; raises ValueError for a
     ``horizon`` below 1.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
-    encode, advance, near, decode = _point_search(system)
+    encode, advance, near, scalar = _point_search(system)
     roots = [encode(g) for g in groups]
     sweep = enumerate(_levels(system.automaton, advance, roots, clock, horizon), 1)
     for eps in tolerances:
@@ -690,7 +685,8 @@ def iter_point_hits(
                 hit = next(((w, v) for (_, v), w in level.items() if test(v)), None)
                 if hit is None:
                     break  # this group has no hit of length n
-                hits.append(hit if decode is None else (hit[0], decode(hit[1])))
+                word, (D, *ns) = hit
+                hits.append((word, tuple(scalar(n, D) for n in ns)))
             else:
                 yield n, tuple(hits)
                 break

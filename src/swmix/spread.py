@@ -290,7 +290,7 @@ def certify_spread(
     ]
     order = list(dict.fromkeys(probes + table))
     encode, step, fits, _ = _set_search(system, inside=True)
-    advance = _stepper(step)
+    advance = _stepper(step, system.automaton)
     tests = {alpha: fits([net.ball(a, eps) for a in alpha]) for alpha in order}
     clock = SearchClock(budget)
     failed: tuple[int, ...] | None = None

@@ -767,6 +767,74 @@ def test_float_global_envelopes_verify(system, x, y, kind, horizon):
     assert verify_envelope(system, env)
 
 
+# Float envelopes against the plain level loop above, from Fraction and
+# float points.  Type-2 rows must be the loop's.  Type-1 rows read their
+# words off the extreme values, and float rounding can tie another pair's
+# distance with an extreme's (the test after this one), so only their
+# lengths, extremes and truncation must be the loop's.  Every envelope must
+# verify.
+FLOAT_SWEEP_SYSTEMS = sweep_systems().map(
+    lambda s: dataclasses.replace(s, numerics=Numerics(mode="float"))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    FLOAT_SWEEP_SYSTEMS,
+    DIFFERENCE_POINTS,
+    DIFFERENCE_POINTS,
+    st.sampled_from(["type1", "type2"]),
+    st.integers(1, 6),
+    st.one_of(st.integers(1, 300), st.just(500_000)),
+)
+def test_float_envelope_matches_plain_levels(system, x, y, kind, horizon, max_words):
+    if x == y:
+        reject()
+    env = distance_envelope(
+        system, x, y, kind=kind, horizon=horizon, budget=SearchBudget(max_words=max_words)
+    )
+    want = reference_envelope(system, x, y, kind, horizon, max_words)
+    assert verify_envelope(system, env)
+    if kind == "type2":
+        assert repr(env) == repr(want)
+    else:
+        assert [(r.length, r.d_min, r.d_max) for r in env.rows] == [
+            (r.length, r.d_min, r.d_max) for r in want.rows
+        ]
+        assert env.truncated == want.truncated
+
+
+def test_float_type1_row_keeps_the_scanned_pair_at_a_rounded_tie():
+    # Row 3's maximum is reached by y-words 110 (y orbit -0.8760000000000001)
+    # and 011 (-0.876), whose distances to x's largest value round alike.
+    # The row records 110, with the extreme value; the plain loop the least
+    # pair, with 011.
+    folds = PiecewiseAffineMap(
+        pieces=(
+            AffinePiece(Interval(F(0), F(1, 8)), F(2), F(-1)),
+            AffinePiece(Interval(F(1, 8), F(1)), F(1), F(-1)),
+        )
+    )
+    system = SwitchedSystem(
+        (folds, PiecewiseAffineMap.globally(-1, F(2, 3))),
+        FullShift(2),
+        UNIT_BOX,
+        numerics=Numerics(mode="float"),
+    )
+    env = distance_envelope(system, F(-1), 0.062, kind="type1", horizon=3)
+    want = reference_envelope(system, F(-1), 0.062, "type1", 3, 500_000)
+    got, plain = env.rows[2], want.rows[2]
+    assert got.d_max == plain.d_max == 2.542666666666667
+    assert [w.as_string() for w in got.max_words] == ["111", "110"]
+    assert [w.as_string() for w in plain.max_words] == ["111", "011"]
+    assert [eval_point(system, Word.from_string(w), 0.062) for w in ("110", "011")] == [
+        -0.8760000000000001,
+        -0.876,
+    ]
+    assert env.rows[:2] == want.rows[:2]
+    assert verify_envelope(system, env)
+
+
 # The integer point kernel steps a whole level per call, every point an
 # integer over the level's one denominator.  Against _level_step over the
 # per-edge step on reduced pairs that it replaced (helpers), its levels must
@@ -789,16 +857,20 @@ def _reference_and_kernel_levels(system, points, depth, max_words):
     def pairs_points(pairs):
         return tuple(F(n, d) for n, d in zip(pairs[::2], pairs[1::2]))
 
+    def kernel_points(values):
+        D = values[0]
+        return tuple(F(n, D) for n in values[1:])
+
     runs = (
         (
-            search._stepper(reference_ratio_point_step(exact)),
+            search._stepper(reference_ratio_point_step(exact), aut),
             tuple(r for x in points for r in x.as_integer_ratio()),
             pairs_points,
         ),
         (
-            search._ratio_point_levels(exact),
+            search._ratio_point_levels(exact, aut),
             search._ratio_pairs(points),
-            search._point_search(system)[3],
+            kernel_points,
         ),
     )
     out = []
@@ -806,7 +878,7 @@ def _reference_and_kernel_levels(system, points, depth, max_words):
         clock = SearchClock(SearchBudget(max_words=max_words))
         level, levels, denominators = {(aut.start, root): ()}, [], []
         for _ in range(depth):
-            level = advance(aut, level, clock)
+            level = advance(level, clock)
             if level is None:
                 levels.append(None)
                 break

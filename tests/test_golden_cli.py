@@ -577,3 +577,84 @@ def test_json_number_ends_print_witness_sources_as_fractions(tmp_path, capsys):
     assert all(type(end) is str for source in sources for end in source)
     assert main(["verify", str(tmp_path / "wm" / "certificate.json")]) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "wm", "verified": True}
+
+
+# Tampered certificates: every number under "certificate" of each golden
+# certificate, a fraction or infinity string included, is replaced in turn
+# by each value below and the file is verified in-process.  Every run must
+# exit 0 or 1 with one JSON object on stdout, never raise.  A non-finite
+# value may verify only where it widens the claim: a K, Q or pair end moved
+# outward, eps raised to +inf, or the net radius, which the spread verifier
+# does not read.
+CERTIFIED = (
+    "wm1",
+    "wm2",
+    "wm1-fallback-gaps",
+    "spread",
+    "spread-float",
+    "xiong-type1",
+    "xiong-type2",
+)
+NAN, INF = float("nan"), float("inf")
+TAMPERED_VALUES = (NAN, INF, -INF, "inf", "-inf", 1e308, 0, -1, "-1/3", "1/1000000000000", 10**400)
+
+
+def _is_number(leaf) -> bool:
+    if isinstance(leaf, bool):
+        return False
+    if isinstance(leaf, (int, float)):
+        return True
+    if isinstance(leaf, str):
+        try:
+            F(leaf)
+        except ValueError:
+            return leaf in ("inf", "-inf")
+        return True
+    return False
+
+
+def _number_paths(node, path=()):
+    """The path of every number under ``node``, in document order."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _number_paths(child, path + (key,))
+    elif _is_number(node):
+        yield path
+
+
+def _widens(path: tuple, value) -> bool:
+    """Whether ``value`` at ``path`` (under "certificate") weakens the claim
+    without falsifying it."""
+    if path == ("net", "radius"):
+        return True
+    if path == ("eps",):
+        return value in (INF, "inf")
+    if path[0] in ("K", "Q", "pairs") and path[-1] in (0, 1):
+        return value in ((-INF, "-inf") if path[-1] == 0 else (INF, "inf"))
+    return False
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_tampered_certificates_fail_cleanly(name, tmp_path, capsys):
+    scn = tmp_path / f"{name}.json"
+    scn.write_text(json.dumps(SCENARIOS[name]))
+    main(["run", str(scn), "--out", str(tmp_path / name)])
+    capsys.readouterr()
+    doc = json.loads((tmp_path / name / "certificate.json").read_text())
+    paths = list(_number_paths(doc["certificate"]))
+    assert paths
+    tampered = tmp_path / "tampered.json"
+    for path in paths:
+        for value in TAMPERED_VALUES:
+            copy = json.loads(json.dumps(doc))
+            node = copy["certificate"]
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            tampered.write_text(json.dumps(copy))
+            code = main(["verify", str(tampered)])
+            out = json.loads(capsys.readouterr().out)
+            assert code in (0, 1) and isinstance(out, dict), (path, value, out)
+            non_finite = value in (INF, -INF, "inf", "-inf") or value != value
+            if code == 0 and non_finite:
+                assert _widens(path, value), (path, value, out)

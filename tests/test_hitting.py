@@ -89,6 +89,28 @@ def test_point_witnesses_need_a_point_of_u_whose_orbit_lands_in_v():
     assert not HitWitness(word, "point", point=F(1, 3)).verify(system, source, target)
 
 
+def test_float_point_witnesses_do_not_verify():
+    # x + 0.1 on a small U around 0.2: the exact image ends below V's low
+    # end lo, halfway between 0.2 + 0.1 in exact and in float arithmetic, so
+    # no word of length 1 hits V.  The float orbit 0.2 + 0.1 lands in V
+    # anyway, and a float point witness must not turn it into a claim.
+    s, r = F(0.2) + F(0.1), 0.2 + 0.1
+    lo = (s + F(r)) / 2
+    d = (lo - s) / 4
+    source, target = IntervalSet.of(F(0.2) - d, F(0.2) + d), IntervalSet.of(lo, 1)
+    system = SwitchedSystem(
+        (PiecewiseAffineMap.globally(1.0, 0.1),),
+        FullShift(1),
+        Interval(0, 1),
+        numerics=Numerics(mode="float"),
+    )
+    assert hitting_sets(system, source, target, SearchBudget(max_horizon=1)).type1 == ()
+    wit = HitWitness(Word.of(0), "point", point=0.2)
+    assert not wit.verify(system, source, target)
+    rational = dataclasses.replace(system, numerics=Numerics())
+    assert not wit.verify(rational, source, target)
+
+
 def test_pull_back_hit():
     sub = pull_back_hit(CLAMPED, Word.from_string("0000"), U, V)
     assert sub == IntervalSet.of(F(9, 160), F(1, 16))

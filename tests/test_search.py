@@ -398,7 +398,7 @@ def test_point_hits_match_plain_fraction_orbits(
         groups, targets = [starts], [ends]
     else:
         groups, targets = [(x,) for x in starts], [(t,) for t in ends]
-    assert search._point_search(system)[3] is not None
+    assert system._exact() is not None
     clock = SearchClock(SearchBudget(max_words=max_words))
     stages = list(iter_point_hits(system, groups, targets, tolerances, horizon, clock))
     want, spent, exceeded = reference_point_sweep(
@@ -593,10 +593,11 @@ FLOAT_MAPS = (PiecewiseAffineMap.globally(2.0, 0.0), PiecewiseAffineMap.globally
 
 def test_point_search_path_follows_the_mode():
     # The numeric mode alone picks the path: rational mode steps integer
-    # pairs even with float maps or a float clamp end, and float mode the
-    # generic loop.  Only the integer path has a decode step.
+    # points even with float maps or a float clamp end, and float mode the
+    # generic loop.  Only the integer path's scalar reads N over D: it gives
+    # N/D, the generic one N.
     def exact_path(system):
-        return search._point_search(system)[3] is not None
+        return search._point_search(system)[3](1, 2) == F(1, 2)
 
     assert exact_path(CLAMPED)
     assert exact_path(_variant(bounds=Interval(0.0, 1.0)))
