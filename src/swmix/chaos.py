@@ -27,14 +27,17 @@ level key is ``(state, (D, N1[, N2]))``: the points ``N/D`` over one
 denominator ``D`` that every key of the level shares, and the adapter's
 ``scalar(N, D)`` gives a value.  In rational mode the ``N`` are integers,
 each level is stepped whole by the integer kernel
-:func:`~swmix.search._ratio_point_levels`, which divides a level down by a
-gcd only once ``D`` outgrows a machine word, and ``scalar`` builds a
+:func:`~swmix.search._ratio_point_levels`, which grows ``D`` by the lcm of
+the slopes' denominators per length (not at all on unit slopes) and divides
+a level down by a gcd only once ``D`` outgrows a machine word, and
+``scalar`` builds a
 Fraction; every point, target and tolerance counts at its exact value, a
 finite float's included; so does a float target in an error ``|v - t|``
 (:func:`_error`).  In float mode ``D`` is 1 and the ``N`` are the float
 points.  Type-2 distances are ``|N2 - N1|`` over the level's ``D``; type-1
-levels are sorted and bisected on ``N * (L // D)``, with ``L`` the lcm of
-the two levels' denominators, one multiplier per level.  One scalar is built
+levels collapse to their distinct ``N * (L // D)``, with ``L`` the lcm of
+the two levels' denominators, one multiplier per level, which are sorted,
+bisected and scanned as plain numbers.  One scalar is built
 per row extreme, and the rows, words, truncation and clock charges are
 those of the plain level loop, with one float-mode exception: type-1 words
 are read off the extreme values, so where rounding makes another pair's
@@ -47,6 +50,13 @@ key per state and difference, on the same path as any other point
 search.  Float mode steps the point pair itself, like every other float
 envelope: rounded orbits do not move their difference on its own, and
 :func:`verify_envelope` recomputes the distance of the two float orbits.
+
+The verifiers re-check apart from the search: they replay every stored
+word with :func:`~swmix.core.eval_point` on the exact form's point rows,
+never through the search kernel.  In rational mode they compare each
+replayed distance or error with its recorded value on integers, by
+cross-multiplying the ratios of the exact values, and build no Fraction
+beyond :func:`~swmix.core.eval_point`'s results.
 """
 
 from __future__ import annotations
@@ -56,12 +66,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from math import isfinite, lcm
-from operator import itemgetter
 from typing import Callable, Sequence
 
 from .core import PiecewiseAffineMap, SwitchedSystem, eval_point
 from .errors import UndefinedAtPoint
-from .intervals import POS_INF, Scalar, _exact_value
+from .intervals import Scalar, _exact_value
 from .language import accepts_prefix
 from .search import (
     SearchBudget,
@@ -222,23 +231,26 @@ def distance_envelope(
 def _type1_row(n: int, level_x: dict, level_y: dict, scalar: Callable) -> EnvelopeRow:
     """Independent-word extremes via sorted values and nearest-neighbour scan.
 
-    Each level collapses to its distinct values, each with its least word
-    (the first met, see :func:`~swmix.search._level_step`).  A level holds
-    points ``N`` over its one denominator ``D``
-    (:func:`~swmix.search._point_search`); both levels are brought to ``L =
-    lcm(Dx, Dy)`` by the single multiplier ``L // D`` each (none in float
-    mode, where ``D`` is 1), so the ``N`` sort, bisect and subtract like the
-    values, and each extreme is built once as ``scalar(k, L)``.
+    Each level collapses to a ``{N: least word}`` dict of its distinct
+    values (the first word met is the least, see
+    :func:`~swmix.search._level_step`).  A level holds points ``N`` over its
+    one denominator ``D`` (:func:`~swmix.search._point_search`); both levels
+    are brought to ``L = lcm(Dx, Dy)`` by the single multiplier ``L // D``
+    each (none in float mode, where ``D`` is 1), so the plain ``N`` sort,
+    bisect and subtract like the values, and each extreme is built once as
+    ``scalar(k, L)``.
 
-    The words come with the scanned pairs: the least neighbouring pair at
-    the minimum, and at the maximum the least of the two extreme pairs.
-    With exact values no other pair reaches an extreme, so these are the
-    lexicographically first pairs.  Float distances are rounded, and a pair
-    the scans pass over can round to an extreme's distance: the row keeps
-    the scanned pair, which need not be the least.  (Float maps {2x - 1 on
-    (0, 1/8), x - 1 on (1/8, 1)} and -x + 2/3 from -1 and 0.062, length 3:
-    y-words 110 and 011 both reach the maximum 2.542666666666667, and the
-    row records 110.)
+    The minimum is scanned on the values alone, over each y value's two
+    neighbours among the sorted x values; words are compared only among the
+    scanned pairs at the minimum, and the least pair is kept.  At the
+    maximum the least of the two extreme pairs is kept.  With exact values
+    no other pair reaches an extreme, so these are the lexicographically
+    first pairs.  Float distances are rounded, and a pair the scans pass
+    over can round to an extreme's distance: the row keeps the scanned
+    pair, which need not be the least.  (Float maps {2x - 1 on (0, 1/8), x -
+    1 on (1/8, 1)} and -x + 2/3 from -1 and 0.062, length 3: y-words 110
+    and 011 both reach the maximum 2.542666666666667, and the row records
+    110.)
     """
 
     def collapse(level: dict) -> dict:
@@ -247,43 +259,53 @@ def _type1_row(n: int, level_x: dict, level_y: dict, scalar: Callable) -> Envelo
             best.setdefault(v[-1], w)
         return best
 
-    xs, ys = list(collapse(level_x).items()), list(collapse(level_y).items())
+    bx, by = collapse(level_x), collapse(level_y)
     dx, dy = next(iter(level_x))[1][0], next(iter(level_y))[1][0]
     scale = lcm(dx, dy)
     if scale != dx:
-        xs = [(v * (scale // dx), w) for v, w in xs]
+        k = scale // dx
+        bx = {v * k: w for v, w in bx.items()}
     if scale != dy:
-        ys = [(v * (scale // dy), w) for v, w in ys]
-    # The values are distinct, so sorting on them alone gives the same
-    # order as sorting the pairs, without comparing equal values.
-    xs.sort(key=itemgetter(0))
-    ys.sort(key=itemgetter(0))
-    x_vals = [v for v, _ in xs]
-    best_min = None
-    for v, wy in ys:
-        i = bisect.bisect_left(x_vals, v)
+        k = scale // dy
+        by = {v * k: w for v, w in by.items()}
+    xs, ys = sorted(bx), sorted(by)
+    # Each y value's neighbours: the greatest x below it (i - 1) and the
+    # least x at or above it (i), so both differences are non-negative.
+    find, top = bisect.bisect_left, len(xs)
+    lo, ties = None, []
+    for v in ys:
+        i = find(xs, v)
         for j in (i - 1, i):
-            if 0 <= j < len(xs):
-                xv, wx = xs[j]
-                cand = (abs(xv - v), wx, wy)
-                if best_min is None or cand < best_min:
-                    best_min = cand
-    assert best_min is not None
+            if 0 <= j < top:
+                xv = xs[j]
+                d = v - xv if j < i else xv - v
+                if lo is None or d < lo:
+                    lo, ties = d, [(xv, v)]
+                elif d == lo:
+                    ties.append((xv, v))
+    assert lo is not None
+    w_lo = min((bx[xv], by[v]) for xv, v in ties)
     # |a - b| over independent choices peaks at one of the two extreme combos
-    spans = sorted(
-        [
-            (xs[-1][0] - ys[0][0], xs[-1][1], ys[0][1]),
-            (ys[-1][0] - xs[0][0], xs[0][1], ys[-1][1]),
-        ],
+    hi, *w_hi = min(
+        (xs[-1] - ys[0], bx[xs[-1]], by[ys[0]]),
+        (ys[-1] - xs[0], bx[xs[0]], by[ys[-1]]),
         key=lambda t: (-t[0], t[1], t[2]),
     )
     return EnvelopeRow(
         n,
-        scalar(best_min[0], scale),
-        scalar(spans[0][0], scale),
-        (Word(best_min[1]), Word(best_min[2])),
-        (Word(spans[0][1]), Word(spans[0][2])),
+        scalar(lo, scale),
+        scalar(hi, scale),
+        tuple(map(Word, w_lo)),
+        tuple(map(Word, w_hi)),
     )
+
+
+def _ratio(x: object) -> tuple[int, int] | None:
+    """The exact value ``n/d`` of a finite int, float or Fraction (a bool
+    counts as an int); None for NaN, an infinity or anything else."""
+    if isinstance(x, (int, Fraction)) or isinstance(x, float) and isfinite(x):
+        return x.as_integer_ratio()
+    return None
 
 
 def verify_envelope(system: SwitchedSystem, env: DistanceEnvelope) -> bool:
@@ -294,11 +316,18 @@ def verify_envelope(system: SwitchedSystem, env: DistanceEnvelope) -> bool:
     when a row holds the wrong number of words (one per extreme for type 2,
     two for type 1), a word of the wrong length or one the switching
     language does not admit, or a word along which an orbit dies.
+
+    Every orbit is replayed by :func:`~swmix.core.eval_point`.  In rational
+    mode a replayed distance ``|u - v|`` is compared with its row's value
+    ``c`` on integers, ``|un*vd - vn*ud| * cd == cn * ud * vd`` over the
+    ratios ``n/d`` of the exact values, so a NaN, infinite or non-numeric
+    row value fails; float mode compares the floats.
     """
     if len(env.rows) > env.horizon or any(
         row.length != n for n, row in enumerate(env.rows, 1)
     ):
         return False
+    exact = system._exact() is not None
     per_extreme = 1 if env.kind == "type2" else 2
     for row in env.rows:
         if len(row.min_words) != per_extreme or len(row.max_words) != per_extreme:
@@ -308,14 +337,23 @@ def verify_envelope(system: SwitchedSystem, env: DistanceEnvelope) -> bool:
                 return False
         try:
             # ws[0] drives x and ws[-1] drives y: the same word for type 2.
-            lo, hi = (
-                abs(eval_point(system, ws[0], env.x) - eval_point(system, ws[-1], env.y))
+            ends = [
+                (eval_point(system, ws[0], env.x), eval_point(system, ws[-1], env.y))
                 for ws in (row.min_words, row.max_words)
-            )
+            ]
         except UndefinedAtPoint:
             return False
-        if lo != row.d_min or hi != row.d_max:
-            return False
+        for (u, v), claim in zip(ends, (row.d_min, row.d_max)):
+            if not exact:
+                if abs(u - v) != claim:
+                    return False
+                continue
+            c = _ratio(claim)
+            if c is None:
+                return False
+            (un, ud), (vn, vd), (cn, cd) = u.as_integer_ratio(), v.as_integer_ratio(), c
+            if abs(un * vd - vn * ud) * cd != cn * ud * vd:
+                return False
     return True
 
 
@@ -440,13 +478,22 @@ def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
     each replayed error at most its recorded one, which lies below the
     stage's finite tolerance; every word must be admitted by the switching
     language.  A witness with no stage, no point, or not one target per
-    point carries no evidence and fails, and so does a NaN error or
-    tolerance."""
+    point carries no evidence and fails, and so does a NaN, infinite or
+    non-numeric error, tolerance or target.
+
+    Every orbit is replayed by :func:`~swmix.core.eval_point`.  In rational
+    mode the error ``|v - t|`` and the bounds are compared on integers, over
+    the ratios ``n/d`` of the exact values of the orbit end ``v``, the
+    target ``t``, the recorded error ``c`` and the tolerance ``e``:
+    ``|vn*td - tn*vd| * cd <= cn * vd * td`` and ``cn * ed < en * cd``.
+    Float mode compares the floats.
+    """
     lengths = wit.stage_lengths()
     if not lengths or not wit.points or len(wit.targets) != len(wit.points):
         return False
     if any(b <= a for a, b in zip(lengths, lengths[1:])):
         return False
+    exact = system._exact() is not None
     for stage in wit.stages:
         words = stage.words
         if wit.kind == "type2":
@@ -455,14 +502,24 @@ def verify_xiong(system: SwitchedSystem, wit: XiongWitness) -> bool:
             words = words * len(wit.points)
         if len(words) != len(wit.points) or len(stage.errors) != len(wit.points):
             return False
+        e = _ratio(stage.tolerance)
+        if e is None:
+            return False
         for w, x, t, claimed in zip(words, wit.points, wit.targets, stage.errors):
             if len(w) != stage.length or not accepts_prefix(system.automaton, w):
                 return False
             try:
-                err = _error(system, eval_point(system, w, x), t)
+                v = eval_point(system, w, x)
             except UndefinedAtPoint:
                 return False
-            # Written so that a NaN error or tolerance fails.
-            if not err <= claimed < stage.tolerance < POS_INF:
+            g, c = _ratio(t), _ratio(claimed)
+            if g is None or c is None:
+                return False
+            if not exact:
+                if not abs(v - t) <= claimed < stage.tolerance:
+                    return False
+                continue
+            (vn, vd), (tn, td), (cn, cd), (en, ed) = v.as_integer_ratio(), g, c, e
+            if abs(vn * td - tn * vd) * cd > cn * vd * td or cn * ed >= en * cd:
                 return False
     return True

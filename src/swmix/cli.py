@@ -60,9 +60,12 @@ from .spread import _check_net, build_qnet, certify_spread, verify_certificate
 __all__ = ["main"]
 
 _LIST_CAP = 100_000
-# Longest word length that prelang counts or lists.  Every count is written
-# out; over at most 64 symbols, a count of length 1,000 has at most 1,807
-# digits, inside the 4,300 that Python turns into a string by default.
+# Longest word length that prelang counts or lists, and longest horizon of a
+# scrambled envelope.  Every count is written out; over at most 64 symbols, a
+# count of length 1,000 has at most 1,807 digits, inside the 4,300 that
+# Python turns into a string by default.  An envelope's distances can grow
+# as fast as its slopes' powers: on the unclamped tent at horizon 15,000 the
+# search took 14 s and the rows could not be printed.
 _MAX_LEN = 1_000
 
 
@@ -208,7 +211,9 @@ def _task_scrambled(
     x = scalar_from_json(_require(params, "x"))
     y = scalar_from_json(_require(params, "y"))
     kind = params.get("kind", "type2")
-    envelope_args = {key: _int_param(params, key) for key in ("horizon",) if key in params}
+    envelope_args = {
+        key: _int_param(params, key, maximum=_MAX_LEN) for key in ("horizon",) if key in params
+    }
     eps_prox = scalar_from_json(params.get("eps_prox", "1/10"))
     eps_div = scalar_from_json(params.get("eps_div", "1/2"))
     verdict_args = {key: _int_param(params, key) for key in ("k",) if key in params}

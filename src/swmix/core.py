@@ -47,8 +47,10 @@ whenever it exists, whatever the types of their inputs.
 are the generic loops: the float-mode step, and the reference the integer
 paths are tested against.
 
-* A point is carried as a reduced pair ``(n, d)``; :func:`eval_point` steps
-  a whole word on it and builds one Fraction at the end.
+* A point is carried as a pair ``(n, d)`` with ``d > 0``, reduced only
+  once ``d`` has grown a machine word (``_REDUCE_BITS``) since its last
+  reduction; :func:`eval_point` steps a whole word on it and builds one
+  Fraction at the end.
 * Sets are carried as rows (:mod:`swmix.intervals`): one ``(lo_n, lo_d,
   hi_n, hi_d)`` per component, every computed end reduced by ``gcd`` with
   ``d > 0`` and an infinite end ``(-1, 0)`` or ``(1, 0)`` whatever the
@@ -389,13 +391,22 @@ def _check_word(system: SwitchedSystem, word: Word | Sequence[int]) -> tuple[int
     return symbols
 
 
+# An integer point's denominator is reduced, by its gcd with the
+# numerator, only once it has grown this many bits: below that its products
+# cost about what a machine word's do, and a gcd per step or per level was
+# slower on maps that grow the denominator by a small factor.
+_REDUCE_BITS = 62
+
+
 def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) -> Scalar:
     """Orbit endpoint ``f_w(x)``; raises UndefinedAtPoint when the orbit dies.
 
     Rational mode steps the whole word on the exact form's point rows,
     from the exact value ``n/d`` of ``x``: ``n/d`` passes the piece with
-    ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``,
-    reduced, and one Fraction is built at the end -- the value, type and
+    ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``.
+    The pair is divided by ``gcd(n, d)`` only once ``d`` has grown
+    ``_REDUCE_BITS`` bits past its width at the last reduction (or at the
+    start), and one Fraction is built at the end -- the value, type and
     repr of the :meth:`~PiecewiseAffineMap.value_at` loop on exact values.
     An infinite or NaN ``x`` lies in no piece's domain.
     """
@@ -405,20 +416,22 @@ def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) ->
         if type(x) is float and not math.isfinite(x):
             raise UndefinedAtPoint(f"orbit undefined at step 0: {x} is not finite")
         n, d = x.as_integer_ratio()
+        cap = d << _REDUCE_BITS
         for step, sym in enumerate(symbols):
             for lo_n, lo_d, hi_n, hi_d, a, b, c in exact.points[sym]:
                 if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
                     n, d = a * n + b * d, c * d
-                    g = gcd(n, d)
-                    if g != 1:
-                        n //= g
-                        d //= g
                     break
             else:
                 raise UndefinedAtPoint(
                     f"orbit undefined at step {step}: map {sym} has no piece at "
                     f"{Fraction(n, d)}"
                 )
+            if d > cap:
+                g = gcd(n, d)
+                n //= g
+                d //= g
+                cap = d << _REDUCE_BITS
         return Fraction(n, d)
     value = x
     for step, sym in enumerate(symbols):

@@ -55,9 +55,11 @@ that every key of a level shares, and ``scalar(N, D)`` gives a point's
 value.  In rational mode the ``N`` are integers, the test ``|v - t| < eps``
 is cross-multiplied and one integer kernel (:func:`_ratio_point_levels`)
 steps a whole level per call, every edge inline, with its own loops for
-groups of one and of two points: a level on ``D`` steps to one on ``D*C``
-with two integer comparisons and one multiply-add per point, and is divided
-down by a gcd only once its denominator outgrows a machine word.  In float
+groups of one and of two points: a level on ``D`` steps to one on ``D*K``,
+``K`` the lcm of the slopes' denominators, with two integer comparisons and
+one multiply-add per point, and is divided down by a gcd only once its
+denominator outgrows a machine word.  Unit slopes, as on circle rotations,
+keep one denominator for every level.  In float
 mode ``D`` is 1 and the ``N`` are the points themselves.  Either way,
 Fractions are built only for the hits returned.  Float mode steps sets with
 :func:`step_images` and points with :func:`step_points`, one call per edge
@@ -74,7 +76,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import SwitchedSystem, _Exact, _image_rows, image_of
+from .core import _REDUCE_BITS, SwitchedSystem, _Exact, _image_rows, image_of
 from .errors import UndefinedAtPoint, UndefinedOnSet
 from .intervals import (
     NEG_INF,
@@ -327,52 +329,58 @@ def step_points(
     return tuple(out)
 
 
-# A level's shared denominator is reduced, by its gcd with every numerator
-# of the level, only once it is wider than a machine word: below that its
-# products cost about what a word's do, and reducing every level was slower
-# on maps whose levels grow by a small factor (C = 2).
-_REDUCE_BITS = 62
-
-
-def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> _Advance:
-    """The level stepper of point searches on integers over one shared
+def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> tuple[Callable, _Advance]:
+    """``(encode, advance)`` of point searches on integers over one shared
     denominator, with the system's exact form, on the admissible words of
     ``aut``: :func:`_level_step` over :func:`step_points`, each edge
     stepped inline.
 
-    ``advance(level, clock)`` returns the next level of a non-empty
-    ``level``, or None at the first refused charge.  A key's values are one
-    flat tuple ``(D, N1, N2, ..)`` (:func:`_ratio_pairs`), the points
+    A key's values are one flat tuple ``(D, N1, N2, ..)``, the points
     ``N1/D, N2/D, ..``, and ``D > 0`` is shared by every key of the level,
-    so two keys are equal exactly when their points are.  Each point row
-    of ``exact`` maps ``v`` to ``(a*v + b) / c`` in lowest terms, and ``C``
-    is the lcm of every row's ``c``.  A level on ``D`` steps to one on
-    ``D*C``, with integers computed once per level: a point ``N`` passes the
-    piece with ``floor(lo*D) < N < ceil(hi*D)`` to ``A*N + B``, where ``A =
-    a*(C//c)`` and ``B = b*D*(C//c)``, and survives the clamp when
-    ``ceil(box_lo*D*C) <= A*N + B <= floor(box_hi*D*C)`` (an infinite end
-    is an infinite float).  For each key in insertion order and each
-    admissible symbol in order, the clock is charged once before the step;
-    the child dies where :func:`step_points` returns None, and a surviving
-    one is inserted with ``dict.setdefault``, keeping the least word of its
-    key.  Once ``D*C`` is wider than ``_REDUCE_BITS`` bits, the stepped
-    level is divided by the gcd of ``D*C`` and all its numerators.  Groups
-    of one and of two points, the type-1 and type-2 traffic, have their own
-    loops; larger groups share one.
+    so two keys are equal exactly when their points are.  ``K`` is the lcm
+    of the slopes' denominators, and a level on ``D`` steps to one on
+    ``D*K``, with integers computed once per level: a point ``N`` passes
+    the piece with ``floor(lo*D) < N < ceil(hi*D)`` to ``A*N + B``, where
+    ``A = slope*K`` and ``B = offset*D*K``, and survives the clamp when
+    ``ceil(box_lo*D*K) <= A*N + B <= floor(box_hi*D*K)`` (an infinite end
+    is an infinite float).  ``B`` is an integer because every ``D`` is a
+    multiple of ``L``, the least number for which ``offset*L*K`` is an
+    integer on every piece: ``encode(points)`` takes ``D`` as the lcm of
+    ``L`` and the denominators of the points' exact values.  Unit slopes,
+    as on circle rotations, give ``K = 1``: every level keeps the root's
+    ``D``.
+
+    ``advance(level, clock)`` returns the next level of a non-empty
+    ``level``, or None at the first refused charge.  For each key in
+    insertion order and each admissible symbol in order, the clock is
+    charged once before the step; the child dies where :func:`step_points`
+    returns None, and a surviving one is inserted with ``dict.setdefault``,
+    keeping the least word of its key.  Once ``D*K`` is wider than
+    ``_REDUCE_BITS`` bits, the stepped level is divided by the gcd of
+    ``D*K // L`` and all its numerators, so that ``D`` stays a multiple of
+    ``L``.  Groups of one and of two points, the type-1 and type-2 traffic,
+    have their own loops; larger groups share one.
     """
     box = exact.box
     clamp = box is not None
     bl_n, bl_d, bh_n, bh_d = box or (0, 0, 0, 0)
-    C = lcm(*(row[6] for table in exact.points for row in table))
+    # Each point row (a*v + b) / c as its symbol, its piece test, and its
+    # slope's and its offset's numerator and denominator in lowest terms.
+    pieces = []
+    for sym, table in enumerate(exact.points):
+        for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
+            g, h = gcd(a, c), gcd(b, c)
+            pieces.append((sym, lo_n, lo_d, hi_n, hi_d, a // g, c // g, b // h, c // h))
+    K = lcm(*(piece[6] for piece in pieces))
+    L = lcm(*(od // gcd(od, K) for *_, od in pieces))
     # Each symbol's rows (lo, hi, A, B) on the denominator of the level being
     # stepped, refilled in place when that denominator changes, so that the
     # edge lists below hold them by reference; filled holds the denominator
     # and the clamp bounds of the child level.
     slots: list[list] = [[] for _ in exact.points]
     scaled = [
-        (slot, lo_n, lo_d, hi_n, hi_d, a * (C // c), b * (C // c))
-        for slot, table in zip(slots, exact.points)
-        for lo_n, lo_d, hi_n, hi_d, a, b, c in table
+        (slots[sym], lo_n, lo_d, hi_n, hi_d, sn * (K // sd), on * K, od)
+        for sym, lo_n, lo_d, hi_n, hi_d, sn, sd, on, od in pieces
     ]
     filled: list = [None, None, None]
     # Each state's admissible edges, as (next state, (symbol,), the symbol's
@@ -382,6 +390,11 @@ def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> _Advance:
         [(nxt, (sym,), slots[sym]) for sym, nxt in enumerate(row) if nxt >= 0]
         for row in aut.transitions
     ]
+
+    def encode(points: Iterable[Scalar]) -> tuple[int, ...]:
+        ratios = [x.as_integer_ratio() for x in points]
+        D = lcm(L, *(d for _, d in ratios))
+        return (D, *(n * (D // d) for n, d in ratios))
 
     # Each loop takes the child level's denominator D and clamp bounds.
 
@@ -459,21 +472,21 @@ def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> _Advance:
         if D != filled[0]:
             for slot in slots:
                 slot.clear()
-            for slot, lo_n, lo_d, hi_n, hi_d, a, b in scaled:
+            for slot, lo_n, lo_d, hi_n, hi_d, a, onK, od in scaled:
                 lo = lo_n * D // lo_d if lo_d else NEG_INF
                 hi = -(-hi_n * D // hi_d) if hi_d else POS_INF
-                slot.append((lo, hi, a, b * D))
+                slot.append((lo, hi, a, onK * D // od))
             cl = ch = None
             if clamp:
-                cl = -(-bl_n * D * C // bl_d) if bl_d else NEG_INF
-                ch = bh_n * D * C // bh_d if bh_d else POS_INF
+                cl = -(-bl_n * D * K // bl_d) if bl_d else NEG_INF
+                ch = bh_n * D * K // bh_d if bh_d else POS_INF
             filled[:] = D, cl, ch
         _, cl, ch = filled
-        D *= C
+        D *= K
         loop = loops.get(len(values), many)
         out = loop(level, clock.spend, D, cl, ch)
         if out and D.bit_length() > _REDUCE_BITS:
-            g = D
+            g = D // L
             for _, child in out:
                 g = gcd(g, *child)
                 if g == 1:
@@ -482,16 +495,7 @@ def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> _Advance:
                 out = {(s, tuple(v // g for v in child)): w for (s, child), w in out.items()}
         return out
 
-    return advance
-
-
-def _ratio_pairs(values: Iterable[Scalar]) -> tuple[int, ...]:
-    """Finite points at their exact values, as the flat ``(D, N1, N2, ..)``
-    tuple that :func:`_ratio_point_levels` steps: ``D`` is the lcm of the
-    points' denominators and each point is ``N/D``."""
-    ratios = [x.as_integer_ratio() for x in values]
-    D = lcm(*(d for _, d in ratios))
-    return (D, *(n * (D // d) for n, d in ratios))
+    return encode, advance
 
 
 def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable, Callable]:
@@ -505,7 +509,7 @@ def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable,
     level stepper of :func:`_levels`, bound to ``system.automaton``;
     ``near(targets, eps)`` is the leaf test of one group, passing when
     every point is within ``eps`` of its target (``|v - t| < eps``).  In
-    rational mode the ``N`` are integers (:func:`_ratio_pairs`) stepped by
+    rational mode the ``N`` are integers, encoded and stepped by
     :func:`_ratio_point_levels`, the test is ``|N*td - tn*D| * ed < en * D
     * td``, every point, target and ``eps = en/ed`` at its exact value, and
     ``scalar`` builds ``Fraction(N, D)``.  In float mode ``D`` is 1, the
@@ -539,7 +543,8 @@ def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable,
 
         return test
 
-    return _ratio_pairs, _ratio_point_levels(exact, aut), near, Fraction
+    encode, advance = _ratio_point_levels(exact, aut)
+    return encode, advance, near, Fraction
 
 
 def _set_search(

@@ -2,7 +2,8 @@
 plain reference evaluation of maps, a reference pull-back of hits, a
 reference first-hit search, a reference Xiong witness, a reference
 per-edge point step on reduced integer pairs, a reference envelope on the
-orbit difference and a reference greedy cover check."""
+orbit difference, reference envelope and Xiong verifiers on Fraction
+arithmetic and a reference greedy cover check."""
 
 from __future__ import annotations
 
@@ -19,11 +20,12 @@ from swmix.core import (
     PiecewiseAffineMap,
     SwitchedSystem,
     eval_interval,
+    eval_point,
     word_preimage,
 )
-from swmix.intervals import Interval, IntervalSet, _exact_value
+from swmix.intervals import POS_INF, Interval, IntervalSet, _exact_value
 from swmix.chaos import DistanceEnvelope, EnvelopeRow, XiongStage, XiongWitness
-from swmix.errors import EmptyLanguage
+from swmix.errors import EmptyLanguage, UndefinedAtPoint
 from swmix.language import (
     Dfa,
     ForbiddenWords,
@@ -325,6 +327,65 @@ def reference_difference_envelope(system, x, y, horizon, clock):
         w_hi = next(w for d, w in dists if d == hi)
         rows.append(EnvelopeRow(n, lo, hi, (Word(w_lo),), (Word(w_hi),)))
     return DistanceEnvelope("type2", x, y, horizon, tuple(rows), False)
+
+
+def reference_verify_envelope(system, env):
+    """:func:`swmix.chaos.verify_envelope` on Fraction arithmetic, as it was
+    before it compared on integers: each row's distances ``|u - v|`` of the
+    orbits that :func:`swmix.core.eval_point` replays are compared with the
+    row's values by ``!=``."""
+    if len(env.rows) > env.horizon or any(
+        row.length != n for n, row in enumerate(env.rows, 1)
+    ):
+        return False
+    per_extreme = 1 if env.kind == "type2" else 2
+    for row in env.rows:
+        if len(row.min_words) != per_extreme or len(row.max_words) != per_extreme:
+            return False
+        for w in row.min_words + row.max_words:
+            if len(w) != row.length or not accepts_prefix(system.automaton, w):
+                return False
+        try:
+            lo, hi = (
+                abs(eval_point(system, ws[0], env.x) - eval_point(system, ws[-1], env.y))
+                for ws in (row.min_words, row.max_words)
+            )
+        except UndefinedAtPoint:
+            return False
+        if lo != row.d_min or hi != row.d_max:
+            return False
+    return True
+
+
+def reference_verify_xiong(system, wit):
+    """:func:`swmix.chaos.verify_xiong` on Fraction arithmetic, as it was
+    before it compared on integers: each error ``|v - t|`` (in rational mode
+    on the exact value of a float target) must satisfy ``error <= recorded <
+    tolerance < inf``."""
+    lengths = wit.stage_lengths()
+    if not lengths or not wit.points or len(wit.targets) != len(wit.points):
+        return False
+    if any(b <= a for a, b in zip(lengths, lengths[1:])):
+        return False
+    exact = system._exact() is not None
+    for stage in wit.stages:
+        words = stage.words
+        if wit.kind == "type2":
+            if len(words) != 1:
+                return False
+            words = words * len(wit.points)
+        if len(words) != len(wit.points) or len(stage.errors) != len(wit.points):
+            return False
+        for w, x, t, claimed in zip(words, wit.points, wit.targets, stage.errors):
+            if len(w) != stage.length or not accepts_prefix(system.automaton, w):
+                return False
+            try:
+                err = abs(eval_point(system, w, x) - (_exact_value(t) if exact else t))
+            except UndefinedAtPoint:
+                return False
+            if not err <= claimed < stage.tolerance < POS_INF:
+                return False
+    return True
 
 
 def greedy_covers_closed_interval(opens, lo, hi):

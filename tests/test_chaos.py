@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 from unittest import mock
@@ -36,6 +37,8 @@ from helpers import (
     reference_difference_envelope,
     reference_ratio_point_step,
     reference_value,
+    reference_verify_envelope,
+    reference_verify_xiong,
     reference_xiong_witness,
     rotation_system,
     sweep_systems,
@@ -853,6 +856,7 @@ def _reference_and_kernel_levels(system, points, depth, max_words):
     count; and whether it ran out.  Also the kernel's denominator of every
     non-empty level."""
     exact, aut = system._exact(), system.automaton
+    encode, advance = search._point_search(system)[:2]
 
     def pairs_points(pairs):
         return tuple(F(n, d) for n, d in zip(pairs[::2], pairs[1::2]))
@@ -867,11 +871,7 @@ def _reference_and_kernel_levels(system, points, depth, max_words):
             tuple(r for x in points for r in x.as_integer_ratio()),
             pairs_points,
         ),
-        (
-            search._ratio_point_levels(exact, aut),
-            search._ratio_pairs(points),
-            kernel_points,
-        ),
+        (advance, encode(points), kernel_points),
     )
     out = []
     for advance, root, points_of in runs:
@@ -914,16 +914,39 @@ def test_point_kernel_matches_the_edge_step(system, size):
     _check_point_kernel(system, points, 4)
 
 
+# One map of slope 2/3: its slope denominator K = 3 is the factor by which
+# the kernel grows the shared denominator per level.  (Unit slopes, as on the
+# rotations, keep one denominator and never reach the reduction.)
+THIRDS = SwitchedSystem((PiecewiseAffineMap.globally(F(2, 3), F(1, 6)),), FullShift(1), UNIT_BOX)
+
+
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_point_kernel_matches_the_edge_step_past_the_reduction(size):
-    # Rotations by 1/3 and 2/7 multiply the shared denominator by 21 per
-    # level: from points on 10^6 it outgrows a machine word at length 10 and
-    # is divided down, so lengths 10 to 12 step reduced levels.
+    # From points on 10^6 the shared denominator triples per level, outgrows
+    # a machine word at length 25 and is divided down there, so lengths 25 to
+    # 28 step reduced levels.
     points = (F(123457, 10**6), F(271, 1000), F(999999, 10**6))[:size]
-    denominators = _check_point_kernel(ROTATIONS, points, 12)
-    assert len(denominators) == 12
-    assert max(d.bit_length() for d in denominators) <= search._REDUCE_BITS
-    assert any(b != 21 * a for a, b in zip(denominators, denominators[1:]))
+    denominators = _check_point_kernel(THIRDS, points, 28)
+    assert len(denominators) == 28
+    assert denominators[23].bit_length() <= search._REDUCE_BITS
+    assert any(b < 3 * a for a, b in zip(denominators, denominators[1:]))
+
+
+def test_point_kernel_reduction_keeps_the_offsets_denominator():
+    # x -> 2x/3 + 1/2 sends 1/4 to 2/3, so the offset's 2 can cancel.  From
+    # the 24th preimage of 2/3, on 2^25, the shared denominator outgrows a
+    # machine word at length 24, whose one point is 2/3.  The reduction must
+    # keep the denominator even, a multiple of the L = 2 that the offset 1/2
+    # needs at the next step, so it leaves 4/6, not 2/3.
+    halves = PiecewiseAffineMap.globally(F(2, 3), F(1, 2))
+    system = SwitchedSystem((halves,), FullShift(1), UNIT_BOX)
+    x = F(2, 3)
+    for _ in range(24):
+        x = (x - F(1, 2)) * F(3, 2)
+    denominators = _check_point_kernel(system, (x,), 26)
+    before = denominators[22]
+    assert before.bit_length() <= search._REDUCE_BITS < (3 * before).bit_length()
+    assert denominators[23] == 6
 
 
 @settings(max_examples=150, deadline=None)
@@ -1039,3 +1062,121 @@ def test_xiong_sweep_matches_the_walk(case, kind, tolerances, horizon, max_words
     assert repr(got.stages[:shorter]) == repr(want.stages[:shorter])
     if not (clocks[0].exceeded or walk_ran_out):
         assert repr(got) == repr(want)
+
+
+# In rational mode the verifiers compare each replayed distance or error with
+# its recorded value by cross-multiplying integer ratios.  They must accept
+# and reject exactly what the Fraction verifiers they replaced (helpers) do,
+# on random envelopes and witnesses in both modes, with each recorded value,
+# tolerance and target replaced in turn by: the value itself; values one
+# unit over a larger denominator or one ulp away; the same or a nearby value
+# as an int, a float or a Fraction; 0 and -1; NaN and the infinities.  Where
+# the Fraction verifier raised (it read a NaN target in rational mode with
+# Fraction(nan)), the verifier must return False.
+
+
+def _tampered(v):
+    out = [v, 0, -1, float("nan"), POS_INF, NEG_INF]
+    if isinstance(v, float):
+        out += [math.nextafter(v, POS_INF), math.nextafter(v, NEG_INF), F(v), round(v)]
+    else:
+        n, d = v.as_integer_ratio()
+        k = 10**9 + 7
+        out += [F(n * k + 1, d * k), F(n * k - 1, d * k), float(v), round(v)]
+    if v == int(v):
+        out.append(int(v))
+    return out
+
+
+def _agree(system, verify, reference, witnesses):
+    """``verify``'s verdicts on every witness, which must be ``reference``'s,
+    a ValueError of ``reference`` counting as False."""
+
+    def verdict(w):
+        try:
+            return reference(system, w)
+        except ValueError:
+            return False
+
+    got = [verify(system, w) for w in witnesses]
+    assert got == [verdict(w) for w in witnesses]
+    return got
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(sweep_systems(), st.sampled_from([CLAMPED, TENT, ROTATIONS, FOLDS_FLOAT])),
+    XIONG_VALUES,
+    XIONG_VALUES,
+    st.sampled_from(["type1", "type2"]),
+    st.integers(1, 4),
+)
+# The tent keeps every distance an integer multiple of |y - x|.
+@example(TENT, 0, 1, "type2", 3)
+def test_verify_envelope_agrees_with_the_fraction_verifier(system, x, y, kind, horizon):
+    if x == y:
+        reject()
+    env = distance_envelope(system, x, y, kind, horizon, SearchBudget(max_words=5_000))
+    envelopes = [env]
+    for i, row in enumerate(env.rows):
+        for field in ("d_min", "d_max"):
+            for v in _tampered(getattr(row, field)):
+                rows = list(env.rows)
+                rows[i] = dataclasses.replace(row, **{field: v})
+                envelopes.append(dataclasses.replace(env, rows=tuple(rows)))
+    verdicts = _agree(system, verify_envelope, reference_verify_envelope, envelopes)
+    assert verdicts[0] is True
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    xiong_cases(),
+    st.sampled_from(["type1", "type2"]),
+    st.lists(XIONG_TOLERANCES, min_size=1, max_size=3),
+)
+def test_verify_xiong_agrees_with_the_fraction_verifier(case, kind, tolerances):
+    system, points, targets = case
+    tolerances = tuple(sorted(set(tolerances), reverse=True))
+    wit = xiong_witness(
+        system, points, targets, kind, tolerances, SearchBudget(max_horizon=4, max_words=2_000)
+    )
+    witnesses = [wit]
+    for j, t in enumerate(wit.targets):
+        for v in _tampered(t):
+            tampered = wit.targets[:j] + (v,) + wit.targets[j + 1 :]
+            witnesses.append(dataclasses.replace(wit, targets=tampered))
+    for i, stage in enumerate(wit.stages):
+        changes = [{"tolerance": v} for v in _tampered(stage.tolerance)]
+        for j, e in enumerate(stage.errors):
+            changes += [
+                {"errors": stage.errors[:j] + (v,) + stage.errors[j + 1 :]} for v in _tampered(e)
+            ]
+        for change in changes:
+            stages = list(wit.stages)
+            stages[i] = dataclasses.replace(stage, **change)
+            witnesses.append(dataclasses.replace(wit, stages=tuple(stages)))
+    verdicts = _agree(system, verify_xiong, reference_verify_xiong, witnesses)
+    assert verdicts[0] is bool(wit.stages)
+
+
+@pytest.mark.parametrize("bad", ["1/2", None, [F(1, 2)], 1j])
+def test_verifiers_fail_a_non_numeric_value_without_raising(bad):
+    # The Fraction verifiers raised TypeError on some of these, comparing
+    # an error with a string; a recorded value that is not a number fails.
+    for system in (CLAMPED, FOLDS_FLOAT):
+        wit = xiong_witness(
+            system, (F(2, 5),), (F(4, 5),), kind="type2", tolerances=(F(1, 2), F(1, 4))
+        )
+        assert verify_xiong(system, wit)
+        last = wit.stages[-1]
+        for change in ({"errors": (bad,)}, {"tolerance": bad}):
+            stage = dataclasses.replace(last, **change)
+            tampered = dataclasses.replace(wit, stages=wit.stages[:-1] + (stage,))
+            assert verify_xiong(system, tampered) is False
+        assert verify_xiong(system, dataclasses.replace(wit, targets=(bad,))) is False
+    env = distance_envelope(CLAMPED, F(1, 7), F(2, 9), kind="type1", horizon=3)
+    assert verify_envelope(CLAMPED, env)
+    for field in ("d_min", "d_max"):
+        row = dataclasses.replace(env.rows[-1], **{field: bad})
+        tampered = dataclasses.replace(env, rows=env.rows[:-1] + (row,))
+        assert verify_envelope(CLAMPED, tampered) is False

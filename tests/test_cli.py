@@ -522,6 +522,22 @@ def test_prelang_refuses_a_length_past_the_cap_before_counting(key, tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_scrambled_refuses_a_horizon_past_the_cap_before_searching(tmp_path, capsys, monkeypatch):
+    # On the unclamped tent from 1/7 and 1/5, horizon 15,000 searched for 14 s
+    # and then exited 1 on Python's 4,300-digit limit while printing its
+    # rows.  The horizon is refused before any search.
+    monkeypatch.setattr(cli, "distance_envelope", lambda *a, **k: pytest.fail("searched"))
+    params = {"kind": "type2", "x": "1/7", "y": "1/5", "horizon": 15_000}
+    scn = write(tmp_path / "scn.json", {"task": "scrambled", "system": TENT_JSON, "params": params})
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": "task parameter 'horizon' must be <= 1000",
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_hitting_task(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",

@@ -1,11 +1,12 @@
 """Core evaluator: exact images, preimages, orbits, and itineraries."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from swmix import core
@@ -699,6 +700,54 @@ def test_words_on_rows_match_stepwise_images_and_preimages(data):
     assert system._exact() is not None
     want = point_outcome(lambda: reference_orbit(maps, word, x))
     assert point_outcome(lambda: eval_point(system, word, x)) == want
+
+
+# eval_point divides its integer pair by a gcd only once the denominator has
+# grown 62 bits, so a long word from a float with a large denominator passes
+# that reduction several times; its value, type and repr must still be those
+# of the value_at loop on exact values.
+LONG_WORD_SLOPES = st.sampled_from([F(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)])
+LONG_WORD_OFFSETS = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+# Floats of magnitude below 1/2 whose exact values have denominators of 2^54
+# to 2^1074.
+FINE_FLOATS = st.builds(
+    math.ldexp, st.integers(-(2**53), 2**53).filter(bool), st.integers(-1074, -54)
+)
+HALVES_AND_THIRDS = SwitchedSystem(
+    maps=(PiecewiseAffineMap.globally(F(3, 2), 0), PiecewiseAffineMap.globally(F(2, 3), 0)),
+    language=FullShift(2),
+    bounds=Interval(F(0), F(1)),
+)
+
+
+@st.composite
+def long_orbits(draw):
+    """A full shift of one to three global maps, a word of up to 200
+    symbols and a float point."""
+    m = draw(st.integers(1, 3))
+    maps = tuple(
+        PiecewiseAffineMap.globally(draw(LONG_WORD_SLOPES), draw(LONG_WORD_OFFSETS))
+        for _ in range(m)
+    )
+    system = SwitchedSystem(maps=maps, language=FullShift(m), bounds=Interval(F(0), F(1)))
+    word = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=200))
+    return system, word, draw(FINE_FLOATS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_orbits())
+# x -> 3x/2 and x -> 2x/3 in turn: the denominator grows by 6 every two
+# steps while the value comes back to x, so every reduction divides it down.
+@example((HALVES_AND_THIRDS, (0, 1) * 100, math.ldexp(12345, -900)))
+def test_eval_point_matches_the_value_at_loop_on_long_words(case):
+    system, word, x = case
+    want = F(x)
+    for sym in word:
+        want = system.maps[sym].value_at(want)
+    got = eval_point(system, word, x)
+    assert type(got) is F
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_word_preimage_cuts_at_int_domain_ends_as_fractions():
