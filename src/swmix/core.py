@@ -41,8 +41,8 @@ mode.  It is the only place that builds the tables and the one switch
 between integers and the generic loops: :func:`eval_point`,
 :func:`eval_interval`, :func:`word_preimage`,
 :func:`swmix.hitting.pull_back_hit`, the set and point searches of
-:mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` run on rows
-whenever it exists, whatever the types of their inputs.
+:mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` run on
+integers whenever it exists, whatever the types of their inputs.
 :meth:`PiecewiseAffineMap.value_at`, :func:`image_of` and :func:`preimage`
 are the generic loops: the float-mode step, and the reference the integer
 paths are tested against.
@@ -60,7 +60,13 @@ paths are tested against.
   and build Fractions, Intervals and an IntervalSet only for the set they
   return (:func:`~swmix.intervals._rows_set`).  The kernels keep every tie
   rule of the generic loops, so the results equal theirs in value, every
-  end a Fraction or an infinity.
+  end a Fraction or an infinity.  They serve the verifiers' re-checks.
+* The set searches and the pull-backs carry a set as flat ends on one
+  denominator ``D`` (:mod:`swmix.intervals`), chosen so that every end
+  they reach lies on it: :func:`_set_tables` scales each map's pieces to
+  ``D`` for each search or pull-back, and :func:`_image_ends` and
+  :func:`_preimage_ends` step a set with two comparisons and one
+  multiply-add per end and no gcd.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from .errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
@@ -79,6 +85,7 @@ from .intervals import (
     IntervalSet,
     Scalar,
     _Ratio,
+    _merge_pairs,
     _normalise_rows,
     _ratio_end,
     _ratio_rows,
@@ -315,6 +322,12 @@ class _Exact(NamedTuple):
     # c, by which the point kernel grows a level's denominator, is least.
     points: tuple[tuple[tuple, ...], ...]
     box: _Ratio | None  # the clamp box's row; None when the system does not clamp
+    # The set kernel's scale (_set_tables): L, the lcm of the finite
+    # domain-end, offset and clamp-box denominators; K and J, the lcm of the
+    # slopes' denominators and of their numerators' absolute values.
+    L: int
+    K: int
+    J: int
 
 
 @dataclass(frozen=True)
@@ -371,7 +384,13 @@ class SwitchedSystem:
                 for t in tables
             )
             box = _ratio_end(self.bounds.lo) + _ratio_end(self.bounds.hi)
-            form = _Exact(tables, points, box if self.clamp else None)
+            L = lcm(box[1] or 1, box[3] or 1) if self.clamp else 1
+            K = J = 1
+            for lo_n, lo_d, hi_n, hi_d, a, b, c, *_ in (row for t in tables for row in t):
+                g = gcd(a, c)
+                L = lcm(L, lo_d or 1, hi_d or 1, c // gcd(b, c))
+                K, J = lcm(K, c // g), lcm(J, a // g)
+            form = _Exact(tables, points, box if self.clamp else None, L, K, J)
         object.__setattr__(self, "_exact_form", form)
         return form
 
@@ -616,6 +635,87 @@ def _word_preimage_rows(tables: tuple, symbols: tuple[int, ...], rows) -> tuple:
         if not rows:
             break
     return rows
+
+
+def _set_tables(exact: _Exact, D: int, k: int = 1) -> tuple[tuple[tuple, ...], ...]:
+    """Every map's pieces scaled to the denominator ``D``, a multiple of
+    ``exact.L``, for images on ``D*k``: one ``(lo, hi, a, d, b)`` per table
+    row, in table order, where ``lo`` and ``hi`` are the domain ends times
+    ``D`` (an infinite end as the infinite float), ``a/d`` is the slope
+    times ``k`` in lowest terms with ``d > 0`` and ``b`` the offset times
+    ``D*k``.  A value ``x = N/D`` of the piece maps to ``(a*N // d + b) /
+    (D*k)``, exact whenever the image lies on ``D*k``: always when ``k`` is
+    a multiple of ``exact.K``, and then ``d = 1``."""
+    tables = []
+    for table in exact.tables:
+        pieces = []
+        for lo_n, lo_d, hi_n, hi_d, a, b, c, *_ in table:
+            g = gcd(a * k, c)
+            lo = lo_n * D // lo_d if lo_d else NEG_INF
+            hi = hi_n * D // hi_d if hi_d else POS_INF
+            pieces.append((lo, hi, a * k // g, c // g, b * D * k // c))
+        tables.append(tuple(pieces))
+    return tuple(tables)
+
+
+def _image_ends(pieces: tuple[tuple, ...], ends: tuple, partial: bool) -> tuple | None:
+    """:func:`image_of` on one denominator ``D``: the flat normalised ends
+    (:func:`~swmix.intervals._merge_pairs`) on ``D*k`` of the image of the
+    set ``ends`` on ``D`` under the map whose pieces are scaled to ``D`` for
+    images on ``D*k`` (:func:`_set_tables`), ``()`` when it is empty, and
+    None where ``partial=False`` finds a positive-width part outside every
+    piece domain.  Every end of the image must lie on ``D*k``.  An infinite
+    end stays infinite, of the slope's sign; two ends compare as they are,
+    int or infinite float."""
+    pairs = []
+    it = iter(ends)
+    for lo, hi in zip(it, it):
+        cursor = lo
+        for p_lo, p_hi, a, d, b in pieces:
+            l = p_lo if p_lo > lo else lo
+            h = p_hi if p_hi < hi else hi
+            if l >= h:
+                continue
+            if not partial:
+                if l > cursor:
+                    return None
+                if h > cursor:
+                    cursor = h
+            if type(l) is int:
+                l = a * l // d + b
+            elif a < 0:
+                l = -l
+            if type(h) is int:
+                h = a * h // d + b
+            elif a < 0:
+                h = -h
+            pairs.append((l, h) if a > 0 else (h, l))
+        if not partial and cursor < hi:
+            return None
+    return _merge_pairs(pairs)
+
+
+def _preimage_ends(pieces: tuple[tuple, ...], ends: tuple) -> tuple:
+    """:func:`preimage` on one denominator ``D``: the flat normalised ends of
+    the preimage of the set ``ends`` under the map whose pieces are scaled to
+    ``D``, each pulled component cut by its piece's domain.  A value ``N/D``
+    pulls back to ``((N - b)*d // a) / D``, so every pulled end must lie on
+    ``D``."""
+    pairs = []
+    for p_lo, p_hi, a, d, b in pieces:
+        it = iter(ends)
+        for lo, hi in zip(it, it):
+            l = (lo - b) * d // a if type(lo) is int else (lo if a > 0 else -lo)
+            h = (hi - b) * d // a if type(hi) is int else (hi if a > 0 else -hi)
+            if a < 0:
+                l, h = h, l
+            if p_lo > l:
+                l = p_lo
+            if p_hi < h:
+                h = p_hi
+            if l < h:
+                pairs.append((l, h))
+    return _merge_pairs(pairs)
 
 
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:

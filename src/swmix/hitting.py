@@ -14,9 +14,11 @@ found it.  A set witness's source comes from :func:`pull_back_hit`: the
 leftmost overlap of f_w(U) with V pulled back and cut by U, kept only when
 its image lands in V again.  In rational mode, where the system's exact
 form (:meth:`swmix.core.SwitchedSystem._exact`) exists, all three passes
-run on the integer rows of :mod:`swmix.core` from the exact values of the
-sets' ends, and only the returned set is built; the mode alone picks the
-path.
+step integer ends on one denominator from the exact values of the sets'
+ends, and only the returned set is built; the mode alone picks the path.
+The verifiers do not share that kernel: they re-check through
+:func:`~swmix.core.eval_interval` and :func:`~swmix.core.word_preimage` on
+the row kernel.
 
 :func:`order_reduction` rests on :func:`maps_commute`, a verdict computed
 once per system and cached on it: exact in rational mode, on the exact
@@ -33,8 +35,10 @@ from .core import (
     PiecewiseAffineMap,
     SwitchedSystem,
     _check_word,
-    _word_image_rows,
-    _word_preimage_rows,
+    _Exact,
+    _image_ends,
+    _preimage_ends,
+    _set_tables,
     eval_interval,
     eval_point,
     word_preimage,
@@ -50,11 +54,12 @@ from .intervals import (
     Interval,
     IntervalSet,
     Scalar,
-    _cut_rows,
+    _cut_ends,
+    _end_lcm,
+    _ends_inside,
+    _ends_set,
     _exact_value,
-    _ratio_rows,
-    _rows_inside,
-    _rows_set,
+    _set_ends,
     is_finite,
 )
 from .language import accepts_prefix
@@ -134,17 +139,23 @@ def pull_back_hit(
     is always re-checked, never trusted.
 
     Rational mode (:meth:`SwitchedSystem._exact`) runs all three passes on
-    integer rows and builds only the returned set, every end a Fraction or
-    an infinity.  Float mode runs the generic loops and shrinks a
-    bounded overlap component inward when the plain round trip fails, so
-    the outward-rounded one may still verify; an unbounded one cannot be
+    flat integer ends ``(lo1, hi1, lo2, hi2, ..)`` over one denominator
+    ``D`` (:func:`_pull_back_ends`): the lcm of ``L``, the system's
+    domain-end, offset and clamp-box lcm, and of the source's and the
+    target's end denominators, times ``(K*J)**n`` for a word of length
+    ``n``, where ``K`` and ``J`` are the lcm of the slopes' denominators
+    and of their numerators.  The backward pass, which multiplies a value's
+    denominator by at most ``J`` at each step, thus needs no denominator of
+    its own.  Only the returned set is built, every end a Fraction or an
+    infinity.  Float mode runs the generic loops and shrinks a bounded
+    overlap component inward when the plain round trip fails, so the
+    outward-rounded one may still verify; an unbounded one cannot be
     shrunk.
     """
     w = Word(tuple(word))
     exact = system._exact()
     if exact is not None:
-        src, tgt = _ratio_rows(source.components), _ratio_rows(target.components)
-        return _pull_back_rows(exact.tables, _check_word(system, w), src, tgt)
+        return _pull_back_ends(exact, _check_word(system, w), source, target)
     image = eval_interval(system, w, source, partial=True)
     overlap = image.intersect(target)
     if overlap.is_empty:
@@ -171,28 +182,48 @@ def pull_back_hit(
     return None
 
 
-def _pull_back_rows(tables: tuple, symbols: tuple[int, ...], src, tgt) -> IntervalSet | None:
-    """:func:`pull_back_hit` on the rows ``src`` of the source and ``tgt``
-    of the target."""
-    overlap = _cut_rows(_word_image_rows(tables, symbols, src, True), tgt)
+def _pull_back_ends(
+    exact: _Exact, symbols: tuple[int, ...], source: IntervalSet, target: IntervalSet
+) -> IntervalSet | None:
+    """:func:`pull_back_hit` on flat ends over one denominator ``D``: the
+    forward pass reaches values on ``lcm(L, ends) * K**n``, each backward
+    step multiplies a denominator by at most ``J``, and the last pass
+    retraces values of the first two, so one scaled table serves all
+    three passes."""
+    D = _end_lcm((source, target), exact.L) * (exact.K * exact.J) ** len(symbols)
+    tables = _set_tables(exact, D)
+    src, tgt = _set_ends(source, D), _set_ends(target, D)
+
+    def forward(ends: tuple) -> tuple:
+        for sym in symbols:
+            ends = _image_ends(tables[sym], ends, True)
+            if not ends:
+                break
+        return ends
+
+    overlap = _cut_ends(forward(src), tgt)
     if not overlap:
         return None
-    sub = _cut_rows(_word_preimage_rows(tables, symbols, overlap[:1]), src)
+    ends = overlap[0]
+    for sym in reversed(symbols):
+        ends = _preimage_ends(tables[sym], ends)
+        if not ends:
+            return None
+    sub = _cut_ends(ends, src)
     if not sub:
         return None
-    back = _word_image_rows(tables, symbols, sub, True)
-    if not back or not _rows_inside(back, tgt):
+    back = forward(tuple(e for pair in sub for e in pair))
+    it = iter(tgt)
+    if not back or not _ends_inside(back, tuple(zip(it, it))):
         return None
     best = None
-    for row in sub:
-        lo_n, lo_d, hi_n, hi_d = row
-        if not lo_d or not hi_d:
-            best = row  # unbounded: wider than any later component
+    for lo, hi in sub:
+        if type(lo) is float or type(hi) is float:
+            best = lo, hi  # unbounded: wider than any later component
             break
-        width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
-        if best is None or width_n * best_d > best_n * width_d:
-            best, best_n, best_d = row, width_n, width_d
-    return _rows_set((best,))
+        if best is None or hi - lo > width:
+            best, width = (lo, hi), hi - lo
+    return _ends_set(best, D)
 
 
 @dataclass(frozen=True)

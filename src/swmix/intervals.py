@@ -14,30 +14,39 @@ Sets are hashed often (search memos key on them), so :class:`IntervalSet`
 caches its hash.  :func:`is_finite` tests the endpoint type before comparing
 with the infinities, since only a float endpoint can be infinite.
 
-Every set also has an integer form, rows: one ``(lo_n, lo_d, hi_n, hi_d)``
-per component (:func:`_ratio_rows`), each end the ratio ``(n, d)`` of its
-exact value with ``d > 0`` -- a finite float's is its
+Every set also has two integer forms.  Rows: one ``(lo_n, lo_d, hi_n,
+hi_d)`` per component (:func:`_ratio_rows`), each end the ratio ``(n, d)``
+of its exact value with ``d > 0`` -- a finite float's is its
 ``as_integer_ratio()`` -- and the infinities ``(-1, 0)`` and ``(1, 0)``.
-Rational mode reads every set through rows, so a float end counts at its
-exact binary value there (:meth:`swmix.core.SwitchedSystem._exact`).  The
-row kernels of :mod:`swmix.core` and the set searches of
-:mod:`swmix.search` work on them through the helpers here:
-:func:`_normalise_rows`, the one normaliser of image and preimage rows;
-:func:`_rows_set`, where the rows of an image, a preimage or a pull-back
-become an :class:`IntervalSet`, every end a Fraction or an infinity; and
-the row forms of :meth:`~IntervalSet.intersects`,
-:meth:`~IntervalSet.subset_of` and :meth:`~IntervalSet.touches_closed`
-(:func:`_rows_meet`, :func:`_rows_inside`, :func:`_rows_touch`), the leaf
-and clamp tests of the set searches; :func:`_cut_rows`, the row form of
-:meth:`~IntervalSet.intersect`, serves only the pull-backs of
-:func:`swmix.hitting.pull_back_hit`.  Two ends compare by cross-multiplying,
-``a < b`` iff ``a_n*b_d < b_n*a_d``, instead of through Fraction's generic
+The row kernels of :mod:`swmix.core`, behind
+:func:`~swmix.core.eval_interval`, :func:`~swmix.core.word_preimage` and
+so the verifiers, work on them through :func:`_normalise_rows`, the one
+normaliser of image and preimage rows, and :func:`_rows_set`, where the
+rows of an image or a preimage become an :class:`IntervalSet`, every end a
+Fraction or an infinity.  Two row ends compare by cross-multiplying, ``a <
+b`` iff ``a_n*b_d < b_n*a_d``, instead of through Fraction's generic
 operators.  That is exact against every finite end and against the same
 infinity, but ``-inf < +inf`` would read ``0 < 0``, so every test that can
 meet both counts a zero denominator apart.  Ties resolve exactly as
-``max``, ``min`` and a stable sort resolve them.  Besides the row helpers,
-only the :class:`Interval` check of two Fraction endpoints cross-multiplies;
-every other operation, :func:`_normalise` behind
+``max``, ``min`` and a stable sort resolve them.
+
+Flat ends on one denominator ``D``: the tuple ``(lo1, hi1, lo2, hi2, ..)``
+of the components' ends times ``D`` (:func:`_set_ends`), each an int when
+the end lies on ``D`` and an infinite end as the infinite float, which
+compares correctly with every int.  The set searches of :mod:`swmix.search`
+and :func:`swmix.hitting.pull_back_hit` work on them through
+:func:`_merge_pairs`, their normaliser; :func:`_cut_ends`, the form of
+:meth:`~IntervalSet.intersect`; the floor and ceiling thresholds on ``D``
+of a target whose ends need not lie on ``D`` (:func:`_meet_goal`,
+:func:`_inside_goal`) with the tests :func:`_ends_meet` and
+:func:`_ends_inside`, the forms of :meth:`~IntervalSet.intersects` and
+:meth:`~IntervalSet.subset_of`; and :func:`_ends_set`, which builds the set
+back, every end a Fraction or an infinity.  Equal values on one ``D`` are
+equal ints, so no tie rule is needed there.  Rational mode reads every set
+through these forms, so a float end counts at its exact binary value there
+(:meth:`swmix.core.SwitchedSystem._exact`).  Besides them, only the
+:class:`Interval` check of two Fraction endpoints cross-multiplies; every
+other operation, :func:`_normalise` behind
 :meth:`IntervalSet.from_intervals`, :meth:`~IntervalSet.intersect`,
 :meth:`~IntervalSet.intersects` and :meth:`~IntervalSet.subset_of` among
 them, uses plain comparisons alone.
@@ -47,6 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[Fraction, float]
@@ -196,76 +206,139 @@ def _normalise_rows(rows: list[_Ratio]) -> tuple[_Ratio, ...]:
     return tuple(out)
 
 
-def _rows_meet(a: Sequence[_Ratio], b: Sequence[_Ratio], m_n: int, m_d: int) -> bool:
-    """:meth:`IntervalSet.intersects` on rows, with ``min_overlap = m_n/m_d``."""
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        a_ln, a_ld, a_hn, a_hd = a[i]
-        b_ln, b_ld, b_hn, b_hd = b[j]
-        lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
-        hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
-        if not lo_d or not hi_d:
-            return True  # an infinite overlap
-        if lo_n * hi_d < hi_n * lo_d and (
-            m_n <= 0 or (hi_n * lo_d - lo_n * hi_d) * m_d > m_n * hi_d * lo_d
-        ):
-            return True
-        if a_hn * b_hd <= b_hn * a_hd:
-            i += 1
+def _scaled(e: Scalar, D: int, up: bool = False) -> int | float:
+    """``floor(e*D)``, or ``ceil(e*D)`` with ``up``, at ``e``'s exact value;
+    an infinite ``e`` as itself."""
+    if type(e) is float and (e == NEG_INF or e == POS_INF):
+        return e
+    n, d = e.as_integer_ratio()
+    return -(-n * D // d) if up else n * D // d
+
+
+def _end_lcm(sets: Iterable["IntervalSet"], base: int) -> int:
+    """The lcm of ``base`` and the denominators of the finite ends of
+    ``sets`` at their exact values."""
+    dens = (e.as_integer_ratio()[1] for s in sets for c in s for e in (c.lo, c.hi) if is_finite(e))
+    return lcm(base, *dens)
+
+
+def _set_ends(s: "IntervalSet", D: int) -> tuple:
+    """The flat ends ``(lo1, hi1, lo2, hi2, ..)`` of ``s`` on ``D``: exact
+    when every finite end lies on ``D``."""
+    return tuple(_scaled(e, D) for c in s.components for e in (c.lo, c.hi))
+
+
+def _ends_set(ends: Sequence, D: int) -> "IntervalSet":
+    """The set of the flat ends ``ends`` on ``D``, with a Fraction or an
+    infinity per end."""
+    it = iter(ends)
+    return IntervalSet(
+        tuple(
+            Interval(
+                Fraction(lo, D) if type(lo) is int else lo,
+                Fraction(hi, D) if type(hi) is int else hi,
+            )
+            for lo, hi in zip(it, it)
+        )
+    )
+
+
+def _merge_pairs(pairs: list) -> tuple:
+    """:func:`_normalise` of ``(lo, hi)`` pairs on one denominator, as flat
+    ends: sorted by ``(lo, hi)``, strictly overlapping pairs merged and
+    abutting ones kept apart; ``()`` for no pair.  On one denominator equal
+    values are equal ints, so no tie rule is needed."""
+    if len(pairs) < 2:  # most images and preimages have one component
+        return pairs[0] if pairs else ()
+    pairs.sort()
+    out: list = []
+    lo, hi = pairs[0]
+    for l, h in pairs:
+        if l < hi:
+            if h > hi:
+                hi = h
         else:
-            j += 1
-    return False
+            out += (lo, hi)
+            lo, hi = l, h
+    out += (lo, hi)
+    return tuple(out)
 
 
-def _cut_rows(a: Sequence[_Ratio], b: Sequence[_Ratio]) -> list[_Ratio]:
-    """:meth:`IntervalSet.intersect` on rows.
-
-    A lo end is never ``+inf`` and a hi end never ``-inf``, so ends of one
-    side compare by cross-multiplying, and an infinite end makes the cut
-    nonempty.
-    """
+def _cut_ends(a: Sequence, b: Sequence) -> list:
+    """:meth:`IntervalSet.intersect` of two sets' flat ends on one
+    denominator, as the list of the cut's ``(lo, hi)`` pairs."""
     out = []
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        a_ln, a_ld, a_hn, a_hd = a[i]
-        b_ln, b_ld, b_hn, b_hd = b[j]
-        lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
-        hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
-        if not lo_d or not hi_d or lo_n * hi_d < hi_n * lo_d:
-            out.append((lo_n, lo_d, hi_n, hi_d))
-        if a_hn * b_hd <= b_hn * a_hd:
-            i += 1
+        a_hi, b_hi = a[i + 1], b[j + 1]
+        lo = a[i] if a[i] > b[j] else b[j]
+        hi = a_hi if a_hi < b_hi else b_hi
+        if lo < hi:
+            out.append((lo, hi))
+        if a_hi <= b_hi:
+            i += 2
         else:
-            j += 1
+            j += 2
     return out
 
 
-def _rows_inside(a: Sequence[_Ratio], b: Sequence[_Ratio]) -> bool:
-    """:meth:`IntervalSet.subset_of` on rows."""
-    for c_ln, c_ld, c_hn, c_hd in a:
-        for o_ln, o_ld, o_hn, o_hd in b:
-            if o_ln * c_ld <= c_ln * o_ld and c_hn * o_hd <= o_hn * c_hd:
+def _meet_goal(target: "IntervalSet", D: int, m: Scalar) -> tuple:
+    """The thresholds on ``D`` of :func:`_ends_meet` towards ``target`` with
+    ``min_overlap = m >= 0``: ``(W, pairs)``, where ``W = floor(m*D)`` for a
+    positive ``m`` and -1 for ``m = 0``, and ``pairs`` holds one ``(th,
+    tl)`` per component ``(lo, hi)`` that is wider than ``m``, ``th =
+    ceil((hi - m)*D)`` and ``tl = floor((lo + m)*D)``, an infinite end as
+    itself."""
+    if not m:
+        return -1, tuple((_scaled(c.hi, D, up=True), _scaled(c.lo, D)) for c in target.components)
+    pairs = []
+    for c in target.components:
+        lo, hi = _exact_value(c.lo), _exact_value(c.hi)
+        if is_finite(lo) and is_finite(hi) and hi - lo <= m:
+            continue
+        th = _scaled(hi - m if is_finite(hi) else hi, D, up=True)
+        pairs.append((th, _scaled(lo + m if is_finite(lo) else lo, D)))
+    return _scaled(m, D), tuple(pairs)
+
+
+def _ends_meet(ends: Sequence, goal: tuple) -> bool:
+    """:meth:`IntervalSet.intersects` of the flat ends ``ends`` on ``D``:
+    some component ``(lo, hi)`` meets some target component ``(th, tl)`` of
+    ``goal = (W, pairs)`` (:func:`_meet_goal`) with ``lo < th``, ``tl < hi``
+    and, for a positive ``min_overlap = m``, ``hi - lo > W = floor(m*D)``;
+    ``W < 0`` stands for ``m = 0``.  For integer ends each test is exact,
+    and the overlap is wider than ``m`` exactly when all four of its end
+    pairs are ``m`` apart; an infinite overlap always passes."""
+    W, pairs = goal
+    it = iter(ends)
+    for lo, hi in zip(it, it):
+        for th, tl in pairs:
+            if lo < th and tl < hi and (
+                W < 0 or type(lo) is float or type(hi) is float or hi - lo > W
+            ):
+                return True
+    return False
+
+
+def _inside_goal(target: "IntervalSet", D: int) -> tuple:
+    """The thresholds on ``D`` of :func:`_ends_inside` for ``target``: one
+    ``(ceil(lo*D), floor(hi*D))`` per component."""
+    return tuple((_scaled(c.lo, D, up=True), _scaled(c.hi, D)) for c in target.components)
+
+
+def _ends_inside(ends: Sequence, goal: tuple) -> bool:
+    """:meth:`IntervalSet.subset_of` of the flat ends ``ends`` on ``D``:
+    every component ``(lo, hi)`` fits one ``(il, ih)`` of ``goal``
+    (:func:`_inside_goal`), ``il <= lo`` and ``hi <= ih``."""
+    it = iter(ends)
+    for lo, hi in zip(it, it):
+        for il, ih in goal:
+            if il <= lo and hi <= ih:
                 break
         else:
             return False
     return True
-
-
-def _rows_touch(rows: Sequence[_Ratio], box: _Ratio) -> bool:
-    """:meth:`IntervalSet.touches_closed` on rows, for the closed ``box``.
-
-    An infinite box end is met by every component, and is tested apart:
-    ``-inf < +inf`` would read ``0 < 0``.
-    """
-    b_ln, b_ld, b_hn, b_hd = box
-    for lo_n, lo_d, hi_n, hi_d in rows:
-        if (not b_hd or lo_n * b_hd < b_hn * lo_d) and (
-            not b_ld or hi_n * b_ld > b_ln * hi_d
-        ):
-            return True
-    return False
 
 
 def _normalise(items: Iterable[Interval]) -> tuple[Interval, ...]:

@@ -43,13 +43,29 @@ rational mode, so the mode alone sends it to integers or to the generic
 loops; every input counts at its exact value, a finite float's included.
 Two adapters are the only code that knows the mode, and both give every
 caller the same value layout.  Set searches (:func:`_set_search`, shared by
-the sweeps and the walker) carry each enclosure as a tuple of rows
-(:mod:`swmix.intervals`) in rational mode, stepped by the row kernel
-:func:`swmix.core._image_rows` and tested by cross-multiplying; rows are
-canonical, so level, memo and dead-subtree keys of rows are equal exactly
-when their sets are, and ``build`` turns a hit's rows back into a set (the
-identity on float sets).  Point searches (:func:`_point_search`, shared by
-the Xiong sweep and the envelopes) carry a group's orbits as one flat tuple
+the sweeps and the walker) carry each enclosure in rational mode as one flat
+tuple of integer ends ``(lo1, hi1, lo2, hi2, ..)``, the ends of its
+components times a denominator ``D`` that every key of a level shares, an
+infinite end as the infinite float.  The root's ``D`` is the lcm of ``L``,
+the system's domain-end, offset and clamp-box lcm, and of the sources' end
+denominators; ``K``, the lcm of the slopes' denominators, takes a value on
+``D`` to one on ``D*K``.  A sweep's level therefore moves to ``D*K`` with
+each depth, as the point levels below do, so its integers grow only with
+the depth it reaches; the walker keeps one ``D`` that holds every depth of
+its walk, ``K**H`` times the root's for its length rounded up to a power of
+two ``H``.  A step (:func:`swmix.core._image_ends`) is two comparisons and
+one multiply-add per end and a merge of int pairs, with no gcd and no
+cross-multiplication; rotations and tents have ``K = 1``, and keep the
+root's ``D`` throughout.  Targets, ``min_overlap`` and the clamp box are
+integer floor and ceiling thresholds on ``D``, since their denominators
+need not divide it.  Keys on one ``D`` are equal exactly when their sets
+are.  The walker's memo and dead-subtree sets outlive a walk, so the
+:class:`SearchClock` holds one ``D`` per system for them and rescales
+their keys once when a later walk needs a ``D`` that the held one is not
+a multiple of: new sources' denominators, or a longer walk on ``K > 1``
+past the next power of two.  ``build`` turns a hit's ends back into a
+set (the identity on float sets).  Point searches (:func:`_point_search`,
+shared by the Xiong sweep and the envelopes) carry a group's orbits as one flat tuple
 ``(D, N1, N2, ..)``, the points ``N1/D, N2/D, ..`` over a denominator ``D``
 that every key of a level shares, and ``scalar(N, D)`` gives a point's
 value.  In rational mode the ``N`` are integers, the test ``|v - t| < eps``
@@ -63,8 +79,8 @@ keep one denominator for every level.  In float
 mode ``D`` is 1 and the ``N`` are the points themselves.  Either way,
 Fractions are built only for the hits returned.  Float mode steps sets with
 :func:`step_images` and points with :func:`step_points`, one call per edge
-through :func:`_level_step`; rational set sweeps step rows through it too,
-but no rational point search does.
+through :func:`_level_step`; rational set sweeps step flat ends through it
+too, but no rational point search does.
 """
 
 from __future__ import annotations
@@ -76,19 +92,29 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import _REDUCE_BITS, SwitchedSystem, _Exact, _image_rows, image_of
+from .core import (
+    _REDUCE_BITS,
+    SwitchedSystem,
+    _Exact,
+    _image_ends,
+    _set_tables,
+    image_of,
+)
 from .errors import UndefinedAtPoint, UndefinedOnSet
 from .intervals import (
     NEG_INF,
     POS_INF,
     IntervalSet,
     Scalar,
-    _Ratio,
-    _ratio_rows,
-    _rows_inside,
-    _rows_meet,
-    _rows_set,
-    _rows_touch,
+    _end_lcm,
+    _ends_inside,
+    _ends_meet,
+    _ends_set,
+    _exact_value,
+    _inside_goal,
+    _meet_goal,
+    _scaled,
+    _set_ends,
 )
 from .language import PrunedAutomaton, accepts_prefix, walk
 
@@ -132,10 +158,11 @@ class SearchClock:
     level sweep stops at the first refused charge.
 
     The clock also owns the walker's memo of set steps, one table per
-    system, and its dead-subtree sets (:meth:`dead_set`).  A memo entry is
-    added only after a charged edge, and a dead key only for a charged node
-    or a walk's root, so ``budget.max_words`` bounds both as well as the
-    node count.
+    system, its dead-subtree sets (:meth:`dead_set`) and, in rational mode,
+    the one denominator of their keys per system (:meth:`_denominator`).  A
+    memo entry is added only after a charged edge, and a dead key only for a
+    charged node or a walk's root, so ``budget.max_words`` bounds both as
+    well as the node count.
     """
 
     def __init__(self, budget: SearchBudget):
@@ -145,10 +172,11 @@ class SearchClock:
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
-        # id(system) -> (system, {(images, sym): child or None}), images
-        # being sets, or rows on exact searches; holding the system keeps
+        # id(system) -> [system, {(images, sym): child or None}, D], images
+        # being sets, or flat ends on the denominator D on exact searches
+        # (D is None until an exact walk sets it); holding the system keeps
         # its id from being reused while the clock lives.
-        self._steps: dict[int, tuple[SwitchedSystem, dict]] = {}
+        self._steps: dict[int, list] = {}
         # (id(system), targets) -> (system, {(state, value, remaining)}).
         self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
 
@@ -167,6 +195,44 @@ class SearchClock:
         """The dead-subtree set (see :func:`~swmix.language.walk`) of
         ``system``'s set walks towards ``targets``."""
         return self._dead.setdefault((id(system), targets), (system, set()))[1]
+
+    def _walks(self, system: SwitchedSystem) -> list:
+        """``[system, memo, D]``: the step memo of ``system``'s set walks
+        and the denominator ``D`` of its keys (None until set)."""
+        return self._steps.setdefault(id(system), [system, {}, None])
+
+    def _denominator(self, system: SwitchedSystem, D: int) -> int:
+        """The denominator of every exact set walk of ``system`` on this
+        clock, once a walk needs a multiple of ``D``.
+
+        Keys of the step memo and of the dead-subtree sets are flat ends on
+        that one denominator, so equal sets have equal keys across walks.
+        When ``D`` does not divide the held one, the held one becomes their
+        lcm, and the memo and every dead set of ``system`` are rebuilt once
+        with each end rescaled: as new objects, so that a walk still open
+        keeps the keys of its own denominator.
+        """
+        walks = self._walks(system)
+        held = walks[2]
+        if held is None:
+            walks[2] = D
+            return D
+        if not held % D:
+            return held
+        new = lcm(held, D)
+        f = new // held
+
+        def scale(value: tuple | None) -> tuple | None:
+            if value is None:
+                return None
+            return tuple(tuple(e * f if type(e) is int else e for e in ends) for ends in value)
+
+        walks[1] = {(scale(images), sym): scale(child) for (images, sym), child in walks[1].items()}
+        walks[2] = new
+        for key, (owner, dead) in list(self._dead.items()):
+            if owner is system:
+                self._dead[key] = (owner, {(q, scale(v), r) for q, v, r in dead})
+        return new
 
     def lengths(self, lengths: Iterable[int]) -> Iterator[int]:
         """Yield each word length in turn and stop after the one during
@@ -210,7 +276,7 @@ def _memo_step(
 ) -> Callable[[tuple, int], tuple | None]:
     """``step(images, sym)`` of ``system`` memoised in ``clock``; dead
     branches are stored as None."""
-    memo = clock._steps.setdefault(id(system), (system, {}))[1]
+    memo = clock._walks(system)[1]
 
     def memo_step(images, sym):
         key = (images, sym)
@@ -221,26 +287,6 @@ def _memo_step(
             return child
 
     return memo_step
-
-
-def _step_rows(
-    exact: _Exact,
-    partial: bool,
-    images: tuple[tuple[_Ratio, ...], ...],
-    sym: int,
-) -> tuple[tuple[_Ratio, ...], ...] | None:
-    """:func:`step_images` on rows, with the system's exact form."""
-    table, box = exact.tables[sym], exact.box
-    out = []
-    for rows in images:
-        try:
-            nxt = _image_rows(table, rows, partial)
-        except UndefinedOnSet:
-            return None
-        if not nxt or (box is not None and not _rows_touch(nxt, box)):
-            return None
-        out.append(nxt)
-    return tuple(out)
 
 
 def _level_step(
@@ -548,46 +594,111 @@ def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable,
 
 
 def _set_search(
-    system: SwitchedSystem, inside: bool
-) -> tuple[Callable, Callable, Callable, Callable]:
-    """``(encode, step, fits, build)`` of a set search, shared by the
-    sweeps and the walker: the one place where sets are sent to rows or
-    kept as sets.
+    system: SwitchedSystem,
+    inside: bool,
+    sources: Sequence[IntervalSet],
+    horizon: int,
+    clock: SearchClock,
+    shared: bool = False,
+) -> tuple[tuple, Callable, _Advance, Callable, Callable]:
+    """``(root, step, advance, fits, build)`` of a set search from
+    ``sources`` to depth ``horizon`` at most: the one place where sets are
+    sent to integers or kept as sets.
 
-    ``encode(sources)`` is the root value and ``step`` steps it;
-    ``fits(targets)`` is the leaf test towards one tuple of targets,
-    passing when every final enclosure meets its target (``intersects``
-    with the system's ``min_overlap``, partial images), or with ``inside``
-    lies inside it (``subset_of``, total images).  In rational mode the
-    enclosures are rows stepped by :func:`_step_rows` from the exact values
-    of the sources' ends, the test is cross-multiplied on the exact values
-    of the targets' ends and of ``min_overlap``, and ``build`` turns rows
-    back into sets; in float mode they are sets stepped by
-    :func:`step_images`, and ``build`` is the identity.  Both ways step the
-    same words.
+    ``root`` is the sources' value, ``step(values, sym)`` steps it and
+    ``advance`` is the level stepper of a sweep from it (:func:`_levels`);
+    ``fits(targets)`` is the leaf test towards one tuple of targets, passing
+    when every final enclosure meets its target (``intersects`` with the
+    system's ``min_overlap``, partial images), or with ``inside`` lies
+    inside it (``subset_of``, total images); ``build`` turns one enclosure
+    back into a set.  Float mode carries sets, steps them with
+    :func:`step_images`, and ``build`` is the identity.
+
+    In rational mode each enclosure is the flat tuple ``(lo1, hi1, lo2, hi2,
+    ..)`` of its components' ends times a denominator ``D``, each an int or
+    an infinite float, stepped by :func:`~swmix.core._image_ends` on the
+    maps scaled to ``D`` (:func:`~swmix.core._set_tables`).  The root lies
+    on ``lcm(L, ends)``: ``L`` is the lcm of the system's domain-end,
+    offset and clamp-box denominators and ``ends`` those of the sources'
+    finite ends.  ``K``, the lcm of the slopes' denominators, takes a value
+    on ``D`` to one on ``D*K``.  A sweep's level therefore lies on
+    ``lcm(L, ends) * K**n`` at depth ``n``, and ``advance`` moves ``D``, the
+    scaled maps and every leaf test's thresholds to the next level's
+    ``D``; ``step`` steps the current level.  The walker (``shared``) keeps
+    one ``D`` for every depth of its walk and every walk on the clock
+    (:meth:`SearchClock._denominator`), so that the clock's memo and
+    dead-subtree keys stay canonical: ``lcm(L, ends) * K**H``, where ``H``
+    is ``horizon`` rounded up to a power of two and capped by the node
+    budget, so a walk over lengths 1, 2, .. rescales the clock's keys at
+    lengths 2, 3, 5, 9, .. only.  Rotations and tents have ``K = 1``,
+    and then ``D`` never changes.  Targets, ``min_overlap`` and the clamp
+    box are floor and ceiling thresholds on ``D``.  ``build`` gives every
+    end as a Fraction or an infinity.  Both modes step the same words.
     """
-    partial = not inside
-    min_overlap = system.numerics.min_overlap
+    aut = system.automaton
     exact = system._exact()
-    if exact is not None:
-        m_n, m_d = min_overlap.as_integer_ratio()
-        test = _rows_inside if inside else functools.partial(_rows_meet, m_n=m_n, m_d=m_d)
-        step = functools.partial(_step_rows, exact, partial)
-        encode = lambda sets: tuple(_ratio_rows(s.components) for s in sets)
-        build = _rows_set
-    else:
+    if exact is None:
+        min_overlap = system.numerics.min_overlap
         if inside:
             test = IntervalSet.subset_of
         else:
             test = functools.partial(IntervalSet.intersects, min_overlap=min_overlap)
-        step = functools.partial(step_images, system, partial=partial)
-        encode, build = tuple, lambda s: s
+
+        def fits(targets: Sequence[IntervalSet]) -> Callable[[tuple], bool]:
+            goals = tuple(targets)
+            return lambda values: all(map(test, values, goals))
+
+        step = functools.partial(step_images, system, partial=not inside)
+        return tuple(sources), step, _stepper(step, aut), fits, lambda s: s
+    partial = not inside
+    D, k = _end_lcm(sources, exact.L), exact.K
+    if shared:
+        H = min(1 << (horizon - 1).bit_length(), clock.budget.max_words)
+        D, k = clock._denominator(system, D * k**H), 1
+    if inside:
+        goal_of, test = _inside_goal, _ends_inside
+    else:
+        m = _exact_value(system.numerics.min_overlap)
+        goal_of, test = functools.partial(_meet_goal, m=m if m > 0 else 0), _ends_meet
+    box = system.bounds
+    held = []  # every leaf test's targets and goals, refilled when D moves
+    tables = clamp = None
+
+    def scale() -> None:
+        """Scale the maps, the clamp box and the leaf tests to ``D``."""
+        nonlocal tables, clamp
+        tables = _set_tables(exact, D, k)
+        E = D * k
+        clamp = system.clamp and (-1, ((_scaled(box.hi, E, up=True), _scaled(box.lo, E)),))
+        for targets, goals in held:
+            goals[:] = [goal_of(t, D) for t in targets]
 
     def fits(targets: Sequence[IntervalSet]) -> Callable[[tuple], bool]:
-        goals = encode(targets)
+        goals = [goal_of(t, D) for t in targets]
+        held.append((targets, goals))
         return lambda values: all(map(test, values, goals))
 
-    return encode, step, fits, build
+    def step(images: tuple, sym: int) -> tuple | None:
+        pieces = tables[sym]
+        out = []
+        for ends in images:
+            nxt = _image_ends(pieces, ends, partial)
+            if not nxt or (clamp and not _ends_meet(nxt, clamp)):
+                return None
+            out.append(nxt)
+        return tuple(out)
+
+    def advance(level: dict, clock: SearchClock) -> dict | None:
+        nonlocal D
+        out = _level_step(step, aut, level, clock)
+        if k > 1:
+            D *= k
+            scale()
+        return out
+
+    scale()
+    root = tuple(_set_ends(s, D) for s in sources)
+    return root, step, advance, fits, lambda ends: _ends_set(ends, D)
 
 
 def iter_set_hits(
@@ -609,10 +720,10 @@ def iter_set_hits(
     ``length`` below 1.
     """
     targets = tuple(targets)
-    encode, step, fits, build = _set_search(system, inside=False)
+    root, step, _, fits, build = _set_search(system, False, sources, length, clock, shared=True)
     step = _memo_step(clock, system, step)
     dead = clock.dead_set(system, targets)
-    hits = walk(system.automaton, length, encode(sources), step, clock.spend, fits(targets), dead)
+    hits = walk(system.automaton, length, root, step, clock.spend, fits(targets), dead)
     for syms, values in hits:
         yield syms, tuple(map(build, values))
 
@@ -641,9 +752,10 @@ def first_set_hit(
     if any(n < 1 for n in wanted):
         raise ValueError("word length must be at least 1")
     aut, suffix = system.automaton, tuple(suffix)
-    encode, step, fits, build = _set_search(system, inside=False)
+    horizon = max(wanted, default=0)
+    root, _, advance, fits, build = _set_search(system, False, sources, horizon, clock)
     test = fits(targets)
-    sweep = _levels(aut, _stepper(step, aut), [encode(sources)], clock, max(wanted, default=0))
+    sweep = _levels(aut, advance, [root], clock, horizon)
     for n, (level,) in enumerate(sweep, 1):
         if n in wanted:
             for (_, values), word in level.items():

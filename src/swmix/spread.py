@@ -48,7 +48,7 @@ from .errors import (
 from .geometry import CompactRep
 from .intervals import POS_INF, Interval, IntervalSet, Scalar, covers_closed_interval
 from .language import accepts_prefix
-from .search import SearchBudget, SearchClock, _levels, _set_search, _stepper
+from .search import SearchBudget, SearchClock, _levels, _set_search
 from .words import Word
 
 __all__ = [
@@ -289,13 +289,13 @@ def certify_spread(
         tuple(0 if i % 2 else m - 1 for i in range(n)),
     ]
     order = list(dict.fromkeys(probes + table))
-    encode, step, fits, _ = _set_search(system, inside=True)
-    advance = _stepper(step, system.automaton)
-    tests = {alpha: fits([net.ball(a, eps) for a in alpha]) for alpha in order}
+    balls = {alpha: [net.ball(a, eps) for a in alpha] for alpha in order}
     clock = SearchClock(budget)
     failed: tuple[int, ...] | None = None
     for centers, delta0, hi in _center_candidates(system, start, eps, k0, budget):
-        root = encode([ball(z, delta0) for z in centers])
+        sources = [ball(z, delta0) for z in centers]
+        root, _, advance, fits, _ = _set_search(system, True, sources, hi, clock)
+        tests = {alpha: fits(balls[alpha]) for alpha in order}
         found: dict[tuple[int, ...], Word] = {}
         unfound = order
         sweep = _levels(system.automaton, advance, [root], clock, hi)

@@ -1,9 +1,9 @@
 """Shared builders for the test suite: circle rotations, random systems, a
-plain reference evaluation of maps, a reference pull-back of hits, a
-reference first-hit search, a reference Xiong witness, a reference
-per-edge point step on reduced integer pairs, a reference envelope on the
-orbit difference, reference envelope and Xiong verifiers on Fraction
-arithmetic and a reference greedy cover check."""
+plain reference evaluation of maps, a reference pull-back of hits, the row
+kernel's set step and pull-back, a reference first-hit search, a reference
+Xiong witness, a reference per-edge point step on reduced integer pairs, a
+reference envelope on the orbit difference, reference envelope and Xiong
+verifiers on Fraction arithmetic and a reference greedy cover check."""
 
 from __future__ import annotations
 
@@ -19,13 +19,16 @@ from swmix.core import (
     Numerics,
     PiecewiseAffineMap,
     SwitchedSystem,
+    _image_rows,
+    _word_image_rows,
+    _word_preimage_rows,
     eval_interval,
     eval_point,
     word_preimage,
 )
-from swmix.intervals import POS_INF, Interval, IntervalSet, _exact_value
+from swmix.intervals import POS_INF, Interval, IntervalSet, _exact_value, _ratio_rows, _rows_set
 from swmix.chaos import DistanceEnvelope, EnvelopeRow, XiongStage, XiongWitness
-from swmix.errors import EmptyLanguage, UndefinedAtPoint
+from swmix.errors import EmptyLanguage, UndefinedAtPoint, UndefinedOnSet
 from swmix.language import (
     Dfa,
     ForbiddenWords,
@@ -113,6 +116,93 @@ def reference_pull_back(system: SwitchedSystem, word, source, target):
     if back.is_empty or not back.subset_of(target):
         return None
     return IntervalSet.from_intervals([sub.widest_component()])
+
+
+# The row kernel's set searches and pull-backs, kept as pinned old behaviour:
+# before the set searches and pull_back_hit moved to flat ends on one
+# denominator, they stepped rows (swmix.intervals) with the row kernel of
+# swmix.core, which still serves eval_interval, word_preimage and the
+# verifiers.  The new kernel is tested against these.
+
+
+def _rows_touch(rows, box):
+    """IntervalSet.touches_closed on rows, for the closed row ``box``."""
+    b_ln, b_ld, b_hn, b_hd = box
+    for lo_n, lo_d, hi_n, hi_d in rows:
+        if (not b_hd or lo_n * b_hd < b_hn * lo_d) and (not b_ld or hi_n * b_ld > b_ln * hi_d):
+            return True
+    return False
+
+
+def _cut_rows(a, b):
+    """IntervalSet.intersect on rows."""
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        a_ln, a_ld, a_hn, a_hd = a[i]
+        b_ln, b_ld, b_hn, b_hd = b[j]
+        lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
+        hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
+        if not lo_d or not hi_d or lo_n * hi_d < hi_n * lo_d:
+            out.append((lo_n, lo_d, hi_n, hi_d))
+        if a_hn * b_hd <= b_hn * a_hd:
+            i += 1
+        else:
+            j += 1
+    return out
+
+
+def _rows_inside(a, b):
+    """IntervalSet.subset_of on rows."""
+    return all(
+        any(o_ln * c_ld <= c_ln * o_ld and c_hn * o_hd <= o_hn * c_hd for o_ln, o_ld, o_hn, o_hd in b)
+        for c_ln, c_ld, c_hn, c_hd in a
+    )
+
+
+def reference_row_step(system: SwitchedSystem, images, sym: int, partial: bool):
+    """One set-search step on rows, as the row kernel took it: each set's
+    image rows (:func:`swmix.core._image_rows`), None where a branch dies
+    (an empty image, a gap with ``partial=False``, or with the clamp flag an
+    image that misses the closed box), and the images as sets otherwise."""
+    exact = system._exact()
+    out = []
+    for s in images:
+        try:
+            rows = _image_rows(exact.tables[sym], _ratio_rows(s.components), partial)
+        except UndefinedOnSet:
+            return None
+        if not rows or (exact.box is not None and not _rows_touch(rows, exact.box)):
+            return None
+        out.append(_rows_set(rows))
+    return tuple(out)
+
+
+def reference_row_pull_back(system: SwitchedSystem, word, source, target):
+    """:func:`swmix.hitting.pull_back_hit` of an exact system as the row
+    kernel ran it: the three passes on rows, the widest component of the
+    cut (the first among equals; an unbounded one is widest), or None."""
+    tables, symbols = system._exact().tables, tuple(word)
+    src, tgt = _ratio_rows(source.components), _ratio_rows(target.components)
+    overlap = _cut_rows(_word_image_rows(tables, symbols, src, True), tgt)
+    if not overlap:
+        return None
+    sub = _cut_rows(_word_preimage_rows(tables, symbols, overlap[:1]), src)
+    if not sub:
+        return None
+    back = _word_image_rows(tables, symbols, sub, True)
+    if not back or not _rows_inside(back, tgt):
+        return None
+    best = None
+    for row in sub:
+        lo_n, lo_d, hi_n, hi_d = row
+        if not lo_d or not hi_d:
+            best = row
+            break
+        width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
+        if best is None or width_n * best_d > best_n * width_d:
+            best, best_n, best_d = row, width_n, width_d
+    return _rows_set((best,))
 
 
 def fraction_ends(s: IntervalSet) -> bool:

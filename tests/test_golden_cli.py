@@ -13,11 +13,17 @@ To inspect a mismatch, write ``SCENARIOS[name]`` to a file, run
 the artifacts.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swmix.cli import main
 from swmix.core import AffinePiece, PiecewiseAffineMap, SwitchedSystem
@@ -658,3 +664,57 @@ def test_tampered_certificates_fail_cleanly(name, tmp_path, capsys):
             non_finite = value in (INF, -INF, "inf", "-inf") or value != value
             if code == 0 and non_finite:
                 assert _widens(path, value), (path, value, out)
+
+
+# Fuzz of the rational set paths at the CLI boundary: one numeric leaf of a
+# rational hitting, wm-cert or spread golden scenario replaced by zero, a
+# tiny or a huge rational, a float with a 2**-52 part or, at a domain end,
+# an infinity, under small budgets and horizons.  Whatever the search meets,
+# the run must end with an exit code, never with a traceback.
+
+FUZZED = (
+    "hitting",
+    "hitting-int-cuts",
+    "hitting-budget",
+    "wm1",
+    "wm2",
+    "wm1-fallback-gaps",
+    "spread",
+    "spread-unrealized",
+)
+FUZZ_VALUES = (0, "1/1000000000000", 10**40, 0.5 + 2.0**-52, -1.25 + 2.0**-52)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FUZZED), st.data())
+def test_mutated_rational_set_scenarios_end_cleanly(name, data):
+    doc = json.loads(json.dumps(SCENARIOS[name]))
+    budget = doc["budget"]
+    budget["max_horizon"] = min(budget["max_horizon"], 5)
+    budget["max_words"] = min(budget["max_words"], 3000)
+    path = data.draw(st.sampled_from(list(_number_paths(doc))))
+    values = FUZZ_VALUES + (("-inf", "inf") if "domain" in path else ())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(st.sampled_from(values))
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, out = Path(tmp) / "scenario.json", Path(tmp) / "out"
+        scn.write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["run", str(scn), "--out", str(out)])
+        assert code in (0, 1, 2) and "Traceback" not in stderr.getvalue(), (path, doc)
+        if code == 1:
+            assert "error" in json.loads(stdout.getvalue())
+            return
+        assert stdout.getvalue() == (out / "report.json").read_text(encoding="utf-8")
+        cert = out / "certificate.json"
+        if cert.exists():
+            verdict = io.StringIO()
+            with contextlib.redirect_stdout(verdict):
+                verified = main(["verify", str(cert)])
+            # A run that exits 2 writes a partial certificate, which may
+            # claim too little to verify; one that exits 0 must verify.
+            assert verified == 0 if code == 0 else verified in (0, 1)
+            assert isinstance(json.loads(verdict.getvalue()), dict)

@@ -1,8 +1,10 @@
 """Open interval-union algebra: the layer everything else certifies against."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,17 @@ from swmix.intervals import (
     POS_INF,
     Interval,
     IntervalSet,
+    _cut_ends,
+    _ends_inside,
+    _ends_meet,
+    _ends_set,
+    _inside_goal,
+    _meet_goal,
+    _merge_pairs,
     _normalise_rows,
-    _ratio_rows,
-    _rows_meet,
     _rows_set,
+    _scaled,
+    _set_ends,
     covers_closed_interval,
     is_finite,
 )
@@ -273,8 +282,18 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
     assert exact_pairs(as_pairs(a.intersect(b))) == exact_pairs(want)
     meets = reference_intersects(pa, pb, min_overlap)
     assert a.intersects(b, min_overlap) == meets
-    rows_a, rows_b = _ratio_rows(a.components), _ratio_rows(b.components)
-    assert _rows_meet(rows_a, rows_b, *min_overlap.as_integer_ratio()) == meets
+    # The set kernel's tests on one denominator D that a's ends lie on and
+    # b's need not (b's thirds are thresholds on D), and its cut and merge
+    # on a D shared by both.
+    D = lcm(*(e.as_integer_ratio()[1] for c in a for e in (c.lo, c.hi) if is_finite(e)))
+    m = max(min_overlap, 0)
+    assert _ends_meet(_set_ends(a, D), _meet_goal(b, D, m)) == meets
+    assert _ends_inside(_set_ends(a, D), _inside_goal(b, D)) == reference_subset_of(pa, pb)
+    E = lcm(*(e.as_integer_ratio()[1] for pair in raw_a + raw_b for e in pair if is_finite(e)))
+    cut = _cut_ends(_set_ends(a, E), _set_ends(b, E))
+    assert _ends_set([e for pair in cut for e in pair], E) == a.intersect(b)
+    union = _merge_pairs([(_scaled(lo, E), _scaled(hi, E)) for lo, hi in raw_a + raw_b])
+    assert _ends_set(union, E) == a.union(b)
     assert a.subset_of(b) == reference_subset_of(pa, pb)
     want = reference_normalise(pa + pb)
     assert exact_pairs(as_pairs(a.union(b))) == exact_pairs(want)
@@ -298,3 +317,26 @@ def test_long_lists_normalise_like_short_ones():
         got = _rows_set(_normalise_rows(rows))
         assert as_pairs(got) == want
         assert all(type(e) is F for c in got for e in (c.lo, c.hi))
+
+
+def test_threshold_tests_on_one_denominator_match_the_set_tests():
+    # Every one-component set with ends on k/D (and the infinities) against
+    # target components whose ends lie off D (sevenths, quarters and an
+    # infinity), with min_overlap 0, 1/5 and 1/3: the integer floor and
+    # ceiling thresholds must decide intersects and subset_of exactly, the
+    # ends that sit one step from a threshold included.
+    targets = [
+        IntervalSet.of(F(2, 7), F(5, 4)),
+        IntervalSet.of(NEG_INF, F(3, 7)),
+        IntervalSet.from_pairs([(F(-3, 4), F(1, 7)), (F(6, 7), POS_INF)]),
+    ]
+    for D in (1, 2, 3, 6):
+        grid = [NEG_INF, *(F(k, D) for k in range(-2 * D, 2 * D + 1)), POS_INF]
+        for lo, hi in itertools.combinations(grid, 2):
+            s = IntervalSet.of(lo, hi)
+            ends = _set_ends(s, D)
+            assert _ends_set(ends, D) == s
+            for t in targets:
+                assert _ends_inside(ends, _inside_goal(t, D)) == s.subset_of(t)
+                for m in (0, F(1, 5), F(1, 3)):
+                    assert _ends_meet(ends, _meet_goal(t, D, m)) == s.intersects(t, m)

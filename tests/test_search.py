@@ -10,11 +10,18 @@ from hypothesis import strategies as st
 
 import swmix.search as search
 import swmix.spread as spread
-from swmix.core import Numerics, PiecewiseAffineMap, SwitchedSystem, word_preimage
+from swmix.core import (
+    AffinePiece,
+    Numerics,
+    PiecewiseAffineMap,
+    SwitchedSystem,
+    eval_interval,
+    word_preimage,
+)
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, EmptyRefinement, PreconditionFailed
-from swmix.hitting import extend_witness
-from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
+from swmix.hitting import extend_witness, pull_back_hit
+from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet, _ends_set
 from swmix.language import ForbiddenWords, FullShift, walk
 from swmix.search import (
     SearchBudget,
@@ -30,8 +37,11 @@ from swmix.words import Word
 
 from helpers import (
     UNIT,
+    fraction_ends,
     random_system,
     reference_first_set_hit,
+    reference_row_pull_back,
+    reference_row_step,
     reference_value,
     rotation_system,
     sweep_systems,
@@ -216,17 +226,40 @@ def test_refuted_first_set_hit_node_count():
     assert (clock.count, clock.exceeded) == (48, False)
 
 
+def _record_set_steps(monkeypatch, calls):
+    """Wrap ``search._set_search`` so that every step of the set searches it
+    builds appends ``(images, sym)`` to ``calls[-1]`` and is checked against
+    the row kernel's step (``helpers.reference_row_step``): the same sets,
+    and a branch that dies exactly where the row step dies.  The sweep's
+    stepper is rebuilt on the recording step, which keeps its levels on one
+    denominator only for integer slopes (``K = 1``)."""
+    real = search._set_search
+
+    def recording(system, inside, *args, **kwargs):
+        assert system._exact().K == 1
+        root, step, _, fits, build = real(system, inside, *args, **kwargs)
+
+        def checked(images, sym):
+            calls[-1].append((images, sym))
+            child = step(images, sym)
+            want = reference_row_step(system, tuple(map(build, images)), sym, not inside)
+            assert (None if child is None else tuple(map(build, child))) == want
+            return child
+
+        return root, checked, search._stepper(checked, system.automaton), fits, build
+
+    monkeypatch.setattr(search, "_set_search", recording)
+
+
 def test_refuted_first_set_hit_memoises_steps(monkeypatch):
     # No memo: the sweep steps each (key, symbol) of a level once.  The 48
-    # charged edges of the refuted search above are 48 _step_rows calls
-    # over six levels, none repeated within its level (full shift, so a
-    # key is its enclosure).  12 of them repeat a step of an earlier level:
-    # the cross-length memo it replaced computed 36.
+    # charged edges of the refuted search above are 48 set steps over six
+    # levels, none repeated within its level (full shift, so a key is its
+    # enclosure).  12 of them repeat a step of an earlier level: the
+    # cross-length memo it replaced computed 36.
     calls = []
-    real_step, real_level = search._step_rows, search._level_step
-    monkeypatch.setattr(
-        search, "_step_rows", lambda *args: calls[-1].append(args[2:]) or real_step(*args)
-    )
+    _record_set_steps(monkeypatch, calls)
+    real_level = search._level_step
     monkeypatch.setattr(
         search, "_level_step", lambda *args: calls.append([]) or real_level(*args)
     )
@@ -242,13 +275,13 @@ def test_refuted_first_set_hit_memoises_steps(monkeypatch):
 
 def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch):
     # x -> 2x and x -> 3x both take (0, inf) to itself.  Its infinite end
-    # must be one row, (1, 0), under both maps: then both children of the
-    # root are the root's set, the second child is the first one's refuted
-    # subtree, and only the root's two steps are computed.  Rows (2, 0) and
-    # (3, 0) would make three sets, and walk and step each: (6, 6).
-    calls = []
-    real = search._step_rows
-    monkeypatch.setattr(search, "_step_rows", lambda *args: calls.append(args) or real(*args))
+    # must stay one infinite float under both maps: then both children of
+    # the root are the root's set, the second child is the first one's
+    # refuted subtree, and only the root's two steps are computed.  Ends
+    # scaled with the slope would make three sets, and walk and step each:
+    # (6, 6).
+    calls = [[]]
+    _record_set_steps(monkeypatch, calls)
     system = SwitchedSystem(
         maps=(PiecewiseAffineMap.globally(F(2), F(0)), PiecewiseAffineMap.globally(F(3), F(0))),
         language=FullShift(2),
@@ -258,7 +291,7 @@ def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch)
     half_line = IntervalSet.of(F(0), POS_INF)
     miss = IntervalSet.of(F(-2), F(-1))
     assert list(iter_set_hits(system, [half_line], [miss], 2, clock)) == []
-    assert (clock.count, len(calls)) == (4, 2)
+    assert (clock.count, len(calls[0])) == (4, 2)
 
 
 def test_shared_clock_keeps_systems_and_modes_apart():
@@ -618,14 +651,17 @@ def test_point_search_reads_floats_at_their_exact_value():
 
 
 def test_set_search_path_follows_the_mode(monkeypatch):
-    # The set search counterpart: rational mode runs on rows with a float
-    # clamp end, float maps or a float source end, float mode on sets.
+    # The set search counterpart: rational mode steps flat ends on one
+    # denominator with a float clamp end, float maps or a float source end,
+    # float mode steps sets.
     calls = []
-    step_rows = search._step_rows
+    image_ends = search._image_ends
     monkeypatch.setattr(
         search, "step_images", lambda *a, **k: calls.append("sets") or step_images(*a, **k)
     )
-    monkeypatch.setattr(search, "_step_rows", lambda *a: calls.append("rows") or step_rows(*a))
+    monkeypatch.setattr(
+        search, "_image_ends", lambda *a, **k: calls.append("ends") or image_ends(*a, **k)
+    )
 
     def path(system, source=U):
         calls.clear()
@@ -633,10 +669,10 @@ def test_set_search_path_follows_the_mode(monkeypatch):
         assert hits
         return set(calls)
 
-    assert path(CLAMPED) == {"rows"}
-    assert path(CLAMPED, IntervalSet.of(0.0, 0.1)) == {"rows"}
-    assert path(_variant(bounds=Interval(0.0, 1.0))) == {"rows"}
-    assert path(_variant(maps=FLOAT_MAPS)) == {"rows"}
+    assert path(CLAMPED) == {"ends"}
+    assert path(CLAMPED, IntervalSet.of(0.0, 0.1)) == {"ends"}
+    assert path(_variant(bounds=Interval(0.0, 1.0))) == {"ends"}
+    assert path(_variant(maps=FLOAT_MAPS)) == {"ends"}
     assert path(_variant(numerics=Numerics(mode="float"))) == {"sets"}
     assert path(_variant(numerics=Numerics(mode="float")), IntervalSet.of(0.0, 0.1)) == {"sets"}
 
@@ -675,3 +711,213 @@ def test_certify_spread_budget_node_count(spread_clocks):
             budget=SearchBudget(max_horizon=10, max_words=20_000),
         )
     assert [(c.count, c.exceeded) for c in spread_clocks] == [(20_001, True)]
+
+
+# The set kernel on one denominator against the row kernel it replaced in
+# the searches and pull-backs (helpers.reference_row_step and
+# reference_row_pull_back, pinned): random rational systems with slopes of
+# both signs whose denominators make K > 1, piece domains with infinite
+# ends and with a gap right of the box (so total images die there), clamp
+# on and off, min_overlap zero or positive, and sets of several components
+# with infinite ends.
+
+KERNEL_SLOPES = st.builds(
+    lambda n, d, sign: F(sign * n, d),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.sampled_from([1, -1]),
+)
+KERNEL_OFFSETS = st.builds(F, st.integers(-4, 4), st.integers(1, 4))
+KERNEL_ENDS = st.fractions(min_value=-2, max_value=3, max_denominator=12)
+
+
+@st.composite
+def kernel_maps(draw):
+    if draw(st.booleans()):
+        return PiecewiseAffineMap.globally(draw(KERNEL_SLOPES), draw(KERNEL_OFFSETS))
+    cuts = sorted(draw(st.sets(st.sampled_from([F(k, 6) for k in range(1, 6)]), max_size=2)))
+    first = draw(st.sampled_from([NEG_INF, F(-1, 3), F(0)]))
+    last = draw(st.sampled_from([POS_INF, F(1), F(4, 3)]))
+    ends = [first, *cuts, last]
+    if last != POS_INF and draw(st.booleans()):
+        ends.append(last + 1)  # a piece past a gap (last, last + 1/2)
+    pieces = []
+    for lo, hi in zip(ends, ends[1:]):
+        if pieces and lo == last:
+            lo = last + F(1, 2)
+        pieces.append(AffinePiece(Interval(lo, hi), draw(KERNEL_SLOPES), draw(KERNEL_OFFSETS)))
+    return PiecewiseAffineMap(tuple(pieces))
+
+
+@st.composite
+def kernel_systems(draw):
+    m = draw(st.integers(1, 2))
+    return SwitchedSystem(
+        maps=tuple(draw(kernel_maps()) for _ in range(m)),
+        language=FullShift(m),
+        bounds=draw(st.sampled_from([Interval(F(0), F(1)), Interval(F(1, 5), F(4, 5))])),
+        clamp=draw(st.booleans()),
+        numerics=Numerics(min_overlap=draw(st.sampled_from([0, F(1, 10), F(1, 3)]))),
+    )
+
+
+@st.composite
+def kernel_sets(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(KERNEL_ENDS), draw(KERNEL_ENDS)
+        assume(a != b)
+        pairs.append([min(a, b), max(a, b)])
+    unbounded = draw(st.sampled_from(["", "", "", "", "lo", "hi", "lo hi"]))
+    if "lo" in unbounded:
+        pairs[0][0] = NEG_INF
+    if "hi" in unbounded:
+        pairs[-1][1] = POS_INF
+    return IntervalSet.from_pairs(pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kernel_systems(),
+    st.lists(kernel_sets(), min_size=1, max_size=2),
+    st.lists(kernel_sets(), min_size=2, max_size=2),
+    st.booleans(),
+    st.data(),
+)
+def test_set_kernel_matches_the_row_kernel(system, sources, targets, inside, data):
+    # Both set searches follow the word: the sweep one level of one key at a
+    # time, whose every child must be the row kernel's step of its symbol
+    # (the level's D moving by K per level), and the walker's step on its
+    # one D.
+    word = data.draw(st.lists(st.integers(0, system.m - 1), min_size=1, max_size=12))
+    goals = targets[: len(sources)]
+    min_overlap = system.numerics.min_overlap
+    aut = system.automaton
+    for shared in (False, True):
+        clock = SearchClock(SearchBudget())
+        search_parts = search._set_search(system, inside, sources, len(word), clock, shared)
+        values, step, advance, fits, build = search_parts
+        sets = tuple(sources)
+        test = fits(goals)
+        for sym in word:
+            children = [reference_row_step(system, sets, s, not inside) for s in range(system.m)]
+            if shared:
+                values = step(values, sym)
+            else:
+                level = advance({(aut.start, values): ()}, clock)
+                want = {}
+                for s, child in enumerate(children):
+                    if child is not None:
+                        want.setdefault(child, (s,))
+                got = {tuple(map(build, v)): w for (_, v), w in level.items()}
+                assert got == want
+                values = next((v for _, v in level if tuple(map(build, v)) == children[sym]), None)
+            sets = children[sym]
+            assert (values is None) == (sets is None)
+            if values is None:
+                break
+            assert tuple(map(build, values)) == sets
+            if inside:
+                want_fit = all(s.subset_of(t) for s, t in zip(sets, goals))
+            else:
+                want_fit = all(s.intersects(t, min_overlap) for s, t in zip(sets, goals))
+            assert test(values) == want_fit
+    source, target = sources[0], targets[0]
+    got = pull_back_hit(system, word, source, target)
+    assert got == reference_row_pull_back(system, word, source, target)
+    assert got is None or fraction_ends(got)
+
+
+# One clock's step memo and dead-subtree sets serve every set walk of a
+# system, so their keys must be equal exactly when their sets are.  The
+# clock holds the walks' one denominator per system and rescales its keys
+# when a later walk needs a larger one.  Words and charges are frozen from
+# the row kernel, whose rows were canonical on their own.
+
+
+def _walk_words(system, source, target, n, clock):
+    return ["".join(map(str, w)) for w, _ in iter_set_hits(system, [source], [target], n, clock)]
+
+
+def test_walks_from_sources_on_other_denominators_share_their_keys():
+    # Rotation by 1/4 and 1/2: every key of A's walk lies on quarters.  B
+    # adds a component on the 1/1000 grid outside the maps' domain, dropped
+    # at the first step, so each child of B is a child of A; the second walk
+    # rescales the clock's keys from 4 to 1000 and then skips A's refuted
+    # subtrees: 26 charges, against 30 on a fresh clock.
+    system = rotation_system(F(1, 4), F(1, 2))
+    A = IntervalSet.of(F(1, 2), F(3, 4))
+    B = IntervalSet.from_pairs([(F(1, 2), F(3, 4)), (F(1), F(1001, 1000))])
+    V = IntervalSet.of(F(1, 8), F(3, 16))
+    words = ["0011", "0101", "0110", "1001", "1010", "1100"]
+    clock = SearchClock(SearchBudget())
+    assert _walk_words(system, A, V, 4, clock) == words
+    assert clock.count == 30
+    assert _walk_words(system, B, V, 4, clock) == words
+    assert clock.count == 56
+    assert clock._walks(system)[2] == 1000
+
+
+def test_walks_over_lengths_with_fractional_slopes_share_their_keys():
+    # Slopes 3/2 and -1/3 (K = 6), domain ends on thirds, clamped: a walk of
+    # length n asks for a denominator on K**H, n rounded up to a power of
+    # two H, so over lengths 1..6, as hitting_sets walks them, the clock
+    # rescales its keys at lengths 2, 3 and 5 and ends on 90 * K**8 (90 the
+    # lcm of the system's 18 and the source's tenths).
+    def pieces(*rows):
+        return PiecewiseAffineMap(
+            tuple(AffinePiece(Interval(lo, hi), a, b) for lo, hi, a, b in rows)
+        )
+
+    system = SwitchedSystem(
+        maps=(
+            pieces((NEG_INF, F(2, 3), F(3, 2), F(0)), (F(2, 3), POS_INF, F(-1, 3), F(11, 9))),
+            pieces((NEG_INF, F(1, 3), F(-1, 3), F(1, 3)), (F(1, 3), POS_INF, F(3, 2), F(-1, 2))),
+        ),
+        language=FullShift(2),
+        bounds=Interval(F(0), F(1)),
+        clamp=True,
+    )
+    U, V = IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(7, 10), F(3, 4))
+    clock = SearchClock(SearchBudget(max_horizon=6))
+    words = [_walk_words(system, U, V, n, clock) for n in range(1, 7)]
+    assert words == [
+        [],
+        [],
+        [],
+        ["0000"],
+        ["00001", "00010", "10010"],
+        ["000001", "000010", "000011", "000100", "001100", "010001", "110001"],
+    ]
+    assert clock.count == 236
+    assert clock._walks(system)[2] == 90 * 6**8
+
+
+def test_sweep_denominator_grows_with_the_depth_reached():
+    # x/2 + 1/3 and 2x - 1/5 (K = 2), clamped: a sweep's level on D steps to
+    # one on D*K, whatever its horizon, so its integers grow with the depth
+    # it reaches.  The first hit is at length 9 (284 charges) whether the
+    # sweep may go on to length 9 or to 10**6, and after 9 levels of a sweep
+    # to 10**6 every end lies on 30 * 2**9 (30 the lcm of the offsets'
+    # fifteenths and the source's tenths), as the row kernel's ends do.
+    system = SwitchedSystem(
+        maps=(
+            PiecewiseAffineMap.globally(F(1, 2), F(1, 3)),
+            PiecewiseAffineMap.globally(F(2), F(-1, 5)),
+        ),
+        language=FullShift(2),
+        bounds=Interval(F(0), F(1)),
+        clamp=True,
+    )
+    U, T = IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(5), F(6))
+    for far in (9, 10**6):
+        clock = SearchClock(SearchBudget(max_words=200_000))
+        word, _ = first_set_hit(system, [U], [T], [9, far], clock)
+        assert (word, clock.count) == ((1, 1, 1, 0, 1, 1, 1, 1, 1), 284)
+    clock = SearchClock(SearchBudget())
+    root, _, advance, _, build = search._set_search(system, False, [U], 10**6, clock)
+    level = {(system.automaton.start, root): ()}
+    for _ in range(9):
+        level = advance(level, clock)
+    for (_, (ends,)), word in level.items():
+        assert _ends_set(ends, 30 * 2**9) == build(ends) == eval_interval(system, word, U)
