@@ -52,7 +52,7 @@ envelope: rounded orbits do not move their difference on its own, and
 :func:`verify_envelope` recomputes the distance of the two float orbits.
 
 The verifiers re-check apart from the search: they replay every stored
-word with :func:`~swmix.core.eval_point` on the exact form's point rows,
+word with :func:`~swmix.core.eval_point` on the exact form's tables,
 never through the search kernel.  In rational mode they compare each
 replayed distance or error with its recorded value on integers, by
 cross-multiplying the ratios of the exact values, and build no Fraction

@@ -29,16 +29,14 @@ Each :class:`AffinePiece` stores the sign of its slope and its inverse map
 :func:`preimage` do no per-call division or sign test on the coefficients.
 
 Rational mode runs on integers.  A map's pieces have one integer form,
-``(lo_n, lo_d, hi_n, hi_d, a, b, c, positive, ia, ib, ic)``
-(:func:`_ratio_table`), built from the exact value of every coefficient and
-finite domain end.  With ``x = n/d`` the image of ``x`` is ``(a*n + b*d) /
-(c*d)`` and its pull-back ``(ia*n + ib*d) / (ic*d)``; two endpoints compare
-by cross-multiplying.
+``(lo_n, lo_d, hi_n, hi_d, a, b, c)`` (:func:`_ratio_table`), built from the
+exact value of every coefficient and finite domain end: the domain ends as
+ratios and the piece's map ``v -> (a*v + b) / c`` in lowest terms.
 
 :meth:`SwitchedSystem._exact` is a system's exact form, every map's table,
-its point rows and the clamp box's row, and it is None exactly in float
-mode.  It is the only place that builds the tables and the one switch
-between integers and the generic loops: :func:`eval_point`,
+the clamp box's row and the scale of the set kernel, and it is None exactly
+in float mode.  It is the only place that builds the tables and the one
+switch between integers and the generic loops: :func:`eval_point`,
 :func:`eval_interval`, :func:`word_preimage`,
 :func:`swmix.hitting.pull_back_hit`, the set and point searches of
 :mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` run on
@@ -49,24 +47,24 @@ paths are tested against.
 
 * A point is carried as a pair ``(n, d)`` with ``d > 0``, reduced only
   once ``d`` has grown a machine word (``_REDUCE_BITS``) since its last
-  reduction; :func:`eval_point` steps a whole word on it and builds one
-  Fraction at the end.
-* Sets are carried as rows (:mod:`swmix.intervals`): one ``(lo_n, lo_d,
-  hi_n, hi_d)`` per component, every computed end reduced by ``gcd`` with
-  ``d > 0`` and an infinite end ``(-1, 0)`` or ``(1, 0)`` whatever the
-  slope, so equal sets have equal rows.  :func:`_image_rows` and
-  :func:`_preimage_rows` are the one kernel per direction;
-  :func:`eval_interval` and :func:`word_preimage` step a whole word on it
-  and build Fractions, Intervals and an IntervalSet only for the set they
-  return (:func:`~swmix.intervals._rows_set`).  The kernels keep every tie
-  rule of the generic loops, so the results equal theirs in value, every
-  end a Fraction or an infinity.  They serve the verifiers' re-checks.
-* The set searches and the pull-backs carry a set as flat ends on one
-  denominator ``D`` (:mod:`swmix.intervals`), chosen so that every end
-  they reach lies on it: :func:`_set_tables` scales each map's pieces to
-  ``D`` for each search or pull-back, and :func:`_image_ends` and
-  :func:`_preimage_ends` step a set with two comparisons and one
-  multiply-add per end and no gcd.
+  reduction; :func:`eval_point` steps a whole word on the tables and builds
+  one Fraction at the end.
+* A set is carried as flat ends on one denominator ``D``
+  (:mod:`swmix.intervals`), chosen so that every end a search, a pull-back,
+  :func:`eval_interval` or :func:`word_preimage` reaches lies on it:
+  :func:`_set_tables` scales each map's pieces to ``D`` once per call, and
+  :func:`_image_ends` and :func:`_preimage_ends`, the one set kernel per
+  direction, step a set with two comparisons and one multiply-add per end
+  and no gcd.  Fractions, Intervals and an IntervalSet are built only for
+  the set returned, with the values, and the :class:`UndefinedOnSet`
+  messages, of the generic loops.
+
+The set verifiers (:meth:`swmix.hitting.HitWitness.verify` and through it
+:func:`swmix.hitting.verify_wm_certificate`, and
+:func:`swmix.spread.verify_certificate`) re-check on the generic loop in
+both modes (:func:`_loop_image`): in rational mode on an exact-valued copy
+of the maps (:meth:`SwitchedSystem._loop_maps`), so that they share no
+table and no kernel with the searches whose certificates they check.
 """
 
 from __future__ import annotations
@@ -84,13 +82,13 @@ from .intervals import (
     Interval,
     IntervalSet,
     Scalar,
-    _Ratio,
+    _end_lcm,
+    _ends_set,
+    _exact_value,
     _merge_pairs,
-    _normalise_rows,
+    _Ratio,
     _ratio_end,
-    _ratio_rows,
-    _ratio_scalar,
-    _rows_set,
+    _set_ends,
     is_finite,
 )
 from .language import LanguageSpec, PrunedAutomaton, compile_language
@@ -250,36 +248,18 @@ class PiecewiseAffineMap:
 
 def _ratio_table(pam: PiecewiseAffineMap) -> tuple[tuple, ...]:
     """Integer form of the map's effective pieces, at the exact value of
-    every coefficient and finite endpoint.
-
-    A piece with ``slope = sn/sd``, ``offset = on/od``, inverse slope
-    ``isn/isd`` and inverse offset ``ion/iod`` becomes ``(lo_n, lo_d, hi_n,
-    hi_d, sn*od, on*sd, sd*od, positive, isn*iod, ion*isd, isd*iod)``.  The
-    inverse is computed from the exact slope, not read from
-    :attr:`AffinePiece.inv_slope`, which holds a rounded ``1.0/a`` for a
-    float slope.
-    """
+    every coefficient and finite endpoint: one ``(lo_n, lo_d, hi_n, hi_d,
+    a, b, c)`` per piece, the domain ends as :func:`_ratio_end` gives them
+    and ``v -> (a*v + b) / c`` the piece's map in lowest terms, ``c > 0``,
+    so that the lcm of the ``c``, by which the point kernel grows a level's
+    denominator, is least."""
     table = []
     for p in pam.effective_pieces:
         sn, sd = p.slope.as_integer_ratio()
         on, od = p.offset.as_integer_ratio()
-        # 1/slope = sd/sn and -offset/slope = -on*sd/(od*sn), reduced, d > 0
-        isn, isd = (sd, sn) if sn > 0 else (-sd, -sn)
-        g = gcd(on * isn, od * isd)
-        ion, iod = -on * isn // g, od * isd // g
-        table.append(
-            (
-                *_ratio_end(p.domain.lo),
-                *_ratio_end(p.domain.hi),
-                sn * od,
-                on * sd,
-                sd * od,
-                p.positive,
-                isn * iod,
-                ion * isd,
-                isd * iod,
-            )
-        )
+        a, b, c = sn * od, on * sd, sd * od
+        g = gcd(a, b, c)
+        table.append((*_ratio_end(p.domain.lo), *_ratio_end(p.domain.hi), a // g, b // g, c // g))
     return tuple(table)
 
 
@@ -317,10 +297,6 @@ class _Exact(NamedTuple):
     """A system's exact form (:meth:`SwitchedSystem._exact`)."""
 
     tables: tuple[tuple[tuple, ...], ...]  # every map's _ratio_table()
-    # Each table row's piece test and image map, (lo_n, lo_d, hi_n, hi_d, a,
-    # b, c) for v -> (a*v + b) / c in lowest terms, so that the lcm of the
-    # c, by which the point kernel grows a level's denominator, is least.
-    points: tuple[tuple[tuple, ...], ...]
     box: _Ratio | None  # the clamp box's row; None when the system does not clamp
     # The set kernel's scale (_set_tables): L, the lcm of the finite
     # domain-end, offset and clamp-box denominators; K and J, the lcm of the
@@ -368,9 +344,9 @@ class SwitchedSystem:
         """The system's exact form in rational mode, None in float mode.
 
         Every integer path of the package reads it, so the numeric mode is
-        the one switch between rows and the generic loops, and this is the
-        only caller of :func:`_ratio_table`.  Built on the first call and
-        cached; a plain attribute, so equality and repr are unchanged.
+        the one switch between integers and the generic loops, and this is
+        the only caller of :func:`_ratio_table`.  Built on the first call
+        and cached; a plain attribute, so equality and repr are unchanged.
         """
         try:
             return self._exact_form
@@ -379,20 +355,45 @@ class SwitchedSystem:
         form = None
         if self.numerics.mode == "rational":
             tables = tuple(_ratio_table(pam) for pam in self.maps)
-            points = tuple(
-                tuple((*row[:4], *(k // gcd(*row[4:7]) for k in row[4:7])) for row in t)
-                for t in tables
-            )
             box = _ratio_end(self.bounds.lo) + _ratio_end(self.bounds.hi)
             L = lcm(box[1] or 1, box[3] or 1) if self.clamp else 1
             K = J = 1
-            for lo_n, lo_d, hi_n, hi_d, a, b, c, *_ in (row for t in tables for row in t):
+            for lo_n, lo_d, hi_n, hi_d, a, b, c in (row for t in tables for row in t):
                 g = gcd(a, c)
                 L = lcm(L, lo_d or 1, hi_d or 1, c // gcd(b, c))
                 K, J = lcm(K, c // g), lcm(J, a // g)
-            form = _Exact(tables, points, box if self.clamp else None, L, K, J)
+            form = _Exact(tables, box if self.clamp else None, L, K, J)
         object.__setattr__(self, "_exact_form", form)
         return form
+
+    def _loop_maps(self) -> tuple[PiecewiseAffineMap, ...]:
+        """The maps that :func:`_loop_image` steps: in float mode the maps
+        themselves; in rational mode a copy of each with every coefficient
+        a Fraction and every finite domain end at its exact value, its
+        fallback gaps listed as pieces.  Built from the maps alone, not from
+        :meth:`_exact`, on the first call and cached like it."""
+        try:
+            return self._loop_form
+        except AttributeError:
+            pass
+        maps = self.maps
+        if self.numerics.mode == "rational":
+            ex = _exact_value
+            maps = tuple(
+                PiecewiseAffineMap(
+                    tuple(
+                        AffinePiece(
+                            Interval(ex(p.domain.lo), ex(p.domain.hi)),
+                            Fraction(p.slope),
+                            Fraction(p.offset),
+                        )
+                        for p in pam.effective_pieces
+                    )
+                )
+                for pam in maps
+            )
+        object.__setattr__(self, "_loop_form", maps)
+        return maps
 
     def inside_kill_box(self, values: IntervalSet) -> bool:
         return values.touches_closed(self.bounds.lo, self.bounds.hi)
@@ -420,8 +421,8 @@ _REDUCE_BITS = 62
 def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) -> Scalar:
     """Orbit endpoint ``f_w(x)``; raises UndefinedAtPoint when the orbit dies.
 
-    Rational mode steps the whole word on the exact form's point rows,
-    from the exact value ``n/d`` of ``x``: ``n/d`` passes the piece with
+    Rational mode steps the whole word on the exact form's tables, from
+    the exact value ``n/d`` of ``x``: ``n/d`` passes the piece with
     ``lo_n*d < n*lo_d`` and ``n*hi_d < hi_n*d`` to ``(a*n + b*d) / (c*d)``.
     The pair is divided by ``gcd(n, d)`` only once ``d`` has grown
     ``_REDUCE_BITS`` bits past its width at the last reduction (or at the
@@ -437,7 +438,7 @@ def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) ->
         n, d = x.as_integer_ratio()
         cap = d << _REDUCE_BITS
         for step, sym in enumerate(symbols):
-            for lo_n, lo_d, hi_n, hi_d, a, b, c in exact.points[sym]:
+            for lo_n, lo_d, hi_n, hi_d, a, b, c in exact.tables[sym]:
                 if lo_n * d < n * lo_d and n * hi_d < hi_n * d:
                     n, d = a * n + b * d, c * d
                     break
@@ -461,62 +462,6 @@ def eval_point(system: SwitchedSystem, word: Word | Sequence[int], x: Scalar) ->
                 f"orbit undefined at step {step}: map {sym} has no piece at {value}"
             ) from None
     return value
-
-
-def _image_rows(table: tuple[tuple, ...], rows, partial: bool) -> tuple:
-    """:func:`image_of` on rows: the normalised ``(lo_n, lo_d, hi_n, hi_d)``
-    rows of the image of the set ``rows`` under the map of ``table``.
-
-    Each computed end ``(a*n + b*d) / (c*d)`` is reduced by ``gcd``, and an
-    infinite end is ``(-1, 0)`` or ``(1, 0)`` whatever the slope, so equal
-    sets have equal rows.  ``-inf < +inf`` would read ``0 < 0``; the two
-    tests that can meet both infinities, an empty overlap and a cursor
-    moving to ``+inf``, count a zero denominator apart.
-    """
-    out = []
-    for c_ln, c_ld, c_hn, c_hd in rows:
-        cur_n, cur_d = c_ln, c_ld
-        for p_ln, p_ld, p_hn, p_hd, a, b, c, positive, _, _, _ in table:
-            if p_ln * c_ld > c_ln * p_ld:
-                lo_n, lo_d = p_ln, p_ld
-            else:
-                lo_n, lo_d = c_ln, c_ld
-            if p_hn * c_hd < c_hn * p_hd:
-                hi_n, hi_d = p_hn, p_hd
-            else:
-                hi_n, hi_d = c_hn, c_hd
-            if lo_d and hi_d and lo_n * hi_d >= hi_n * lo_d:
-                continue
-            if not partial and lo_n * cur_d > cur_n * lo_d:
-                raise UndefinedOnSet(
-                    f"({_ratio_scalar(cur_n, cur_d)}, {_ratio_scalar(lo_n, lo_d)}) "
-                    "has positive width outside all piece domains"
-                )
-            if not hi_d or hi_n * cur_d > cur_n * hi_d:
-                cur_n, cur_d = hi_n, hi_d
-            if lo_d:
-                lo_n, lo_d = a * lo_n + b * lo_d, c * lo_d
-                g = gcd(lo_n, lo_d)
-                if g != 1:
-                    lo_n //= g
-                    lo_d //= g
-            elif not positive:
-                lo_n = -lo_n
-            if hi_d:
-                hi_n, hi_d = a * hi_n + b * hi_d, c * hi_d
-                g = gcd(hi_n, hi_d)
-                if g != 1:
-                    hi_n //= g
-                    hi_d //= g
-            elif not positive:
-                hi_n = -hi_n
-            out.append((lo_n, lo_d, hi_n, hi_d) if positive else (hi_n, hi_d, lo_n, lo_d))
-        if not partial and cur_n * c_hd < c_hn * cur_d:
-            raise UndefinedOnSet(
-                f"({_ratio_scalar(cur_n, cur_d)}, {_ratio_scalar(c_hn, c_hd)}) "
-                "has positive width outside all piece domains"
-            )
-    return _normalise_rows(out)
 
 
 def image_of(
@@ -552,16 +497,6 @@ def image_of(
     return IntervalSet.from_intervals(out)
 
 
-def _word_image_rows(tables: tuple, symbols: tuple[int, ...], rows, partial: bool) -> tuple:
-    """The image rows of ``rows`` under ``f_w``: :func:`_image_rows` stepped
-    through ``symbols`` with the maps of ``tables``, stopping once empty."""
-    for sym in symbols:
-        if not rows:
-            break
-        rows = _image_rows(tables[sym], rows, partial)
-    return rows
-
-
 def eval_interval(
     system: SwitchedSystem,
     word: Word | Sequence[int],
@@ -570,71 +505,57 @@ def eval_interval(
 ) -> IntervalSet:
     """Enclosure of ``f_w`` over an interval union; exact in rational mode.
 
-    Rational mode steps the whole word on rows and builds the result's
-    endpoints once, at the end.
+    Rational mode steps the whole word on flat ends (:func:`_image_ends`)
+    over one denominator, ``lcm(L, ends) * K**n`` for a word of length
+    ``n``, on which every end it reaches lies, and builds the result's
+    endpoints once, at the end.  A gap that ``partial=False`` finds is
+    named as the generic loop names it.
     """
-    symbols = _check_word(system, word)
     exact = system._exact()
-    if exact is not None:
-        rows = _ratio_rows(sets.components)
-        return _rows_set(_word_image_rows(exact.tables, symbols, rows, partial))
-    widen = system.numerics.widen
-    current = sets
+    if exact is None:
+        return _loop_image(system, word, sets, partial)
+    symbols = _check_word(system, word)
+    D = _end_lcm((sets,), exact.L) * exact.K ** len(symbols)
+    tables = _set_tables(exact, D)
+    ends = _set_ends(sets, D)
     for sym in symbols:
-        if current.is_empty:
-            return current
-        current = image_of(system.maps[sym], current, widen=widen, partial=partial)
-    return current
-
-
-def _preimage_rows(table: tuple[tuple, ...], rows) -> tuple:
-    """:func:`preimage` on rows: the normalised rows of the preimage of the
-    set ``rows`` under the map of ``table``.
-
-    Each pulled-back component is cut by the piece domain on integers, with
-    the tie rule of ``pulled.intersect(p.domain)``.  A pulled value is
-    reduced by ``gcd`` only when it survives the cut.
-    """
-    out = []
-    for p_ln, p_ld, p_hn, p_hd, _, _, _, positive, a, b, c in table:
-        for t_ln, t_ld, t_hn, t_hd in rows:
-            if not positive:
-                t_ln, t_ld, t_hn, t_hd = t_hn, t_hd, t_ln, t_ld
-            # (a*n + b*d) / (c*d), or an infinity of the pulled sign at d = 0
-            if t_ld:
-                lo_n, lo_d = a * t_ln + b * t_ld, c * t_ld
-            else:
-                lo_n, lo_d = (t_ln if positive else -t_ln), 0
-            if t_hd:
-                hi_n, hi_d = a * t_hn + b * t_hd, c * t_hd
-            else:
-                hi_n, hi_d = (t_hn if positive else -t_hn), 0
-            if p_ln * lo_d > lo_n * p_ld:
-                lo_n, lo_d = p_ln, p_ld
-            elif lo_d:
-                g = gcd(lo_n, lo_d)
-                lo_n //= g
-                lo_d //= g
-            if p_hn * hi_d < hi_n * p_hd:
-                hi_n, hi_d = p_hn, p_hd
-            elif hi_d:
-                g = gcd(hi_n, hi_d)
-                hi_n //= g
-                hi_d //= g
-            if lo_d and hi_d and lo_n * hi_d >= hi_n * lo_d:
-                continue
-            out.append((lo_n, lo_d, hi_n, hi_d))
-    return _normalise_rows(out)
-
-
-def _word_preimage_rows(tables: tuple, symbols: tuple[int, ...], rows) -> tuple:
-    """The preimage rows of ``rows`` under ``f_w``: :func:`_preimage_rows`
-    stepped through ``symbols`` reversed, stopping once empty."""
-    for sym in reversed(symbols):
-        rows = _preimage_rows(tables[sym], rows)
-        if not rows:
+        if not ends:
             break
-    return rows
+        try:
+            ends = _image_ends(tables[sym], ends, partial)
+        except UndefinedOnSet as gap:
+            lo, hi = (Fraction(e, D) if type(e) is int else e for e in gap.args)
+            raise UndefinedOnSet(
+                f"({lo}, {hi}) has positive width outside all piece domains"
+            ) from None
+    return _ends_set(ends, D)
+
+
+def _loop_image(
+    system: SwitchedSystem,
+    word: Word | Sequence[int],
+    sets: IntervalSet,
+    partial: bool = False,
+) -> IntervalSet:
+    """The generic loop of ``f_w``: :func:`image_of` stepped through the
+    word with the maps of :meth:`SwitchedSystem._loop_maps`, stopping once
+    empty.  It is :func:`eval_interval` in float mode, and the set
+    verifiers' re-check in both modes: in rational mode it steps the
+    exact-valued maps from the exact values of the ends of ``sets``, with no
+    widening.  Nothing here reads :meth:`SwitchedSystem._exact` or the
+    flat-end kernel, so a fault there cannot pass a certificate that its
+    searches built."""
+    symbols = _check_word(system, word)
+    maps, widen = system._loop_maps(), system.numerics.widen
+    if system.numerics.mode == "rational":
+        sets = IntervalSet(
+            tuple(Interval(_exact_value(c.lo), _exact_value(c.hi)) for c in sets)
+        )
+    for sym in symbols:
+        if sets.is_empty:
+            break
+        sets = image_of(maps[sym], sets, widen=widen, partial=partial)
+    return sets
 
 
 def _set_tables(exact: _Exact, D: int, k: int = 1) -> tuple[tuple[tuple, ...], ...]:
@@ -649,7 +570,7 @@ def _set_tables(exact: _Exact, D: int, k: int = 1) -> tuple[tuple[tuple, ...], .
     tables = []
     for table in exact.tables:
         pieces = []
-        for lo_n, lo_d, hi_n, hi_d, a, b, c, *_ in table:
+        for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
             g = gcd(a * k, c)
             lo = lo_n * D // lo_d if lo_d else NEG_INF
             hi = hi_n * D // hi_d if hi_d else POS_INF
@@ -658,13 +579,15 @@ def _set_tables(exact: _Exact, D: int, k: int = 1) -> tuple[tuple[tuple, ...], .
     return tuple(tables)
 
 
-def _image_ends(pieces: tuple[tuple, ...], ends: tuple, partial: bool) -> tuple | None:
+def _image_ends(pieces: tuple[tuple, ...], ends: tuple, partial: bool) -> tuple:
     """:func:`image_of` on one denominator ``D``: the flat normalised ends
     (:func:`~swmix.intervals._merge_pairs`) on ``D*k`` of the image of the
     set ``ends`` on ``D`` under the map whose pieces are scaled to ``D`` for
-    images on ``D*k`` (:func:`_set_tables`), ``()`` when it is empty, and
-    None where ``partial=False`` finds a positive-width part outside every
-    piece domain.  Every end of the image must lie on ``D*k``.  An infinite
+    images on ``D*k`` (:func:`_set_tables`), ``()`` when it is empty.  Where
+    ``partial=False`` finds a positive-width part outside every piece
+    domain, it raises :class:`UndefinedOnSet` with the first such part's
+    ends on ``D`` as its two arguments, found as :func:`image_of` finds
+    it.  Every end of the image must lie on ``D*k``.  An infinite
     end stays infinite, of the slope's sign; two ends compare as they are,
     int or infinite float."""
     pairs = []
@@ -678,7 +601,7 @@ def _image_ends(pieces: tuple[tuple, ...], ends: tuple, partial: bool) -> tuple 
                 continue
             if not partial:
                 if l > cursor:
-                    return None
+                    raise UndefinedOnSet(cursor, l)
                 if h > cursor:
                     cursor = h
             if type(l) is int:
@@ -691,7 +614,7 @@ def _image_ends(pieces: tuple[tuple, ...], ends: tuple, partial: bool) -> tuple 
                 h = -h
             pairs.append((l, h) if a > 0 else (h, l))
         if not partial and cursor < hi:
-            return None
+            raise UndefinedOnSet(cursor, hi)
     return _merge_pairs(pairs)
 
 
@@ -738,14 +661,21 @@ def word_preimage(
 ) -> IntervalSet:
     """Preimage of ``target`` under ``f_w`` (pull back through the word reversed).
 
-    Rational mode steps the whole word on rows and builds the result's
-    endpoints once, at the end.
+    Rational mode steps the whole word on flat ends (:func:`_preimage_ends`)
+    over one denominator, ``lcm(L, ends) * J**n`` for a word of length
+    ``n``, and builds the result's endpoints once, at the end.
     """
     symbols = _check_word(system, word)
     exact = system._exact()
     if exact is not None:
-        rows = _ratio_rows(target.components)
-        return _rows_set(_word_preimage_rows(exact.tables, symbols, rows))
+        D = _end_lcm((target,), exact.L) * exact.J ** len(symbols)
+        tables = _set_tables(exact, D)
+        ends = _set_ends(target, D)
+        for sym in reversed(symbols):
+            if not ends:
+                break
+            ends = _preimage_ends(tables[sym], ends)
+        return _ends_set(ends, D)
     widen = system.numerics.widen
     current = target
     for sym in reversed(symbols):

@@ -16,9 +16,9 @@ its image lands in V again.  In rational mode, where the system's exact
 form (:meth:`swmix.core.SwitchedSystem._exact`) exists, all three passes
 step integer ends on one denominator from the exact values of the sets'
 ends, and only the returned set is built; the mode alone picks the path.
-The verifiers do not share that kernel: they re-check through
-:func:`~swmix.core.eval_interval` and :func:`~swmix.core.word_preimage` on
-the row kernel.
+The set verifiers share neither that kernel nor the exact form: they
+re-check on the generic image loop at exact values
+(:func:`~swmix.core._loop_image`), in both modes.
 
 :func:`order_reduction` rests on :func:`maps_commute`, a verdict computed
 once per system and cached on it: exact in rational mode, on the exact
@@ -31,12 +31,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
-    AffinePiece,
     PiecewiseAffineMap,
     SwitchedSystem,
     _check_word,
     _Exact,
     _image_ends,
+    _loop_image,
     _preimage_ends,
     _set_tables,
     eval_interval,
@@ -113,7 +113,7 @@ class HitWitness:
             assert self.source is not None
             if not self.source.subset_of(U):
                 return False
-            image = eval_interval(system, self.word, self.source, partial=True)
+            image = _loop_image(system, self.word, self.source, partial=True)
             return not image.is_empty and image.subset_of(V)
         assert self.point is not None
         if system._exact() is None or not U.contains(self.point):
@@ -452,33 +452,20 @@ def maps_commute(system: SwitchedSystem) -> bool:
     a composition is undefined there.  Exact in rational mode, on bounded
     and unbounded boxes alike: the cuts and composed coefficients are
     computed on the exact values of float coefficients and ends
-    (:func:`_exact_map`).  Float mode compares floats.  The verdict is
-    computed on the first call and cached on the system, whose maps and
-    box never change.
+    (:meth:`~swmix.core.SwitchedSystem._loop_maps`).  Float mode compares
+    floats.  The verdict is computed on the first call and cached on the
+    system, whose maps and box never change.
     """
     try:
         return system._commutes
     except AttributeError:
         pass
-    maps, box = system.maps, system.bounds
+    maps, box = system._loop_maps(), system.bounds
     if system._exact() is not None:
-        maps = tuple(map(_exact_map, maps))
         box = Interval(_exact_value(box.lo), _exact_value(box.hi))
     verdict = all(_pair_commutes(f, g, box) for i, f in enumerate(maps) for g in maps[i + 1 :])
     object.__setattr__(system, "_commutes", verdict)
     return verdict
-
-
-def _exact_map(pam: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """``pam`` with every float coefficient and finite domain end at its
-    exact value, its fallback gaps listed as pieces."""
-    ex = _exact_value
-    return PiecewiseAffineMap(
-        tuple(
-            AffinePiece(Interval(ex(p.domain.lo), ex(p.domain.hi)), ex(p.slope), ex(p.offset))
-            for p in pam.effective_pieces
-        )
-    )
 
 
 def _pair_commutes(f: PiecewiseAffineMap, g: PiecewiseAffineMap, box: Interval) -> bool:

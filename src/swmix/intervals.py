@@ -14,28 +14,14 @@ Sets are hashed often (search memos key on them), so :class:`IntervalSet`
 caches its hash.  :func:`is_finite` tests the endpoint type before comparing
 with the infinities, since only a float endpoint can be infinite.
 
-Every set also has two integer forms.  Rows: one ``(lo_n, lo_d, hi_n,
-hi_d)`` per component (:func:`_ratio_rows`), each end the ratio ``(n, d)``
-of its exact value with ``d > 0`` -- a finite float's is its
-``as_integer_ratio()`` -- and the infinities ``(-1, 0)`` and ``(1, 0)``.
-The row kernels of :mod:`swmix.core`, behind
-:func:`~swmix.core.eval_interval`, :func:`~swmix.core.word_preimage` and
-so the verifiers, work on them through :func:`_normalise_rows`, the one
-normaliser of image and preimage rows, and :func:`_rows_set`, where the
-rows of an image or a preimage become an :class:`IntervalSet`, every end a
-Fraction or an infinity.  Two row ends compare by cross-multiplying, ``a <
-b`` iff ``a_n*b_d < b_n*a_d``, instead of through Fraction's generic
-operators.  That is exact against every finite end and against the same
-infinity, but ``-inf < +inf`` would read ``0 < 0``, so every test that can
-meet both counts a zero denominator apart.  Ties resolve exactly as
-``max``, ``min`` and a stable sort resolve them.
-
-Flat ends on one denominator ``D``: the tuple ``(lo1, hi1, lo2, hi2, ..)``
-of the components' ends times ``D`` (:func:`_set_ends`), each an int when
-the end lies on ``D`` and an infinite end as the infinite float, which
-compares correctly with every int.  The set searches of :mod:`swmix.search`
-and :func:`swmix.hitting.pull_back_hit` work on them through
-:func:`_merge_pairs`, their normaliser; :func:`_cut_ends`, the form of
+Rational mode steps every set in one integer form, flat ends on one
+denominator ``D``: the tuple ``(lo1, hi1, lo2, hi2, ..)`` of the
+components' ends times ``D`` (:func:`_set_ends`), each an int when the end
+lies on ``D`` and an infinite end as the infinite float, which compares
+correctly with every int.  The set searches of :mod:`swmix.search`,
+:func:`swmix.hitting.pull_back_hit`, :func:`~swmix.core.eval_interval` and
+:func:`~swmix.core.word_preimage` work on them through :func:`_merge_pairs`,
+their normaliser; :func:`_cut_ends`, the form of
 :meth:`~IntervalSet.intersect`; the floor and ceiling thresholds on ``D``
 of a target whose ends need not lie on ``D`` (:func:`_meet_goal`,
 :func:`_inside_goal`) with the tests :func:`_ends_meet` and
@@ -44,7 +30,9 @@ of a target whose ends need not lie on ``D`` (:func:`_meet_goal`,
 back, every end a Fraction or an infinity.  Equal values on one ``D`` are
 equal ints, so no tie rule is needed there.  Rational mode reads every set
 through these forms, so a float end counts at its exact binary value there
-(:meth:`swmix.core.SwitchedSystem._exact`).  Besides them, only the
+(:meth:`swmix.core.SwitchedSystem._exact`).  The set verifiers do not: they
+re-check on the generic loops at exact values, which use this module's
+:class:`IntervalSet` operations alone.  Besides the flat forms, only the
 :class:`Interval` check of two Fraction endpoints cross-multiplies; every
 other operation, :func:`_normalise` behind
 :meth:`IntervalSet.from_intervals`, :meth:`~IntervalSet.intersect`,
@@ -64,7 +52,7 @@ Scalar = Union[Fraction, float]
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-# A component as integers, (lo_n, lo_d, hi_n, hi_d): a reduced ratio per end
+# An interval as integers, (lo_n, lo_d, hi_n, hi_d): a reduced ratio per end
 # with d > 0, and (-1, 0) or (1, 0) for an infinite one.
 _Ratio = tuple[int, int, int, int]
 
@@ -76,11 +64,6 @@ def _ratio_end(e: Scalar) -> tuple[int, int]:
     if type(e) is not float or (e != NEG_INF and e != POS_INF):
         return e.as_integer_ratio()
     return (-1, 0) if e < 0 else (1, 0)
-
-
-def _ratio_rows(comps: Sequence[Interval]) -> tuple[_Ratio, ...]:
-    """``(lo_n, lo_d, hi_n, hi_d)`` per component, at the ends' exact values."""
-    return tuple(_ratio_end(c.lo) + _ratio_end(c.hi) for c in comps)
 
 
 def _exact_value(x: Scalar) -> Scalar:
@@ -146,64 +129,6 @@ class Interval:
     def touches_closed(self, lo: Scalar, hi: Scalar) -> bool:
         """True iff this open interval meets the closed interval [lo, hi]."""
         return self.lo < hi and self.hi > lo
-
-
-def _ratio_scalar(n: int, d: int) -> Scalar:
-    """The endpoint ``n/d``; a zero ``d`` is the infinity of ``n``'s sign."""
-    if d:
-        return Fraction(n, d)
-    return NEG_INF if n < 0 else POS_INF
-
-
-def _rows_set(rows: Sequence[_Ratio]) -> "IntervalSet":
-    """The set of normalised rows, with a Fraction or an infinity per end."""
-    return IntervalSet(
-        tuple(
-            Interval(_ratio_scalar(lo_n, lo_d), _ratio_scalar(hi_n, hi_d))
-            for lo_n, lo_d, hi_n, hi_d in rows
-        )
-    )
-
-
-def _normalise_rows(rows: list[_Ratio]) -> tuple[_Ratio, ...]:
-    """:func:`_normalise` of rows.
-
-    A merge keeps the first row's lo end and the second row's hi end, as
-    ``Interval(out[-1].lo, c.hi)`` does.  A stable insertion sort by ``(lo,
-    hi)`` yields the same order as the generic stable sort, since both keep
-    equal keys in input order.  It is quadratic, but the lists are short: an
-    image or a preimage has at most pieces times components rows, and the
-    benchmark workloads send at most seven.
-    """
-    if len(rows) < 2:  # most images and preimages have one component
-        return tuple(rows)
-    for i in range(1, len(rows)):
-        row = rows[i]
-        lo_n, lo_d, hi_n, hi_d = row
-        j = i
-        while j:
-            prev = rows[j - 1]
-            left, right = prev[0] * lo_d, lo_n * prev[1]
-            if left > right or (left == right and prev[2] * hi_d > hi_n * prev[3]):
-                rows[j] = prev
-                j -= 1
-            else:
-                break
-        rows[j] = row
-    out: list = []
-    top_n = top_d = 0
-    for row in rows:
-        lo_n, lo_d, hi_n, hi_d = row
-        # strict overlap only; -inf on the left or +inf on the right always overlaps
-        if out and (not lo_d or not top_d or lo_n * top_d < top_n * lo_d):
-            if hi_n * top_d > top_n * hi_d:
-                top = out[-1]
-                out[-1] = (top[0], top[1], hi_n, hi_d)
-                top_n, top_d = hi_n, hi_d
-        else:
-            out.append(row)
-            top_n, top_d = hi_n, hi_d
-    return tuple(out)
 
 
 def _scaled(e: Scalar, D: int, up: bool = False) -> int | float:

@@ -410,10 +410,10 @@ def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> tuple[Callable, 
     box = exact.box
     clamp = box is not None
     bl_n, bl_d, bh_n, bh_d = box or (0, 0, 0, 0)
-    # Each point row (a*v + b) / c as its symbol, its piece test, and its
+    # Each table row (a*v + b) / c as its symbol, its piece test, and its
     # slope's and its offset's numerator and denominator in lowest terms.
     pieces = []
-    for sym, table in enumerate(exact.points):
+    for sym, table in enumerate(exact.tables):
         for lo_n, lo_d, hi_n, hi_d, a, b, c in table:
             g, h = gcd(a, c), gcd(b, c)
             pieces.append((sym, lo_n, lo_d, hi_n, hi_d, a // g, c // g, b // h, c // h))
@@ -423,7 +423,7 @@ def _ratio_point_levels(exact: _Exact, aut: PrunedAutomaton) -> tuple[Callable, 
     # stepped, refilled in place when that denominator changes, so that the
     # edge lists below hold them by reference; filled holds the denominator
     # and the clamp bounds of the child level.
-    slots: list[list] = [[] for _ in exact.points]
+    slots: list[list] = [[] for _ in exact.tables]
     scaled = [
         (slots[sym], lo_n, lo_d, hi_n, hi_d, sn * (K // sd), on * K, od)
         for sym, lo_n, lo_d, hi_n, hi_d, sn, sd, on, od in pieces
@@ -682,7 +682,10 @@ def _set_search(
         pieces = tables[sym]
         out = []
         for ends in images:
-            nxt = _image_ends(pieces, ends, partial)
+            try:
+                nxt = _image_ends(pieces, ends, partial)
+            except UndefinedOnSet:
+                return None
             if not nxt or (clamp and not _ends_meet(nxt, clamp)):
                 return None
             out.append(nxt)

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 from .chaos import XiongStage, XiongWitness, _error
 from .core import (
     SwitchedSystem,
-    eval_interval,
+    _loop_image,
     eval_point,
     word_preimage,
 )
@@ -369,7 +369,7 @@ def verify_certificate(system: SwitchedSystem, cert: SpreadCertificate) -> bool:
         for i, z in enumerate(cert.centers):
             source = ball(z, cert.delta)
             try:
-                image = eval_interval(system, row.word, source)
+                image = _loop_image(system, row.word, source)
             except UndefinedOnSet:
                 return False
             if not image.subset_of(net.ball(alpha[i], cert.eps)):

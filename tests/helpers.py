@@ -1,6 +1,7 @@
 """Shared builders for the test suite: circle rotations, random systems, a
-plain reference evaluation of maps, a reference pull-back of hits, the row
-kernel's set step and pull-back, a reference first-hit search, a reference
+plain reference evaluation of maps, exact-valued copies of maps and sets,
+a reference set step and pull-back of hits on the generic loops at exact
+values, a reference first-hit search, a reference
 Xiong witness, a reference per-edge point step on reduced integer pairs, a
 reference envelope on the orbit difference, reference envelope and Xiong
 verifiers on Fraction arithmetic and a reference greedy cover check."""
@@ -19,14 +20,11 @@ from swmix.core import (
     Numerics,
     PiecewiseAffineMap,
     SwitchedSystem,
-    _image_rows,
-    _word_image_rows,
-    _word_preimage_rows,
-    eval_interval,
     eval_point,
-    word_preimage,
+    image_of,
+    preimage,
 )
-from swmix.intervals import POS_INF, Interval, IntervalSet, _exact_value, _ratio_rows, _rows_set
+from swmix.intervals import POS_INF, Interval, IntervalSet, _exact_value
 from swmix.chaos import DistanceEnvelope, EnvelopeRow, XiongStage, XiongWitness
 from swmix.errors import EmptyLanguage, UndefinedAtPoint, UndefinedOnSet
 from swmix.language import (
@@ -99,110 +97,76 @@ def reference_value(pam: PiecewiseAffineMap, x):
     return None
 
 
+def exact_map(pam: PiecewiseAffineMap) -> PiecewiseAffineMap:
+    """``pam`` with every coefficient and finite domain end at its exact
+    value and its fallback gaps listed as pieces."""
+    ex = _exact_value
+    return PiecewiseAffineMap(
+        tuple(
+            AffinePiece(Interval(ex(p.domain.lo), ex(p.domain.hi)), ex(p.slope), ex(p.offset))
+            for p in pam.effective_pieces
+        )
+    )
+
+
+def exact_set(s: IntervalSet) -> IntervalSet:
+    """``s`` with every finite end at its exact value."""
+    return IntervalSet(tuple(Interval(_exact_value(c.lo), _exact_value(c.hi)) for c in s))
+
+
+# The set kernel's references: the generic loops (image_of, preimage and the
+# IntervalSet operations) on exact-valued copies of the maps and sets, which
+# share no code with the flat-end kernel of the searches, pull_back_hit,
+# eval_interval and word_preimage.
+
+
+def reference_set_step(system: SwitchedSystem, images, sym: int, partial: bool):
+    """One set-search step: each set's image under map ``sym``, None where
+    a branch dies (an empty image, a gap with ``partial=False``, or with
+    the clamp flag an image that misses the closed box), and the images
+    otherwise."""
+    pam, box = exact_map(system.maps[sym]), system.bounds
+    out = []
+    for s in images:
+        try:
+            image = image_of(pam, exact_set(s), partial=partial)
+        except UndefinedOnSet:
+            return None
+        if image.is_empty or (system.clamp and not image.touches_closed(box.lo, box.hi)):
+            return None
+        out.append(image)
+    return tuple(out)
+
+
 def reference_pull_back(system: SwitchedSystem, word, source, target):
     """:func:`swmix.hitting.pull_back_hit` of an exact system as three passes
     over interval sets: the image, its leftmost overlap with the target
     pulled back and cut by the source, and the cut's image, which must land
-    in the target; the widest component of the cut, or None."""
-    image = eval_interval(system, word, source, partial=True)
-    overlap = image.intersect(target)
+    in the target; the widest component of the cut (the first among equals;
+    an unbounded one is widest), or None."""
+    maps = tuple(map(exact_map, system.maps))
+    source, target = exact_set(source), exact_set(target)
+
+    def forward(s):
+        for sym in word:
+            if s.is_empty:
+                break
+            s = image_of(maps[sym], s, partial=True)
+        return s
+
+    overlap = forward(source).intersect(target)
     if overlap.is_empty:
         return None
-    sub = word_preimage(system, word, IntervalSet.from_intervals([overlap.components[0]]))
+    sub = IntervalSet.from_intervals([overlap.components[0]])
+    for sym in reversed(word):
+        sub = preimage(maps[sym], sub)
     sub = sub.intersect(source)
     if sub.is_empty:
         return None
-    back = eval_interval(system, word, sub, partial=True)
+    back = forward(sub)
     if back.is_empty or not back.subset_of(target):
         return None
     return IntervalSet.from_intervals([sub.widest_component()])
-
-
-# The row kernel's set searches and pull-backs, kept as pinned old behaviour:
-# before the set searches and pull_back_hit moved to flat ends on one
-# denominator, they stepped rows (swmix.intervals) with the row kernel of
-# swmix.core, which still serves eval_interval, word_preimage and the
-# verifiers.  The new kernel is tested against these.
-
-
-def _rows_touch(rows, box):
-    """IntervalSet.touches_closed on rows, for the closed row ``box``."""
-    b_ln, b_ld, b_hn, b_hd = box
-    for lo_n, lo_d, hi_n, hi_d in rows:
-        if (not b_hd or lo_n * b_hd < b_hn * lo_d) and (not b_ld or hi_n * b_ld > b_ln * hi_d):
-            return True
-    return False
-
-
-def _cut_rows(a, b):
-    """IntervalSet.intersect on rows."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        a_ln, a_ld, a_hn, a_hd = a[i]
-        b_ln, b_ld, b_hn, b_hd = b[j]
-        lo_n, lo_d = (b_ln, b_ld) if b_ln * a_ld > a_ln * b_ld else (a_ln, a_ld)
-        hi_n, hi_d = (b_hn, b_hd) if b_hn * a_hd < a_hn * b_hd else (a_hn, a_hd)
-        if not lo_d or not hi_d or lo_n * hi_d < hi_n * lo_d:
-            out.append((lo_n, lo_d, hi_n, hi_d))
-        if a_hn * b_hd <= b_hn * a_hd:
-            i += 1
-        else:
-            j += 1
-    return out
-
-
-def _rows_inside(a, b):
-    """IntervalSet.subset_of on rows."""
-    return all(
-        any(o_ln * c_ld <= c_ln * o_ld and c_hn * o_hd <= o_hn * c_hd for o_ln, o_ld, o_hn, o_hd in b)
-        for c_ln, c_ld, c_hn, c_hd in a
-    )
-
-
-def reference_row_step(system: SwitchedSystem, images, sym: int, partial: bool):
-    """One set-search step on rows, as the row kernel took it: each set's
-    image rows (:func:`swmix.core._image_rows`), None where a branch dies
-    (an empty image, a gap with ``partial=False``, or with the clamp flag an
-    image that misses the closed box), and the images as sets otherwise."""
-    exact = system._exact()
-    out = []
-    for s in images:
-        try:
-            rows = _image_rows(exact.tables[sym], _ratio_rows(s.components), partial)
-        except UndefinedOnSet:
-            return None
-        if not rows or (exact.box is not None and not _rows_touch(rows, exact.box)):
-            return None
-        out.append(_rows_set(rows))
-    return tuple(out)
-
-
-def reference_row_pull_back(system: SwitchedSystem, word, source, target):
-    """:func:`swmix.hitting.pull_back_hit` of an exact system as the row
-    kernel ran it: the three passes on rows, the widest component of the
-    cut (the first among equals; an unbounded one is widest), or None."""
-    tables, symbols = system._exact().tables, tuple(word)
-    src, tgt = _ratio_rows(source.components), _ratio_rows(target.components)
-    overlap = _cut_rows(_word_image_rows(tables, symbols, src, True), tgt)
-    if not overlap:
-        return None
-    sub = _cut_rows(_word_preimage_rows(tables, symbols, overlap[:1]), src)
-    if not sub:
-        return None
-    back = _word_image_rows(tables, symbols, sub, True)
-    if not back or not _rows_inside(back, tgt):
-        return None
-    best = None
-    for row in sub:
-        lo_n, lo_d, hi_n, hi_d = row
-        if not lo_d or not hi_d:
-            best = row
-            break
-        width_n, width_d = hi_n * lo_d - lo_n * hi_d, hi_d * lo_d
-        if best is None or width_n * best_d > best_n * width_d:
-            best, best_n, best_d = row, width_n, width_d
-    return _rows_set((best,))
 
 
 def fraction_ends(s: IntervalSet) -> bool:
@@ -353,11 +317,11 @@ def reference_ratio_point_step(exact):
     independent reference, as a ``step(pairs, sym)`` for
     :func:`swmix.search._level_step`: the points of one group as a flat
     tuple ``(n1, d1, n2, d2, ..)`` of reduced pairs, each stepped
-    through the first piece row of ``exact.points[sym]`` whose open domain
+    through the first piece row of ``exact.tables[sym]`` whose open domain
     holds it to ``(a*n + b*d) / (c*d)``, reduced, then kept inside the
     closed clamp box ``exact.box``; None where a point lies in no piece or
     leaves the box."""
-    tables, box = exact.points, exact.box
+    tables, box = exact.tables, exact.box
     clamp = box is not None
     box_lo_n, box_lo_d, box_hi_n, box_hi_d = box or (0, 0, 0, 0)
 

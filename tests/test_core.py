@@ -25,7 +25,7 @@ from swmix.core import (
 from swmix.chaos import XiongStage, XiongWitness, distance_envelope, verify_xiong, xiong_witness
 from swmix.demo import tent_orbit, tent_partition, tent_system
 from swmix.errors import OutsidePartition, UndefinedAtPoint, UndefinedOnSet
-from swmix.hitting import hitting_sets, pull_back_hit
+from swmix.hitting import HitWitness, hitting_sets, maps_commute, pull_back_hit
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import FullShift
 from swmix.search import (
@@ -38,6 +38,7 @@ from swmix.search import (
 from swmix.words import Word
 
 from helpers import (
+    exact_map,
     fraction_ends,
     random_system,
     reference_pull_back,
@@ -72,6 +73,7 @@ def test_word_functions_reject_words_outside_the_alphabet(mode, word):
     calls = (
         lambda: eval_point(system, word, F(1, 2)),
         lambda: eval_interval(system, word, U),
+        lambda: core._loop_image(system, word, U),
         lambda: word_preimage(system, word, U),
         lambda: pull_back_hit(system, word, U, U),
     )
@@ -617,10 +619,11 @@ def test_image_of_and_preimage_match_plain_loops(data):
     assert exact_pairs(as_pairs(got)) == exact_pairs(reference_preimage(pam, pairs))
 
 
-# Whole words on rows against the generic loops: eval_interval, word_preimage
-# and eval_point step a word on integers and build endpoints or a value only
-# for the result, and must return what image_of, preimage and the plain piece
-# loop return step by step.
+# Whole words on integers against the generic loops: eval_interval and
+# word_preimage step a word on flat ends, eval_point on integer pairs, and
+# they build endpoints or a value only for the result.  They must return
+# what image_of, preimage and the plain piece loop return step by step, and
+# raise the generic loop's UndefinedOnSet message, byte for byte.
 
 
 def common_box(maps):
@@ -675,7 +678,7 @@ def point_outcome(call):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_words_on_rows_match_stepwise_images_and_preimages(data):
+def test_words_on_flat_ends_match_stepwise_images_and_preimages(data):
     drawn = [data.draw(piecewise_maps()) for _ in range(data.draw(st.integers(1, 3)))]
     maps = tuple(pam for pam, _ in drawn)
     box = common_box(maps)
@@ -700,6 +703,46 @@ def test_words_on_rows_match_stepwise_images_and_preimages(data):
     assert system._exact() is not None
     want = point_outcome(lambda: reference_orbit(maps, word, x))
     assert point_outcome(lambda: eval_point(system, word, x)) == want
+
+
+# The set verifiers' re-check, the generic loop on the exact-valued maps
+# (core._loop_image), against eval_interval on the flat-end kernel, on maps
+# whose slopes, offsets and domain ends and on sets whose ends are now and
+# then finite floats: the same set, or the same UndefinedOnSet message.
+
+
+@st.composite
+def float_coefficients(draw, pam):
+    """``pam`` with each slope and offset, now and then, a float."""
+
+    def some_float(x):
+        return float(x) if draw(st.booleans()) else x
+
+    return PiecewiseAffineMap(
+        tuple(AffinePiece(p.domain, some_float(p.slope), some_float(p.offset)) for p in pam.pieces),
+        None if pam.fallback is None else tuple(map(some_float, pam.fallback)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_the_verifiers_generic_loop_equals_eval_interval(data):
+    drawn = [data.draw(piecewise_maps(floats=True)) for _ in range(data.draw(st.integers(1, 3)))]
+    maps = tuple(data.draw(float_coefficients(pam)) for pam, _ in drawn)
+    box = common_box(maps)
+    assume(box is not None)
+    system = SwitchedSystem(maps=maps, language=FullShift(len(maps)), bounds=box)
+    cuts = [c for _, cs in drawn for c in cs if c not in (NEG_INF, POS_INF)] or [F(0)]
+
+    def some_floats(lo, hi):
+        lo_f, hi_f = (float(e) if type(e) is F and data.draw(st.booleans()) else e for e in (lo, hi))
+        return (lo_f, hi_f) if lo_f < hi_f else (lo, hi)
+
+    sets = IntervalSet.from_pairs([some_floats(*pair) for pair in data.draw(pair_lists(cuts))])
+    word = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=8))
+    for partial in (True, False):
+        want = outcome(lambda: eval_interval(system, word, sets, partial=partial))
+        assert outcome(lambda: core._loop_image(system, word, sets, partial=partial)) == want
 
 
 # eval_point divides its integer pair by a gcd only once the denominator has
@@ -778,17 +821,6 @@ def exact_end(x):
     return F(x) if type(x) is float and x not in (NEG_INF, POS_INF) else x
 
 
-def exact_piecewise(pam: PiecewiseAffineMap) -> PiecewiseAffineMap:
-    """``pam`` with every domain end exact and its fallback gaps listed as
-    pieces."""
-    return PiecewiseAffineMap(
-        tuple(
-            AffinePiece(Interval(*map(exact_end, (p.domain.lo, p.domain.hi))), p.slope, p.offset)
-            for p in pam.effective_pieces
-        )
-    )
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_word_preimage_and_pull_back_hit_return_fractions(data):
@@ -797,7 +829,7 @@ def test_word_preimage_and_pull_back_hit_return_fractions(data):
     box = common_box(maps)
     assume(box is not None)
     system = SwitchedSystem(maps=maps, language=FullShift(len(maps)), bounds=box)
-    exact_maps = tuple(map(exact_piecewise, maps))
+    exact_maps = tuple(map(exact_map, maps))
     cuts = [c for _, cs in drawn for c in cs if c not in (NEG_INF, POS_INF)] or [F(0)]
     pairs = data.draw(pair_lists(cuts))
     target = IntervalSet.from_pairs(pairs)
@@ -813,9 +845,10 @@ def test_word_preimage_and_pull_back_hit_return_fractions(data):
 
 
 def test_exact_form_is_built_once_per_system(monkeypatch):
-    # Every integer path reads the system's one exact form: once it is built,
-    # point orbits, word images and preimages, pull-backs, set and point
-    # searches and envelope levels build no map's table again.
+    # Every integer path reads the system's one exact form, one table per
+    # map: once it is built, point orbits, word images and preimages,
+    # pull-backs, set and point searches and envelope levels build no map's
+    # table again.
     system = SwitchedSystem(
         maps=(rotation(F(1, 3)), rotation(F(2, 7))),
         language=FullShift(2),
@@ -841,6 +874,18 @@ def test_exact_form_is_built_once_per_system(monkeypatch):
     assert list(iter_point_hits(system, [(F(1, 7),)], [(F(1, 2),)], [F(1, 2)], 2, clock))
     assert distance_envelope(system, F(1, 7), F(2, 9), horizon=3).rows
     assert calls == [] and system._exact() is form
+    # The set verifiers' exact-valued maps are built once too, from the
+    # maps alone: re-checks and the commutation test build no piece again.
+    pieces = []
+    monkeypatch.setattr(core, "AffinePiece", lambda *a: pieces.append(a) or AffinePiece(*a))
+    loop_maps = system._loop_maps()
+    assert len(pieces) == 4 and calls == []
+    assert all(type(e) is F for pam in loop_maps for p in pam.pieces for e in (p.slope, p.offset))
+    pieces.clear()
+    assert HitWitness(Word(word), "set", source=U).verify(system, U, IntervalSet.of(F(0), F(1)))
+    assert core._loop_image(system, word, U) == IntervalSet.of(F(71, 210), F(92, 210))
+    assert maps_commute(system)
+    assert pieces == [] and calls == [] and system._loop_maps() is loop_maps
 
 
 # Rational mode reads a float at its exact binary value, wherever it enters:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swmix import hitting
+from swmix import core, hitting, search
 from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissiblePair, PreconditionFailed
@@ -25,6 +25,7 @@ from swmix.hitting import (
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet
 from swmix.language import ForbiddenWords, FullShift, accepts_prefix
 from swmix.search import SearchBudget
+from swmix.spread import QNet, certify_spread, verify_certificate
 from swmix.words import Word
 
 from helpers import (
@@ -374,6 +375,95 @@ def test_verify_rejects_a_witness_without_an_integer_pair_index(index):
     (_, wit), *rest = cert.witnesses
     tampered = dataclasses.replace(cert, witnesses=((index, wit), *rest))
     assert not verify_wm_certificate(CLAMPED, tampered)
+
+
+# The set verifiers re-check on the generic loop at exact values, apart from
+# the exact form and the flat-end kernel that the searches and pull-backs
+# share, so that a fault there cannot pass a certificate the searches built
+# with it.  Mutation tests: the searches build certificates on the clamped
+# tent (hitting, wm1, wm2) and the tent (a spread table), whose map 2 - 2x
+# has a negative slope.
+
+TENT = tent_system()
+TENT_PAIRS = [(IntervalSet.of(F(1, 10), F(3, 20)), IntervalSet.of(F(4, 5), F(17, 20)))]
+SPREAD_SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
+SPREAD_NET = QNet(radius=F(1, 2), centers=(F(2, 5), F(7, 15), F(8, 15), F(3, 5)))
+
+
+def _certificates():
+    """What the searches emit: hitting witnesses, a wm1 and a wm2
+    certificate, and a spread table."""
+    witnesses = hitting_sets(CLAMPED, U, V, SearchBudget(max_horizon=6, required=2)).witnesses
+    budget = SearchBudget(max_horizon=8, required=2)
+    certs = [wm_certificate(CLAMPED, UNIT, UNIT, TENT_PAIRS, kind, budget) for kind in ("wm1", "wm2")]
+    return witnesses, certs, certify_spread(TENT, SPREAD_SEEDS, UNIT, F(1, 5), SPREAD_NET)
+
+
+def _patch_kernel(monkeypatch, name, value):
+    """Replace the kernel function ``name`` in every module that binds it."""
+    for module in (core, search, hitting):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, value)
+
+
+def test_set_verifiers_read_neither_the_exact_form_nor_the_set_kernel(monkeypatch):
+    # Built on the working kernel, then re-checked with _image_ends broken
+    # (it drops a negative slope's sign) and with the exact form, the
+    # scaled tables and the preimage kernel raising when read: every verdict
+    # stays what it was, the tampered certificates' included.
+    witnesses, certs, table = _certificates()
+    assert any(1 in w.word.symbols for w in witnesses)
+    loose = tuple(dataclasses.replace(w, source=U) for w in witnesses)
+    shifted = dataclasses.replace(table, centers=tuple(z + F(1, 8) for z in table.centers))
+
+    def verdicts():
+        return (
+            [w.verify(CLAMPED, U, V) for w in witnesses + loose],
+            [verify_wm_certificate(CLAMPED, c) for c in certs],
+            [verify_certificate(TENT, t) for t in (table, shifted)],
+        )
+
+    want = verdicts()
+    assert want == ([True] * len(witnesses) + [False] * len(loose), [True, True], [True, False])
+    image_ends = core._image_ends
+
+    def sign_lost(pieces, ends, partial):
+        return image_ends(tuple((lo, hi, abs(a), d, b) for lo, hi, a, d, b in pieces), ends, partial)
+
+    def unreadable(*args, **kwargs):
+        raise AssertionError("a set verifier read the search kernel")
+
+    _patch_kernel(monkeypatch, "_image_ends", sign_lost)
+    assert verdicts() == want
+    for name in ("_image_ends", "_preimage_ends", "_set_tables"):
+        _patch_kernel(monkeypatch, name, unreadable)
+    monkeypatch.setattr(SwitchedSystem, "_exact", unreadable)
+    assert verdicts() == want
+
+
+def test_set_verifiers_reject_what_a_faulty_set_kernel_emits(monkeypatch):
+    # The scaled tables, which the flat-end kernel reads in both directions,
+    # shift every negative-slope piece by 1/2.  A fault in one direction
+    # alone cannot make a pull-back emit a false witness: its exact backward
+    # pass and its forward re-check guard each other.  With both wrong
+    # alike, the searches emit false witnesses for every word through
+    # 2 - 2x, and the verifiers refuse exactly those and every certificate.
+    set_tables = core._set_tables
+
+    def shifted(exact, D, k=1):
+        return tuple(
+            tuple((lo, hi, a, d, b + D * k // 2 if a < 0 else b) for lo, hi, a, d, b in t)
+            for t in set_tables(exact, D, k)
+        )
+
+    _patch_kernel(monkeypatch, "_set_tables", shifted)
+    witnesses, certs, table = _certificates()
+    assert any(1 in w.word.symbols for w in witnesses)
+    assert [w.verify(CLAMPED, U, V) for w in witnesses] == [
+        1 not in w.word.symbols for w in witnesses
+    ]
+    assert [verify_wm_certificate(CLAMPED, c) for c in certs] == [False, False]
+    assert verify_certificate(TENT, table) is False
 
 
 def test_maps_commute():

@@ -22,8 +22,6 @@ from swmix.intervals import (
     _inside_goal,
     _meet_goal,
     _merge_pairs,
-    _normalise_rows,
-    _rows_set,
     _scaled,
     _set_ends,
     covers_closed_interval,
@@ -272,6 +270,11 @@ def pair_lists(draw):
     pair_lists(),
     st.sampled_from([0, F(0), F(1, 4), 1, F(-1, 2)]),
 )
+# _merge_pairs on: strictly overlapping pairs, merged, a nested one among
+# them; abutting pairs, kept apart; and equal keys, an int and a Fraction.
+@example([(0, 2), (F(3, 2), 3)], [(1, F(5, 4)), (F(-1, 2), 0)], 0)
+@example([(0, 1), (1, 2)], [(2, POS_INF), (NEG_INF, 0)], 0)
+@example([(0, 1), (F(0), 1), (0, 2)], [(0, 1), (1, 2)], F(1, 4))
 def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
     a = IntervalSet.from_pairs(raw_a)
     b = IntervalSet.from_pairs(raw_b)
@@ -300,10 +303,10 @@ def test_set_operations_match_plain_loops(raw_a, raw_b, min_overlap):
 
 
 def test_long_lists_normalise_like_short_ones():
-    # The row normalisation's insertion sort (behind image_of and preimage)
-    # must keep the stable (lo, hi) order at any length, ties between ints
-    # and Fractions included, as the generic sort of from_pairs does, and a
-    # merge must keep the first row's lo and the second row's hi.
+    # The flat-end merge behind the set kernel's images and preimages must
+    # keep the (lo, hi) order at any length, ties between ints and
+    # Fractions included, as the generic sort of from_pairs does, and a
+    # merge must keep the first pair's lo and the second pair's hi.
     rng = random.Random(3)
     for size in (3, 17, 40):
         pairs = []
@@ -313,8 +316,7 @@ def test_long_lists_normalise_like_short_ones():
             pairs.append((F(lo) if rng.random() < 0.5 else lo, hi))
         want = reference_normalise(pairs)
         assert exact_pairs(as_pairs(IntervalSet.from_pairs(pairs))) == exact_pairs(want)
-        rows = [lo.as_integer_ratio() + hi.as_integer_ratio() for lo, hi in pairs]
-        got = _rows_set(_normalise_rows(rows))
+        got = _ends_set(_merge_pairs([(_scaled(lo, 2), _scaled(hi, 2)) for lo, hi in pairs]), 2)
         assert as_pairs(got) == want
         assert all(type(e) is F for c in got for e in (c.lo, c.hi))
 

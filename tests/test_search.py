@@ -40,8 +40,8 @@ from helpers import (
     fraction_ends,
     random_system,
     reference_first_set_hit,
-    reference_row_pull_back,
-    reference_row_step,
+    reference_pull_back,
+    reference_set_step,
     reference_value,
     rotation_system,
     sweep_systems,
@@ -229,8 +229,8 @@ def test_refuted_first_set_hit_node_count():
 def _record_set_steps(monkeypatch, calls):
     """Wrap ``search._set_search`` so that every step of the set searches it
     builds appends ``(images, sym)`` to ``calls[-1]`` and is checked against
-    the row kernel's step (``helpers.reference_row_step``): the same sets,
-    and a branch that dies exactly where the row step dies.  The sweep's
+    the generic loop's step (``helpers.reference_set_step``): the same sets,
+    and a branch that dies exactly where that step dies.  The sweep's
     stepper is rebuilt on the recording step, which keeps its levels on one
     denominator only for integer slopes (``K = 1``)."""
     real = search._set_search
@@ -242,7 +242,7 @@ def _record_set_steps(monkeypatch, calls):
         def checked(images, sym):
             calls[-1].append((images, sym))
             child = step(images, sym)
-            want = reference_row_step(system, tuple(map(build, images)), sym, not inside)
+            want = reference_set_step(system, tuple(map(build, images)), sym, not inside)
             assert (None if child is None else tuple(map(build, child))) == want
             return child
 
@@ -713,13 +713,12 @@ def test_certify_spread_budget_node_count(spread_clocks):
     assert [(c.count, c.exceeded) for c in spread_clocks] == [(20_001, True)]
 
 
-# The set kernel on one denominator against the row kernel it replaced in
-# the searches and pull-backs (helpers.reference_row_step and
-# reference_row_pull_back, pinned): random rational systems with slopes of
-# both signs whose denominators make K > 1, piece domains with infinite
-# ends and with a gap right of the box (so total images die there), clamp
-# on and off, min_overlap zero or positive, and sets of several components
-# with infinite ends.
+# The set kernel on one denominator against the generic loops at exact
+# values (helpers.reference_set_step and reference_pull_back): random
+# rational systems with slopes of both signs whose denominators make K > 1,
+# piece domains with infinite ends and with a gap right of the box (so
+# total images die there), clamp on and off, min_overlap zero or positive,
+# and sets of several components with infinite ends.
 
 KERNEL_SLOPES = st.builds(
     lambda n, d, sign: F(sign * n, d),
@@ -784,9 +783,9 @@ def kernel_sets(draw):
     st.booleans(),
     st.data(),
 )
-def test_set_kernel_matches_the_row_kernel(system, sources, targets, inside, data):
+def test_set_kernel_matches_the_generic_loops(system, sources, targets, inside, data):
     # Both set searches follow the word: the sweep one level of one key at a
-    # time, whose every child must be the row kernel's step of its symbol
+    # time, whose every child must be the generic loop's step of its symbol
     # (the level's D moving by K per level), and the walker's step on its
     # one D.
     word = data.draw(st.lists(st.integers(0, system.m - 1), min_size=1, max_size=12))
@@ -800,7 +799,7 @@ def test_set_kernel_matches_the_row_kernel(system, sources, targets, inside, dat
         sets = tuple(sources)
         test = fits(goals)
         for sym in word:
-            children = [reference_row_step(system, sets, s, not inside) for s in range(system.m)]
+            children = [reference_set_step(system, sets, s, not inside) for s in range(system.m)]
             if shared:
                 values = step(values, sym)
             else:
@@ -824,7 +823,7 @@ def test_set_kernel_matches_the_row_kernel(system, sources, targets, inside, dat
             assert test(values) == want_fit
     source, target = sources[0], targets[0]
     got = pull_back_hit(system, word, source, target)
-    assert got == reference_row_pull_back(system, word, source, target)
+    assert got == reference_pull_back(system, word, source, target)
     assert got is None or fraction_ends(got)
 
 
@@ -832,7 +831,8 @@ def test_set_kernel_matches_the_row_kernel(system, sources, targets, inside, dat
 # system, so their keys must be equal exactly when their sets are.  The
 # clock holds the walks' one denominator per system and rescales its keys
 # when a later walk needs a larger one.  Words and charges are frozen from
-# the row kernel, whose rows were canonical on their own.
+# the row kernel that the set searches stepped before, whose rows were
+# canonical on their own.
 
 
 def _walk_words(system, source, target, n, clock):
@@ -899,7 +899,7 @@ def test_sweep_denominator_grows_with_the_depth_reached():
     # it reaches.  The first hit is at length 9 (284 charges) whether the
     # sweep may go on to length 9 or to 10**6, and after 9 levels of a sweep
     # to 10**6 every end lies on 30 * 2**9 (30 the lcm of the offsets'
-    # fifteenths and the source's tenths), as the row kernel's ends do.
+    # fifteenths and the source's tenths), as the exact images' ends do.
     system = SwitchedSystem(
         maps=(
             PiecewiseAffineMap.globally(F(1, 2), F(1, 3)),
