@@ -25,8 +25,8 @@ domain boundaries stay undefined -- images and preimages of open sets are
 then again open sets, which keeps the rational mode exact.
 
 Each :class:`AffinePiece` stores the sign of its slope and its inverse map
-``(1/a, -b/a)``, computed once at construction, so :func:`image_of` and
-:func:`preimage` do no per-call division or sign test on the coefficients.
+``(1/a, -b/a)``, computed once at construction, so the generic set loops do
+no per-step division or sign test on the coefficients.
 
 Rational mode runs on integers.  A map's pieces have one integer form,
 ``(lo_n, lo_d, hi_n, hi_d, a, b, c)`` (:func:`_ratio_table`), built from the
@@ -41,9 +41,14 @@ switch between integers and the generic loops: :func:`eval_point`,
 :func:`swmix.hitting.pull_back_hit`, the set and point searches of
 :mod:`swmix.search` and the orbit levels of :mod:`swmix.chaos` run on
 integers whenever it exists, whatever the types of their inputs.
-:meth:`PiecewiseAffineMap.value_at`, :func:`image_of` and :func:`preimage`
-are the generic loops: the float-mode step, and the reference the integer
-paths are tested against.
+The generic loops are the float-mode step and the reference the integer
+paths are tested against: :meth:`PiecewiseAffineMap.value_at` for a point,
+and for a set one step per direction on a list of ``(lo, hi)`` pairs,
+:func:`_image_pairs` and :func:`_preimage_pairs`, normalised by
+:func:`~swmix.intervals._normalise`.  :func:`image_of` and :func:`preimage`
+wrap one step each; float :func:`eval_interval` (:func:`_loop_image`) and
+float :func:`word_preimage` step a whole word on the pairs and build their
+Intervals and IntervalSet once, at the end.
 
 * A point is carried as a pair ``(n, d)`` with ``d > 0``, reduced only
   once ``d`` has grown a machine word (``_REDUCE_BITS``) since its last
@@ -61,10 +66,11 @@ paths are tested against.
 
 The set verifiers (:meth:`swmix.hitting.HitWitness.verify` and through it
 :func:`swmix.hitting.verify_wm_certificate`, and
-:func:`swmix.spread.verify_certificate`) re-check on the generic loop in
-both modes (:func:`_loop_image`): in rational mode on an exact-valued copy
-of the maps (:meth:`SwitchedSystem._loop_maps`), so that they share no
-table and no kernel with the searches whose certificates they check.
+:func:`swmix.spread.verify_certificate`) re-check on the generic pair loop
+in both modes (:func:`_loop_image`): in rational mode on an exact-valued
+copy of the maps (:meth:`SwitchedSystem._loop_maps`), so that they share no
+table, no kernel and no normaliser with the searches whose certificates
+they check.
 """
 
 from __future__ import annotations
@@ -86,6 +92,8 @@ from .intervals import (
     _ends_set,
     _exact_value,
     _merge_pairs,
+    _normalise,
+    _pairs_set,
     _Ratio,
     _ratio_end,
     _set_ends,
@@ -116,7 +124,7 @@ class AffinePiece:
     would collapse open sets to single points, which the open-set
     representation cannot express.  ``positive`` (the sign of the slope) and
     the inverse map ``x -> inv_slope*x + inv_offset`` are derived once here
-    for the interval kernel.
+    for the generic set loops.
     """
 
     domain: Interval
@@ -142,34 +150,6 @@ class AffinePiece:
         object.__setattr__(self, "positive", a > 0)
         object.__setattr__(self, "inv_slope", inv_a)
         object.__setattr__(self, "inv_offset", -self.offset * inv_a)
-
-
-def _aff_endpoint(a: Scalar, b: Scalar, positive: bool, x: Scalar) -> Scalar:
-    if type(x) is float:  # only a float endpoint can be infinite
-        if x == NEG_INF:
-            return NEG_INF if positive else POS_INF
-        if x == POS_INF:
-            return POS_INF if positive else NEG_INF
-    return a * x + b
-
-
-def _aff_interval(
-    a: Scalar, b: Scalar, positive: bool, lo: Scalar, hi: Scalar, widen: Scalar
-) -> Interval:
-    """Image of ``(lo, hi)`` under ``x -> a*x + b``; ``positive`` is the sign of ``a``.
-
-    The generic path: float maps, float endpoints and widened images.
-    """
-    p = _aff_endpoint(a, b, positive, lo)
-    q = _aff_endpoint(a, b, positive, hi)
-    if not positive:
-        p, q = q, p
-    if widen:
-        if is_finite(p):
-            p -= widen
-        if is_finite(q):
-            q += widen
-    return Interval(p, q)
 
 
 @dataclass(frozen=True)
@@ -476,25 +456,53 @@ def image_of(
     piece domain raises :class:`UndefinedOnSet`; with ``partial=True`` the
     uncovered part is silently dropped (search semantics).
     """
-    out: list[Interval] = []
-    for comp in sets:
-        cursor = comp.lo
-        for p in pam.effective_pieces:
-            lo = max(comp.lo, p.domain.lo)
-            hi = min(comp.hi, p.domain.hi)
+    pairs = [(c.lo, c.hi) for c in sets]
+    return _pairs_set(_image_pairs(pam.effective_pieces, pairs, widen, partial))
+
+
+def _image_pairs(
+    pieces: tuple[AffinePiece, ...], pairs: list, widen: Scalar, partial: bool
+) -> list:
+    """One step of the generic image loop on ``(lo, hi)`` pairs: the
+    normalised pairs (:func:`~swmix.intervals._normalise`) of the image of
+    the normalised ``pairs`` under the map whose effective pieces are
+    ``pieces``.  A component meets a piece's domain on the larger lo and the
+    smaller hi, its own end on a tie; an infinite end maps to the infinity
+    of the slope's sign and any other ``x`` to ``slope*x + offset``; a
+    negative slope swaps the ends, and then each finite end moves outward by
+    ``widen``.  An image that does not keep ``lo < hi`` raises the
+    :class:`ValueError` of :class:`Interval`."""
+    out = []
+    for c_lo, c_hi in pairs:
+        cursor = c_lo
+        for p in pieces:
+            dom = p.domain
+            lo = dom.lo if dom.lo > c_lo else c_lo
+            hi = dom.hi if dom.hi < c_hi else c_hi
             if lo >= hi:
                 continue
-            if not partial and lo > cursor:
-                raise UndefinedOnSet(
-                    f"({cursor}, {lo}) has positive width outside all piece domains"
-                )
-            cursor = max(cursor, hi)
-            out.append(_aff_interval(p.slope, p.offset, p.positive, lo, hi, widen))
-        if not partial and cursor < comp.hi:
+            if not partial:
+                if lo > cursor:
+                    raise UndefinedOnSet(
+                        f"({cursor}, {lo}) has positive width outside all piece domains"
+                    )
+                if hi > cursor:
+                    cursor = hi
+            a, b, positive = p.slope, p.offset, p.positive
+            lo = a * lo + b if is_finite(lo) else lo if positive else -lo
+            hi = a * hi + b if is_finite(hi) else hi if positive else -hi
+            if not positive:
+                lo, hi = hi, lo
+            if widen:  # an infinite end stays infinite
+                lo, hi = lo - widen, hi + widen
+            if not lo < hi:
+                raise ValueError(f"open interval needs lo < hi, got ({lo}, {hi})")
+            out.append((lo, hi))
+        if not partial and cursor < c_hi:
             raise UndefinedOnSet(
-                f"({cursor}, {comp.hi}) has positive width outside all piece domains"
+                f"({cursor}, {c_hi}) has positive width outside all piece domains"
             )
-    return IntervalSet.from_intervals(out)
+    return _normalise(out)
 
 
 def eval_interval(
@@ -537,25 +545,27 @@ def _loop_image(
     sets: IntervalSet,
     partial: bool = False,
 ) -> IntervalSet:
-    """The generic loop of ``f_w``: :func:`image_of` stepped through the
-    word with the maps of :meth:`SwitchedSystem._loop_maps`, stopping once
-    empty.  It is :func:`eval_interval` in float mode, and the set
-    verifiers' re-check in both modes: in rational mode it steps the
-    exact-valued maps from the exact values of the ends of ``sets``, with no
-    widening.  Nothing here reads :meth:`SwitchedSystem._exact` or the
-    flat-end kernel, so a fault there cannot pass a certificate that its
+    """The generic loop of ``f_w``: :func:`_image_pairs` stepped through
+    the word on ``(lo, hi)`` pairs with the maps of
+    :meth:`SwitchedSystem._loop_maps`, stopping once empty, and one
+    IntervalSet built from the last step's pairs.  It is
+    :func:`eval_interval` in float mode, and the set verifiers' re-check in
+    both modes: in rational mode it steps the exact-valued maps from the
+    exact values of the ends of ``sets``, with no widening.  Nothing here
+    reads :meth:`SwitchedSystem._exact`, the flat-end kernel or its
+    normaliser, so a fault there cannot pass a certificate that its
     searches built."""
     symbols = _check_word(system, word)
     maps, widen = system._loop_maps(), system.numerics.widen
     if system.numerics.mode == "rational":
-        sets = IntervalSet(
-            tuple(Interval(_exact_value(c.lo), _exact_value(c.hi)) for c in sets)
-        )
+        pairs = [(_exact_value(c.lo), _exact_value(c.hi)) for c in sets]
+    else:
+        pairs = [(c.lo, c.hi) for c in sets]
     for sym in symbols:
-        if sets.is_empty:
+        if not pairs:
             break
-        sets = image_of(maps[sym], sets, widen=widen, partial=partial)
-    return sets
+        pairs = _image_pairs(maps[sym].effective_pieces, pairs, widen, partial)
+    return _pairs_set(pairs)
 
 
 def _set_tables(exact: _Exact, D: int, k: int = 1) -> tuple[tuple[tuple, ...], ...]:
@@ -643,17 +653,35 @@ def _preimage_ends(pieces: tuple[tuple, ...], ends: tuple) -> tuple:
 
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:
     """Exact preimage of ``target`` inside the map's domain (outer in float mode)."""
-    out: list[Interval] = []
-    for p in pam.effective_pieces:
-        for comp in target:
-            # 1/a has the sign of a, so the piece's sign orients the pull-back.
-            pulled = _aff_interval(
-                p.inv_slope, p.inv_offset, p.positive, comp.lo, comp.hi, widen
-            )
-            cut = pulled.intersect(p.domain)
-            if cut is not None:
-                out.append(cut)
-    return IntervalSet.from_intervals(out)
+    pairs = [(c.lo, c.hi) for c in target]
+    return _pairs_set(_preimage_pairs(pam.effective_pieces, pairs, widen))
+
+
+def _preimage_pairs(pieces: tuple[AffinePiece, ...], pairs: list, widen: Scalar) -> list:
+    """One step of the generic preimage loop on ``(lo, hi)`` pairs: each
+    component pulled back through each piece by its inverse map, as
+    :func:`_image_pairs` maps a cut (1/a has the sign of a), then cut by the
+    piece's domain on the larger lo and the smaller hi, the pulled end on a
+    tie; the normalised pairs of the pieces' cuts, in piece order."""
+    out = []
+    for p in pieces:
+        a, b, positive, dom = p.inv_slope, p.inv_offset, p.positive, p.domain
+        for lo, hi in pairs:
+            lo = a * lo + b if is_finite(lo) else lo if positive else -lo
+            hi = a * hi + b if is_finite(hi) else hi if positive else -hi
+            if not positive:
+                lo, hi = hi, lo
+            if widen:  # an infinite end stays infinite
+                lo, hi = lo - widen, hi + widen
+            if not lo < hi:
+                raise ValueError(f"open interval needs lo < hi, got ({lo}, {hi})")
+            if dom.lo > lo:
+                lo = dom.lo
+            if dom.hi < hi:
+                hi = dom.hi
+            if lo < hi:
+                out.append((lo, hi))
+    return _normalise(out)
 
 
 def word_preimage(
@@ -663,7 +691,8 @@ def word_preimage(
 
     Rational mode steps the whole word on flat ends (:func:`_preimage_ends`)
     over one denominator, ``lcm(L, ends) * J**n`` for a word of length
-    ``n``, and builds the result's endpoints once, at the end.
+    ``n``, and float mode on ``(lo, hi)`` pairs (:func:`_preimage_pairs`);
+    both build the result's endpoints once, at the end.
     """
     symbols = _check_word(system, word)
     exact = system._exact()
@@ -677,12 +706,12 @@ def word_preimage(
             ends = _preimage_ends(tables[sym], ends)
         return _ends_set(ends, D)
     widen = system.numerics.widen
-    current = target
+    pairs = [(c.lo, c.hi) for c in target]
     for sym in reversed(symbols):
-        if current.is_empty:
-            return current
-        current = preimage(system.maps[sym], current, widen=widen)
-    return current
+        if not pairs:
+            break
+        pairs = _preimage_pairs(system.maps[sym].effective_pieces, pairs, widen)
+    return _pairs_set(pairs)
 
 
 Partition = Sequence[tuple[IntervalSet, int]]

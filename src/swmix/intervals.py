@@ -31,13 +31,15 @@ back, every end a Fraction or an infinity.  Equal values on one ``D`` are
 equal ints, so no tie rule is needed there.  Rational mode reads every set
 through these forms, so a float end counts at its exact binary value there
 (:meth:`swmix.core.SwitchedSystem._exact`).  The set verifiers do not: they
-re-check on the generic loops at exact values, which use this module's
-:class:`IntervalSet` operations alone.  Besides the flat forms, only the
-:class:`Interval` check of two Fraction endpoints cross-multiplies; every
-other operation, :func:`_normalise` behind
-:meth:`IntervalSet.from_intervals`, :meth:`~IntervalSet.intersect`,
-:meth:`~IntervalSet.intersects` and :meth:`~IntervalSet.subset_of` among
-them, uses plain comparisons alone.
+re-check on the generic loops at exact values, which step plain ``(lo, hi)``
+pairs, normalise them with :func:`_normalise`, their own normaliser, which
+also serves :meth:`IntervalSet.from_intervals`, build the result once with
+:func:`_pairs_set` and compare with this module's :class:`IntervalSet`
+operations; they use neither :func:`_merge_pairs` nor any other flat form.
+Besides the flat forms, only the :class:`Interval` check of two Fraction
+endpoints cross-multiplies; every other operation, :func:`_normalise`,
+:meth:`~IntervalSet.intersect`, :meth:`~IntervalSet.intersects` and
+:meth:`~IntervalSet.subset_of` among them, uses plain comparisons alone.
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ def _ends_set(ends: Sequence, D: int) -> "IntervalSet":
 
 
 def _merge_pairs(pairs: list) -> tuple:
-    """:func:`_normalise` of ``(lo, hi)`` pairs on one denominator, as flat
-    ends: sorted by ``(lo, hi)``, strictly overlapping pairs merged and
-    abutting ones kept apart; ``()`` for no pair.  On one denominator equal
+    """The flat-end kernel's normaliser: ``(lo, hi)`` pairs on one
+    denominator as flat ends, sorted by ``(lo, hi)``, strictly overlapping
+    pairs merged and abutting ones kept apart, as :func:`_normalise` does
+    for the generic loops; ``()`` for no pair.  On one denominator equal
     values are equal ints, so no tie rule is needed."""
     if len(pairs) < 2:  # most images and preimages have one component
         return pairs[0] if pairs else ()
@@ -266,19 +269,30 @@ def _ends_inside(ends: Sequence, goal: tuple) -> bool:
     return True
 
 
-def _normalise(items: Iterable[Interval]) -> tuple[Interval, ...]:
-    items = list(items)
-    if len(items) < 2:  # most images and preimages have one component
-        return tuple(items)
-    comps = sorted(items, key=lambda c: (c.lo, c.hi))
-    out: list[Interval] = []
-    for c in comps:
-        if out and c.lo < out[-1].hi:  # strict overlap only; abutting stays split
-            if c.hi > out[-1].hi:
-                out[-1] = Interval(out[-1].lo, c.hi)
+def _normalise(pairs: list) -> list:
+    """The generic loops' normaliser on ``(lo, hi)`` pairs: sorted by ``(lo,
+    hi)`` (a stable sort, so of two equal keys the first stays first),
+    strictly overlapping pairs merged into the first one's ``lo`` and the
+    largest ``hi``, abutting ones kept apart."""
+    if len(pairs) < 2:  # most images and preimages have one component
+        return pairs
+    it = iter(sorted(pairs))
+    lo, hi = next(it)
+    out = []
+    for l, h in it:
+        if l < hi:  # strict overlap only; abutting stays split
+            if h > hi:
+                hi = h
         else:
-            out.append(c)
-    return tuple(out)
+            out.append((lo, hi))
+            lo, hi = l, h
+    out.append((lo, hi))
+    return out
+
+
+def _pairs_set(pairs: Iterable) -> "IntervalSet":
+    """The set of normalised ``(lo, hi)`` pairs, one Interval per pair."""
+    return IntervalSet(tuple(Interval(lo, hi) for lo, hi in pairs))
 
 
 @dataclass(frozen=True)
@@ -309,7 +323,10 @@ class IntervalSet:
 
     @classmethod
     def from_intervals(cls, items: Iterable[Interval]) -> "IntervalSet":
-        return cls(_normalise(items))
+        items = tuple(items)
+        if len(items) < 2:
+            return cls(items)
+        return _pairs_set(_normalise([(c.lo, c.hi) for c in items]))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[Scalar]]) -> "IntervalSet":
@@ -375,7 +392,9 @@ class IntervalSet:
         while i < len(a) and j < len(b):
             lo = max(a[i].lo, b[j].lo)
             hi = min(a[i].hi, b[j].hi)
-            if hi > lo and (not is_finite(hi - lo) or hi - lo > min_overlap):
+            # An infinite end is tested by type first: hi - lo would convert
+            # a finite Fraction end to a float, which overflows past 1e308.
+            if hi > lo and (not (is_finite(lo) and is_finite(hi)) or hi - lo > min_overlap):
                 return True
             if a[i].hi <= b[j].hi:
                 i += 1

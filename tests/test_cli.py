@@ -712,6 +712,33 @@ def test_float_hitting_with_an_unbounded_overlap_exits_2(tmp_path, capsys):
     assert report["exhausted"] is False and report["type1"] == []
 
 
+def test_wm_cert_meets_an_unbounded_target_past_float_range(tmp_path, capsys):
+    # Each pair's sets must meet K on an overlap wider than min_overlap.  V's
+    # overlap with K = (-inf, inf) is (1e400, inf), which passes on its
+    # infinite end: the run searches, finds no length, and exits 2 instead
+    # of 1 with an OverflowError from 1e400 turned into a float.
+    scn = write(
+        tmp_path / "scn.json",
+        {
+            "task": "wm-cert",
+            "system": TENT_JSON,
+            "params": {
+                "K": [["-inf", "inf"]],
+                "Q": [["-inf", "inf"]],
+                "pairs": [[[["1/10", "3/20"]], [["1e400", "inf"]]]],
+                "kind": "wm1",
+            },
+            "budget": {"max_horizon": 4, "required": 2},
+        },
+    )
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert report["error"] == {
+        "type": "BudgetExceeded",
+        "message": "horizon 4 reached with |S|=0",
+    }
+
+
 def test_tent_demo_subcommand(tmp_path, capsys):
     code, report = run_cli(
         [

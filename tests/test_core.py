@@ -492,15 +492,28 @@ def test_value_at_matches_piece_formula(drawn, x, cut, on_cut):
 
 
 # The set kernel against the plain loops it replaced: max/min with their
-# first-argument tie rule, slope*x + offset per endpoint, a stable sort by
-# (lo, hi) and a merge of strictly overlapping components.  Sets are lists of
-# (lo, hi) pairs, so the reference builds no Interval.
+# first-argument tie rule, slope*x + offset per endpoint, the ends swapped
+# for a negative slope and then, in float mode, each finite end moved
+# outward by the margin, a stable sort by (lo, hi) and a merge of strictly
+# overlapping components.  Sets are lists of (lo, hi) pairs, so the
+# reference builds no Interval.
 
 
 def reference_affine(a, b, x):
     if x in (NEG_INF, POS_INF):
         return x if a > 0 else -x
     return a * x + b
+
+
+def reference_widen(lo, hi, widen):
+    if widen:
+        if lo not in (NEG_INF, POS_INF):
+            lo = lo - widen
+        if hi not in (NEG_INF, POS_INF):
+            hi = hi + widen
+    if not lo < hi:  # a float image may collapse
+        raise ValueError(f"open interval needs lo < hi, got ({lo}, {hi})")
+    return lo, hi
 
 
 def reference_normalise(pairs):
@@ -514,7 +527,7 @@ def reference_normalise(pairs):
     return out
 
 
-def reference_image(pam, pairs, partial):
+def reference_image(pam, pairs, partial, widen=0):
     out = []
     for c_lo, c_hi in pairs:
         cursor = c_lo
@@ -528,7 +541,7 @@ def reference_image(pam, pairs, partial):
                 )
             cursor = max(cursor, hi)
             ends = [reference_affine(p.slope, p.offset, x) for x in (lo, hi)]
-            out.append(tuple(ends if p.slope > 0 else ends[::-1]))
+            out.append(reference_widen(*(ends if p.slope > 0 else ends[::-1]), widen))
         if not partial and cursor < c_hi:
             raise UndefinedOnSet(
                 f"({cursor}, {c_hi}) has positive width outside all piece domains"
@@ -536,14 +549,14 @@ def reference_image(pam, pairs, partial):
     return reference_normalise(out)
 
 
-def reference_preimage(pam, pairs):
+def reference_preimage(pam, pairs, widen=0):
     out = []
     for p in pam.effective_pieces:
         for c_lo, c_hi in pairs:
             ends = [
                 reference_affine(p.inv_slope, p.inv_offset, x) for x in (c_lo, c_hi)
             ]
-            pulled = ends if p.slope > 0 else ends[::-1]
+            pulled = reference_widen(*(ends if p.slope > 0 else ends[::-1]), widen)
             lo, hi = max(pulled[0], p.domain.lo), min(pulled[1], p.domain.hi)
             if lo < hi:
                 out.append((lo, hi))
@@ -640,8 +653,10 @@ def common_box(maps):
 
 
 def stepwise(step, sets, symbols):
+    """``step`` through ``symbols`` on a set or a list of pairs, stopping
+    once empty."""
     for sym in symbols:
-        if sets.is_empty:
+        if not sets:
             break
         sets = step(sym, sets)
     return sets
@@ -703,6 +718,139 @@ def test_words_on_flat_ends_match_stepwise_images_and_preimages(data):
     assert system._exact() is not None
     want = point_outcome(lambda: reference_orbit(maps, word, x))
     assert point_outcome(lambda: eval_point(system, word, x)) == want
+
+
+# Float mode's generic loop on (lo, hi) pairs: image_of and preimage, with
+# and without the margin, and eval_interval and word_preimage on a float
+# system, against the plain references step by step, in value and type.
+# Slopes and offsets are floats of either sign, ends may be infinite, gaps
+# must name the reference's UndefinedOnSet message, and an image that
+# collapses must raise the reference's ValueError: a slope of 1e-30 on two
+# adjacent floats next to an offset of 1e9, whose rounding step the margin
+# cannot bridge.
+FLOATS = st.floats(-50, 50)
+FLOAT_SLOPES = st.builds(
+    lambda a, negative: -a if negative else a,
+    st.one_of(st.floats(1e-3, 8), st.just(1e-30)),
+    st.booleans(),
+)
+FLOAT_OFFSETS = st.one_of(st.floats(-8, 8), st.sampled_from([1e9, -1e9]))
+
+
+@st.composite
+def float_maps(draw):
+    """Two or three float pieces over sorted float cuts, some domains
+    skipped, with or without a float fallback."""
+    cuts = sorted(set(draw(st.lists(FLOATS, min_size=3, max_size=4))))
+    if len(cuts) < 2:
+        cuts.append(cuts[0] + 1.0)
+    if draw(st.booleans()):
+        cuts[0] = NEG_INF
+    if draw(st.booleans()):
+        cuts[-1] = POS_INF
+    pieces = tuple(
+        AffinePiece(Interval(lo, hi), draw(FLOAT_SLOPES), draw(FLOAT_OFFSETS))
+        for lo, hi in zip(cuts, cuts[1:])
+        if draw(st.booleans())
+    )
+    fallback = (draw(FLOAT_SLOPES), draw(FLOAT_OFFSETS)) if draw(st.booleans()) else None
+    if not pieces and fallback is None:
+        fallback = (1.0, 0.0)
+    return PiecewiseAffineMap(pieces=pieces, fallback=fallback), cuts
+
+
+@st.composite
+def float_pair_lists(draw, cuts):
+    """Up to three open intervals with float ends, the maps' cuts among
+    them; an end may be infinite, and now and then the two ends are
+    adjacent floats."""
+    finite = [c for c in cuts if c not in (NEG_INF, POS_INF)]
+    ends = st.one_of(FLOATS, st.sampled_from(finite)) if finite else FLOATS
+    pairs = []
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(ends)
+        b = math.nextafter(a, POS_INF) if draw(st.integers(0, 3)) == 0 else draw(ends)
+        if a == b:
+            continue
+        lo, hi = min(a, b), max(a, b)
+        if draw(st.integers(0, 4)) == 0:
+            lo = NEG_INF
+        if draw(st.integers(0, 4)) == 0:
+            hi = POS_INF
+        pairs.append((lo, hi))
+    return pairs
+
+
+def float_outcome(call):
+    try:
+        got = call()
+    except (UndefinedOnSet, ValueError) as exc:
+        return type(exc), str(exc)
+    return exact_pairs(got if type(got) is list else as_pairs(got))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_float_words_on_pairs_match_the_margin_references(data):
+    drawn = [data.draw(float_maps()) for _ in range(data.draw(st.integers(1, 2)))]
+    maps = tuple(pam for pam, _ in drawn)
+    box = common_box(maps)
+    assume(box is not None)
+    numerics = Numerics(mode="float")
+    system = SwitchedSystem(
+        maps=maps, language=FullShift(len(maps)), bounds=box, numerics=numerics
+    )
+    pairs = reference_normalise(data.draw(float_pair_lists([c for _, cs in drawn for c in cs])))
+    sets = IntervalSet.from_pairs(pairs)
+    assert exact_pairs(as_pairs(sets)) == exact_pairs(pairs)
+    word = data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=6))
+    pam = maps[word[0]]
+    for widen in (0, numerics.widen):
+        for partial in (True, False):
+            want = float_outcome(lambda: reference_image(pam, pairs, partial, widen))
+            assert float_outcome(lambda: image_of(pam, sets, widen, partial)) == want
+        want = float_outcome(lambda: reference_preimage(pam, pairs, widen))
+        assert float_outcome(lambda: preimage(pam, sets, widen)) == want
+    widen = numerics.widen
+    for partial in (True, False):
+        want = float_outcome(
+            lambda: stepwise(
+                lambda sym, s: reference_image(maps[sym], s, partial, widen), pairs, word
+            )
+        )
+        assert float_outcome(lambda: eval_interval(system, word, sets, partial)) == want
+    want = float_outcome(
+        lambda: stepwise(lambda sym, s: reference_preimage(maps[sym], s, widen), pairs, word[::-1])
+    )
+    assert float_outcome(lambda: word_preimage(system, word, sets)) == want
+
+
+def test_a_collapsing_float_image_raises_the_interval_error():
+    # 1e-30*x + 1e9 sends both ends of two adjacent floats to 1e9, and the
+    # margin of 2**-39 is below half a unit in the last place there; the
+    # preimage under its inverse, 1e30*x - 1e39, collapses near 1e9 alike.
+    x = 0.5
+    pair = IntervalSet.of(x, math.nextafter(x, POS_INF))
+    flat = PiecewiseAffineMap.globally(1e-30, 1e9)
+    steep = PiecewiseAffineMap.globally(1e30, -1e39)
+    system = SwitchedSystem(
+        maps=(flat, steep),
+        language=FullShift(2),
+        bounds=Interval(0.0, 1.0),
+        numerics=Numerics(mode="float"),
+    )
+    widen = system.numerics.widen
+    up = "open interval needs lo < hi, got (1000000000.0, 1000000000.0)"
+    down = "open interval needs lo < hi, got (999999999.9999999, 999999999.9999999)"
+    for call, message in (
+        (lambda: image_of(flat, pair, widen), up),
+        (lambda: eval_interval(system, (0,), pair), up),
+        (lambda: preimage(steep, pair, widen), down),
+        (lambda: word_preimage(system, (1,), pair), down),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
 
 
 # The set verifiers' re-check, the generic loop on the exact-valued maps

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swmix import core, hitting, search
+from swmix import core, hitting, intervals, search
 from swmix.core import AffinePiece, Numerics, PiecewiseAffineMap, SwitchedSystem
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, InadmissiblePair, PreconditionFailed
@@ -401,7 +401,7 @@ def _certificates():
 
 def _patch_kernel(monkeypatch, name, value):
     """Replace the kernel function ``name`` in every module that binds it."""
-    for module in (core, search, hitting):
+    for module in (core, search, hitting, intervals):
         if hasattr(module, name):
             monkeypatch.setattr(module, name, value)
 
@@ -409,8 +409,11 @@ def _patch_kernel(monkeypatch, name, value):
 def test_set_verifiers_read_neither_the_exact_form_nor_the_set_kernel(monkeypatch):
     # Built on the working kernel, then re-checked with _image_ends broken
     # (it drops a negative slope's sign) and with the exact form, the
-    # scaled tables and the preimage kernel raising when read: every verdict
-    # stays what it was, the tampered certificates' included.
+    # scaled tables, the preimage kernel and the flat-end helpers of
+    # intervals (the merge, the cut and the conversions to and from flat
+    # ends) raising when read: every verdict stays what it was, the tampered
+    # certificates' included.  The generic loop steps its own (lo, hi) pairs
+    # and normalises them with intervals._normalise alone.
     witnesses, certs, table = _certificates()
     assert any(1 in w.word.symbols for w in witnesses)
     loose = tuple(dataclasses.replace(w, source=U) for w in witnesses)
@@ -435,7 +438,8 @@ def test_set_verifiers_read_neither_the_exact_form_nor_the_set_kernel(monkeypatc
 
     _patch_kernel(monkeypatch, "_image_ends", sign_lost)
     assert verdicts() == want
-    for name in ("_image_ends", "_preimage_ends", "_set_tables"):
+    kernel = ("_image_ends", "_preimage_ends", "_set_tables")
+    for name in kernel + ("_merge_pairs", "_cut_ends", "_set_ends", "_ends_set"):
         _patch_kernel(monkeypatch, name, unreadable)
     monkeypatch.setattr(SwitchedSystem, "_exact", unreadable)
     assert verdicts() == want

@@ -73,6 +73,19 @@ def test_intersects_needs_interior_overlap():
     assert a.intersects(IntervalSet.of(F(9, 10), F(2)), min_overlap=F(1, 20))
 
 
+def test_intersects_passes_an_unbounded_overlap_whose_finite_end_is_past_float_range():
+    # An overlap with an infinite end is wider than any min_overlap.  It must
+    # pass on the end's type, before hi - lo turns the Fraction end 10**400
+    # into a float, which raised OverflowError.
+    big = F(10**400)
+    line = IntervalSet.of(NEG_INF, POS_INF)
+    assert line.intersects(IntervalSet.of(big, POS_INF))
+    assert IntervalSet.of(big, POS_INF).intersects(line, min_overlap=F(1, 2))
+    assert IntervalSet.of(NEG_INF, -big).intersects(IntervalSet.of(NEG_INF, F(0)), F(1))
+    assert not IntervalSet.of(big, POS_INF).intersects(IntervalSet.of(NEG_INF, big))
+    assert IntervalSet.of(-big, big).intersects(line, min_overlap=F(1))
+
+
 def test_subset_of_respects_component_gaps():
     inner = IntervalSet.of(F(1, 4), F(3, 4))
     assert inner.subset_of(IntervalSet.of(F(0), F(1)))
