@@ -34,8 +34,11 @@ Searches run in one of two shapes, chosen by what they return:
   holds one dead-subtree set per system and targets, the ``(state, value,
   remaining)`` keys of subtrees that yielded no hit.  A child whose key is
   recorded is charged and stepped but not entered, at this length and
-  every later one.  Neither the memo nor the dead sets change hits or their
-  order, nor whether an edge is charged.
+  every later one.  The walk's set-up (root, scaled step, leaf test) is
+  built once per sources and targets and kept on the clock too, for every
+  later length while the clock's ``D`` (below) holds.  Neither the memo,
+  the dead sets nor the set-ups change hits or their order, nor whether an
+  edge is charged.
 
 Rational-mode searches step integers.  A search reads its system's exact
 form (:meth:`swmix.core.SwitchedSystem._exact`), which exists exactly in
@@ -59,11 +62,14 @@ cross-multiplication; rotations and tents have ``K = 1``, and keep the
 root's ``D`` throughout.  Targets, ``min_overlap`` and the clamp box are
 integer floor and ceiling thresholds on ``D``, since their denominators
 need not divide it.  Keys on one ``D`` are equal exactly when their sets
-are.  The walker's memo and dead-subtree sets outlive a walk, so the
-:class:`SearchClock` holds one ``D`` per system for them and rescales
-their keys once when a later walk needs a ``D`` that the held one is not
-a multiple of: new sources' denominators, or a longer walk on ``K > 1``
-past the next power of two.  ``build`` turns a hit's ends back into a
+are.  The walker's memo, dead-subtree sets and set-ups outlive a walk,
+so the :class:`SearchClock` holds one ``D`` per system for them and
+rescales their keys once when a later walk needs a ``D`` that the held one
+is not a multiple of: new sources' denominators, or a longer walk on ``K >
+1`` past the next power of two.  A set-up closes over its ``D``'s ends and
+memo, so a rescale drops every set-up of the system, and the next walk of
+each builds its own again; while ``D`` holds, a walk of any length
+reuses it.  ``build`` turns a hit's ends back into a
 set (the identity on float sets).  Point searches (:func:`_point_search`,
 shared by the Xiong sweep and the envelopes) carry a group's orbits as one flat tuple
 ``(D, N1, N2, ..)``, the points ``N1/D, N2/D, ..`` over a denominator ``D``
@@ -172,10 +178,11 @@ class SearchClock:
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
-        # id(system) -> [system, {(images, sym): child or None}, D], images
-        # being sets, or flat ends on the denominator D on exact searches
-        # (D is None until an exact walk sets it); holding the system keeps
-        # its id from being reused while the clock lives.
+        # id(system) -> [system, {(images, sym): child or None}, D,
+        # {(sources, targets): set-up}], images being sets, or flat ends on
+        # the denominator D on exact searches (D is None until an exact walk
+        # sets it); holding the system keeps its id from being reused while
+        # the clock lives.
         self._steps: dict[int, list] = {}
         # (id(system), targets) -> (system, {(state, value, remaining)}).
         self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
@@ -197,9 +204,22 @@ class SearchClock:
         return self._dead.setdefault((id(system), targets), (system, set()))[1]
 
     def _walks(self, system: SwitchedSystem) -> list:
-        """``[system, memo, D]``: the step memo of ``system``'s set walks
-        and the denominator ``D`` of its keys (None until set)."""
-        return self._steps.setdefault(id(system), [system, {}, None])
+        """``[system, memo, D, setups]``: the step memo of ``system``'s set
+        walks, the denominator ``D`` of its keys (None until set) and the
+        walks' set-ups, keyed by value as ``(sources, targets)``.
+
+        A set-up (filled by :func:`iter_set_hits`) is ``(K, base, root,
+        step, leaf, dead, build)``: the root's flat ends on ``D``, the
+        memoised step on the maps scaled to ``D``, the leaf test with its
+        thresholds on ``D``, the dead-subtree set and ``build``.  It serves
+        every later walk from those sources to those targets while ``D`` is
+        a multiple of ``base * K**H``, ``base = lcm(L, ends)`` and ``H`` the
+        walk's depth (:func:`_walk_depth`): always for ``K = 1``, as in
+        float mode (``K = base = 1``).  Every set-up closes over the memo and
+        the ends of the ``D`` it was built on, so :meth:`_denominator` drops
+        them all when it rescales.
+        """
+        return self._steps.setdefault(id(system), [system, {}, None, {}])
 
     def _denominator(self, system: SwitchedSystem, D: int) -> int:
         """The denominator of every exact set walk of ``system`` on this
@@ -210,7 +230,8 @@ class SearchClock:
         When ``D`` does not divide the held one, the held one becomes their
         lcm, and the memo and every dead set of ``system`` are rebuilt once
         with each end rescaled: as new objects, so that a walk still open
-        keeps the keys of its own denominator.
+        keeps the keys of its own denominator.  The walks' set-ups, built on
+        the old denominator, are dropped, to be built again on first use.
         """
         walks = self._walks(system)
         held = walks[2]
@@ -229,6 +250,7 @@ class SearchClock:
 
         walks[1] = {(scale(images), sym): scale(child) for (images, sym), child in walks[1].items()}
         walks[2] = new
+        walks[3].clear()
         for key, (owner, dead) in list(self._dead.items()):
             if owner is system:
                 self._dead[key] = (owner, {(q, scale(v), r) for q, v, r in dead})
@@ -593,6 +615,22 @@ def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable,
     return encode, advance, near, Fraction
 
 
+def _walk_depth(horizon: int, clock: SearchClock) -> int:
+    """``H``, the depth a walk's denominator holds: ``horizon`` rounded up
+    to a power of two and capped by the node budget."""
+    return min(1 << (horizon - 1).bit_length(), clock.budget.max_words)
+
+
+def _matched(sources: Sequence[IntervalSet], targets: Sequence[IntervalSet]) -> tuple:
+    """``targets`` as a tuple, one per source; raises ValueError when the
+    counts differ."""
+    targets = tuple(targets)
+    if len(targets) != len(sources):
+        counts = f"{len(sources)} sources, {len(targets)} targets"
+        raise ValueError(f"one target per source: got {counts}")
+    return targets
+
+
 def _set_search(
     system: SwitchedSystem,
     inside: bool,
@@ -629,7 +667,7 @@ def _set_search(
     (:meth:`SearchClock._denominator`), so that the clock's memo and
     dead-subtree keys stay canonical: ``lcm(L, ends) * K**H``, where ``H``
     is ``horizon`` rounded up to a power of two and capped by the node
-    budget, so a walk over lengths 1, 2, .. rescales the clock's keys at
+    budget (:func:`_walk_depth`), so a walk over lengths 1, 2, .. rescales the clock's keys at
     lengths 2, 3, 5, 9, .. only.  Rotations and tents have ``K = 1``,
     and then ``D`` never changes.  Targets, ``min_overlap`` and the clamp
     box are floor and ceiling thresholds on ``D``.  ``build`` gives every
@@ -645,7 +683,7 @@ def _set_search(
             test = functools.partial(IntervalSet.intersects, min_overlap=min_overlap)
 
         def fits(targets: Sequence[IntervalSet]) -> Callable[[tuple], bool]:
-            goals = tuple(targets)
+            goals = _matched(sources, targets)
             return lambda values: all(map(test, values, goals))
 
         step = functools.partial(step_images, system, partial=not inside)
@@ -653,8 +691,7 @@ def _set_search(
     partial = not inside
     D, k = _end_lcm(sources, exact.L), exact.K
     if shared:
-        H = min(1 << (horizon - 1).bit_length(), clock.budget.max_words)
-        D, k = clock._denominator(system, D * k**H), 1
+        D, k = clock._denominator(system, D * k ** _walk_depth(horizon, clock)), 1
     if inside:
         goal_of, test = _inside_goal, _ends_inside
     else:
@@ -674,6 +711,7 @@ def _set_search(
             goals[:] = [goal_of(t, D) for t in targets]
 
     def fits(targets: Sequence[IntervalSet]) -> Callable[[tuple], bool]:
+        targets = _matched(sources, targets)
         goals = [goal_of(t, D) for t in targets]
         held.append((targets, goals))
         return lambda values: all(map(test, values, goals))
@@ -717,17 +755,29 @@ def iter_set_hits(
     those enclosures.
 
     The words are walked by :func:`~swmix.language.walk` through the
-    clock's step memo and dead-subtree set.  A hit's sets are built
-    (:func:`_set_search`) when it is yielded.  Stops silently when the
-    clock runs out (check ``clock.exceeded``); raises ValueError for a
-    ``length`` below 1.
+    clock's step memo and dead-subtree set, from a set-up
+    (:func:`_set_search`) that the clock keeps for these sources and
+    targets while its ``D`` holds (:meth:`SearchClock._walks`).  A hit's sets are built when it is
+    yielded.  Stops silently when the clock runs out (check
+    ``clock.exceeded``); raises ValueError for a ``length`` below 1 or for
+    other than one target per source.
     """
-    targets = tuple(targets)
-    root, step, _, fits, build = _set_search(system, False, sources, length, clock, shared=True)
-    step = _memo_step(clock, system, step)
-    dead = clock.dead_set(system, targets)
-    hits = walk(system.automaton, length, root, step, clock.spend, fits(targets), dead)
-    for syms, values in hits:
+    key = sources, targets = tuple(sources), tuple(targets)
+    walks = clock._walks(system)
+    setup = walks[3].get(key)
+    if setup is not None and setup[0] > 1:
+        K, base = setup[:2]
+        if walks[2] % (base * K ** _walk_depth(length, clock)):
+            setup = None  # the held D is too short for this length
+    if setup is None:
+        root, step, _, fits, build = _set_search(system, False, sources, length, clock, shared=True)
+        exact = system._exact()
+        K, base = (exact.K, _end_lcm(sources, exact.L)) if exact else (1, 1)
+        step = _memo_step(clock, system, step)
+        dead = clock.dead_set(system, targets)
+        setup = walks[3][key] = (K, base, root, step, fits(targets), dead, build)
+    *_, root, step, leaf, dead, build = setup
+    for syms, values in walk(system.automaton, length, root, step, clock.spend, leaf, dead):
         yield syms, tuple(map(build, values))
 
 
@@ -749,7 +799,8 @@ def first_set_hit(
     given length, the first key in insertion order whose enclosures fit and
     whose word ``suffix`` extends admissibly holds the least hit.  Returns
     None when the clock runs out (check ``clock.exceeded``) or every branch
-    dies; raises ValueError for a length below 1.
+    dies; raises ValueError for a length below 1 or for other than one
+    target per source.
     """
     wanted = set(lengths)
     if any(n < 1 for n in wanted):

@@ -171,10 +171,21 @@ class SpreadCertificate:
 
 
 def _dyadic_below(bound: Scalar, eps: Scalar) -> Scalar:
-    # largest power of two strictly under eps and at most bound
-    d: Scalar = Fraction(1)
-    while d >= eps or d > bound:
-        d = d / 2
+    """The largest power of two ``d <= 1`` with ``d < eps`` and ``d <=
+    bound``, each at its exact value and an infinite one no limit: a float
+    when ``bound`` is one, else a Fraction.  Raises ValueError unless both
+    are positive."""
+    if not (bound > 0 and eps > 0):
+        raise ValueError(f"bound and eps must be positive, got {bound!r} and {eps!r}")
+    e = 0
+    for x, strict in ((bound, False), (eps, True)):
+        if x != POS_INF:
+            # 2**(k - 1) < n/d < 2**(k + 1); 2**k against n/d is c against r
+            n, d = x.as_integer_ratio()
+            k = n.bit_length() - d.bit_length()
+            c, r = (d << k, n) if k >= 0 else (d, n << -k)
+            e = min(e, k - 1 if c > r or strict and c == r else k)
+    d = Fraction(1, 1 << -e)
     return float(d) if isinstance(bound, float) else d
 
 

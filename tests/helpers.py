@@ -459,3 +459,13 @@ def greedy_covers_closed_interval(opens, lo, hi):
             return True
         x = best
     return False
+
+
+def reference_dyadic_below(bound, eps):
+    """:func:`swmix.spread._dyadic_below` as the halving loop it replaced:
+    from 1, halve a Fraction until it is below ``eps`` and at most
+    ``bound``, comparing at exact values."""
+    d = Fraction(1)
+    while d >= eps or d > bound:
+        d = d / 2
+    return float(d) if isinstance(bound, float) else d

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,7 +21,7 @@ from swmix.core import (
 )
 from swmix.demo import tent_system
 from swmix.errors import BudgetExceeded, EmptyRefinement, PreconditionFailed
-from swmix.hitting import extend_witness, pull_back_hit
+from swmix.hitting import extend_witness, hitting_sets, pull_back_hit, wm_certificate
 from swmix.intervals import NEG_INF, POS_INF, Interval, IntervalSet, _ends_set
 from swmix.language import ForbiddenWords, FullShift, walk
 from swmix.search import (
@@ -921,3 +922,177 @@ def test_sweep_denominator_grows_with_the_depth_reached():
         level = advance(level, clock)
     for (_, (ends,)), word in level.items():
         assert _ends_set(ends, 30 * 2**9) == build(ends) == eval_interval(system, word, U)
+
+
+# The walker's set-up (root ends, scaled maps, memoised step, leaf test) is
+# built once per (sources, targets) on the clock and reused over lengths
+# while the clock's D holds; _denominator drops every set-up when it
+# rescales.
+
+
+def _count_builds(monkeypatch):
+    """Wrap ``search._set_search`` to record each walker build as ``(length,
+    D after it)``."""
+    builds, real = [], search._set_search
+
+    def counting(system, inside, sources, horizon, clock, shared=False):
+        parts = real(system, inside, sources, horizon, clock, shared)
+        if shared:
+            builds.append((horizon, clock._walks(system)[2]))
+        return parts
+
+    monkeypatch.setattr(search, "_set_search", counting)
+    return builds
+
+
+def test_hitting_sets_builds_one_walk_set_up(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    report = hitting_sets(CLAMPED, U, V, budget=SearchBudget(max_horizon=8))
+    assert report.type1 and report.exhausted
+    assert len(builds) == 1
+
+
+def test_wm1_builds_one_walk_set_up_per_pair(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    pairs = [
+        (IntervalSet.of(F(1, 10), F(1, 5)), IntervalSet.of(F(3, 5), F(7, 10))),
+        (IntervalSet.of(F(3, 10), F(2, 5)), IntervalSet.of(F(4, 5), F(9, 10))),
+    ]
+    cert = wm_certificate(CLAMPED, UNIT, UNIT, pairs, kind="wm1")
+    assert cert.lengths == (3, 4, 5)
+    assert len(builds) == 2
+
+
+def test_walks_on_fractional_slopes_rebuild_only_when_the_clock_rescales(monkeypatch):
+    # x/2 + 1/3 and 2x - 1/5 (K = 2), clamped: a walk of length n needs
+    # 30 * K**H, n rounded up to a power of two H, so over lengths 1..10 the
+    # clock's D grows at lengths 1, 2, 3, 5 and 9 and the set-up is built
+    # again there and only there.  A second source with ends on sixths has
+    # the same lcm(L, ends) = 30, so the held D serves all its lengths: one
+    # build, at length 1.
+    builds = _count_builds(monkeypatch)
+    system = SwitchedSystem(
+        maps=(
+            PiecewiseAffineMap.globally(F(1, 2), F(1, 3)),
+            PiecewiseAffineMap.globally(F(2), F(-1, 5)),
+        ),
+        language=FullShift(2),
+        bounds=Interval(F(0), F(1)),
+        clamp=True,
+    )
+    T = IntervalSet.of(F(2, 5), F(3, 5))
+    clock = SearchClock(SearchBudget())
+    held = []
+    for n in range(1, 11):
+        list(iter_set_hits(system, [IntervalSet.of(F(1, 10), F(1, 5))], [T], n, clock))
+        held.append(clock._walks(system)[2])
+    grew = [n for n in range(1, 11) if n == 1 or held[n - 1] != held[n - 2]]
+    assert grew == [1, 2, 3, 5, 9]
+    assert [n for n, _ in builds] == grew
+    assert held[-1] == 30 * 2**16
+    builds.clear()
+    for n in range(1, 11):
+        list(iter_set_hits(system, [IntervalSet.of(F(1, 3), F(1, 2))], [T], n, clock))
+    assert builds == [(1, 30 * 2**16)]
+
+
+def test_set_searches_refuse_unmatched_sources_and_targets():
+    # all(map(test, values, goals)) stops at the shorter list, so on the
+    # clamped tent the walk yielded 001 and the sweep returned 00, though no
+    # image meets (5, 6).
+    source = IntervalSet.of(F(1, 10), F(1, 5))
+    near, far = IntervalSet.of(F(7, 10), F(4, 5)), IntervalSet.of(F(5), F(6))
+    for numerics in (Numerics(), Numerics(mode="float")):
+        system = tent_system(clamp=True, numerics=numerics)
+        for sources, targets in (([source], [near, far]), ([source, source], [near])):
+            clock = SearchClock(SearchBudget())
+            with pytest.raises(ValueError, match="one target per source"):
+                list(iter_set_hits(system, sources, targets, 3, clock))
+            with pytest.raises(ValueError, match="one target per source"):
+                first_set_hit(system, sources, targets, [1, 2, 3], clock)
+
+
+# Interleaved walks on one clock against a fresh clock per call: two groups
+# of (sources, targets) whose ends lie on tenths and on sevenths, so the
+# second group's first walk rescales the clock's keys and drops the first
+# group's set-up, in both modes, on integer slopes (K = 1) and on
+# fractional ones (K > 1, rescaling again with the length).
+
+SETUP_SLOPES = {False: [F(2), F(-2), F(3), F(1), F(-1)], True: [F(1, 2), F(3, 2), F(-1, 3), F(2)]}
+
+
+@st.composite
+def setup_systems(draw):
+    slopes = SETUP_SLOPES[draw(st.booleans())]
+    maps = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            maps.append(
+                PiecewiseAffineMap.globally(
+                    draw(st.sampled_from(slopes)), F(draw(st.integers(-3, 3)), 4)
+                )
+            )
+        else:
+            cut = draw(st.sampled_from([F(1, 3), F(1, 2), F(2, 3)]))
+            maps.append(
+                PiecewiseAffineMap(
+                    tuple(
+                        AffinePiece(dom, draw(st.sampled_from(slopes)), F(draw(st.integers(-3, 3)), 4))
+                        for dom in (Interval(NEG_INF, cut), Interval(cut, POS_INF))
+                    )
+                )
+            )
+    mode = draw(st.sampled_from(["rational", "float"]))
+    return SwitchedSystem(
+        maps=tuple(maps),
+        language=FullShift(len(maps)),
+        bounds=Interval(F(0), F(1)),
+        clamp=draw(st.booleans()),
+        numerics=Numerics(mode=mode),
+    )
+
+
+def setup_sets(grid, mode):
+    # The left end's numerator is prime to the grid, so every tuple of these
+    # sets has an end denominator of exactly the grid.
+    value = F if mode == "rational" else (lambda n, d: n / d)
+
+    @st.composite
+    def sets(draw):
+        lo = draw(st.integers(-grid, 2 * grid - 1).filter(lambda n: gcd(n, grid) == 1))
+        hi = draw(st.integers(lo + 1, 2 * grid))
+        return IntervalSet.of(value(lo, grid), value(hi, grid))
+
+    return sets()
+
+
+@st.composite
+def setup_groups(draw, system):
+    mode = system.numerics.mode
+    groups = []
+    for grid in (10, 7):
+        k = draw(st.integers(1, 2))
+        sets = setup_sets(grid, mode)
+        groups.append(
+            (draw(st.lists(sets, min_size=k, max_size=k)), draw(st.lists(sets, min_size=k, max_size=k)))
+        )
+    return groups
+
+
+@settings(max_examples=150, deadline=None)
+@given(setup_systems(), st.data())
+def test_interleaved_walks_on_one_clock_match_fresh_clocks(system, data):
+    groups = data.draw(setup_groups(system))
+    order = data.draw(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=10))
+    clock = SearchClock(SearchBudget())
+    lengths = [1, 1]
+    for g in order:
+        sources, targets = groups[g]
+        n = lengths[g]
+        lengths[g] += 1
+        got = list(iter_set_hits(system, sources, targets, n, clock))
+        want = list(iter_set_hits(system, sources, targets, n, SearchClock(SearchBudget())))
+        assert repr(got) == repr(want)
+    assert not clock.exceeded
+    if system._exact() is not None and set(order) == {0, 1}:
+        assert clock._walks(system)[2] % 70 == 0

@@ -1,6 +1,7 @@
 """Spread tables: net construction, certification, chains, and staged reads."""
 
 import dataclasses
+import math
 from fractions import Fraction as F
 from itertools import product
 from unittest import mock
@@ -29,7 +30,13 @@ from swmix.spread import (
     xiong_from_chain,
 )
 
-from helpers import UNIT, reference_first_set_hit, rotation_system, sweep_systems
+from helpers import (
+    UNIT,
+    reference_dyadic_below,
+    reference_first_set_hit,
+    rotation_system,
+    sweep_systems,
+)
 
 TENT = tent_system()
 SEEDS = (IntervalSet.of(F(1, 4), F(3, 4)), IntervalSet.of(F(3, 8), F(5, 8)))
@@ -295,3 +302,34 @@ def test_spread_rows_are_the_least_words_of_the_per_row_search(
             assert got == f"no word realizes assignment {alpha}"
             return
     assert got.startswith("length law needs words of length")
+
+
+# spread._dyadic_below in closed form against the halving loop it replaced
+# (helpers.reference_dyadic_below): the same value and type over positive
+# Fractions and floats, subnormal floats, exact powers of two (where "below
+# eps" is strict and "at most bound" is not) and infinite limits.
+
+POSITIVE = st.one_of(
+    st.fractions(min_value=F(1, 10**30), max_value=10**6, max_denominator=10**30),
+    st.floats(min_value=0, exclude_min=True, allow_subnormal=True, allow_infinity=True),
+    st.floats(min_value=0, max_value=2.0**-1022, exclude_min=True, allow_subnormal=True),
+    st.integers(-1100, 40).map(lambda k: F(2) ** k),
+    st.integers(-1074, 40).map(lambda k: math.ldexp(1.0, k)),
+    st.integers(1, 10),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(POSITIVE, POSITIVE)
+def test_dyadic_below_matches_the_halving_loop(bound, eps):
+    got, want = spread._dyadic_below(bound, eps), reference_dyadic_below(bound, eps)
+    assert (got, type(got)) == (want, type(want))
+
+
+@pytest.mark.parametrize("bound", [0, 0.0, -0.0, F(-1, 2), -math.inf, math.nan])
+def test_dyadic_below_refuses_a_bound_that_is_not_positive(bound):
+    # The halving loop never ends on these.
+    with pytest.raises(ValueError, match="must be positive"):
+        spread._dyadic_below(bound, F(1, 10))
+    with pytest.raises(ValueError, match="must be positive"):
+        spread._dyadic_below(F(1, 10), bound)
