@@ -524,18 +524,13 @@ def eval_interval(
         return _loop_image(system, word, sets, partial)
     symbols = _check_word(system, word)
     D = _end_lcm((sets,), exact.L) * exact.K ** len(symbols)
-    tables = _set_tables(exact, D)
-    ends = _set_ends(sets, D)
-    for sym in symbols:
-        if not ends:
-            break
-        try:
-            ends = _image_ends(tables[sym], ends, partial)
-        except UndefinedOnSet as gap:
-            lo, hi = (Fraction(e, D) if type(e) is int else e for e in gap.args)
-            raise UndefinedOnSet(
-                f"({lo}, {hi}) has positive width outside all piece domains"
-            ) from None
+    try:
+        ends = _image_word(_set_tables(exact, D), symbols, _set_ends(sets, D), partial)
+    except UndefinedOnSet as gap:
+        lo, hi = (Fraction(e, D) if type(e) is int else e for e in gap.args)
+        raise UndefinedOnSet(
+            f"({lo}, {hi}) has positive width outside all piece domains"
+        ) from None
     return _ends_set(ends, D)
 
 
@@ -628,6 +623,16 @@ def _image_ends(pieces: tuple[tuple, ...], ends: tuple, partial: bool) -> tuple:
     return _merge_pairs(pairs)
 
 
+def _image_word(tables: tuple, symbols: tuple[int, ...], ends: tuple, partial: bool) -> tuple:
+    """:func:`_image_ends` stepped through the word ``symbols`` on the
+    scaled tables of :func:`_set_tables`, stopping once the set is empty."""
+    for sym in symbols:
+        if not ends:
+            break
+        ends = _image_ends(tables[sym], ends, partial)
+    return ends
+
+
 def _preimage_ends(pieces: tuple[tuple, ...], ends: tuple) -> tuple:
     """:func:`preimage` on one denominator ``D``: the flat normalised ends of
     the preimage of the set ``ends`` under the map whose pieces are scaled to
@@ -649,6 +654,17 @@ def _preimage_ends(pieces: tuple[tuple, ...], ends: tuple) -> tuple:
             if l < h:
                 pairs.append((l, h))
     return _merge_pairs(pairs)
+
+
+def _preimage_word(tables: tuple, symbols: tuple[int, ...], ends: tuple) -> tuple:
+    """:func:`_preimage_ends` pulled back through the word ``symbols``
+    (last symbol first) on the scaled tables of :func:`_set_tables`,
+    stopping once the set is empty."""
+    for sym in reversed(symbols):
+        if not ends:
+            break
+        ends = _preimage_ends(tables[sym], ends)
+    return ends
 
 
 def preimage(pam: PiecewiseAffineMap, target: IntervalSet, widen: Scalar = 0) -> IntervalSet:
@@ -698,13 +714,7 @@ def word_preimage(
     exact = system._exact()
     if exact is not None:
         D = _end_lcm((target,), exact.L) * exact.J ** len(symbols)
-        tables = _set_tables(exact, D)
-        ends = _set_ends(target, D)
-        for sym in reversed(symbols):
-            if not ends:
-                break
-            ends = _preimage_ends(tables[sym], ends)
-        return _ends_set(ends, D)
+        return _ends_set(_preimage_word(_set_tables(exact, D), symbols, _set_ends(target, D)), D)
     widen = system.numerics.widen
     pairs = [(c.lo, c.hi) for c in target]
     for sym in reversed(symbols):

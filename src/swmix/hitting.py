@@ -35,9 +35,9 @@ from .core import (
     SwitchedSystem,
     _check_word,
     _Exact,
-    _image_ends,
+    _image_word,
     _loop_image,
-    _preimage_ends,
+    _preimage_word,
     _set_tables,
     eval_interval,
     eval_point,
@@ -193,26 +193,13 @@ def _pull_back_ends(
     D = _end_lcm((source, target), exact.L) * (exact.K * exact.J) ** len(symbols)
     tables = _set_tables(exact, D)
     src, tgt = _set_ends(source, D), _set_ends(target, D)
-
-    def forward(ends: tuple) -> tuple:
-        for sym in symbols:
-            ends = _image_ends(tables[sym], ends, True)
-            if not ends:
-                break
-        return ends
-
-    overlap = _cut_ends(forward(src), tgt)
+    overlap = _cut_ends(_image_word(tables, symbols, src, True), tgt)
     if not overlap:
         return None
-    ends = overlap[0]
-    for sym in reversed(symbols):
-        ends = _preimage_ends(tables[sym], ends)
-        if not ends:
-            return None
-    sub = _cut_ends(ends, src)
+    sub = _cut_ends(_preimage_word(tables, symbols, overlap[0]), src)
     if not sub:
         return None
-    back = forward(tuple(e for pair in sub for e in pair))
+    back = _image_word(tables, symbols, tuple(e for pair in sub for e in pair), True)
     it = iter(tgt)
     if not back or not _ends_inside(back, tuple(zip(it, it))):
         return None

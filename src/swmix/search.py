@@ -163,12 +163,12 @@ class SearchClock:
     iterates :meth:`lengths`, the one place where running out stops it; a
     level sweep stops at the first refused charge.
 
-    The clock also owns the walker's memo of set steps, one table per
-    system, its dead-subtree sets (:meth:`dead_set`) and, in rational mode,
-    the one denominator of their keys per system (:meth:`_denominator`).  A
-    memo entry is added only after a charged edge, and a dead key only for a
-    charged node or a walk's root, so ``budget.max_words`` bounds both as
-    well as the node count.
+    The clock also owns one walk record per system (:meth:`_walks`): the
+    walker's memo of set steps, the one denominator of their keys in
+    rational mode (:meth:`_denominator`), the walks' set-ups and their
+    dead-subtree sets.  A memo entry is added only after a charged edge, and
+    a dead key only for a charged node or a walk's root, so
+    ``budget.max_words`` bounds both as well as the node count.
     """
 
     def __init__(self, budget: SearchBudget):
@@ -179,13 +179,12 @@ class SearchClock:
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
         # id(system) -> [system, {(images, sym): child or None}, D,
-        # {(sources, targets): set-up}], images being sets, or flat ends on
-        # the denominator D on exact searches (D is None until an exact walk
+        # {(sources, targets): set-up}, {targets: {(state, value,
+        # remaining)}}], images and values being sets, or flat ends on the
+        # denominator D on exact searches (D is None until an exact walk
         # sets it); holding the system keeps its id from being reused while
         # the clock lives.
         self._steps: dict[int, list] = {}
-        # (id(system), targets) -> (system, {(state, value, remaining)}).
-        self._dead: dict[tuple, tuple[SwitchedSystem, set]] = {}
 
     def spend(self) -> bool:
         self.count += 1
@@ -198,40 +197,37 @@ class SearchClock:
                 return False
         return True
 
-    def dead_set(self, system: SwitchedSystem, targets: tuple) -> set:
-        """The dead-subtree set (see :func:`~swmix.language.walk`) of
-        ``system``'s set walks towards ``targets``."""
-        return self._dead.setdefault((id(system), targets), (system, set()))[1]
-
     def _walks(self, system: SwitchedSystem) -> list:
-        """``[system, memo, D, setups]``: the step memo of ``system``'s set
-        walks, the denominator ``D`` of its keys (None until set) and the
-        walks' set-ups, keyed by value as ``(sources, targets)``.
+        """``[system, memo, D, setups, dead]``, the walk record of
+        ``system``: the step memo of its set walks, the denominator ``D`` of
+        their keys (None until set), the walks' set-ups, keyed by value as
+        ``(sources, targets)``, and their dead-subtree sets (see
+        :func:`~swmix.language.walk`), one per ``targets``.
 
-        A set-up (filled by :func:`iter_set_hits`) is ``(K, base, root,
-        step, leaf, dead, build)``: the root's flat ends on ``D``, the
-        memoised step on the maps scaled to ``D``, the leaf test with its
-        thresholds on ``D``, the dead-subtree set and ``build``.  It serves
-        every later walk from those sources to those targets while ``D`` is
-        a multiple of ``base * K**H``, ``base = lcm(L, ends)`` and ``H`` the
-        walk's depth (:func:`_walk_depth`): always for ``K = 1``, as in
-        float mode (``K = base = 1``).  Every set-up closes over the memo and
-        the ends of the ``D`` it was built on, so :meth:`_denominator` drops
-        them all when it rescales.
+        A set-up (filled by :func:`iter_set_hits`) is ``(H, root, step,
+        leaf, build)``: the largest walk depth (:func:`_walk_depth`) ``H``
+        for which ``D`` is a multiple of ``lcm(L, ends) * K**H``, unbounded
+        for ``K = 1`` as in float mode; the root's flat ends on ``D``; the
+        memoised step on the maps scaled to ``D``; the leaf test with its
+        thresholds on ``D``; and ``build``.  It serves every later walk of
+        depth ``H`` at most from those sources to those targets.  Every
+        set-up closes over the memo and the ends of the ``D`` it was built
+        on, so :meth:`_denominator` drops them all when it rescales.
         """
-        return self._steps.setdefault(id(system), [system, {}, None, {}])
+        return self._steps.setdefault(id(system), [system, {}, None, {}, {}])
 
     def _denominator(self, system: SwitchedSystem, D: int) -> int:
         """The denominator of every exact set walk of ``system`` on this
         clock, once a walk needs a multiple of ``D``.
 
-        Keys of the step memo and of the dead-subtree sets are flat ends on
-        that one denominator, so equal sets have equal keys across walks.
-        When ``D`` does not divide the held one, the held one becomes their
-        lcm, and the memo and every dead set of ``system`` are rebuilt once
-        with each end rescaled: as new objects, so that a walk still open
-        keeps the keys of its own denominator.  The walks' set-ups, built on
-        the old denominator, are dropped, to be built again on first use.
+        Keys of the step memo and of the dead-subtree sets of ``system``'s
+        walk record (:meth:`_walks`) are flat ends on that one denominator,
+        so equal sets have equal keys across walks.  When ``D`` does not
+        divide the held one, the held one becomes their lcm, and the
+        record's memo and dead sets are rebuilt once with each end
+        rescaled: as new objects, so that a walk still open keeps the keys
+        of its own denominator.  The record's set-ups, built on the old
+        denominator, are dropped, to be built again on first use.
         """
         walks = self._walks(system)
         held = walks[2]
@@ -251,9 +247,7 @@ class SearchClock:
         walks[1] = {(scale(images), sym): scale(child) for (images, sym), child in walks[1].items()}
         walks[2] = new
         walks[3].clear()
-        for key, (owner, dead) in list(self._dead.items()):
-            if owner is system:
-                self._dead[key] = (owner, {(q, scale(v), r) for q, v, r in dead})
+        walks[4] = {t: {(q, scale(v), r) for q, v, r in dead} for t, dead in walks[4].items()}
         return new
 
     def lengths(self, lengths: Iterable[int]) -> Iterator[int]:
@@ -754,29 +748,28 @@ def iter_set_hits(
     their targets (``intersects`` with the system's ``min_overlap``), with
     those enclosures.
 
-    The words are walked by :func:`~swmix.language.walk` through the
-    clock's step memo and dead-subtree set, from a set-up
-    (:func:`_set_search`) that the clock keeps for these sources and
-    targets while its ``D`` holds (:meth:`SearchClock._walks`).  A hit's sets are built when it is
-    yielded.  Stops silently when the clock runs out (check
+    The words are walked by :func:`~swmix.language.walk` through the step
+    memo and the dead-subtree set of the clock's walk record for
+    ``system`` (:meth:`SearchClock._walks`), from a set-up
+    (:func:`_set_search`) that the record keeps for these sources and
+    targets while its ``D`` serves the walk's depth.  A hit's sets are
+    built when it is yielded.  Stops silently when the clock runs out (check
     ``clock.exceeded``); raises ValueError for a ``length`` below 1 or for
     other than one target per source.
     """
     key = sources, targets = tuple(sources), tuple(targets)
     walks = clock._walks(system)
     setup = walks[3].get(key)
-    if setup is not None and setup[0] > 1:
-        K, base = setup[:2]
-        if walks[2] % (base * K ** _walk_depth(length, clock)):
-            setup = None  # the held D is too short for this length
-    if setup is None:
+    if setup is None or _walk_depth(length, clock) > setup[0]:
         root, step, _, fits, build = _set_search(system, False, sources, length, clock, shared=True)
-        exact = system._exact()
-        K, base = (exact.K, _end_lcm(sources, exact.L)) if exact else (1, 1)
-        step = _memo_step(clock, system, step)
-        dead = clock.dead_set(system, targets)
-        setup = walks[3][key] = (K, base, root, step, fits(targets), dead, build)
-    *_, root, step, leaf, dead, build = setup
+        exact, H = system._exact(), POS_INF
+        if exact is not None and exact.K > 1:
+            q, H = walks[2] // _end_lcm(sources, exact.L), 0
+            while not q % exact.K:
+                q, H = q // exact.K, H + 1
+        setup = walks[3][key] = (H, root, _memo_step(clock, system, step), fits(targets), build)
+    _, root, step, leaf, build = setup
+    dead = walks[4].setdefault(targets, set())
     for syms, values in walk(system.automaton, length, root, step, clock.spend, leaf, dead):
         yield syms, tuple(map(build, values))
 

@@ -3,8 +3,9 @@ plain reference evaluation of maps, exact-valued copies of maps and sets,
 a reference set step and pull-back of hits on the generic loops at exact
 values, a reference first-hit search, a reference
 Xiong witness, a reference per-edge point step on reduced integer pairs, a
-reference envelope on the orbit difference, reference envelope and Xiong
-verifiers on Fraction arithmetic and a reference greedy cover check."""
+reference envelope on the orbit difference, a reference envelope on plain
+Fraction levels, reference envelope and Xiong verifiers on Fraction
+arithmetic and a reference greedy cover check."""
 
 from __future__ import annotations
 
@@ -40,6 +41,23 @@ from swmix.words import Word
 
 BOX = Interval(Fraction(0), Fraction(1))
 UNIT = IntervalSet.of(Fraction(0), Fraction(1))
+
+# Rotations by 1/3 and 2/7 as two-piece maps on (0, 1), as scenario JSON.
+ROTATIONS = {
+    "maps": [
+        [
+            {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
+            {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
+        ],
+        [
+            {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
+            {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
+        ],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "full", "m": 2},
+    "clamp": False,
+}
 
 
 def rotation(c: Fraction) -> PiecewiseAffineMap:
@@ -276,6 +294,7 @@ def reference_xiong_witness(system, points, targets, kind, tolerances, budget=Se
     items = list(zip(points, targets))
     groups = [items] if kind == "type2" else [[item] for item in items]
     clock = SearchClock(budget)
+    dead_sets = {}
 
     def step(values, sym):
         return step_points(system, values, sym)
@@ -292,7 +311,7 @@ def reference_xiong_witness(system, points, targets, kind, tolerances, budget=Se
                 def near(values, ts=ts):
                     return all(abs(v - t) < eps for v, t in zip(values, ts))
 
-                dead = clock.dead_set(system, ("points", ts, eps))
+                dead = dead_sets.setdefault((ts, eps), set())
                 walker = walk(system.automaton, n, xs, step, clock.spend, near, dead)
                 hit = next(walker, None)
                 walker.close()
@@ -381,6 +400,88 @@ def reference_difference_envelope(system, x, y, horizon, clock):
         w_hi = next(w for d, w in dists if d == hi)
         rows.append(EnvelopeRow(n, lo, hi, (Word(w_lo),), (Word(w_hi),)))
     return DistanceEnvelope("type2", x, y, horizon, tuple(rows), False)
+
+
+def reference_envelope(system, x, y, kind, horizon, max_words) -> DistanceEnvelope:
+    """:func:`swmix.chaos.distance_envelope` as a plain Fraction level loop
+    (:func:`reference_value`): the first piece whose open domain holds the
+    value, slope*x + offset, the closed clamp box, one clock charge per
+    admissible edge up to ``max_words``, the first word per key, and
+    extremes taken over every value (type 2) or every pair of values (type
+    1) with the lexicographically least words."""
+    aut = system.automaton
+    spent = 0
+
+    def step(level):
+        nonlocal spent
+        out = {}
+        for key, word in level.items():
+            for sym in range(aut.m):
+                nxt = aut.transitions[key[0]][sym]
+                if nxt < 0:
+                    continue
+                spent += 1
+                if spent > max_words:
+                    return None
+                vals = [reference_value(system.maps[sym], v) for v in key[1:]]
+                if any(
+                    v is None
+                    or (system.clamp and not system.bounds.lo <= v <= system.bounds.hi)
+                    for v in vals
+                ):
+                    continue
+                out.setdefault((nxt, *vals), word + (sym,))
+        return out
+
+    def values(level):
+        best = {}
+        for (_, v), w in level.items():
+            best[v] = min(best.get(v, w), w)
+        return best.items()
+
+    rows = []
+    truncated = False
+    levels = [{(aut.start, x, y): ()}] if kind == "type2" else [
+        {(aut.start, x): ()},
+        {(aut.start, y): ()},
+    ]
+    for n in range(1, horizon + 1):
+        nxt = []
+        for level in levels:
+            nxt.append(step(level))
+            if nxt[-1] is None:
+                break
+        if nxt[-1] is None:
+            truncated = True
+            break
+        if not all(nxt):
+            break
+        if kind == "type2":
+            dist = [(abs(fy - fx), w) for (_, fx, fy), w in nxt[0].items()]
+            lo = min(d for d, _ in dist)
+            hi = max(d for d, _ in dist)
+            w_lo = min(w for d, w in dist if d == lo)
+            w_hi = min(w for d, w in dist if d == hi)
+            rows.append(EnvelopeRow(n, lo, hi, (Word(w_lo),), (Word(w_hi),)))
+        else:
+            pairs = [
+                (abs(a - b), wa, wb)
+                for a, wa in values(nxt[0])
+                for b, wb in values(nxt[1])
+            ]
+            lo, wx_lo, wy_lo = min(pairs)
+            neg_hi, wx_hi, wy_hi = min((-d, wa, wb) for d, wa, wb in pairs)
+            rows.append(
+                EnvelopeRow(
+                    n,
+                    lo,
+                    -neg_hi,
+                    (Word(wx_lo), Word(wy_lo)),
+                    (Word(wx_hi), Word(wy_hi)),
+                )
+            )
+        levels = nxt
+    return DistanceEnvelope(kind, x, y, horizon, tuple(rows), truncated)
 
 
 def reference_verify_envelope(system, env):

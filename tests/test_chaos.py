@@ -35,8 +35,8 @@ from swmix.words import Word
 from helpers import (
     random_map,
     reference_difference_envelope,
+    reference_envelope,
     reference_ratio_point_step,
-    reference_value,
     reference_verify_envelope,
     reference_verify_xiong,
     reference_xiong_witness,
@@ -514,89 +514,6 @@ def test_envelope_rejects_bool_and_non_finite_points(x, y, error, kind):
     # An infinite point gave rows of inf and a refuted-at-horizon verdict.
     with pytest.raises(error, match="points"):
         distance_envelope(TENT, x, y, kind=kind, horizon=6)
-
-
-# The envelope against a plain Fraction level loop: the first piece whose
-# open domain holds the value, slope*x + offset, the closed clamp box, one
-# clock charge per admissible edge, the first word per key, and extremes
-# taken over every value (type 2) or every pair of values (type 1) with the
-# lexicographically least words.
-
-
-def reference_envelope(system, x, y, kind, horizon, max_words) -> DistanceEnvelope:
-    aut = system.automaton
-    spent = 0
-
-    def step(level):
-        nonlocal spent
-        out = {}
-        for key, word in level.items():
-            for sym in range(aut.m):
-                nxt = aut.transitions[key[0]][sym]
-                if nxt < 0:
-                    continue
-                spent += 1
-                if spent > max_words:
-                    return None
-                vals = [reference_value(system.maps[sym], v) for v in key[1:]]
-                if any(
-                    v is None
-                    or (system.clamp and not system.bounds.lo <= v <= system.bounds.hi)
-                    for v in vals
-                ):
-                    continue
-                out.setdefault((nxt, *vals), word + (sym,))
-        return out
-
-    def values(level):
-        best = {}
-        for (_, v), w in level.items():
-            best[v] = min(best.get(v, w), w)
-        return best.items()
-
-    rows = []
-    truncated = False
-    levels = [{(aut.start, x, y): ()}] if kind == "type2" else [
-        {(aut.start, x): ()},
-        {(aut.start, y): ()},
-    ]
-    for n in range(1, horizon + 1):
-        nxt = []
-        for level in levels:
-            nxt.append(step(level))
-            if nxt[-1] is None:
-                break
-        if nxt[-1] is None:
-            truncated = True
-            break
-        if not all(nxt):
-            break
-        if kind == "type2":
-            dist = [(abs(fy - fx), w) for (_, fx, fy), w in nxt[0].items()]
-            lo = min(d for d, _ in dist)
-            hi = max(d for d, _ in dist)
-            w_lo = min(w for d, w in dist if d == lo)
-            w_hi = min(w for d, w in dist if d == hi)
-            rows.append(EnvelopeRow(n, lo, hi, (Word(w_lo),), (Word(w_hi),)))
-        else:
-            pairs = [
-                (abs(a - b), wa, wb)
-                for a, wa in values(nxt[0])
-                for b, wb in values(nxt[1])
-            ]
-            lo, wx_lo, wy_lo = min(pairs)
-            neg_hi, wx_hi, wy_hi = min((-d, wa, wb) for d, wa, wb in pairs)
-            rows.append(
-                EnvelopeRow(
-                    n,
-                    lo,
-                    -neg_hi,
-                    (Word(wx_lo), Word(wy_lo)),
-                    (Word(wx_hi), Word(wy_hi)),
-                )
-            )
-        levels = nxt
-    return DistanceEnvelope(kind, x, y, horizon, tuple(rows), truncated)
 
 
 CUT_POINTS = st.fractions(min_value=F(1, 10), max_value=F(9, 10), max_denominator=10)

@@ -9,6 +9,8 @@ from swmix.cli import _build_parser, main
 from swmix.demo import tent_system
 from swmix.serialization import system_to_json
 
+from helpers import ROTATIONS
+
 TENT_JSON = system_to_json(tent_system())
 CLAMPED_JSON = system_to_json(tent_system(clamp=True))
 
@@ -158,25 +160,11 @@ def test_verify_rejects_broken_certificate(tmp_path, capsys):
 
 
 def test_verify_rejects_forged_xiong_language(tmp_path, capsys):
-    rotations = {
-        "maps": [
-            [
-                {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
-                {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
-            ],
-            [
-                {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
-                {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
-            ],
-        ],
-        "bounds": ["0", "1"],
-        "language": {"kind": "full", "m": 2},
-    }
     scn = write(
         tmp_path / "scn.json",
         {
             "task": "xiong",
-            "system": rotations,
+            "system": ROTATIONS,
             "params": {
                 "points": ["1/10"],
                 "targets": ["1/2"],
@@ -870,24 +858,12 @@ def test_verify_fails_an_incomplete_xiong_witness_as_run_does(tmp_path, capsys):
     assert report == {"kind": "xiong", "verified": False}
 
 
-# Three points on two circle rotations, the type-2 Xiong scenario of the CI
-# check of the installed command.
+# Three points on two circle rotations: one group of three points, so its
+# levels are stepped by the point kernel's general loop (groups of one and
+# two have their own).
 XIONG3 = {
     "task": "xiong",
-    "system": {
-        "maps": [
-            [
-                {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
-                {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
-            ],
-            [
-                {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
-                {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
-            ],
-        ],
-        "bounds": ["0", "1"],
-        "language": {"kind": "full", "m": 2},
-    },
+    "system": ROTATIONS,
     "params": {
         "kind": "type2",
         "points": ["1/10", "1/5", "2/5"],
@@ -896,6 +872,20 @@ XIONG3 = {
     },
     "budget": {"max_horizon": 10},
 }
+
+
+def test_three_point_xiong_run_prints_its_report_and_verifies(tmp_path, capsys):
+    scn = write(tmp_path / "scn.json", XIONG3)
+    out = tmp_path / "out"
+    code = main(["run", scn, "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert code == 0 and printed == (out / "report.json").read_text(encoding="utf-8")
+    report = json.loads(printed)
+    assert printed == json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert report["verified"] is True and report["witness"]["complete"] is True
+    assert len(report["witness"]["points"]) == 3
+    code, report = run_cli(["verify", str(out / "certificate.json")], capsys)
+    assert code == 0 and report == {"kind": "xiong", "verified": True}
 
 
 @pytest.mark.parametrize(

@@ -27,10 +27,14 @@ from hypothesis import strategies as st
 
 from swmix.cli import main
 from swmix.core import AffinePiece, PiecewiseAffineMap, SwitchedSystem
-from swmix.hitting import hitting_sets
+from swmix.hitting import HitWitness, hitting_sets
 from swmix.intervals import Interval, IntervalSet
 from swmix.language import FullShift
 from swmix.search import SearchBudget
+from swmix.serialization import envelope_to_csv, interval_set_from_json, system_from_json
+from swmix.words import Word
+
+from helpers import ROTATIONS, reference_envelope, reference_pull_back
 
 UNIT = [["0", "1"]]
 
@@ -61,24 +65,6 @@ PIECEWISE = {
         [
             {"domain": ["0", "1/2"], "a": "2", "b": "0"},
             {"domain": ["1/2", "1"], "a": "-2", "b": "2"},
-        ],
-    ],
-    "bounds": ["0", "1"],
-    "language": {"kind": "full", "m": 2},
-    "clamp": False,
-}
-
-
-# Rotations by 1/3 and 2/7 as two-piece maps on (0, 1).
-ROTATIONS = {
-    "maps": [
-        [
-            {"domain": ["0", "2/3"], "a": "1", "b": "1/3"},
-            {"domain": ["2/3", "1"], "a": "1", "b": "-2/3"},
-        ],
-        [
-            {"domain": ["0", "5/7"], "a": "1", "b": "2/7"},
-            {"domain": ["5/7", "1"], "a": "1", "b": "-5/7"},
         ],
     ],
     "bounds": ["0", "1"],
@@ -481,12 +467,17 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_golden(name: str, tmp_path, capsys) -> tuple:
-    scn = tmp_path / f"{name}.json"
-    scn.write_text(json.dumps(SCENARIOS[name]))
-    out = tmp_path / name
+def _run(doc: dict, tmp_path, capsys, name: str = "run") -> tuple:
+    """``swmix run`` of scenario ``doc`` in-process: ``(exit code, stdout,
+    output directory)``."""
+    scn, out = tmp_path / f"{name}.json", tmp_path / name
+    scn.write_text(json.dumps(doc))
     code = main(["run", str(scn), "--out", str(out)])
-    stdout = capsys.readouterr().out
+    return code, capsys.readouterr().out, out
+
+
+def run_golden(name: str, tmp_path, capsys) -> tuple:
+    code, stdout, out = _run(SCENARIOS[name], tmp_path, capsys, name)
     artifact = next(
         (p for p in (out / "certificate.json", out / "envelope.csv") if p.exists()),
         None,
@@ -502,6 +493,91 @@ def run_golden(name: str, tmp_path, capsys) -> tuple:
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_cli_artifacts_match_golden_digests(name, tmp_path, capsys):
     assert run_golden(name, tmp_path, capsys) == GOLDEN[name]
+
+
+def _stdlib_encoded(text: str) -> bool:
+    return text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_json_artifacts_are_the_stdlib_encoding_and_certificates_verify(name, tmp_path, capsys):
+    # swmix writes JSON with its own writer (serialization.dumps); the
+    # printed report, report.json, certificate.json and the verdict of
+    # swmix verify must each be the stdlib's encoding of its own content.
+    # Every run that writes a certificate exits 0, and its certificate
+    # must verify.
+    code, printed, out = _run(SCENARIOS[name], tmp_path, capsys)
+    texts = [printed, (out / "report.json").read_text(encoding="utf-8")]
+    cert = out / "certificate.json"
+    if cert.exists():
+        texts.append(cert.read_text(encoding="utf-8"))
+        assert code == 0 and main(["verify", str(cert)]) == 0
+        texts.append(capsys.readouterr().out)
+        assert json.loads(texts[-1]) == {"kind": json.loads(texts[2])["kind"], "verified": True}
+    assert all(map(_stdlib_encoded, texts)), name
+
+
+def test_global_tent_envelope_rows_double_the_distance(tmp_path, capsys):
+    # The unclamped global tent moves the orbit difference on its own, so
+    # the envelope searches the pair (0, y - x): at every length n up to
+    # the horizon, d_min = d_max = 2^n * |y - x|.
+    doc = SCENARIOS["scrambled-global"]
+    code, _, out = _run(doc, tmp_path, capsys)
+    lines = (out / "envelope.csv").read_text().splitlines()
+    assert code == 0 and lines[0] == "length,d_min,d_max,word_min,word_max"
+    gap = abs(F(doc["params"]["y"]) - F(doc["params"]["x"]))
+    rows = [(int(n), F(lo), F(hi)) for n, lo, hi, _, _ in (line.split(",") for line in lines[1:])]
+    assert rows == [(n, 2**n * gap, 2**n * gap) for n in range(1, doc["params"]["horizon"] + 1)]
+
+
+# Type-2 envelopes whose pair is stepped itself: every row of envelope.csv,
+# its words included, must be that of a plain Fraction level loop
+# (helpers.reference_envelope).  On the rotations every slope is 1, so every level
+# stays on 21 * 10**6 (the offsets' 3 and 7 and the points' 10**6).  On the
+# maps of slopes 2/3 and -2/3 from points on 10**18, the one denominator of a
+# level triples per length, outgrows a machine word at length 2 and is
+# divided down at every length from 2 to the horizon.
+THIRDS = {
+    "maps": [
+        [
+            {"domain": ["0", "1/2"], "a": "2/3", "b": "1/6"},
+            {"domain": ["1/2", "1"], "a": "2/3", "b": "1/3"},
+        ],
+        [{"domain": ["0", "1"], "a": "-2/3", "b": "5/6"}],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "full", "m": 2},
+}
+POINT_ENVELOPES = {
+    "rotations": {
+        "task": "scrambled",
+        "system": ROTATIONS,
+        "params": {"kind": "type2", "x": "123457/1000000", "y": "271/1000", "horizon": 14},
+    },
+    "thirds": {
+        "task": "scrambled",
+        "system": THIRDS,
+        "params": {
+            "kind": "type2",
+            "x": "123456789012345679/1000000000000000000",
+            "y": "871828182845904523/1000000000000000000",
+            "horizon": 12,
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_ENVELOPES))
+def test_point_envelopes_match_a_fraction_level_loop(name, tmp_path, capsys):
+    doc = POINT_ENVELOPES[name]
+    code, printed, out = _run(doc, tmp_path, capsys)
+    assert code == 0 and printed == (out / "report.json").read_text(encoding="utf-8")
+    assert _stdlib_encoded(printed)
+    params = doc["params"]
+    x, y, horizon = F(params["x"]), F(params["y"]), params["horizon"]
+    want = reference_envelope(system_from_json(doc["system"]), x, y, "type2", horizon, 10**6)
+    assert len(want.rows) == horizon and not want.truncated
+    assert (out / "envelope.csv").read_text() == envelope_to_csv(want)
 
 
 def test_int_cut_points_pull_back_to_fractions():
@@ -574,15 +650,73 @@ def test_json_number_ends_print_witness_sources_as_fractions(tmp_path, capsys):
     }
     sources = []
     for name, scn in (("hitting", hitting), ("wm", wm)):
-        (tmp_path / f"{name}.json").write_text(json.dumps(scn))
-        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]) == 0
-        report = json.loads(capsys.readouterr().out)
+        code, printed, _ = _run(scn, tmp_path, capsys, name)
+        assert code == 0
+        report = json.loads(printed)
         witnesses = report["type2"] if name == "hitting" else report["certificate"]["witnesses"]
         sources += [w["source"] for w in witnesses]
     assert sources[0] == ["1/2", "1"] and len(sources) == 8
     assert all(type(end) is str for source in sources for end in source)
     assert main(["verify", str(tmp_path / "wm" / "certificate.json")]) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "wm", "verified": True}
+
+
+# Clamped piecewise maps with fractional slopes (3/2 and -1/3, domain ends on
+# thirds).  Set searches carry every enclosure on one denominator that holds
+# the lcm of the slopes' denominators (K = 6) to the power of the walk's
+# depth, and pull-backs also that of the numerators, a path that integer
+# slopes never reach.
+FRACTIONAL = {
+    "maps": [
+        [
+            {"domain": ["-inf", "2/3"], "a": "3/2", "b": "0"},
+            {"domain": ["2/3", "inf"], "a": "-1/3", "b": "11/9"},
+        ],
+        [
+            {"domain": ["-inf", "1/3"], "a": "-1/3", "b": "1/3"},
+            {"domain": ["1/3", "inf"], "a": "3/2", "b": "-1/2"},
+        ],
+    ],
+    "bounds": ["0", "1"],
+    "language": {"kind": "full", "m": 2},
+    "clamp": True,
+}
+
+
+def test_fractional_slope_runs_verify_and_print_fraction_ends(tmp_path, capsys):
+    # Every hitting witness verifies and its source is the pull-back of the
+    # generic loops at exact values (helpers.reference_pull_back).
+    U, V = [["1/10", "1/5"]], [["7/10", "3/4"]]
+    hitting = {
+        "task": "hitting",
+        "system": FRACTIONAL,
+        "params": {"U": U, "V": V},
+        "budget": {"max_horizon": 6, "required": 2},
+    }
+    pairs = [[U, V], [[["1/2", "3/5"]], [["1/5", "1/4"]]]]
+    wm = {
+        "task": "wm-cert",
+        "system": FRACTIONAL,
+        "params": {"K": UNIT, "Q": UNIT, "pairs": pairs, "kind": "wm1"},
+        "budget": {"max_horizon": 8, "required": 2},
+    }
+    reports = []
+    for name, doc in (("hitting", hitting), ("wm", wm)):
+        code, printed, out = _run(doc, tmp_path, capsys, name)
+        assert code == 0 and printed == (out / "report.json").read_text(encoding="utf-8")
+        reports.append(json.loads(printed))
+    assert reports[0]["type1"] == [4, 5, 6] and reports[0]["exhausted"] is True
+    system = system_from_json(FRACTIONAL)
+    U, V = interval_set_from_json(U), interval_set_from_json(V)
+    for w in reports[0]["type2"]:
+        word, source = tuple(w["word"]), interval_set_from_json([w["source"]])
+        assert HitWitness(Word(word), "set", source=source).verify(system, U, V), w
+        assert source == reference_pull_back(system, word, U, V), w
+    assert main(["verify", str(tmp_path / "wm" / "certificate.json")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "wm", "verified": True}
+    cert = json.loads((tmp_path / "wm" / "certificate.json").read_text())["certificate"]
+    sources = [w["source"] for w in reports[0]["type2"] + cert["witnesses"]]
+    assert sources and all("/" in end for source in sources for end in source), sources
 
 
 # Tampered certificates: every number under "certificate" of each golden

@@ -996,6 +996,32 @@ def test_walks_on_fractional_slopes_rebuild_only_when_the_clock_rescales(monkeyp
     assert builds == [(1, 30 * 2**16)]
 
 
+def test_a_rescale_scales_the_dead_sets_of_its_own_walk_record_only():
+    # Each system's walk record holds its own dead sets, so the rescale at
+    # length 5 of the K = 2 system above moves its dead keys to the new D
+    # and leaves the tent's record as it was.
+    system = SwitchedSystem(
+        maps=(
+            PiecewiseAffineMap.globally(F(1, 2), F(1, 3)),
+            PiecewiseAffineMap.globally(F(2), F(-1, 5)),
+        ),
+        language=FullShift(2),
+        bounds=Interval(F(0), F(1)),
+        clamp=True,
+    )
+    S, T = [IntervalSet.of(F(1, 10), F(1, 5))], (IntervalSet.of(F(2, 5), F(3, 5)),)
+    clock = SearchClock(SearchBudget())
+    for s in (system, CLAMPED):
+        list(iter_set_hits(s, S, T, 3, clock))
+    record, tent = clock._walks(system), clock._walks(CLAMPED)[4]
+    D, dead = record[2], record[4][T]
+    list(iter_set_hits(system, S, T, 5, clock))
+    f = record[2] // D
+    assert dead and f > 1 and clock._walks(CLAMPED)[4] is tent
+    want = {(q, tuple(tuple(e * f for e in ends) for ends in v), r) for q, v, r in dead}
+    assert want <= record[4][T]
+
+
 def test_set_searches_refuse_unmatched_sources_and_targets():
     # all(map(test, values, goals)) stops at the shorter list, so on the
     # clamped tent the walk yielded 001 and the sweep returned 00, though no
