@@ -32,7 +32,7 @@ from .chaos import (
 from .core import SwitchedSystem, eval_interval, eval_point
 from .errors import BudgetExceeded, ScenarioError, SwmixError
 from .hitting import WMCertificate, hitting_sets, verify_wm_certificate, wm_certificate
-from .language import count_words, enumerate_words
+from .language import count_words_upto, enumerate_words
 from .search import SearchBudget
 from .serialization import (
     budget_to_json,
@@ -103,14 +103,13 @@ def _int_param(
     params: dict,
     key: str,
     default: int | None = None,
-    minimum: int = 1,
     maximum: int | None = None,
 ) -> int:
     v = params.get(key, default)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(f"task parameter {key!r} must be an integer")
-    if v < minimum:
-        raise ScenarioError(f"task parameter {key!r} must be >= {minimum}")
+    if v < 1:
+        raise ScenarioError(f"task parameter {key!r} must be >= 1")
     if maximum is not None and v > maximum:
         raise ScenarioError(f"task parameter {key!r} must be <= {maximum}")
     return v
@@ -141,14 +140,15 @@ def _task_prelang(
 ) -> TaskResult:
     max_len = _int_param(params, "max_len", 10, maximum=_MAX_LEN)
     list_len = _int_param(params, "list_len", maximum=_MAX_LEN) if "list_len" in params else None
-    counts = [count_words(system.automaton, n) for n in range(1, max_len + 1)]
+    all_counts = count_words_upto(system.automaton, max(max_len, list_len or 0))
+    counts = all_counts[:max_len]
     payload: dict[str, Any] = {
         "alphabet": system.automaton.m,
         "max_len": max_len,
         "counts": counts,
     }
     if list_len is not None:
-        total = count_words(system.automaton, list_len)
+        total = all_counts[list_len - 1]
         if total > _LIST_CAP:
             raise ScenarioError(f"refusing to list {total} words at length {list_len}")
         payload["words"] = [w.as_string() for w in enumerate_words(system.automaton, list_len)]

@@ -259,7 +259,7 @@ def hitting_sets(
     for n in clock.lengths(range(1, budget.max_horizon + 1)):
         found = 0
         decided = True
-        for syms, _ in iter_set_hits(system, [U], [V], n, clock):
+        for syms in iter_set_hits(system, [U], [V], n, clock):
             sub = pull_back_hit(system, syms, U, V)
             if sub is None:
                 # enclosure hit that does not certify (float slack only)
@@ -371,7 +371,7 @@ def wm_certificate(
         level: list[HitWitness] = []
         for group in groups:
             srcs, tgts = zip(*group)
-            for syms, _ in iter_set_hits(system, srcs, tgts, n, clock):
+            for syms in iter_set_hits(system, srcs, tgts, n, clock):
                 subs = [pull_back_hit(system, syms, s, t) for s, t in group]
                 if all(sub is not None for sub in subs):
                     word = Word(syms)

@@ -104,36 +104,22 @@ def _forbidden_automaton(spec: ForbiddenWords) -> tuple[int, list[list[int]]]:
             node = nxt
         terminal[node] = True
 
-    # Failure links; a node whose suffix chain hits a terminal is dead too.
+    # Breadth first, each node's row is its children laid over its failure
+    # node's row, whose entry for a child's symbol is the child's failure
+    # node (the root's children fail to the root, its row being all 0).  A
+    # node whose failure node is terminal is dead too.
+    rows: list[list[int]] = [[0] * m for _ in children]
     fail = [0] * len(children)
-    order = deque(children[0].values())
-    for node in children[0].values():
-        fail[node] = 0
+    order = deque([0])
     while order:
         node = order.popleft()
+        row = rows[node] = rows[fail[node]][:]
         for s, nxt in children[node].items():
-            f = fail[node]
-            while f and s not in children[f]:
-                f = fail[f]
-            fail[nxt] = children[f].get(s, 0) if children[f].get(s, 0) != nxt else 0
+            fail[nxt] = row[s]
             terminal[nxt] = terminal[nxt] or terminal[fail[nxt]]
+            row[s] = nxt
             order.append(nxt)
-
-    def goto(node: int, s: int) -> int:
-        while True:
-            if s in children[node]:
-                return children[node][s]
-            if node == 0:
-                return 0
-            node = fail[node]
-
-    table = [[-1] * m for _ in children]
-    for node in range(len(children)):
-        if terminal[node]:
-            continue
-        for s in range(m):
-            nxt = goto(node, s)
-            table[node][s] = -1 if terminal[nxt] else nxt
+    table = [[-1 if terminal[q] or terminal[t] else t for t in row] for q, row in enumerate(rows)]
     return 0, table
 
 
@@ -277,6 +263,18 @@ def enumerate_words(aut: PrunedAutomaton, n: int) -> Iterator[Word]:
     """Yield the admissible words of length ``n`` in lexicographic order."""
     for syms, _ in walk(aut, n, (), lambda value, sym: value):
         yield Word(syms)
+
+
+def count_words_upto(aut: PrunedAutomaton, n: int) -> list[int]:
+    """``[count_words(aut, k) for k in 1..n]`` in one pass over per-state
+    counts: ``n`` rounds of one addition per transition, where each
+    :func:`count_words` call is a matrix power."""
+    ways = [1] * aut.num_states  # words of the length so far from each state
+    counts = []
+    for _ in range(n):
+        ways = [sum(ways[t] for t in row if t >= 0) for row in aut.transitions]
+        counts.append(ways[aut.start])
+    return counts
 
 
 def count_words(aut: PrunedAutomaton, n: int) -> int:

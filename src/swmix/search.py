@@ -27,16 +27,17 @@ Searches run in one of two shapes, chosen by what they return:
   may reject a hit after the search: :func:`iter_set_hits` behind
   ``hitting_sets`` and ``wm_certificate``, one call of
   :func:`swmix.language.walk`, symbol-ordered, so a shared prefix is
-  evaluated once.  Set steps go through a memo held by the
-  :class:`SearchClock`, so each distinct ``(enclosures, symbol)`` step of
+  evaluated once, yielding words only.  The :class:`SearchClock` holds one
+  :class:`_WalkRecord` per system with all the walker's state.  Set steps
+  go through its memo, so each distinct ``(enclosures, symbol)`` step of
   one system is computed once per logical search, however many lengths
-  reach it.  Refuted subtrees are walked once per logical search: the clock
-  holds one dead-subtree set per system and targets, the ``(state, value,
+  reach it.  Refuted subtrees are walked once per logical search: the
+  record holds one dead-subtree set per targets, the ``(state, value,
   remaining)`` keys of subtrees that yielded no hit.  A child whose key is
   recorded is charged and stepped but not entered, at this length and
-  every later one.  The walk's set-up (root, scaled step, leaf test) is
-  built once per sources and targets and kept on the clock too, for every
-  later length while the clock's ``D`` (below) holds.  Neither the memo,
+  every later one.  The walk's set-up (root, memoised step, leaf test) is
+  built once per sources and targets and kept in the record too, for every
+  later length while the record's ``D`` (below) holds.  Neither the memo,
   the dead sets nor the set-ups change hits or their order, nor whether an
   edge is charged.
 
@@ -55,23 +56,24 @@ denominators; ``K``, the lcm of the slopes' denominators, takes a value on
 ``D`` to one on ``D*K``.  A sweep's level therefore moves to ``D*K`` with
 each depth, as the point levels below do, so its integers grow only with
 the depth it reaches; the walker keeps one ``D`` that holds every depth of
-its walk, ``K**H`` times the root's for its length rounded up to a power of
-two ``H``.  A step (:func:`swmix.core._image_ends`) is two comparisons and
-one multiply-add per end and a merge of int pairs, with no gcd and no
-cross-multiplication; rotations and tents have ``K = 1``, and keep the
+its walk, a multiple of ``K**H`` times the root's for its length rounded up
+to a power of two ``H``.  A step (:func:`swmix.core._image_ends`) is two
+comparisons and one multiply-add per end and a merge of int pairs, with no
+gcd and no cross-multiplication; rotations and tents have ``K = 1``, and keep the
 root's ``D`` throughout.  Targets, ``min_overlap`` and the clamp box are
 integer floor and ceiling thresholds on ``D``, since their denominators
 need not divide it.  Keys on one ``D`` are equal exactly when their sets
 are.  The walker's memo, dead-subtree sets and set-ups outlive a walk,
-so the :class:`SearchClock` holds one ``D`` per system for them and
-rescales their keys once when a later walk needs a ``D`` that the held one
-is not a multiple of: new sources' denominators, or a longer walk on ``K >
-1`` past the next power of two.  A set-up closes over its ``D``'s ends and
-memo, so a rescale drops every set-up of the system, and the next walk of
-each builds its own again; while ``D`` holds, a walk of any length
-reuses it.  ``build`` turns a hit's ends back into a
-set (the identity on float sets).  Point searches (:func:`_point_search`,
-shared by the Xiong sweep and the envelopes) carry a group's orbits as one flat tuple
+so each walk record holds one ``D`` for them and rescales their keys once
+when a later walk needs a ``D`` that the held one is not a multiple of: new
+sources' denominators, or a longer walk on ``K > 1`` past the next power
+of two.  Every walk asks for its ``D`` before it looks up its set-up.  A
+set-up closes over its ``D``'s ends and memo, so a rescale drops every
+set-up of the system: a set-up still in the record is on the held ``D``,
+and serves a walk of any length.  The sweeps' ``build`` turns a hit's ends
+back into a set (the identity on float sets).  Point searches
+(:func:`_point_search`, shared by the Xiong sweep and the envelopes) carry
+a group's orbits as one flat tuple
 ``(D, N1, N2, ..)``, the points ``N1/D, N2/D, ..`` over a denominator ``D``
 that every key of a level shares, and ``scalar(N, D)`` gives a point's
 value.  In rational mode the ``N`` are integers, the test ``|v - t| < eps``
@@ -93,10 +95,10 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     _REDUCE_BITS,
@@ -163,12 +165,11 @@ class SearchClock:
     iterates :meth:`lengths`, the one place where running out stops it; a
     level sweep stops at the first refused charge.
 
-    The clock also owns one walk record per system (:meth:`_walks`): the
-    walker's memo of set steps, the one denominator of their keys in
-    rational mode (:meth:`_denominator`), the walks' set-ups and their
-    dead-subtree sets.  A memo entry is added only after a charged edge, and
-    a dead key only for a charged node or a walk's root, so
-    ``budget.max_words`` bounds both as well as the node count.
+    The clock also owns one :class:`_WalkRecord` per system
+    (:meth:`_walks`), the whole state of its set walks.  A memo entry is
+    added only after a charged edge, and a dead key only for a charged node
+    or a walk's root, so ``budget.max_words`` bounds both as well as the
+    node count.
     """
 
     def __init__(self, budget: SearchBudget):
@@ -178,13 +179,7 @@ class SearchClock:
         self._deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
-        # id(system) -> [system, {(images, sym): child or None}, D,
-        # {(sources, targets): set-up}, {targets: {(state, value,
-        # remaining)}}], images and values being sets, or flat ends on the
-        # denominator D on exact searches (D is None until an exact walk
-        # sets it); holding the system keeps its id from being reused while
-        # the clock lives.
-        self._steps: dict[int, list] = {}
+        self._records: dict[int, _WalkRecord] = {}
 
     def spend(self) -> bool:
         self.count += 1
@@ -197,58 +192,10 @@ class SearchClock:
                 return False
         return True
 
-    def _walks(self, system: SwitchedSystem) -> list:
-        """``[system, memo, D, setups, dead]``, the walk record of
-        ``system``: the step memo of its set walks, the denominator ``D`` of
-        their keys (None until set), the walks' set-ups, keyed by value as
-        ``(sources, targets)``, and their dead-subtree sets (see
-        :func:`~swmix.language.walk`), one per ``targets``.
-
-        A set-up (filled by :func:`iter_set_hits`) is ``(H, root, step,
-        leaf, build)``: the largest walk depth (:func:`_walk_depth`) ``H``
-        for which ``D`` is a multiple of ``lcm(L, ends) * K**H``, unbounded
-        for ``K = 1`` as in float mode; the root's flat ends on ``D``; the
-        memoised step on the maps scaled to ``D``; the leaf test with its
-        thresholds on ``D``; and ``build``.  It serves every later walk of
-        depth ``H`` at most from those sources to those targets.  Every
-        set-up closes over the memo and the ends of the ``D`` it was built
-        on, so :meth:`_denominator` drops them all when it rescales.
-        """
-        return self._steps.setdefault(id(system), [system, {}, None, {}, {}])
-
-    def _denominator(self, system: SwitchedSystem, D: int) -> int:
-        """The denominator of every exact set walk of ``system`` on this
-        clock, once a walk needs a multiple of ``D``.
-
-        Keys of the step memo and of the dead-subtree sets of ``system``'s
-        walk record (:meth:`_walks`) are flat ends on that one denominator,
-        so equal sets have equal keys across walks.  When ``D`` does not
-        divide the held one, the held one becomes their lcm, and the
-        record's memo and dead sets are rebuilt once with each end
-        rescaled: as new objects, so that a walk still open keeps the keys
-        of its own denominator.  The record's set-ups, built on the old
-        denominator, are dropped, to be built again on first use.
-        """
-        walks = self._walks(system)
-        held = walks[2]
-        if held is None:
-            walks[2] = D
-            return D
-        if not held % D:
-            return held
-        new = lcm(held, D)
-        f = new // held
-
-        def scale(value: tuple | None) -> tuple | None:
-            if value is None:
-                return None
-            return tuple(tuple(e * f if type(e) is int else e for e in ends) for ends in value)
-
-        walks[1] = {(scale(images), sym): scale(child) for (images, sym), child in walks[1].items()}
-        walks[2] = new
-        walks[3].clear()
-        walks[4] = {t: {(q, scale(v), r) for q, v, r in dead} for t, dead in walks[4].items()}
-        return new
+    def _walks(self, system: SwitchedSystem) -> _WalkRecord:
+        """The walk record of ``system`` on this clock, made on first use."""
+        records = self._records
+        return records.get(id(system)) or records.setdefault(id(system), _WalkRecord(system))
 
     def lengths(self, lengths: Iterable[int]) -> Iterator[int]:
         """Yield each word length in turn and stop after the one during
@@ -258,6 +205,66 @@ class SearchClock:
             yield n
             if self.exceeded:
                 return
+
+
+class _SetUp(NamedTuple):
+    """A walk's set-up from one tuple of sources to one of targets, built
+    on its record's ``D`` by :func:`iter_set_hits`: ``base``, the sources'
+    ``lcm(L, ends)`` (None in float mode); the root's values; the step on
+    the maps scaled to ``D``, memoised in the record; and the leaf test
+    with its thresholds on ``D``."""
+
+    base: int | None
+    root: tuple
+    step: Callable[[tuple, int], tuple | None]
+    leaf: Callable[[tuple], bool]
+
+
+@dataclass(eq=False)
+class _WalkRecord:
+    """The state of every set walk of ``system`` on one clock.
+
+    ``memo`` maps ``(images, sym)`` to the child, None for a dead branch;
+    ``D`` is the one denominator of every key on exact walks (1 until an
+    exact walk needs more; unused in float mode); ``setups`` maps
+    ``(sources, targets)`` to their :class:`_SetUp`; and ``dead`` maps ``targets`` to
+    the ``(state, value, remaining)`` keys of refuted subtrees (see
+    :func:`~swmix.language.walk`).  Images and values are sets in float
+    mode and flat ends on ``D`` on exact walks.  Holding ``system`` keeps
+    its id from being reused while the clock lives.
+    """
+
+    system: SwitchedSystem
+    memo: dict = field(default_factory=dict)
+    D: int = 1
+    setups: dict = field(default_factory=dict)
+    dead: dict = field(default_factory=dict)
+
+    def denominator(self, D: int) -> int:
+        """The denominator of every exact walk of the record, once a walk
+        needs a multiple of ``D``.
+
+        When ``D`` does not divide the held one, the held one becomes their
+        lcm, and the memo and dead sets are rebuilt once with each end
+        rescaled: as new objects, so that a walk still open keeps the keys
+        of its own denominator.  The set-ups, built on the old denominator,
+        are dropped, to be built again on first use; so every set-up in the
+        record is on the held ``D``.
+        """
+        held = self.D
+        if not held % D:
+            return held
+        new = lcm(held, D)
+        f = new // held
+
+        def scale(value: tuple | None) -> tuple | None:
+            return value and tuple(tuple(e * f if type(e) is int else e for e in v) for v in value)
+
+        self.memo = {(scale(i), sym): scale(c) for (i, sym), c in self.memo.items()}
+        self.D = new
+        self.setups.clear()
+        self.dead = {t: {(q, scale(v), r) for q, v, r in dead} for t, dead in self.dead.items()}
+        return new
 
 
 def step_images(
@@ -285,24 +292,6 @@ def step_images(
             return None
         out.append(nxt)
     return tuple(out)
-
-
-def _memo_step(
-    clock: SearchClock, system: SwitchedSystem, step: Callable[[tuple, int], tuple | None]
-) -> Callable[[tuple, int], tuple | None]:
-    """``step(images, sym)`` of ``system`` memoised in ``clock``; dead
-    branches are stored as None."""
-    memo = clock._walks(system)[1]
-
-    def memo_step(images, sym):
-        key = (images, sym)
-        try:
-            return memo[key]
-        except KeyError:
-            child = memo[key] = step(images, sym)
-            return child
-
-    return memo_step
 
 
 def _level_step(
@@ -609,12 +598,6 @@ def _point_search(system: SwitchedSystem) -> tuple[Callable, _Advance, Callable,
     return encode, advance, near, Fraction
 
 
-def _walk_depth(horizon: int, clock: SearchClock) -> int:
-    """``H``, the depth a walk's denominator holds: ``horizon`` rounded up
-    to a power of two and capped by the node budget."""
-    return min(1 << (horizon - 1).bit_length(), clock.budget.max_words)
-
-
 def _matched(sources: Sequence[IntervalSet], targets: Sequence[IntervalSet]) -> tuple:
     """``targets`` as a tuple, one per source; raises ValueError when the
     counts differ."""
@@ -629,13 +612,11 @@ def _set_search(
     system: SwitchedSystem,
     inside: bool,
     sources: Sequence[IntervalSet],
-    horizon: int,
-    clock: SearchClock,
-    shared: bool = False,
+    D: int | None = None,
 ) -> tuple[tuple, Callable, _Advance, Callable, Callable]:
     """``(root, step, advance, fits, build)`` of a set search from
-    ``sources`` to depth ``horizon`` at most: the one place where sets are
-    sent to integers or kept as sets.
+    ``sources``: the one place where sets are sent to integers or kept as
+    sets.
 
     ``root`` is the sources' value, ``step(values, sym)`` steps it and
     ``advance`` is the level stepper of a sweep from it (:func:`_levels`);
@@ -644,28 +625,25 @@ def _set_search(
     system's ``min_overlap``, partial images), or with ``inside`` lies
     inside it (``subset_of``, total images); ``build`` turns one enclosure
     back into a set.  Float mode carries sets, steps them with
-    :func:`step_images`, and ``build`` is the identity.
+    :func:`step_images`, ignores ``D``, and ``build`` is the identity.
 
     In rational mode each enclosure is the flat tuple ``(lo1, hi1, lo2, hi2,
     ..)`` of its components' ends times a denominator ``D``, each an int or
     an infinite float, stepped by :func:`~swmix.core._image_ends` on the
-    maps scaled to ``D`` (:func:`~swmix.core._set_tables`).  The root lies
-    on ``lcm(L, ends)``: ``L`` is the lcm of the system's domain-end,
+    maps scaled to ``D`` (:func:`~swmix.core._set_tables`).  A sweep's root
+    lies on ``lcm(L, ends)``: ``L`` is the lcm of the system's domain-end,
     offset and clamp-box denominators and ``ends`` those of the sources'
     finite ends.  ``K``, the lcm of the slopes' denominators, takes a value
     on ``D`` to one on ``D*K``.  A sweep's level therefore lies on
     ``lcm(L, ends) * K**n`` at depth ``n``, and ``advance`` moves ``D``, the
     scaled maps and every leaf test's thresholds to the next level's
-    ``D``; ``step`` steps the current level.  The walker (``shared``) keeps
-    one ``D`` for every depth of its walk and every walk on the clock
-    (:meth:`SearchClock._denominator`), so that the clock's memo and
-    dead-subtree keys stay canonical: ``lcm(L, ends) * K**H``, where ``H``
-    is ``horizon`` rounded up to a power of two and capped by the node
-    budget (:func:`_walk_depth`), so a walk over lengths 1, 2, .. rescales the clock's keys at
-    lengths 2, 3, 5, 9, .. only.  Rotations and tents have ``K = 1``,
-    and then ``D`` never changes.  Targets, ``min_overlap`` and the clamp
-    box are floor and ceiling thresholds on ``D``.  ``build`` gives every
-    end as a Fraction or an infinity.  Both modes step the same words.
+    ``D``; ``step`` steps the current level.  The walker passes its
+    record's ``D``, a multiple of ``lcm(L, ends) * K**H`` for every depth
+    ``H`` of its walk (:func:`iter_set_hits`), and ``step`` steps every
+    depth on it.  Rotations and tents have ``K = 1``, and then ``D`` never
+    changes.  Targets, ``min_overlap`` and the clamp box are floor and
+    ceiling thresholds on ``D``.  ``build`` gives every end as a Fraction
+    or an infinity.  Both modes step the same words.
     """
     aut = system.automaton
     exact = system._exact()
@@ -683,9 +661,7 @@ def _set_search(
         step = functools.partial(step_images, system, partial=not inside)
         return tuple(sources), step, _stepper(step, aut), fits, lambda s: s
     partial = not inside
-    D, k = _end_lcm(sources, exact.L), exact.K
-    if shared:
-        D, k = clock._denominator(system, D * k ** _walk_depth(horizon, clock)), 1
+    D, k = (_end_lcm(sources, exact.L), exact.K) if D is None else (D, 1)
     if inside:
         goal_of, test = _inside_goal, _ends_inside
     else:
@@ -742,36 +718,50 @@ def iter_set_hits(
     targets: Sequence[IntervalSet],
     length: int,
     clock: SearchClock,
-) -> Iterator[tuple[tuple[int, ...], tuple[IntervalSet, ...]]]:
+) -> Iterator[tuple[int, ...]]:
     """Yield, in lexicographic order, every admissible word of exactly
     ``length`` whose branch survives and whose final enclosures all meet
-    their targets (``intersects`` with the system's ``min_overlap``), with
-    those enclosures.
+    their targets (``intersects`` with the system's ``min_overlap``).
 
     The words are walked by :func:`~swmix.language.walk` through the step
     memo and the dead-subtree set of the clock's walk record for
-    ``system`` (:meth:`SearchClock._walks`), from a set-up
-    (:func:`_set_search`) that the record keeps for these sources and
-    targets while its ``D`` serves the walk's depth.  A hit's sets are
-    built when it is yielded.  Stops silently when the clock runs out (check
-    ``clock.exceeded``); raises ValueError for a ``length`` below 1 or for
-    other than one target per source.
+    ``system`` (:meth:`SearchClock._walks`).  An exact walk first asks the
+    record (:meth:`_WalkRecord.denominator`) for ``lcm(L, ends) * K**H``,
+    which holds every depth of the walk, ``H`` being ``length`` rounded up
+    to a power of two and capped by the node budget, so that a walk over
+    lengths 1, 2, .. rescales the record's keys at lengths 2, 3, 5, 9, ..
+    only.  A set-up that the record still keeps for these sources and
+    targets is on the record's ``D``, as a rescale drops them all, and
+    serves the walk; otherwise one is built (:func:`_set_search`) and kept.
+    No set is built for a hit.  Stops silently when the clock runs out
+    (check ``clock.exceeded``); raises ValueError for a ``length`` below 1
+    or for other than one target per source.
     """
     key = sources, targets = tuple(sources), tuple(targets)
-    walks = clock._walks(system)
-    setup = walks[3].get(key)
-    if setup is None or _walk_depth(length, clock) > setup[0]:
-        root, step, _, fits, build = _set_search(system, False, sources, length, clock, shared=True)
-        exact, H = system._exact(), POS_INF
-        if exact is not None and exact.K > 1:
-            q, H = walks[2] // _end_lcm(sources, exact.L), 0
-            while not q % exact.K:
-                q, H = q // exact.K, H + 1
-        setup = walks[3][key] = (H, root, _memo_step(clock, system, step), fits(targets), build)
-    _, root, step, leaf, build = setup
-    dead = walks[4].setdefault(targets, set())
-    for syms, values in walk(system.automaton, length, root, step, clock.spend, leaf, dead):
-        yield syms, tuple(map(build, values))
+    record = clock._walks(system)
+    setup = record.setups.get(key)
+    exact = system._exact()
+    base = D = None
+    if exact is not None:
+        base = setup.base if setup else _end_lcm(sources, exact.L)
+        H = min(1 << (length - 1).bit_length(), clock.budget.max_words)
+        D = record.denominator(base * exact.K**H)
+        setup = record.setups.get(key)
+    if setup is None:
+        root, step, _, fits, _ = _set_search(system, False, sources, D)
+        memo = record.memo
+
+        def memo_step(images: tuple, sym: int) -> tuple | None:
+            try:
+                return memo[images, sym]
+            except KeyError:
+                child = memo[images, sym] = step(images, sym)
+                return child
+
+        setup = record.setups[key] = _SetUp(base, root, memo_step, fits(targets))
+    aut, dead = system.automaton, record.dead.setdefault(targets, set())
+    for syms, _ in walk(aut, length, setup.root, setup.step, clock.spend, setup.leaf, dead):
+        yield syms
 
 
 def first_set_hit(
@@ -800,7 +790,7 @@ def first_set_hit(
         raise ValueError("word length must be at least 1")
     aut, suffix = system.automaton, tuple(suffix)
     horizon = max(wanted, default=0)
-    root, _, advance, fits, build = _set_search(system, False, sources, horizon, clock)
+    root, _, advance, fits, build = _set_search(system, False, sources)
     test = fits(targets)
     sweep = _levels(aut, advance, [root], clock, horizon)
     for n, (level,) in enumerate(sweep, 1):

@@ -364,9 +364,11 @@ def budget_from_json(v: Any) -> SearchBudget:
         return SearchBudget()
     if not isinstance(v, dict):
         raise ScenarioError("'budget' must be an object")
+    unknown = sorted(set(v) - {f.name for f in fields(SearchBudget)})
+    if unknown:
+        raise ScenarioError(f"bad budget: unknown keys {unknown}")
     try:
-        given = {f.name: v[f.name] for f in fields(SearchBudget) if f.name in v}
-        return SearchBudget(**given)
+        return SearchBudget(**v)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad budget: {exc}") from exc
 

@@ -46,7 +46,7 @@ from .errors import (
     UndefinedOnSet,
 )
 from .geometry import CompactRep
-from .intervals import POS_INF, Interval, IntervalSet, Scalar, covers_closed_interval
+from .intervals import POS_INF, Interval, IntervalSet, Scalar, _exact_value, covers_closed_interval
 from .language import accepts_prefix
 from .search import SearchBudget, SearchClock, _levels, _set_search
 from .words import Word
@@ -211,6 +211,8 @@ def _center_candidates(
     than that.
     """
     lam = max(abs(p.slope) for pam in system.maps for p in pam.effective_pieces)
+    if system._exact() is not None:
+        lam = _exact_value(lam)  # a float slope at its exact value: every guess is exact
     n = len(working)
     shared = working[0]
     for w in working[1:]:
@@ -227,13 +229,9 @@ def _center_candidates(
         try:
             growth = lam ** hi
         except OverflowError:
-            # A float slope past float range at this power: rational mode
-            # reads it at its exact value, float mode cannot size a radius.
-            if system._exact() is None:
-                raise ValueError(
-                    f"slope {lam!r} to the power {hi} overflows a float"
-                ) from None
-            growth = Fraction(lam) ** hi
+            # A float slope past float range at this power, in float mode,
+            # which cannot size a radius.
+            raise ValueError(f"slope {lam!r} to the power {hi} overflows a float") from None
         cap = eps * 3 / (4 * growth)
         if not shared.is_empty:
             region = shared.widest_component()
@@ -305,7 +303,7 @@ def certify_spread(
     failed: tuple[int, ...] | None = None
     for centers, delta0, hi in _center_candidates(system, start, eps, k0, budget):
         sources = [ball(z, delta0) for z in centers]
-        root, _, advance, fits, _ = _set_search(system, True, sources, hi, clock)
+        root, _, advance, fits, _ = _set_search(system, True, sources)
         tests = {alpha: fits(balls[alpha]) for alpha in order}
         found: dict[tuple[int, ...], Word] = {}
         unfound = order

@@ -5,11 +5,13 @@ values, a reference first-hit search, a reference
 Xiong witness, a reference per-edge point step on reduced integer pairs, a
 reference envelope on the orbit difference, a reference envelope on plain
 Fraction levels, reference envelope and Xiong verifiers on Fraction
-arithmetic and a reference greedy cover check."""
+arithmetic, a reference greedy cover check and a reference factor-tracker
+construction."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -205,6 +207,56 @@ def random_language(rng: random.Random, m: int):
     # Forbidding a repeated letter over m >= 2 always leaves admissible words.
     s = rng.randrange(m)
     return ForbiddenWords(m, ((s, s),))
+
+
+def reference_forbidden_automaton(spec: ForbiddenWords) -> tuple[int, list[list[int]]]:
+    """``(start, table)`` of the factor tracker of ``spec``, built as
+    :func:`swmix.language._forbidden_automaton` did before its one
+    breadth-first pass: failure links in a loop of their own, then each
+    table entry by walking failure links until a child matches."""
+    m = spec.m
+    children: list[dict[int, int]] = [{}]
+    terminal: list[bool] = [False]
+    for w in spec.words:
+        node = 0
+        for s in w:
+            nxt = children[node].get(s)
+            if nxt is None:
+                nxt = len(children)
+                children[node][s] = nxt
+                children.append({})
+                terminal.append(False)
+            node = nxt
+        terminal[node] = True
+
+    fail = [0] * len(children)
+    order = deque(children[0].values())
+    while order:
+        node = order.popleft()
+        for s, nxt in children[node].items():
+            f = fail[node]
+            while f and s not in children[f]:
+                f = fail[f]
+            fail[nxt] = children[f].get(s, 0) if children[f].get(s, 0) != nxt else 0
+            terminal[nxt] = terminal[nxt] or terminal[fail[nxt]]
+            order.append(nxt)
+
+    def goto(node: int, s: int) -> int:
+        while True:
+            if s in children[node]:
+                return children[node][s]
+            if node == 0:
+                return 0
+            node = fail[node]
+
+    table = [[-1] * m for _ in children]
+    for node in range(len(children)):
+        if terminal[node]:
+            continue
+        for s in range(m):
+            nxt = goto(node, s)
+            table[node][s] = -1 if terminal[nxt] else nxt
+    return 0, table
 
 
 def random_system(rng: random.Random, max_alphabet: int = 3) -> SwitchedSystem:

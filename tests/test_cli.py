@@ -1,12 +1,14 @@
 """Command-line driver: exit codes, artifacts, and byte-level determinism."""
 
 import json
+import random
 
 import pytest
 
 from swmix import cli
 from swmix.cli import _build_parser, main
 from swmix.demo import tent_system
+from swmix.language import ForbiddenWords, compile_language, enumerate_words
 from swmix.serialization import system_to_json
 
 from helpers import ROTATIONS
@@ -117,6 +119,29 @@ def test_spread_refuses_a_float_slope_whose_power_overflows(tmp_path, capsys):
         "message": "slope 1e+100 to the power 5 overflows a float",
     }
     assert not (tmp_path / "out").exists()
+
+
+def test_rational_spread_with_json_number_coefficients_holds_fractions_only(tmp_path, capsys):
+    # The tent written with JSON numbers: the largest slope 2.0 was taken as
+    # the float it is parsed to, so the center and delta printed as floats
+    # (0.22777777777777777 and 0.0078125).
+    system = dict(TENT_JSON, bounds=[0.0, 1.0])
+    system["maps"] = [
+        [{"domain": ["-inf", "inf"], "a": 2.0, "b": 0.0}],
+        [{"domain": ["-inf", "inf"], "a": -2.0, "b": 2.0}],
+    ]
+    params = dict(
+        spread_scenario()["params"], seeds=[[["1/5", "7/10"]]], eps="2/5", net_radius="1/5"
+    )
+    scn = write(tmp_path / "scn.json", spread_scenario(system=system, params=params))
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and report["verified"] is True
+    cert_path = tmp_path / "out" / "certificate.json"
+    cert = json.loads(cert_path.read_text())["certificate"]
+    assert (cert["centers"], cert["delta"]) == (["41/180"], "1/128")
+    assert all(type(v) is str and "/" in v for v in cert["centers"] + [cert["delta"]])
+    code, report = run_cli(["verify", str(cert_path)], capsys)
+    assert (code, report) == (0, {"kind": "spread", "verified": True})
 
 
 def test_run_spread_scenario(tmp_path, capsys):
@@ -456,6 +481,21 @@ def test_malformed_budget_exits_1(tmp_path, capsys):
         assert report["error"]["message"].startswith("bad budget: ")
 
 
+def test_unknown_budget_keys_exit_1(tmp_path, capsys):
+    # max_depth is no budget field: dropping it silently ran the default
+    # horizon of 12 and exited 0.
+    params = {"U": [["0", "1/10"]], "V": [["9/10", "1"]]}
+    doc = {"task": "hitting", "system": CLAMPED_JSON, "params": params}
+    scn = write(tmp_path / "scn.json", {**doc, "budget": {"max_depth": 3, "max_horizon": 4}})
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ScenarioError",
+        "message": "bad budget: unknown keys ['max_depth']",
+    }
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_orbit_task_frozen_values(tmp_path, capsys):
     scn = write(
         tmp_path / "scn.json",
@@ -493,12 +533,54 @@ def test_prelang_task_counts(tmp_path, capsys):
     assert (tmp_path / "out" / "counts.csv").read_text().startswith("length,count\n")
 
 
+def test_prelang_counts_every_length_in_one_pass(tmp_path, capsys, monkeypatch):
+    # 40 forbidden words of length 7 over 3 symbols prune to 143 states.  A
+    # matrix power per length took 76 s for lengths 1-100, and one more for
+    # the listing total took 9.4 s at length 1,000; one pass over per-state
+    # counts gives every length and the total, and no matrix power runs.
+    rng = random.Random(3)
+    forbidden = [[rng.randrange(3) for _ in range(7)] for _ in range(40)]
+    monkeypatch.setattr(
+        cli, "count_words", lambda *args: pytest.fail("a matrix power ran"), raising=False
+    )
+    system = {
+        "maps": [TENT_JSON["maps"][0]] * 3,
+        "bounds": TENT_JSON["bounds"],
+        "language": {"kind": "sft", "m": 3, "forbidden": forbidden},
+        "clamp": False,
+    }
+    params = {"max_len": 1000}
+    scn = write(tmp_path / "scn.json", {"task": "prelang", "system": system, "params": params})
+    code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0 and len(report["counts"]) == 1000
+    aut = compile_language(ForbiddenWords(3, tuple(map(tuple, forbidden))))
+    assert aut.num_states == 143
+    assert report["counts"][:8] == [sum(1 for _ in enumerate_words(aut, n)) for n in range(1, 9)]
+    assert report["counts"][6] < 3**7
+    csv = (tmp_path / "out" / "counts.csv").read_text().splitlines()
+    assert len(csv) == 1001 and csv[-1] == f"1000,{report['counts'][-1]}"
+    # A listing length past max_len is counted by the same pass, and its
+    # total is refused past the listing cap.
+    params = {"max_len": 2, "list_len": 1000}
+    scn = write(tmp_path / "list.json", {"task": "prelang", "system": system, "params": params})
+    code, listing = run_cli(["run", scn, "--out", str(tmp_path / "list")], capsys)
+    assert code == 1
+    assert listing["error"]["message"] == (
+        f"refusing to list {report['counts'][-1]} words at length 1000"
+    )
+    params = {"max_len": 2, "list_len": 8}
+    scn = write(tmp_path / "short.json", {"task": "prelang", "system": system, "params": params})
+    code, listing = run_cli(["run", scn, "--out", str(tmp_path / "short")], capsys)
+    assert code == 0 and listing["counts"] == report["counts"][:2]
+    assert listing["words"] == [w.as_string() for w in enumerate_words(aut, 8)]
+
+
 @pytest.mark.parametrize("key", ["max_len", "list_len"])
 def test_prelang_refuses_a_length_past_the_cap_before_counting(key, tmp_path, capsys, monkeypatch):
     # On the full 2-shift the count of length 20,000 has 6,021 digits, past
     # what Python turns into a string by default; 14,000 took seconds and
     # wrote 30 MB.  The length is refused before any word is counted.
-    monkeypatch.setattr(cli, "count_words", lambda *args: pytest.fail("words were counted"))
+    monkeypatch.setattr(cli, "count_words_upto", lambda *args: pytest.fail("words were counted"))
     params = {"max_len": 5, key: 20_000}
     scn = write(tmp_path / "scn.json", {"task": "prelang", "system": TENT_JSON, "params": params})
     code, report = run_cli(["run", scn, "--out", str(tmp_path / "out")], capsys)

@@ -1018,7 +1018,7 @@ def test_exact_form_is_built_once_per_system(monkeypatch):
     assert word_preimage(system, word, V) == IntervalSet.of(F(13, 210), F(34, 210))
     assert pull_back_hit(system, word, U, V) is not None
     clock = SearchClock(SearchBudget())
-    assert word in [syms for syms, _ in iter_set_hits(system, [U], [V], 4, clock)]
+    assert word in list(iter_set_hits(system, [U], [V], 4, clock))
     assert list(iter_point_hits(system, [(F(1, 7),)], [(F(1, 2),)], [F(1, 2)], 2, clock))
     assert distance_envelope(system, F(1, 7), F(2, 9), horizon=3).rows
     assert calls == [] and system._exact() is form

@@ -4,19 +4,33 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from swmix.errors import EmptyLanguage
 from swmix.language import (
     Dfa,
     ForbiddenWords,
     FullShift,
+    _forbidden_automaton,
     accepts_prefix,
     compile_language,
     count_words,
+    count_words_upto,
     enumerate_words,
 )
 
+from helpers import reference_forbidden_automaton
+
 GOLDEN = ForbiddenWords(2, ((1, 1),))
+
+
+def _sft_143():
+    # 40 forbidden words of length 7 over 3 symbols, which prune to 143
+    # states.
+    rng = random.Random(3)
+    words = tuple(tuple(rng.randrange(3) for _ in range(7)) for _ in range(40))
+    return ForbiddenWords(3, words)
 
 
 def test_full_shift_counts():
@@ -104,3 +118,31 @@ def test_validation():
         compile_language(FullShift(0))
     with pytest.raises(ValueError):
         compile_language(ForbiddenWords(2, ((2, 0),)))
+
+
+def test_counting_pass_matches_the_matrix_power():
+    for aut in (compile_language(FullShift(3)), compile_language(GOLDEN)):
+        assert count_words_upto(aut, 30) == [count_words(aut, n) for n in range(1, 31)]
+    # A matrix power of the 143 states costs about 0.3 s, so only a few
+    # lengths are compared there.
+    sft = compile_language(_sft_143())
+    assert sft.num_states == 143
+    counts = count_words_upto(sft, 30)
+    assert len(counts) == 30
+    for n in (1, 7, 30):
+        assert counts[n - 1] == count_words(sft, n)
+    assert count_words_upto(sft, 0) == []
+
+
+@st.composite
+def forbidden_specs(draw):
+    m = draw(st.integers(1, 4))
+    word = st.lists(st.integers(0, m - 1), min_size=1, max_size=5).map(tuple)
+    return ForbiddenWords(m, tuple(draw(st.lists(word, max_size=6))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(forbidden_specs())
+@example(_sft_143())
+def test_forbidden_automaton_matches_the_reference_construction(spec):
+    assert _forbidden_automaton(spec) == reference_forbidden_automaton(spec)

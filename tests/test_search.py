@@ -56,16 +56,9 @@ V = IntervalSet.of(F(9, 10), F(1))
 
 def test_iter_set_hits_lexicographic():
     clock = SearchClock(SearchBudget(max_horizon=4))
-    words = [syms for syms, _ in iter_set_hits(CLAMPED, [U], [V], 4, clock)]
+    words = list(iter_set_hits(CLAMPED, [U], [V], 4, clock))
     assert words == [(0, 0, 0, 0), (0, 0, 0, 1)]
     assert not clock.exceeded
-
-
-def test_iter_set_hits_yields_final_enclosures():
-    clock = SearchClock(SearchBudget())
-    syms, images = next(iter(iter_set_hits(CLAMPED, [U], [V], 4, clock)))
-    assert syms == (0, 0, 0, 0)
-    assert images[0].intersects(V)
 
 
 def test_clamp_prunes_escaped_branches():
@@ -297,13 +290,17 @@ def test_sets_reached_through_different_slopes_share_one_memo_entry(monkeypatch)
 
 def test_shared_clock_keeps_systems_and_modes_apart():
     # Same sources throughout: a memo or dead set keyed on enclosures and
-    # symbol alone would hand the 2/7 rotation the 1/3 rotation's images.
-    # (The level sweeps keep no memo or dead set on the clock.)
+    # symbol alone would hand the 2/7 rotation the 1/3 rotation's images,
+    # and with them its hit: 00 takes (4/5, 1) to (7/15, 2/3) under the 1/3
+    # rotation, which meets the target, and to (13/35, 4/7) under the 2/7
+    # one, which misses it.  (The level sweeps keep no memo or dead set on
+    # the clock.)
     rot3, rot7 = rotation_system(F(1, 3)), rotation_system(F(2, 7))
     across = [IntervalSet.of(F(4, 5), F(6, 5))]
+    target = [IntervalSet.of(F(3, 5), F(13, 20))]
     searches = [
-        lambda clock: list(iter_set_hits(rot3, across, [UNIT], 2, clock)),
-        lambda clock: list(iter_set_hits(rot7, across, [UNIT], 2, clock)),
+        lambda clock: list(iter_set_hits(rot3, across, target, 2, clock)),
+        lambda clock: list(iter_set_hits(rot7, across, target, 2, clock)),
     ]
     fresh = [run(SearchClock(SearchBudget())) for run in searches]
     assert fresh[0] != fresh[1]
@@ -313,7 +310,7 @@ def test_shared_clock_keeps_systems_and_modes_apart():
 
 def test_truncated_iter_set_hits_node_count():
     clock = SearchClock(SearchBudget(max_words=20))
-    words = ["".join(map(str, syms)) for syms, _ in iter_set_hits(CLAMPED, [U], [V], 7, clock)]
+    words = ["".join(map(str, syms)) for syms in iter_set_hits(CLAMPED, [U], [V], 7, clock)]
     assert words == [
         "0000000", "0000001", "0000010", "0000011",
         "0000100", "0000101", "0000110", "0000111",
@@ -483,9 +480,9 @@ def test_walks_with_a_dead_set_yield_the_plain_walks(system, set_pairs, point_pa
             assert list(walk(aut, n, root, step, leaf=leaf, dead=dead)) == plain
 
 
-# Set walks on rows against the walk on sets: step_images through the
-# clock's memo as the step, IntervalSet.intersects as the leaf test, and one
-# dead set for lengths 1..5, as a length-first search runs them.
+# Set walks on flat ends against the walk on sets: step_images through a
+# memo as the step, IntervalSet.intersects as the leaf test, and one dead
+# set for lengths 1..5, as a length-first search runs them.
 
 WALK_SETS = st.one_of(
     SETS,
@@ -511,9 +508,13 @@ def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, max_words)
     rows_clock = SearchClock(SearchBudget(max_words=max_words))
     sets_clock = SearchClock(SearchBudget(max_words=max_words))
     assert system._exact() is not None
-    step = search._memo_step(
-        sets_clock, system, lambda images, sym: step_images(system, images, sym)
-    )
+    memo = {}
+
+    def step(images, sym):
+        if (images, sym) not in memo:
+            memo[images, sym] = step_images(system, images, sym)
+        return memo[images, sym]
+
     min_overlap = system.numerics.min_overlap
 
     def leaf(images):
@@ -522,8 +523,8 @@ def test_row_set_walks_match_the_memoised_set_walk(system, set_pairs, max_words)
     dead = set()
     for n in range(1, 6):
         got = list(iter_set_hits(system, sources, targets, n, rows_clock))
-        want = list(walk(system.automaton, n, sources, step, sets_clock.spend, leaf, dead))
-        assert repr(got) == repr(want)
+        walks = walk(system.automaton, n, sources, step, sets_clock.spend, leaf, dead)
+        assert got == [word for word, _ in walks]
         assert (rows_clock.count, rows_clock.exceeded) == (sets_clock.count, sets_clock.exceeded)
 
 
@@ -787,21 +788,21 @@ def kernel_sets(draw):
 def test_set_kernel_matches_the_generic_loops(system, sources, targets, inside, data):
     # Both set searches follow the word: the sweep one level of one key at a
     # time, whose every child must be the generic loop's step of its symbol
-    # (the level's D moving by K per level), and the walker's step on its
-    # one D.
+    # (the level's D moving by K per level), and the walker's step on one D
+    # that holds the whole word, as iter_set_hits asks its walk record for.
     word = data.draw(st.lists(st.integers(0, system.m - 1), min_size=1, max_size=12))
     goals = targets[: len(sources)]
     min_overlap = system.numerics.min_overlap
     aut = system.automaton
-    for shared in (False, True):
+    exact = system._exact()
+    for D in (None, search._end_lcm(sources, exact.L) * exact.K ** len(word)):
         clock = SearchClock(SearchBudget())
-        search_parts = search._set_search(system, inside, sources, len(word), clock, shared)
-        values, step, advance, fits, build = search_parts
+        values, step, advance, fits, build = search._set_search(system, inside, sources, D)
         sets = tuple(sources)
         test = fits(goals)
         for sym in word:
             children = [reference_set_step(system, sets, s, not inside) for s in range(system.m)]
-            if shared:
+            if D is not None:
                 values = step(values, sym)
             else:
                 level = advance({(aut.start, values): ()}, clock)
@@ -837,7 +838,7 @@ def test_set_kernel_matches_the_generic_loops(system, sources, targets, inside, 
 
 
 def _walk_words(system, source, target, n, clock):
-    return ["".join(map(str, w)) for w, _ in iter_set_hits(system, [source], [target], n, clock)]
+    return ["".join(map(str, w)) for w in iter_set_hits(system, [source], [target], n, clock)]
 
 
 def test_walks_from_sources_on_other_denominators_share_their_keys():
@@ -856,7 +857,7 @@ def test_walks_from_sources_on_other_denominators_share_their_keys():
     assert clock.count == 30
     assert _walk_words(system, B, V, 4, clock) == words
     assert clock.count == 56
-    assert clock._walks(system)[2] == 1000
+    assert clock._walks(system).D == 1000
 
 
 def test_walks_over_lengths_with_fractional_slopes_share_their_keys():
@@ -891,7 +892,7 @@ def test_walks_over_lengths_with_fractional_slopes_share_their_keys():
         ["000001", "000010", "000011", "000100", "001100", "010001", "110001"],
     ]
     assert clock.count == 236
-    assert clock._walks(system)[2] == 90 * 6**8
+    assert clock._walks(system).D == 90 * 6**8
 
 
 def test_sweep_denominator_grows_with_the_depth_reached():
@@ -916,7 +917,7 @@ def test_sweep_denominator_grows_with_the_depth_reached():
         word, _ = first_set_hit(system, [U], [T], [9, far], clock)
         assert (word, clock.count) == ((1, 1, 1, 0, 1, 1, 1, 1, 1), 284)
     clock = SearchClock(SearchBudget())
-    root, _, advance, _, build = search._set_search(system, False, [U], 10**6, clock)
+    root, _, advance, _, build = search._set_search(system, False, [U])
     level = {(system.automaton.start, root): ()}
     for _ in range(9):
         level = advance(level, clock)
@@ -924,22 +925,21 @@ def test_sweep_denominator_grows_with_the_depth_reached():
         assert _ends_set(ends, 30 * 2**9) == build(ends) == eval_interval(system, word, U)
 
 
-# The walker's set-up (root ends, scaled maps, memoised step, leaf test) is
-# built once per (sources, targets) on the clock and reused over lengths
-# while the clock's D holds; _denominator drops every set-up when it
+# The walker's set-up (root ends, memoised step, leaf test) is built once
+# per (sources, targets) in the clock's walk record and reused over lengths
+# while the record's D holds; the record drops every set-up when it
 # rescales.
 
 
 def _count_builds(monkeypatch):
-    """Wrap ``search._set_search`` to record each walker build as ``(length,
-    D after it)``."""
+    """Wrap ``search._set_search`` to record the ``D`` of each walker build
+    (a rational set search given the walk record's ``D``)."""
     builds, real = [], search._set_search
 
-    def counting(system, inside, sources, horizon, clock, shared=False):
-        parts = real(system, inside, sources, horizon, clock, shared)
-        if shared:
-            builds.append((horizon, clock._walks(system)[2]))
-        return parts
+    def counting(system, inside, sources, D=None):
+        if D is not None:
+            builds.append(D)
+        return real(system, inside, sources, D)
 
     monkeypatch.setattr(search, "_set_search", counting)
     return builds
@@ -982,18 +982,20 @@ def test_walks_on_fractional_slopes_rebuild_only_when_the_clock_rescales(monkeyp
     )
     T = IntervalSet.of(F(2, 5), F(3, 5))
     clock = SearchClock(SearchBudget())
-    held = []
+    held, built = [], []
     for n in range(1, 11):
+        before = len(builds)
         list(iter_set_hits(system, [IntervalSet.of(F(1, 10), F(1, 5))], [T], n, clock))
-        held.append(clock._walks(system)[2])
+        held.append(clock._walks(system).D)
+        built += [n] * (len(builds) - before)
     grew = [n for n in range(1, 11) if n == 1 or held[n - 1] != held[n - 2]]
     assert grew == [1, 2, 3, 5, 9]
-    assert [n for n, _ in builds] == grew
+    assert built == grew and builds == [held[n - 1] for n in grew]
     assert held[-1] == 30 * 2**16
     builds.clear()
     for n in range(1, 11):
         list(iter_set_hits(system, [IntervalSet.of(F(1, 3), F(1, 2))], [T], n, clock))
-    assert builds == [(1, 30 * 2**16)]
+    assert builds == [30 * 2**16]
 
 
 def test_a_rescale_scales_the_dead_sets_of_its_own_walk_record_only():
@@ -1013,13 +1015,13 @@ def test_a_rescale_scales_the_dead_sets_of_its_own_walk_record_only():
     clock = SearchClock(SearchBudget())
     for s in (system, CLAMPED):
         list(iter_set_hits(s, S, T, 3, clock))
-    record, tent = clock._walks(system), clock._walks(CLAMPED)[4]
-    D, dead = record[2], record[4][T]
+    record, tent = clock._walks(system), clock._walks(CLAMPED).dead
+    D, dead = record.D, record.dead[T]
     list(iter_set_hits(system, S, T, 5, clock))
-    f = record[2] // D
-    assert dead and f > 1 and clock._walks(CLAMPED)[4] is tent
+    f = record.D // D
+    assert dead and f > 1 and clock._walks(CLAMPED).dead is tent
     want = {(q, tuple(tuple(e * f for e in ends) for ends in v), r) for q, v, r in dead}
-    assert want <= record[4][T]
+    assert want <= record.dead[T]
 
 
 def test_set_searches_refuse_unmatched_sources_and_targets():
@@ -1121,4 +1123,4 @@ def test_interleaved_walks_on_one_clock_match_fresh_clocks(system, data):
         assert repr(got) == repr(want)
     assert not clock.exceeded
     if system._exact() is not None and set(order) == {0, 1}:
-        assert clock._walks(system)[2] % 70 == 0
+        assert clock._walks(system).D % 70 == 0
